@@ -33,16 +33,20 @@ def _out_dir(args) -> str:
     return args.out or os.environ.get(ENV_OUT_ROOT) or "out"
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Parse '1,2,5' or a half-open range 'a:b'."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(v) for v in text.split(",") if v]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
+def _parse_list(text: str, name: str, kind=float) -> list:
+    """Parse '1,2,5' or, for ints, a half-open range 'a:b'.  An unparsable
+    or empty list is a ConfigError naming the flag."""
+    try:
+        if kind is int and ":" in text:
+            lo, hi = text.split(":", 1)
+            values = list(range(int(lo), int(hi)))
+        else:
+            values = [kind(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise ConfigError(name, f"cannot parse {text!r}") from exc
+    if not values:
+        raise ConfigError(name, f"{text!r} lists no values")
+    return values
 
 
 def _load_scenario(args) -> Scenario:
@@ -92,11 +96,9 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = config.load_scenario(args.scenario, args.set)
-    seeds = _parse_int_list(args.seeds)
-    speeds = _parse_float_list(args.speeds) if args.speeds else list(sim.SPEED_SET_KMH)
+    seeds = _parse_list(args.seeds, "seeds", int)
+    speeds = _parse_list(args.speeds, "speeds") if args.speeds else list(sim.SPEED_SET_KMH)
     policies = args.policies.split(",") if args.policies else list(sim.POLICIES)
-    if not seeds:
-        raise ConfigError("seeds", "need at least one seed")
     scenarios = [
         dataclasses.replace(base, policy=p, ue_speed_kmh=v, seed=s)
         for p in policies
@@ -163,7 +165,7 @@ def cmd_convergence(args) -> int:
     base = config.load_scenario(args.scenario, args.set)
     if args.duration is not None:
         base = dataclasses.replace(base, sim_duration_s=args.duration)
-    seeds = _parse_int_list(args.seeds)
+    seeds = _parse_list(args.seeds, "seeds", int)
     rows = []
     for seed in seeds:
         scenario = dataclasses.replace(base, seed=seed)
@@ -194,15 +196,24 @@ def cmd_qtable(args) -> int:
 def cmd_plot(args) -> int:
     from . import plot  # imported here so that simulation runs do not pay for it
 
-    with open(args.csv, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(args.csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, UnicodeError, csv.Error) as exc:
+        print(f"cannot read {args.csv}: {exc}", file=sys.stderr)
+        return 1
     if not rows:
         print(f"no rows in {args.csv}", file=sys.stderr)
         return 1
     if "avg_plr" in rows[0]:
-        name, (pixels, labels) = "convergence.png", plot.convergence_chart(rows)
+        name, chart, columns = "convergence.png", plot.convergence_chart, plot.CONVERGENCE_COLUMNS
     else:
-        name, (pixels, labels) = "sweep.png", plot.sweep_chart(rows)
+        name, chart, columns = "sweep.png", plot.sweep_chart, plot.SWEEP_COLUMNS
+    missing = [c for c in columns if c not in rows[0]]
+    if missing:
+        print(f"no column {missing[0]} in {args.csv}", file=sys.stderr)
+        return 1
+    pixels, labels = chart(rows)
     path = os.path.join(_out_dir(args), name)
     plot.write_png_atomic(path, pixels, labels)
     print(f"wrote {path}")

@@ -1,17 +1,9 @@
 """Scenario files and overrides.
 
-A scenario file is flat INI text with four sections mirroring the
-Scenario fields::
-
-    [sim]       layout, n_sites, cell_radius_m, site_spacing_m,
-                corridor_lane_m, boundary_margin_m, n_ues_per_cell,
-                ue_speed_kmh, sim_duration_s, step_s, report_period_s,
-                seed, policy, fixed_ttt_ms, fixed_hyst_db
-    [radio]     tx_power_dbm, carrier_freq_hz, bandwidth_hz, noise_figure_db
-    [channel]   path_loss_exponent, shadowing_sigma_db,
-                thermal_noise_density_dbm_hz, meas_noise_sigma_db,
-                env_noise_mean_dbm, env_noise_sigma_db
-    [learning]  alpha, gamma, r
+A scenario file is flat INI text whose four sections mirror the Scenario
+fields: ``[radio]`` holds the transmitter fields, ``[channel]`` and
+``[learning]`` the nested ChannelParams and LearningParams, and ``[sim]``
+every other top-level field.  ``dump_scenario`` lists every key.
 
 Every key is optional and falls back to the package default.  The same
 section.key=value pairs are accepted as command-line overrides.
@@ -25,75 +17,50 @@ import os
 
 from .sim import ConfigError, Scenario
 
-_SIM_KEYS = {
-    "layout": str,
-    "n_sites": int,
-    "cell_radius_m": float,
-    "site_spacing_m": float,
-    "corridor_lane_m": float,
-    "boundary_margin_m": float,
-    "n_ues_per_cell": int,
-    "ue_speed_kmh": float,
-    "sim_duration_s": float,
-    "step_s": float,
-    "report_period_s": float,
-    "seed": int,
-    "policy": str,
-    "fixed_ttt_ms": int,
-    "fixed_hyst_db": int,
-}
-_RADIO_KEYS = {
-    "tx_power_dbm": float,
-    "carrier_freq_hz": float,
-    "bandwidth_hz": float,
-    "noise_figure_db": float,
-}
-_CHANNEL_KEYS = {
-    "path_loss_exponent": float,
-    "shadowing_sigma_db": float,
-    "thermal_noise_density_dbm_hz": float,
-    "meas_noise_sigma_db": float,
-    "env_noise_mean_dbm": float,
-    "env_noise_sigma_db": float,
-}
-_LEARNING_KEYS = {"alpha": float, "gamma": float, "r": float}
-_SECTIONS = {
-    "sim": _SIM_KEYS,
-    "radio": _RADIO_KEYS,
-    "channel": _CHANNEL_KEYS,
-    "learning": _LEARNING_KEYS,
+_RADIO = ("tx_power_dbm", "carrier_freq_hz", "bandwidth_hz", "noise_figure_db")
+_NESTED = ("channel", "learning")
+
+
+def _section(obj, keep) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if keep(f.name)}
+
+
+_DEFAULT = Scenario()
+# section -> key -> default value; the default's type is the key's parse type,
+# and a None default also accepts "none".
+SECTIONS = {
+    "sim": _section(_DEFAULT, lambda name: name not in _RADIO and name not in _NESTED),
+    "radio": _section(_DEFAULT, lambda name: name in _RADIO),
+    "channel": _section(_DEFAULT.channel, lambda name: True),
+    # Each cell agent draws its own t_init_s, so it is not a scenario setting.
+    "learning": _section(_DEFAULT.learning, lambda name: name != "t_init_s"),
 }
 
 
-def _coerce(section: str, key: str, raw: str):
-    if section not in _SECTIONS:
+def _set(scenario: Scenario, section: str, key: str, raw: str) -> Scenario:
+    """Parse ``raw`` as the value of section.key and return the scenario with it set."""
+    if section not in SECTIONS:
         raise ConfigError(section, "unknown section")
-    if key not in _SECTIONS[section]:
-        raise ConfigError(f"{section}.{key}", "unknown key")
-    kind = _SECTIONS[section][key]
+    target = f"{section}.{key}"
+    if key not in SECTIONS[section]:
+        raise ConfigError(target, "unknown key")
+    default = SECTIONS[section][key]
     raw = raw.strip()
-    if section == "sim" and key == "boundary_margin_m" and raw.lower() in ("none", ""):
-        return None
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r} as {kind.__name__}") from exc
-
-
-def _apply(scenario: Scenario, section: str, key: str, value) -> Scenario:
-    if section not in _SECTIONS:
-        raise ConfigError(section, "unknown section")
-    if key not in _SECTIONS[section]:
-        raise ConfigError(f"{section}.{key}", "unknown key")
-    if section == "sim" or section == "radio":
+    if default is None and raw.lower() in ("none", ""):
+        value = None
+    else:
+        kind = float if default is None else type(default)
+        try:
+            value = kind(raw)
+        except ValueError as exc:
+            raise ConfigError(target, f"cannot parse {raw!r} as {kind.__name__}") from exc
+    if section not in _NESTED:
         return dataclasses.replace(scenario, **{key: value})
-    if section == "channel":
-        return dataclasses.replace(scenario, channel=dataclasses.replace(scenario.channel, **{key: value}))
-    return dataclasses.replace(scenario, learning=dataclasses.replace(scenario.learning, **{key: value}))
+    try:
+        nested = dataclasses.replace(getattr(scenario, section), **{key: value})
+    except ValueError as exc:
+        raise ConfigError(target, str(exc)) from exc
+    return dataclasses.replace(scenario, **{section: nested})
 
 
 def load_scenario(path: str | None = None, overrides: list[str] | None = None, base: Scenario | None = None) -> Scenario:
@@ -108,10 +75,10 @@ def load_scenario(path: str | None = None, overrides: list[str] | None = None, b
         except configparser.Error as exc:
             raise ConfigError("scenario", f"cannot parse {path}: {exc}") from exc
         for section in parser.sections():
-            if section not in _SECTIONS:
+            if section not in SECTIONS:
                 raise ConfigError(section, f"unknown section in {path}")
             for key, raw in parser.items(section):
-                scenario = _apply(scenario, section, key, _coerce(section, key, raw))
+                scenario = _set(scenario, section, key, raw)
     for item in overrides or []:
         scenario = apply_override(scenario, item)
     return scenario
@@ -125,30 +92,17 @@ def apply_override(scenario: Scenario, item: str) -> Scenario:
     if "." not in target:
         raise ConfigError(target, "override key must look like section.key")
     section, key = target.strip().split(".", 1)
-    if section not in _SECTIONS:
-        raise ConfigError(section, "unknown section")
-    if key not in _SECTIONS[section]:
-        raise ConfigError(f"{section}.{key}", "unknown key")
-    return _apply(scenario, section, key, _coerce(section, key, raw))
+    return _set(scenario, section, key, raw)
 
 
 def dump_scenario(scenario: Scenario) -> str:
     """Render a Scenario back into the INI scenario format."""
-    lines = ["[sim]"]
-    for key in _SIM_KEYS:
-        value = getattr(scenario, key)
-        lines.append(f"{key} = {'none' if value is None else value}")
-    lines.append("")
-    lines.append("[radio]")
-    for key in _RADIO_KEYS:
-        lines.append(f"{key} = {getattr(scenario, key)}")
-    lines.append("")
-    lines.append("[channel]")
-    for key in _CHANNEL_KEYS:
-        lines.append(f"{key} = {getattr(scenario.channel, key)}")
-    lines.append("")
-    lines.append("[learning]")
-    for key in _LEARNING_KEYS:
-        lines.append(f"{key} = {getattr(scenario.learning, key)}")
-    lines.append("")
+    lines = []
+    for section, keys in SECTIONS.items():
+        owner = getattr(scenario, section) if section in _NESTED else scenario
+        lines.append(f"[{section}]")
+        for key in keys:
+            value = getattr(owner, key)
+            lines.append(f"{key} = {'none' if value is None else value}")
+        lines.append("")
     return "\n".join(lines)

@@ -95,6 +95,10 @@ def _legend(names) -> str:
     return ", ".join(f"{name} {PALETTE[i % len(PALETTE)]}" for i, name in enumerate(names))
 
 
+SWEEP_COLUMNS = ("policy", "speed_kmh", "mean_throughput_mbps", "plr")
+CONVERGENCE_COLUMNS = ("seed", "timestamp_s", "avg_plr")
+
+
 def sweep_chart(rows) -> tuple[np.ndarray, list[tuple[str, str]]]:
     """Two panels from ``sweep.csv`` rows: mean throughput (left) and
     packet loss rate (right) against UE speed, one line per policy,

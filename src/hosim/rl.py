@@ -54,7 +54,6 @@ class LearningParams:
     alpha: float = 0.1
     gamma: float = 0.5
     r: float = 1.0
-    n_values: int = N_PARAM_VALUES
     t_init_s: float = 0.0
 
     def __post_init__(self):
@@ -126,7 +125,7 @@ def epsilon(k: int, params: LearningParams) -> float:
     """Exploration probability min(1, r*N/k^2) at draw count k >= 1."""
     if k < 1:
         raise ValueError("draw count k must be at least 1")
-    return min(1.0, params.r * params.n_values / float(k) ** 2)
+    return min(1.0, params.r * N_PARAM_VALUES / float(k) ** 2)
 
 
 def choose_param_pair(table: QTable, params: LearningParams, sim_time: float, rng) -> tuple[ParamPair, bool]:

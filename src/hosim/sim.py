@@ -10,7 +10,7 @@ output byte and per-cell agents stay independent of each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from . import engine
 from .engine import EXECUTING, HandoverContext, HandoverOutcome
 from .metrics import KpiRecord, MetricsAccumulator
 from .policies import Lim2Policy, make_policy
-from .radio import CellSite, ChannelParams, RadioEnvironment
-from .rl import LearningParams
+from .radio import SUBCARRIER_SPACING_HZ, SUBCARRIERS_PER_RB, CellSite, ChannelParams, RadioEnvironment
+from .rl import HYST_VALUES_DB, TTT_VALUES_MS, LearningParams
 
 POLICIES = ("lim2", "fixed_a3", "greedy_rsrp")
 SPEED_SET_KMH = (50, 100, 150, 200, 250, 300, 350)
@@ -64,6 +64,10 @@ class Scenario:
     learning: LearningParams = field(default_factory=LearningParams)
 
     def validate(self) -> None:
+        """The one gate for a scenario; a bad field raises ConfigError naming it."""
+        for name, value in _float_fields(self):
+            if not math.isfinite(value):
+                raise ConfigError(name, "must be finite")
         if self.layout not in ("hex", "corridor"):
             raise ConfigError("layout", f"unknown layout {self.layout!r}")
         if self.n_sites < 1:
@@ -74,9 +78,13 @@ class Scenario:
             raise ConfigError("sim_duration_s", "must be positive")
         if self.step_s <= 0:
             raise ConfigError("step_s", "must be positive")
+        if not math.isfinite(self.sim_duration_s / self.step_s):
+            raise ConfigError("step_s", "too small for sim_duration_s")
         if self.report_period_s < self.step_s:
             raise ConfigError("report_period_s", "must be at least step_s")
         ratio = self.report_period_s / self.step_s
+        if not math.isfinite(ratio):
+            raise ConfigError("step_s", "too small for report_period_s")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("report_period_s", "must be an integer multiple of step_s")
         if self.n_ues_per_cell < 0:
@@ -89,6 +97,27 @@ class Scenario:
             raise ConfigError("cell_radius_m", "must be positive")
         if self.layout == "corridor" and self.site_spacing_m <= 0:
             raise ConfigError("site_spacing_m", "must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be non-negative")
+        if self.fixed_ttt_ms not in TTT_VALUES_MS:
+            raise ConfigError("fixed_ttt_ms", f"must be one of {TTT_VALUES_MS}")
+        if self.fixed_hyst_db not in HYST_VALUES_DB:
+            raise ConfigError("fixed_hyst_db", "must be an integer in 0..30")
+        if self.carrier_freq_hz <= 0:
+            raise ConfigError("carrier_freq_hz", "must be positive")
+        rb_hz = SUBCARRIERS_PER_RB * SUBCARRIER_SPACING_HZ
+        if self.bandwidth_hz < rb_hz:
+            raise ConfigError("bandwidth_hz", f"must span at least one resource block ({rb_hz:g} Hz)")
+
+
+def _float_fields(obj, prefix: str = ""):
+    """Yield (attribute path, value) for every float field, nested dataclasses included."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _float_fields(value, f"{prefix}{f.name}.")
+        elif isinstance(value, float):
+            yield prefix + f.name, value
 
 
 def corridor_scenario(**overrides) -> Scenario:
@@ -233,7 +262,6 @@ class Simulation:
         self.contexts = {ue.ue: HandoverContext(ue.ue) for ue in self.ues}
         self._nearest = {ue.ue: self.env.nearest_cell(ue.position) for ue in self.ues}
         self.metrics = MetricsAccumulator(n_ues=len(self.ues), duration_s=scenario.sim_duration_s)
-        self.outcomes: list[HandoverOutcome] = []
         self.report_every = round(scenario.report_period_s / scenario.step_s)
         self.n_steps = round(scenario.sim_duration_s / scenario.step_s)
         self._bounds = self._deployment_bounds(sites)
@@ -255,7 +283,7 @@ class Simulation:
         for _ in range(self.n_steps):
             self.step()
         qtables = self.policy.qtables() if isinstance(self.policy, Lim2Policy) else {}
-        return RunResult(self.scenario, self.metrics.finalize(), self.outcomes, qtables)
+        return RunResult(self.scenario, self.metrics.finalize(), self.metrics.outcomes, qtables)
 
     def step(self) -> None:
         """One tick: complete due handovers, emit reports, sample metrics,
@@ -277,7 +305,6 @@ class Simulation:
                 outcome = engine.complete_handover(ctx, now, source, target_rsrp)
                 if outcome.result == "success":
                     self.serving[ue.ue] = outcome.target
-                self.outcomes.append(outcome)
                 self.metrics.add_outcome(outcome)
                 self.policy.notify_outcome(outcome)
 

@@ -104,6 +104,39 @@ class TestRunCommand:
         assert os.path.exists(os.path.join(root, "kpis.csv"))
 
 
+class TestConfigurationErrors:
+    """Every bad input exits 2 and names its field before any run starts."""
+
+    @pytest.mark.parametrize("argv,field", [
+        (["run", "--set", "channel.path_loss_exponent=-1"], "channel.path_loss_exponent"),
+        (["run", "--set", "sim.sim_duration_s=nan"], "sim_duration_s"),
+        (["run", "--duration", "nan"], "sim_duration_s"),
+        (["run", "--speed", "nan"], "ue_speed_kmh"),
+        (["run", "--set", "sim.fixed_ttt_ms=7", "--policy", "fixed_a3"], "fixed_ttt_ms"),
+        (["run", "--set", "radio.bandwidth_hz=1e6"], "bandwidth_hz"),
+        (["run", "--set", "radio.bandwidth_hz=0"], "bandwidth_hz"),
+        (["run", "--set", "radio.carrier_freq_hz=-1"], "carrier_freq_hz"),
+        (["run", "--set", "radio.tx_power_dbm=inf"], "tx_power_dbm"),
+        (["run", "--set", "learning.r=nan"], "learning.r"),
+        (["run", "--set", "sim.boundary_margin_m=nan"], "boundary_margin_m"),
+        (["run", "--set", "sim.step_s=5e-324"], "step_s"),
+        (["run", "--seed", "-1"], "seed"),
+        (["sweep", "--seeds", "0:"], "seeds"),
+        (["sweep", "--seeds", "a"], "seeds"),
+        (["sweep", "--seeds", "3:3"], "seeds"),
+        (["sweep", "--speeds", "abc"], "speeds"),
+        (["sweep", "--speeds", ","], "speeds"),
+        (["convergence", "--seeds", "0:"], "seeds"),
+    ])
+    def test_exit_2_names_field(self, corridor_file, tmp_path, capsys, argv, field):
+        out = tmp_path / "out"
+        assert main(argv + ["--scenario", corridor_file, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_cardinality(self, corridor_file, tmp_path):
         out = str(tmp_path / "sweep")
@@ -268,4 +301,21 @@ class TestPlotCommand:
         out = tmp_path / "plots"
         assert main(["plot", str(path), "--out", str(out)]) == 1
         assert f"no rows in {path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,data", [("nonexistent.csv", None), ("sweep.png", b"\x89PNG\r\n\x1a\n\xff\xfe")])
+    def test_unreadable_csv_exits_1(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data)
+        assert main(["plot", str(path), "--out", str(tmp_path / "plots")]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and err.count("\n") == 1
+
+    def test_wrong_columns_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "qtables.csv"
+        path.write_text("cell,ttt_ms,hyst_db,q\n0,256,3,0.5\n")
+        out = tmp_path / "plots"
+        assert main(["plot", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"no column policy in {path}\n"
         assert not out.exists()

@@ -1,8 +1,10 @@
 """Scenario file parsing and overrides."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hosim.config import apply_override, dump_scenario, load_scenario
+from hosim.config import SECTIONS, apply_override, dump_scenario, load_scenario
 from hosim.sim import ConfigError, Scenario, corridor_scenario
 
 SCENARIO_TEXT = """
@@ -56,9 +58,10 @@ class TestLoadScenario:
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[backhaul]\nfoo = 1\n")
-        with pytest.raises(ConfigError):
-            load_scenario(str(path))
+        for text in ("[backhaul]\nfoo = 1\n", "[backhaul]\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError):
+                load_scenario(str(path))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -73,6 +76,41 @@ class TestLoadScenario:
         with pytest.raises(ConfigError) as err:
             load_scenario(str(path))
         assert "sim.seed" in str(err.value)
+
+
+ALL_KEYS = sorted(f"{section}.{key}" for section, keys in SECTIONS.items() for key in keys)
+
+
+class TestSchema:
+    def test_exact_key_set(self):
+        assert ALL_KEYS == sorted([
+            "sim.layout", "sim.n_sites", "sim.cell_radius_m", "sim.site_spacing_m",
+            "sim.corridor_lane_m", "sim.boundary_margin_m", "sim.n_ues_per_cell",
+            "sim.ue_speed_kmh", "sim.sim_duration_s", "sim.step_s", "sim.report_period_s",
+            "sim.seed", "sim.policy", "sim.fixed_ttt_ms", "sim.fixed_hyst_db",
+            "radio.tx_power_dbm", "radio.carrier_freq_hz", "radio.bandwidth_hz",
+            "radio.noise_figure_db",
+            "channel.path_loss_exponent", "channel.shadowing_sigma_db",
+            "channel.thermal_noise_density_dbm_hz", "channel.meas_noise_sigma_db",
+            "channel.env_noise_mean_dbm", "channel.env_noise_sigma_db",
+            "learning.alpha", "learning.gamma", "learning.r",
+        ])
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        key=st.sampled_from(ALL_KEYS),
+        raw=st.one_of(
+            st.text(),
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(repr),
+            st.sampled_from([5e-324, -5e-324, 1e308, -1e308]).map(repr),
+            st.integers().map(str),
+        ),
+    )
+    def test_any_override_is_valid_or_config_error(self, key, raw):
+        try:
+            apply_override(Scenario(), f"{key}={raw}").validate()
+        except ConfigError:
+            pass
 
 
 class TestOverrides:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hosim.radio import ChannelParams, free_space_reference_db, re_scaling_db
+from hosim.rl import LearningParams
 from hosim.sim import (
     ConfigError,
     Scenario,
@@ -40,10 +41,29 @@ class TestScenarioValidation:
             ("n_ues_per_cell", -1),
             ("ue_speed_kmh", -5.0),
             ("cell_radius_m", 0.0),
+            ("boundary_margin_m", math.nan),
+            ("fixed_ttt_ms", 7),
+            ("fixed_hyst_db", 31),
+            ("carrier_freq_hz", 0.0),
+            ("bandwidth_hz", 1e6),
+            ("step_s", 5e-324),
+            ("seed", -1),
         ],
     )
     def test_invalid_fields_name_the_field(self, field, value):
         scenario = dataclasses.replace(Scenario(), **{field: value})
+        with pytest.raises(ConfigError) as err:
+            scenario.validate()
+        assert err.value.field_name == field
+
+    @pytest.mark.parametrize(
+        "scenario,field",
+        [
+            (Scenario(channel=ChannelParams(path_loss_exponent=math.nan)), "channel.path_loss_exponent"),
+            (Scenario(learning=LearningParams(r=math.inf)), "learning.r"),
+        ],
+    )
+    def test_nested_fields_named_by_path(self, scenario, field):
         with pytest.raises(ConfigError) as err:
             scenario.validate()
         assert err.value.field_name == field
