@@ -1,0 +1,122 @@
+"""Byte-identity gate: sha256 of every output a run writes.
+
+Each case runs one (scenario, policy, seed) and hashes the formatted
+``kpi_row``, the ``event_row``s, the per-second PLR series and, for
+lim2, the ``qtable_rows``, exactly as the CLI would write them.  A
+refactor that is meant to keep the outputs must keep these digests; a
+change that moves one must say why and re-record it.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from hosim import config, kalman, metrics
+from hosim.rl import qtable_rows
+from hosim.sim import Simulation
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+
+def _digest(rows) -> str:
+    text = "\n".join(",".join(metrics.format_value(v) for v in row) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_digests(ini: str, overrides: list[str]) -> dict[str, str]:
+    scenario = config.load_scenario(os.path.join(SCENARIOS, ini), overrides)
+    result = Simulation(scenario).run()
+    out = {
+        "kpis": _digest([metrics.kpi_row(scenario.policy, scenario.seed, scenario.ue_speed_kmh, result.kpis)]),
+        "events": _digest(metrics.event_row(o) for o in result.outcomes),
+        "plr_series": _digest([result.kpis.plr_series]),
+    }
+    if scenario.policy == "lim2":
+        out["qtables"] = _digest(qtable_rows(result.qtables))
+    return out
+
+
+HEX_SHORT = ["sim.sim_duration_s=0.2"]
+# 19 single-UE cells at 350 km/h for 13 s: UEs cross several cells, so
+# streams they stop reporting go idle for more than the eviction window.
+HEX_EVICTION = [
+    "sim.n_sites=19", "sim.n_ues_per_cell=1", "sim.step_s=0.04", "sim.report_period_s=0.04",
+    "sim.sim_duration_s=13", "sim.ue_speed_kmh=350",
+]
+
+# case -> (scenario file, overrides, digests), recorded before the Kalman
+# streams kept only their estimate.
+GOLDEN = {
+    "corridor-lim2-1": ("corridor.ini", ["sim.policy=lim2", "sim.seed=1"], {
+        "kpis": "e0b4ac5ebb38c6c04c8ab83213860604deedb63c7ef9b3fa69cf4e417a44dbb9",
+        "events": "141822399d22597cbdad1af327f324bf49d7f73b684b328c893246cc1fe077f8",
+        "plr_series": "f2aa6a6c1646bf2c403d4384df5e56fafbff0cced3ffb205220f3b0af86633d0",
+        "qtables": "089f575861c804b266b99f2cd0075a0134c1095a1e5d9bedf8e19c1f83857d28",
+    }),
+    "corridor-lim2-7": ("corridor.ini", ["sim.policy=lim2", "sim.seed=7"], {
+        "kpis": "2f020c8c41b6840b30969f3c6274921bb94b7a3809cfb7cd8442494a34c1ab88",
+        "events": "b3a1a50d820c6cb9de0dbece2241587e7892a70f0e3f1f232d98b9e20a45af4f",
+        "plr_series": "5676b1dee3b5c59907c8e747ce6c54fc566c3d6597427867e97be199e4632d8c",
+        "qtables": "36d8d93bfc173bd8fa5c4ec650831662ffc30f8119c977d6a348b44a3fc13a45",
+    }),
+    "corridor-fixed_a3-1": ("corridor.ini", ["sim.policy=fixed_a3", "sim.seed=1"], {
+        "kpis": "c8cf0230a7219e29216cd3a96971ce9d85fdd8f744743a40a17e553357db15d3",
+        "events": "515b682f50143e1b88ca847c3b2c668e098d22afd6e0edc6516de06a5a9d213c",
+        "plr_series": "8004ec4a30b5a99b8086a63b3437d3cb239013a382a412527546354b512d67ca",
+    }),
+    "corridor-fixed_a3-7": ("corridor.ini", ["sim.policy=fixed_a3", "sim.seed=7"], {
+        "kpis": "9aeb51f65c58744d3f4b5a039173f66d4d1795e47ef8c1ab299741a0f82ff213",
+        "events": "a60e5bd06f069e7a276ecea44f3bb37a441b4febed61b666b4bfb87b466e2a1d",
+        "plr_series": "9e1dfe1c5ca8c452b5eb1c77be84c48198d9b73ef614545e6b0dbaf164e400a0",
+    }),
+    "corridor-greedy_rsrp-1": ("corridor.ini", ["sim.policy=greedy_rsrp", "sim.seed=1"], {
+        "kpis": "5449ae543688c4003543b496a028df6dcb6685609bc7c7c92f9bd56f673136ab",
+        "events": "504bf7b4a815a608019876aa4de60202a345f39810fbaa9983b3f6ff2aa01853",
+        "plr_series": "e9b12f1e2440644a5dda3e0e7cc44625511fc9fb611f6b71ed212bdcc7f2328b",
+    }),
+    "corridor-greedy_rsrp-7": ("corridor.ini", ["sim.policy=greedy_rsrp", "sim.seed=7"], {
+        "kpis": "be2258abeffad89268f0b03e8060ba96941b096eb0724b5399a3ffd66ef41c0e",
+        "events": "675edbe4cbf6182d82f7fb758e23ee0f4419da29b64d6dc69c252a4a8bcfddd0",
+        "plr_series": "ba26298ef34fa32f94fb2c077011671858ed01307214bb89d182db9deb2561c7",
+    }),
+    "hex50-lim2-1": ("hex50.ini", HEX_SHORT + ["sim.policy=lim2", "sim.seed=1"], {
+        "kpis": "d4a62611da502bb61557bd6a0e8e3b4255bca4a1d62205eda3a6c02769964007",
+        "events": "d0684364e6feccebdfcccd81e86011f4e8cdf1872662506020ba983eecdf0364",
+        "plr_series": "f02502d50c2fcacca9334c89d5ea2e065d1b1872b1bc48a7d8f30ca724c792c6",
+        "qtables": "17d44916736f8d458b27d658cd7d8cedd74b5f5daac9797be639d2eee5830c92",
+    }),
+    "hex50-fixed_a3-1": ("hex50.ini", HEX_SHORT + ["sim.policy=fixed_a3", "sim.seed=1"], {
+        "kpis": "42e73e383c9ae889dd99146c6bd871c2fe2e9cb3e038c59d2aa23120c8c340aa",
+        "events": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "plr_series": "f02502d50c2fcacca9334c89d5ea2e065d1b1872b1bc48a7d8f30ca724c792c6",
+    }),
+    "hex50-eviction-lim2-1": ("hex50.ini", HEX_EVICTION + ["sim.policy=lim2", "sim.seed=1"], {
+        "kpis": "9e51083be281ab948fa1427bab0924a2461138b8bba937efaa657af9c74ece35",
+        "events": "945f8f174177231514b2dacef2a2483f731230e3933aed5d59fb9f9de91e4a5c",
+        "plr_series": "f2154749a93fafaab0c204cef6a3e54cfe45f6ae0396b1f96611c884ce35ced5",
+        "qtables": "35b87e4c318068275837b13fe9e306e3bdcaea3dc4baaf83c4563f02e778e278",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_digests_match(case):
+    ini, overrides, expected = GOLDEN[case]
+    assert run_digests(ini, overrides) == expected
+
+
+def test_eviction_case_evicts(monkeypatch):
+    """The eviction case must really drop idle streams, or it guards nothing."""
+    evicted = []
+    original = kalman.KalmanStreams._evict
+
+    def counting(self, now):
+        before = len(self._states)
+        original(self, now)
+        evicted.append(before - len(self._states))
+
+    monkeypatch.setattr(kalman.KalmanStreams, "_evict", counting)
+    overrides = HEX_EVICTION + ["sim.policy=lim2", "sim.seed=1"]
+    Simulation(config.load_scenario(os.path.join(SCENARIOS, "hex50.ini"), overrides)).run()
+    assert sum(evicted) == 17
