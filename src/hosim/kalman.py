@@ -2,13 +2,14 @@
 
 The state is the pair (estimated RSRP dBm, estimated ambient noise dBm)
 with a full 2x2 covariance.  Prediction is deterministic (process noise
-enters through Q only) and both prediction and measurement matrices are
-identity.  combine_state squashes a posterior state into a single (0, 1)
-quality score that rises with signal strength and falls with noise.
+enters through Q only), and the identity prediction and measurement
+matrices are left out.  combine_state squashes a posterior state into a
+single (0, 1) quality score that rises with signal and falls with noise.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,31 +46,26 @@ class KalmanState:
 
 @dataclass
 class KalmanParams:
-    """Filter matrices; defaults follow the identity-dynamics signal model."""
+    """Process noise Q, measurement noise R and initial covariance P0."""
 
-    F: np.ndarray = field(default_factory=lambda: np.eye(2))
-    H: np.ndarray = field(default_factory=lambda: np.eye(2))
     Q: np.ndarray = field(default_factory=lambda: np.diag([0.04, 0.04]))
     R: np.ndarray = field(default_factory=lambda: np.diag([4.0, 4.0]))
     P0: np.ndarray = field(default_factory=lambda: np.eye(2))
 
     def __post_init__(self):
-        for name in ("F", "H", "Q", "R", "P0"):
+        for name in ("Q", "R", "P0"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(2, 2))
 
 
 def predict(state: KalmanState, params: KalmanParams) -> KalmanState:
-    """A priori estimate: x' = F x, P' = F P F^T + Q."""
-    x = params.F @ state.x
-    P = params.F @ state.P @ params.F.T + params.Q
-    return KalmanState(x, P)
+    """A priori estimate under identity dynamics: x' = x, P' = P + Q."""
+    return KalmanState(state.x, state.P + params.Q)
 
 
 def gain(P_prior: np.ndarray, params: KalmanParams) -> np.ndarray:
-    """Kalman gain K = P' H^T (H P' H^T + R)^-1."""
-    S = params.H @ P_prior @ params.H.T + params.R
-    # Solve S^T K^T = (P' H^T)^T instead of forming the inverse.
-    return np.linalg.solve(S.T, (P_prior @ params.H.T).T).T
+    """Kalman gain K = P' (P' + R)^-1."""
+    # Solve (P' + R)^T K^T = P'^T instead of forming the inverse.
+    return np.linalg.solve((P_prior + params.R).T, P_prior.T).T
 
 
 def update(prior: KalmanState, z, params: KalmanParams) -> KalmanState:
@@ -77,11 +73,13 @@ def update(prior: KalmanState, z, params: KalmanParams) -> KalmanState:
     z = np.asarray(z, dtype=float).reshape(2)
     if not np.all(np.isfinite(z)):
         raise ValueError("measurement must be finite")
-    K = gain(prior.P, params)
-    x = prior.x + K @ (z - params.H @ prior.x)
-    P = (np.eye(2) - K @ params.H) @ prior.P
-    P = (P + P.T) / 2.0
-    return KalmanState(x, P)
+    return _correct(prior, gain(prior.P, params), z)
+
+
+def _correct(prior: KalmanState, K: np.ndarray, z: np.ndarray) -> KalmanState:
+    x = prior.x + K @ (z - prior.x)
+    P = (np.eye(2) - K) @ prior.P
+    return KalmanState(x, (P + P.T) / 2.0)
 
 
 def step(state: KalmanState, z, params: KalmanParams) -> KalmanState:
@@ -110,33 +108,45 @@ def combine_state(x) -> float:
 class KalmanStreams:
     """Lazily created per-(UE, cell) filter streams with idle eviction.
 
-    A stream appears on the first measurement that mentions its key and
-    is dropped after 10 s without a mention.  Confined to one
-    single-threaded simulation instance.
+    A stream appears on the first measurement of its key and is dropped
+    after STREAM_EVICTION_S without one.  With constant Q, R and P0 the
+    covariance depends only on a stream's age, so a stream keeps just
+    (estimate, update count) and every age's gain is solved once, on a
+    shared covariance: the estimates equal initial_state and repeated
+    step bit for bit.  Times must not decrease; single-threaded only.
     """
 
-    def __init__(self, params: KalmanParams, eviction_s: float = STREAM_EVICTION_S):
+    def __init__(self, params: KalmanParams):
         self.params = params
-        self.eviction_s = eviction_s
-        self._states: dict[tuple[int, int], KalmanState] = {}
-        self._last_seen: dict[tuple[int, int], float] = {}
+        self._states: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+        # Recency order, oldest first, so eviction pops from the front.
+        self._last_seen: OrderedDict[tuple[int, int], float] = OrderedDict()
+        self._gains: list[np.ndarray] = []
+        self._shared = initial_state((0.0, 0.0), params)
 
-    def observe(self, key: tuple[int, int], z, now: float) -> KalmanState:
-        state = self._states.get(key)
-        if state is None:
-            state = initial_state(z, self.params)
-        else:
-            state = step(state, z, self.params)
-        self._states[key] = state
+    def observe(self, key: tuple[int, int], z, now: float) -> np.ndarray:
+        x, n = self._states.get(key, (None, -1))
+        x = np.array(z, dtype=float) if x is None else x + self._gain(n) @ (z - x)
+        self._states[key] = (x, n + 1)
         self._last_seen[key] = now
+        self._last_seen.move_to_end(key)
         self._evict(now)
-        return state
+        return x
 
-    def get(self, key: tuple[int, int]) -> KalmanState | None:
-        return self._states.get(key)
+    def get(self, key: tuple[int, int]) -> np.ndarray | None:
+        return self._states.get(key, (None, 0))[0]
+
+    def _gain(self, n: int) -> np.ndarray:
+        """Gain of a stream's (n+1)-th update."""
+        while len(self._gains) <= n:
+            prior = predict(self._shared, self.params)
+            self._gains.append(gain(prior.P, self.params))
+            self._shared = _correct(prior, self._gains[-1], prior.x)
+        return self._gains[n]
 
     def _evict(self, now: float) -> None:
-        stale = [k for k, t in self._last_seen.items() if now - t > self.eviction_s]
-        for k in stale:
-            del self._states[k]
-            del self._last_seen[k]
+        while self._last_seen:
+            key, seen = next(iter(self._last_seen.items()))
+            if now - seen <= STREAM_EVICTION_S:
+                return
+            del self._last_seen[key], self._states[key]

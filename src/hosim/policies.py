@@ -86,18 +86,10 @@ class Lim2Policy(Policy):
 
     name = "lim2"
 
-    def __init__(
-        self,
-        learning: LearningParams | None = None,
-        kalman_params: kalman.KalmanParams | None = None,
-        seed: int = 0,
-        t_init_range_s: tuple[float, float] = T_INIT_RANGE_S,
-    ):
+    def __init__(self, learning: LearningParams | None = None, seed: int = 0):
         self.learning = learning or LearningParams()
-        self.kalman_params = kalman_params or kalman.KalmanParams()
         self.seed = seed
-        self.t_init_range_s = t_init_range_s
-        self.streams = kalman.KalmanStreams(self.kalman_params)
+        self.streams = kalman.KalmanStreams(kalman.KalmanParams())
         # Agents are created lazily per serving cell, each with an RNG
         # derived only from (seed, cell) so cells stay independent.
         self._agents: dict[int, _CellAgent] = {}
@@ -106,30 +98,28 @@ class Lim2Policy(Policy):
         agent = self._agents.get(cell)
         if agent is None:
             rng = np.random.default_rng([self.seed, _AGENT_STREAM_TAG, cell])
-            lo, hi = self.t_init_range_s
-            params = dataclasses.replace(self.learning, t_init_s=float(rng.uniform(lo, hi)))
+            params = dataclasses.replace(self.learning, t_init_s=float(rng.uniform(*T_INIT_RANGE_S)))
             agent = _CellAgent(QTable(owner_cell=cell), CellQState(cell), params, rng)
             self._agents[cell] = agent
         return agent
 
     def observe(self, report: MeasurementReport, env_noise_dbm: float) -> None:
-        entries = [report.serving, *report.neighbors]
-        for entry in entries:
+        for entry in (report.serving, *report.neighbors):
             self.streams.observe((report.ue, entry.cell), (entry.rsrp_dbm, env_noise_dbm), report.timestamp)
 
     def level(self, report: MeasurementReport, cell: int) -> float | None:
         if report.entry(cell) is None:
             return None
-        state = self.streams.get((report.ue, cell))
-        return None if state is None else float(state.x[0])
+        x = self.streams.get((report.ue, cell))
+        return None if x is None else float(x[0])
 
     def _combined_states(self, report: MeasurementReport) -> dict[int, float]:
         x_by_cell = {}
         for entry in (report.serving, *report.neighbors):
-            state = self.streams.get((report.ue, entry.cell))
-            if state is None:
+            x = self.streams.get((report.ue, entry.cell))
+            if x is None:
                 raise KeyError(f"no filter stream for (ue={report.ue}, cell={entry.cell}); observe() first")
-            x_by_cell[entry.cell] = kalman.combine_state(state.x)
+            x_by_cell[entry.cell] = kalman.combine_state(x)
         return x_by_cell
 
     def decide(self, report: MeasurementReport, now: float) -> PolicyDecision | None:

@@ -4,7 +4,9 @@ gain convergence, and the combined quality score."""
 import numpy as np
 import pytest
 
+from hosim import kalman
 from hosim.kalman import (
+    STREAM_EVICTION_S,
     KalmanParams,
     KalmanState,
     KalmanStreams,
@@ -173,14 +175,52 @@ class TestStreams:
     def test_lazy_creation_and_first_measurement_seed(self):
         streams = KalmanStreams(KalmanParams())
         assert streams.get((1, 0)) is None
-        state = streams.observe((1, 0), [-80.0, -100.0], now=0.0)
-        assert np.allclose(state.x, [-80.0, -100.0])
+        x = streams.observe((1, 0), [-80.0, -100.0], now=0.0)
+        assert np.allclose(x, [-80.0, -100.0])
 
     def test_eviction_after_idle_window(self):
-        streams = KalmanStreams(KalmanParams(), eviction_s=10.0)
+        streams = KalmanStreams(KalmanParams())
         streams.observe((1, 0), [-80.0, -100.0], now=0.0)
         streams.observe((1, 1), [-90.0, -100.0], now=9.0)
         assert streams.get((1, 0)) is not None
         streams.observe((1, 1), [-90.0, -100.0], now=10.5)
         assert streams.get((1, 0)) is None
         assert streams.get((1, 1)) is not None
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_observe_equals_repeated_step(self, seed, monkeypatch):
+        """Interleaved streams started at different times, one evicted and
+        restarted, match initial_state then step bit for bit, and each
+        stream age solves for its gain once."""
+        params = KalmanParams()
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            params = KalmanParams(Q=random_psd(rng, 0.1), R=random_psd(rng, 2.0) + np.eye(2), P0=random_psd(rng))
+        solves, stream_solves = [], 0
+        solve = np.linalg.solve
+        monkeypatch.setattr(kalman.np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+        streams = KalmanStreams(params)
+        reference, last_seen = {}, {}
+        rng = np.random.default_rng(99)
+        for tick in range(61):
+            now = tick * 0.5
+            keys = [(0, 0)]
+            if now >= 5.0 and tick % 2:
+                keys.append((0, 1))
+            if now <= 2.0 or now >= 20.0:  # idle long enough in between to be evicted
+                keys.insert(0, (1, 0))
+            for key in keys:
+                z = rng.normal(-85.0, 4.0, size=2)
+                state = reference.get(key)
+                reference[key] = initial_state(z, params) if state is None else step(state, z, params)
+                last_seen[key] = now
+                for k in [k for k, t in last_seen.items() if now - t > STREAM_EVICTION_S]:
+                    del reference[k], last_seen[k]
+                before = len(solves)
+                assert np.array_equal(streams.observe(key, tuple(z), now), reference[key].x)
+                stream_solves += len(solves) - before
+            for key in [(0, 0), (0, 1), (1, 0)]:
+                x = streams.get(key)
+                assert (x is None) == (key not in reference)
+                assert x is None or np.array_equal(x, reference[key].x)
+        assert stream_solves == 60  # the oldest stream's age, not one per update
