@@ -213,6 +213,11 @@ def cmd_plot(args) -> int:
     if missing:
         print(f"no column {missing[0]} in {args.csv}", file=sys.stderr)
         return 1
+    try:
+        rows = plot.parse_rows(rows, columns)
+    except ValueError as exc:
+        print(f"bad value in {args.csv}: {exc}", file=sys.stderr)
+        return 1
     pixels, labels = chart(rows)
     path = os.path.join(_out_dir(args), name)
     plot.write_png_atomic(path, pixels, labels)

@@ -13,6 +13,7 @@ same CSV always yields the same bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -95,23 +96,45 @@ def _legend(names) -> str:
     return ", ".join(f"{name} {PALETTE[i % len(PALETTE)]}" for i, name in enumerate(names))
 
 
-SWEEP_COLUMNS = ("policy", "speed_kmh", "mean_throughput_mbps", "plr")
-CONVERGENCE_COLUMNS = ("seed", "timestamp_s", "avg_plr")
+# column -> parse type of the values each chart reads
+SWEEP_COLUMNS = {"policy": str, "speed_kmh": float, "mean_throughput_mbps": float, "plr": float}
+CONVERGENCE_COLUMNS = {"seed": int, "timestamp_s": float, "avg_plr": float}
+_EXPECTED = {str: "a value", int: "an integer", float: "a finite number"}
+
+
+def parse_rows(rows, columns) -> list[dict]:
+    """``rows`` with each of ``columns`` parsed to its type.  A missing
+    value, one that does not parse, or a float that is not finite raises
+    ValueError naming its row (the first below the header is row 1) and
+    column."""
+    parsed = []
+    for n, row in enumerate(rows, 1):
+        parsed.append({})
+        for column, kind in columns.items():
+            raw = row[column]
+            try:
+                value = kind(raw)
+                if raw is None or (kind is float and not math.isfinite(value)):
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise ValueError(f"row {n}, column {column}: {raw!r} is not {_EXPECTED[kind]}") from None
+            parsed[-1][column] = value
+    return parsed
 
 
 def sweep_chart(rows) -> tuple[np.ndarray, list[tuple[str, str]]]:
-    """Two panels from ``sweep.csv`` rows: mean throughput (left) and
-    packet loss rate (right) against UE speed, one line per policy,
+    """Two panels from parsed ``sweep.csv`` rows: mean throughput (left)
+    and packet loss rate (right) against UE speed, one line per policy,
     each point the mean over that (policy, speed)'s seeds."""
     policies = sorted(set(r["policy"] for r in rows))
     tput_series, plr_series = [], []
     for i, policy in enumerate(policies):
         colour = _rgb(PALETTE[i % len(PALETTE)])
         own = [r for r in rows if r["policy"] == policy]
-        speeds = sorted(set(float(r["speed_kmh"]) for r in own))
-        groups = [[r for r in own if float(r["speed_kmh"]) == v] for v in speeds]
-        tput = [metrics.mean(float(r["mean_throughput_mbps"]) for r in group) for group in groups]
-        plr = [metrics.mean(float(r["plr"]) for r in group) for group in groups]
+        speeds = sorted(set(r["speed_kmh"] for r in own))
+        groups = [[r for r in own if r["speed_kmh"] == v] for v in speeds]
+        tput = [metrics.mean(r["mean_throughput_mbps"] for r in group) for group in groups]
+        plr = [metrics.mean(r["plr"] for r in group) for group in groups]
         tput_series.append((np.array(speeds), np.array(tput), colour))
         plr_series.append((np.array(speeds), np.array(plr), colour))
     left, lx, ly = _panel(tput_series, PANEL_WIDTH, PANEL_HEIGHT, markers=True)
@@ -126,12 +149,12 @@ def sweep_chart(rows) -> tuple[np.ndarray, list[tuple[str, str]]]:
 
 
 def convergence_chart(rows) -> tuple[np.ndarray, list[tuple[str, str]]]:
-    """One wide panel from ``convergence.csv`` rows: average packet loss
-    rate against time, one line per seed."""
-    seeds = sorted(set(int(r["seed"]) for r in rows))
+    """One wide panel from parsed ``convergence.csv`` rows: average
+    packet loss rate against time, one line per seed."""
+    seeds = sorted(set(r["seed"] for r in rows))
     series = []
     for i, seed in enumerate(seeds):
-        pts = sorted((float(r["timestamp_s"]), float(r["avg_plr"])) for r in rows if int(r["seed"]) == seed)
+        pts = sorted((r["timestamp_s"], r["avg_plr"]) for r in rows if r["seed"] == seed)
         series.append((np.array([p[0] for p in pts]), np.array([p[1] for p in pts]),
                        _rgb(PALETTE[i % len(PALETTE)])))
     pixels, x_range, y_range = _panel(series, 2 * PANEL_WIDTH, PANEL_HEIGHT, markers=False)
