@@ -28,6 +28,25 @@ _SETUP_STREAM = 0
 _CHANNEL_STREAM = 1
 _SHADOW_STREAM = 3
 
+# Inclusive physical range of each bounded float field, by attribute path.
+# Wide enough for any cellular deployment, narrow enough that the dB and
+# distance arithmetic of a run stays finite.
+PHYSICAL_RANGES = {
+    "cell_radius_m": (1.0, 1e5),
+    "site_spacing_m": (1.0, 1e5),
+    "corridor_lane_m": (-1e5, 1e5),
+    "boundary_margin_m": (0.0, 1e5),
+    "ue_speed_kmh": (0.0, 1000.0),
+    "tx_power_dbm": (-50.0, 100.0),
+    "carrier_freq_hz": (1e6, 1e12),
+    "noise_figure_db": (0.0, 50.0),
+    "channel.path_loss_exponent": (1.0, 10.0),
+    "channel.shadowing_sigma_db": (0.0, 30.0),
+    "channel.thermal_noise_density_dbm_hz": (-220.0, -100.0),
+    "channel.meas_noise_sigma_db": (0.0, 30.0),
+    "channel.env_noise_sigma_db": (0.0, 30.0),
+}
+
 
 class ConfigError(ValueError):
     """Scenario validation failure; carries the offending field name."""
@@ -68,6 +87,9 @@ class Scenario:
         for name, value in _float_fields(self):
             if not math.isfinite(value):
                 raise ConfigError(name, "must be finite")
+            lo, hi = PHYSICAL_RANGES.get(name, (-math.inf, math.inf))
+            if not lo <= value <= hi:
+                raise ConfigError(name, f"must be in [{lo:g}, {hi:g}]")
         if self.layout not in ("hex", "corridor"):
             raise ConfigError("layout", f"unknown layout {self.layout!r}")
         if self.n_sites < 1:
@@ -89,22 +111,14 @@ class Scenario:
             raise ConfigError("report_period_s", "must be an integer multiple of step_s")
         if self.n_ues_per_cell < 0:
             raise ConfigError("n_ues_per_cell", "must be non-negative")
-        if self.ue_speed_kmh < 0:
-            raise ConfigError("ue_speed_kmh", "must be non-negative")
         if self.policy not in POLICIES:
             raise ConfigError("policy", f"must be one of {POLICIES}")
-        if self.cell_radius_m <= 0:
-            raise ConfigError("cell_radius_m", "must be positive")
-        if self.layout == "corridor" and self.site_spacing_m <= 0:
-            raise ConfigError("site_spacing_m", "must be positive")
         if self.seed < 0:
             raise ConfigError("seed", "must be non-negative")
         if self.fixed_ttt_ms not in TTT_VALUES_MS:
             raise ConfigError("fixed_ttt_ms", f"must be one of {TTT_VALUES_MS}")
         if self.fixed_hyst_db not in HYST_VALUES_DB:
             raise ConfigError("fixed_hyst_db", "must be an integer in 0..30")
-        if self.carrier_freq_hz <= 0:
-            raise ConfigError("carrier_freq_hz", "must be positive")
         rb_hz = SUBCARRIERS_PER_RB * SUBCARRIER_SPACING_HZ
         if self.bandwidth_hz < rb_hz:
             raise ConfigError("bandwidth_hz", f"must span at least one resource block ({rb_hz:g} Hz)")

@@ -107,6 +107,22 @@ class TestRunCommand:
 class TestConfigurationErrors:
     """Every bad input exits 2 and names its field before any run starts."""
 
+    # Finite but absurd magnitudes that used to end in OverflowError or a
+    # math domain error once a run started.
+    ABSURD = {
+        "radio.tx_power_dbm": ("1e308", "-1e308", "4000", "-4000", "1e12", "-1e12"),
+        "radio.noise_figure_db": ("1e308", "4000", "1e12"),
+        "radio.carrier_freq_hz": ("1e308",),
+        "channel.path_loss_exponent": ("1e308", "4000", "1e12"),
+        "channel.shadowing_sigma_db": ("1e308", "4000", "1e12"),
+        "channel.meas_noise_sigma_db": ("1e308",),
+        "channel.env_noise_sigma_db": ("1e308",),
+        "channel.thermal_noise_density_dbm_hz": ("1e308", "4000", "1e12"),
+        "sim.ue_speed_kmh": ("1e308",),
+        "sim.corridor_lane_m": ("1e308", "-1e308"),
+        "sim.boundary_margin_m": ("-1e308",),
+    }
+
     @pytest.mark.parametrize("argv,field", [
         (["run", "--set", "channel.path_loss_exponent=-1"], "channel.path_loss_exponent"),
         (["run", "--set", "sim.sim_duration_s=nan"], "sim_duration_s"),
@@ -127,6 +143,8 @@ class TestConfigurationErrors:
         (["sweep", "--speeds", "abc"], "speeds"),
         (["sweep", "--speeds", ","], "speeds"),
         (["convergence", "--seeds", "0:"], "seeds"),
+        *[(["run", "--duration", "0.2", "--set", f"{key}={value}"], key.removeprefix("sim.").removeprefix("radio."))
+          for key, values in ABSURD.items() for value in values],
     ])
     def test_exit_2_names_field(self, corridor_file, tmp_path, capsys, argv, field):
         out = tmp_path / "out"
@@ -303,14 +321,33 @@ class TestPlotCommand:
         assert f"no rows in {path}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name,data", [("nonexistent.csv", None), ("sweep.png", b"\x89PNG\r\n\x1a\n\xff\xfe")])
+    SWEEP_HEAD = "policy,seed,speed_kmh,mean_throughput_mbps,plr\nlim2,0,50,3.0,0.1\n"
+    # file name -> (contents, the row and column the message must name)
+    BAD_VALUES = {
+        "speed_abc.csv": (SWEEP_HEAD + "lim2,0,abc,3.0,0.1\n", "row 2, column speed_kmh"),
+        "tput_nan.csv": (SWEEP_HEAD + "lim2,0,100,nan,0.1\n", "row 2, column mean_throughput_mbps"),
+        "plr_inf.csv": (SWEEP_HEAD + "lim2,1,50,3.0,inf\n", "row 2, column plr"),
+        "short_row.csv": (SWEEP_HEAD + "lim2,0,100\n", "row 2, column mean_throughput_mbps"),
+        "seed_x.csv": ("seed,timestamp_s,avg_plr\n1,0,0.1\nx,1,0.2\n", "row 2, column seed"),
+        "time_neg_inf.csv": ("seed,timestamp_s,avg_plr\n1,-inf,0.1\n", "row 1, column timestamp_s"),
+    }
+
+    @pytest.mark.parametrize("name,data", [
+        ("nonexistent.csv", None),
+        ("sweep.png", b"\x89PNG\r\n\x1a\n\xff\xfe"),
+        *[(name, text.encode()) for name, (text, _) in BAD_VALUES.items()],
+    ])
     def test_unreadable_csv_exits_1(self, tmp_path, capsys, name, data):
         path = tmp_path / name
         if data is not None:
             path.write_bytes(data)
-        assert main(["plot", str(path), "--out", str(tmp_path / "plots")]) == 1
+        out = tmp_path / "plots"
+        assert main(["plot", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and err.count("\n") == 1
+        if name in self.BAD_VALUES:
+            assert self.BAD_VALUES[name][1] in err
+            assert not out.exists()
 
     def test_wrong_columns_exits_1(self, tmp_path, capsys):
         path = tmp_path / "qtables.csv"

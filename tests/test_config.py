@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hosim.config import SECTIONS, apply_override, dump_scenario, load_scenario
-from hosim.sim import ConfigError, Scenario, corridor_scenario
+from hosim.sim import ConfigError, Scenario, corridor_scenario, run
 
 SCENARIO_TEXT = """
 [sim]
@@ -79,6 +79,13 @@ class TestLoadScenario:
 
 
 ALL_KEYS = sorted(f"{section}.{key}" for section, keys in SECTIONS.items() for key in keys)
+# Float keys whose accepted values must complete a run; the time grid keys
+# are left out because a tiny step makes a run arbitrarily long.
+RUNNABLE_FLOAT_KEYS = {
+    f"{section}.{key}" for section, keys in SECTIONS.items() for key, default in keys.items()
+    if isinstance(default, float) or default is None
+} - {"sim.sim_duration_s", "sim.step_s", "sim.report_period_s"}
+SHORT_CORRIDOR = corridor_scenario(n_ues_per_cell=1, sim_duration_s=0.2)
 
 
 class TestSchema:
@@ -111,6 +118,15 @@ class TestSchema:
             apply_override(Scenario(), f"{key}={raw}").validate()
         except ConfigError:
             pass
+        if key not in RUNNABLE_FLOAT_KEYS:
+            return
+        # A float value that passes the gate must also run to completion.
+        try:
+            scenario = apply_override(SHORT_CORRIDOR, f"{key}={raw}")
+            scenario.validate()
+        except ConfigError:
+            return
+        run(scenario)
 
 
 class TestOverrides:
