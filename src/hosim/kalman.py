@@ -137,7 +137,7 @@ class KalmanStreams:
         return self._states.get(key, (None, 0))[0]
 
     def _gain(self, n: int) -> np.ndarray:
-        """Gain of a stream's (n+1)-th update."""
+        """Gain of a stream's (n+1)-th update; only _shared's covariance is used."""
         while len(self._gains) <= n:
             prior = predict(self._shared, self.params)
             self._gains.append(gain(prior.P, self.params))
