@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -42,10 +43,19 @@ def _rgb(hex_colour: str) -> tuple:
 def _axis_range(values: np.ndarray) -> tuple[float, float]:
     """Data range with a 5% margin on each side; a single value is
     centred in a range of +-5% of its magnitude (or +-0.05 at zero), so
-    the scaling never divides by zero."""
+    the scaling never divides by zero.  The span is taken between the
+    halved ends and the padded ends are clamped to the largest float, so
+    any finite data, however far apart, gives a finite range."""
     lo, hi = float(values.min()), float(values.max())
-    pad = 0.05 * ((hi - lo) or max(abs(lo), 1.0))
-    return lo - pad, hi + pad
+    pad = 0.1 * (hi / 2 - lo / 2) or 0.05 * max(abs(lo), 1.0)
+    return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+
+
+def _fraction(values: np.ndarray, axis_range: tuple[float, float]) -> np.ndarray:
+    """Position of each value along ``axis_range``, 0 at its low end and 1
+    at its high end; halved before subtracting, so it cannot overflow."""
+    lo, hi = axis_range
+    return (values / 2 - lo / 2) / (hi / 2 - lo / 2)
 
 
 def _polyline(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,8 +89,8 @@ def _panel(series, width: int, height: int, markers: bool):
     x_range = _axis_range(np.concatenate([s[0] for s in series]))
     y_range = _axis_range(np.concatenate([s[1] for s in series]))
     for xs, ys, colour in series:
-        px = left + (xs - x_range[0]) / (x_range[1] - x_range[0]) * (right - left)
-        py = bottom - (ys - y_range[0]) / (y_range[1] - y_range[0]) * (bottom - top)
+        px = left + _fraction(xs, x_range) * (right - left)
+        py = bottom - _fraction(ys, y_range) * (bottom - top)
         _stamp(pixels, *_polyline(px, py), colour, LINE_RADIUS)
         if markers:
             _stamp(pixels, np.rint(px).astype(int), np.rint(py).astype(int), colour, MARKER_RADIUS)

@@ -165,31 +165,6 @@ def noise_power_dbm(site: CellSite, params: ChannelParams) -> float:
     return params.thermal_noise_density_dbm_hz + linear_to_db(site.bandwidth_hz) + site.noise_figure_db
 
 
-def sinr(
-    serving: CellSite,
-    interferers: list[CellSite],
-    ue_position,
-    params: ChannelParams,
-    shadowing: dict[int, float] | None = None,
-) -> float:
-    """Serving power over interference plus thermal noise, in dB."""
-    if any(s.id == serving.id for s in interferers):
-        raise ValueError("serving site must not be listed as an interferer")
-    shadowing = shadowing or {}
-    signal_mw = db_to_linear(received_power_dbm(serving, ue_position, params, shadowing.get(serving.id, 0.0)))
-    interference_mw = sum(
-        db_to_linear(received_power_dbm(s, ue_position, params, shadowing.get(s.id, 0.0))) for s in interferers
-    )
-    noise_mw = db_to_linear(noise_power_dbm(serving, params))
-    return linear_to_db(signal_mw / (interference_mw + noise_mw))
-
-
-@dataclass
-class _ShadowState:
-    value: float
-    position: tuple[float, float]
-
-
 class RadioEnvironment:
     """Stateful channel view for one simulation run.
 
@@ -208,7 +183,8 @@ class RadioEnvironment:
         # Shadowing draws on their own stream so redraw timing (which can
         # shift with the step size) never perturbs measurement noise.
         self.shadow_rng = shadow_rng if shadow_rng is not None else rng
-        self._shadow: dict[tuple[int, int], _ShadowState] = {}
+        # (cell, ue) -> (shadowing value, UE position it was drawn at)
+        self._shadow: dict[tuple[int, int], tuple[float, tuple[float, float]]] = {}
         self._env_noise: dict[int, float] = {}
 
     def shadowing_db(self, cell: int, ue: int, position) -> float:
@@ -216,10 +192,10 @@ class RadioEnvironment:
         key = (cell, ue)
         state = self._shadow.get(key)
         pos = (float(position[0]), float(position[1]))
-        if state is not None and math.dist(state.position, pos) < SHADOWING_DECORRELATION_M:
-            return state.value
+        if state is not None and math.dist(state[1], pos) < SHADOWING_DECORRELATION_M:
+            return state[0]
         value = float(self.shadow_rng.normal(0.0, self.params.shadowing_sigma_db))
-        self._shadow[key] = _ShadowState(value, pos)
+        self._shadow[key] = (value, pos)
         return value
 
     def env_noise_dbm(self, ue: int) -> float:
@@ -242,11 +218,20 @@ class RadioEnvironment:
         site = self.sites[cell]
         return true_rsrp(site, position, self.shadowing_db(cell, ue, position), self.params)
 
-    def sinr_of(self, serving_cell: int, ue: int, position) -> float:
-        shadow = {cid: self.shadowing_db(cid, ue, position) for cid in self.sites}
-        serving = self.sites[serving_cell]
-        interferers = [s for cid, s in self.sites.items() if cid != serving_cell]
-        return sinr(serving, interferers, position, self.params, shadow)
+    def wideband_dbm(self, ue: int, position) -> dict[int, float]:
+        """Each site's wideband received power at the UE, keyed by site id
+        in id order, with the UE's current shadowing."""
+        return {
+            cid: received_power_dbm(site, position, self.params, self.shadowing_db(cid, ue, position))
+            for cid, site in self.sites.items()
+        }
+
+    def sinr_of(self, serving_cell: int, wideband: dict[int, float]) -> float:
+        """Serving power over interference (the other sites' powers,
+        summed in id order) plus thermal noise, in dB."""
+        interference_mw = sum(db_to_linear(p) for cid, p in wideband.items() if cid != serving_cell)
+        noise_mw = db_to_linear(noise_power_dbm(self.sites[serving_cell], self.params))
+        return linear_to_db(db_to_linear(wideband[serving_cell]) / (interference_mw + noise_mw))
 
     def nearest_cell(self, position) -> int:
         return min(
@@ -257,8 +242,11 @@ class RadioEnvironment:
             ),
         )
 
-    def generate_report(self, ue: int, position, serving_cell: int, timestamp: float) -> MeasurementReport:
-        """Build a measurement report: serving entry plus up to 8 neighbors.
+    def generate_report(
+        self, ue: int, wideband: dict[int, float], serving_cell: int, timestamp: float
+    ) -> MeasurementReport:
+        """Build a measurement report from ``wideband_dbm``'s powers:
+        serving entry plus up to 8 neighbors.
 
         Neighbors are sorted by measured RSRP descending (ties by cell id)
         and filtered by the detection threshold.  All entries carry
@@ -267,10 +255,7 @@ class RadioEnvironment:
         env_noise = self.env_noise_dbm(ue)
         # Total received wideband power plus the noise floor forms the RSSI.
         rssi_mw = 0.0
-        wideband: dict[int, float] = {}
-        for cid, site in self.sites.items():
-            p = received_power_dbm(site, position, self.params, self.shadowing_db(cid, ue, position))
-            wideband[cid] = p
+        for p in wideband.values():
             rssi_mw += db_to_linear(p)
         serving_site = self.sites[serving_cell]
         rssi_mw += db_to_linear(noise_power_dbm(serving_site, self.params))

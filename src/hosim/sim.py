@@ -259,7 +259,6 @@ class Simulation:
         scenario.validate()
         self.scenario = scenario
         sites = build_sites(scenario)
-        self.sites = {s.id: s for s in sites}
         setup_rng = np.random.default_rng([scenario.seed, _SETUP_STREAM])
         channel_rng = np.random.default_rng([scenario.seed, _CHANNEL_STREAM])
         shadow_rng = np.random.default_rng([scenario.seed, _SHADOW_STREAM])
@@ -274,7 +273,7 @@ class Simulation:
         )
         self.serving = {ue.ue: self.env.nearest_cell(ue.position) for ue in self.ues}
         self.contexts = {ue.ue: HandoverContext(ue.ue) for ue in self.ues}
-        self._nearest = {ue.ue: self.env.nearest_cell(ue.position) for ue in self.ues}
+        self._nearest = dict(self.serving)
         self.metrics = MetricsAccumulator(n_ues=len(self.ues), duration_s=scenario.sim_duration_s)
         self.report_every = round(scenario.report_period_s / scenario.step_s)
         self.n_steps = round(scenario.sim_duration_s / scenario.step_s)
@@ -327,14 +326,15 @@ class Simulation:
             ctx = self.contexts[ue.ue]
             serving = self.serving[ue.ue]
             self.env.advance_env_noise(ue.ue)
-            report = self.env.generate_report(ue.ue, ue.position, serving, now)
+            wideband = self.env.wideband_dbm(ue.ue, ue.position)
+            report = self.env.generate_report(ue.ue, wideband, serving, now)
             env_noise_meas = self.env.measure_env_noise(ue.ue)
             self.policy.observe(report, env_noise_meas)
             if ctx.phase != EXECUTING:
                 engine.on_measurement_report(ctx, report, self.policy, now, self.scenario.report_period_s)
-            sinr_db = self.env.sinr_of(serving, ue.ue, ue.position)
+            sinr_db = self.env.sinr_of(serving, wideband)
             attached = ctx.phase != EXECUTING
-            self.metrics.add_sample(now, sinr_db, self.sites[serving].bandwidth_hz, attached)
+            self.metrics.add_sample(now, sinr_db, self.env.sites[serving].bandwidth_hz, attached)
             nearest = self.env.nearest_cell(ue.position)
             if nearest != self._nearest[ue.ue]:
                 self._nearest[ue.ue] = nearest
@@ -344,7 +344,8 @@ class Simulation:
         for ue in self.ues:
             ctx = self.contexts[ue.ue]
             if ctx.phase == EXECUTING:
-                engine.note_execution_sinr(ctx, self.env.sinr_of(self.serving[ue.ue], ue.ue, ue.position))
+                wideband = self.env.wideband_dbm(ue.ue, ue.position)
+                engine.note_execution_sinr(ctx, self.env.sinr_of(self.serving[ue.ue], wideband))
 
     def _advance_positions(self) -> None:
         xmin, xmax, ymin, ymax = self._bounds

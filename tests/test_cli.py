@@ -304,6 +304,14 @@ class TestPlotCommand:
          "lim2,0,50,3.0,0.1\nlim2,0,100,3.0,0.1\nlim2,0,150,3.0,0.1\n",
          "sweep.png"),
         ("one_sample.csv", "seed,timestamp_s,avg_plr\n4,0,0.125\n", "convergence.png"),
+        ("speed_overflow.csv",
+         "policy,seed,speed_kmh,mean_throughput_mbps,plr\n"
+         "lim2,0,-1e308,3.0,0.1\nlim2,0,1e308,4.0,0.2\n",
+         "sweep.png"),
+        ("tput_overflow.csv",
+         "policy,seed,speed_kmh,mean_throughput_mbps,plr\n"
+         "lim2,0,50,-1.7e308,0.1\nlim2,0,100,1.7e308,0.2\n",
+         "sweep.png"),
     ])
     def test_degenerate_axes(self, tmp_path, name, text, png):
         path = tmp_path / name

@@ -20,7 +20,6 @@ from hosim.radio import (
     path_loss,
     re_scaling_db,
     rsrq,
-    sinr,
     true_rsrp,
 )
 
@@ -122,6 +121,16 @@ class TestRsrq:
             rsrq(-80.0, -60.0, 0)
 
 
+def make_env(sites, params=PARAMS, seed=0):
+    return RadioEnvironment(sites, params, np.random.default_rng(seed))
+
+
+def sinr_at(sites, position, serving=0):
+    """SINR of UE 0 at ``position`` served by ``serving``, with zero shadowing."""
+    env = make_env(sites)
+    return env.sinr_of(serving, env.wideband_dbm(0, position))
+
+
 class TestSinr:
     def test_noise_equal_to_signal_gives_zero(self):
         site = make_site()
@@ -129,26 +138,21 @@ class TestSinr:
         # Place the UE so the received power equals the noise power.
         target_pl = site.tx_power_dbm - noise
         distance = 10 ** ((target_pl - free_space_reference_db(FREQ)) / 30.0)
-        value = sinr(site, [], (distance, 0.0), PARAMS)
+        value = sinr_at([site], (distance, 0.0))
         assert value == pytest.approx(0.0, abs=1e-6)
 
     def test_single_equal_interferer(self):
         # Enough transmit power that thermal noise is negligible.
         serving = make_site(0, (0.0, 0.0), tx=140.0)
         other = make_site(1, (200.0, 0.0), tx=140.0)
-        value = sinr(serving, [other], (100.0, 0.0), PARAMS)
+        value = sinr_at([serving, other], (100.0, 0.0))
         assert value == pytest.approx(0.0, abs=1e-3)
 
     def test_two_equal_interferers(self):
         serving = make_site(0, (0.0, 100.0), tx=140.0)
         others = [make_site(1, (-100.0, 0.0), tx=140.0), make_site(2, (100.0, 0.0), tx=140.0)]
-        value = sinr(serving, others, (0.0, 0.0), PARAMS)
+        value = sinr_at([serving, *others], (0.0, 0.0))
         assert value == pytest.approx(-10 * math.log10(2), abs=1e-3)
-
-    def test_serving_listed_as_interferer_rejected(self):
-        site = make_site()
-        with pytest.raises(ValueError):
-            sinr(site, [site], (10.0, 0.0), PARAMS)
 
     def test_interference_limited_power_shift_invariance(self):
         position = (70.0, 30.0)
@@ -156,9 +160,9 @@ class TestSinr:
             serving = make_site(0, (0.0, 0.0), tx=140.0 + shift)
             other = make_site(1, (200.0, 0.0), tx=140.0 + shift)
             if shift == 0.0:
-                baseline = sinr(serving, [other], position, PARAMS)
+                baseline = sinr_at([serving, other], position)
             else:
-                assert sinr(serving, [other], position, PARAMS) == pytest.approx(baseline, abs=1e-3)
+                assert sinr_at([serving, other], position) == pytest.approx(baseline, abs=1e-3)
 
 
 class TestMeasurementTypes:
@@ -180,21 +184,17 @@ class TestMeasurementTypes:
         assert report.entry(5) is None
 
 
-def make_env(sites, params=PARAMS, seed=0):
-    return RadioEnvironment(sites, params, np.random.default_rng(seed))
-
-
 class TestGenerateReport:
     def test_single_cell_empty_neighbors(self):
         env = make_env([make_site(0)])
-        report = env.generate_report(0, (30.0, 0.0), 0, 0.0)
+        report = env.generate_report(0, env.wideband_dbm(0, (30.0, 0.0)), 0, 0.0)
         assert report.neighbors == ()
         assert report.serving.cell == 0
 
     def test_equidistant_tie_order_by_cell_id(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (100.0, 0.0)), make_site(2, (-100.0, 0.0))]
         env = make_env(sites)
-        report = env.generate_report(0, (0.0, 0.0), 0, 0.0)
+        report = env.generate_report(0, env.wideband_dbm(0, (0.0, 0.0)), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1, 2]
         assert report.neighbors[0].rsrp_dbm == report.neighbors[1].rsrp_dbm
 
@@ -206,32 +206,33 @@ class TestGenerateReport:
             make_site(3, (160.0, 0.0)),
         ]
         env = make_env(sites)
-        report = env.generate_report(0, (0.0, 0.0), 0, 0.0)
+        report = env.generate_report(0, env.wideband_dbm(0, (0.0, 0.0)), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1, 2, 3]
 
     def test_zero_noise_reports_are_pure_geometry(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (120.0, 0.0))]
-        first = make_env(sites, seed=1).generate_report(0, (30.0, 10.0), 0, 0.0)
-        second = make_env(sites, seed=99).generate_report(0, (30.0, 10.0), 0, 0.0)
+        first_env, second_env = make_env(sites, seed=1), make_env(sites, seed=99)
+        first = first_env.generate_report(0, first_env.wideband_dbm(0, (30.0, 10.0)), 0, 0.0)
+        second = second_env.generate_report(0, second_env.wideband_dbm(0, (30.0, 10.0)), 0, 0.0)
         assert first == second
 
     def test_neighbor_list_truncated(self):
         sites = [make_site(i, (25.0 * i, 0.0)) for i in range(12)]
         env = make_env(sites)
-        report = env.generate_report(0, (0.0, 0.0), 0, 0.0)
+        report = env.generate_report(0, env.wideband_dbm(0, (0.0, 0.0)), 0, 0.0)
         assert len(report.neighbors) == MAX_NEIGHBORS
 
     def test_detection_threshold_filters_far_cells(self):
         far = 10 ** ((46.0 - re_scaling_db(400e6) - DETECTION_THRESHOLD_DBM - free_space_reference_db(FREQ)) / 30.0)
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (far * 4.0, 0.0))]
         env = make_env(sites)
-        report = env.generate_report(0, (0.0, 0.0), 0, 0.0)
+        report = env.generate_report(0, env.wideband_dbm(0, (0.0, 0.0)), 0, 0.0)
         assert report.neighbors == ()
 
     def test_rsrq_values_negative_under_load(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (100.0, 0.0))]
         env = make_env(sites)
-        report = env.generate_report(0, (50.0, 0.0), 0, 0.0)
+        report = env.generate_report(0, env.wideband_dbm(0, (50.0, 0.0)), 0, 0.0)
         assert report.serving.rsrq_db < 0
         assert all(n.rsrq_db < 0 for n in report.neighbors)
 

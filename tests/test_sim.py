@@ -6,7 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from hosim.radio import ChannelParams, free_space_reference_db, re_scaling_db
+from hosim.engine import EXECUTING
+from hosim.radio import (
+    ChannelParams,
+    RadioEnvironment,
+    db_to_linear,
+    free_space_reference_db,
+    linear_to_db,
+    noise_power_dbm,
+    re_scaling_db,
+    received_power_dbm,
+)
 from hosim.rl import LearningParams
 from hosim.sim import (
     ConfigError,
@@ -157,6 +167,41 @@ class TestStepLoop:
             for ue in sim.ues:
                 assert xmin - 1e-6 <= ue.position[0] <= xmax + 1e-6
                 assert ymin - 1e-6 <= ue.position[1] <= ymax + 1e-6
+
+
+class TestReportTick:
+    def test_one_received_power_pass_per_ue(self, monkeypatch):
+        scenario = Scenario(n_sites=7, n_ues_per_cell=2, policy="fixed_a3", sim_duration_s=0.2)
+        sim = Simulation(scenario)
+        env = sim.env
+        lookups, sinrs = [], []
+        shadowing_db, sinr_of = RadioEnvironment.shadowing_db, RadioEnvironment.sinr_of
+
+        def counted_shadowing_db(self, *args):
+            lookups.append(args)
+            return shadowing_db(self, *args)
+
+        def recorded_sinr_of(self, *args):
+            sinrs.append(sinr_of(self, *args))
+            return sinrs[-1]
+
+        monkeypatch.setattr(RadioEnvironment, "shadowing_db", counted_shadowing_db)
+        monkeypatch.setattr(RadioEnvironment, "sinr_of", recorded_sinr_of)
+        assert all(ctx.phase != EXECUTING for ctx in sim.contexts.values())
+        sim._report_tick(sim.time_s)
+        assert len(lookups) == len(sim.ues) * len(env.sites)
+        assert len(sinrs) == len(sim.ues)
+        monkeypatch.undo()
+
+        # The old two-pass formula, evaluated site by site from the cached shadowing.
+        for ue, value in zip(sim.ues, sinrs):
+            serving = env.sites[sim.serving[ue.ue]]
+            power = lambda site: db_to_linear(
+                received_power_dbm(site, ue.position, env.params, env.shadowing_db(site.id, ue.ue, ue.position))
+            )
+            interference = sum(power(site) for site in env.sites.values() if site.id != serving.id)
+            noise = db_to_linear(noise_power_dbm(serving, env.params))
+            assert value == linear_to_db(power(serving) / (interference + noise))
 
 
 class TestCrossing:
