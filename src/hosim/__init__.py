@@ -5,7 +5,7 @@ epsilon-greedy adaptation of the time-to-trigger and hysteresis margin,
 alongside fixed-policy baselines, over a seedable desk-scale radio model.
 """
 
-from .engine import HandoverContext, HandoverOutcome, TriggerEvent, evaluate_trigger
+from .engine import HandoverContext, HandoverOutcome
 from .kalman import KalmanParams, KalmanState, combine_state
 from .metrics import CdfSeries, KpiRecord, cdf
 from .policies import FixedA3Policy, GreedyRsrpPolicy, Lim2Policy, make_policy
@@ -36,12 +36,10 @@ __all__ = [
     "RunResult",
     "Scenario",
     "Simulation",
-    "TriggerEvent",
     "cdf",
     "combine_state",
     "corridor_scenario",
     "epsilon",
-    "evaluate_trigger",
     "make_policy",
     "q_final",
     "run",

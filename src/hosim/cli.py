@@ -95,6 +95,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("jobs", "must be at least 1")
     base = config.load_scenario(args.scenario, args.set)
     seeds = _parse_list(args.seeds, "seeds", int)
     speeds = _parse_list(args.speeds, "speeds") if args.speeds else list(sim.SPEED_SET_KMH)
@@ -107,8 +109,11 @@ def cmd_sweep(args) -> int:
     ]
     for scn in scenarios:
         scn.validate()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts every worker at its first submit, so never ask for
+    # more workers than there are runs.
+    workers = min(args.jobs, len(scenarios))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, scenarios))
     else:
         results = [_run_one(s) for s in scenarios]

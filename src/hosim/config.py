@@ -1,9 +1,10 @@
 """Scenario files and overrides.
 
 A scenario file is flat INI text whose four sections mirror the Scenario
-fields: ``[radio]`` holds the transmitter fields, ``[channel]`` and
-``[learning]`` the nested ChannelParams and LearningParams, and ``[sim]``
-every other top-level field.  ``dump_scenario`` lists every key.
+fields: ``[radio]`` holds the link budget every site shares,
+``[channel]`` and ``[learning]`` the nested ChannelParams and
+LearningParams, and ``[sim]`` every other top-level field.
+``dump_scenario`` lists every key.
 
 Every key is optional and falls back to the package default.  The same
 section.key=value pairs are accepted as command-line overrides.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import os
 
 from .sim import ConfigError, Scenario
 
@@ -67,12 +67,13 @@ def load_scenario(path: str | None = None, overrides: list[str] | None = None, b
     """Build a Scenario from defaults, an optional file, and overrides."""
     scenario = base if base is not None else Scenario()
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError("scenario", f"file not found: {path}")
         parser = configparser.ConfigParser()
         try:
-            parser.read(path)
-        except configparser.Error as exc:
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except OSError as exc:
+            raise ConfigError("scenario", f"cannot read {path}: {exc.strerror or exc}") from exc
+        except (UnicodeError, configparser.Error) as exc:
             raise ConfigError("scenario", f"cannot parse {path}: {exc}") from exc
         for section in parser.sections():
             if section not in SECTIONS:

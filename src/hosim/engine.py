@@ -28,37 +28,11 @@ TIMING = "timing"
 EXECUTING = "executing"
 
 
-@dataclass(frozen=True)
-class TriggerEvent:
-    """One of the standard measurement-event predicates A1..A5."""
-
-    kind: str
-    thresholds: tuple[float, ...]
-
-    def __post_init__(self):
-        expected = {"A1": 1, "A2": 1, "A3": 1, "A4": 1, "A5": 2}
-        if self.kind not in expected:
-            raise ValueError(f"unknown trigger kind {self.kind!r}")
-        if len(self.thresholds) != expected[self.kind]:
-            raise ValueError(f"{self.kind} takes {expected[self.kind]} threshold(s)")
-        if not all(math.isfinite(t) for t in self.thresholds):
-            raise ValueError("thresholds must be finite")
-
-
-def evaluate_trigger(event: TriggerEvent, r_s: float, r_n: float) -> bool:
-    """Evaluate a trigger predicate on serving level r_s and neighbor level r_n."""
-    if not (math.isfinite(r_s) and math.isfinite(r_n)):
+def _a3_holds(srv_level: float, tgt_level: float, hyst_db: float) -> bool:
+    """A3: the target level exceeds the serving level by more than the hysteresis."""
+    if not (math.isfinite(srv_level) and math.isfinite(tgt_level)):
         raise ValueError("levels must be finite")
-    t = event.thresholds
-    if event.kind == "A1":
-        return r_s > t[0]
-    if event.kind == "A2":
-        return r_s < t[0]
-    if event.kind == "A3":
-        return r_n > r_s + t[0]
-    if event.kind == "A4":
-        return r_n > t[0]
-    return r_s < t[0] and r_n > t[1]
+    return tgt_level > srv_level + hyst_db
 
 
 @dataclass
@@ -161,8 +135,7 @@ def on_measurement_report(
     if ctx.phase == TIMING:
         srv_level = policy.level(report, report.serving.cell)
         tgt_level = policy.level(report, ctx.target)
-        condition = TriggerEvent("A3", (float(ctx.pair.hyst_db),))
-        if tgt_level is None or srv_level is None or not evaluate_trigger(condition, srv_level, tgt_level):
+        if tgt_level is None or srv_level is None or not _a3_holds(srv_level, tgt_level, ctx.pair.hyst_db):
             ctx.reset_timing()
             return False
         ctx.ttt_elapsed_ms = (now - ctx.episode_start) * 1e3
@@ -181,8 +154,7 @@ def on_measurement_report(
         return False
     if report.entry(decision.target) is None:
         raise ValueError(f"policy chose target {decision.target} absent from the report")
-    condition = TriggerEvent("A3", (float(decision.pair.hyst_db),))
-    if not evaluate_trigger(condition, decision.srv_level, decision.tgt_level):
+    if not _a3_holds(decision.srv_level, decision.tgt_level, decision.pair.hyst_db):
         return False
     ctx.phase = TIMING
     ctx.target = decision.target

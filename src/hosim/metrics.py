@@ -162,7 +162,7 @@ class MetricsAccumulator:
         successes = completed - failures
         ping_pongs = sum(1 for o in self.outcomes if o.ping_pong)
         latency_ms = (
-            sum(o.latency for o in self.outcomes) / completed * 1e3 if completed else 0.0
+            _sum_in_order(o.latency for o in self.outcomes) / completed * 1e3 if completed else 0.0
         )
         return KpiRecord(
             mean_throughput_mbps=self.throughput_sum / n / 1e6,
@@ -238,9 +238,18 @@ def event_row(outcome: HandoverOutcome) -> tuple:
     )
 
 
+def _sum_in_order(values) -> float:
+    """Left-to-right float sum.  The builtin sum() compensates rounding from
+    Python 3.12 on, which would move the last bit of every output."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def mean(values) -> float:
     values = list(values)
-    return sum(values) / len(values) if values else 0.0
+    return _sum_in_order(values) / len(values) if values else 0.0
 
 
 def sample_stdev(values) -> float:
@@ -248,4 +257,4 @@ def sample_stdev(values) -> float:
     if len(values) < 2:
         return 0.0
     m = mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1))
+    return math.sqrt(_sum_in_order((v - m) ** 2 for v in values) / (len(values) - 1))

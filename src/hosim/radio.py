@@ -2,10 +2,12 @@
 
 Propagation is a log-distance path loss model anchored at a free-space
 reference distance of 1 m, with block-constant log-normal shadowing per
-(site, UE) pair that is redrawn every 50 m of UE travel.  RSRP is the
-wideband received power scaled down to one resource element (120 kHz
-subcarrier spacing).  Ambient RF noise at each UE follows a bounded
-random walk and degrades measured RSRP additively in dB.
+(site, UE) pair that is redrawn every 50 m of UE travel.  Every site
+shares one link budget (transmit power, carrier, bandwidth, noise
+figure), so a site is only an id and a position.  RSRP is the wideband
+received power scaled down to one resource element (120 kHz subcarrier
+spacing).  Ambient RF noise at each UE follows a bounded random walk and
+degrades measured RSRP additively in dB.
 """
 
 from __future__ import annotations
@@ -32,20 +34,10 @@ def linear_to_db(value: float) -> float:
 
 @dataclass(frozen=True)
 class CellSite:
-    """A gNB site with its transmit configuration."""
+    """A gNB site; its transmit settings are the run's shared link budget."""
 
     id: int
     position: tuple[float, float]
-    tx_power_dbm: float = 46.0
-    carrier_freq_hz: float = 26e9
-    bandwidth_hz: float = 400e6
-    noise_figure_db: float = 5.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.tx_power_dbm):
-            raise ValueError("tx_power_dbm must be finite")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,40 +97,13 @@ def free_space_reference_db(carrier_freq_hz: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * REFERENCE_DISTANCE_M * carrier_freq_hz / SPEED_OF_LIGHT)
 
 
-def path_loss(distance_m: float, params: ChannelParams, carrier_freq_hz: float) -> float:
-    """Log-distance path loss in dB; distances below 1 m clamp to 1 m."""
-    if not (math.isfinite(distance_m) and math.isfinite(carrier_freq_hz)):
-        raise ValueError("path_loss inputs must be finite")
-    d = max(distance_m, REFERENCE_DISTANCE_M)
-    return free_space_reference_db(carrier_freq_hz) + 10.0 * params.path_loss_exponent * math.log10(
-        d / REFERENCE_DISTANCE_M
-    )
-
-
 def n_resource_blocks(bandwidth_hz: float) -> int:
     return int(bandwidth_hz // (SUBCARRIERS_PER_RB * SUBCARRIER_SPACING_HZ))
 
 
-def n_subcarriers(bandwidth_hz: float) -> int:
-    return SUBCARRIERS_PER_RB * n_resource_blocks(bandwidth_hz)
-
-
 def re_scaling_db(bandwidth_hz: float) -> float:
     """Wideband-power to per-resource-element scaling in dB."""
-    return linear_to_db(n_subcarriers(bandwidth_hz))
-
-
-def received_power_dbm(site: CellSite, ue_position, params: ChannelParams, shadowing_db: float = 0.0) -> float:
-    """Wideband received power (before resource-element scaling)."""
-    dx = site.position[0] - ue_position[0]
-    dy = site.position[1] - ue_position[1]
-    distance = math.hypot(dx, dy)
-    return site.tx_power_dbm - path_loss(distance, params, site.carrier_freq_hz) - shadowing_db
-
-
-def true_rsrp(site: CellSite, ue_position, shadowing_db: float, params: ChannelParams) -> float:
-    """Ground-truth RSRP in dBm at a UE position for a given shadowing draw."""
-    return received_power_dbm(site, ue_position, params, shadowing_db) - re_scaling_db(site.bandwidth_hz)
+    return linear_to_db(SUBCARRIERS_PER_RB * n_resource_blocks(bandwidth_hz))
 
 
 def measure_rsrp(true_rsrp_dbm: float, env_noise_dbm: float, params: ChannelParams, rng) -> float:
@@ -153,27 +118,29 @@ def measure_rsrp(true_rsrp_dbm: float, env_noise_dbm: float, params: ChannelPara
     return true_rsrp_dbm - degradation + noise
 
 
-def rsrq(rsrp_dbm: float, rssi_dbm: float, n_rb: int) -> float:
-    """RSRQ in dB: 10*log10(N_RB) + RSRP - RSSI."""
-    if n_rb < 1:
-        raise ValueError("n_rb must be at least 1")
-    return linear_to_db(n_rb) + rsrp_dbm - rssi_dbm
-
-
-def noise_power_dbm(site: CellSite, params: ChannelParams) -> float:
-    """Thermal noise power over the site bandwidth including the noise figure."""
-    return params.thermal_noise_density_dbm_hz + linear_to_db(site.bandwidth_hz) + site.noise_figure_db
-
-
 class RadioEnvironment:
     """Stateful channel view for one simulation run.
 
-    Owns the per-(site, UE) shadowing cache and the per-UE ambient-noise
-    random walks.  Confined to a single simulation instance; a run is
-    single-threaded.
+    Takes the run's one link budget at construction and derives its
+    per-run constants once: the 1 m reference path loss, the
+    resource-element scaling, the thermal noise power and the RSRQ's
+    10*log10(N_RB) term.  Owns the per-(site, UE) shadowing cache and the
+    per-UE ambient-noise random walks.  Confined to a single simulation
+    instance; a run is single-threaded.
     """
 
-    def __init__(self, sites: list[CellSite], params: ChannelParams, rng, shadow_rng=None):
+    def __init__(
+        self,
+        sites: list[CellSite],
+        params: ChannelParams,
+        rng,
+        shadow_rng=None,
+        *,
+        tx_power_dbm: float,
+        carrier_freq_hz: float,
+        bandwidth_hz: float,
+        noise_figure_db: float,
+    ):
         ids = [s.id for s in sites]
         if len(set(ids)) != len(ids):
             raise ValueError("site ids must be unique")
@@ -186,6 +153,14 @@ class RadioEnvironment:
         # (cell, ue) -> (shadowing value, UE position it was drawn at)
         self._shadow: dict[tuple[int, int], tuple[float, tuple[float, float]]] = {}
         self._env_noise: dict[int, float] = {}
+        self._tx_dbm = tx_power_dbm
+        self._reference_db = free_space_reference_db(carrier_freq_hz)
+        self._slope_db = 10.0 * params.path_loss_exponent
+        self._re_scaling_db = re_scaling_db(bandwidth_hz)
+        self._noise_mw = db_to_linear(
+            params.thermal_noise_density_dbm_hz + linear_to_db(bandwidth_hz) + noise_figure_db
+        )
+        self._rsrq_offset_db = linear_to_db(n_resource_blocks(bandwidth_hz))
 
     def shadowing_db(self, cell: int, ue: int, position) -> float:
         """Block-constant shadowing, redrawn after 50 m of UE travel."""
@@ -214,24 +189,34 @@ class RadioEnvironment:
         """Noisy observation of the current ambient noise level."""
         return self.env_noise_dbm(ue) + float(self.rng.normal(0.0, self.params.meas_noise_sigma_db))
 
+    def _received_dbm(self, site_position, position, shadowing_db: float) -> float:
+        """Wideband received power: transmit power less the log-distance
+        path loss (distances below 1 m clamp to 1 m) and the shadowing."""
+        d = max(math.hypot(site_position[0] - position[0], site_position[1] - position[1]), REFERENCE_DISTANCE_M)
+        return self._tx_dbm - (self._reference_db + self._slope_db * math.log10(d)) - shadowing_db
+
     def true_rsrp_of(self, cell: int, ue: int, position) -> float:
-        site = self.sites[cell]
-        return true_rsrp(site, position, self.shadowing_db(cell, ue, position), self.params)
+        """Ground-truth RSRP in dBm of one cell at the UE, with its current shadowing."""
+        shadowing = self.shadowing_db(cell, ue, position)
+        return self._received_dbm(self.sites[cell].position, position, shadowing) - self._re_scaling_db
 
     def wideband_dbm(self, ue: int, position) -> dict[int, float]:
         """Each site's wideband received power at the UE, keyed by site id
         in id order, with the UE's current shadowing."""
+        pos = (float(position[0]), float(position[1]))
         return {
-            cid: received_power_dbm(site, position, self.params, self.shadowing_db(cid, ue, position))
+            cid: self._received_dbm(site.position, pos, self.shadowing_db(cid, ue, pos))
             for cid, site in self.sites.items()
         }
 
     def sinr_of(self, serving_cell: int, wideband: dict[int, float]) -> float:
         """Serving power over interference (the other sites' powers,
-        summed in id order) plus thermal noise, in dB."""
-        interference_mw = sum(db_to_linear(p) for cid, p in wideband.items() if cid != serving_cell)
-        noise_mw = db_to_linear(noise_power_dbm(self.sites[serving_cell], self.params))
-        return linear_to_db(db_to_linear(wideband[serving_cell]) / (interference_mw + noise_mw))
+        summed left to right in id order) plus thermal noise, in dB."""
+        interference_mw = 0.0
+        for cid, p in wideband.items():
+            if cid != serving_cell:
+                interference_mw += db_to_linear(p)
+        return linear_to_db(db_to_linear(wideband[serving_cell]) / (interference_mw + self._noise_mw))
 
     def nearest_cell(self, position) -> int:
         return min(
@@ -250,23 +235,19 @@ class RadioEnvironment:
 
         Neighbors are sorted by measured RSRP descending (ties by cell id)
         and filtered by the detection threshold.  All entries carry
-        measured RSRP and the derived RSRQ.
+        measured RSRP and the derived RSRQ, 10*log10(N_RB) + RSRP - RSSI.
         """
         env_noise = self.env_noise_dbm(ue)
         # Total received wideband power plus the noise floor forms the RSSI.
         rssi_mw = 0.0
         for p in wideband.values():
             rssi_mw += db_to_linear(p)
-        serving_site = self.sites[serving_cell]
-        rssi_mw += db_to_linear(noise_power_dbm(serving_site, self.params))
-        rssi_dbm = linear_to_db(rssi_mw)
-        n_rb = n_resource_blocks(serving_site.bandwidth_hz)
+        rssi_dbm = linear_to_db(rssi_mw + self._noise_mw)
 
         entries: dict[int, MeasurementEntry] = {}
         for cid in self.sites:
-            true_value = wideband[cid] - re_scaling_db(self.sites[cid].bandwidth_hz)
-            measured = measure_rsrp(true_value, env_noise, self.params, self.rng)
-            entries[cid] = MeasurementEntry(cid, measured, rsrq(measured, rssi_dbm, n_rb))
+            measured = measure_rsrp(wideband[cid] - self._re_scaling_db, env_noise, self.params, self.rng)
+            entries[cid] = MeasurementEntry(cid, measured, self._rsrq_offset_db + measured - rssi_dbm)
 
         neighbors = sorted(
             (e for cid, e in entries.items() if cid != serving_cell and e.rsrp_dbm >= DETECTION_THRESHOLD_DBM),

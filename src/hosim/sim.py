@@ -167,18 +167,11 @@ def corridor_scenario(**overrides) -> Scenario:
 
 def build_sites(scenario: Scenario) -> list[CellSite]:
     """Site layout: hexagonal grid for 'hex', a row for 'corridor'."""
-    make = lambda cid, pos: CellSite(
-        id=cid,
-        position=pos,
-        tx_power_dbm=scenario.tx_power_dbm,
-        carrier_freq_hz=scenario.carrier_freq_hz,
-        bandwidth_hz=scenario.bandwidth_hz,
-        noise_figure_db=scenario.noise_figure_db,
-    )
     if scenario.layout == "corridor":
-        return [make(i, (i * scenario.site_spacing_m, 0.0)) for i in range(scenario.n_sites)]
-    positions = _hex_positions(scenario.n_sites, math.sqrt(3.0) * scenario.cell_radius_m)
-    return [make(i, pos) for i, pos in enumerate(positions)]
+        positions = [(i * scenario.site_spacing_m, 0.0) for i in range(scenario.n_sites)]
+    else:
+        positions = _hex_positions(scenario.n_sites, math.sqrt(3.0) * scenario.cell_radius_m)
+    return [CellSite(i, pos) for i, pos in enumerate(positions)]
 
 
 def _hex_positions(n: int, pitch: float) -> list[tuple[float, float]]:
@@ -262,7 +255,11 @@ class Simulation:
         setup_rng = np.random.default_rng([scenario.seed, _SETUP_STREAM])
         channel_rng = np.random.default_rng([scenario.seed, _CHANNEL_STREAM])
         shadow_rng = np.random.default_rng([scenario.seed, _SHADOW_STREAM])
-        self.env = RadioEnvironment(sites, scenario.channel, channel_rng, shadow_rng)
+        self.env = RadioEnvironment(
+            sites, scenario.channel, channel_rng, shadow_rng,
+            tx_power_dbm=scenario.tx_power_dbm, carrier_freq_hz=scenario.carrier_freq_hz,
+            bandwidth_hz=scenario.bandwidth_hz, noise_figure_db=scenario.noise_figure_db,
+        )
         self.ues = place_ues(scenario, sites, setup_rng)
         self.policy = make_policy(
             scenario.policy,
@@ -334,7 +331,7 @@ class Simulation:
                 engine.on_measurement_report(ctx, report, self.policy, now, self.scenario.report_period_s)
             sinr_db = self.env.sinr_of(serving, wideband)
             attached = ctx.phase != EXECUTING
-            self.metrics.add_sample(now, sinr_db, self.env.sites[serving].bandwidth_hz, attached)
+            self.metrics.add_sample(now, sinr_db, self.scenario.bandwidth_hz, attached)
             nearest = self.env.nearest_cell(ue.position)
             if nearest != self._nearest[ue.ue]:
                 self._nearest[ue.ue] = nearest

@@ -7,6 +7,7 @@ import zlib
 
 import pytest
 
+import hosim.cli
 from hosim.cli import main
 from hosim.config import dump_scenario
 from hosim.sim import corridor_scenario
@@ -83,6 +84,21 @@ class TestRunCommand:
         assert code != 0
         assert "/no/such/file.ini" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_scenario_exits_2_names_path(self, tmp_path, capsys, kind):
+        path = tmp_path / "scenario.ini"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100)))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: scenario: ")
+        assert str(path) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_override_nonzero_exit_names_field(self, corridor_file, tmp_path, capsys):
         code = main(["run", "--scenario", corridor_file, "--set", "sim.warp=1", "--out", str(tmp_path)])
         assert code != 0
@@ -145,6 +161,8 @@ class TestConfigurationErrors:
         (["convergence", "--seeds", "0:"], "seeds"),
         *[(["run", "--duration", "0.2", "--set", f"{key}={value}"], key.removeprefix("sim.").removeprefix("radio."))
           for key, values in ABSURD.items() for value in values],
+        (["sweep", "--jobs", "0"], "jobs"),
+        (["sweep", "--jobs", "-2"], "jobs"),
     ])
     def test_exit_2_names_field(self, corridor_file, tmp_path, capsys, argv, field):
         out = tmp_path / "out"
@@ -207,6 +225,38 @@ class TestSweepCommand:
             with open(os.path.join(out, "sweep.csv"), "rb") as fh:
                 outs[jobs] = fh.read()
         assert outs[1] == outs[2]
+
+    def test_pool_no_larger_than_the_sweep(self, corridor_file, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records the requested size and runs in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(hosim.cli, "ProcessPoolExecutor", RecordingPool)
+        outs = {}
+        for seeds, jobs in (("0", 64), ("0,1", 64), ("0,1", 1)):
+            out = str(tmp_path / f"{seeds}-{jobs}")
+            assert main([
+                "sweep", "--scenario", corridor_file, "--seeds", seeds, "--speeds", "200",
+                "--policies", "fixed_a3", "--set", "sim.sim_duration_s=1", "--jobs", str(jobs), "--out", out,
+            ]) == 0
+            with open(os.path.join(out, "sweep.csv"), "rb") as fh:
+                outs[seeds, jobs] = fh.read()
+        # A one-run sweep runs serially; a two-run sweep gets two workers.
+        assert sizes == [2]
+        assert outs["0,1", 64] == outs["0,1", 1]
 
     def test_range_seed_syntax(self, corridor_file, tmp_path):
         out = str(tmp_path / "range")

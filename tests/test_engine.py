@@ -12,9 +12,8 @@ from hosim.engine import (
     HandoverContext,
     Policy,
     PolicyDecision,
-    TriggerEvent,
+    _a3_holds,
     complete_handover,
-    evaluate_trigger,
     note_execution_sinr,
     on_measurement_report,
 )
@@ -63,48 +62,21 @@ def drive(ctx, policy, level_pairs, start=0.0):
 
 
 class TestEvaluateTrigger:
-    def test_a1(self):
-        event = TriggerEvent("A1", (-95.0,))
-        assert evaluate_trigger(event, -90.0, -120.0)
-        assert not evaluate_trigger(event, -95.0, -120.0)
-
-    def test_a2(self):
-        event = TriggerEvent("A2", (-95.0,))
-        assert evaluate_trigger(event, -100.0, -120.0)
-        assert not evaluate_trigger(event, -95.0, -120.0)
+    """The A3 entry condition: target above serving by more than the hysteresis."""
 
     def test_a3_boundary_is_strict(self):
-        event = TriggerEvent("A3", (3.0,))
-        assert not evaluate_trigger(event, -90.0, -87.0)
-        assert evaluate_trigger(event, -90.0, -86.9)
+        assert not _a3_holds(-90.0, -87.0, 3)
+        assert _a3_holds(-90.0, -86.9, 3)
 
     def test_a3_zero_offset(self):
-        event = TriggerEvent("A3", (0.0,))
-        assert evaluate_trigger(event, -90.0, -89.9)
-        assert not evaluate_trigger(event, -90.0, -90.0)
-
-    def test_a4(self):
-        event = TriggerEvent("A4", (-92.0,))
-        assert evaluate_trigger(event, -50.0, -91.0)
-        assert not evaluate_trigger(event, -50.0, -92.0)
-
-    def test_a5_both_conditions(self):
-        event = TriggerEvent("A5", (-95.0, -90.0))
-        assert evaluate_trigger(event, -96.0, -89.0)
-        assert not evaluate_trigger(event, -94.0, -89.0)
-        assert not evaluate_trigger(event, -96.0, -91.0)
-
-    def test_threshold_arity_checked(self):
-        with pytest.raises(ValueError):
-            TriggerEvent("A5", (-95.0,))
-        with pytest.raises(ValueError):
-            TriggerEvent("A3", (1.0, 2.0))
-        with pytest.raises(ValueError):
-            TriggerEvent("A7", (1.0,))
+        assert _a3_holds(-90.0, -89.9, 0)
+        assert not _a3_holds(-90.0, -90.0, 0)
 
     def test_non_finite_levels_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_trigger(TriggerEvent("A3", (0.0,)), float("nan"), -90.0)
+            _a3_holds(float("nan"), -90.0, 0)
+        with pytest.raises(ValueError):
+            _a3_holds(-90.0, float("inf"), 0)
 
 
 class TestTttTiming:

@@ -165,6 +165,10 @@ class TestAccumulator:
         assert mean(throughputs) == pytest.approx(sum(throughputs) / 100, abs=1e-12)
         assert sample_stdev([1.0, 1.0, 1.0]) == 0.0
 
+    def test_sums_run_left_to_right(self):
+        # Compensated summation (builtin sum() from Python 3.12) gives 1/3.
+        assert mean([1e16, 1.0, -1e16]) == 0.0
+
     def test_empty_run_finalizes_clean(self):
         record = MetricsAccumulator(n_ues=0, duration_s=1.0).finalize()
         assert record.ho_decisions == 0

@@ -1,5 +1,6 @@
 """Propagation, measurement, and report-generation tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,69 +17,78 @@ from hosim.radio import (
     free_space_reference_db,
     measure_rsrp,
     n_resource_blocks,
-    noise_power_dbm,
-    path_loss,
     re_scaling_db,
-    rsrq,
-    true_rsrp,
 )
+from hosim.sim import ConfigError, Scenario
 
 PARAMS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
 FREQ = 26e9
+BW = 400e6
+RB_HZ = 12 * 120e3
+# Thermal noise over the bandwidth plus the 5 dB noise figure.
+NOISE_DBM = -174.0 + 10 * math.log10(BW) + 5.0
 
 
-def make_site(cid=0, pos=(0.0, 0.0), tx=46.0, freq=FREQ, bw=400e6, nf=5.0):
-    return CellSite(cid, pos, tx, freq, bw, nf)
+def make_site(cid=0, pos=(0.0, 0.0)):
+    return CellSite(cid, pos)
+
+
+def make_env(sites, params=PARAMS, seed=0, tx=46.0, bw=BW):
+    """An environment whose sites share one link budget (5 dB noise figure)."""
+    return RadioEnvironment(
+        sites, params, np.random.default_rng(seed),
+        tx_power_dbm=tx, carrier_freq_hz=FREQ, bandwidth_hz=bw, noise_figure_db=5.0,
+    )
+
+
+def loss_at(distance_m):
+    """Path loss to a UE ``distance_m`` from a 46 dBm site, with zero shadowing."""
+    return 46.0 - make_env([make_site()]).wideband_dbm(0, (distance_m, 0.0))[0]
 
 
 class TestPathLoss:
     def test_reference_distance_identity(self):
-        assert path_loss(1.0, PARAMS, FREQ) == pytest.approx(free_space_reference_db(FREQ))
+        assert loss_at(1.0) == pytest.approx(free_space_reference_db(FREQ))
+        assert free_space_reference_db(FREQ) == pytest.approx(20 * math.log10(4 * math.pi * FREQ / 299_792_458.0))
 
     def test_ten_x_reference_adds_30db_at_exponent_3(self):
-        base = path_loss(1.0, PARAMS, FREQ)
-        assert path_loss(10.0, PARAMS, FREQ) == pytest.approx(base + 30.0)
+        assert loss_at(10.0) == pytest.approx(loss_at(1.0) + 30.0)
 
     def test_hundred_x_reference_adds_60db(self):
-        base = path_loss(1.0, PARAMS, FREQ)
-        assert path_loss(100.0, PARAMS, FREQ) == pytest.approx(base + 60.0)
+        assert loss_at(100.0) == pytest.approx(loss_at(1.0) + 60.0)
 
     def test_below_reference_clamps(self):
-        assert path_loss(0.01, PARAMS, FREQ) == path_loss(1.0, PARAMS, FREQ)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            path_loss(float("nan"), PARAMS, FREQ)
-        with pytest.raises(ValueError):
-            path_loss(float("inf"), PARAMS, FREQ)
+        assert loss_at(0.01) == loss_at(1.0)
+        assert loss_at(0.0) == loss_at(1.0)
 
     def test_monotone_in_distance(self):
         rng = np.random.default_rng(7)
         distances = np.sort(rng.uniform(0.5, 5000.0, size=200))
-        losses = [path_loss(d, PARAMS, FREQ) for d in distances]
+        losses = [loss_at(d) for d in distances]
         assert all(b >= a for a, b in zip(losses, losses[1:]))
 
 
 class TestTrueRsrp:
     def test_reference_distance_value(self):
-        site = make_site()
-        expected = 46.0 - free_space_reference_db(FREQ) - re_scaling_db(400e6)
-        assert true_rsrp(site, (1.0, 0.0), 0.0, PARAMS) == pytest.approx(expected)
+        expected = 46.0 - free_space_reference_db(FREQ) - 10 * math.log10(12 * 277)
+        assert make_env([make_site()]).true_rsrp_of(0, 0, (1.0, 0.0)) == pytest.approx(expected)
 
     def test_tx_power_shift_is_linear_in_db(self):
-        lo = true_rsrp(make_site(tx=43.0), (50.0, 0.0), 0.0, PARAMS)
-        hi = true_rsrp(make_site(tx=46.0), (50.0, 0.0), 0.0, PARAMS)
+        lo = make_env([make_site()], tx=43.0).true_rsrp_of(0, 0, (50.0, 0.0))
+        hi = make_env([make_site()], tx=46.0).true_rsrp_of(0, 0, (50.0, 0.0))
         assert hi - lo == pytest.approx(3.0)
 
     def test_shadowing_subtracts(self):
-        site = make_site()
-        clear = true_rsrp(site, (50.0, 0.0), 0.0, PARAMS)
-        shadowed = true_rsrp(site, (50.0, 0.0), 5.0, PARAMS)
-        assert clear - shadowed == pytest.approx(5.0)
+        shadowed_env = make_env([make_site()], params=ChannelParams(shadowing_sigma_db=6.0), seed=4)
+        clear = make_env([make_site()]).true_rsrp_of(0, 0, (50.0, 0.0))
+        shadowed = shadowed_env.true_rsrp_of(0, 0, (50.0, 0.0))
+        shadowing = shadowed_env.shadowing_db(0, 0, (50.0, 0.0))
+        assert shadowing != 0.0
+        assert clear - shadowed == pytest.approx(shadowing)
 
     def test_strictly_decreasing_in_distance(self):
-        site = make_site()
-        values = [true_rsrp(site, (d, 0.0), 0.0, PARAMS) for d in (2, 5, 20, 90, 400)]
+        env = make_env([make_site()])
+        values = [env.true_rsrp_of(0, 0, (d, 0.0)) for d in (2, 5, 20, 90, 400)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -106,63 +116,64 @@ class TestMeasureRsrp:
         assert abs(draws.std() - 2.0) / 2.0 < 0.02
 
 
+def rsrq_offsets(bandwidth_hz):
+    """RSRQ minus (RSRP - RSSI) for every entry of a two-site report, with
+    the RSSI summed independently from the wideband powers and the noise."""
+    env = make_env([make_site(0), make_site(1, (100.0, 0.0))], bw=bandwidth_hz)
+    wideband = env.wideband_dbm(0, (30.0, 0.0))
+    noise_dbm = -174.0 + 10 * math.log10(bandwidth_hz) + 5.0
+    rssi_dbm = 10 * math.log10(sum(10 ** (p / 10) for p in wideband.values()) + 10 ** (noise_dbm / 10))
+    report = env.generate_report(0, wideband, 0, 0.0)
+    assert len(report.neighbors) == 1
+    return [e.rsrq_db - (e.rsrp_dbm - rssi_dbm) for e in (report.serving, *report.neighbors)]
+
+
 class TestRsrq:
     def test_identity_zero(self):
-        assert rsrq(-80.0, -80.0, 1) == 0.0
+        assert rsrq_offsets(RB_HZ) == pytest.approx([0.0, 0.0], abs=1e-9)
 
     def test_hundred_blocks_twenty_db(self):
-        assert rsrq(-80.0, -60.0, 100) == pytest.approx(0.0)
+        assert rsrq_offsets(100 * RB_HZ) == pytest.approx([20.0, 20.0], abs=1e-9)
 
     def test_fifty_blocks(self):
-        assert rsrq(-80.0, -60.0, 50) == pytest.approx(10 * math.log10(50) - 20, abs=1e-9)
+        expected = 10 * math.log10(50)
+        assert rsrq_offsets(50 * RB_HZ) == pytest.approx([expected, expected], abs=1e-9)
 
     def test_rejects_zero_blocks(self):
-        with pytest.raises(ValueError):
-            rsrq(-80.0, -60.0, 0)
+        # The scenario gate, not each RSRQ, guarantees at least one block.
+        Scenario(bandwidth_hz=RB_HZ).validate()
+        with pytest.raises(ConfigError) as err:
+            Scenario(bandwidth_hz=RB_HZ * (1 - 1e-9)).validate()
+        assert err.value.field_name == "bandwidth_hz"
 
 
-def make_env(sites, params=PARAMS, seed=0):
-    return RadioEnvironment(sites, params, np.random.default_rng(seed))
-
-
-def sinr_at(sites, position, serving=0):
+def sinr_at(sites, position, serving=0, tx=46.0):
     """SINR of UE 0 at ``position`` served by ``serving``, with zero shadowing."""
-    env = make_env(sites)
+    env = make_env(sites, tx=tx)
     return env.sinr_of(serving, env.wideband_dbm(0, position))
 
 
 class TestSinr:
     def test_noise_equal_to_signal_gives_zero(self):
-        site = make_site()
-        noise = noise_power_dbm(site, PARAMS)
         # Place the UE so the received power equals the noise power.
-        target_pl = site.tx_power_dbm - noise
-        distance = 10 ** ((target_pl - free_space_reference_db(FREQ)) / 30.0)
-        value = sinr_at([site], (distance, 0.0))
+        distance = 10 ** ((46.0 - NOISE_DBM - free_space_reference_db(FREQ)) / 30.0)
+        value = sinr_at([make_site()], (distance, 0.0))
         assert value == pytest.approx(0.0, abs=1e-6)
 
     def test_single_equal_interferer(self):
         # Enough transmit power that thermal noise is negligible.
-        serving = make_site(0, (0.0, 0.0), tx=140.0)
-        other = make_site(1, (200.0, 0.0), tx=140.0)
-        value = sinr_at([serving, other], (100.0, 0.0))
+        value = sinr_at([make_site(0, (0.0, 0.0)), make_site(1, (200.0, 0.0))], (100.0, 0.0), tx=140.0)
         assert value == pytest.approx(0.0, abs=1e-3)
 
     def test_two_equal_interferers(self):
-        serving = make_site(0, (0.0, 100.0), tx=140.0)
-        others = [make_site(1, (-100.0, 0.0), tx=140.0), make_site(2, (100.0, 0.0), tx=140.0)]
-        value = sinr_at([serving, *others], (0.0, 0.0))
+        sites = [make_site(0, (0.0, 100.0)), make_site(1, (-100.0, 0.0)), make_site(2, (100.0, 0.0))]
+        value = sinr_at(sites, (0.0, 0.0), tx=140.0)
         assert value == pytest.approx(-10 * math.log10(2), abs=1e-3)
 
     def test_interference_limited_power_shift_invariance(self):
-        position = (70.0, 30.0)
-        for shift in (0.0, 7.0):
-            serving = make_site(0, (0.0, 0.0), tx=140.0 + shift)
-            other = make_site(1, (200.0, 0.0), tx=140.0 + shift)
-            if shift == 0.0:
-                baseline = sinr_at([serving, other], position)
-            else:
-                assert sinr_at([serving, other], position) == pytest.approx(baseline, abs=1e-3)
+        sites = [make_site(0, (0.0, 0.0)), make_site(1, (200.0, 0.0))]
+        baseline = sinr_at(sites, (70.0, 30.0), tx=140.0)
+        assert sinr_at(sites, (70.0, 30.0), tx=147.0) == pytest.approx(baseline, abs=1e-3)
 
 
 class TestMeasurementTypes:
@@ -223,11 +234,12 @@ class TestGenerateReport:
         assert len(report.neighbors) == MAX_NEIGHBORS
 
     def test_detection_threshold_filters_far_cells(self):
-        far = 10 ** ((46.0 - re_scaling_db(400e6) - DETECTION_THRESHOLD_DBM - free_space_reference_db(FREQ)) / 30.0)
-        sites = [make_site(0, (0.0, 0.0)), make_site(1, (far * 4.0, 0.0))]
+        # Distance at which the true RSRP sits exactly on the threshold.
+        edge = 10 ** ((46.0 - re_scaling_db(BW) - DETECTION_THRESHOLD_DBM - free_space_reference_db(FREQ)) / 30.0)
+        sites = [make_site(0, (0.0, 0.0)), make_site(1, (edge * 0.9, 0.0)), make_site(2, (edge * 1.1, 0.0))]
         env = make_env(sites)
         report = env.generate_report(0, env.wideband_dbm(0, (0.0, 0.0)), 0, 0.0)
-        assert report.neighbors == ()
+        assert [n.cell for n in report.neighbors] == [1]
 
     def test_rsrq_values_negative_under_load(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (100.0, 0.0))]
@@ -240,14 +252,13 @@ class TestGenerateReport:
 class TestEnvironmentState:
     def test_env_noise_walk_is_bounded(self):
         params = ChannelParams(env_noise_sigma_db=2.0)
-        env = RadioEnvironment([make_site(0)], params, np.random.default_rng(3))
+        env = make_env([make_site(0)], params, seed=3)
         values = [env.advance_env_noise(0) for _ in range(2000)]
         bound = 3.0 * params.env_noise_sigma_db
         assert all(abs(v - params.env_noise_mean_dbm) <= bound + 1e-9 for v in values)
 
     def test_shadowing_block_constant_until_decorrelation(self):
-        params = ChannelParams(shadowing_sigma_db=6.0)
-        env = RadioEnvironment([make_site(0)], params, np.random.default_rng(5))
+        env = make_env([make_site(0)], ChannelParams(shadowing_sigma_db=6.0), seed=5)
         a = env.shadowing_db(0, 0, (0.0, 0.0))
         assert env.shadowing_db(0, 0, (30.0, 0.0)) == a
         b = env.shadowing_db(0, 0, (60.0, 0.0))
@@ -255,7 +266,7 @@ class TestEnvironmentState:
 
     def test_duplicate_site_ids_rejected(self):
         with pytest.raises(ValueError):
-            RadioEnvironment([make_site(0), make_site(0, (10.0, 0.0))], PARAMS, np.random.default_rng(0))
+            make_env([make_site(0), make_site(0, (10.0, 0.0))])
 
 
 class TestResourceBlocks:
@@ -268,10 +279,18 @@ class TestResourceBlocks:
 
 
 class TestSiteValidation:
+    """A site is only an id and a position; the scenario gate checks the
+    link budget every site shares."""
+
+    def test_site_is_id_and_position(self):
+        assert [f.name for f in dataclasses.fields(CellSite)] == ["id", "position"]
+
     def test_bandwidth_positive(self):
-        with pytest.raises(ValueError):
-            CellSite(0, (0.0, 0.0), bandwidth_hz=0.0)
+        with pytest.raises(ConfigError) as err:
+            Scenario(bandwidth_hz=0.0).validate()
+        assert err.value.field_name == "bandwidth_hz"
 
     def test_tx_power_finite(self):
-        with pytest.raises(ValueError):
-            CellSite(0, (0.0, 0.0), tx_power_dbm=float("inf"))
+        with pytest.raises(ConfigError) as err:
+            Scenario(tx_power_dbm=float("inf")).validate()
+        assert err.value.field_name == "tx_power_dbm"

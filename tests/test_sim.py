@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hosim import radio
 from hosim.engine import EXECUTING
 from hosim.radio import (
     ChannelParams,
@@ -13,9 +14,7 @@ from hosim.radio import (
     db_to_linear,
     free_space_reference_db,
     linear_to_db,
-    noise_power_dbm,
     re_scaling_db,
-    received_power_dbm,
 )
 from hosim.rl import LearningParams
 from hosim.sim import (
@@ -169,9 +168,14 @@ class TestStepLoop:
                 assert ymin - 1e-6 <= ue.position[1] <= ymax + 1e-6
 
 
+def report_tick_scenario():
+    """Seven hex sites, two UEs each; no UE is executing at the first tick."""
+    return Scenario(n_sites=7, n_ues_per_cell=2, policy="fixed_a3", sim_duration_s=0.2)
+
+
 class TestReportTick:
     def test_one_received_power_pass_per_ue(self, monkeypatch):
-        scenario = Scenario(n_sites=7, n_ues_per_cell=2, policy="fixed_a3", sim_duration_s=0.2)
+        scenario = report_tick_scenario()
         sim = Simulation(scenario)
         env = sim.env
         lookups, sinrs = [], []
@@ -193,15 +197,46 @@ class TestReportTick:
         assert len(sinrs) == len(sim.ues)
         monkeypatch.undo()
 
-        # The old two-pass formula, evaluated site by site from the cached shadowing.
+        # The link budget evaluated site by site from the cached shadowing,
+        # interference summed left to right in id order.
+        reference_db = free_space_reference_db(scenario.carrier_freq_hz)
+        noise_mw = db_to_linear(
+            scenario.channel.thermal_noise_density_dbm_hz
+            + linear_to_db(scenario.bandwidth_hz)
+            + scenario.noise_figure_db
+        )
         for ue, value in zip(sim.ues, sinrs):
-            serving = env.sites[sim.serving[ue.ue]]
-            power = lambda site: db_to_linear(
-                received_power_dbm(site, ue.position, env.params, env.shadowing_db(site.id, ue.ue, ue.position))
-            )
-            interference = sum(power(site) for site in env.sites.values() if site.id != serving.id)
-            noise = db_to_linear(noise_power_dbm(serving, env.params))
-            assert value == linear_to_db(power(serving) / (interference + noise))
+            serving = sim.serving[ue.ue]
+
+            def power(site):
+                d = max(math.hypot(site.position[0] - ue.position[0], site.position[1] - ue.position[1]), 1.0)
+                path_loss = reference_db + 10.0 * scenario.channel.path_loss_exponent * math.log10(d)
+                shadowing = env.shadowing_db(site.id, ue.ue, ue.position)
+                return db_to_linear(scenario.tx_power_dbm - path_loss - shadowing)
+
+            interference = 0.0
+            for site in env.sites.values():
+                if site.id != serving:
+                    interference += power(site)
+            assert value == linear_to_db(power(env.sites[serving]) / (interference + noise_mw))
+
+    def test_link_budget_constants_not_rederived(self, monkeypatch):
+        sim = Simulation(report_tick_scenario())
+        calls = []
+
+        def counted(name):
+            original = getattr(radio, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for name in ("free_space_reference_db", "re_scaling_db"):
+            monkeypatch.setattr(radio, name, counted(name))
+        sim._report_tick(sim.time_s)
+        assert calls == []
 
 
 class TestCrossing:
