@@ -63,9 +63,9 @@ def _set(scenario: Scenario, section: str, key: str, raw: str) -> Scenario:
     return dataclasses.replace(scenario, **{section: nested})
 
 
-def load_scenario(path: str | None = None, overrides: list[str] | None = None, base: Scenario | None = None) -> Scenario:
+def load_scenario(path: str | None = None, overrides: list[str] | None = None) -> Scenario:
     """Build a Scenario from defaults, an optional file, and overrides."""
-    scenario = base if base is not None else Scenario()
+    scenario = Scenario()
     if path is not None:
         parser = configparser.ConfigParser()
         try:
@@ -74,7 +74,8 @@ def load_scenario(path: str | None = None, overrides: list[str] | None = None, b
         except OSError as exc:
             raise ConfigError("scenario", f"cannot read {path}: {exc.strerror or exc}") from exc
         except (UnicodeError, configparser.Error) as exc:
-            raise ConfigError("scenario", f"cannot parse {path}: {exc}") from exc
+            # configparser's messages span lines; the error is one stderr line.
+            raise ConfigError("scenario", f"cannot parse {path}: {' '.join(str(exc).split())}") from exc
         for section in parser.sections():
             if section not in SECTIONS:
                 raise ConfigError(section, f"unknown section in {path}")

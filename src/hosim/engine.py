@@ -62,9 +62,6 @@ class Policy:
         """Comparison level for a cell in this report, None if unavailable."""
         raise NotImplementedError
 
-    def notify_outcome(self, outcome: "HandoverOutcome") -> None:
-        """Called after a handover completes (optional)."""
-
 
 @dataclass
 class HandoverOutcome:

@@ -104,10 +104,6 @@ class CdfSeries:
     values: tuple[float, ...]
     fractions: tuple[float, ...]
 
-    @property
-    def empty(self) -> bool:
-        return not self.values
-
 
 def cdf(samples) -> CdfSeries:
     values = sorted(float(s) for s in samples)

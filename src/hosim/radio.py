@@ -162,15 +162,15 @@ class RadioEnvironment:
         )
         self._rsrq_offset_db = linear_to_db(n_resource_blocks(bandwidth_hz))
 
-    def shadowing_db(self, cell: int, ue: int, position) -> float:
-        """Block-constant shadowing, redrawn after 50 m of UE travel."""
+    def shadowing_db(self, cell: int, ue: int, position: tuple[float, float]) -> float:
+        """Block-constant shadowing, redrawn after 50 m of UE travel from the
+        ``(x, y)`` float tuple ``position`` it was drawn at."""
         key = (cell, ue)
         state = self._shadow.get(key)
-        pos = (float(position[0]), float(position[1]))
-        if state is not None and math.dist(state[1], pos) < SHADOWING_DECORRELATION_M:
+        if state is not None and math.dist(state[1], position) < SHADOWING_DECORRELATION_M:
             return state[0]
         value = float(self.shadow_rng.normal(0.0, self.params.shadowing_sigma_db))
-        self._shadow[key] = (value, pos)
+        self._shadow[key] = (value, position)
         return value
 
     def env_noise_dbm(self, ue: int) -> float:
@@ -195,17 +195,18 @@ class RadioEnvironment:
         d = max(math.hypot(site_position[0] - position[0], site_position[1] - position[1]), REFERENCE_DISTANCE_M)
         return self._tx_dbm - (self._reference_db + self._slope_db * math.log10(d)) - shadowing_db
 
-    def true_rsrp_of(self, cell: int, ue: int, position) -> float:
-        """Ground-truth RSRP in dBm of one cell at the UE, with its current shadowing."""
+    def true_rsrp_of(self, cell: int, ue: int, position: tuple[float, float]) -> float:
+        """Ground-truth RSRP in dBm of one cell at the UE (``position`` an
+        ``(x, y)`` tuple of floats), with its current shadowing."""
         shadowing = self.shadowing_db(cell, ue, position)
         return self._received_dbm(self.sites[cell].position, position, shadowing) - self._re_scaling_db
 
-    def wideband_dbm(self, ue: int, position) -> dict[int, float]:
-        """Each site's wideband received power at the UE, keyed by site id
-        in id order, with the UE's current shadowing."""
-        pos = (float(position[0]), float(position[1]))
+    def wideband_dbm(self, ue: int, position: tuple[float, float]) -> dict[int, float]:
+        """Each site's wideband received power at the UE (``position`` an
+        ``(x, y)`` tuple of floats), keyed by site id in id order, with the
+        UE's current shadowing."""
         return {
-            cid: self._received_dbm(site.position, pos, self.shadowing_db(cid, ue, pos))
+            cid: self._received_dbm(site.position, position, self.shadowing_db(cid, ue, position))
             for cid, site in self.sites.items()
         }
 
@@ -218,14 +219,11 @@ class RadioEnvironment:
                 interference_mw += db_to_linear(p)
         return linear_to_db(db_to_linear(wideband[serving_cell]) / (interference_mw + self._noise_mw))
 
-    def nearest_cell(self, position) -> int:
-        return min(
-            self.sites,
-            key=lambda cid: (
-                math.dist(self.sites[cid].position, (position[0], position[1])),
-                cid,
-            ),
-        )
+    def nearest_cell(self, position: tuple[float, float]) -> int:
+        """Id of the site closest to ``position``, an ``(x, y)`` tuple of
+        floats; ``sites`` iterates in id order and ``min`` keeps the first
+        minimum, so an exact tie goes to the lowest id."""
+        return min(self.sites, key=lambda cid: math.dist(self.sites[cid].position, position))
 
     def generate_report(
         self, ue: int, wideband: dict[int, float], serving_cell: int, timestamp: float

@@ -196,11 +196,11 @@ def _hex_positions(n: int, pitch: float) -> list[tuple[float, float]]:
 
 @dataclass
 class UeTrajectory:
-    """Constant-velocity UE: position advances, speed never changes."""
+    """Constant-velocity UE; each step replaces its ``(x, y)`` float tuples."""
 
     ue: int
-    position: np.ndarray
-    velocity: np.ndarray
+    position: tuple[float, float]
+    velocity: tuple[float, float]
 
 
 def place_ues(scenario: Scenario, sites: list[CellSite], rng) -> list[UeTrajectory]:
@@ -223,16 +223,14 @@ def place_ues(scenario: Scenario, sites: list[CellSite], rng) -> list[UeTrajecto
                     direction = 1.0 if site.id == 0 else -1.0
                 offset = float(rng.uniform(10.0, 30.0))
                 y = scenario.corridor_lane_m + float(rng.uniform(-10.0, 10.0))
-                position = np.array([site.position[0] + direction * offset, y])
-                velocity = np.array([direction * speed, 0.0])
+                position = (site.position[0] + direction * offset, y)
+                velocity = (direction * speed, 0.0)
             else:
                 radius = min(float(rng.exponential(scenario.cell_radius_m / 2.0)), scenario.cell_radius_m)
                 angle = float(rng.uniform(0.0, 2.0 * math.pi))
                 heading = float(rng.uniform(0.0, 2.0 * math.pi))
-                position = np.array(
-                    [site.position[0] + radius * math.cos(angle), site.position[1] + radius * math.sin(angle)]
-                )
-                velocity = speed * np.array([math.cos(heading), math.sin(heading)])
+                position = (site.position[0] + radius * math.cos(angle), site.position[1] + radius * math.sin(angle))
+                velocity = (speed * math.cos(heading), speed * math.sin(heading))
             ues.append(UeTrajectory(uid, position, velocity))
     return ues
 
@@ -316,7 +314,6 @@ class Simulation:
                 if outcome.result == "success":
                     self.serving[ue.ue] = outcome.target
                 self.metrics.add_outcome(outcome)
-                self.policy.notify_outcome(outcome)
 
     def _report_tick(self, now: float) -> None:
         for ue in self.ues:
@@ -348,20 +345,19 @@ class Simulation:
         xmin, xmax, ymin, ymax = self._bounds
         dt = self.scenario.step_s
         for ue in self.ues:
-            ue.position += ue.velocity * dt
-            if ue.position[0] < xmin:
-                ue.position[0] = 2 * xmin - ue.position[0]
-                ue.velocity[0] = -ue.velocity[0]
-            elif ue.position[0] > xmax:
-                ue.position[0] = 2 * xmax - ue.position[0]
-                ue.velocity[0] = -ue.velocity[0]
-            if ue.position[1] < ymin:
-                ue.position[1] = 2 * ymin - ue.position[1]
-                ue.velocity[1] = -ue.velocity[1]
-            elif ue.position[1] > ymax:
-                ue.position[1] = 2 * ymax - ue.position[1]
-                ue.velocity[1] = -ue.velocity[1]
+            (x, y), (vx, vy) = ue.position, ue.velocity
+            x, vx = _reflect(x + vx * dt, vx, xmin, xmax)
+            y, vy = _reflect(y + vy * dt, vy, ymin, ymax)
+            ue.position, ue.velocity = (x, y), (vx, vy)
 
+
+def _reflect(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:
+    """Mirror a coordinate that crossed a wall back inside and reverse its velocity."""
+    if p < lo:
+        return 2 * lo - p, -v
+    if p > hi:
+        return 2 * hi - p, -v
+    return p, v
 
 def run(scenario: Scenario) -> RunResult:
     """Validate and execute one scenario."""

@@ -99,6 +99,18 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text", ["tx_power_dbm = 46\n", "[sim]\ngarbage line\n"], ids=["no_section", "bare_line"]
+    )
+    def test_unparsable_scenario_is_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.ini"
+        path.write_text(text)
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("configuration error: scenario: ")
+        assert str(path) in err
+
     def test_bad_override_nonzero_exit_names_field(self, corridor_file, tmp_path, capsys):
         code = main(["run", "--scenario", corridor_file, "--set", "sim.warp=1", "--out", str(tmp_path)])
         assert code != 0

@@ -101,8 +101,8 @@ class TestCdf:
 
     def test_empty_flagged(self):
         series = cdf([])
-        assert series.empty
         assert series.values == ()
+        assert series.fractions == ()
 
     def test_fractions_non_decreasing_and_end_at_one(self):
         rng = np.random.default_rng(0)

@@ -9,6 +9,7 @@ import pytest
 from hosim import radio
 from hosim.engine import EXECUTING
 from hosim.radio import (
+    CellSite,
     ChannelParams,
     RadioEnvironment,
     db_to_linear,
@@ -167,6 +168,43 @@ class TestStepLoop:
                 assert xmin - 1e-6 <= ue.position[0] <= xmax + 1e-6
                 assert ymin - 1e-6 <= ue.position[1] <= ymax + 1e-6
 
+    @pytest.mark.parametrize("axis, wall", [(0, 0), (0, 1), (1, 2), (1, 3)], ids=["xmin", "xmax", "ymin", "ymax"])
+    def test_reflection_mirrors_only_the_crossing_axis(self, axis, wall):
+        sim = Simulation(noiseless_corridor())
+        dt = sim.scenario.step_s
+        bound = sim._bounds[wall]
+        inward = 1.0 if wall % 2 == 0 else -1.0
+        # One metre inside the wall, heading out at 2 m per step, with a
+        # slow drift along the other axis.
+        start = [(sim._bounds[0] + sim._bounds[1]) / 2, (sim._bounds[2] + sim._bounds[3]) / 2]
+        start[axis] = bound + inward
+        velocity = [3.0, 3.0]
+        velocity[axis] = -inward * 2.0 / dt
+        ue = sim.ues[0]
+        ue.position, ue.velocity = tuple(start), tuple(velocity)
+        sim._advance_positions()
+
+        crossed = start[axis] + velocity[axis] * dt
+        assert inward * (crossed - bound) < 0
+        other = 1 - axis
+        assert ue.position[axis] == 2 * bound - crossed
+        assert ue.velocity[axis] == -velocity[axis]
+        assert ue.position[other] == start[other] + velocity[other] * dt
+        assert ue.velocity[other] == velocity[other]
+
+    def test_nearest_cell_tie_goes_to_lowest_site_id(self):
+        # Sites handed over out of id order; the origin is 10 m from all three.
+        sites = [CellSite(3, (10.0, 0.0)), CellSite(1, (0.0, 10.0)), CellSite(2, (-10.0, 0.0))]
+        scenario = Scenario()
+        env = RadioEnvironment(
+            sites, NOISELESS, np.random.default_rng(0),
+            tx_power_dbm=scenario.tx_power_dbm, carrier_freq_hz=scenario.carrier_freq_hz,
+            bandwidth_hz=scenario.bandwidth_hz, noise_figure_db=scenario.noise_figure_db,
+        )
+        assert env.nearest_cell((0.0, 0.0)) == 1
+        assert env.nearest_cell((0.0, -1.0)) == 2
+        assert env.nearest_cell((0.5, -1.0)) == 3
+
 
 def report_tick_scenario():
     """Seven hex sites, two UEs each; no UE is executing at the first tick."""
@@ -255,8 +293,8 @@ class TestCrossing:
     def test_decision_time_matches_geometric_oracle(self):
         scenario = noiseless_corridor(sim_duration_s=6.0, policy="fixed_a3")
         sim = Simulation(scenario)
-        start = sim.ues[0].position.copy()
-        velocity = sim.ues[0].velocity.copy()
+        start = np.array(sim.ues[0].position)
+        velocity = np.array(sim.ues[0].velocity)
         result = sim.run()
 
         # Independent oracle: recompute the measured-RSRP difference from
