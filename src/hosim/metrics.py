@@ -23,7 +23,7 @@ import contextlib
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .engine import HandoverOutcome
 
@@ -68,15 +68,13 @@ def bler_proxy(sinr_db: float, attached: bool) -> float:
     return RESIDUAL_BER
 
 
-def packet_delay_proxy(sinr_db: float, bandwidth_hz: float, attached: bool) -> float:
-    """Packet delay in ms: core delay plus transmission time, or the
-    interruption window while a handover executes."""
-    if not attached:
+def packet_delay_proxy(throughput_bps: float) -> float:
+    """Packet delay in ms: core delay plus transmission time at
+    ``throughput_proxy``'s rate, or the interruption window when that rate
+    is zero (detached while a handover executes)."""
+    if throughput_bps == 0.0:
         return CORE_DELAY_MS + INTERRUPTION_DELAY_MS
-    capacity = throughput_proxy(sinr_db, bandwidth_hz, True)
-    if capacity <= 0.0:
-        return CORE_DELAY_MS + INTERRUPTION_DELAY_MS
-    return CORE_DELAY_MS + PACKET_BITS / capacity * 1e3
+    return CORE_DELAY_MS + PACKET_BITS / throughput_bps * 1e3
 
 
 @dataclass(frozen=True)
@@ -131,10 +129,11 @@ class MetricsAccumulator:
 
     def add_sample(self, time_s: float, sinr_db: float, bandwidth_hz: float, attached: bool) -> None:
         plr = plr_proxy(sinr_db, attached)
-        self.throughput_sum += throughput_proxy(sinr_db, bandwidth_hz, attached)
+        throughput = throughput_proxy(sinr_db, bandwidth_hz, attached)
+        self.throughput_sum += throughput
         self.plr_sum += plr
         self.bler_sum += bler_proxy(sinr_db, attached)
-        self.delay_sum += packet_delay_proxy(sinr_db, bandwidth_hz, attached)
+        self.delay_sum += packet_delay_proxy(throughput)
         self.n_samples += 1
         bucket = int(time_s // PLR_BUCKET_S)
         self._bucket_sums[bucket] = self._bucket_sums.get(bucket, 0.0) + plr
@@ -176,11 +175,9 @@ class MetricsAccumulator:
         )
 
 
-KPI_HEADER = (
-    "policy", "seed", "speed_kmh", "mean_throughput_mbps", "plr", "mean_packet_delay_ms",
-    "mean_ho_latency_ms", "ho_decisions", "ho_successes", "ho_failures",
-    "ho_failure_rate", "ping_pong_rate", "cell_crossing_rate", "bler",
-)
+# Every KpiRecord field but the per-second series, in declaration order.
+_KPI_FIELDS = tuple(f.name for f in fields(KpiRecord) if f.name != "plr_series")
+KPI_HEADER = ("policy", "seed", "speed_kmh", *_KPI_FIELDS)
 
 EVENT_HEADER = (
     "time", "ue", "source", "target", "ttt_ms", "hyst_db", "result", "latency_ms", "ping_pong",
@@ -218,12 +215,7 @@ def write_csv_atomic(path: str, header, rows) -> None:
 
 
 def kpi_row(policy: str, seed: int, speed_kmh: float, record: KpiRecord) -> tuple:
-    return (
-        policy, seed, speed_kmh, record.mean_throughput_mbps, record.plr,
-        record.mean_packet_delay_ms, record.mean_ho_latency_ms, record.ho_decisions,
-        record.ho_successes, record.ho_failures, record.ho_failure_rate,
-        record.ping_pong_rate, record.cell_crossing_rate, record.bler,
-    )
+    return (policy, seed, speed_kmh, *(getattr(record, name) for name in _KPI_FIELDS))
 
 
 def event_row(outcome: HandoverOutcome) -> tuple:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 SPEED_OF_LIGHT = 299_792_458.0
 REFERENCE_DISTANCE_M = 1.0
@@ -106,27 +107,16 @@ def re_scaling_db(bandwidth_hz: float) -> float:
     return linear_to_db(SUBCARRIERS_PER_RB * n_resource_blocks(bandwidth_hz))
 
 
-def measure_rsrp(true_rsrp_dbm: float, env_noise_dbm: float, params: ChannelParams, rng) -> float:
-    """Degrade the true RSRP by the ambient-noise excursion plus measurement noise.
-
-    The degradation is the ambient noise level's excursion above its
-    configured mean, applied additively in dB, so a noisier environment
-    reads a weaker signal.
-    """
-    degradation = env_noise_dbm - params.env_noise_mean_dbm
-    noise = rng.normal(0.0, params.meas_noise_sigma_db)
-    return true_rsrp_dbm - degradation + noise
-
-
 class RadioEnvironment:
     """Stateful channel view for one simulation run.
 
     Takes the run's one link budget at construction and derives its
     per-run constants once: the 1 m reference path loss, the
     resource-element scaling, the thermal noise power and the RSRQ's
-    10*log10(N_RB) term.  Owns the per-(site, UE) shadowing cache and the
-    per-UE ambient-noise random walks.  Confined to a single simulation
-    instance; a run is single-threaded.
+    10*log10(N_RB) term.  Site ids are 0..n-1, so ``sites`` and every
+    per-site list are indexed by id.  Owns the per-(site, UE) shadowing
+    cache and the per-UE ambient-noise random walks.  Confined to a single
+    simulation instance; a run is single-threaded.
     """
 
     def __init__(
@@ -134,22 +124,21 @@ class RadioEnvironment:
         sites: list[CellSite],
         params: ChannelParams,
         rng,
-        shadow_rng=None,
+        shadow_rng,
         *,
         tx_power_dbm: float,
         carrier_freq_hz: float,
         bandwidth_hz: float,
         noise_figure_db: float,
     ):
-        ids = [s.id for s in sites]
-        if len(set(ids)) != len(ids):
-            raise ValueError("site ids must be unique")
-        self.sites = {s.id: s for s in sorted(sites, key=lambda s: s.id)}
+        self.sites = sorted(sites, key=lambda s: s.id)
+        if [s.id for s in self.sites] != list(range(len(self.sites))):
+            raise ValueError("site ids must be 0..n-1")
         self.params = params
         self.rng = rng
         # Shadowing draws on their own stream so redraw timing (which can
         # shift with the step size) never perturbs measurement noise.
-        self.shadow_rng = shadow_rng if shadow_rng is not None else rng
+        self.shadow_rng = shadow_rng
         # (cell, ue) -> (shadowing value, UE position it was drawn at)
         self._shadow: dict[tuple[int, int], tuple[float, tuple[float, float]]] = {}
         self._env_noise: dict[int, float] = {}
@@ -201,54 +190,61 @@ class RadioEnvironment:
         shadowing = self.shadowing_db(cell, ue, position)
         return self._received_dbm(self.sites[cell].position, position, shadowing) - self._re_scaling_db
 
-    def wideband_dbm(self, ue: int, position: tuple[float, float]) -> dict[int, float]:
+    def wideband_dbm(self, ue: int, position: tuple[float, float]) -> list[float]:
         """Each site's wideband received power at the UE (``position`` an
-        ``(x, y)`` tuple of floats), keyed by site id in id order, with the
-        UE's current shadowing."""
-        return {
-            cid: self._received_dbm(site.position, position, self.shadowing_db(cid, ue, position))
-            for cid, site in self.sites.items()
-        }
+        ``(x, y)`` tuple of floats), indexed by site id, with the UE's
+        current shadowing."""
+        return [
+            self._received_dbm(site.position, position, self.shadowing_db(site.id, ue, position))
+            for site in self.sites
+        ]
 
-    def sinr_of(self, serving_cell: int, wideband: dict[int, float]) -> float:
+    def sinr_of(self, serving_cell: int, wideband: list[float]) -> float:
         """Serving power over interference (the other sites' powers,
         summed left to right in id order) plus thermal noise, in dB."""
         interference_mw = 0.0
-        for cid, p in wideband.items():
+        for cid, p in enumerate(wideband):
             if cid != serving_cell:
                 interference_mw += db_to_linear(p)
         return linear_to_db(db_to_linear(wideband[serving_cell]) / (interference_mw + self._noise_mw))
 
     def nearest_cell(self, position: tuple[float, float]) -> int:
         """Id of the site closest to ``position``, an ``(x, y)`` tuple of
-        floats; ``sites`` iterates in id order and ``min`` keeps the first
-        minimum, so an exact tie goes to the lowest id."""
-        return min(self.sites, key=lambda cid: math.dist(self.sites[cid].position, position))
+        floats; ``min`` keeps the first minimum of the id-ordered sites, so
+        an exact tie goes to the lowest id."""
+        return min(self.sites, key=lambda site: math.dist(site.position, position)).id
 
     def generate_report(
-        self, ue: int, wideband: dict[int, float], serving_cell: int, timestamp: float
+        self, ue: int, wideband: list[float], serving_cell: int, timestamp: float
     ) -> MeasurementReport:
         """Build a measurement report from ``wideband_dbm``'s powers:
         serving entry plus up to 8 neighbors.
 
-        Neighbors are sorted by measured RSRP descending (ties by cell id)
-        and filtered by the detection threshold.  All entries carry
-        measured RSRP and the derived RSRQ, 10*log10(N_RB) + RSRP - RSSI.
+        Every site's measured RSRP is its true RSRP less the ambient-noise
+        excursion above its configured mean (a noisier environment reads a
+        weaker signal), plus one measurement-noise draw per site in id
+        order.  Any non-finite measurement raises ValueError.  Neighbors
+        are ranked by measured RSRP descending (ties by cell id) and
+        filtered by the detection threshold.  All entries carry measured
+        RSRP and the derived RSRQ, 10*log10(N_RB) + RSRP - RSSI.
         """
-        env_noise = self.env_noise_dbm(ue)
+        degradation = self.env_noise_dbm(ue) - self.params.env_noise_mean_dbm
         # Total received wideband power plus the noise floor forms the RSSI.
         rssi_mw = 0.0
-        for p in wideband.values():
+        for p in wideband:
             rssi_mw += db_to_linear(p)
         rssi_dbm = linear_to_db(rssi_mw + self._noise_mw)
 
-        entries: dict[int, MeasurementEntry] = {}
-        for cid in self.sites:
-            measured = measure_rsrp(wideband[cid] - self._re_scaling_db, env_noise, self.params, self.rng)
-            entries[cid] = MeasurementEntry(cid, measured, self._rsrq_offset_db + measured - rssi_dbm)
+        noise = self.rng.normal(0.0, self.params.meas_noise_sigma_db, len(wideband)).tolist()
+        measured = [p - self._re_scaling_db - degradation + z for p, z in zip(wideband, noise)]
+        if not all(map(math.isfinite, measured)):
+            raise ValueError("measured RSRP must be finite")
 
-        neighbors = sorted(
-            (e for cid, e in entries.items() if cid != serving_cell and e.rsrp_dbm >= DETECTION_THRESHOLD_DBM),
-            key=lambda e: (-e.rsrp_dbm, e.cell),
-        )
-        return MeasurementReport(ue, timestamp, entries[serving_cell], tuple(neighbors[:MAX_NEIGHBORS]))
+        def entry(cid: int) -> MeasurementEntry:
+            return MeasurementEntry(cid, measured[cid], self._rsrq_offset_db + measured[cid] - rssi_dbm)
+
+        # A stable descending sort keeps equal measurements in id order.
+        ranked = sorted(range(len(measured)), key=measured.__getitem__, reverse=True)
+        detected = (c for c in ranked if c != serving_cell and measured[c] >= DETECTION_THRESHOLD_DBM)
+        neighbors = tuple(entry(c) for c in islice(detected, MAX_NEIGHBORS))
+        return MeasurementReport(ue, timestamp, entry(serving_cell), neighbors)

@@ -102,6 +102,8 @@ class Scenario:
             raise ConfigError("step_s", "must be positive")
         if not math.isfinite(self.sim_duration_s / self.step_s):
             raise ConfigError("step_s", "too small for sim_duration_s")
+        if self.sim_duration_s < self.step_s:
+            raise ConfigError("sim_duration_s", "must be at least step_s")
         if self.report_period_s < self.step_s:
             raise ConfigError("report_period_s", "must be at least step_s")
         ratio = self.report_period_s / self.step_s

@@ -175,6 +175,7 @@ class TestConfigurationErrors:
           for key, values in ABSURD.items() for value in values],
         (["sweep", "--jobs", "0"], "jobs"),
         (["sweep", "--jobs", "-2"], "jobs"),
+        (["run", "--duration", "0.01"], "sim_duration_s"),
     ])
     def test_exit_2_names_field(self, corridor_file, tmp_path, capsys, argv, field):
         out = tmp_path / "out"

@@ -78,11 +78,12 @@ class TestBlerProxy:
 
 class TestDelayProxy:
     def test_detached_waits_out_interruption(self):
-        assert packet_delay_proxy(10.0, BW, False) == CORE_DELAY_MS + INTERRUPTION_DELAY_MS
+        assert packet_delay_proxy(throughput_proxy(10.0, BW, False)) == CORE_DELAY_MS + INTERRUPTION_DELAY_MS
 
     def test_attached_delay_decreases_with_sinr(self):
-        assert packet_delay_proxy(20.0, BW, True) < packet_delay_proxy(0.0, BW, True)
-        assert packet_delay_proxy(0.0, BW, True) > CORE_DELAY_MS
+        delay_at = lambda sinr_db: packet_delay_proxy(throughput_proxy(sinr_db, BW, True))
+        assert delay_at(20.0) < delay_at(0.0)
+        assert delay_at(0.0) > CORE_DELAY_MS
 
 
 class TestCdf:

@@ -15,7 +15,6 @@ from hosim.radio import (
     MeasurementReport,
     RadioEnvironment,
     free_space_reference_db,
-    measure_rsrp,
     n_resource_blocks,
     re_scaling_db,
 )
@@ -34,9 +33,11 @@ def make_site(cid=0, pos=(0.0, 0.0)):
 
 
 def make_env(sites, params=PARAMS, seed=0, tx=46.0, bw=BW):
-    """An environment whose sites share one link budget (5 dB noise figure)."""
+    """An environment whose sites share one link budget (5 dB noise figure);
+    measurement noise draws from ``default_rng(seed)``, shadowing from its
+    own stream."""
     return RadioEnvironment(
-        sites, params, np.random.default_rng(seed),
+        sites, params, np.random.default_rng(seed), np.random.default_rng(seed + 1),
         tx_power_dbm=tx, carrier_freq_hz=FREQ, bandwidth_hz=bw, noise_figure_db=5.0,
     )
 
@@ -93,26 +94,31 @@ class TestTrueRsrp:
 
 
 class TestMeasureRsrp:
+    """Measured RSRP, read from the serving entry of a one-site report."""
+
+    POSITION = (30.0, 0.0)
+
+    def measured(self, env, n=1):
+        wideband = env.wideband_dbm(0, self.POSITION)
+        return np.array([env.generate_report(0, wideband, 0, 0.0).serving.rsrp_dbm for _ in range(n)])
+
     def test_noiseless_identity(self):
-        rng = np.random.default_rng(0)
-        z = measure_rsrp(-80.0, PARAMS.env_noise_mean_dbm, PARAMS, rng)
-        assert z == -80.0
+        env = make_env([make_site()])
+        assert self.measured(env)[0] == env.true_rsrp_of(0, 0, self.POSITION)
 
     def test_env_noise_excursion_degrades(self):
-        rng = np.random.default_rng(0)
-        z = measure_rsrp(-80.0, PARAMS.env_noise_mean_dbm + 4.0, PARAMS, rng)
-        assert z == pytest.approx(-84.0)
+        env = make_env([make_site()])
+        env._env_noise[0] = PARAMS.env_noise_mean_dbm + 4.0
+        assert self.measured(env)[0] == pytest.approx(env.true_rsrp_of(0, 0, self.POSITION) - 4.0)
 
     def test_zero_mean_noise(self):
-        params = ChannelParams(meas_noise_sigma_db=2.0)
-        rng = np.random.default_rng(123)
-        draws = np.array([measure_rsrp(-80.0, params.env_noise_mean_dbm, params, rng) for _ in range(100_000)])
-        assert abs(draws.mean() + 80.0) < 0.05
+        env = make_env([make_site()], dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=123)
+        draws = self.measured(env, 100_000) - env.true_rsrp_of(0, 0, self.POSITION)
+        assert abs(draws.mean()) < 0.05
 
     def test_noise_stdev_matches_sigma(self):
-        params = ChannelParams(meas_noise_sigma_db=2.0)
-        rng = np.random.default_rng(42)
-        draws = np.array([measure_rsrp(-80.0, params.env_noise_mean_dbm, params, rng) for _ in range(100_000)])
+        env = make_env([make_site()], dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=42)
+        draws = self.measured(env, 100_000)
         assert abs(draws.std() - 2.0) / 2.0 < 0.02
 
 
@@ -122,7 +128,7 @@ def rsrq_offsets(bandwidth_hz):
     env = make_env([make_site(0), make_site(1, (100.0, 0.0))], bw=bandwidth_hz)
     wideband = env.wideband_dbm(0, (30.0, 0.0))
     noise_dbm = -174.0 + 10 * math.log10(bandwidth_hz) + 5.0
-    rssi_dbm = 10 * math.log10(sum(10 ** (p / 10) for p in wideband.values()) + 10 ** (noise_dbm / 10))
+    rssi_dbm = 10 * math.log10(sum(10 ** (p / 10) for p in wideband) + 10 ** (noise_dbm / 10))
     report = env.generate_report(0, wideband, 0, 0.0)
     assert len(report.neighbors) == 1
     return [e.rsrq_db - (e.rsrp_dbm - rssi_dbm) for e in (report.serving, *report.neighbors)]
@@ -248,6 +254,32 @@ class TestGenerateReport:
         assert report.serving.rsrq_db < 0
         assert all(n.rsrq_db < 0 for n in report.neighbors)
 
+    def test_one_noise_draw_per_site_in_id_order(self):
+        # Twelve sites: the serving cell and eight neighbours are reported,
+        # three are not, yet every site takes its draw.
+        sites = [make_site(i, (40.0 * i, 15.0 * (i % 3))) for i in range(12)]
+        env = make_env(sites, dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=11)
+        twin = np.random.default_rng(11)
+        wideband = env.wideband_dbm(0, (170.0, 5.0))
+        report = env.generate_report(0, wideband, 4, 0.0)
+        expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in wideband]
+        assert len(report.neighbors) == MAX_NEIGHBORS
+        for entry in (report.serving, *report.neighbors):
+            assert entry.rsrp_dbm == expected[entry.cell]
+        ranked = sorted((c for c in range(12) if c != 4), key=lambda c: (-expected[c], c))
+        assert [n.cell for n in report.neighbors] == ranked[:MAX_NEIGHBORS]
+        assert env.rng.normal() == twin.normal()
+
+    def test_non_finite_power_at_unreported_site_raises(self):
+        sites = [make_site(i, (40.0 * i, 0.0)) for i in range(12)]
+        env = make_env(sites)
+        position, far = (0.0, 0.0), 11
+        env._shadow[(far, 0)] = (math.inf, position)
+        wideband = env.wideband_dbm(0, position)
+        assert wideband[far] == -math.inf
+        with pytest.raises(ValueError):
+            env.generate_report(0, wideband, 0, 0.0)
+
 
 class TestEnvironmentState:
     def test_env_noise_walk_is_bounded(self):
@@ -265,8 +297,11 @@ class TestEnvironmentState:
         assert b != a
 
     def test_duplicate_site_ids_rejected(self):
+        # Site ids must be exactly 0..n-1, so a duplicate or a gap fails.
         with pytest.raises(ValueError):
             make_env([make_site(0), make_site(0, (10.0, 0.0))])
+        with pytest.raises(ValueError):
+            make_env([make_site(i, (10.0 * i, 0.0)) for i in (1, 2, 3)])
 
 
 class TestResourceBlocks:

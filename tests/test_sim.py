@@ -58,6 +58,7 @@ class TestScenarioValidation:
             ("bandwidth_hz", 1e6),
             ("step_s", 5e-324),
             ("seed", -1),
+            ("sim_duration_s", 0.0005),
         ],
     )
     def test_invalid_fields_name_the_field(self, field, value):
@@ -194,16 +195,16 @@ class TestStepLoop:
 
     def test_nearest_cell_tie_goes_to_lowest_site_id(self):
         # Sites handed over out of id order; the origin is 10 m from all three.
-        sites = [CellSite(3, (10.0, 0.0)), CellSite(1, (0.0, 10.0)), CellSite(2, (-10.0, 0.0))]
+        sites = [CellSite(2, (10.0, 0.0)), CellSite(0, (0.0, 10.0)), CellSite(1, (-10.0, 0.0))]
         scenario = Scenario()
         env = RadioEnvironment(
-            sites, NOISELESS, np.random.default_rng(0),
+            sites, NOISELESS, np.random.default_rng(0), np.random.default_rng(1),
             tx_power_dbm=scenario.tx_power_dbm, carrier_freq_hz=scenario.carrier_freq_hz,
             bandwidth_hz=scenario.bandwidth_hz, noise_figure_db=scenario.noise_figure_db,
         )
-        assert env.nearest_cell((0.0, 0.0)) == 1
-        assert env.nearest_cell((0.0, -1.0)) == 2
-        assert env.nearest_cell((0.5, -1.0)) == 3
+        assert env.nearest_cell((0.0, 0.0)) == 0
+        assert env.nearest_cell((0.0, -1.0)) == 1
+        assert env.nearest_cell((0.5, -1.0)) == 2
 
 
 def report_tick_scenario():
@@ -253,7 +254,7 @@ class TestReportTick:
                 return db_to_linear(scenario.tx_power_dbm - path_loss - shadowing)
 
             interference = 0.0
-            for site in env.sites.values():
+            for site in env.sites:
                 if site.id != serving:
                     interference += power(site)
             assert value == linear_to_db(power(env.sites[serving]) / (interference + noise_mw))
