@@ -35,7 +35,8 @@ def _out_dir(args) -> str:
 
 def _parse_list(text: str, name: str, kind=float) -> list:
     """Parse '1,2,5' or, for ints, a half-open range 'a:b'.  An unparsable
-    or empty list is a ConfigError naming the flag."""
+    or empty list, or one that repeats a value, is a ConfigError naming
+    the flag."""
     try:
         if kind is int and ":" in text:
             lo, hi = text.split(":", 1)
@@ -46,6 +47,8 @@ def _parse_list(text: str, name: str, kind=float) -> list:
         raise ConfigError(name, f"cannot parse {text!r}") from exc
     if not values:
         raise ConfigError(name, f"{text!r} lists no values")
+    if len(set(values)) != len(values):
+        raise ConfigError(name, f"{text!r} repeats a value")
     return values
 
 
@@ -100,7 +103,7 @@ def cmd_sweep(args) -> int:
     base = config.load_scenario(args.scenario, args.set)
     seeds = _parse_list(args.seeds, "seeds", int)
     speeds = _parse_list(args.speeds, "speeds") if args.speeds else list(sim.SPEED_SET_KMH)
-    policies = args.policies.split(",") if args.policies else list(sim.POLICIES)
+    policies = _parse_list(args.policies, "policies", str) if args.policies else list(sim.POLICIES)
     scenarios = [
         dataclasses.replace(base, policy=p, ue_speed_kmh=v, seed=s)
         for p in policies
@@ -175,8 +178,7 @@ def cmd_convergence(args) -> int:
     for seed in seeds:
         scenario = dataclasses.replace(base, seed=seed)
         result = sim.run(scenario)
-        for t, plr in enumerate(result.kpis.plr_series):
-            rows.append((seed, t, plr))
+        rows.extend((seed, t, plr) for t, plr in zip(result.plr_starts_s, result.kpis.plr_series))
     out = _out_dir(args)
     metrics.write_csv_atomic(os.path.join(out, "convergence.csv"), ("seed", "timestamp_s", "avg_plr"), rows)
     print(f"convergence complete: {len(seeds)} run(s), {len(rows)} samples -> {out}")

@@ -52,7 +52,7 @@ class Policy:
 
     name = "policy"
 
-    def observe(self, report: MeasurementReport, env_noise_dbm: float) -> None:
+    def observe(self, report: MeasurementReport) -> None:
         """Ingest a report before any decision is requested (optional)."""
 
     def decide(self, report: MeasurementReport, now: float) -> PolicyDecision | None:
@@ -79,14 +79,14 @@ class HandoverOutcome:
 
 @dataclass
 class HandoverContext:
-    """Trigger/decision/execution state for one UE."""
+    """Attachment and trigger/decision/execution state for one UE."""
 
     ue: int
+    serving: int
     phase: str = IDLE
     target: int | None = None
     pair: ParamPair | None = None
     episode_start: float | None = None
-    ttt_elapsed_ms: float = 0.0
     decision_time: float | None = None
     exec_deadline: float | None = None
     exec_min_sinr_db: float = math.inf
@@ -98,7 +98,6 @@ class HandoverContext:
         self.target = None
         self.pair = None
         self.episode_start = None
-        self.ttt_elapsed_ms = 0.0
 
 
 def _begin_execution(ctx: HandoverContext, now: float, report_period_s: float) -> None:
@@ -135,10 +134,9 @@ def on_measurement_report(
         if tgt_level is None or srv_level is None or not _a3_holds(srv_level, tgt_level, ctx.pair.hyst_db):
             ctx.reset_timing()
             return False
-        ctx.ttt_elapsed_ms = (now - ctx.episode_start) * 1e3
         # Nanosecond-scale slack absorbs float rounding in report times so
         # the decision fires exactly at the first report past the window.
-        if ctx.ttt_elapsed_ms >= ctx.pair.ttt_ms - 1e-6:
+        if (now - ctx.episode_start) * 1e3 >= ctx.pair.ttt_ms - 1e-6:
             _begin_execution(ctx, now, report_period_s)
             return True
         return False
@@ -157,7 +155,6 @@ def on_measurement_report(
     ctx.target = decision.target
     ctx.pair = decision.pair
     ctx.episode_start = now
-    ctx.ttt_elapsed_ms = 0.0
     if decision.pair.ttt_ms == 0:
         _begin_execution(ctx, now, report_period_s)
         return True
@@ -173,7 +170,6 @@ def note_execution_sinr(ctx: HandoverContext, sinr_db: float) -> None:
 def complete_handover(
     ctx: HandoverContext,
     now: float,
-    source: int,
     target_rsrp_dbm: float,
 ) -> HandoverOutcome:
     """Finish an execution window and classify the outcome.
@@ -182,13 +178,14 @@ def complete_handover(
     any point of the window (too-late handover) or the target's true
     RSRP at completion is below the access floor (wrong cell).  A
     success back to the immediately previous cell within 1 s is a
-    ping-pong.
+    ping-pong.  A success attaches the UE to the target; a failure
+    leaves it on its serving cell.
     """
     if ctx.phase != EXECUTING:
         raise ValueError("no handover execution in progress")
     if now < ctx.exec_deadline - 1e-9:
         raise ValueError("execution window has not elapsed")
-    target = ctx.target
+    source, target = ctx.serving, ctx.target
     pair = ctx.pair
     complete_time = ctx.exec_deadline
     latency = complete_time - ctx.decision_time
@@ -199,7 +196,7 @@ def complete_handover(
         and (complete_time - ctx.last_ho_time) < PING_PONG_WINDOW_S
     )
     if not failed:
-        ctx.last_serving = source
+        ctx.last_serving, ctx.serving = source, target
         ctx.last_ho_time = complete_time
     outcome = HandoverOutcome(
         ue=ctx.ue,

@@ -150,6 +150,10 @@ class MetricsAccumulator:
             self._bucket_sums[b] / self._bucket_counts[b] for b in sorted(self._bucket_sums)
         )
 
+    def plr_starts_s(self) -> tuple[float, ...]:
+        """Start time of each ``plr_series`` bucket; a bucket without samples has no entry."""
+        return tuple(b * PLR_BUCKET_S for b in sorted(self._bucket_sums))
+
     def finalize(self) -> KpiRecord:
         n = max(self.n_samples, 1)
         completed = len(self.outcomes)

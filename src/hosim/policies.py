@@ -103,9 +103,9 @@ class Lim2Policy(Policy):
             self._agents[cell] = agent
         return agent
 
-    def observe(self, report: MeasurementReport, env_noise_dbm: float) -> None:
+    def observe(self, report: MeasurementReport) -> None:
         for entry in (report.serving, *report.neighbors):
-            self.streams.observe((report.ue, entry.cell), (entry.rsrp_dbm, env_noise_dbm), report.timestamp)
+            self.streams.observe((report.ue, entry.cell), (entry.rsrp_dbm, report.env_noise_dbm), report.timestamp)
 
     def level(self, report: MeasurementReport, cell: int) -> float | None:
         if report.entry(cell) is None:

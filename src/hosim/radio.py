@@ -6,8 +6,9 @@ reference distance of 1 m, with block-constant log-normal shadowing per
 shares one link budget (transmit power, carrier, bandwidth, noise
 figure), so a site is only an id and a position.  RSRP is the wideband
 received power scaled down to one resource element (120 kHz subcarrier
-spacing).  Ambient RF noise at each UE follows a bounded random walk and
-degrades measured RSRP additively in dB.
+spacing).  Ambient RF noise at each UE follows a bounded random walk,
+stepped once per report; it degrades measured RSRP additively in dB, and
+the report carries a noisy reading of it.
 """
 
 from __future__ import annotations
@@ -73,12 +74,14 @@ class MeasurementEntry:
 
 @dataclass(frozen=True)
 class MeasurementReport:
-    """Per-UE snapshot of serving and neighbor cell measurements."""
+    """Per-UE snapshot of serving and neighbor cell measurements plus the
+    UE's reading of its ambient noise level."""
 
     ue: int
     timestamp: float
     serving: MeasurementEntry
     neighbors: tuple[MeasurementEntry, ...]
+    env_noise_dbm: float
 
     def __post_init__(self):
         if any(n.cell == self.serving.cell for n in self.neighbors):
@@ -115,7 +118,8 @@ class RadioEnvironment:
     resource-element scaling, the thermal noise power and the RSRQ's
     10*log10(N_RB) term.  Site ids are 0..n-1, so ``sites`` and every
     per-site list are indexed by id.  Owns the per-(site, UE) shadowing
-    cache and the per-UE ambient-noise random walks.  Confined to a single
+    cache and the per-UE ambient-noise random walks, which only
+    ``generate_report`` steps and reads.  Confined to a single
     simulation instance; a run is single-threaded.
     """
 
@@ -162,22 +166,6 @@ class RadioEnvironment:
         self._shadow[key] = (value, position)
         return value
 
-    def env_noise_dbm(self, ue: int) -> float:
-        return self._env_noise.get(ue, self.params.env_noise_mean_dbm)
-
-    def advance_env_noise(self, ue: int) -> float:
-        """One bounded random-walk step of the UE's ambient noise level."""
-        p = self.params
-        value = self.env_noise_dbm(ue) + float(self.rng.normal(0.0, p.env_noise_sigma_db))
-        bound = 3.0 * p.env_noise_sigma_db
-        value = min(max(value, p.env_noise_mean_dbm - bound), p.env_noise_mean_dbm + bound)
-        self._env_noise[ue] = value
-        return value
-
-    def measure_env_noise(self, ue: int) -> float:
-        """Noisy observation of the current ambient noise level."""
-        return self.env_noise_dbm(ue) + float(self.rng.normal(0.0, self.params.meas_noise_sigma_db))
-
     def _received_dbm(self, site_position, position, shadowing_db: float) -> float:
         """Wideband received power: transmit power less the log-distance
         path loss (distances below 1 m clamp to 1 m) and the shadowing."""
@@ -218,25 +206,33 @@ class RadioEnvironment:
         self, ue: int, wideband: list[float], serving_cell: int, timestamp: float
     ) -> MeasurementReport:
         """Build a measurement report from ``wideband_dbm``'s powers:
-        serving entry plus up to 8 neighbors.
+        serving entry plus up to 8 neighbors, and the ambient-noise reading.
 
-        Every site's measured RSRP is its true RSRP less the ambient-noise
-        excursion above its configured mean (a noisier environment reads a
-        weaker signal), plus one measurement-noise draw per site in id
-        order.  Any non-finite measurement raises ValueError.  Neighbors
-        are ranked by measured RSRP descending (ties by cell id) and
-        filtered by the detection threshold.  All entries carry measured
-        RSRP and the derived RSRQ, 10*log10(N_RB) + RSRP - RSSI.
+        The UE's ambient noise level first takes one bounded random-walk
+        step (one σ_env draw, clamped to its mean ± 3σ_env).  Every site's
+        measured RSRP is its true RSRP less the level's excursion above its
+        configured mean (a noisier environment reads a weaker signal), plus
+        one measurement-noise draw per site in id order; one more draw of
+        the same σ makes the reading of the level.  Any non-finite
+        measurement raises ValueError.  Neighbors are ranked by measured
+        RSRP descending (ties by cell id) and filtered by the detection
+        threshold.  All entries carry measured RSRP and the derived RSRQ,
+        10*log10(N_RB) + RSRP - RSSI.
         """
-        degradation = self.env_noise_dbm(ue) - self.params.env_noise_mean_dbm
+        p = self.params
+        bound = 3.0 * p.env_noise_sigma_db
+        level = self._env_noise.get(ue, p.env_noise_mean_dbm) + float(self.rng.normal(0.0, p.env_noise_sigma_db))
+        level = min(max(level, p.env_noise_mean_dbm - bound), p.env_noise_mean_dbm + bound)
+        self._env_noise[ue] = level
+        degradation = level - p.env_noise_mean_dbm
         # Total received wideband power plus the noise floor forms the RSSI.
         rssi_mw = 0.0
-        for p in wideband:
-            rssi_mw += db_to_linear(p)
+        for w in wideband:
+            rssi_mw += db_to_linear(w)
         rssi_dbm = linear_to_db(rssi_mw + self._noise_mw)
 
-        noise = self.rng.normal(0.0, self.params.meas_noise_sigma_db, len(wideband)).tolist()
-        measured = [p - self._re_scaling_db - degradation + z for p, z in zip(wideband, noise)]
+        *noise, reading_noise = self.rng.normal(0.0, p.meas_noise_sigma_db, len(wideband) + 1).tolist()
+        measured = [w - self._re_scaling_db - degradation + z for w, z in zip(wideband, noise)]
         if not all(map(math.isfinite, measured)):
             raise ValueError("measured RSRP must be finite")
 
@@ -247,4 +243,4 @@ class RadioEnvironment:
         ranked = sorted(range(len(measured)), key=measured.__getitem__, reverse=True)
         detected = (c for c in ranked if c != serving_cell and measured[c] >= DETECTION_THRESHOLD_DBM)
         neighbors = tuple(entry(c) for c in islice(detected, MAX_NEIGHBORS))
-        return MeasurementReport(ue, timestamp, entry(serving_cell), neighbors)
+        return MeasurementReport(ue, timestamp, entry(serving_cell), neighbors, level + reading_noise)

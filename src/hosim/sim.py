@@ -243,6 +243,7 @@ class RunResult:
     kpis: KpiRecord
     outcomes: list[HandoverOutcome]
     qtables: dict
+    plr_starts_s: tuple[float, ...]  # start time of each kpis.plr_series bucket
 
 
 class Simulation:
@@ -268,9 +269,9 @@ class Simulation:
             fixed_ttt_ms=scenario.fixed_ttt_ms,
             fixed_hyst_db=scenario.fixed_hyst_db,
         )
-        self.serving = {ue.ue: self.env.nearest_cell(ue.position) for ue in self.ues}
-        self.contexts = {ue.ue: HandoverContext(ue.ue) for ue in self.ues}
-        self._nearest = dict(self.serving)
+        # UE ids are 0..n-1, so they index these lists as they do self.ues.
+        self._nearest = [self.env.nearest_cell(ue.position) for ue in self.ues]
+        self.contexts = [HandoverContext(ue.ue, cell) for ue, cell in zip(self.ues, self._nearest)]
         self.metrics = MetricsAccumulator(n_ues=len(self.ues), duration_s=scenario.sim_duration_s)
         self.report_every = round(scenario.report_period_s / scenario.step_s)
         self.n_steps = round(scenario.sim_duration_s / scenario.step_s)
@@ -293,7 +294,9 @@ class Simulation:
         for _ in range(self.n_steps):
             self.step()
         qtables = self.policy.qtables() if isinstance(self.policy, Lim2Policy) else {}
-        return RunResult(self.scenario, self.metrics.finalize(), self.metrics.outcomes, qtables)
+        return RunResult(
+            self.scenario, self.metrics.finalize(), self.metrics.outcomes, qtables, self.metrics.plr_starts_s()
+        )
 
     def step(self) -> None:
         """One tick: complete due handovers, emit reports, sample metrics,
@@ -307,28 +310,18 @@ class Simulation:
         self._step_index += 1
 
     def _complete_due_handovers(self, now: float) -> None:
-        for ue in self.ues:
-            ctx = self.contexts[ue.ue]
+        for ue, ctx in zip(self.ues, self.contexts):
             if ctx.phase == EXECUTING and now >= ctx.exec_deadline - 1e-9:
-                source = self.serving[ue.ue]
                 target_rsrp = self.env.true_rsrp_of(ctx.target, ue.ue, ue.position)
-                outcome = engine.complete_handover(ctx, now, source, target_rsrp)
-                if outcome.result == "success":
-                    self.serving[ue.ue] = outcome.target
-                self.metrics.add_outcome(outcome)
+                self.metrics.add_outcome(engine.complete_handover(ctx, now, target_rsrp))
 
     def _report_tick(self, now: float) -> None:
-        for ue in self.ues:
-            ctx = self.contexts[ue.ue]
-            serving = self.serving[ue.ue]
-            self.env.advance_env_noise(ue.ue)
+        for ue, ctx in zip(self.ues, self.contexts):
             wideband = self.env.wideband_dbm(ue.ue, ue.position)
-            report = self.env.generate_report(ue.ue, wideband, serving, now)
-            env_noise_meas = self.env.measure_env_noise(ue.ue)
-            self.policy.observe(report, env_noise_meas)
-            if ctx.phase != EXECUTING:
-                engine.on_measurement_report(ctx, report, self.policy, now, self.scenario.report_period_s)
-            sinr_db = self.env.sinr_of(serving, wideband)
+            report = self.env.generate_report(ue.ue, wideband, ctx.serving, now)
+            self.policy.observe(report)
+            engine.on_measurement_report(ctx, report, self.policy, now, self.scenario.report_period_s)
+            sinr_db = self.env.sinr_of(ctx.serving, wideband)
             attached = ctx.phase != EXECUTING
             self.metrics.add_sample(now, sinr_db, self.scenario.bandwidth_hz, attached)
             nearest = self.env.nearest_cell(ue.position)
@@ -337,11 +330,10 @@ class Simulation:
                 self.metrics.add_crossing()
 
     def _track_execution_sinr(self) -> None:
-        for ue in self.ues:
-            ctx = self.contexts[ue.ue]
+        for ue, ctx in zip(self.ues, self.contexts):
             if ctx.phase == EXECUTING:
                 wideband = self.env.wideband_dbm(ue.ue, ue.position)
-                engine.note_execution_sinr(ctx, self.env.sinr_of(self.serving[ue.ue], wideband))
+                engine.note_execution_sinr(ctx, self.env.sinr_of(ctx.serving, wideband))
 
     def _advance_positions(self) -> None:
         xmin, xmax, ymin, ymax = self._bounds

@@ -157,7 +157,7 @@ def test_criterion_6_target_selection_brute_force():
             for c in cells
         ]
         serving = MeasurementEntry(0, -85.0, -11.0)
-        rep = MeasurementReport(1, 0.0, serving, tuple(neighbors))
+        rep = MeasurementReport(1, 0.0, serving, tuple(neighbors), -100.0)
         x = {0: float(rng.uniform(0, 1))}
         x.update({int(c): float(rng.uniform(0, 1)) for c in cells})
         q0 = float(rng.uniform(0, 1))
@@ -184,12 +184,12 @@ def test_criterion_7_ttt_timer_semantics():
 
     def make_report(t):
         return MeasurementReport(1, t, MeasurementEntry(0, -90.0, -11.0),
-                                 (MeasurementEntry(1, -85.0, -12.0),))
+                                 (MeasurementEntry(1, -85.0, -12.0),), -100.0)
 
     ok = True
     for ttt in TTT_VALUES_MS:
         policy = Scripted(ParamPair(ttt, 0))
-        ctx = eng.HandoverContext(1)
+        ctx = eng.HandoverContext(1, 0)
         n = ttt // 40 + 4
         decided_at = None
         for i in range(n):
@@ -202,7 +202,7 @@ def test_criterion_7_ttt_timer_semantics():
 
         # one violating report right before expiry postpones by a full TTT
         if ttt >= 80:
-            ctx = eng.HandoverContext(1)
+            ctx = eng.HandoverContext(1, 0)
             violate_at = ttt // 80  # report index strictly inside the window
             decided_at = None
             for i in range(3 * n + 4):

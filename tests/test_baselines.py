@@ -16,7 +16,7 @@ def report_with(serving_rsrp, neighbor_rsrps, t=0.0, serving_cell=0, ue=1):
     neighbors = tuple(
         MeasurementEntry(cell, rsrp, -13.0) for cell, rsrp in neighbor_rsrps
     )
-    return MeasurementReport(ue, t, serving, neighbors)
+    return MeasurementReport(ue, t, serving, neighbors, -100.0)
 
 
 class TestFixedA3:
@@ -74,19 +74,15 @@ class TestGreedyRsrp:
 def run_trace(policy, trace):
     """Drive the engine over a synthetic serving/neighbor RSRP trace,
     completing executions as their windows elapse."""
-    ctx = HandoverContext(1)
-    serving = 0
+    ctx = HandoverContext(1, 0)
     outcomes = []
     decisions = 0
     for i, (rsrp_a, rsrp_b) in enumerate(trace):
         now = i * REPORT_PERIOD
         if ctx.phase == engine.EXECUTING and now >= ctx.exec_deadline - 1e-9:
-            outcome = complete_handover(ctx, now, serving, target_rsrp_dbm=-80.0)
-            if outcome.result == "success":
-                serving = outcome.target
-            outcomes.append(outcome)
+            outcomes.append(complete_handover(ctx, now, target_rsrp_dbm=-80.0))
         by_cell = {0: rsrp_a, 1: rsrp_b}
-        other = 1 - serving
+        serving, other = ctx.serving, 1 - ctx.serving
         report = report_with(by_cell[serving], [(other, by_cell[other])], t=now, serving_cell=serving)
         if ctx.phase != engine.EXECUTING:
             if on_measurement_report(ctx, report, policy, now, REPORT_PERIOD):

@@ -176,6 +176,10 @@ class TestConfigurationErrors:
         (["sweep", "--jobs", "0"], "jobs"),
         (["sweep", "--jobs", "-2"], "jobs"),
         (["run", "--duration", "0.01"], "sim_duration_s"),
+        (["sweep", "--seeds", "1,1"], "seeds"),
+        (["sweep", "--speeds", "50,50.0"], "speeds"),
+        (["sweep", "--policies", "fixed_a3,fixed_a3"], "policies"),
+        (["sweep", "--policies", ","], "policies"),
     ])
     def test_exit_2_names_field(self, corridor_file, tmp_path, capsys, argv, field):
         out = tmp_path / "out"
@@ -292,6 +296,17 @@ class TestConvergenceCommand:
         rows = read_rows(os.path.join(out, "convergence.csv"))
         assert rows[0] == ["seed", "timestamp_s", "avg_plr"]
         assert len(rows) - 1 == 2 * 6
+
+    def test_timestamps_are_bucket_starts(self, corridor_file, tmp_path):
+        # One report every 2 s fills only the even 1 s buckets.
+        out = str(tmp_path / "conv")
+        code = main([
+            "convergence", "--scenario", corridor_file, "--set", "sim.report_period_s=2.0",
+            "--duration", "10", "--out", out,
+        ])
+        assert code == 0
+        rows = read_rows(os.path.join(out, "convergence.csv"))
+        assert [row[1] for row in rows[1:]] == ["0", "2", "4", "6", "8"]
 
 
 class TestQtableCommand:

@@ -46,7 +46,7 @@ class ScriptedPolicy(Policy):
 def make_report(ue=1, t=0.0, neighbor_cells=(1,)):
     serving = MeasurementEntry(0, -90.0, -11.0)
     neighbors = tuple(MeasurementEntry(c, -92.0, -13.0) for c in neighbor_cells)
-    return MeasurementReport(ue, t, serving, neighbors)
+    return MeasurementReport(ue, t, serving, neighbors, -100.0)
 
 
 def drive(ctx, policy, level_pairs, start=0.0):
@@ -82,7 +82,7 @@ class TestEvaluateTrigger:
 class TestTttTiming:
     @pytest.mark.parametrize("ttt_ms", TTT_VALUES_MS)
     def test_decision_fires_at_first_report_past_ttt(self, ttt_ms):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         policy = ScriptedPolicy(ParamPair(ttt_ms, 0))
         n_reports = ttt_ms // 40 + 4
         stream = [(-90.0, -85.0)] * n_reports
@@ -94,7 +94,7 @@ class TestTttTiming:
 
     @pytest.mark.parametrize("ttt_ms", [64, 100, 256])
     def test_single_violation_restarts_timer(self, ttt_ms):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         policy = ScriptedPolicy(ParamPair(ttt_ms, 0))
         good = (-90.0, -85.0)
         bad = (-90.0, -95.0)
@@ -108,39 +108,38 @@ class TestTttTiming:
         assert decisions[0] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_ttt_fires_immediately(self):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         policy = ScriptedPolicy(ParamPair(0, 0))
         decisions = drive(ctx, policy, [(-90.0, -85.0)])
         assert decisions == [0.0]
 
     def test_condition_never_true_stays_idle(self):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         policy = ScriptedPolicy(ParamPair(40, 3))
         decisions = drive(ctx, policy, [(-90.0, -91.0)] * 100)
         assert decisions == []
         assert ctx.phase == engine.IDLE
-        assert ctx.ttt_elapsed_ms == 0.0
 
     def test_larger_hysteresis_never_decides_earlier(self):
         ramp = [(-90.0, -90.0 + 0.2 * i) for i in range(80)]
         times = {}
         for hyst in (0, 3, 6):
-            ctx = HandoverContext(1)
+            ctx = HandoverContext(1, 0)
             policy = ScriptedPolicy(ParamPair(160, hyst))
             decisions = drive(ctx, policy, ramp)
             times[hyst] = decisions[0] if decisions else math.inf
         assert times[0] <= times[3] <= times[6]
 
     def test_empty_neighbor_list_skips_evaluation(self):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         policy = ScriptedPolicy(ParamPair(0, 0))
         policy.levels = {0: -90.0, 1: -80.0}
-        report = MeasurementReport(1, 0.0, MeasurementEntry(0, -90.0, -11.0), ())
+        report = MeasurementReport(1, 0.0, MeasurementEntry(0, -90.0, -11.0), (), -100.0)
         assert not on_measurement_report(ctx, report, policy, 0.0, REPORT_PERIOD)
         assert ctx.phase == engine.IDLE
 
     def test_pinned_target_missing_from_report_resets(self):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         policy = ScriptedPolicy(ParamPair(256, 0))
         policy.levels = {0: -90.0, 1: -85.0}
         on_measurement_report(ctx, make_report(t=0.0), policy, 0.0, REPORT_PERIOD)
@@ -150,7 +149,7 @@ class TestTttTiming:
         assert ctx.phase == engine.IDLE
 
     def test_wrong_ue_rejected(self):
-        ctx = HandoverContext(2)
+        ctx = HandoverContext(2, 0)
         with pytest.raises(ValueError):
             on_measurement_report(ctx, make_report(ue=1), ScriptedPolicy(ParamPair(0, 0)), 0.0, REPORT_PERIOD)
 
@@ -159,7 +158,7 @@ class TestTttTiming:
             def decide(self, report, now):
                 return PolicyDecision(target=9, pair=self.pair, srv_level=-90.0, tgt_level=-80.0)
 
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         with pytest.raises(ValueError):
             on_measurement_report(ctx, make_report(), BadPolicy(ParamPair(0, 0)), 0.0, REPORT_PERIOD)
 
@@ -172,40 +171,45 @@ def decide_now(ctx, now=0.0):
 
 class TestCompletion:
     def test_successful_handover(self):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         decide_now(ctx)
         note_execution_sinr(ctx, 5.0)
-        outcome = complete_handover(ctx, ctx.exec_deadline, source=0, target_rsrp_dbm=-85.0)
+        outcome = complete_handover(ctx, ctx.exec_deadline, target_rsrp_dbm=-85.0)
         assert outcome.result == "success"
         assert not outcome.ping_pong
         assert outcome.latency == pytest.approx(REPORT_PERIOD + EXEC_LATENCY_S)
         assert ctx.phase == engine.IDLE
-        assert ctx.last_serving == 0
+        # A success attaches the UE to the target and remembers the old cell.
+        assert (outcome.source, outcome.target) == (0, 1)
+        assert (ctx.serving, ctx.last_serving) == (1, 0)
 
     def test_latency_matches_complete_minus_decision(self):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         decide_now(ctx, now=1.0)
-        outcome = complete_handover(ctx, 1.0 + REPORT_PERIOD + EXEC_LATENCY_S, 0, -85.0)
+        outcome = complete_handover(ctx, 1.0 + REPORT_PERIOD + EXEC_LATENCY_S, -85.0)
         assert outcome.latency == pytest.approx(outcome.complete_time - outcome.decision_time)
 
     def test_outage_during_execution_fails(self):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         decide_now(ctx)
         note_execution_sinr(ctx, QOUT_SINR_DB - 0.1)
-        outcome = complete_handover(ctx, ctx.exec_deadline, 0, -85.0)
+        outcome = complete_handover(ctx, ctx.exec_deadline, -85.0)
         assert outcome.result == "failure"
+        # A failure leaves the UE on its serving cell.
+        assert (outcome.source, outcome.target) == (0, 1)
+        assert (ctx.serving, ctx.last_serving) == (0, None)
 
     def test_weak_target_fails(self):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         decide_now(ctx)
         note_execution_sinr(ctx, 5.0)
-        outcome = complete_handover(ctx, ctx.exec_deadline, 0, MIN_ACCESS_RSRP_DBM - 1.0)
+        outcome = complete_handover(ctx, ctx.exec_deadline, MIN_ACCESS_RSRP_DBM - 1.0)
         assert outcome.result == "failure"
 
     def test_reciprocal_handover_within_window_is_ping_pong(self):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         decide_now(ctx, now=0.0)
-        first = complete_handover(ctx, ctx.exec_deadline, source=0, target_rsrp_dbm=-85.0)
+        first = complete_handover(ctx, ctx.exec_deadline, target_rsrp_dbm=-85.0)
         assert first.target == 1 and first.result == "success"
         # Reverse decision 400 ms later, back to the previous serving cell.
         policy = ScriptedPolicy(ParamPair(0, 0))
@@ -220,15 +224,15 @@ class TestCompletion:
 
         reverse = ReversePolicy(ParamPair(0, 0))
         serving = MeasurementEntry(1, -90.0, -13.0)
-        report = MeasurementReport(1, 0.4, serving, (MeasurementEntry(0, -80.0, -11.0),))
+        report = MeasurementReport(1, 0.4, serving, (MeasurementEntry(0, -80.0, -11.0),), -100.0)
         assert on_measurement_report(ctx, report, reverse, 0.4, REPORT_PERIOD)
-        second = complete_handover(ctx, ctx.exec_deadline, source=1, target_rsrp_dbm=-80.0)
+        second = complete_handover(ctx, ctx.exec_deadline, target_rsrp_dbm=-80.0)
         assert second.ping_pong
 
     def test_reciprocal_after_window_is_not_ping_pong(self):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         decide_now(ctx, now=0.0)
-        complete_handover(ctx, ctx.exec_deadline, source=0, target_rsrp_dbm=-85.0)
+        complete_handover(ctx, ctx.exec_deadline, target_rsrp_dbm=-85.0)
 
         class ReversePolicy(ScriptedPolicy):
             def decide(self, report, now):
@@ -239,32 +243,32 @@ class TestCompletion:
 
         reverse = ReversePolicy(ParamPair(0, 0))
         serving = MeasurementEntry(1, -90.0, -13.0)
-        report = MeasurementReport(1, 2.0, serving, (MeasurementEntry(0, -80.0, -11.0),))
+        report = MeasurementReport(1, 2.0, serving, (MeasurementEntry(0, -80.0, -11.0),), -100.0)
         assert on_measurement_report(ctx, report, reverse, 2.0, REPORT_PERIOD)
-        second = complete_handover(ctx, ctx.exec_deadline, source=1, target_rsrp_dbm=-80.0)
+        second = complete_handover(ctx, ctx.exec_deadline, target_rsrp_dbm=-80.0)
         assert second.result == "success"
         assert not second.ping_pong
 
     def test_failed_handover_is_never_ping_pong(self):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         decide_now(ctx)
         note_execution_sinr(ctx, QOUT_SINR_DB - 5.0)
-        outcome = complete_handover(ctx, ctx.exec_deadline, 0, -85.0)
+        outcome = complete_handover(ctx, ctx.exec_deadline, -85.0)
         assert outcome.result == "failure"
         assert not outcome.ping_pong
 
     def test_completion_requires_elapsed_window(self):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         decide_now(ctx)
         with pytest.raises(ValueError):
-            complete_handover(ctx, ctx.exec_deadline - 0.01, 0, -85.0)
+            complete_handover(ctx, ctx.exec_deadline - 0.01, -85.0)
 
     def test_completion_requires_execution_phase(self):
         with pytest.raises(ValueError):
-            complete_handover(HandoverContext(1), 1.0, 0, -85.0)
+            complete_handover(HandoverContext(1, 0), 1.0, -85.0)
 
     def test_reports_ignored_while_executing(self):
-        ctx = HandoverContext(1)
+        ctx = HandoverContext(1, 0)
         decide_now(ctx)
         assert ctx.phase == engine.EXECUTING
         policy = ScriptedPolicy(ParamPair(0, 0))

@@ -14,12 +14,13 @@ def report(serving_rsrp, neighbor_rsrp, t, serving_cell=0, neighbor_cell=1, ue=1
         t,
         MeasurementEntry(serving_cell, serving_rsrp, -11.0),
         (MeasurementEntry(neighbor_cell, neighbor_rsrp, -12.0),),
+        -100.0,
     )
 
 
 def feed(policy, serving_rsrp, neighbor_rsrp, t, **kw):
     r = report(serving_rsrp, neighbor_rsrp, t, **kw)
-    policy.observe(r, -100.0)
+    policy.observe(r)
     return r
 
 
@@ -74,8 +75,8 @@ class TestDecide:
 
     def test_empty_neighbor_list_abstains(self):
         policy = Lim2Policy(seed=0)
-        r = MeasurementReport(1, 0.0, MeasurementEntry(0, -90.0, -11.0), ())
-        policy.observe(r, -100.0)
+        r = MeasurementReport(1, 0.0, MeasurementEntry(0, -90.0, -11.0), (), -100.0)
+        policy.observe(r)
         assert policy.decide(r, 0.0) is None
 
     def test_exploits_after_t_init(self):

@@ -107,9 +107,16 @@ class TestMeasureRsrp:
         assert self.measured(env)[0] == env.true_rsrp_of(0, 0, self.POSITION)
 
     def test_env_noise_excursion_degrades(self):
-        env = make_env([make_site()])
-        env._env_noise[0] = PARAMS.env_noise_mean_dbm + 4.0
-        assert self.measured(env)[0] == pytest.approx(env.true_rsrp_of(0, 0, self.POSITION) - 4.0)
+        # The walk steps before the report reads it: from +4 dB, one 2 dB
+        # step (drawn as the twin draws it) sets the degradation.
+        params = dataclasses.replace(PARAMS, env_noise_sigma_db=2.0)
+        env, twin = make_env([make_site()], params, seed=8), np.random.default_rng(8)
+        env._env_noise[0] = params.env_noise_mean_dbm + 4.0
+        excursion = min(max(4.0 + twin.normal(0.0, 2.0), -6.0), 6.0)
+        assert excursion > 0.0
+        report = env.generate_report(0, env.wideband_dbm(0, self.POSITION), 0, 0.0)
+        assert report.serving.rsrp_dbm == pytest.approx(env.true_rsrp_of(0, 0, self.POSITION) - excursion)
+        assert report.env_noise_dbm == pytest.approx(params.env_noise_mean_dbm + excursion)
 
     def test_zero_mean_noise(self):
         env = make_env([make_site()], dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=123)
@@ -186,7 +193,7 @@ class TestMeasurementTypes:
     def test_serving_must_not_be_neighbor(self):
         entry = MeasurementEntry(0, -80.0, -11.0)
         with pytest.raises(ValueError):
-            MeasurementReport(1, 0.0, entry, (MeasurementEntry(0, -82.0, -12.0),))
+            MeasurementReport(1, 0.0, entry, (MeasurementEntry(0, -82.0, -12.0),), -100.0)
 
     def test_entries_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -194,7 +201,7 @@ class TestMeasurementTypes:
 
     def test_entry_lookup(self):
         report = MeasurementReport(
-            1, 0.0, MeasurementEntry(0, -80.0, -11.0), (MeasurementEntry(2, -90.0, -14.0),)
+            1, 0.0, MeasurementEntry(0, -80.0, -11.0), (MeasurementEntry(2, -90.0, -14.0),), -100.0
         )
         assert report.entry(0).cell == 0
         assert report.entry(2).rsrp_dbm == -90.0
@@ -262,12 +269,30 @@ class TestGenerateReport:
         twin = np.random.default_rng(11)
         wideband = env.wideband_dbm(0, (170.0, 5.0))
         report = env.generate_report(0, wideband, 4, 0.0)
+        twin.normal(0.0, 0.0)  # the ambient-noise walk's step
         expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in wideband]
+        twin.normal(0.0, 2.0)  # the ambient-noise reading
         assert len(report.neighbors) == MAX_NEIGHBORS
         for entry in (report.serving, *report.neighbors):
             assert entry.rsrp_dbm == expected[entry.cell]
         ranked = sorted((c for c in range(12) if c != 4), key=lambda c: (-expected[c], c))
         assert [n.cell for n in report.neighbors] == ranked[:MAX_NEIGHBORS]
+        assert env.rng.normal() == twin.normal()
+
+    def test_draw_order_is_walk_then_sites_then_reading(self):
+        # One report takes n_sites + 2 channel draws: the walk step, each
+        # site's measurement noise in id order, then the ambient reading.
+        sites = [make_site(i, (60.0 * i, 0.0)) for i in range(3)]
+        params = dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0, env_noise_sigma_db=1.5)
+        env, twin = make_env(sites, params, seed=21), np.random.default_rng(21)
+        wideband = env.wideband_dbm(0, (50.0, 0.0))
+        mean = level = params.env_noise_mean_dbm
+        for t in (0.0, 0.04):
+            report = env.generate_report(0, wideband, 0, t)
+            level = min(max(level + twin.normal(0.0, 1.5), mean - 4.5), mean + 4.5)
+            expected = [p - re_scaling_db(BW) - (level - mean) + twin.normal(0.0, 2.0) for p in wideband]
+            assert {e.cell: e.rsrp_dbm for e in (report.serving, *report.neighbors)} == dict(enumerate(expected))
+            assert report.env_noise_dbm == level + twin.normal(0.0, 2.0)
         assert env.rng.normal() == twin.normal()
 
     def test_non_finite_power_at_unreported_site_raises(self):
@@ -283,11 +308,14 @@ class TestGenerateReport:
 
 class TestEnvironmentState:
     def test_env_noise_walk_is_bounded(self):
-        params = ChannelParams(env_noise_sigma_db=2.0)
+        # Without measurement noise each report reads the walk's level exactly.
+        params = dataclasses.replace(PARAMS, env_noise_sigma_db=2.0)
         env = make_env([make_site(0)], params, seed=3)
-        values = [env.advance_env_noise(0) for _ in range(2000)]
+        wideband = env.wideband_dbm(0, (30.0, 0.0))
+        values = [env.generate_report(0, wideband, 0, 0.0).env_noise_dbm for _ in range(2000)]
         bound = 3.0 * params.env_noise_sigma_db
         assert all(abs(v - params.env_noise_mean_dbm) <= bound + 1e-9 for v in values)
+        assert max(abs(v - params.env_noise_mean_dbm) for v in values) == pytest.approx(bound)
 
     def test_shadowing_block_constant_until_decorrelation(self):
         env = make_env([make_site(0)], ChannelParams(shadowing_sigma_db=6.0), seed=5)

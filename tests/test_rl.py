@@ -88,7 +88,7 @@ class TestQFinal:
 
 def make_report(neighbors, serving_cell=0, ue=1):
     serving = MeasurementEntry(serving_cell, -80.0, -11.0)
-    return MeasurementReport(ue, 0.0, serving, tuple(neighbors))
+    return MeasurementReport(ue, 0.0, serving, tuple(neighbors), -100.0)
 
 
 class TestSelectTarget:

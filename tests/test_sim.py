@@ -230,7 +230,7 @@ class TestReportTick:
 
         monkeypatch.setattr(RadioEnvironment, "shadowing_db", counted_shadowing_db)
         monkeypatch.setattr(RadioEnvironment, "sinr_of", recorded_sinr_of)
-        assert all(ctx.phase != EXECUTING for ctx in sim.contexts.values())
+        assert all(ctx.phase != EXECUTING for ctx in sim.contexts)
         sim._report_tick(sim.time_s)
         assert len(lookups) == len(sim.ues) * len(env.sites)
         assert len(sinrs) == len(sim.ues)
@@ -244,8 +244,8 @@ class TestReportTick:
             + linear_to_db(scenario.bandwidth_hz)
             + scenario.noise_figure_db
         )
-        for ue, value in zip(sim.ues, sinrs):
-            serving = sim.serving[ue.ue]
+        for ue, ctx, value in zip(sim.ues, sim.contexts, sinrs):
+            serving = ctx.serving
 
             def power(site):
                 d = max(math.hypot(site.position[0] - ue.position[0], site.position[1] - ue.position[1]), 1.0)
@@ -290,6 +290,15 @@ class TestCrossing:
             assert len(outcomes) == 1
             assert outcomes[0].result == "success"
             assert not outcomes[0].ping_pong
+
+    def test_context_owns_the_serving_cell(self):
+        # UE ids index the contexts; each starts on its nearest site and
+        # ends on the site it handed over to.
+        sim = Simulation(noiseless_corridor(sim_duration_s=6.0, policy="fixed_a3"))
+        assert [(ctx.ue, ctx.serving) for ctx in sim.contexts] == [(0, 0), (1, 1)]
+        result = sim.run()
+        assert sorted((o.ue, o.source, o.target) for o in result.outcomes) == [(0, 0, 1), (1, 1, 0)]
+        assert [(ctx.ue, ctx.serving, ctx.last_serving) for ctx in sim.contexts] == [(0, 1, 0), (1, 0, 1)]
 
     def test_decision_time_matches_geometric_oracle(self):
         scenario = noiseless_corridor(sim_duration_s=6.0, policy="fixed_a3")
