@@ -8,7 +8,7 @@ alongside fixed-policy baselines, over a seedable desk-scale radio model.
 from .engine import HandoverContext, HandoverOutcome
 from .kalman import KalmanParams, KalmanState, combine_state
 from .metrics import CdfSeries, KpiRecord, cdf
-from .policies import FixedA3Policy, GreedyRsrpPolicy, Lim2Policy, make_policy
+from .policies import FixedA3Policy, Lim2Policy, make_policy
 from .radio import CellSite, ChannelParams, MeasurementEntry, MeasurementReport, RadioEnvironment
 from .rl import LearningParams, ParamPair, QTable, epsilon, q_final, sigmoid
 from .sim import RunResult, Scenario, Simulation, corridor_scenario, run
@@ -20,7 +20,6 @@ __all__ = [
     "CellSite",
     "ChannelParams",
     "FixedA3Policy",
-    "GreedyRsrpPolicy",
     "HandoverContext",
     "HandoverOutcome",
     "KalmanParams",

@@ -170,9 +170,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    base = config.load_scenario(args.scenario, args.set)
-    if args.duration is not None:
-        base = dataclasses.replace(base, sim_duration_s=args.duration)
+    base = _load_scenario(args)
     seeds = _parse_list(args.seeds, "seeds", int)
     rows = []
     for seed in seeds:

@@ -37,20 +37,15 @@ def _a3_holds(srv_level: float, tgt_level: float, hyst_db: float) -> bool:
 
 @dataclass
 class PolicyDecision:
-    """A policy's per-report proposal: target, parameter pair, and the
-    dBm-scale levels the A3 condition should compare."""
+    """A policy's per-report proposal: the target cell and the (TTT,
+    hysteresis) pair to judge it with."""
 
     target: int
     pair: ParamPair
-    srv_level: float
-    tgt_level: float
-    explored: bool = False
 
 
 class Policy:
     """Interface the engine drives; implementations live in policies.py."""
-
-    name = "policy"
 
     def observe(self, report: MeasurementReport) -> None:
         """Ingest a report before any decision is requested (optional)."""
@@ -100,14 +95,6 @@ class HandoverContext:
         self.episode_start = None
 
 
-def _begin_execution(ctx: HandoverContext, now: float, report_period_s: float) -> None:
-    ctx.phase = EXECUTING
-    ctx.decision_time = now
-    # One report period of decision signaling plus the interruption window.
-    ctx.exec_deadline = now + report_period_s + EXEC_LATENCY_S
-    ctx.exec_min_sinr_db = math.inf
-
-
 def on_measurement_report(
     ctx: HandoverContext,
     report: MeasurementReport,
@@ -117,46 +104,50 @@ def on_measurement_report(
 ) -> bool:
     """Advance the per-UE state machine by one report.
 
-    Returns True when a handover decision fires at this report.  While a
-    timing episode runs, the (target, pair) chosen at its start stay
-    pinned and only the condition is re-evaluated; a violation (or the
-    target dropping out of the report) resets to idle, and the next
-    satisfying report starts a fresh episode with a fresh policy choice.
+    Returns True when a handover decision fires at this report.  While
+    idle, the policy proposes a (target, pair); while a timing episode
+    runs, the pair chosen at its start stays pinned.  Either way the A3
+    condition is judged here, on the policy's levels for the serving cell
+    and the target: a violation (or the target dropping out of the
+    report) resets to idle, and the next satisfying report starts a fresh
+    episode with a fresh policy choice.
     """
     if ctx.ue != report.ue:
         raise ValueError("report routed to the wrong context")
     if ctx.phase == EXECUTING:
         return False
 
-    if ctx.phase == TIMING:
-        srv_level = policy.level(report, report.serving.cell)
-        tgt_level = policy.level(report, ctx.target)
-        if tgt_level is None or srv_level is None or not _a3_holds(srv_level, tgt_level, ctx.pair.hyst_db):
-            ctx.reset_timing()
+    if ctx.phase == IDLE:
+        if not report.neighbors:
             return False
-        # Nanosecond-scale slack absorbs float rounding in report times so
-        # the decision fires exactly at the first report past the window.
-        if (now - ctx.episode_start) * 1e3 >= ctx.pair.ttt_ms - 1e-6:
-            _begin_execution(ctx, now, report_period_s)
-            return True
-        return False
+        decision = policy.decide(report, now)
+        if decision is None:
+            return False
+        if report.entry(decision.target) is None:
+            raise ValueError(f"policy chose target {decision.target} absent from the report")
+        target, pair = decision.target, decision.pair
+    else:
+        target, pair = ctx.target, ctx.pair
 
-    # idle: consult the policy afresh
-    if not report.neighbors:
+    srv_level = policy.level(report, report.serving.cell)
+    tgt_level = policy.level(report, target)
+    if tgt_level is None or srv_level is None or not _a3_holds(srv_level, tgt_level, pair.hyst_db):
+        ctx.reset_timing()
         return False
-    decision = policy.decide(report, now)
-    if decision is None:
-        return False
-    if report.entry(decision.target) is None:
-        raise ValueError(f"policy chose target {decision.target} absent from the report")
-    if not _a3_holds(decision.srv_level, decision.tgt_level, decision.pair.hyst_db):
-        return False
-    ctx.phase = TIMING
-    ctx.target = decision.target
-    ctx.pair = decision.pair
-    ctx.episode_start = now
-    if decision.pair.ttt_ms == 0:
-        _begin_execution(ctx, now, report_period_s)
+    if ctx.phase == IDLE:
+        ctx.phase = TIMING
+        ctx.target = target
+        ctx.pair = pair
+        ctx.episode_start = now
+    # Nanosecond-scale slack absorbs float rounding in report times so the
+    # decision fires exactly at the first report past the window (at once
+    # for a zero TTT).
+    if (now - ctx.episode_start) * 1e3 >= pair.ttt_ms - 1e-6:
+        ctx.phase = EXECUTING
+        ctx.decision_time = now
+        # One report period of decision signaling plus the interruption window.
+        ctx.exec_deadline = now + report_period_s + EXEC_LATENCY_S
+        ctx.exec_min_sinr_db = math.inf
         return True
     return False
 

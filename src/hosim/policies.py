@@ -11,6 +11,9 @@ neighbor, raw measured levels.
 
 greedy_rsrp: fixed_a3 with a zero pair -- maximally reactive and
 ping-pong-prone by construction.
+
+A policy only proposes a target and a pair; the engine judges the A3
+condition on the policy's levels.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ _AGENT_STREAM_TAG = 2
 class FixedA3Policy(Policy):
     """Static A3 policy: strongest measured neighbor, configured pair."""
 
-    name = "fixed_a3"
-
     def __init__(self, ttt_ms: int = 256, hyst_db: int = 3):
         self.pair = ParamPair(ttt_ms, hyst_db)
 
@@ -54,21 +55,7 @@ class FixedA3Policy(Policy):
         if not report.neighbors:
             return None
         best = min(report.neighbors, key=lambda e: (-e.rsrp_dbm, e.cell))
-        return PolicyDecision(
-            target=best.cell,
-            pair=self.pair,
-            srv_level=report.serving.rsrp_dbm,
-            tgt_level=best.rsrp_dbm,
-        )
-
-
-class GreedyRsrpPolicy(FixedA3Policy):
-    """Myopic max-RSRP policy with zero TTT and zero hysteresis."""
-
-    name = "greedy_rsrp"
-
-    def __init__(self):
-        super().__init__(ttt_ms=0, hyst_db=0)
+        return PolicyDecision(best.cell, self.pair)
 
 
 @dataclass
@@ -83,8 +70,6 @@ class _CellAgent:
 
 class Lim2Policy(Policy):
     """Learning policy: Kalman prediction + SARSA ranking + epsilon-greedy pair."""
-
-    name = "lim2"
 
     def __init__(self, learning: LearningParams | None = None, seed: int = 0):
         self.learning = learning or LearningParams()
@@ -131,22 +116,14 @@ class Lim2Policy(Policy):
         if selected is None:
             return None
         target, q_value = selected
-        srv_level = self.level(report, report.serving.cell)
-        tgt_level = self.level(report, target)
         # No hysteresis can satisfy a strict A3 check while the target
         # estimate trails the serving one, so the pair selection (and its
         # Q-table write) only runs when a handover is actually in prospect.
-        if tgt_level <= srv_level:
+        if self.level(report, target) <= self.level(report, report.serving.cell):
             return None
-        pair, explored = choose_param_pair(agent.table, agent.params, now, agent.rng)
+        pair, _ = choose_param_pair(agent.table, agent.params, now, agent.rng)
         update_qtable(agent.table, pair, q_value, agent.q_state)
-        return PolicyDecision(
-            target=target,
-            pair=pair,
-            srv_level=srv_level,
-            tgt_level=tgt_level,
-            explored=explored,
-        )
+        return PolicyDecision(target, pair)
 
     def qtables(self) -> dict[int, QTable]:
         return {cell: agent.table for cell, agent in self._agents.items()}
@@ -160,5 +137,5 @@ def make_policy(name: str, seed: int = 0, learning: LearningParams | None = None
     if name == "fixed_a3":
         return FixedA3Policy(ttt_ms=fixed_ttt_ms, hyst_db=fixed_hyst_db)
     if name == "greedy_rsrp":
-        return GreedyRsrpPolicy()
+        return FixedA3Policy(ttt_ms=0, hyst_db=0)
     raise ValueError(f"unknown policy {name!r}")

@@ -28,6 +28,11 @@ _SETUP_STREAM = 0
 _CHANNEL_STREAM = 1
 _SHADOW_STREAM = 3
 
+# Corridor UEs start this far along the row from their site, heading away
+# from it, and this far either side of the lane.
+CORRIDOR_OFFSET_M = (10.0, 30.0)
+CORRIDOR_LANE_JITTER_M = 10.0
+
 # Inclusive physical range of each bounded float field, by attribute path.
 # Wide enough for any cellular deployment, narrow enough that the dB and
 # distance arithmetic of a run stays finite.
@@ -96,6 +101,14 @@ class Scenario:
             raise ConfigError("n_sites", "need at least one site")
         if self.layout == "corridor" and self.n_sites < 2:
             raise ConfigError("n_sites", "corridor layout needs at least two sites")
+        # Every UE must start inside the deployment boundary, or its first
+        # step mirrors it across the wall.
+        if self.layout == "hex":
+            need = self.cell_radius_m
+        else:
+            need = max(abs(self.corridor_lane_m) + CORRIDOR_LANE_JITTER_M, CORRIDOR_OFFSET_M[1] - self.site_spacing_m)
+        if _boundary_margin_m(self) < need:
+            raise ConfigError("boundary_margin_m", f"must be at least {need:g} m so every UE starts inside")
         if self.sim_duration_s <= 0:
             raise ConfigError("sim_duration_s", "must be positive")
         if self.step_s <= 0:
@@ -124,6 +137,12 @@ class Scenario:
         rb_hz = SUBCARRIERS_PER_RB * SUBCARRIER_SPACING_HZ
         if self.bandwidth_hz < rb_hz:
             raise ConfigError("bandwidth_hz", f"must span at least one resource block ({rb_hz:g} Hz)")
+
+
+def _boundary_margin_m(scenario: Scenario) -> float:
+    """The boundary's distance beyond the site bounding box; defaults to the cell radius."""
+    margin = scenario.boundary_margin_m
+    return scenario.cell_radius_m if margin is None else margin
 
 
 def _float_fields(obj, prefix: str = ""):
@@ -223,8 +242,8 @@ def place_ues(scenario: Scenario, sites: list[CellSite], rng) -> list[UeTrajecto
                 direction = 1.0 if site.position[0] <= sites[len(sites) // 2].position[0] else -1.0
                 if scenario.n_sites == 2:
                     direction = 1.0 if site.id == 0 else -1.0
-                offset = float(rng.uniform(10.0, 30.0))
-                y = scenario.corridor_lane_m + float(rng.uniform(-10.0, 10.0))
+                offset = float(rng.uniform(*CORRIDOR_OFFSET_M))
+                y = scenario.corridor_lane_m + float(rng.uniform(-CORRIDOR_LANE_JITTER_M, CORRIDOR_LANE_JITTER_M))
                 position = (site.position[0] + direction * offset, y)
                 velocity = (direction * speed, 0.0)
             else:
@@ -279,9 +298,7 @@ class Simulation:
         self._step_index = 0
 
     def _deployment_bounds(self, sites) -> tuple[float, float, float, float]:
-        margin = self.scenario.boundary_margin_m
-        if margin is None:
-            margin = self.scenario.cell_radius_m
+        margin = _boundary_margin_m(self.scenario)
         xs = [s.position[0] for s in sites]
         ys = [s.position[1] for s in sites]
         return (min(xs) - margin, max(xs) + margin, min(ys) - margin, max(ys) + margin)

@@ -177,7 +177,7 @@ def test_criterion_7_ttt_timer_semantics():
             self.levels = {0: -90.0, 1: -85.0}
 
         def decide(self, rep, now):
-            return eng.PolicyDecision(1, self.pair, self.levels[0], self.levels[1])
+            return eng.PolicyDecision(1, self.pair)
 
         def level(self, rep, cell):
             return self.levels.get(cell) if rep.entry(cell) is not None else None

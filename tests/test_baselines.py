@@ -4,7 +4,7 @@ import pytest
 
 from hosim import engine
 from hosim.engine import HandoverContext, complete_handover, note_execution_sinr, on_measurement_report
-from hosim.policies import FixedA3Policy, GreedyRsrpPolicy, make_policy
+from hosim.policies import FixedA3Policy, Lim2Policy, make_policy
 from hosim.radio import MeasurementEntry, MeasurementReport
 from hosim.rl import ParamPair
 
@@ -37,9 +37,8 @@ class TestFixedA3:
     def test_uses_raw_measured_levels(self):
         policy = FixedA3Policy()
         report = report_with(-90.0, [(1, -84.5)])
-        decision = policy.decide(report, 0.0)
-        assert decision.srv_level == -90.0
-        assert decision.tgt_level == -84.5
+        assert policy.decide(report, 0.0).target == 1
+        assert policy.level(report, 0) == -90.0
         assert policy.level(report, 1) == -84.5
         assert policy.level(report, 9) is None
 
@@ -61,14 +60,14 @@ class TestFixedA3:
 
 class TestGreedyRsrp:
     def test_zero_pair(self):
-        assert GreedyRsrpPolicy().pair == ParamPair(0, 0)
+        assert make_policy("greedy_rsrp").pair == ParamPair(0, 0)
 
     def test_same_target_as_fixed_in_stable_geometry(self):
         report = report_with(-90.0, [(1, -85.0), (2, -95.0)])
-        assert GreedyRsrpPolicy().decide(report, 0.0).target == FixedA3Policy().decide(report, 0.0).target
+        assert make_policy("greedy_rsrp").decide(report, 0.0).target == FixedA3Policy().decide(report, 0.0).target
 
     def test_single_cell_never_decides(self):
-        assert GreedyRsrpPolicy().decide(report_with(-90.0, []), 0.0) is None
+        assert make_policy("greedy_rsrp").decide(report_with(-90.0, []), 0.0) is None
 
 
 def run_trace(policy, trace):
@@ -102,7 +101,7 @@ class TestOscillatingTrace:
         return trace
 
     def test_greedy_ping_pongs_on_oscillation(self):
-        decisions, outcomes = run_trace(GreedyRsrpPolicy(), self.make_trace())
+        decisions, outcomes = run_trace(make_policy("greedy_rsrp"), self.make_trace())
         assert decisions >= 10
         assert any(o.ping_pong for o in outcomes)
 
@@ -112,16 +111,16 @@ class TestOscillatingTrace:
 
     def test_greedy_decides_at_least_as_often_as_fixed(self):
         trace = self.make_trace()
-        greedy_decisions, _ = run_trace(GreedyRsrpPolicy(), trace)
+        greedy_decisions, _ = run_trace(make_policy("greedy_rsrp"), trace)
         fixed_decisions, _ = run_trace(FixedA3Policy(40, 0), trace)
         assert greedy_decisions >= fixed_decisions
 
 
 class TestFactory:
     def test_known_names(self):
-        assert make_policy("lim2", seed=1).name == "lim2"
+        assert isinstance(make_policy("lim2", seed=1), Lim2Policy)
         assert make_policy("fixed_a3", fixed_ttt_ms=128, fixed_hyst_db=2).pair == ParamPair(128, 2)
-        assert make_policy("greedy_rsrp").name == "greedy_rsrp"
+        assert make_policy("greedy_rsrp").pair == ParamPair(0, 0)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

@@ -180,6 +180,10 @@ class TestConfigurationErrors:
         (["sweep", "--speeds", "50,50.0"], "speeds"),
         (["sweep", "--policies", "fixed_a3,fixed_a3"], "policies"),
         (["sweep", "--policies", ","], "policies"),
+        (["run", "--set", "sim.boundary_margin_m=none"], "boundary_margin_m"),
+        (["run", "--set", "sim.boundary_margin_m=289"], "boundary_margin_m"),
+        (["run", "--set", "sim.layout=hex", "--set", "sim.n_sites=7", "--set", "sim.boundary_margin_m=0"],
+         "boundary_margin_m"),
     ])
     def test_exit_2_names_field(self, corridor_file, tmp_path, capsys, argv, field):
         out = tmp_path / "out"

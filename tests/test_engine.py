@@ -17,6 +17,7 @@ from hosim.engine import (
     note_execution_sinr,
     on_measurement_report,
 )
+from hosim.policies import FixedA3Policy, make_policy
 from hosim.radio import MeasurementEntry, MeasurementReport
 from hosim.rl import TTT_VALUES_MS, ParamPair
 
@@ -24,18 +25,17 @@ REPORT_PERIOD = 0.040
 
 
 class ScriptedPolicy(Policy):
-    """Returns externally scripted dBm levels for cells 0 (serving) and 1."""
-
-    name = "scripted"
+    """Proposes cell 1 and returns externally scripted dBm levels for cells
+    0 (serving) and 1; counts its decide calls."""
 
     def __init__(self, pair: ParamPair):
         self.pair = pair
         self.levels = {0: -90.0, 1: -90.0}
+        self.decide_calls = 0
 
     def decide(self, report, now):
-        return PolicyDecision(
-            target=1, pair=self.pair, srv_level=self.levels[0], tgt_level=self.levels[1]
-        )
+        self.decide_calls += 1
+        return PolicyDecision(target=1, pair=self.pair)
 
     def level(self, report, cell):
         if report.entry(cell) is None:
@@ -120,6 +120,18 @@ class TestTttTiming:
         assert decisions == []
         assert ctx.phase == engine.IDLE
 
+    def test_proposed_target_failing_a3_starts_no_episode(self):
+        # The policy proposes cell 1 at every report; its levels put cell 1
+        # within the hysteresis, so no report may start a timing episode.
+        ctx = HandoverContext(1, 0)
+        policy = ScriptedPolicy(ParamPair(0, 3))
+        for i in range(10):
+            now = i * REPORT_PERIOD
+            policy.levels = {0: -90.0, 1: -87.0}
+            assert not on_measurement_report(ctx, make_report(t=now), policy, now, REPORT_PERIOD)
+            assert ctx.phase == engine.IDLE
+            assert policy.decide_calls == i + 1
+
     def test_larger_hysteresis_never_decides_earlier(self):
         ramp = [(-90.0, -90.0 + 0.2 * i) for i in range(80)]
         times = {}
@@ -137,6 +149,20 @@ class TestTttTiming:
         report = MeasurementReport(1, 0.0, MeasurementEntry(0, -90.0, -11.0), (), -100.0)
         assert not on_measurement_report(ctx, report, policy, 0.0, REPORT_PERIOD)
         assert ctx.phase == engine.IDLE
+        assert policy.decide_calls == 0
+
+    def test_greedy_rsrp_fires_at_first_report_satisfying_a3(self):
+        policy = make_policy("greedy_rsrp")
+        assert isinstance(policy, FixedA3Policy)
+        assert policy.pair == ParamPair(0, 0)
+        ctx = HandoverContext(1, 0)
+        # make_report puts the neighbour 2 dB below the serving cell.
+        assert not on_measurement_report(ctx, make_report(t=0.0), policy, 0.0, REPORT_PERIOD)
+        assert ctx.phase == engine.IDLE
+        report = MeasurementReport(1, 0.04, MeasurementEntry(0, -90.0, -11.0),
+                                   (MeasurementEntry(1, -89.9, -13.0),), -100.0)
+        assert on_measurement_report(ctx, report, policy, 0.04, REPORT_PERIOD)
+        assert (ctx.phase, ctx.target) == (engine.EXECUTING, 1)
 
     def test_pinned_target_missing_from_report_resets(self):
         ctx = HandoverContext(1, 0)
@@ -156,7 +182,7 @@ class TestTttTiming:
     def test_absent_target_from_policy_rejected(self):
         class BadPolicy(ScriptedPolicy):
             def decide(self, report, now):
-                return PolicyDecision(target=9, pair=self.pair, srv_level=-90.0, tgt_level=-80.0)
+                return PolicyDecision(target=9, pair=self.pair)
 
         ctx = HandoverContext(1, 0)
         with pytest.raises(ValueError):
@@ -217,7 +243,7 @@ class TestCompletion:
 
         class ReversePolicy(ScriptedPolicy):
             def decide(self, report, now):
-                return PolicyDecision(target=0, pair=self.pair, srv_level=-90.0, tgt_level=-80.0)
+                return PolicyDecision(target=0, pair=self.pair)
 
             def level(self, report, cell):
                 return {0: -80.0, 1: -90.0}.get(cell)
@@ -236,7 +262,7 @@ class TestCompletion:
 
         class ReversePolicy(ScriptedPolicy):
             def decide(self, report, now):
-                return PolicyDecision(target=0, pair=self.pair, srv_level=-90.0, tgt_level=-80.0)
+                return PolicyDecision(target=0, pair=self.pair)
 
             def level(self, report, cell):
                 return {0: -80.0, 1: -90.0}.get(cell)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from hosim import policies
 from hosim.policies import Lim2Policy
 from hosim.radio import MeasurementEntry, MeasurementReport
-from hosim.rl import LearningParams
+from hosim.rl import LearningParams, choose_param_pair
 
 
 def report(serving_rsrp, neighbor_rsrp, t, serving_cell=0, neighbor_cell=1, ue=1):
@@ -22,6 +23,20 @@ def feed(policy, serving_rsrp, neighbor_rsrp, t, **kw):
     r = report(serving_rsrp, neighbor_rsrp, t, **kw)
     policy.observe(r)
     return r
+
+
+@pytest.fixture
+def explored(monkeypatch):
+    """The explored flag of every pair draw a policy makes, in order."""
+    flags = []
+
+    def recording(*args):
+        pair, flag = choose_param_pair(*args)
+        flags.append(flag)
+        return pair, flag
+
+    monkeypatch.setattr(policies, "choose_param_pair", recording)
+    return flags
 
 
 class TestObserveAndLevels:
@@ -55,14 +70,14 @@ class TestDecide:
         # The guard also means no epsilon-greedy draw was consumed.
         assert policy.qtables() == {} or all(t.draw_count == 1 for t in policy.qtables().values())
 
-    def test_decision_when_neighbor_leads(self):
+    def test_decision_when_neighbor_leads(self, explored):
         policy = Lim2Policy(seed=0)
         r = feed(policy, -95.0, -85.0, 0.0)
         d = policy.decide(r, 0.0)
         assert d is not None
         assert d.target == 1
-        assert d.tgt_level > d.srv_level
-        assert d.explored  # t_init window forces exploration
+        assert policy.level(r, d.target) > policy.level(r, 0)
+        assert explored == [True]  # t_init window forces exploration
 
     def test_decision_updates_serving_cell_table(self):
         policy = Lim2Policy(seed=0)
@@ -79,18 +94,18 @@ class TestDecide:
         policy.observe(r)
         assert policy.decide(r, 0.0) is None
 
-    def test_exploits_after_t_init(self):
+    def test_exploits_after_t_init(self, explored):
         policy = Lim2Policy(seed=0)
         agent = policy._agent(0)
         agent.table.draw_count = 10**6  # epsilon ~ 0
         t_late = agent.params.t_init_s + 1.0
         r = feed(policy, -95.0, -85.0, t_late)
-        first = policy.decide(r, t_late)
-        assert first.explored  # table still empty, degenerates to explore
+        policy.decide(r, t_late)
+        assert explored == [True]  # table still empty, degenerates to explore
         r2 = feed(policy, -95.0, -85.0, t_late + 0.04)
         agent.table.draw_count = 10**6
         second = policy.decide(r2, t_late + 0.04)
-        assert not second.explored
+        assert explored == [True, False]
         assert second.pair in agent.table.entries
 
 
@@ -103,8 +118,9 @@ class TestAgentIndependence:
         assert a != c
         assert 5.0 <= a <= 15.0
 
-    def test_untouched_agents_do_not_shift_decisions(self):
+    def test_untouched_agents_do_not_shift_decisions(self, explored):
         def run(touch_extra_cell):
+            explored.clear()
             policy = Lim2Policy(seed=9)
             if touch_extra_cell:
                 policy._agent(42)  # would disturb a shared RNG stream
@@ -113,8 +129,8 @@ class TestAgentIndependence:
                 t = i * 0.04
                 r = feed(policy, -95.0 + 0.05 * i, -85.0, t)
                 d = policy.decide(r, t)
-                picks.append(None if d is None else (d.pair.ttt_ms, d.pair.hyst_db, d.explored))
-            return picks
+                picks.append(None if d is None else (d.pair.ttt_ms, d.pair.hyst_db))
+            return picks, list(explored)
 
         assert run(False) == run(True)
 

@@ -1,6 +1,7 @@
 """Scenario construction, mobility, determinism, and the step loop."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -135,6 +136,28 @@ class TestPlacement:
         assert all(u.velocity[0] > 0 for u in ues[:3])
         assert all(u.velocity[0] < 0 for u in ues[3:])
         assert all(abs(u.position[1] - 280.0) <= 10.0 for u in ues)
+
+    def test_corridor_ues_start_inside_at_minimum_margin(self):
+        for n_sites, spacing, lane in itertools.product((2, 3, 4, 5), (1.0, 5.0, 20.0), (-40.0, 0.0, 40.0)):
+            margin = max(abs(lane) + 10.0, 30.0 - spacing)
+            for seed in range(5):
+                scenario = corridor_scenario(n_sites=n_sites, site_spacing_m=spacing, corridor_lane_m=lane,
+                                             boundary_margin_m=margin, n_ues_per_cell=20, seed=seed)
+                sim = Simulation(scenario)
+                xmin, xmax, ymin, ymax = sim._bounds
+                assert all(xmin <= u.position[0] <= xmax and ymin <= u.position[1] <= ymax for u in sim.ues)
+            with pytest.raises(ConfigError) as err:
+                dataclasses.replace(scenario, boundary_margin_m=margin - 0.5).validate()
+            assert err.value.field_name == "boundary_margin_m"
+
+    def test_hex_margin_must_cover_the_cell_radius(self):
+        scenario = Scenario(n_sites=7, boundary_margin_m=150.0)
+        sim = Simulation(scenario)
+        xmin, xmax, ymin, ymax = sim._bounds
+        assert all(xmin <= u.position[0] <= xmax and ymin <= u.position[1] <= ymax for u in sim.ues)
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(scenario, boundary_margin_m=149.0).validate()
+        assert err.value.field_name == "boundary_margin_m"
 
     def test_speed_magnitude_constant(self):
         scenario = Scenario(n_sites=4, ue_speed_kmh=90.0)
