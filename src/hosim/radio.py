@@ -9,6 +9,13 @@ received power scaled down to one resource element (120 kHz subcarrier
 spacing).  Ambient RF noise at each UE follows a bounded random walk,
 stepped once per report; it degrades measured RSRP additively in dB, and
 the report carries a noisy reading of it.
+
+A tick's radio work for one UE is one ``RadioEnvironment.row``: a single
+pass over the id-ordered sites that yields every site's wideband power,
+the RSSI and interference sums of their linear powers, and the nearest
+site.  The report, the SINR and the execution window all read that row.
+Only a handover's completion looks up one site, through ``true_rsrp_of``
+and ``shadowing_db``; both paths share ``_received_dbm``, the link budget.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 SPEED_OF_LIGHT = 299_792_458.0
 REFERENCE_DISTANCE_M = 1.0
@@ -96,6 +104,16 @@ class MeasurementReport:
         return None
 
 
+class RadioRow(NamedTuple):
+    """What one UE's pass over the id-ordered sites yields at one instant."""
+
+    wideband: list[float]  # each site's wideband received power in dBm, by id
+    rssi_mw: float  # every site's linear power, summed left to right
+    serving_mw: float  # the serving site's linear power
+    interference_mw: float  # the other sites' linear powers, summed left to right
+    nearest: int  # id of the closest site, a tie to the lower id
+
+
 def free_space_reference_db(carrier_freq_hz: float) -> float:
     """Free-space path loss at the 1 m reference distance."""
     return 20.0 * math.log10(4.0 * math.pi * REFERENCE_DISTANCE_M * carrier_freq_hz / SPEED_OF_LIGHT)
@@ -145,6 +163,7 @@ class RadioEnvironment:
         self.shadow_rng = shadow_rng
         # (cell, ue) -> (shadowing value, UE position it was drawn at)
         self._shadow: dict[tuple[int, int], tuple[float, tuple[float, float]]] = {}
+        self._site_positions = [s.position for s in self.sites]
         self._env_noise: dict[int, float] = {}
         self._tx_dbm = tx_power_dbm
         self._reference_db = free_space_reference_db(carrier_freq_hz)
@@ -166,35 +185,61 @@ class RadioEnvironment:
         self._shadow[key] = (value, position)
         return value
 
-    def _received_dbm(self, site_position, position, shadowing_db: float) -> float:
-        """Wideband received power: transmit power less the log-distance
-        path loss (distances below 1 m clamp to 1 m) and the shadowing."""
-        d = max(math.hypot(site_position[0] - position[0], site_position[1] - position[1]), REFERENCE_DISTANCE_M)
-        return self._tx_dbm - (self._reference_db + self._slope_db * math.log10(d)) - shadowing_db
+    def _received_dbm(self, distance_m: float, shadowing_db: float) -> float:
+        """The link budget: wideband received power at ``distance_m`` from a
+        site (below 1 m it clamps to 1 m), less the log-distance path loss
+        and the shadowing."""
+        if distance_m < REFERENCE_DISTANCE_M:
+            distance_m = REFERENCE_DISTANCE_M
+        return self._tx_dbm - (self._reference_db + self._slope_db * math.log10(distance_m)) - shadowing_db
 
     def true_rsrp_of(self, cell: int, ue: int, position: tuple[float, float]) -> float:
         """Ground-truth RSRP in dBm of one cell at the UE (``position`` an
         ``(x, y)`` tuple of floats), with its current shadowing."""
         shadowing = self.shadowing_db(cell, ue, position)
-        return self._received_dbm(self.sites[cell].position, position, shadowing) - self._re_scaling_db
+        sx, sy = self._site_positions[cell]
+        return self._received_dbm(math.hypot(sx - position[0], sy - position[1]), shadowing) - self._re_scaling_db
 
-    def wideband_dbm(self, ue: int, position: tuple[float, float]) -> list[float]:
-        """Each site's wideband received power at the UE (``position`` an
-        ``(x, y)`` tuple of floats), indexed by site id, with the UE's
-        current shadowing."""
-        return [
-            self._received_dbm(site.position, position, self.shadowing_db(site.id, ue, position))
-            for site in self.sites
-        ]
+    def row(self, ue: int, position: tuple[float, float], serving: int) -> RadioRow:
+        """One pass over the id-ordered sites at the UE's ``position`` (an
+        ``(x, y)`` tuple of floats) while it is served by ``serving``.
 
-    def sinr_of(self, serving_cell: int, wideband: list[float]) -> float:
-        """Serving power over interference (the other sites' powers,
-        summed left to right in id order) plus thermal noise, in dB."""
-        interference_mw = 0.0
-        for cid, p in enumerate(wideband):
-            if cid != serving_cell:
-                interference_mw += db_to_linear(p)
-        return linear_to_db(db_to_linear(wideband[serving_cell]) / (interference_mw + self._noise_mw))
+        Each site's distance, current shadowing (redrawn here, in id order,
+        exactly as ``shadowing_db`` would) and wideband power are computed
+        once; the power is raised to linear once and summed left to right
+        into the RSSI (every site) and the interference (every site but
+        ``serving``).  The nearest site is the first strict minimum of the
+        unclamped distance, so an exact tie goes to the lower id.
+        """
+        x, y = position
+        shadow = self._shadow
+        received = self._received_dbm
+        draw, sigma = self.shadow_rng.normal, self.params.shadowing_sigma_db
+        wideband = []
+        rssi_mw = serving_mw = interference_mw = 0.0
+        nearest, nearest_m = 0, math.inf
+        for cid, (sx, sy) in enumerate(self._site_positions):
+            distance = math.hypot(sx - x, sy - y)
+            if distance < nearest_m:
+                nearest, nearest_m = cid, distance
+            key = (cid, ue)
+            state = shadow.get(key)
+            if state is None or not math.dist(state[1], position) < SHADOWING_DECORRELATION_M:
+                state = shadow[key] = (float(draw(0.0, sigma)), position)
+            power = received(distance, state[0])
+            wideband.append(power)
+            mw = 10.0 ** (power / 10.0)
+            rssi_mw += mw
+            if cid == serving:
+                serving_mw = mw
+            else:
+                interference_mw += mw
+        return RadioRow(wideband, rssi_mw, serving_mw, interference_mw, nearest)
+
+    def sinr_of(self, serving_mw: float, interference_mw: float) -> float:
+        """Serving power over interference plus thermal noise, in dB, from a
+        row's linear serving power and interference sum."""
+        return linear_to_db(serving_mw / (interference_mw + self._noise_mw))
 
     def nearest_cell(self, position: tuple[float, float]) -> int:
         """Id of the site closest to ``position``, an ``(x, y)`` tuple of
@@ -202,10 +247,8 @@ class RadioEnvironment:
         an exact tie goes to the lowest id."""
         return min(self.sites, key=lambda site: math.dist(site.position, position)).id
 
-    def generate_report(
-        self, ue: int, wideband: list[float], serving_cell: int, timestamp: float
-    ) -> MeasurementReport:
-        """Build a measurement report from ``wideband_dbm``'s powers:
+    def generate_report(self, ue: int, row: RadioRow, serving_cell: int, timestamp: float) -> MeasurementReport:
+        """Build a measurement report from a ``row``'s powers and RSSI:
         serving entry plus up to 8 neighbors, and the ambient-noise reading.
 
         The UE's ambient noise level first takes one bounded random-walk
@@ -226,10 +269,8 @@ class RadioEnvironment:
         self._env_noise[ue] = level
         degradation = level - p.env_noise_mean_dbm
         # Total received wideband power plus the noise floor forms the RSSI.
-        rssi_mw = 0.0
-        for w in wideband:
-            rssi_mw += db_to_linear(w)
-        rssi_dbm = linear_to_db(rssi_mw + self._noise_mw)
+        wideband = row.wideband
+        rssi_dbm = linear_to_db(row.rssi_mw + self._noise_mw)
 
         *noise, reading_noise = self.rng.normal(0.0, p.meas_noise_sigma_db, len(wideband) + 1).tolist()
         measured = [w - self._re_scaling_db - degradation + z for w, z in zip(wideband, noise)]

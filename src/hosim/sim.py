@@ -333,42 +333,57 @@ class Simulation:
                 self.metrics.add_outcome(engine.complete_handover(ctx, now, target_rsrp))
 
     def _report_tick(self, now: float) -> None:
+        # Only a handover's completion changes ctx.serving, so the row's
+        # interference stays that of the serving cell the SINR is taken for.
         for ue, ctx in zip(self.ues, self.contexts):
-            wideband = self.env.wideband_dbm(ue.ue, ue.position)
-            report = self.env.generate_report(ue.ue, wideband, ctx.serving, now)
+            row = self.env.row(ue.ue, ue.position, ctx.serving)
+            report = self.env.generate_report(ue.ue, row, ctx.serving, now)
             self.policy.observe(report)
             engine.on_measurement_report(ctx, report, self.policy, now, self.scenario.report_period_s)
-            sinr_db = self.env.sinr_of(ctx.serving, wideband)
+            sinr_db = self.env.sinr_of(row.serving_mw, row.interference_mw)
             attached = ctx.phase != EXECUTING
             self.metrics.add_sample(now, sinr_db, self.scenario.bandwidth_hz, attached)
-            nearest = self.env.nearest_cell(ue.position)
-            if nearest != self._nearest[ue.ue]:
-                self._nearest[ue.ue] = nearest
+            if row.nearest != self._nearest[ue.ue]:
+                self._nearest[ue.ue] = row.nearest
                 self.metrics.add_crossing()
 
     def _track_execution_sinr(self) -> None:
         for ue, ctx in zip(self.ues, self.contexts):
             if ctx.phase == EXECUTING:
-                wideband = self.env.wideband_dbm(ue.ue, ue.position)
-                engine.note_execution_sinr(ctx, self.env.sinr_of(ctx.serving, wideband))
+                row = self.env.row(ue.ue, ue.position, ctx.serving)
+                engine.note_execution_sinr(ctx, self.env.sinr_of(row.serving_mw, row.interference_mw))
 
     def _advance_positions(self) -> None:
         xmin, xmax, ymin, ymax = self._bounds
         dt = self.scenario.step_s
         for ue in self.ues:
             (x, y), (vx, vy) = ue.position, ue.velocity
-            x, vx = _reflect(x + vx * dt, vx, xmin, xmax)
-            y, vy = _reflect(y + vy * dt, vy, ymin, ymax)
-            ue.position, ue.velocity = (x, y), (vx, vy)
+            x += vx * dt
+            y += vy * dt
+            if xmin <= x <= xmax and ymin <= y <= ymax:
+                ue.position = (x, y)
+            else:
+                x, vx = _reflect(x, vx, xmin, xmax)
+                y, vy = _reflect(y, vy, ymin, ymax)
+                ue.position, ue.velocity = (x, y), (vx, vy)
 
 
 def _reflect(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:
-    """Mirror a coordinate that crossed a wall back inside and reverse its velocity."""
-    if p < lo:
-        return 2 * lo - p, -v
-    if p > hi:
-        return 2 * hi - p, -v
-    return p, v
+    """Fold a coordinate back inside [lo, hi], mirroring it at each wall it
+    crossed and reversing the velocity at each mirror."""
+    if lo <= p <= hi:
+        return p, v
+    p, v = (2 * lo - p, -v) if p < lo else (2 * hi - p, -v)
+    if lo <= p <= hi:
+        return p, v
+    # A step longer than the box is wide crosses more walls: the mirrored
+    # path repeats every two widths and runs backward in its second half.
+    width = hi - lo
+    offset = (p - lo) % (2 * width)
+    if offset > width:
+        offset, v = 2 * width - offset, -v
+    return min(lo + offset, hi), v
+
 
 def run(scenario: Scenario) -> RunResult:
     """Validate and execute one scenario."""

@@ -44,7 +44,7 @@ def make_env(sites, params=PARAMS, seed=0, tx=46.0, bw=BW):
 
 def loss_at(distance_m):
     """Path loss to a UE ``distance_m`` from a 46 dBm site, with zero shadowing."""
-    return 46.0 - make_env([make_site()]).wideband_dbm(0, (distance_m, 0.0))[0]
+    return 46.0 - make_env([make_site()]).row(0, (distance_m, 0.0), 0).wideband[0]
 
 
 class TestPathLoss:
@@ -99,8 +99,8 @@ class TestMeasureRsrp:
     POSITION = (30.0, 0.0)
 
     def measured(self, env, n=1):
-        wideband = env.wideband_dbm(0, self.POSITION)
-        return np.array([env.generate_report(0, wideband, 0, 0.0).serving.rsrp_dbm for _ in range(n)])
+        row = env.row(0, self.POSITION, 0)
+        return np.array([env.generate_report(0, row, 0, 0.0).serving.rsrp_dbm for _ in range(n)])
 
     def test_noiseless_identity(self):
         env = make_env([make_site()])
@@ -114,7 +114,7 @@ class TestMeasureRsrp:
         env._env_noise[0] = params.env_noise_mean_dbm + 4.0
         excursion = min(max(4.0 + twin.normal(0.0, 2.0), -6.0), 6.0)
         assert excursion > 0.0
-        report = env.generate_report(0, env.wideband_dbm(0, self.POSITION), 0, 0.0)
+        report = env.generate_report(0, env.row(0, self.POSITION, 0), 0, 0.0)
         assert report.serving.rsrp_dbm == pytest.approx(env.true_rsrp_of(0, 0, self.POSITION) - excursion)
         assert report.env_noise_dbm == pytest.approx(params.env_noise_mean_dbm + excursion)
 
@@ -133,10 +133,10 @@ def rsrq_offsets(bandwidth_hz):
     """RSRQ minus (RSRP - RSSI) for every entry of a two-site report, with
     the RSSI summed independently from the wideband powers and the noise."""
     env = make_env([make_site(0), make_site(1, (100.0, 0.0))], bw=bandwidth_hz)
-    wideband = env.wideband_dbm(0, (30.0, 0.0))
+    row = env.row(0, (30.0, 0.0), 0)
     noise_dbm = -174.0 + 10 * math.log10(bandwidth_hz) + 5.0
-    rssi_dbm = 10 * math.log10(sum(10 ** (p / 10) for p in wideband) + 10 ** (noise_dbm / 10))
-    report = env.generate_report(0, wideband, 0, 0.0)
+    rssi_dbm = 10 * math.log10(sum(10 ** (p / 10) for p in row.wideband) + 10 ** (noise_dbm / 10))
+    report = env.generate_report(0, row, 0, 0.0)
     assert len(report.neighbors) == 1
     return [e.rsrq_db - (e.rsrp_dbm - rssi_dbm) for e in (report.serving, *report.neighbors)]
 
@@ -163,7 +163,8 @@ class TestRsrq:
 def sinr_at(sites, position, serving=0, tx=46.0):
     """SINR of UE 0 at ``position`` served by ``serving``, with zero shadowing."""
     env = make_env(sites, tx=tx)
-    return env.sinr_of(serving, env.wideband_dbm(0, position))
+    row = env.row(0, position, serving)
+    return env.sinr_of(row.serving_mw, row.interference_mw)
 
 
 class TestSinr:
@@ -189,6 +190,65 @@ class TestSinr:
         assert sinr_at(sites, (70.0, 30.0), tx=147.0) == pytest.approx(baseline, abs=1e-3)
 
 
+class TestRadioRow:
+    """A row is the one pass a tick makes over the sites; it must equal the
+    one-element ``true_rsrp_of``/``shadowing_db`` path bit for bit."""
+
+    # Site 0 and site 3 are both 50 m from (0, 50), an exact tie.
+    SITES = [make_site(0), make_site(1, (100.0, 0.0)), make_site(2, (-100.0, 0.0)),
+             make_site(3, (0.0, 100.0)), make_site(4, (60.0, 70.0))]
+
+    def twins(self):
+        """Two identically seeded environments with shadowing and noise."""
+        params = ChannelParams(shadowing_sigma_db=6.0, meas_noise_sigma_db=2.0)
+        return make_env(self.SITES, params, seed=5), make_env(self.SITES, params, seed=5)
+
+    def assert_row_matches(self, row_env, ref_env, ue, position, serving):
+        row = row_env.row(ue, position, serving)
+        assert [w - re_scaling_db(BW) for w in row.wideband] == [
+            ref_env.true_rsrp_of(c, ue, position) for c in range(len(self.SITES))
+        ]
+        rssi = interference = 0.0
+        for c, w in enumerate(row.wideband):
+            rssi += 10 ** (w / 10)
+            if c != serving:
+                interference += 10 ** (w / 10)
+        assert row.rssi_mw == rssi
+        assert row.interference_mw == interference
+        assert row.serving_mw == 10 ** (row.wideband[serving] / 10)
+        assert row.nearest == ref_env.nearest_cell(position)
+        return row
+
+    # Positions within 1 m of a site (the distance clamps to 1 m), on a
+    # site, at an exact tie, and in the open.
+    @pytest.mark.parametrize("position", [(0.3, 0.4), (100.0, 0.0), (-99.5, 0.5), (0.0, 50.0), (37.0, -12.5)])
+    def test_row_equals_one_element_path(self, position):
+        row_env, ref_env = self.twins()
+        for ue, serving in ((0, 0), (1, 3), (2, 4)):
+            self.assert_row_matches(row_env, ref_env, ue, position, serving)
+        assert row_env.shadow_rng.normal() == ref_env.shadow_rng.normal()
+
+    def test_exact_tie_goes_to_lower_id(self):
+        row_env, ref_env = self.twins()
+        assert self.assert_row_matches(row_env, ref_env, 0, (0.0, 50.0), 1).nearest == 0
+
+    @pytest.mark.parametrize("step, redrawn", [(-1, False), (0, True), (1, True)], ids=["50m-ulp", "50m", "50m+ulp"])
+    def test_shadowing_redraw_threshold(self, step, redrawn):
+        # The second position is 50 m along x from the first, or one ulp
+        # either side of it; at 50 m or more every site's shadowing redraws.
+        row_env, ref_env = self.twins()
+        first = (10.0, 20.0)
+        x = 60.0 if step == 0 else math.nextafter(60.0, step * math.inf)
+        second = (x, 20.0)
+        assert (math.dist(first, second) >= 50.0) == redrawn
+        self.assert_row_matches(row_env, ref_env, 7, first, 2)
+        before = [row_env._shadow[(c, 7)] for c in range(len(self.SITES))]
+        self.assert_row_matches(row_env, ref_env, 7, second, 2)
+        after = [row_env._shadow[(c, 7)] for c in range(len(self.SITES))]
+        assert [a is not b for a, b in zip(before, after)] == [redrawn] * len(self.SITES)
+        assert row_env.shadow_rng.normal() == ref_env.shadow_rng.normal()
+
+
 class TestMeasurementTypes:
     def test_serving_must_not_be_neighbor(self):
         entry = MeasurementEntry(0, -80.0, -11.0)
@@ -211,14 +271,14 @@ class TestMeasurementTypes:
 class TestGenerateReport:
     def test_single_cell_empty_neighbors(self):
         env = make_env([make_site(0)])
-        report = env.generate_report(0, env.wideband_dbm(0, (30.0, 0.0)), 0, 0.0)
+        report = env.generate_report(0, env.row(0, (30.0, 0.0), 0), 0, 0.0)
         assert report.neighbors == ()
         assert report.serving.cell == 0
 
     def test_equidistant_tie_order_by_cell_id(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (100.0, 0.0)), make_site(2, (-100.0, 0.0))]
         env = make_env(sites)
-        report = env.generate_report(0, env.wideband_dbm(0, (0.0, 0.0)), 0, 0.0)
+        report = env.generate_report(0, env.row(0, (0.0, 0.0), 0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1, 2]
         assert report.neighbors[0].rsrp_dbm == report.neighbors[1].rsrp_dbm
 
@@ -230,20 +290,20 @@ class TestGenerateReport:
             make_site(3, (160.0, 0.0)),
         ]
         env = make_env(sites)
-        report = env.generate_report(0, env.wideband_dbm(0, (0.0, 0.0)), 0, 0.0)
+        report = env.generate_report(0, env.row(0, (0.0, 0.0), 0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1, 2, 3]
 
     def test_zero_noise_reports_are_pure_geometry(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (120.0, 0.0))]
         first_env, second_env = make_env(sites, seed=1), make_env(sites, seed=99)
-        first = first_env.generate_report(0, first_env.wideband_dbm(0, (30.0, 10.0)), 0, 0.0)
-        second = second_env.generate_report(0, second_env.wideband_dbm(0, (30.0, 10.0)), 0, 0.0)
+        first = first_env.generate_report(0, first_env.row(0, (30.0, 10.0), 0), 0, 0.0)
+        second = second_env.generate_report(0, second_env.row(0, (30.0, 10.0), 0), 0, 0.0)
         assert first == second
 
     def test_neighbor_list_truncated(self):
         sites = [make_site(i, (25.0 * i, 0.0)) for i in range(12)]
         env = make_env(sites)
-        report = env.generate_report(0, env.wideband_dbm(0, (0.0, 0.0)), 0, 0.0)
+        report = env.generate_report(0, env.row(0, (0.0, 0.0), 0), 0, 0.0)
         assert len(report.neighbors) == MAX_NEIGHBORS
 
     def test_detection_threshold_filters_far_cells(self):
@@ -251,13 +311,13 @@ class TestGenerateReport:
         edge = 10 ** ((46.0 - re_scaling_db(BW) - DETECTION_THRESHOLD_DBM - free_space_reference_db(FREQ)) / 30.0)
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (edge * 0.9, 0.0)), make_site(2, (edge * 1.1, 0.0))]
         env = make_env(sites)
-        report = env.generate_report(0, env.wideband_dbm(0, (0.0, 0.0)), 0, 0.0)
+        report = env.generate_report(0, env.row(0, (0.0, 0.0), 0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1]
 
     def test_rsrq_values_negative_under_load(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (100.0, 0.0))]
         env = make_env(sites)
-        report = env.generate_report(0, env.wideband_dbm(0, (50.0, 0.0)), 0, 0.0)
+        report = env.generate_report(0, env.row(0, (50.0, 0.0), 0), 0, 0.0)
         assert report.serving.rsrq_db < 0
         assert all(n.rsrq_db < 0 for n in report.neighbors)
 
@@ -267,10 +327,10 @@ class TestGenerateReport:
         sites = [make_site(i, (40.0 * i, 15.0 * (i % 3))) for i in range(12)]
         env = make_env(sites, dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=11)
         twin = np.random.default_rng(11)
-        wideband = env.wideband_dbm(0, (170.0, 5.0))
-        report = env.generate_report(0, wideband, 4, 0.0)
+        row = env.row(0, (170.0, 5.0), 4)
+        report = env.generate_report(0, row, 4, 0.0)
         twin.normal(0.0, 0.0)  # the ambient-noise walk's step
-        expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in wideband]
+        expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in row.wideband]
         twin.normal(0.0, 2.0)  # the ambient-noise reading
         assert len(report.neighbors) == MAX_NEIGHBORS
         for entry in (report.serving, *report.neighbors):
@@ -285,12 +345,12 @@ class TestGenerateReport:
         sites = [make_site(i, (60.0 * i, 0.0)) for i in range(3)]
         params = dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0, env_noise_sigma_db=1.5)
         env, twin = make_env(sites, params, seed=21), np.random.default_rng(21)
-        wideband = env.wideband_dbm(0, (50.0, 0.0))
+        row = env.row(0, (50.0, 0.0), 0)
         mean = level = params.env_noise_mean_dbm
         for t in (0.0, 0.04):
-            report = env.generate_report(0, wideband, 0, t)
+            report = env.generate_report(0, row, 0, t)
             level = min(max(level + twin.normal(0.0, 1.5), mean - 4.5), mean + 4.5)
-            expected = [p - re_scaling_db(BW) - (level - mean) + twin.normal(0.0, 2.0) for p in wideband]
+            expected = [p - re_scaling_db(BW) - (level - mean) + twin.normal(0.0, 2.0) for p in row.wideband]
             assert {e.cell: e.rsrp_dbm for e in (report.serving, *report.neighbors)} == dict(enumerate(expected))
             assert report.env_noise_dbm == level + twin.normal(0.0, 2.0)
         assert env.rng.normal() == twin.normal()
@@ -300,10 +360,10 @@ class TestGenerateReport:
         env = make_env(sites)
         position, far = (0.0, 0.0), 11
         env._shadow[(far, 0)] = (math.inf, position)
-        wideband = env.wideband_dbm(0, position)
-        assert wideband[far] == -math.inf
+        row = env.row(0, position, 0)
+        assert row.wideband[far] == -math.inf
         with pytest.raises(ValueError):
-            env.generate_report(0, wideband, 0, 0.0)
+            env.generate_report(0, row, 0, 0.0)
 
 
 class TestEnvironmentState:
@@ -311,8 +371,8 @@ class TestEnvironmentState:
         # Without measurement noise each report reads the walk's level exactly.
         params = dataclasses.replace(PARAMS, env_noise_sigma_db=2.0)
         env = make_env([make_site(0)], params, seed=3)
-        wideband = env.wideband_dbm(0, (30.0, 0.0))
-        values = [env.generate_report(0, wideband, 0, 0.0).env_noise_dbm for _ in range(2000)]
+        row = env.row(0, (30.0, 0.0), 0)
+        values = [env.generate_report(0, row, 0, 0.0).env_noise_dbm for _ in range(2000)]
         bound = 3.0 * params.env_noise_sigma_db
         assert all(abs(v - params.env_noise_mean_dbm) <= bound + 1e-9 for v in values)
         assert max(abs(v - params.env_noise_mean_dbm) for v in values) == pytest.approx(bound)

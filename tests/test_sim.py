@@ -9,6 +9,7 @@ import pytest
 
 from hosim import radio
 from hosim.engine import EXECUTING
+from hosim.metrics import MetricsAccumulator
 from hosim.radio import (
     CellSite,
     ChannelParams,
@@ -23,6 +24,7 @@ from hosim.sim import (
     ConfigError,
     Scenario,
     Simulation,
+    _reflect,
     build_sites,
     corridor_scenario,
     place_ues,
@@ -192,6 +194,33 @@ class TestStepLoop:
                 assert xmin - 1e-6 <= ue.position[0] <= xmax + 1e-6
                 assert ymin - 1e-6 <= ue.position[1] <= ymax + 1e-6
 
+    def test_steps_longer_than_the_box_stay_inside(self):
+        # 111 m per step in a 59 m wide box: a step can cross both walls.
+        scenario = corridor_scenario(site_spacing_m=1, corridor_lane_m=0, boundary_margin_m=29,
+                                     ue_speed_kmh=1000, step_s=0.4, report_period_s=0.4)
+        sim = Simulation(scenario)
+        xmin, xmax, ymin, ymax = sim._bounds
+        assert scenario.ue_speed_kmh / 3.6 * scenario.step_s > xmax - xmin
+        for _ in range(sim.n_steps):
+            sim.step()
+            for ue in sim.ues:
+                assert xmin <= ue.position[0] <= xmax and ymin <= ue.position[1] <= ymax
+
+    @pytest.mark.parametrize("travel", [0.5, 3.0, 7.25, 10.0, 123.456, -2.0, -9.5, -77.0])
+    def test_reflect_folds_like_repeated_mirrors(self, travel):
+        # Start inside [0, 4] and mirror at each wall until inside again.
+        p, v = 1.0 + travel, math.copysign(1.0, travel)
+        while not 0.0 <= p <= 4.0:
+            p, v = (-p, -v) if p < 0.0 else (8.0 - p, -v)
+        folded, velocity = _reflect(1.0 + travel, math.copysign(1.0, travel), 0.0, 4.0)
+        assert folded == pytest.approx(p, abs=1e-12)
+        assert velocity == v
+
+    def test_reflect_ends_inside_for_huge_steps(self):
+        for p in (1e300, -1e300, 4.0 + 1e-12, math.nextafter(0.0, -1.0)):
+            folded, _ = _reflect(p, 1.0, 0.0, 4.0)
+            assert 0.0 <= folded <= 4.0
+
     @pytest.mark.parametrize("axis, wall", [(0, 0), (0, 1), (1, 2), (1, 3)], ids=["xmin", "xmax", "ymin", "ymax"])
     def test_reflection_mirrors_only_the_crossing_axis(self, axis, wall):
         sim = Simulation(noiseless_corridor())
@@ -240,22 +269,22 @@ class TestReportTick:
         scenario = report_tick_scenario()
         sim = Simulation(scenario)
         env = sim.env
-        lookups, sinrs = [], []
-        shadowing_db, sinr_of = RadioEnvironment.shadowing_db, RadioEnvironment.sinr_of
+        passes, sinrs = [], []
+        row, add_sample = RadioEnvironment.row, MetricsAccumulator.add_sample
 
-        def counted_shadowing_db(self, *args):
-            lookups.append(args)
-            return shadowing_db(self, *args)
+        def counted_row(self, ue, *args):
+            passes.append(ue)
+            return row(self, ue, *args)
 
-        def recorded_sinr_of(self, *args):
-            sinrs.append(sinr_of(self, *args))
-            return sinrs[-1]
+        def recorded_add_sample(self, time_s, sinr_db, *args):
+            sinrs.append(sinr_db)
+            return add_sample(self, time_s, sinr_db, *args)
 
-        monkeypatch.setattr(RadioEnvironment, "shadowing_db", counted_shadowing_db)
-        monkeypatch.setattr(RadioEnvironment, "sinr_of", recorded_sinr_of)
+        monkeypatch.setattr(RadioEnvironment, "row", counted_row)
+        monkeypatch.setattr(MetricsAccumulator, "add_sample", recorded_add_sample)
         assert all(ctx.phase != EXECUTING for ctx in sim.contexts)
         sim._report_tick(sim.time_s)
-        assert len(lookups) == len(sim.ues) * len(env.sites)
+        assert passes == [ue.ue for ue in sim.ues]
         assert len(sinrs) == len(sim.ues)
         monkeypatch.undo()
 
