@@ -21,7 +21,7 @@ _RADIO = ("tx_power_dbm", "carrier_freq_hz", "bandwidth_hz", "noise_figure_db")
 _NESTED = ("channel", "learning")
 
 
-def _section(obj, keep) -> dict:
+def _section(obj, keep=lambda name: True) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if keep(f.name)}
 
 
@@ -31,9 +31,8 @@ _DEFAULT = Scenario()
 SECTIONS = {
     "sim": _section(_DEFAULT, lambda name: name not in _RADIO and name not in _NESTED),
     "radio": _section(_DEFAULT, lambda name: name in _RADIO),
-    "channel": _section(_DEFAULT.channel, lambda name: True),
-    # Each cell agent draws its own t_init_s, so it is not a scenario setting.
-    "learning": _section(_DEFAULT.learning, lambda name: name != "t_init_s"),
+    "channel": _section(_DEFAULT.channel),
+    "learning": _section(_DEFAULT.learning),
 }
 
 

@@ -1,13 +1,14 @@
 """Per-UE handover state machine: trigger evaluation, TTT timing,
 decision, and execution with latency / failure / ping-pong accounting.
 
-The comparison driving the A3 condition happens on dBm-scale levels
-supplied by the active policy (raw measurements for fixed policies,
-filtered posterior estimates for the learning policy), with the
-hysteresis applied in dB.  A decision fires at the first report where
-the condition has held continuously for the chosen TTT; any violating
-report resets the timer.  Execution detaches the UE for a fixed
-signaling window plus one report period.
+The A3 condition compares dBm-scale levels, one per reported cell, that
+the active policy's ``observe`` returns for each report (raw
+measurements for fixed policies, filtered posterior estimates for the
+learning policy), with the hysteresis applied in dB; the policy's
+``decide`` only proposes a target and a pair.  A decision fires at the
+first report where the condition has held continuously for the chosen
+TTT; any violating report resets the timer.  Execution detaches the UE
+for a fixed signaling window plus one report period.
 """
 
 from __future__ import annotations
@@ -47,14 +48,12 @@ class PolicyDecision:
 class Policy:
     """Interface the engine drives; implementations live in policies.py."""
 
-    def observe(self, report: MeasurementReport) -> None:
-        """Ingest a report before any decision is requested (optional)."""
-
-    def decide(self, report: MeasurementReport, now: float) -> PolicyDecision | None:
+    def observe(self, report: MeasurementReport) -> dict[int, float]:
+        """Ingest a report; return the A3 level of every reported cell."""
         raise NotImplementedError
 
-    def level(self, report: MeasurementReport, cell: int) -> float | None:
-        """Comparison level for a cell in this report, None if unavailable."""
+    def decide(self, report: MeasurementReport, levels: dict[int, float], now: float) -> PolicyDecision | None:
+        """Propose a reported target and a pair, or None to abstain."""
         raise NotImplementedError
 
 
@@ -98,6 +97,7 @@ class HandoverContext:
 def on_measurement_report(
     ctx: HandoverContext,
     report: MeasurementReport,
+    levels: dict[int, float],
     policy: Policy,
     now: float,
     report_period_s: float,
@@ -107,10 +107,11 @@ def on_measurement_report(
     Returns True when a handover decision fires at this report.  While
     idle, the policy proposes a (target, pair); while a timing episode
     runs, the pair chosen at its start stays pinned.  Either way the A3
-    condition is judged here, on the policy's levels for the serving cell
-    and the target: a violation (or the target dropping out of the
-    report) resets to idle, and the next satisfying report starts a fresh
-    episode with a fresh policy choice.
+    condition is judged here, on the serving cell's and the target's
+    entries in ``levels``, the mapping the policy's ``observe`` returned
+    for this report: a violation (or the target dropping out of the
+    report) resets to idle, and the next satisfying report starts a
+    fresh episode with a fresh policy choice.
     """
     if ctx.ue != report.ue:
         raise ValueError("report routed to the wrong context")
@@ -120,18 +121,17 @@ def on_measurement_report(
     if ctx.phase == IDLE:
         if not report.neighbors:
             return False
-        decision = policy.decide(report, now)
+        decision = policy.decide(report, levels, now)
         if decision is None:
             return False
-        if report.entry(decision.target) is None:
+        if decision.target not in levels:
             raise ValueError(f"policy chose target {decision.target} absent from the report")
         target, pair = decision.target, decision.pair
     else:
         target, pair = ctx.target, ctx.pair
 
-    srv_level = policy.level(report, report.serving.cell)
-    tgt_level = policy.level(report, target)
-    if tgt_level is None or srv_level is None or not _a3_holds(srv_level, tgt_level, pair.hyst_db):
+    tgt_level = levels.get(target)
+    if tgt_level is None or not _a3_holds(levels[report.serving.cell], tgt_level, pair.hyst_db):
         ctx.reset_timing()
         return False
     if ctx.phase == IDLE:

@@ -111,30 +111,29 @@ class KalmanStreams:
     A stream appears on the first measurement of its key and is dropped
     after STREAM_EVICTION_S without one.  With constant Q, R and P0 the
     covariance depends only on a stream's age, so a stream keeps just
-    (estimate, update count) and every age's gain is solved once, on a
-    shared covariance: the estimates equal initial_state and repeated
-    step bit for bit.  Times must not decrease; single-threaded only.
+    (estimate, update count, last seen) and every age's gain is solved
+    once, on a shared covariance: the estimates equal initial_state and
+    repeated step bit for bit.  One table holds every stream in recency
+    order, oldest first, so eviction pops from the front.  Times must
+    not decrease; single-threaded only.
     """
 
     def __init__(self, params: KalmanParams):
         self.params = params
-        self._states: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
-        # Recency order, oldest first, so eviction pops from the front.
-        self._last_seen: OrderedDict[tuple[int, int], float] = OrderedDict()
+        self._states: OrderedDict[tuple[int, int], tuple[np.ndarray, int, float]] = OrderedDict()
         self._gains: list[np.ndarray] = []
         self._shared = initial_state((0.0, 0.0), params)
 
     def observe(self, key: tuple[int, int], z, now: float) -> np.ndarray:
-        x, n = self._states.get(key, (None, -1))
+        x, n, _ = self._states.get(key, (None, -1, None))
         x = np.array(z, dtype=float) if x is None else x + self._gain(n) @ (z - x)
-        self._states[key] = (x, n + 1)
-        self._last_seen[key] = now
-        self._last_seen.move_to_end(key)
+        self._states[key] = (x, n + 1, now)
+        self._states.move_to_end(key)
         self._evict(now)
         return x
 
     def get(self, key: tuple[int, int]) -> np.ndarray | None:
-        return self._states.get(key, (None, 0))[0]
+        return self._states.get(key, (None,))[0]
 
     def _gain(self, n: int) -> np.ndarray:
         """Gain of a stream's (n+1)-th update; only _shared's covariance is used."""
@@ -145,8 +144,8 @@ class KalmanStreams:
         return self._gains[n]
 
     def _evict(self, now: float) -> None:
-        while self._last_seen:
-            key, seen = next(iter(self._last_seen.items()))
+        while self._states:
+            key, (_, _, seen) = next(iter(self._states.items()))
             if now - seen <= STREAM_EVICTION_S:
                 return
-            del self._last_seen[key], self._states[key]
+            del self._states[key]

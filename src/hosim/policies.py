@@ -12,13 +12,13 @@ neighbor, raw measured levels.
 greedy_rsrp: fixed_a3 with a zero pair -- maximally reactive and
 ping-pong-prone by construction.
 
-A policy only proposes a target and a pair; the engine judges the A3
-condition on the policy's levels.
+A policy's ``observe`` returns each reported cell's A3 level and its
+``decide`` only proposes a target and a pair; the engine judges the A3
+condition on those levels.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +26,7 @@ import numpy as np
 from . import kalman
 from .engine import Policy, PolicyDecision
 from .radio import MeasurementReport
-from .rl import (
-    CellQState,
-    LearningParams,
-    ParamPair,
-    QTable,
-    choose_param_pair,
-    select_target,
-    update_qtable,
-)
+from .rl import LearningParams, ParamPair, QTable, choose_param_pair, select_target, update_qtable
 
 T_INIT_RANGE_S = (5.0, 15.0)
 # Sub-stream tag so per-cell agent RNGs never collide with channel RNGs.
@@ -47,11 +39,10 @@ class FixedA3Policy(Policy):
     def __init__(self, ttt_ms: int = 256, hyst_db: int = 3):
         self.pair = ParamPair(ttt_ms, hyst_db)
 
-    def level(self, report: MeasurementReport, cell: int) -> float | None:
-        entry = report.entry(cell)
-        return None if entry is None else entry.rsrp_dbm
+    def observe(self, report: MeasurementReport) -> dict[int, float]:
+        return {entry.cell: entry.rsrp_dbm for entry in (report.serving, *report.neighbors)}
 
-    def decide(self, report: MeasurementReport, now: float) -> PolicyDecision | None:
+    def decide(self, report: MeasurementReport, levels: dict[int, float], now: float) -> PolicyDecision | None:
         if not report.neighbors:
             return None
         best = min(report.neighbors, key=lambda e: (-e.rsrp_dbm, e.cell))
@@ -60,11 +51,9 @@ class FixedA3Policy(Policy):
 
 @dataclass
 class _CellAgent:
-    """Per-cell learner: Q-table, chained q_init, schedule, private RNG."""
+    """Per-cell learner: its Q-table and its private RNG."""
 
     table: QTable
-    q_state: CellQState
-    params: LearningParams
     rng: np.random.Generator
 
 
@@ -83,46 +72,38 @@ class Lim2Policy(Policy):
         agent = self._agents.get(cell)
         if agent is None:
             rng = np.random.default_rng([self.seed, _AGENT_STREAM_TAG, cell])
-            params = dataclasses.replace(self.learning, t_init_s=float(rng.uniform(*T_INIT_RANGE_S)))
-            agent = _CellAgent(QTable(owner_cell=cell), CellQState(cell), params, rng)
+            agent = _CellAgent(QTable(owner_cell=cell, t_init_s=float(rng.uniform(*T_INIT_RANGE_S))), rng)
             self._agents[cell] = agent
         return agent
 
-    def observe(self, report: MeasurementReport) -> None:
-        for entry in (report.serving, *report.neighbors):
-            self.streams.observe((report.ue, entry.cell), (entry.rsrp_dbm, report.env_noise_dbm), report.timestamp)
-
-    def level(self, report: MeasurementReport, cell: int) -> float | None:
-        if report.entry(cell) is None:
-            return None
-        x = self.streams.get((report.ue, cell))
-        return None if x is None else float(x[0])
+    def observe(self, report: MeasurementReport) -> dict[int, float]:
+        ue, noise, now = report.ue, report.env_noise_dbm, report.timestamp
+        return {
+            entry.cell: float(self.streams.observe((ue, entry.cell), (entry.rsrp_dbm, noise), now)[0])
+            for entry in (report.serving, *report.neighbors)
+        }
 
     def _combined_states(self, report: MeasurementReport) -> dict[int, float]:
-        x_by_cell = {}
-        for entry in (report.serving, *report.neighbors):
-            x = self.streams.get((report.ue, entry.cell))
-            if x is None:
-                raise KeyError(f"no filter stream for (ue={report.ue}, cell={entry.cell}); observe() first")
-            x_by_cell[entry.cell] = kalman.combine_state(x)
-        return x_by_cell
+        return {
+            entry.cell: kalman.combine_state(self.streams.get((report.ue, entry.cell)))
+            for entry in (report.serving, *report.neighbors)
+        }
 
-    def decide(self, report: MeasurementReport, now: float) -> PolicyDecision | None:
+    def decide(self, report: MeasurementReport, levels: dict[int, float], now: float) -> PolicyDecision | None:
         if not report.neighbors:
             return None
         agent = self._agent(report.serving.cell)
-        x_by_cell = self._combined_states(report)
-        selected = select_target(report, x_by_cell, agent.q_state.q_init, agent.params)
+        selected = select_target(report, self._combined_states(report), agent.table.q_init, self.learning)
         if selected is None:
             return None
         target, q_value = selected
         # No hysteresis can satisfy a strict A3 check while the target
         # estimate trails the serving one, so the pair selection (and its
         # Q-table write) only runs when a handover is actually in prospect.
-        if self.level(report, target) <= self.level(report, report.serving.cell):
+        if levels[target] <= levels[report.serving.cell]:
             return None
-        pair, _ = choose_param_pair(agent.table, agent.params, now, agent.rng)
-        update_qtable(agent.table, pair, q_value, agent.q_state)
+        pair, _ = choose_param_pair(agent.table, self.learning, now, agent.rng)
+        update_qtable(agent.table, pair, q_value)
         return PolicyDecision(target, pair)
 
     def qtables(self) -> dict[int, QTable]:

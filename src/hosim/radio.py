@@ -65,7 +65,8 @@ class ChannelParams:
         if self.path_loss_exponent <= 0:
             raise ValueError("path_loss_exponent must be positive")
         for name in ("shadowing_sigma_db", "meas_noise_sigma_db", "env_noise_sigma_db"):
-            if getattr(self, name) < 0:
+            # The sign bit, so that -0.0 (which numpy's normal refuses) fails too.
+            if math.copysign(1.0, getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
 
@@ -94,14 +95,6 @@ class MeasurementReport:
     def __post_init__(self):
         if any(n.cell == self.serving.cell for n in self.neighbors):
             raise ValueError("serving cell must not appear in neighbor list")
-
-    def entry(self, cell: int) -> MeasurementEntry | None:
-        if cell == self.serving.cell:
-            return self.serving
-        for n in self.neighbors:
-            if n.cell == cell:
-                return n
-        return None
 
 
 class RadioRow(NamedTuple):

@@ -54,7 +54,6 @@ class LearningParams:
     alpha: float = 0.1
     gamma: float = 0.5
     r: float = 1.0
-    t_init_s: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -67,19 +66,16 @@ class LearningParams:
 
 @dataclass
 class QTable:
-    """Per-cell map from (TTT, hysteresis) to the learned Q-value."""
+    """One cell's learner: the learned Q-value of each (TTT, hysteresis)
+    pair, the epsilon-greedy draw count, the chained Q-value the next
+    SARSA update starts from (0.5 until the cell first updates), and the
+    end of the cell's exploration-only window."""
 
     owner_cell: int
     entries: dict[ParamPair, float] = field(default_factory=dict)
     draw_count: int = 1
-
-
-@dataclass
-class CellQState:
-    """Chained Q-value of a cell; 0.5 until the cell first updates."""
-
-    cell: int
     q_init: float = 0.5
+    t_init_s: float = 0.0
 
 
 def normalize_rsrq(rsrq_db: float) -> float:
@@ -131,14 +127,15 @@ def epsilon(k: int, params: LearningParams) -> float:
 def choose_param_pair(table: QTable, params: LearningParams, sim_time: float, rng) -> tuple[ParamPair, bool]:
     """Epsilon-greedy choice of the (TTT, hysteresis) pair.
 
-    Before t_init only exploration runs; afterwards a uniform draw below
-    epsilon_k explores a random grid point, otherwise the max-Q entry is
-    exploited (ties toward smaller TTT, then smaller hysteresis).  An
-    empty table degenerates to exploration.  Increments the draw count.
+    Before the table's t_init_s only exploration runs; afterwards a
+    uniform draw below epsilon_k explores a random grid point, otherwise
+    the max-Q entry is exploited (ties toward smaller TTT, then smaller
+    hysteresis).  An empty table degenerates to exploration.  Increments
+    the draw count.
     """
     eps = epsilon(table.draw_count, params)
     table.draw_count += 1
-    explore = sim_time < params.t_init_s or float(rng.random()) < eps or not table.entries
+    explore = sim_time < table.t_init_s or float(rng.random()) < eps or not table.entries
     if explore:
         index = int(rng.integers(PARAM_GRID_SIZE))
         pair = ParamPair(TTT_VALUES_MS[index // len(HYST_VALUES_DB)], HYST_VALUES_DB[index % len(HYST_VALUES_DB)])
@@ -147,12 +144,12 @@ def choose_param_pair(table: QTable, params: LearningParams, sim_time: float, rn
     return best[0], False
 
 
-def update_qtable(table: QTable, pair: ParamPair, q: float, cell_state: CellQState) -> None:
-    """Store q for the pair and chain it into the cell's q_init."""
+def update_qtable(table: QTable, pair: ParamPair, q: float) -> None:
+    """Store q for the pair and chain it into the table's q_init."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
     table.entries[pair] = q
-    cell_state.q_init = q
+    table.q_init = q
 
 
 def qtable_rows(tables: dict[int, QTable]) -> list[tuple[int, int, int, float]]:

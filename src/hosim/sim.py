@@ -42,6 +42,7 @@ PHYSICAL_RANGES = {
     "corridor_lane_m": (-1e5, 1e5),
     "boundary_margin_m": (0.0, 1e5),
     "ue_speed_kmh": (0.0, 1000.0),
+    "sim_duration_s": (0.0, 1e6),
     "tx_power_dbm": (-50.0, 100.0),
     "carrier_freq_hz": (1e6, 1e12),
     "noise_figure_db": (0.0, 50.0),
@@ -338,8 +339,8 @@ class Simulation:
         for ue, ctx in zip(self.ues, self.contexts):
             row = self.env.row(ue.ue, ue.position, ctx.serving)
             report = self.env.generate_report(ue.ue, row, ctx.serving, now)
-            self.policy.observe(report)
-            engine.on_measurement_report(ctx, report, self.policy, now, self.scenario.report_period_s)
+            levels = self.policy.observe(report)
+            engine.on_measurement_report(ctx, report, levels, self.policy, now, self.scenario.report_period_s)
             sinr_db = self.env.sinr_of(row.serving_mw, row.interference_mw)
             attached = ctx.phase != EXECUTING
             self.metrics.add_sample(now, sinr_db, self.scenario.bandwidth_hz, attached)

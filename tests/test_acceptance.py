@@ -19,7 +19,6 @@ from hosim.rl import (
     HYST_VALUES_DB,
     PARAM_GRID_SIZE,
     TTT_VALUES_MS,
-    CellQState,
     LearningParams,
     ParamPair,
     QTable,
@@ -176,11 +175,14 @@ def test_criterion_7_ttt_timer_semantics():
             self.pair = pair
             self.levels = {0: -90.0, 1: -85.0}
 
-        def decide(self, rep, now):
+        def observe(self, rep):
+            return self.levels  # make_report always carries cells 0 and 1
+
+        def decide(self, rep, levels, now):
             return eng.PolicyDecision(1, self.pair)
 
-        def level(self, rep, cell):
-            return self.levels.get(cell) if rep.entry(cell) is not None else None
+    def on_report(ctx, rep, policy, now):
+        return eng.on_measurement_report(ctx, rep, policy.observe(rep), policy, now, period)
 
     def make_report(t):
         return MeasurementReport(1, t, MeasurementEntry(0, -90.0, -11.0),
@@ -194,7 +196,7 @@ def test_criterion_7_ttt_timer_semantics():
         decided_at = None
         for i in range(n):
             now = i * period
-            if ctx.phase != eng.EXECUTING and eng.on_measurement_report(ctx, make_report(now), policy, now, period):
+            if ctx.phase != eng.EXECUTING and on_report(ctx, make_report(now), policy, now):
                 decided_at = now
                 break
         expected = math.ceil(ttt / 1000.0 / period) * period
@@ -208,7 +210,7 @@ def test_criterion_7_ttt_timer_semantics():
             for i in range(3 * n + 4):
                 now = i * period
                 policy.levels = {0: -90.0, 1: -95.0 if i == violate_at else -85.0}
-                if ctx.phase != eng.EXECUTING and eng.on_measurement_report(ctx, make_report(now), policy, now, period):
+                if ctx.phase != eng.EXECUTING and on_report(ctx, make_report(now), policy, now):
                     decided_at = now
                     break
             restart = (violate_at + 1) * period
@@ -220,13 +222,12 @@ def test_criterion_7_ttt_timer_semantics():
 def test_criterion_8_qtable_bound():
     rng = np.random.default_rng(88)
     table = QTable(0)
-    cell = CellQState(0)
     for _ in range(100_000):
         pair = ParamPair(
             TTT_VALUES_MS[int(rng.integers(len(TTT_VALUES_MS)))],
             HYST_VALUES_DB[int(rng.integers(len(HYST_VALUES_DB)))],
         )
-        update_qtable(table, pair, float(rng.uniform(0, 1)), cell)
+        update_qtable(table, pair, float(rng.uniform(0, 1)))
     ok = len(table.entries) <= PARAM_GRID_SIZE and all(0.0 <= q <= 1.0 for q in table.entries.values())
     report(8, "Q-table bounded by the 496-pair grid with values in [0,1]",
            ok, f"({len(table.entries)} entries)")

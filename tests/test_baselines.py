@@ -19,42 +19,44 @@ def report_with(serving_rsrp, neighbor_rsrps, t=0.0, serving_cell=0, ue=1):
     return MeasurementReport(ue, t, serving, neighbors, -100.0)
 
 
+def decide(policy, report, now):
+    return policy.decide(report, policy.observe(report), now)
+
+
 class TestFixedA3:
     def test_picks_strongest_neighbor(self):
         policy = FixedA3Policy(256, 3)
-        decision = policy.decide(report_with(-90.0, [(1, -85.0), (2, -95.0)]), 0.0)
+        decision = decide(policy, report_with(-90.0, [(1, -85.0), (2, -95.0)]), 0.0)
         assert decision.target == 1
         assert decision.pair == ParamPair(256, 3)
 
     def test_equal_rsrp_breaks_to_lower_id(self):
         policy = FixedA3Policy()
-        decision = policy.decide(report_with(-90.0, [(5, -85.0), (2, -85.0)]), 0.0)
+        decision = decide(policy, report_with(-90.0, [(5, -85.0), (2, -85.0)]), 0.0)
         assert decision.target == 2
 
     def test_empty_neighbors_no_decision(self):
-        assert FixedA3Policy().decide(report_with(-90.0, []), 0.0) is None
+        assert decide(FixedA3Policy(), report_with(-90.0, []), 0.0) is None
 
     def test_uses_raw_measured_levels(self):
         policy = FixedA3Policy()
         report = report_with(-90.0, [(1, -84.5)])
-        assert policy.decide(report, 0.0).target == 1
-        assert policy.level(report, 0) == -90.0
-        assert policy.level(report, 1) == -84.5
-        assert policy.level(report, 9) is None
+        assert decide(policy, report, 0.0).target == 1
+        assert policy.observe(report) == {0: -90.0, 1: -84.5}
 
     def test_picks_instantaneous_maximum_not_trend(self):
         # Cell 1 has been stronger for a while; a single noisy report
         # flips cell 2 on top and the fixed policy follows it immediately.
         policy = FixedA3Policy()
         for _ in range(5):
-            assert policy.decide(report_with(-90.0, [(1, -84.0), (2, -88.0)]), 0.0).target == 1
-        flipped = policy.decide(report_with(-90.0, [(1, -87.0), (2, -83.0)]), 0.2)
+            assert decide(policy, report_with(-90.0, [(1, -84.0), (2, -88.0)]), 0.0).target == 1
+        flipped = decide(policy, report_with(-90.0, [(1, -87.0), (2, -83.0)]), 0.2)
         assert flipped.target == 2
 
     def test_decisions_deterministic(self):
         stream = [report_with(-90.0, [(1, -85.0 - i * 0.1), (2, -84.0)], t=i * 0.04) for i in range(20)]
-        a = [FixedA3Policy().decide(r, r.timestamp).target for r in stream]
-        b = [FixedA3Policy().decide(r, r.timestamp).target for r in stream]
+        a = [decide(FixedA3Policy(), r, r.timestamp).target for r in stream]
+        b = [decide(FixedA3Policy(), r, r.timestamp).target for r in stream]
         assert a == b
 
 
@@ -64,10 +66,10 @@ class TestGreedyRsrp:
 
     def test_same_target_as_fixed_in_stable_geometry(self):
         report = report_with(-90.0, [(1, -85.0), (2, -95.0)])
-        assert make_policy("greedy_rsrp").decide(report, 0.0).target == FixedA3Policy().decide(report, 0.0).target
+        assert decide(make_policy("greedy_rsrp"), report, 0.0).target == decide(FixedA3Policy(), report, 0.0).target
 
     def test_single_cell_never_decides(self):
-        assert make_policy("greedy_rsrp").decide(report_with(-90.0, []), 0.0) is None
+        assert decide(make_policy("greedy_rsrp"), report_with(-90.0, []), 0.0) is None
 
 
 def run_trace(policy, trace):
@@ -84,7 +86,7 @@ def run_trace(policy, trace):
         serving, other = ctx.serving, 1 - ctx.serving
         report = report_with(by_cell[serving], [(other, by_cell[other])], t=now, serving_cell=serving)
         if ctx.phase != engine.EXECUTING:
-            if on_measurement_report(ctx, report, policy, now, REPORT_PERIOD):
+            if on_measurement_report(ctx, report, policy.observe(report), policy, now, REPORT_PERIOD):
                 decisions += 1
                 note_execution_sinr(ctx, 10.0)
     return decisions, outcomes

@@ -13,6 +13,7 @@ from hosim.config import dump_scenario
 from hosim.sim import corridor_scenario
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 @pytest.fixture()
@@ -184,6 +185,12 @@ class TestConfigurationErrors:
         (["run", "--set", "sim.boundary_margin_m=289"], "boundary_margin_m"),
         (["run", "--set", "sim.layout=hex", "--set", "sim.n_sites=7", "--set", "sim.boundary_margin_m=0"],
          "boundary_margin_m"),
+        # numpy's normal refuses a negative-zero scale.
+        *[(["run", "--set", f"channel.{key}=-0.0"], f"channel.{key}")
+          for key in ("shadowing_sigma_db", "meas_noise_sigma_db", "env_noise_sigma_db")],
+        # A per-step travel that overflows once the run starts.
+        (["run", "--set", "sim.step_s=5e307", "--set", "sim.sim_duration_s=1e308",
+          "--set", "sim.report_period_s=5e307", "--set", "sim.ue_speed_kmh=1000"], "sim_duration_s"),
     ])
     def test_exit_2_names_field(self, corridor_file, tmp_path, capsys, argv, field):
         out = tmp_path / "out"
@@ -192,6 +199,17 @@ class TestConfigurationErrors:
         assert err.startswith(f"configuration error: {field}: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["corridor.ini", "hex50.ini"])
+    def test_longest_run_at_the_coarsest_step_completes(self, tmp_path, scenario):
+        # At the duration bound the step and the travel per step stay finite.
+        out = tmp_path / "out"
+        assert main([
+            "run", "--scenario", os.path.join(SCENARIOS, scenario), "--out", str(out),
+            "--set", "sim.step_s=5e5", "--set", "sim.sim_duration_s=1e6",
+            "--set", "sim.report_period_s=5e5", "--set", "sim.ue_speed_kmh=1000",
+        ]) == 0
+        assert (out / "kpis.csv").is_file()
 
 
 class TestSweepCommand:

@@ -33,14 +33,18 @@ class ScriptedPolicy(Policy):
         self.levels = {0: -90.0, 1: -90.0}
         self.decide_calls = 0
 
-    def decide(self, report, now):
+    def observe(self, report):
+        cells = (report.serving.cell, *(n.cell for n in report.neighbors))
+        return {cell: self.levels[cell] for cell in cells if cell in self.levels}
+
+    def decide(self, report, levels, now):
         self.decide_calls += 1
         return PolicyDecision(target=1, pair=self.pair)
 
-    def level(self, report, cell):
-        if report.entry(cell) is None:
-            return None
-        return self.levels.get(cell)
+
+def on_report(ctx, report, policy, now):
+    """One report through the policy's observe and then the engine."""
+    return on_measurement_report(ctx, report, policy.observe(report), policy, now, REPORT_PERIOD)
 
 
 def make_report(ue=1, t=0.0, neighbor_cells=(1,)):
@@ -56,7 +60,7 @@ def drive(ctx, policy, level_pairs, start=0.0):
         now = start + i * REPORT_PERIOD
         policy.levels = {0: srv, 1: tgt}
         if ctx.phase != engine.EXECUTING:
-            if on_measurement_report(ctx, make_report(t=now), policy, now, REPORT_PERIOD):
+            if on_report(ctx, make_report(t=now), policy, now):
                 decisions.append(now)
     return decisions
 
@@ -128,7 +132,7 @@ class TestTttTiming:
         for i in range(10):
             now = i * REPORT_PERIOD
             policy.levels = {0: -90.0, 1: -87.0}
-            assert not on_measurement_report(ctx, make_report(t=now), policy, now, REPORT_PERIOD)
+            assert not on_report(ctx, make_report(t=now), policy, now)
             assert ctx.phase == engine.IDLE
             assert policy.decide_calls == i + 1
 
@@ -147,7 +151,7 @@ class TestTttTiming:
         policy = ScriptedPolicy(ParamPair(0, 0))
         policy.levels = {0: -90.0, 1: -80.0}
         report = MeasurementReport(1, 0.0, MeasurementEntry(0, -90.0, -11.0), (), -100.0)
-        assert not on_measurement_report(ctx, report, policy, 0.0, REPORT_PERIOD)
+        assert not on_report(ctx, report, policy, 0.0)
         assert ctx.phase == engine.IDLE
         assert policy.decide_calls == 0
 
@@ -157,42 +161,42 @@ class TestTttTiming:
         assert policy.pair == ParamPair(0, 0)
         ctx = HandoverContext(1, 0)
         # make_report puts the neighbour 2 dB below the serving cell.
-        assert not on_measurement_report(ctx, make_report(t=0.0), policy, 0.0, REPORT_PERIOD)
+        assert not on_report(ctx, make_report(t=0.0), policy, 0.0)
         assert ctx.phase == engine.IDLE
         report = MeasurementReport(1, 0.04, MeasurementEntry(0, -90.0, -11.0),
                                    (MeasurementEntry(1, -89.9, -13.0),), -100.0)
-        assert on_measurement_report(ctx, report, policy, 0.04, REPORT_PERIOD)
+        assert on_report(ctx, report, policy, 0.04)
         assert (ctx.phase, ctx.target) == (engine.EXECUTING, 1)
 
     def test_pinned_target_missing_from_report_resets(self):
         ctx = HandoverContext(1, 0)
         policy = ScriptedPolicy(ParamPair(256, 0))
         policy.levels = {0: -90.0, 1: -85.0}
-        on_measurement_report(ctx, make_report(t=0.0), policy, 0.0, REPORT_PERIOD)
+        on_report(ctx, make_report(t=0.0), policy, 0.0)
         assert ctx.phase == engine.TIMING
         report_without_target = make_report(t=0.04, neighbor_cells=(2,))
-        on_measurement_report(ctx, report_without_target, policy, 0.04, REPORT_PERIOD)
+        on_report(ctx, report_without_target, policy, 0.04)
         assert ctx.phase == engine.IDLE
 
     def test_wrong_ue_rejected(self):
         ctx = HandoverContext(2, 0)
         with pytest.raises(ValueError):
-            on_measurement_report(ctx, make_report(ue=1), ScriptedPolicy(ParamPair(0, 0)), 0.0, REPORT_PERIOD)
+            on_report(ctx, make_report(ue=1), ScriptedPolicy(ParamPair(0, 0)), 0.0)
 
     def test_absent_target_from_policy_rejected(self):
         class BadPolicy(ScriptedPolicy):
-            def decide(self, report, now):
+            def decide(self, report, levels, now):
                 return PolicyDecision(target=9, pair=self.pair)
 
         ctx = HandoverContext(1, 0)
         with pytest.raises(ValueError):
-            on_measurement_report(ctx, make_report(), BadPolicy(ParamPair(0, 0)), 0.0, REPORT_PERIOD)
+            on_report(ctx, make_report(), BadPolicy(ParamPair(0, 0)), 0.0)
 
 
 def decide_now(ctx, now=0.0):
     policy = ScriptedPolicy(ParamPair(0, 0))
     policy.levels = {0: -90.0, 1: -85.0}
-    assert on_measurement_report(ctx, make_report(ue=ctx.ue, t=now), policy, now, REPORT_PERIOD)
+    assert on_report(ctx, make_report(ue=ctx.ue, t=now), policy, now)
 
 
 class TestCompletion:
@@ -242,16 +246,16 @@ class TestCompletion:
         policy.levels = {0: -80.0, 1: -90.0}
 
         class ReversePolicy(ScriptedPolicy):
-            def decide(self, report, now):
+            def decide(self, report, levels, now):
                 return PolicyDecision(target=0, pair=self.pair)
 
-            def level(self, report, cell):
-                return {0: -80.0, 1: -90.0}.get(cell)
+            def observe(self, report):
+                return {0: -80.0, 1: -90.0}
 
         reverse = ReversePolicy(ParamPair(0, 0))
         serving = MeasurementEntry(1, -90.0, -13.0)
         report = MeasurementReport(1, 0.4, serving, (MeasurementEntry(0, -80.0, -11.0),), -100.0)
-        assert on_measurement_report(ctx, report, reverse, 0.4, REPORT_PERIOD)
+        assert on_report(ctx, report, reverse, 0.4)
         second = complete_handover(ctx, ctx.exec_deadline, target_rsrp_dbm=-80.0)
         assert second.ping_pong
 
@@ -261,16 +265,16 @@ class TestCompletion:
         complete_handover(ctx, ctx.exec_deadline, target_rsrp_dbm=-85.0)
 
         class ReversePolicy(ScriptedPolicy):
-            def decide(self, report, now):
+            def decide(self, report, levels, now):
                 return PolicyDecision(target=0, pair=self.pair)
 
-            def level(self, report, cell):
-                return {0: -80.0, 1: -90.0}.get(cell)
+            def observe(self, report):
+                return {0: -80.0, 1: -90.0}
 
         reverse = ReversePolicy(ParamPair(0, 0))
         serving = MeasurementEntry(1, -90.0, -13.0)
         report = MeasurementReport(1, 2.0, serving, (MeasurementEntry(0, -80.0, -11.0),), -100.0)
-        assert on_measurement_report(ctx, report, reverse, 2.0, REPORT_PERIOD)
+        assert on_report(ctx, report, reverse, 2.0)
         second = complete_handover(ctx, ctx.exec_deadline, target_rsrp_dbm=-80.0)
         assert second.result == "success"
         assert not second.ping_pong
@@ -299,5 +303,5 @@ class TestCompletion:
         assert ctx.phase == engine.EXECUTING
         policy = ScriptedPolicy(ParamPair(0, 0))
         policy.levels = {0: -90.0, 1: -80.0}
-        assert not on_measurement_report(ctx, make_report(t=0.04), policy, 0.04, REPORT_PERIOD)
+        assert not on_report(ctx, make_report(t=0.04), policy, 0.04)
         assert ctx.phase == engine.EXECUTING

@@ -187,6 +187,18 @@ class TestStreams:
         assert streams.get((1, 0)) is None
         assert streams.get((1, 1)) is not None
 
+    def test_reobserved_stream_moves_to_the_back(self):
+        # A is older than B by first sight but newer by last sight; only B
+        # has been idle past the window at t = 11.5.
+        streams = KalmanStreams(KalmanParams())
+        streams.observe("A", [-80.0, -100.0], now=0.0)
+        streams.observe("B", [-85.0, -100.0], now=1.0)
+        streams.observe("A", [-81.0, -100.0], now=5.0)
+        streams.observe("C", [-90.0, -100.0], now=11.5)
+        assert streams.get("B") is None
+        assert streams.get("A") is not None
+        assert streams.get("C") is not None
+
     @pytest.mark.parametrize("seed", [None, 0, 1, 2])
     def test_observe_equals_repeated_step(self, seed, monkeypatch):
         """Interleaved streams started at different times, one evicted and

@@ -20,9 +20,9 @@ def report(serving_rsrp, neighbor_rsrp, t, serving_cell=0, neighbor_cell=1, ue=1
 
 
 def feed(policy, serving_rsrp, neighbor_rsrp, t, **kw):
+    """Observe one report; return it with the levels observe returned."""
     r = report(serving_rsrp, neighbor_rsrp, t, **kw)
-    policy.observe(r)
-    return r
+    return r, policy.observe(r)
 
 
 @pytest.fixture
@@ -42,47 +42,51 @@ def explored(monkeypatch):
 class TestObserveAndLevels:
     def test_levels_come_from_filter_streams(self):
         policy = Lim2Policy(seed=0)
-        r = feed(policy, -90.0, -85.0, 0.0)
+        _, levels = feed(policy, -90.0, -85.0, 0.0)
         # First observation seeds the stream with the measurement itself.
-        assert policy.level(r, 0) == pytest.approx(-90.0)
-        assert policy.level(r, 1) == pytest.approx(-85.0)
+        assert levels[0] == pytest.approx(-90.0)
+        assert levels[1] == pytest.approx(-85.0)
+        for cell, level in levels.items():
+            assert level == float(policy.streams.get((1, cell))[0])
 
     def test_levels_smooth_measurement_noise(self):
         rng = np.random.default_rng(3)
         policy = Lim2Policy(seed=0)
-        r = None
+        levels = None
         for i in range(100):
-            r = feed(policy, -90.0 + rng.normal(0, 2), -85.0 + rng.normal(0, 2), i * 0.04)
-        assert abs(policy.level(r, 0) + 90.0) < 1.5
-        assert abs(policy.level(r, 1) + 85.0) < 1.5
+            _, levels = feed(policy, -90.0 + rng.normal(0, 2), -85.0 + rng.normal(0, 2), i * 0.04)
+        assert abs(levels[0] + 90.0) < 1.5
+        assert abs(levels[1] + 85.0) < 1.5
+        for cell, level in levels.items():
+            assert level == float(policy.streams.get((1, cell))[0])
 
     def test_level_none_for_unreported_cell(self):
         policy = Lim2Policy(seed=0)
-        r = feed(policy, -90.0, -85.0, 0.0)
-        assert policy.level(r, 7) is None
+        _, levels = feed(policy, -90.0, -85.0, 0.0)
+        assert levels.get(7) is None
 
 
 class TestDecide:
     def test_no_decision_while_neighbor_estimate_trails(self):
         policy = Lim2Policy(seed=0)
-        r = feed(policy, -85.0, -95.0, 0.0)
-        assert policy.decide(r, 0.0) is None
+        r, levels = feed(policy, -85.0, -95.0, 0.0)
+        assert policy.decide(r, levels, 0.0) is None
         # The guard also means no epsilon-greedy draw was consumed.
         assert policy.qtables() == {} or all(t.draw_count == 1 for t in policy.qtables().values())
 
     def test_decision_when_neighbor_leads(self, explored):
         policy = Lim2Policy(seed=0)
-        r = feed(policy, -95.0, -85.0, 0.0)
-        d = policy.decide(r, 0.0)
+        r, levels = feed(policy, -95.0, -85.0, 0.0)
+        d = policy.decide(r, levels, 0.0)
         assert d is not None
         assert d.target == 1
-        assert policy.level(r, d.target) > policy.level(r, 0)
+        assert levels[d.target] > levels[0]
         assert explored == [True]  # t_init window forces exploration
 
     def test_decision_updates_serving_cell_table(self):
         policy = Lim2Policy(seed=0)
-        r = feed(policy, -95.0, -85.0, 0.0)
-        policy.decide(r, 0.0)
+        r, levels = feed(policy, -95.0, -85.0, 0.0)
+        policy.decide(r, levels, 0.0)
         tables = policy.qtables()
         assert 0 in tables
         assert len(tables[0].entries) == 1
@@ -91,29 +95,28 @@ class TestDecide:
     def test_empty_neighbor_list_abstains(self):
         policy = Lim2Policy(seed=0)
         r = MeasurementReport(1, 0.0, MeasurementEntry(0, -90.0, -11.0), (), -100.0)
-        policy.observe(r)
-        assert policy.decide(r, 0.0) is None
+        assert policy.decide(r, policy.observe(r), 0.0) is None
 
     def test_exploits_after_t_init(self, explored):
         policy = Lim2Policy(seed=0)
         agent = policy._agent(0)
         agent.table.draw_count = 10**6  # epsilon ~ 0
-        t_late = agent.params.t_init_s + 1.0
-        r = feed(policy, -95.0, -85.0, t_late)
-        policy.decide(r, t_late)
+        t_late = agent.table.t_init_s + 1.0
+        r, levels = feed(policy, -95.0, -85.0, t_late)
+        policy.decide(r, levels, t_late)
         assert explored == [True]  # table still empty, degenerates to explore
-        r2 = feed(policy, -95.0, -85.0, t_late + 0.04)
+        r2, levels2 = feed(policy, -95.0, -85.0, t_late + 0.04)
         agent.table.draw_count = 10**6
-        second = policy.decide(r2, t_late + 0.04)
+        second = policy.decide(r2, levels2, t_late + 0.04)
         assert explored == [True, False]
         assert second.pair in agent.table.entries
 
 
 class TestAgentIndependence:
     def test_t_init_fixed_by_seed_and_cell(self):
-        a = Lim2Policy(seed=5)._agent(3).params.t_init_s
-        b = Lim2Policy(seed=5)._agent(3).params.t_init_s
-        c = Lim2Policy(seed=6)._agent(3).params.t_init_s
+        a = Lim2Policy(seed=5)._agent(3).table.t_init_s
+        b = Lim2Policy(seed=5)._agent(3).table.t_init_s
+        c = Lim2Policy(seed=6)._agent(3).table.t_init_s
         assert a == b
         assert a != c
         assert 5.0 <= a <= 15.0
@@ -127,8 +130,8 @@ class TestAgentIndependence:
             picks = []
             for i in range(60):
                 t = i * 0.04
-                r = feed(policy, -95.0 + 0.05 * i, -85.0, t)
-                d = policy.decide(r, t)
+                r, levels = feed(policy, -95.0 + 0.05 * i, -85.0, t)
+                d = policy.decide(r, levels, t)
                 picks.append(None if d is None else (d.pair.ttt_ms, d.pair.hyst_db))
             return picks, list(explored)
 
@@ -144,7 +147,6 @@ class TestAgentIndependence:
 class TestLearningParams:
     def test_custom_learning_params_propagate(self):
         policy = Lim2Policy(learning=LearningParams(alpha=0.2, gamma=0.3), seed=0)
-        agent = policy._agent(0)
-        assert agent.params.alpha == 0.2
-        assert agent.params.gamma == 0.3
-        assert 5.0 <= agent.params.t_init_s <= 15.0
+        assert policy.learning.alpha == 0.2
+        assert policy.learning.gamma == 0.3
+        assert 5.0 <= policy._agent(0).table.t_init_s <= 15.0

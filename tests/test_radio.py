@@ -259,14 +259,6 @@ class TestMeasurementTypes:
         with pytest.raises(ValueError):
             MeasurementEntry(0, float("nan"), -11.0)
 
-    def test_entry_lookup(self):
-        report = MeasurementReport(
-            1, 0.0, MeasurementEntry(0, -80.0, -11.0), (MeasurementEntry(2, -90.0, -14.0),), -100.0
-        )
-        assert report.entry(0).cell == 0
-        assert report.entry(2).rsrp_dbm == -90.0
-        assert report.entry(5) is None
-
 
 class TestGenerateReport:
     def test_single_cell_empty_neighbors(self):

@@ -9,7 +9,6 @@ from hosim.rl import (
     N_PARAM_VALUES,
     PARAM_GRID_SIZE,
     TTT_VALUES_MS,
-    CellQState,
     LearningParams,
     ParamPair,
     QTable,
@@ -169,8 +168,8 @@ class TestEpsilon:
 
 class TestChooseParamPair:
     def test_always_explores_before_t_init(self):
-        params = LearningParams(t_init_s=10.0)
-        table = QTable(0, entries={ParamPair(256, 3): 0.9}, draw_count=10**6)
+        params = LearningParams()
+        table = QTable(0, entries={ParamPair(256, 3): 0.9}, draw_count=10**6, t_init_s=10.0)
         rng = np.random.default_rng(0)
         for now in (0.0, 5.0, 9.99):
             _, explored = choose_param_pair(table, params, now, rng)
@@ -229,30 +228,28 @@ class TestChooseParamPair:
 class TestQTableUpdates:
     def test_insert_and_overwrite(self):
         table = QTable(0)
-        cell = CellQState(0)
-        update_qtable(table, ParamPair(256, 3), 0.7, cell)
+        update_qtable(table, ParamPair(256, 3), 0.7)
         assert len(table.entries) == 1
-        update_qtable(table, ParamPair(256, 3), 0.4, cell)
+        update_qtable(table, ParamPair(256, 3), 0.4)
         assert len(table.entries) == 1
         assert table.entries[ParamPair(256, 3)] == 0.4
-        assert cell.q_init == 0.4
+        assert table.q_init == 0.4
 
     def test_grid_bound_under_random_updates(self):
         rng = np.random.default_rng(21)
         table = QTable(0)
-        cell = CellQState(0)
         for _ in range(100_000):
             pair = ParamPair(
                 TTT_VALUES_MS[int(rng.integers(len(TTT_VALUES_MS)))],
                 HYST_VALUES_DB[int(rng.integers(len(HYST_VALUES_DB)))],
             )
-            update_qtable(table, pair, float(rng.uniform(0, 1)), cell)
+            update_qtable(table, pair, float(rng.uniform(0, 1)))
         assert len(table.entries) <= PARAM_GRID_SIZE
         assert all(0.0 <= q <= 1.0 for q in table.entries.values())
 
     def test_rejects_out_of_range_q(self):
         with pytest.raises(ValueError):
-            update_qtable(QTable(0), ParamPair(0, 0), 1.2, CellQState(0))
+            update_qtable(QTable(0), ParamPair(0, 0), 1.2)
 
 
 class TestParamSets:
