@@ -3,8 +3,11 @@
 The state is the pair (estimated RSRP dBm, estimated ambient noise dBm)
 with a full 2x2 covariance.  Prediction is deterministic (process noise
 enters through Q only), and the identity prediction and measurement
-matrices are left out.  combine_state squashes a posterior state into a
-single (0, 1) quality score that rises with signal and falls with noise.
+matrices are left out.  One formula, _innovate, moves an estimate
+toward a measurement on plain floats; the reference step and the
+per-(UE, cell) streams both use it, so they agree bit for bit.
+combine_state squashes a posterior state into a single (0, 1) quality
+score that rises with signal and falls with noise.
 """
 
 from __future__ import annotations
@@ -76,8 +79,15 @@ def update(prior: KalmanState, z, params: KalmanParams) -> KalmanState:
     return _correct(prior, gain(prior.P, params), z)
 
 
+def _innovate(x, k, z) -> tuple[float, float]:
+    """x + K (z - x) on floats, with K given row-major as (k00, k01, k10, k11)."""
+    k00, k01, k10, k11 = k
+    d0, d1 = z[0] - x[0], z[1] - x[1]
+    return (x[0] + (k00 * d0 + k01 * d1), x[1] + (k10 * d0 + k11 * d1))
+
+
 def _correct(prior: KalmanState, K: np.ndarray, z: np.ndarray) -> KalmanState:
-    x = prior.x + K @ (z - prior.x)
+    x = _innovate(prior.x.tolist(), K.ravel().tolist(), z.tolist())
     P = (np.eye(2) - K) @ prior.P
     return KalmanState(x, (P + P.T) / 2.0)
 
@@ -111,37 +121,45 @@ class KalmanStreams:
     A stream appears on the first measurement of its key and is dropped
     after STREAM_EVICTION_S without one.  With constant Q, R and P0 the
     covariance depends only on a stream's age, so a stream keeps just
-    (estimate, update count, last seen) and every age's gain is solved
-    once, on a shared covariance: the estimates equal initial_state and
-    repeated step bit for bit.  One table holds every stream in recency
-    order, oldest first, so eviction pops from the front.  Times must
-    not decrease; single-threaded only.
+    its estimate as a float pair, its update count and its last-seen
+    time.  Each age's gain is solved once, on a shared covariance, until
+    that covariance stops changing: from its fixed point on, every older
+    age reuses the last gain.  The estimates therefore equal
+    initial_state and repeated step bit for bit.  One table holds every
+    stream in recency order, oldest first, so eviction pops from the
+    front.  Times must not decrease; single-threaded only.
     """
 
     def __init__(self, params: KalmanParams):
         self.params = params
-        self._states: OrderedDict[tuple[int, int], tuple[np.ndarray, int, float]] = OrderedDict()
-        self._gains: list[np.ndarray] = []
+        self._states: OrderedDict[tuple[int, int], tuple[tuple[float, float], int, float]] = OrderedDict()
+        self._gains: list[tuple[float, float, float, float]] = []
+        self._converged = False
         self._shared = initial_state((0.0, 0.0), params)
 
-    def observe(self, key: tuple[int, int], z, now: float) -> np.ndarray:
+    def observe(self, key: tuple[int, int], z, now: float) -> tuple[float, float]:
         x, n, _ = self._states.get(key, (None, -1, None))
-        x = np.array(z, dtype=float) if x is None else x + self._gain(n) @ (z - x)
+        x = (float(z[0]), float(z[1])) if x is None else _innovate(x, self._gain(n), z)
         self._states[key] = (x, n + 1, now)
         self._states.move_to_end(key)
         self._evict(now)
         return x
 
-    def get(self, key: tuple[int, int]) -> np.ndarray | None:
+    def get(self, key: tuple[int, int]) -> tuple[float, float] | None:
         return self._states.get(key, (None,))[0]
 
-    def _gain(self, n: int) -> np.ndarray:
+    def _gain(self, n: int) -> tuple[float, float, float, float]:
         """Gain of a stream's (n+1)-th update; only _shared's covariance is used."""
-        while len(self._gains) <= n:
+        while len(self._gains) <= n and not self._converged:
             prior = predict(self._shared, self.params)
-            self._gains.append(gain(prior.P, self.params))
-            self._shared = _correct(prior, self._gains[-1], prior.x)
-        return self._gains[n]
+            K = gain(prior.P, self.params)
+            self._gains.append(tuple(K.ravel().tolist()))
+            shared = _correct(prior, K, prior.x)
+            # A covariance equal to the last one yields the same prior and
+            # so the same gain for every later age.
+            self._converged = np.array_equal(shared.P, self._shared.P)
+            self._shared = shared
+        return self._gains[min(n, len(self._gains) - 1)]
 
     def _evict(self, now: float) -> None:
         while self._states:

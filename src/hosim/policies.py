@@ -79,7 +79,7 @@ class Lim2Policy(Policy):
     def observe(self, report: MeasurementReport) -> dict[int, float]:
         ue, noise, now = report.ue, report.env_noise_dbm, report.timestamp
         return {
-            entry.cell: float(self.streams.observe((ue, entry.cell), (entry.rsrp_dbm, noise), now)[0])
+            entry.cell: self.streams.observe((ue, entry.cell), (entry.rsrp_dbm, noise), now)[0]
             for entry in (report.serving, *report.neighbors)
         }
 
@@ -90,17 +90,23 @@ class Lim2Policy(Policy):
         }
 
     def decide(self, report: MeasurementReport, levels: dict[int, float], now: float) -> PolicyDecision | None:
-        if not report.neighbors:
+        """Rank the neighbors, then draw a pair only if the target leads.
+
+        No hysteresis can satisfy a strict A3 check while the target
+        estimate trails the serving one, so the pair selection (and its
+        Q-table write) only runs when a handover is actually in prospect.
+        When no reported neighbor leads (or none is reported) that gate
+        rejects any target, so decide abstains before ranking; ranking
+        has no side effects and each agent's RNG depends only on (seed,
+        cell), so skipping it changes no decision, table or draw.
+        """
+        serving = levels[report.serving.cell]
+        if not any(levels[entry.cell] > serving for entry in report.neighbors):
             return None
         agent = self._agent(report.serving.cell)
-        selected = select_target(report, self._combined_states(report), agent.table.q_init, self.learning)
-        if selected is None:
-            return None
-        target, q_value = selected
-        # No hysteresis can satisfy a strict A3 check while the target
-        # estimate trails the serving one, so the pair selection (and its
-        # Q-table write) only runs when a handover is actually in prospect.
-        if levels[target] <= levels[report.serving.cell]:
+        target, q_value = select_target(report, self._combined_states(report), agent.table.q_init, self.learning)
+        # The ranked target may still trail while another neighbor leads.
+        if levels[target] <= serving:
             return None
         pair, _ = choose_param_pair(agent.table, self.learning, now, agent.rng)
         update_qtable(agent.table, pair, q_value)

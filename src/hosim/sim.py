@@ -35,7 +35,7 @@ CORRIDOR_LANE_JITTER_M = 10.0
 
 # Inclusive physical range of each bounded float field, by attribute path.
 # Wide enough for any cellular deployment, narrow enough that the dB and
-# distance arithmetic of a run stays finite.
+# distance arithmetic of a run stays finite and resolves each noise draw.
 PHYSICAL_RANGES = {
     "cell_radius_m": (1.0, 1e5),
     "site_spacing_m": (1.0, 1e5),
@@ -45,10 +45,12 @@ PHYSICAL_RANGES = {
     "sim_duration_s": (0.0, 1e6),
     "tx_power_dbm": (-50.0, 100.0),
     "carrier_freq_hz": (1e6, 1e12),
+    "bandwidth_hz": (0.0, 1e11),
     "noise_figure_db": (0.0, 50.0),
     "channel.path_loss_exponent": (1.0, 10.0),
     "channel.shadowing_sigma_db": (0.0, 30.0),
     "channel.thermal_noise_density_dbm_hz": (-220.0, -100.0),
+    "channel.env_noise_mean_dbm": (-220.0, 100.0),
     "channel.meas_noise_sigma_db": (0.0, 30.0),
     "channel.env_noise_sigma_db": (0.0, 30.0),
 }

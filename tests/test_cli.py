@@ -191,6 +191,9 @@ class TestConfigurationErrors:
         # A per-step travel that overflows once the run starts.
         (["run", "--set", "sim.step_s=5e307", "--set", "sim.sim_duration_s=1e308",
           "--set", "sim.report_period_s=5e307", "--set", "sim.ue_speed_kmh=1000"], "sim_duration_s"),
+        # The ambient walk rounds back to a huge mean; a huge bandwidth drowns every link in noise.
+        (["run", "--duration", "1", "--set", "channel.env_noise_mean_dbm=1e308"], "channel.env_noise_mean_dbm"),
+        (["run", "--duration", "1", "--set", "radio.bandwidth_hz=1e308"], "bandwidth_hz"),
     ])
     def test_exit_2_names_field(self, corridor_file, tmp_path, capsys, argv, field):
         out = tmp_path / "out"

@@ -236,3 +236,34 @@ class TestStreams:
                 assert (x is None) == (key not in reference)
                 assert x is None or np.array_equal(x, reference[key].x)
         assert stream_solves == 60  # the oldest stream's age, not one per update
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_long_stream_equals_repeated_step(self, seed):
+        """Past the shared covariance's fixed point (age 178 with the
+        defaults) a stream still equals initial_state then step."""
+        params = KalmanParams()
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            params = KalmanParams(Q=random_psd(rng, 0.1), R=random_psd(rng, 2.0) + np.eye(2), P0=random_psd(rng))
+        streams = KalmanStreams(params)
+        rng = np.random.default_rng(7)
+        state = None
+        for tick in range(600):
+            z = rng.normal(-85.0, 4.0, size=2)
+            state = initial_state(z, params) if state is None else step(state, z, params)
+            assert np.array_equal(streams.observe((0, 0), tuple(z), tick * 0.04), state.x)
+
+    def test_gain_table_stops_at_the_fixed_point(self, monkeypatch):
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(kalman.np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+        streams = KalmanStreams(KalmanParams())
+        rng = np.random.default_rng(5)
+        for tick in range(1000):
+            streams.observe((0, 0), tuple(rng.normal(-85.0, 4.0, size=2)), tick * 0.04)
+        assert len(streams._gains) == 178
+        assert len(solves) == 178
+        for tick in range(1000, 1500):
+            streams.observe((0, 0), tuple(rng.normal(-85.0, 4.0, size=2)), tick * 0.04)
+        assert len(streams._gains) == 178
+        assert len(solves) == 178

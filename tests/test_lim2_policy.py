@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hosim import policies
+from hosim.engine import PolicyDecision
 from hosim.policies import Lim2Policy
 from hosim.radio import MeasurementEntry, MeasurementReport
-from hosim.rl import LearningParams, choose_param_pair
+from hosim.rl import LearningParams, choose_param_pair, select_target, update_qtable
 
 
 def report(serving_rsrp, neighbor_rsrp, t, serving_cell=0, neighbor_cell=1, ue=1):
@@ -110,6 +111,68 @@ class TestDecide:
         second = policy.decide(r2, levels2, t_late + 0.04)
         assert explored == [True, False]
         assert second.pair in agent.table.entries
+
+
+def rank_then_gate(policy, r, levels, now):
+    """decide as it was before its early abstain: rank every neighbor,
+    then reject a target that does not lead the serving cell."""
+    if not r.neighbors:
+        return None
+    agent = policy._agent(r.serving.cell)
+    target, q_value = select_target(r, policy._combined_states(r), agent.table.q_init, policy.learning)
+    if levels[target] <= levels[r.serving.cell]:
+        return None
+    pair, _ = choose_param_pair(agent.table, policy.learning, now, agent.rng)
+    update_qtable(agent.table, pair, q_value)
+    return PolicyDecision(target, pair)
+
+
+class TestEarlyAbstain:
+    def test_no_ranking_while_no_neighbor_leads(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("select_target called")
+
+        monkeypatch.setattr(policies, "select_target", unreachable)
+        policy = Lim2Policy(seed=0)
+        serving = MeasurementEntry(0, -85.0, -11.0)
+        # One UE per report, so each level is its first measurement and ties are exact.
+        for ue, rsrps in enumerate(([], [-95.0], [-85.0], [-85.0, -90.0, -120.0])):
+            neighbors = tuple(MeasurementEntry(c, v, -12.0) for c, v in enumerate(rsrps, start=1))
+            r = MeasurementReport(ue, 0.0, serving, neighbors, -100.0)
+            levels = policy.observe(r)
+            assert [levels[e.cell] for e in neighbors] == rsrps and levels[0] == -85.0
+            assert policy.decide(r, levels, 0.0) is None
+
+    def test_equals_rank_then_gate(self):
+        """Random reports and levels (ties included) give the same decisions,
+        Q-tables and agent RNG states as ranking before the gate."""
+        rng = np.random.default_rng(21)
+        policy, oracle = Lim2Policy(seed=4), Lim2Policy(seed=4)
+        outcomes = {"abstain": 0, "trailing target": 0, "decision": 0}
+        for i in range(3000):
+            now = i * 0.01
+            cells = rng.permutation(6)[: 1 + rng.integers(4)].tolist()
+            entries = [MeasurementEntry(c, float(rng.normal(-90.0, 6.0)), float(rng.normal(-12.0, 3.0)))
+                       for c in cells]
+            r = MeasurementReport(int(rng.integers(3)), now, entries[0], tuple(entries[1:]),
+                                  float(rng.normal(-100.0, 2.0)))
+            assert policy.observe(r) == oracle.observe(r)
+            levels = {c: float(rng.integers(-3, 3)) for c in cells}
+            got = policy.decide(r, levels, now)
+            assert got == rank_then_gate(oracle, r, levels, now)
+            if not any(levels[e.cell] > levels[r.serving.cell] for e in r.neighbors):
+                outcomes["abstain"] += 1
+            else:
+                outcomes["trailing target" if got is None else "decision"] += 1
+        assert min(outcomes.values()) > 100
+        # The oracle also creates agents that never draw; those stay untouched.
+        tables = policy.qtables()
+        for cell, agent in oracle._agents.items():
+            if cell in policy._agents:
+                assert agent.table == tables[cell]
+                assert agent.rng.bit_generator.state == policy._agents[cell].rng.bit_generator.state
+            else:
+                assert agent.table.entries == {} and agent.table.draw_count == 1
 
 
 class TestAgentIndependence:
