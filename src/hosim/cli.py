@@ -72,8 +72,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help=f"output directory (default: ${ENV_OUT_ROOT} or ./out)")
 
 
+class RunFailed(Exception):
+    """A sweep run raised; the message names its (policy, speed, seed)."""
+
+
 def _run_one(scenario: Scenario) -> tuple:
-    result = sim.run(scenario)
+    try:
+        result = sim.run(scenario)
+    except Exception as exc:
+        raise RunFailed(
+            f"policy={scenario.policy} speed={scenario.ue_speed_kmh:g} seed={scenario.seed}: {exc}"
+        ) from exc
     return (scenario.policy, scenario.ue_speed_kmh, scenario.seed, result.kpis)
 
 
@@ -115,11 +124,19 @@ def cmd_sweep(args) -> int:
     # The pool starts every worker at its first submit, so never ask for
     # more workers than there are runs.
     workers = min(args.jobs, len(scenarios))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, scenarios))
-    else:
-        results = [_run_one(s) for s in scenarios]
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                try:
+                    results = list(pool.map(_run_one, scenarios))
+                except RunFailed:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+        else:
+            results = [_run_one(s) for s in scenarios]
+    except RunFailed as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     results.sort(key=lambda r: (r[0], r[1], r[2]))
     out = _out_dir(args)
     metrics.write_csv_atomic(

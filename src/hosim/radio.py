@@ -16,14 +16,17 @@ the RSSI and interference sums of their linear powers, and the nearest
 site.  The report, the SINR and the execution window all read that row.
 Only a handover's completion looks up one site, through ``true_rsrp_of``
 and ``shadowing_db``; both paths share ``_received_dbm``, the link budget.
+A report tick draws every UE's channel noise in one ``channel_noise``
+block, in the order per-UE draws would take it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
+
+import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
 REFERENCE_DISTANCE_M = 1.0
@@ -32,6 +35,9 @@ SUBCARRIERS_PER_RB = 12
 MAX_NEIGHBORS = 8
 DETECTION_THRESHOLD_DBM = -125.0
 SHADOWING_DECORRELATION_M = 50.0
+# The anchor of a shadowing value never drawn: infinitely far from any
+# position, so the first lookup always draws.
+_NEVER_DRAWN = (math.inf, math.inf)
 
 
 def db_to_linear(db: float) -> float:
@@ -70,31 +76,35 @@ class ChannelParams:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
-class MeasurementEntry:
+class MeasurementEntry(NamedTuple):
+    """One reported cell; ``generate_report`` checks the values are finite."""
+
     cell: int
     rsrp_dbm: float
     rsrq_db: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.rsrp_dbm) and math.isfinite(self.rsrq_db)):
-            raise ValueError("measurement entries must be finite")
 
-
-@dataclass(frozen=True)
-class MeasurementReport:
-    """Per-UE snapshot of serving and neighbor cell measurements plus the
-    UE's reading of its ambient noise level."""
-
+class _ReportFields(NamedTuple):
     ue: int
     timestamp: float
     serving: MeasurementEntry
     neighbors: tuple[MeasurementEntry, ...]
     env_noise_dbm: float
 
-    def __post_init__(self):
-        if any(n.cell == self.serving.cell for n in self.neighbors):
-            raise ValueError("serving cell must not appear in neighbor list")
+
+class MeasurementReport(_ReportFields):
+    """Per-UE snapshot of serving and neighbor cell measurements plus the
+    UE's reading of its ambient noise level; an immutable tuple that
+    rejects a serving cell listed among the neighbors."""
+
+    __slots__ = ()
+
+    def __new__(cls, ue, timestamp, serving, neighbors, env_noise_dbm):
+        cell = serving.cell
+        for n in neighbors:
+            if n.cell == cell:
+                raise ValueError("serving cell must not appear in neighbor list")
+        return tuple.__new__(cls, (ue, timestamp, serving, neighbors, env_noise_dbm))
 
 
 class RadioRow(NamedTuple):
@@ -128,10 +138,11 @@ class RadioEnvironment:
     per-run constants once: the 1 m reference path loss, the
     resource-element scaling, the thermal noise power and the RSRQ's
     10*log10(N_RB) term.  Site ids are 0..n-1, so ``sites`` and every
-    per-site list are indexed by id.  Owns the per-(site, UE) shadowing
-    cache and the per-UE ambient-noise random walks, which only
-    ``generate_report`` steps and reads.  Confined to a single
-    simulation instance; a run is single-threaded.
+    per-site list are indexed by id.  Owns each UE's shadowing row (per
+    site, a value and the position it was drawn at) and the per-UE
+    ambient-noise random walks, which only ``generate_report`` steps and
+    reads.  Confined to a single simulation instance; a run is
+    single-threaded.
     """
 
     def __init__(
@@ -154,10 +165,15 @@ class RadioEnvironment:
         # Shadowing draws on their own stream so redraw timing (which can
         # shift with the step size) never perturbs measurement noise.
         self.shadow_rng = shadow_rng
-        # (cell, ue) -> (shadowing value, UE position it was drawn at)
-        self._shadow: dict[tuple[int, int], tuple[float, tuple[float, float]]] = {}
+        # ue -> (shadowing values, UE positions they were drawn at), by site id
+        self._shadow: dict[int, tuple[list[float], list[tuple[float, float]]]] = {}
         self._site_positions = [s.position for s in self.sites]
         self._env_noise: dict[int, float] = {}
+        # Each UE's channel draws per report: the walk step, then one per
+        # site and the ambient reading.
+        self._noise_scale = np.array(
+            [params.env_noise_sigma_db] + [params.meas_noise_sigma_db] * (len(self.sites) + 1)
+        )
         self._tx_dbm = tx_power_dbm
         self._reference_db = free_space_reference_db(carrier_freq_hz)
         self._slope_db = 10.0 * params.path_loss_exponent
@@ -170,13 +186,18 @@ class RadioEnvironment:
     def shadowing_db(self, cell: int, ue: int, position: tuple[float, float]) -> float:
         """Block-constant shadowing, redrawn after 50 m of UE travel from the
         ``(x, y)`` float tuple ``position`` it was drawn at."""
-        key = (cell, ue)
-        state = self._shadow.get(key)
-        if state is not None and math.dist(state[1], position) < SHADOWING_DECORRELATION_M:
-            return state[0]
-        value = float(self.shadow_rng.normal(0.0, self.params.shadowing_sigma_db))
-        self._shadow[key] = (value, position)
-        return value
+        values, anchors = self._shadow_row(ue)
+        if not math.dist(anchors[cell], position) < SHADOWING_DECORRELATION_M:
+            values[cell] = float(self.shadow_rng.normal(0.0, self.params.shadowing_sigma_db))
+            anchors[cell] = position
+        return values[cell]
+
+    def _shadow_row(self, ue: int) -> tuple[list[float], list[tuple[float, float]]]:
+        rows = self._shadow.get(ue)
+        if rows is None:
+            n = len(self.sites)
+            rows = self._shadow[ue] = ([0.0] * n, [_NEVER_DRAWN] * n)
+        return rows
 
     def _received_dbm(self, distance_m: float, shadowing_db: float) -> float:
         """The link budget: wideband received power at ``distance_m`` from a
@@ -203,23 +224,30 @@ class RadioEnvironment:
         into the RSSI (every site) and the interference (every site but
         ``serving``).  The nearest site is the first strict minimum of the
         unclamped distance, so an exact tie goes to the lower id.
+
+        Sites drawn at the same instant share one anchor object, so
+        staleness is judged once per run of sites with the same anchor;
+        ``math.dist`` is pure, so that equals judging each site.
         """
         x, y = position
-        shadow = self._shadow
+        values, anchors = self._shadow_row(ue)
         received = self._received_dbm
         draw, sigma = self.shadow_rng.normal, self.params.shadowing_sigma_db
         wideband = []
         rssi_mw = serving_mw = interference_mw = 0.0
         nearest, nearest_m = 0, math.inf
-        for cid, (sx, sy) in enumerate(self._site_positions):
+        anchor, stale = None, False
+        for cid, ((sx, sy), shadowing, drawn_at) in enumerate(zip(self._site_positions, values, anchors)):
             distance = math.hypot(sx - x, sy - y)
             if distance < nearest_m:
                 nearest, nearest_m = cid, distance
-            key = (cid, ue)
-            state = shadow.get(key)
-            if state is None or not math.dist(state[1], position) < SHADOWING_DECORRELATION_M:
-                state = shadow[key] = (float(draw(0.0, sigma)), position)
-            power = received(distance, state[0])
+            if drawn_at is not anchor:
+                anchor = drawn_at
+                stale = not math.dist(anchor, position) < SHADOWING_DECORRELATION_M
+            if stale:
+                shadowing = values[cid] = float(draw(0.0, sigma))
+                anchors[cid] = position
+            power = received(distance, shadowing)
             wideband.append(power)
             mw = 10.0 ** (power / 10.0)
             rssi_mw += mw
@@ -240,41 +268,65 @@ class RadioEnvironment:
         an exact tie goes to the lowest id."""
         return min(self.sites, key=lambda site: math.dist(site.position, position)).id
 
-    def generate_report(self, ue: int, row: RadioRow, serving_cell: int, timestamp: float) -> MeasurementReport:
-        """Build a measurement report from a ``row``'s powers and RSSI:
-        serving entry plus up to 8 neighbors, and the ambient-noise reading.
+    def channel_noise(self, n_ues: int) -> list[list[float]]:
+        """One report tick's channel-noise draws, one list per UE in id order:
+        the ambient walk's step (σ_env), then ``n_sites + 1`` measurement
+        draws (σ_meas), the last for the ambient reading.
+
+        One standard-normal block, scaled and offset as numpy's ``normal``
+        computes ``0.0 + scale * z``, equals each UE's own ``normal`` calls
+        in turn bit for bit and leaves ``rng`` in the same state.
+        """
+        block = self.rng.standard_normal((n_ues, len(self._noise_scale)))
+        block *= self._noise_scale
+        block += 0.0
+        return block.tolist()
+
+    def generate_report(
+        self, ue: int, row: RadioRow, serving_cell: int, timestamp: float, draws: list[float]
+    ) -> MeasurementReport:
+        """Build a measurement report from a ``row``'s powers and RSSI and
+        the UE's ``draws`` from ``channel_noise``: serving entry plus up to
+        8 neighbors, and the ambient-noise reading.
 
         The UE's ambient noise level first takes one bounded random-walk
-        step (one σ_env draw, clamped to its mean ± 3σ_env).  Every site's
+        step (the σ_env draw, clamped to its mean ± 3σ_env).  Every site's
         measured RSRP is its true RSRP less the level's excursion above its
         configured mean (a noisier environment reads a weaker signal), plus
-        one measurement-noise draw per site in id order; one more draw of
-        the same σ makes the reading of the level.  Any non-finite
-        measurement raises ValueError.  Neighbors are ranked by measured
-        RSRP descending (ties by cell id) and filtered by the detection
-        threshold.  All entries carry measured RSRP and the derived RSRQ,
+        one measurement-noise draw per site in id order; the last draw
+        makes the reading of the level.  A non-finite measurement or RSSI
+        raises ValueError; every RSRQ is a sum of those finite dB values and
+        a constant.  Neighbors are ranked by measured RSRP descending (ties
+        by cell id) and filtered by the detection threshold.  All entries
+        carry measured RSRP and the derived RSRQ,
         10*log10(N_RB) + RSRP - RSSI.
         """
         p = self.params
         bound = 3.0 * p.env_noise_sigma_db
-        level = self._env_noise.get(ue, p.env_noise_mean_dbm) + float(self.rng.normal(0.0, p.env_noise_sigma_db))
+        step, *noise, reading_noise = draws
+        level = self._env_noise.get(ue, p.env_noise_mean_dbm) + step
         level = min(max(level, p.env_noise_mean_dbm - bound), p.env_noise_mean_dbm + bound)
         self._env_noise[ue] = level
         degradation = level - p.env_noise_mean_dbm
         # Total received wideband power plus the noise floor forms the RSSI.
-        wideband = row.wideband
         rssi_dbm = linear_to_db(row.rssi_mw + self._noise_mw)
+        scaling = self._re_scaling_db
+        measured = [w - scaling - degradation + z for w, z in zip(row.wideband, noise)]
+        if not (all(map(math.isfinite, measured)) and math.isfinite(rssi_dbm)):
+            raise ValueError("measured RSRP and RSSI must be finite")
+        offset = self._rsrq_offset_db
 
-        *noise, reading_noise = self.rng.normal(0.0, p.meas_noise_sigma_db, len(wideband) + 1).tolist()
-        measured = [w - self._re_scaling_db - degradation + z for w, z in zip(wideband, noise)]
-        if not all(map(math.isfinite, measured)):
-            raise ValueError("measured RSRP must be finite")
-
-        def entry(cid: int) -> MeasurementEntry:
-            return MeasurementEntry(cid, measured[cid], self._rsrq_offset_db + measured[cid] - rssi_dbm)
-
-        # A stable descending sort keeps equal measurements in id order.
-        ranked = sorted(range(len(measured)), key=measured.__getitem__, reverse=True)
-        detected = (c for c in ranked if c != serving_cell and measured[c] >= DETECTION_THRESHOLD_DBM)
-        neighbors = tuple(entry(c) for c in islice(detected, MAX_NEIGHBORS))
-        return MeasurementReport(ue, timestamp, entry(serving_cell), neighbors, level + reading_noise)
+        # A stable descending sort keeps equal measurements in id order, so
+        # the scan can stop at the first value under the threshold.
+        neighbors = []
+        for cid in sorted(range(len(measured)), key=measured.__getitem__, reverse=True):
+            value = measured[cid]
+            if value < DETECTION_THRESHOLD_DBM:
+                break
+            if cid != serving_cell:
+                neighbors.append(MeasurementEntry(cid, value, offset + value - rssi_dbm))
+                if len(neighbors) == MAX_NEIGHBORS:
+                    break
+        value = measured[serving_cell]
+        serving = MeasurementEntry(serving_cell, value, offset + value - rssi_dbm)
+        return MeasurementReport(ue, timestamp, serving, tuple(neighbors), level + reading_noise)

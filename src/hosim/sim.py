@@ -299,6 +299,9 @@ class Simulation:
         self.n_steps = round(scenario.sim_duration_s / scenario.step_s)
         self._bounds = self._deployment_bounds(sites)
         self._step_index = 0
+        # Ids of the UEs whose handover is executing, ascending.  Only a
+        # report tick starts an execution and only a completion ends one.
+        self._executing: list[int] = []
 
     def _deployment_bounds(self, sites) -> tuple[float, float, float, float]:
         margin = _boundary_margin_m(self.scenario)
@@ -330,31 +333,42 @@ class Simulation:
         self._step_index += 1
 
     def _complete_due_handovers(self, now: float) -> None:
-        for ue, ctx in zip(self.ues, self.contexts):
-            if ctx.phase == EXECUTING and now >= ctx.exec_deadline - 1e-9:
-                target_rsrp = self.env.true_rsrp_of(ctx.target, ue.ue, ue.position)
+        still_executing = []
+        for i in self._executing:
+            ctx = self.contexts[i]
+            if now >= ctx.exec_deadline - 1e-9:
+                target_rsrp = self.env.true_rsrp_of(ctx.target, i, self.ues[i].position)
                 self.metrics.add_outcome(engine.complete_handover(ctx, now, target_rsrp))
+            else:
+                still_executing.append(i)
+        self._executing = still_executing
 
     def _report_tick(self, now: float) -> None:
         # Only a handover's completion changes ctx.serving, so the row's
         # interference stays that of the serving cell the SINR is taken for.
-        for ue, ctx in zip(self.ues, self.contexts):
-            row = self.env.row(ue.ue, ue.position, ctx.serving)
-            report = self.env.generate_report(ue.ue, row, ctx.serving, now)
+        env = self.env
+        executing = []
+        noise = env.channel_noise(len(self.ues))
+        for ue, ctx, draws in zip(self.ues, self.contexts, noise):
+            row = env.row(ue.ue, ue.position, ctx.serving)
+            report = env.generate_report(ue.ue, row, ctx.serving, now, draws)
             levels = self.policy.observe(report)
             engine.on_measurement_report(ctx, report, levels, self.policy, now, self.scenario.report_period_s)
-            sinr_db = self.env.sinr_of(row.serving_mw, row.interference_mw)
+            sinr_db = env.sinr_of(row.serving_mw, row.interference_mw)
             attached = ctx.phase != EXECUTING
+            if not attached:
+                executing.append(ue.ue)
             self.metrics.add_sample(now, sinr_db, self.scenario.bandwidth_hz, attached)
             if row.nearest != self._nearest[ue.ue]:
                 self._nearest[ue.ue] = row.nearest
                 self.metrics.add_crossing()
+        self._executing = executing
 
     def _track_execution_sinr(self) -> None:
-        for ue, ctx in zip(self.ues, self.contexts):
-            if ctx.phase == EXECUTING:
-                row = self.env.row(ue.ue, ue.position, ctx.serving)
-                engine.note_execution_sinr(ctx, self.env.sinr_of(row.serving_mw, row.interference_mw))
+        for i in self._executing:
+            ctx = self.contexts[i]
+            row = self.env.row(i, self.ues[i].position, ctx.serving)
+            engine.note_execution_sinr(ctx, self.env.sinr_of(row.serving_mw, row.interference_mw))
 
     def _advance_positions(self) -> None:
         xmin, xmax, ymin, ymax = self._bounds

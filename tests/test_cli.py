@@ -8,6 +8,7 @@ import zlib
 import pytest
 
 import hosim.cli
+import hosim.sim
 from hosim.cli import main
 from hosim.config import dump_scenario
 from hosim.sim import corridor_scenario
@@ -299,6 +300,24 @@ class TestSweepCommand:
         # A one-run sweep runs serially; a two-run sweep gets two workers.
         assert sizes == [2]
         assert outs["0,1", 64] == outs["0,1", 1]
+
+    def test_failing_run_names_itself(self, corridor_file, tmp_path, monkeypatch, capsys):
+        run = hosim.sim.run
+
+        def failing_run(scenario):
+            if scenario.seed == 1:
+                raise RuntimeError("boom")
+            return run(scenario)
+
+        monkeypatch.setattr(hosim.sim, "run", failing_run)
+        out = str(tmp_path / "failing")
+        code = main([
+            "sweep", "--scenario", corridor_file, "--seeds", "0:3", "--speeds", "200",
+            "--policies", "fixed_a3", "--set", "sim.sim_duration_s=1", "--jobs", "1", "--out", out,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "run failed: policy=fixed_a3 speed=200 seed=1: boom\n"
+        assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
     def test_range_seed_syntax(self, corridor_file, tmp_path):
         out = str(tmp_path / "range")

@@ -18,7 +18,7 @@ from hosim.radio import (
     n_resource_blocks,
     re_scaling_db,
 )
-from hosim.sim import ConfigError, Scenario
+from hosim.sim import ConfigError, Scenario, build_sites
 
 PARAMS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
 FREQ = 26e9
@@ -40,6 +40,11 @@ def make_env(sites, params=PARAMS, seed=0, tx=46.0, bw=BW):
         sites, params, np.random.default_rng(seed), np.random.default_rng(seed + 1),
         tx_power_dbm=tx, carrier_freq_hz=FREQ, bandwidth_hz=bw, noise_figure_db=5.0,
     )
+
+
+def report_of(env, row, serving, timestamp):
+    """UE 0's report from ``row``, with one UE's draws from ``channel_noise``."""
+    return env.generate_report(0, row, serving, timestamp, env.channel_noise(1)[0])
 
 
 def loss_at(distance_m):
@@ -100,7 +105,7 @@ class TestMeasureRsrp:
 
     def measured(self, env, n=1):
         row = env.row(0, self.POSITION, 0)
-        return np.array([env.generate_report(0, row, 0, 0.0).serving.rsrp_dbm for _ in range(n)])
+        return np.array([report_of(env, row, 0, 0.0).serving.rsrp_dbm for _ in range(n)])
 
     def test_noiseless_identity(self):
         env = make_env([make_site()])
@@ -114,7 +119,7 @@ class TestMeasureRsrp:
         env._env_noise[0] = params.env_noise_mean_dbm + 4.0
         excursion = min(max(4.0 + twin.normal(0.0, 2.0), -6.0), 6.0)
         assert excursion > 0.0
-        report = env.generate_report(0, env.row(0, self.POSITION, 0), 0, 0.0)
+        report = report_of(env, env.row(0, self.POSITION, 0), 0, 0.0)
         assert report.serving.rsrp_dbm == pytest.approx(env.true_rsrp_of(0, 0, self.POSITION) - excursion)
         assert report.env_noise_dbm == pytest.approx(params.env_noise_mean_dbm + excursion)
 
@@ -136,7 +141,7 @@ def rsrq_offsets(bandwidth_hz):
     row = env.row(0, (30.0, 0.0), 0)
     noise_dbm = -174.0 + 10 * math.log10(bandwidth_hz) + 5.0
     rssi_dbm = 10 * math.log10(sum(10 ** (p / 10) for p in row.wideband) + 10 ** (noise_dbm / 10))
-    report = env.generate_report(0, row, 0, 0.0)
+    report = report_of(env, row, 0, 0.0)
     assert len(report.neighbors) == 1
     return [e.rsrq_db - (e.rsrp_dbm - rssi_dbm) for e in (report.serving, *report.neighbors)]
 
@@ -242,9 +247,9 @@ class TestRadioRow:
         second = (x, 20.0)
         assert (math.dist(first, second) >= 50.0) == redrawn
         self.assert_row_matches(row_env, ref_env, 7, first, 2)
-        before = [row_env._shadow[(c, 7)] for c in range(len(self.SITES))]
+        before = list(row_env._shadow[7][1])  # the positions each site was drawn at
         self.assert_row_matches(row_env, ref_env, 7, second, 2)
-        after = [row_env._shadow[(c, 7)] for c in range(len(self.SITES))]
+        after = list(row_env._shadow[7][1])
         assert [a is not b for a, b in zip(before, after)] == [redrawn] * len(self.SITES)
         assert row_env.shadow_rng.normal() == ref_env.shadow_rng.normal()
 
@@ -255,22 +260,27 @@ class TestMeasurementTypes:
         with pytest.raises(ValueError):
             MeasurementReport(1, 0.0, entry, (MeasurementEntry(0, -82.0, -12.0),), -100.0)
 
-    def test_entries_must_be_finite(self):
-        with pytest.raises(ValueError):
-            MeasurementEntry(0, float("nan"), -11.0)
+    def test_report_is_an_immutable_tuple(self):
+        # Plain tuples: a report compares and unpacks by value.
+        entry = MeasurementEntry(0, -80.0, -11.0)
+        report = MeasurementReport(1, 0.0, entry, (), -100.0)
+        assert entry == (0, -80.0, -11.0)
+        assert tuple(report) == (1, 0.0, entry, (), -100.0)
+        with pytest.raises(AttributeError):
+            report.ue = 2
 
 
 class TestGenerateReport:
     def test_single_cell_empty_neighbors(self):
         env = make_env([make_site(0)])
-        report = env.generate_report(0, env.row(0, (30.0, 0.0), 0), 0, 0.0)
+        report = report_of(env, env.row(0, (30.0, 0.0), 0), 0, 0.0)
         assert report.neighbors == ()
         assert report.serving.cell == 0
 
     def test_equidistant_tie_order_by_cell_id(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (100.0, 0.0)), make_site(2, (-100.0, 0.0))]
         env = make_env(sites)
-        report = env.generate_report(0, env.row(0, (0.0, 0.0), 0), 0, 0.0)
+        report = report_of(env, env.row(0, (0.0, 0.0), 0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1, 2]
         assert report.neighbors[0].rsrp_dbm == report.neighbors[1].rsrp_dbm
 
@@ -282,20 +292,20 @@ class TestGenerateReport:
             make_site(3, (160.0, 0.0)),
         ]
         env = make_env(sites)
-        report = env.generate_report(0, env.row(0, (0.0, 0.0), 0), 0, 0.0)
+        report = report_of(env, env.row(0, (0.0, 0.0), 0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1, 2, 3]
 
     def test_zero_noise_reports_are_pure_geometry(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (120.0, 0.0))]
         first_env, second_env = make_env(sites, seed=1), make_env(sites, seed=99)
-        first = first_env.generate_report(0, first_env.row(0, (30.0, 10.0), 0), 0, 0.0)
-        second = second_env.generate_report(0, second_env.row(0, (30.0, 10.0), 0), 0, 0.0)
+        first = report_of(first_env, first_env.row(0, (30.0, 10.0), 0), 0, 0.0)
+        second = report_of(second_env, second_env.row(0, (30.0, 10.0), 0), 0, 0.0)
         assert first == second
 
     def test_neighbor_list_truncated(self):
         sites = [make_site(i, (25.0 * i, 0.0)) for i in range(12)]
         env = make_env(sites)
-        report = env.generate_report(0, env.row(0, (0.0, 0.0), 0), 0, 0.0)
+        report = report_of(env, env.row(0, (0.0, 0.0), 0), 0, 0.0)
         assert len(report.neighbors) == MAX_NEIGHBORS
 
     def test_detection_threshold_filters_far_cells(self):
@@ -303,13 +313,13 @@ class TestGenerateReport:
         edge = 10 ** ((46.0 - re_scaling_db(BW) - DETECTION_THRESHOLD_DBM - free_space_reference_db(FREQ)) / 30.0)
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (edge * 0.9, 0.0)), make_site(2, (edge * 1.1, 0.0))]
         env = make_env(sites)
-        report = env.generate_report(0, env.row(0, (0.0, 0.0), 0), 0, 0.0)
+        report = report_of(env, env.row(0, (0.0, 0.0), 0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1]
 
     def test_rsrq_values_negative_under_load(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (100.0, 0.0))]
         env = make_env(sites)
-        report = env.generate_report(0, env.row(0, (50.0, 0.0), 0), 0, 0.0)
+        report = report_of(env, env.row(0, (50.0, 0.0), 0), 0, 0.0)
         assert report.serving.rsrq_db < 0
         assert all(n.rsrq_db < 0 for n in report.neighbors)
 
@@ -320,7 +330,7 @@ class TestGenerateReport:
         env = make_env(sites, dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=11)
         twin = np.random.default_rng(11)
         row = env.row(0, (170.0, 5.0), 4)
-        report = env.generate_report(0, row, 4, 0.0)
+        report = report_of(env, row, 4, 0.0)
         twin.normal(0.0, 0.0)  # the ambient-noise walk's step
         expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in row.wideband]
         twin.normal(0.0, 2.0)  # the ambient-noise reading
@@ -340,22 +350,32 @@ class TestGenerateReport:
         row = env.row(0, (50.0, 0.0), 0)
         mean = level = params.env_noise_mean_dbm
         for t in (0.0, 0.04):
-            report = env.generate_report(0, row, 0, t)
+            report = report_of(env, row, 0, t)
             level = min(max(level + twin.normal(0.0, 1.5), mean - 4.5), mean + 4.5)
             expected = [p - re_scaling_db(BW) - (level - mean) + twin.normal(0.0, 2.0) for p in row.wideband]
             assert {e.cell: e.rsrp_dbm for e in (report.serving, *report.neighbors)} == dict(enumerate(expected))
             assert report.env_noise_dbm == level + twin.normal(0.0, 2.0)
         assert env.rng.normal() == twin.normal()
 
+    def test_nan_measurement_at_one_site_raises(self):
+        sites = [make_site(i, (40.0 * i, 0.0)) for i in range(5)]
+        env = make_env(sites)
+        row = env.row(0, (0.0, 0.0), 0)
+        draws = env.channel_noise(1)[0]
+        draws[1 + 3] = math.nan  # site 3's measurement noise
+        with pytest.raises(ValueError):
+            env.generate_report(0, row, 0, 0.0, draws)
+
     def test_non_finite_power_at_unreported_site_raises(self):
         sites = [make_site(i, (40.0 * i, 0.0)) for i in range(12)]
         env = make_env(sites)
         position, far = (0.0, 0.0), 11
-        env._shadow[(far, 0)] = (math.inf, position)
+        env.row(0, position, 0)
+        env._shadow[0][0][far] = math.inf
         row = env.row(0, position, 0)
         assert row.wideband[far] == -math.inf
         with pytest.raises(ValueError):
-            env.generate_report(0, row, 0, 0.0)
+            report_of(env, row, 0, 0.0)
 
 
 class TestEnvironmentState:
@@ -364,7 +384,7 @@ class TestEnvironmentState:
         params = dataclasses.replace(PARAMS, env_noise_sigma_db=2.0)
         env = make_env([make_site(0)], params, seed=3)
         row = env.row(0, (30.0, 0.0), 0)
-        values = [env.generate_report(0, row, 0, 0.0).env_noise_dbm for _ in range(2000)]
+        values = [report_of(env, row, 0, 0.0).env_noise_dbm for _ in range(2000)]
         bound = 3.0 * params.env_noise_sigma_db
         assert all(abs(v - params.env_noise_mean_dbm) <= bound + 1e-9 for v in values)
         assert max(abs(v - params.env_noise_mean_dbm) for v in values) == pytest.approx(bound)
@@ -409,3 +429,112 @@ class TestSiteValidation:
         with pytest.raises(ConfigError) as err:
             Scenario(tx_power_dbm=float("inf")).validate()
         assert err.value.field_name == "tx_power_dbm"
+
+
+class _DictShadowOracle:
+    """The radio's former shadowing layout, kept as an oracle: one
+    ``(cell, ue) -> (value, position drawn at)`` dict entry per pair,
+    judged site by site, drawing from its own copy of the shadowing
+    stream.  Its link budget is the environment's ``_received_dbm``."""
+
+    def __init__(self, env):
+        self.env = env
+        self.shadow = {}
+        self.partial_rows = 0  # rows that redrew some sites but not all
+
+    def shadowing_db(self, cell, ue, position):
+        state = self.shadow.get((cell, ue))
+        if state is not None and math.dist(state[1], position) < 50.0:
+            return state[0]
+        value = float(self.env.shadow_rng.normal(0.0, self.env.params.shadowing_sigma_db))
+        self.shadow[(cell, ue)] = (value, position)
+        return value
+
+    def row(self, ue, position, serving):
+        env = self.env
+        x, y = position
+        wideband = []
+        rssi_mw = serving_mw = interference_mw = 0.0
+        nearest, nearest_m = 0, math.inf
+        redrawn = 0
+        for cid, (sx, sy) in enumerate(env._site_positions):
+            distance = math.hypot(sx - x, sy - y)
+            if distance < nearest_m:
+                nearest, nearest_m = cid, distance
+            key = (cid, ue)
+            state = self.shadow.get(key)
+            if state is None or not math.dist(state[1], position) < 50.0:
+                state = self.shadow[key] = (float(env.shadow_rng.normal(0.0, env.params.shadowing_sigma_db)), position)
+                redrawn += 1
+            power = env._received_dbm(distance, state[0])
+            wideband.append(power)
+            mw = 10.0 ** (power / 10.0)
+            rssi_mw += mw
+            if cid == serving:
+                serving_mw = mw
+            else:
+                interference_mw += mw
+        self.partial_rows += 0 < redrawn < len(wideband)
+        return wideband, rssi_mw, serving_mw, interference_mw, nearest
+
+
+class TestShadowRows:
+    """Per-UE shadowing rows against the former per-(cell, UE) dict."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_equal_the_dict_layout(self, seed):
+        sites = build_sites(Scenario(n_sites=19))
+        params = ChannelParams(shadowing_sigma_db=6.0)
+        env, oracle = make_env(sites, params, seed), _DictShadowOracle(make_env(sites, params, seed))
+        rng = np.random.default_rng(100 + seed)
+        n_ues, n_sites = 6, len(sites)
+        positions = [(float(x), float(y)) for x, y in rng.uniform(-400.0, 400.0, (n_ues, 2))]
+        boundary_moves = 0
+        for _ in range(300):
+            ue = int(rng.integers(n_ues))
+            x, y = positions[ue]
+            kind = rng.integers(4)
+            if kind == 0:  # a short move, mostly inside the decorrelation distance
+                positions[ue] = (x + float(rng.normal(0.0, 15.0)), y + float(rng.normal(0.0, 15.0)))
+            elif kind == 1:  # 50 m, or one ulp either side, from one site's anchor
+                ax, ay = oracle.shadow.get((int(rng.integers(n_sites)), ue), (None, (x, y)))[1]
+                edge = ax + 50.0
+                positions[ue] = (math.nextafter(edge, (-math.inf, edge, math.inf)[rng.integers(3)]), ay)
+                boundary_moves += 1
+            elif kind == 2:  # a long move
+                positions[ue] = (x + float(rng.uniform(40.0, 120.0)), y - float(rng.uniform(0.0, 60.0)))
+            position = positions[ue]
+            # Completion-time lookups of single sites, so a UE's anchors
+            # differ from site to site.
+            for _ in range(int(rng.integers(3))):
+                cell = int(rng.integers(n_sites))
+                assert env.shadowing_db(cell, ue, position) == oracle.shadowing_db(cell, ue, position)
+            serving = int(rng.integers(n_sites))
+            row = env.row(ue, position, serving)
+            assert (row.wideband, row.rssi_mw, row.serving_mw, row.interference_mw, row.nearest) == oracle.row(
+                ue, position, serving
+            )
+        assert oracle.partial_rows > 10 and boundary_moves > 10
+        assert env.shadow_rng.normal() == oracle.env.shadow_rng.normal()
+
+
+class TestChannelNoise:
+    """A tick's one noise block against each UE's own ``normal`` calls."""
+
+    @pytest.mark.parametrize("n_ues, n_sites", [(1, 1), (2, 2), (500, 50)])
+    @pytest.mark.parametrize("env_sigma, meas_sigma", [(1.5, 2.0), (0.0, 0.0)])
+    def test_block_equals_per_ue_draws(self, n_ues, n_sites, env_sigma, meas_sigma):
+        params = dataclasses.replace(PARAMS, env_noise_sigma_db=env_sigma, meas_noise_sigma_db=meas_sigma)
+        env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(n_sites)], params, seed=31)
+        twin = np.random.default_rng(31)
+        for _ in range(3):
+            block = env.channel_noise(n_ues)
+            expected = [
+                [float(twin.normal(0.0, env_sigma)), *twin.normal(0.0, meas_sigma, n_sites + 1).tolist()]
+                for _ in range(n_ues)
+            ]
+            # Bit for bit, the sign of zero included.
+            assert np.array(block).tobytes() == np.array(expected).tobytes()
+            assert env.rng.bit_generator.state == twin.bit_generator.state
+        if meas_sigma == 0.0:
+            assert all(math.copysign(1.0, v) == 1.0 for draws in block for v in draws)

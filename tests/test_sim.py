@@ -330,6 +330,19 @@ class TestReportTick:
         assert calls == []
 
 
+class TestExecutingList:
+    @pytest.mark.parametrize("policy", ["lim2", "fixed_a3"])
+    def test_list_tracks_executing_phase(self, policy):
+        # A 1 s run on the 50-site hex deployment.
+        sim = Simulation(Scenario(policy=policy, sim_duration_s=1.0))
+        seen = 0
+        for _ in range(sim.n_steps):
+            sim.step()
+            assert sim._executing == [i for i, c in enumerate(sim.contexts) if c.phase == EXECUTING]
+            seen += len(sim._executing)
+        assert seen > 0
+
+
 class TestCrossing:
     def test_single_crossing_yields_one_successful_handover_each(self):
         scenario = noiseless_corridor(sim_duration_s=6.0, policy="fixed_a3")
