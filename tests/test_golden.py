@@ -38,6 +38,10 @@ def run_digests(ini: str, overrides: list[str]) -> dict[str, str]:
 
 
 HEX_SHORT = ["sim.sim_duration_s=0.2"]
+# 1 s runs complete dozens of handovers at seed 1 (35 under fixed_a3, 49
+# under lim2), with SINR failures, access-floor failures and successes, so
+# they cover execution windows that fail as well as ones that succeed.
+HEX_1S = ["sim.sim_duration_s=1"]
 # 19 single-UE cells at 350 km/h for 13 s: UEs cross several cells, so
 # streams they stop reporting go idle for more than the eviction window.
 HEX_EVICTION = [
@@ -90,6 +94,17 @@ GOLDEN = {
         "kpis": "42e73e383c9ae889dd99146c6bd871c2fe2e9cb3e038c59d2aa23120c8c340aa",
         "events": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "plr_series": "f02502d50c2fcacca9334c89d5ea2e065d1b1872b1bc48a7d8f30ca724c792c6",
+    }),
+    "hex50-lim2-1s-1": ("hex50.ini", HEX_1S + ["sim.policy=lim2", "sim.seed=1"], {
+        "kpis": "c2dacfe88e54272f7044c70ba2a9087616973f04eb9fdd4d27b3ebf0fb076885",
+        "events": "8a5d984e3ec84d440c0cbccea03be7ae8d19f94de2bffc2052fe33c364985a4a",
+        "plr_series": "5095f5b8619974abaa5e677e83ce26bd77e8995bd225dbe3fef828d6f1f2ffd1",
+        "qtables": "90a4b0d1b6fd1c37eeaa22e18983c60daa0887e13800f3d4ff022bfc11fde2d9",
+    }),
+    "hex50-fixed_a3-1s-1": ("hex50.ini", HEX_1S + ["sim.policy=fixed_a3", "sim.seed=1"], {
+        "kpis": "676660df17cfd18999da9e93f28fc1c107f24a55d4bfcef4234b37eeb8d62d83",
+        "events": "95cfca94935eba8d5b02fb9dc48cc15f55da1501f77821c8a2d0b2c641d0df48",
+        "plr_series": "2040b30e265fcfc0c98b72f2aaf206c4ab70198f3078236220e545c3ad206313",
     }),
     "hex50-eviction-lim2-1": ("hex50.ini", HEX_EVICTION + ["sim.policy=lim2", "sim.seed=1"], {
         "kpis": "9e51083be281ab948fa1427bab0924a2461138b8bba937efaa657af9c74ece35",
