@@ -73,7 +73,13 @@ class HandoverOutcome:
 
 @dataclass
 class HandoverContext:
-    """Attachment and trigger/decision/execution state for one UE."""
+    """Attachment and trigger/decision/execution state for one UE.
+
+    ``exec_min_sinr_db`` is the executing window's minimum serving SINR up
+    to its first dip below Qout (``QOUT_SINR_DB``), that dip included; a
+    window that has dipped has failed, and later samples leave the value
+    alone.
+    """
 
     ue: int
     serving: int
@@ -152,9 +158,16 @@ def on_measurement_report(
     return False
 
 
+def window_failed(ctx: HandoverContext) -> bool:
+    """Whether the execution window's SINR has dipped below Qout, which
+    fails the handover whatever the rest of the window reads."""
+    return ctx.exec_min_sinr_db < QOUT_SINR_DB
+
+
 def note_execution_sinr(ctx: HandoverContext, sinr_db: float) -> None:
-    """Track the worst serving SINR seen during the execution window."""
-    if ctx.phase == EXECUTING and sinr_db < ctx.exec_min_sinr_db:
+    """Track the execution window's minimum serving SINR up to its first
+    dip below Qout; once the window has dipped, samples are ignored."""
+    if ctx.phase == EXECUTING and not window_failed(ctx) and sinr_db < ctx.exec_min_sinr_db:
         ctx.exec_min_sinr_db = sinr_db
 
 
@@ -180,7 +193,7 @@ def complete_handover(
     pair = ctx.pair
     complete_time = ctx.exec_deadline
     latency = complete_time - ctx.decision_time
-    failed = ctx.exec_min_sinr_db < QOUT_SINR_DB or target_rsrp_dbm < MIN_ACCESS_RSRP_DBM
+    failed = window_failed(ctx) or target_rsrp_dbm < MIN_ACCESS_RSRP_DBM
     ping_pong = (
         not failed
         and target == ctx.last_serving

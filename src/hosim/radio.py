@@ -16,8 +16,9 @@ the RSSI and interference sums of their linear powers, and the nearest
 site.  The report, the SINR and the execution window all read that row.
 Only a handover's completion looks up one site, through ``true_rsrp_of``
 and ``shadowing_db``; both paths share ``_received_dbm``, the link budget.
-A report tick draws every UE's channel noise in one ``channel_noise``
-block, in the order per-UE draws would take it.
+A report tick takes every UE's channel noise from ``channel_noise``, in
+the order per-UE draws would take it; a small deployment draws the noise
+of many ticks in one call.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ SUBCARRIERS_PER_RB = 12
 MAX_NEIGHBORS = 8
 DETECTION_THRESHOLD_DBM = -125.0
 SHADOWING_DECORRELATION_M = 50.0
+# Most channel-noise draws one ``channel_noise`` block takes, unless a
+# single report tick needs more.
+NOISE_DRAWS_PER_CALL = 1024
 # The anchor of a shadowing value never drawn: infinitely far from any
 # position, so the first lookup always draws.
 _NEVER_DRAWN = (math.inf, math.inf)
@@ -169,6 +173,10 @@ class RadioEnvironment:
         self._shadow: dict[int, tuple[list[float], list[tuple[float, float]]]] = {}
         self._site_positions = [s.position for s in self.sites]
         self._env_noise: dict[int, float] = {}
+        # Ticks of the last channel-noise block not handed out yet, the
+        # next one last, and the UE count they were drawn for.
+        self._noise_ticks: list[list[list[float]]] = []
+        self._noise_ues = 0
         # Each UE's channel draws per report: the walk step, then one per
         # site and the ambient reading.
         self._noise_scale = np.array(
@@ -214,39 +222,53 @@ class RadioEnvironment:
         sx, sy = self._site_positions[cell]
         return self._received_dbm(math.hypot(sx - position[0], sy - position[1]), shadowing) - self._re_scaling_db
 
-    def row(self, ue: int, position: tuple[float, float], serving: int) -> RadioRow:
-        """One pass over the id-ordered sites at the UE's ``position`` (an
-        ``(x, y)`` tuple of floats) while it is served by ``serving``.
-
-        Each site's distance, current shadowing (redrawn here, in id order,
-        exactly as ``shadowing_db`` would) and wideband power are computed
-        once; the power is raised to linear once and summed left to right
-        into the RSSI (every site) and the interference (every site but
-        ``serving``).  The nearest site is the first strict minimum of the
-        unclamped distance, so an exact tie goes to the lower id.
+    def refresh_shadowing(self, ue: int, position: tuple[float, float]) -> list[float]:
+        """The UE's current shadowing values by site id at ``position`` (an
+        ``(x, y)`` tuple of floats): each value drawn 50 m or more from
+        ``position`` is redrawn there, in id order, exactly as
+        ``shadowing_db`` would redraw it.
 
         Sites drawn at the same instant share one anchor object, so
-        staleness is judged once per run of sites with the same anchor;
+        staleness is judged once for the whole row when every site has one
+        anchor, and otherwise once per run of sites with the same anchor;
         ``math.dist`` is pure, so that equals judging each site.
         """
-        x, y = position
         values, anchors = self._shadow_row(ue)
-        received = self._received_dbm
+        # Most rows hold one anchor for every site: judge it once.
+        first = anchors[0]
+        if anchors.count(first) == len(anchors) and math.dist(first, position) < SHADOWING_DECORRELATION_M:
+            return values
         draw, sigma = self.shadow_rng.normal, self.params.shadowing_sigma_db
-        wideband = []
-        rssi_mw = serving_mw = interference_mw = 0.0
-        nearest, nearest_m = 0, math.inf
         anchor, stale = None, False
-        for cid, ((sx, sy), shadowing, drawn_at) in enumerate(zip(self._site_positions, values, anchors)):
-            distance = math.hypot(sx - x, sy - y)
-            if distance < nearest_m:
-                nearest, nearest_m = cid, distance
+        for cid, drawn_at in enumerate(anchors):
             if drawn_at is not anchor:
                 anchor = drawn_at
                 stale = not math.dist(anchor, position) < SHADOWING_DECORRELATION_M
             if stale:
-                shadowing = values[cid] = float(draw(0.0, sigma))
+                values[cid] = float(draw(0.0, sigma))
                 anchors[cid] = position
+        return values
+
+    def row(self, ue: int, position: tuple[float, float], serving: int) -> RadioRow:
+        """One pass over the id-ordered sites at the UE's ``position`` (an
+        ``(x, y)`` tuple of floats) while it is served by ``serving``.
+
+        The shadowing comes from ``refresh_shadowing`` at ``position``.
+        Each site's distance and wideband power are computed once; the
+        power is raised to linear once and summed left to right into the
+        RSSI (every site) and the interference (every site but
+        ``serving``).  The nearest site is the first strict minimum of the
+        unclamped distance, so an exact tie goes to the lower id.
+        """
+        x, y = position
+        received = self._received_dbm
+        wideband = []
+        rssi_mw = serving_mw = interference_mw = 0.0
+        nearest, nearest_m = 0, math.inf
+        for cid, ((sx, sy), shadowing) in enumerate(zip(self._site_positions, self.refresh_shadowing(ue, position))):
+            distance = math.hypot(sx - x, sy - y)
+            if distance < nearest_m:
+                nearest, nearest_m = cid, distance
             power = received(distance, shadowing)
             wideband.append(power)
             mw = 10.0 ** (power / 10.0)
@@ -273,14 +295,25 @@ class RadioEnvironment:
         the ambient walk's step (σ_env), then ``n_sites + 1`` measurement
         draws (σ_meas), the last for the ambient reading.
 
-        One standard-normal block, scaled and offset as numpy's ``normal``
-        computes ``0.0 + scale * z``, equals each UE's own ``normal`` calls
-        in turn bit for bit and leaves ``rng`` in the same state.
+        As many ticks as fit in ``NOISE_DRAWS_PER_CALL`` draws (at least
+        one) come from one standard-normal block, scaled and offset as
+        numpy's ``normal`` computes ``0.0 + scale * z``; each call hands
+        out the next tick.  ``rng`` feeds nothing else, so every tick equals
+        each UE's own ``normal`` calls in turn bit for bit, and once a
+        block's last tick is out ``rng`` is where those calls leave it.
         """
-        block = self.rng.standard_normal((n_ues, len(self._noise_scale)))
+        pending = self._noise_ticks
+        if pending:
+            if n_ues != self._noise_ues:
+                raise ValueError("n_ues changed while ticks of an earlier noise block are pending")
+            return pending.pop()
+        width = len(self._noise_scale)
+        ticks = max(1, NOISE_DRAWS_PER_CALL // max(1, n_ues * width))
+        block = self.rng.standard_normal((ticks, n_ues, width))
         block *= self._noise_scale
         block += 0.0
-        return block.tolist()
+        self._noise_ticks, self._noise_ues = block.tolist()[::-1], n_ues
+        return self._noise_ticks.pop()
 
     def generate_report(
         self, ue: int, row: RadioRow, serving_cell: int, timestamp: float, draws: list[float]
@@ -303,30 +336,29 @@ class RadioEnvironment:
         """
         p = self.params
         bound = 3.0 * p.env_noise_sigma_db
-        step, *noise, reading_noise = draws
-        level = self._env_noise.get(ue, p.env_noise_mean_dbm) + step
+        level = self._env_noise.get(ue, p.env_noise_mean_dbm) + draws[0]
         level = min(max(level, p.env_noise_mean_dbm - bound), p.env_noise_mean_dbm + bound)
         self._env_noise[ue] = level
         degradation = level - p.env_noise_mean_dbm
         # Total received wideband power plus the noise floor forms the RSSI.
         rssi_dbm = linear_to_db(row.rssi_mw + self._noise_mw)
         scaling = self._re_scaling_db
-        measured = [w - scaling - degradation + z for w, z in zip(row.wideband, noise)]
+        measured = [w - scaling - degradation + draws[i] for i, w in enumerate(row.wideband, 1)]
         if not (all(map(math.isfinite, measured)) and math.isfinite(rssi_dbm)):
             raise ValueError("measured RSRP and RSSI must be finite")
         offset = self._rsrq_offset_db
 
-        # A stable descending sort keeps equal measurements in id order, so
-        # the scan can stop at the first value under the threshold.
+        # Only detectable cells are ranked; a stable descending sort keeps
+        # equal measurements in id order.
+        detected = [cid for cid, value in enumerate(measured) if value >= DETECTION_THRESHOLD_DBM]
+        detected.sort(key=measured.__getitem__, reverse=True)
         neighbors = []
-        for cid in sorted(range(len(measured)), key=measured.__getitem__, reverse=True):
-            value = measured[cid]
-            if value < DETECTION_THRESHOLD_DBM:
-                break
+        for cid in detected:
             if cid != serving_cell:
+                value = measured[cid]
                 neighbors.append(MeasurementEntry(cid, value, offset + value - rssi_dbm))
                 if len(neighbors) == MAX_NEIGHBORS:
                     break
         value = measured[serving_cell]
         serving = MeasurementEntry(serving_cell, value, offset + value - rssi_dbm)
-        return MeasurementReport(ue, timestamp, serving, tuple(neighbors), level + reading_noise)
+        return MeasurementReport(ue, timestamp, serving, tuple(neighbors), level + draws[-1])

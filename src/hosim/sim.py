@@ -220,7 +220,11 @@ def _hex_positions(n: int, pitch: float) -> list[tuple[float, float]]:
 
 @dataclass
 class UeTrajectory:
-    """Constant-velocity UE; each step replaces its ``(x, y)`` float tuples."""
+    """Constant-velocity UE; each move replaces its ``(x, y)`` float tuples.
+
+    A ``Simulation`` moves a UE only when it reads it, so ``position`` may
+    lag the run's current step; ``Simulation.position`` is always current.
+    """
 
     ue: int
     position: tuple[float, float]
@@ -299,6 +303,8 @@ class Simulation:
         self.n_steps = round(scenario.sim_duration_s / scenario.step_s)
         self._bounds = self._deployment_bounds(sites)
         self._step_index = 0
+        # The step each UE's position is current at, by UE id.
+        self._moved_to = [0] * len(self.ues)
         # Ids of the UEs whose handover is executing, ascending.  Only a
         # report tick starts an execution and only a completion ends one.
         self._executing: list[int] = []
@@ -322,22 +328,29 @@ class Simulation:
         )
 
     def step(self) -> None:
-        """One tick: complete due handovers, emit reports, sample metrics,
-        track execution-window SINR, then advance positions."""
+        """One tick: complete due handovers, then either bring every UE up
+        to date and emit reports, or track the execution windows."""
         now = self.time_s
         self._complete_due_handovers(now)
         if self._step_index % self.report_every == 0:
+            self._advance_positions()
             self._report_tick(now)
-        self._track_execution_sinr()
-        self._advance_positions()
+        else:
+            self._track_execution_sinr()
         self._step_index += 1
+
+    def position(self, ue: int) -> tuple[float, float]:
+        """UE ``ue``'s position at the current step, as an ``(x, y)`` tuple."""
+        if self._moved_to[ue] != self._step_index:
+            self._catch_up(ue)
+        return self.ues[ue].position
 
     def _complete_due_handovers(self, now: float) -> None:
         still_executing = []
         for i in self._executing:
             ctx = self.contexts[i]
             if now >= ctx.exec_deadline - 1e-9:
-                target_rsrp = self.env.true_rsrp_of(ctx.target, i, self.ues[i].position)
+                target_rsrp = self.env.true_rsrp_of(ctx.target, i, self.position(i))
                 self.metrics.add_outcome(engine.complete_handover(ctx, now, target_rsrp))
             else:
                 still_executing.append(i)
@@ -346,6 +359,8 @@ class Simulation:
     def _report_tick(self, now: float) -> None:
         # Only a handover's completion changes ctx.serving, so the row's
         # interference stays that of the serving cell the SINR is taken for.
+        # Every UE's position is current (``step`` advanced them all), and
+        # an executing window's sample at this step is the report row's SINR.
         env = self.env
         executing = []
         noise = env.channel_noise(len(self.ues))
@@ -358,6 +373,7 @@ class Simulation:
             attached = ctx.phase != EXECUTING
             if not attached:
                 executing.append(ue.ue)
+                engine.note_execution_sinr(ctx, sinr_db)
             self.metrics.add_sample(now, sinr_db, self.scenario.bandwidth_hz, attached)
             if row.nearest != self._nearest[ue.ue]:
                 self._nearest[ue.ue] = row.nearest
@@ -365,24 +381,42 @@ class Simulation:
         self._executing = executing
 
     def _track_execution_sinr(self) -> None:
+        """Sample each executing window's SINR between report ticks.  A
+        window that has dipped below Qout has failed, so it only keeps its
+        shadowing up to date, which keeps ``shadow_rng``'s order."""
+        env = self.env
         for i in self._executing:
             ctx = self.contexts[i]
-            row = self.env.row(i, self.ues[i].position, ctx.serving)
-            engine.note_execution_sinr(ctx, self.env.sinr_of(row.serving_mw, row.interference_mw))
+            position = self.position(i)
+            if engine.window_failed(ctx):
+                env.refresh_shadowing(i, position)
+            else:
+                row = env.row(i, position, ctx.serving)
+                engine.note_execution_sinr(ctx, env.sinr_of(row.serving_mw, row.interference_mw))
 
     def _advance_positions(self) -> None:
+        """Bring every UE up to the current step."""
+        current = self._step_index
+        for i, moved_to in enumerate(self._moved_to):
+            if moved_to != current:
+                self._catch_up(i)
+
+    def _catch_up(self, i: int) -> None:
+        """Replay the steps UE ``i`` has not taken, one step's arithmetic at
+        a time, so its position, velocity and fold points are those of
+        moving it at every step."""
         xmin, xmax, ymin, ymax = self._bounds
         dt = self.scenario.step_s
-        for ue in self.ues:
-            (x, y), (vx, vy) = ue.position, ue.velocity
+        ue = self.ues[i]
+        (x, y), (vx, vy) = ue.position, ue.velocity
+        for _ in range(self._step_index - self._moved_to[i]):
             x += vx * dt
             y += vy * dt
-            if xmin <= x <= xmax and ymin <= y <= ymax:
-                ue.position = (x, y)
-            else:
+            if not (xmin <= x <= xmax and ymin <= y <= ymax):
                 x, vx = _reflect(x, vx, xmin, xmax)
                 y, vy = _reflect(y, vy, ymin, ymax)
-                ue.position, ue.velocity = (x, y), (vx, vy)
+        ue.position, ue.velocity = (x, y), (vx, vy)
+        self._moved_to[i] = self._step_index
 
 
 def _reflect(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:

@@ -14,6 +14,7 @@ from hosim.radio import (
     MeasurementEntry,
     MeasurementReport,
     RadioEnvironment,
+    RadioRow,
     free_space_reference_db,
     n_resource_blocks,
     re_scaling_db,
@@ -316,6 +317,21 @@ class TestGenerateReport:
         report = report_of(env, env.row(0, (0.0, 0.0), 0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1]
 
+    def test_threshold_itself_is_detected(self):
+        # Noise-free draws: a site's measurement is its wideband power less
+        # the RE scaling.  One lands exactly on the threshold, one just under.
+        env = make_env([make_site(i, (40.0 * i, 0.0)) for i in range(3)])
+        scaling = re_scaling_db(BW)
+        at = DETECTION_THRESHOLD_DBM + scaling
+        while at - scaling != DETECTION_THRESHOLD_DBM:
+            at = math.nextafter(at, math.inf if at - scaling < DETECTION_THRESHOLD_DBM else -math.inf)
+        under = at
+        while not under - scaling < DETECTION_THRESHOLD_DBM:
+            under = math.nextafter(under, -math.inf)
+        row = RadioRow([-60.0, at, under], 1e-6, 1e-6, 0.0, 0)
+        report = env.generate_report(0, row, 0, 0.0, [0.0] * 5)
+        assert [(n.cell, n.rsrp_dbm) for n in report.neighbors] == [(1, DETECTION_THRESHOLD_DBM)]
+
     def test_rsrq_values_negative_under_load(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (100.0, 0.0))]
         env = make_env(sites)
@@ -323,39 +339,50 @@ class TestGenerateReport:
         assert report.serving.rsrq_db < 0
         assert all(n.rsrq_db < 0 for n in report.neighbors)
 
+    # Each draw-order test runs two noise blocks and the first tick of a
+    # third, at a UE count that shares a block between ticks and at one
+    # that needs a block per tick, as a hex50 deployment does.
     def test_one_noise_draw_per_site_in_id_order(self):
         # Twelve sites: the serving cell and eight neighbours are reported,
         # three are not, yet every site takes its draw.
         sites = [make_site(i, (40.0 * i, 15.0 * (i % 3))) for i in range(12)]
-        env = make_env(sites, dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=11)
-        twin = np.random.default_rng(11)
-        row = env.row(0, (170.0, 5.0), 4)
-        report = report_of(env, row, 4, 0.0)
-        twin.normal(0.0, 0.0)  # the ambient-noise walk's step
-        expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in row.wideband]
-        twin.normal(0.0, 2.0)  # the ambient-noise reading
-        assert len(report.neighbors) == MAX_NEIGHBORS
-        for entry in (report.serving, *report.neighbors):
-            assert entry.rsrp_dbm == expected[entry.cell]
-        ranked = sorted((c for c in range(12) if c != 4), key=lambda c: (-expected[c], c))
-        assert [n.cell for n in report.neighbors] == ranked[:MAX_NEIGHBORS]
-        assert env.rng.normal() == twin.normal()
+        for n_ues, ticks_per_draw in ((1, 73), (80, 1)):
+            env = make_env(sites, dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=11)
+            twin = np.random.default_rng(11)
+            row = env.row(0, (170.0, 5.0), 4)
+            for tick in range(1, 2 * ticks_per_draw + 2):
+                for ue, draws in enumerate(env.channel_noise(n_ues)):
+                    report = env.generate_report(ue, row, 4, 0.0, draws)
+                    twin.normal(0.0, 0.0)  # the ambient-noise walk's step
+                    expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in row.wideband]
+                    twin.normal(0.0, 2.0)  # the ambient-noise reading
+                    assert len(report.neighbors) == MAX_NEIGHBORS
+                    for entry in (report.serving, *report.neighbors):
+                        assert entry.rsrp_dbm == expected[entry.cell]
+                    ranked = sorted((c for c in range(12) if c != 4), key=lambda c: (-expected[c], c))
+                    assert [n.cell for n in report.neighbors] == ranked[:MAX_NEIGHBORS]
+                # The stream stands where the per-UE calls leave it exactly
+                # when a block's last tick has been handed out.
+                assert (env.rng.bit_generator.state == twin.bit_generator.state) == (tick % ticks_per_draw == 0)
 
     def test_draw_order_is_walk_then_sites_then_reading(self):
         # One report takes n_sites + 2 channel draws: the walk step, each
         # site's measurement noise in id order, then the ambient reading.
         sites = [make_site(i, (60.0 * i, 0.0)) for i in range(3)]
         params = dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0, env_noise_sigma_db=1.5)
-        env, twin = make_env(sites, params, seed=21), np.random.default_rng(21)
-        row = env.row(0, (50.0, 0.0), 0)
-        mean = level = params.env_noise_mean_dbm
-        for t in (0.0, 0.04):
-            report = report_of(env, row, 0, t)
-            level = min(max(level + twin.normal(0.0, 1.5), mean - 4.5), mean + 4.5)
-            expected = [p - re_scaling_db(BW) - (level - mean) + twin.normal(0.0, 2.0) for p in row.wideband]
-            assert {e.cell: e.rsrp_dbm for e in (report.serving, *report.neighbors)} == dict(enumerate(expected))
-            assert report.env_noise_dbm == level + twin.normal(0.0, 2.0)
-        assert env.rng.normal() == twin.normal()
+        mean = params.env_noise_mean_dbm
+        for n_ues, ticks_per_draw in ((1, 204), (250, 1)):
+            env, twin = make_env(sites, params, seed=21), np.random.default_rng(21)
+            row = env.row(0, (50.0, 0.0), 0)
+            levels = [mean] * n_ues
+            for tick in range(1, 2 * ticks_per_draw + 2):
+                for ue, draws in enumerate(env.channel_noise(n_ues)):
+                    report = env.generate_report(ue, row, 0, 0.04 * tick, draws)
+                    level = levels[ue] = min(max(levels[ue] + twin.normal(0.0, 1.5), mean - 4.5), mean + 4.5)
+                    expected = [p - re_scaling_db(BW) - (level - mean) + twin.normal(0.0, 2.0) for p in row.wideband]
+                    assert {e.cell: e.rsrp_dbm for e in (report.serving, *report.neighbors)} == dict(enumerate(expected))
+                    assert report.env_noise_dbm == level + twin.normal(0.0, 2.0)
+                assert (env.rng.bit_generator.state == twin.bit_generator.state) == (tick % ticks_per_draw == 0)
 
     def test_nan_measurement_at_one_site_raises(self):
         sites = [make_site(i, (40.0 * i, 0.0)) for i in range(5)]
@@ -519,15 +546,22 @@ class TestShadowRows:
 
 
 class TestChannelNoise:
-    """A tick's one noise block against each UE's own ``normal`` calls."""
+    """Ticks handed out from shared noise blocks against each UE's own
+    ``normal`` calls."""
 
-    @pytest.mark.parametrize("n_ues, n_sites", [(1, 1), (2, 2), (500, 50)])
+    # (UEs, sites) -> ticks per block: the corridor's 2 x 2 share a block
+    # between 128 ticks, hex50's 500 x 50 take one per tick.
+    TICKS_PER_DRAW = {(1, 1): 341, (2, 2): 128, (500, 50): 1}
+
+    # The ticks span two blocks and the first tick of a third.
+    @pytest.mark.parametrize("n_ues, n_sites", sorted(TICKS_PER_DRAW))
     @pytest.mark.parametrize("env_sigma, meas_sigma", [(1.5, 2.0), (0.0, 0.0)])
     def test_block_equals_per_ue_draws(self, n_ues, n_sites, env_sigma, meas_sigma):
+        ticks_per_draw = self.TICKS_PER_DRAW[n_ues, n_sites]
         params = dataclasses.replace(PARAMS, env_noise_sigma_db=env_sigma, meas_noise_sigma_db=meas_sigma)
         env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(n_sites)], params, seed=31)
         twin = np.random.default_rng(31)
-        for _ in range(3):
+        for tick in range(1, 2 * ticks_per_draw + 2):
             block = env.channel_noise(n_ues)
             expected = [
                 [float(twin.normal(0.0, env_sigma)), *twin.normal(0.0, meas_sigma, n_sites + 1).tolist()]
@@ -535,6 +569,20 @@ class TestChannelNoise:
             ]
             # Bit for bit, the sign of zero included.
             assert np.array(block).tobytes() == np.array(expected).tobytes()
-            assert env.rng.bit_generator.state == twin.bit_generator.state
-        if meas_sigma == 0.0:
-            assert all(math.copysign(1.0, v) == 1.0 for draws in block for v in draws)
+            # The stream stands where the per-UE calls leave it exactly
+            # when a block's last tick has been handed out.
+            assert (env.rng.bit_generator.state == twin.bit_generator.state) == (tick % ticks_per_draw == 0)
+            if meas_sigma == 0.0:
+                assert all(math.copysign(1.0, v) == 1.0 for draws in block for v in draws)
+
+    def test_zero_ues_draw_nothing(self):
+        env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(3)], seed=31)
+        state = env.rng.bit_generator.state
+        assert [env.channel_noise(0) for _ in range(3)] == [[], [], []]
+        assert env.rng.bit_generator.state == state
+
+    def test_ue_count_cannot_change_while_ticks_are_pending(self):
+        env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(2)], seed=31)
+        env.channel_noise(2)
+        with pytest.raises(ValueError):
+            env.channel_noise(3)

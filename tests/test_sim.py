@@ -3,12 +3,13 @@
 import dataclasses
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from hosim import radio
-from hosim.engine import EXECUTING
+from hosim.engine import EXECUTING, HandoverOutcome
 from hosim.metrics import MetricsAccumulator
 from hosim.radio import (
     CellSite,
@@ -190,9 +191,10 @@ class TestStepLoop:
         xmin, xmax, ymin, ymax = sim._bounds
         for _ in range(sim.n_steps):
             sim.step()
-            for ue in sim.ues:
-                assert xmin - 1e-6 <= ue.position[0] <= xmax + 1e-6
-                assert ymin - 1e-6 <= ue.position[1] <= ymax + 1e-6
+            for i in range(len(sim.ues)):
+                x, y = sim.position(i)
+                assert xmin - 1e-6 <= x <= xmax + 1e-6
+                assert ymin - 1e-6 <= y <= ymax + 1e-6
 
     def test_steps_longer_than_the_box_stay_inside(self):
         # 111 m per step in a 59 m wide box: a step can cross both walls.
@@ -203,8 +205,9 @@ class TestStepLoop:
         assert scenario.ue_speed_kmh / 3.6 * scenario.step_s > xmax - xmin
         for _ in range(sim.n_steps):
             sim.step()
-            for ue in sim.ues:
-                assert xmin <= ue.position[0] <= xmax and ymin <= ue.position[1] <= ymax
+            for i in range(len(sim.ues)):
+                x, y = sim.position(i)
+                assert xmin <= x <= xmax and ymin <= y <= ymax
 
     @pytest.mark.parametrize("travel", [0.5, 3.0, 7.25, 10.0, 123.456, -2.0, -9.5, -77.0])
     def test_reflect_folds_like_repeated_mirrors(self, travel):
@@ -235,7 +238,8 @@ class TestStepLoop:
         velocity[axis] = -inward * 2.0 / dt
         ue = sim.ues[0]
         ue.position, ue.velocity = tuple(start), tuple(velocity)
-        sim._advance_positions()
+        sim.step()
+        sim.position(0)
 
         crossed = start[axis] + velocity[axis] * dt
         assert inward * (crossed - bound) < 0
@@ -341,6 +345,114 @@ class TestExecutingList:
             assert sim._executing == [i for i, c in enumerate(sim.contexts) if c.phase == EXECUTING]
             seen += len(sim._executing)
         assert seen > 0
+
+
+def eager_step(trajectories, bounds, dt):
+    """Move every ``[position, velocity]`` pair one step, as a step loop
+    that advances every UE at every step would."""
+    xmin, xmax, ymin, ymax = bounds
+    for t in trajectories:
+        (x, y), (vx, vy) = t
+        x += vx * dt
+        y += vy * dt
+        if xmin <= x <= xmax and ymin <= y <= ymax:
+            t[0] = (x, y)
+        else:
+            x, vx = _reflect(x, vx, xmin, xmax)
+            y, vy = _reflect(y, vy, ymin, ymax)
+            t[0], t[1] = (x, y), (vx, vy)
+
+
+def bits(pair):
+    return struct.pack("<2d", *pair)
+
+
+class TestLazyPositions:
+    """Positions advanced only when read against eager stepping."""
+
+    @pytest.mark.parametrize("scenario, read_every", [
+        # Every UE read at every step, so each read replays one step.
+        (Scenario(policy="fixed_a3", sim_duration_s=1.0), 1),
+        # UE i read at steps s with (s + i) % 53 == 0: replays of up to 53
+        # steps, at every offset from the 40-step report ticks.
+        (Scenario(policy="fixed_a3", sim_duration_s=1.0), 53),
+        (corridor_scenario(policy="fixed_a3"), 1),
+        # 111 m per step in a 59 m wide box: a step can cross both walls.
+        (corridor_scenario(site_spacing_m=1, corridor_lane_m=0, boundary_margin_m=29, ue_speed_kmh=1000,
+                           step_s=0.4, report_period_s=0.4), 1),
+    ], ids=["hex50-1s", "hex50-1s-sparse", "corridor", "59m-box"])
+    def test_positions_equal_eager_stepping(self, scenario, read_every):
+        sim = Simulation(scenario)
+        oracle = [[ue.position, ue.velocity] for ue in sim.ues]
+        reads = 0
+        for step in range(sim.n_steps):
+            sim.step()
+            eager_step(oracle, sim._bounds, scenario.step_s)
+            for i, (position, velocity) in enumerate(oracle):
+                if (step + i) % read_every == 0:
+                    assert bits(sim.position(i)) == bits(position)
+                    assert bits(sim.ues[i].velocity) == bits(velocity)
+                    reads += 1
+        assert reads >= sim.n_steps // read_every * len(sim.ues)
+
+
+class FullRowEveryStep(Simulation):
+    """Execution tracking without the skips: a full row, and the SINR it
+    gives, for every executing UE at every step, report steps and windows
+    that have already failed included."""
+
+    def step(self):
+        now = self.time_s
+        self._complete_due_handovers(now)
+        if self._step_index % self.report_every == 0:
+            self._advance_positions()
+            self._report_tick(now)
+        for i in self._executing:
+            ctx = self.contexts[i]
+            row = self.env.row(i, self.position(i), ctx.serving)
+            ctx.exec_min_sinr_db = min(ctx.exec_min_sinr_db, self.env.sinr_of(row.serving_mw, row.interference_mw))
+        self._step_index += 1
+
+
+class TestFailedWindowSkip:
+    """Windows that skip SINR passes once failed, and report steps that
+    reuse the report row, against full rows at every executing step."""
+
+    # (policy, seed) -> row passes of the 1 s run and of the full-row
+    # oracle; 12,500 of each are the report ticks' rows.
+    ROW_PASSES = {
+        ("fixed_a3", 1): (12587, 15890),
+        ("fixed_a3", 9001): (12604, 16320),
+        ("lim2", 1): (14123, 17270),
+        ("lim2", 9001): (14017, 16550),
+    }
+
+    @pytest.mark.parametrize("policy, seed", sorted(ROW_PASSES))
+    def test_outcomes_and_shadowing_equal_full_rows(self, monkeypatch, policy, seed):
+        passes = []
+        row = RadioEnvironment.row
+
+        def counted_row(self, *args):
+            passes.append(1)
+            return row(self, *args)
+
+        monkeypatch.setattr(RadioEnvironment, "row", counted_row)
+        scenario = Scenario(policy=policy, seed=seed, sim_duration_s=1.0)
+        sims, counts = [], []
+        for cls in (Simulation, FullRowEveryStep):
+            passes.clear()
+            sim = cls(scenario)
+            sim.run()
+            sims.append(sim)
+            counts.append(len(passes))
+        lean, full = sims
+        fields = [f.name for f in dataclasses.fields(HandoverOutcome)]
+        assert len(lean.metrics.outcomes) == len(full.metrics.outcomes) > 0
+        for a, b in zip(lean.metrics.outcomes, full.metrics.outcomes):
+            assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+        assert lean.env._shadow == full.env._shadow
+        assert lean.env.shadow_rng.normal() == full.env.shadow_rng.normal()
+        assert tuple(counts) == self.ROW_PASSES[policy, seed]
 
 
 class TestCrossing:
