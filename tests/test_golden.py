@@ -39,8 +39,9 @@ def run_digests(ini: str, overrides: list[str]) -> dict[str, str]:
 
 HEX_SHORT = ["sim.sim_duration_s=0.2"]
 # 1 s runs complete dozens of handovers at seed 1 (35 under fixed_a3, 49
-# under lim2), with SINR failures, access-floor failures and successes, so
-# they cover execution windows that fail as well as ones that succeed.
+# under lim2, 686 under greedy_rsrp), with SINR failures, access-floor
+# failures and successes, so they cover execution windows that fail as well
+# as ones that succeed; greedy_rsrp runs the most windows.
 HEX_1S = ["sim.sim_duration_s=1"]
 # 19 single-UE cells at 350 km/h for 13 s: UEs cross several cells, so
 # streams they stop reporting go idle for more than the eviction window.
@@ -105,6 +106,11 @@ GOLDEN = {
         "kpis": "676660df17cfd18999da9e93f28fc1c107f24a55d4bfcef4234b37eeb8d62d83",
         "events": "95cfca94935eba8d5b02fb9dc48cc15f55da1501f77821c8a2d0b2c641d0df48",
         "plr_series": "2040b30e265fcfc0c98b72f2aaf206c4ab70198f3078236220e545c3ad206313",
+    }),
+    "hex50-greedy_rsrp-1s-1": ("hex50.ini", HEX_1S + ["sim.policy=greedy_rsrp", "sim.seed=1"], {
+        "kpis": "99911fb84a01ade671415e0af4b15abe4b27cd884d1ddf7978e69c509eb9f59d",
+        "events": "caf65499548660a8fa89769a7e6862daad76ca4ab41f23af8479eb821948eb15",
+        "plr_series": "2a0ccebb9fdf45a4655fb51cb8012b7c95973e630ad0a77318316108260437a2",
     }),
     "hex50-eviction-lim2-1": ("hex50.ini", HEX_EVICTION + ["sim.policy=lim2", "sim.seed=1"], {
         "kpis": "9e51083be281ab948fa1427bab0924a2461138b8bba937efaa657af9c74ece35",
