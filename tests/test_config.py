@@ -1,11 +1,16 @@
 """Scenario file parsing and overrides."""
 
+import hashlib
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hosim.config import SECTIONS, apply_override, dump_scenario, load_scenario
 from hosim.sim import ConfigError, Scenario, corridor_scenario, run
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 SCENARIO_TEXT = """
 [sim]
@@ -158,3 +163,17 @@ class TestRoundTrip:
         path = tmp_path / "dumped.ini"
         path.write_text(dump_scenario(original))
         assert load_scenario(str(path)) == original
+
+    # sha256 of the dump_scenario text: every section, key, order and value
+    # format.  hex50.ini spells out the defaults, so it dumps as Scenario().
+    DUMP_DIGESTS = {
+        "corridor.ini": "53e7a50cda6b28c120f1c5c073d77be3f77998eb94cf755dc04af14ccd2cc191",
+        "hex50.ini": "562369060f3e44f4aafcde2f26c88cebe19203dfd7df3f04f084dd431f9ff458",
+        None: "562369060f3e44f4aafcde2f26c88cebe19203dfd7df3f04f084dd431f9ff458",
+    }
+
+    @pytest.mark.parametrize("ini", list(DUMP_DIGESTS), ids=["corridor.ini", "hex50.ini", "defaults"])
+    def test_dump_text_is_pinned(self, ini):
+        scenario = load_scenario(None if ini is None else os.path.join(SCENARIOS, ini))
+        digest = hashlib.sha256(dump_scenario(scenario).encode()).hexdigest()
+        assert digest == self.DUMP_DIGESTS[ini]
