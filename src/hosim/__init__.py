@@ -9,7 +9,7 @@ from .engine import HandoverContext, HandoverOutcome
 from .kalman import KalmanParams, KalmanState, combine_state
 from .metrics import CdfSeries, KpiRecord, cdf
 from .policies import FixedA3Policy, Lim2Policy, make_policy
-from .radio import CellSite, ChannelParams, MeasurementEntry, MeasurementReport, RadioEnvironment
+from .radio import CellSite, ChannelParams, MeasurementEntry, MeasurementReport, RadioEnvironment, RadioParams
 from .rl import LearningParams, ParamPair, QTable, epsilon, q_final, sigmoid
 from .sim import RunResult, Scenario, Simulation, corridor_scenario, run
 
@@ -32,6 +32,7 @@ __all__ = [
     "ParamPair",
     "QTable",
     "RadioEnvironment",
+    "RadioParams",
     "RunResult",
     "Scenario",
     "Simulation",

@@ -1,9 +1,10 @@
 """Scenario files and overrides.
 
-A scenario file is flat INI text whose four sections mirror the Scenario
-fields: ``[radio]`` holds the link budget every site shares,
-``[channel]`` and ``[learning]`` the nested ChannelParams and
-LearningParams, and ``[sim]`` every other top-level field.
+A scenario file is flat INI text whose sections mirror the Scenario
+fields: each nested dataclass field has a section of its own (``[radio]``
+the RadioParams link budget, ``[channel]`` the ChannelParams,
+``[learning]`` the LearningParams), and ``[sim]`` holds every other
+top-level field.  ``SECTIONS`` is derived from the dataclasses, and
 ``dump_scenario`` lists every key.
 
 Every key is optional and falls back to the package default.  The same
@@ -17,22 +18,17 @@ import dataclasses
 
 from .sim import ConfigError, Scenario
 
-_RADIO = ("tx_power_dbm", "carrier_freq_hz", "bandwidth_hz", "noise_figure_db")
-_NESTED = ("channel", "learning")
+
+def _values(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _section(obj, keep=lambda name: True) -> dict:
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if keep(f.name)}
-
-
-_DEFAULT = Scenario()
+_DEFAULT = _values(Scenario())
 # section -> key -> default value; the default's type is the key's parse type,
 # and a None default also accepts "none".
 SECTIONS = {
-    "sim": _section(_DEFAULT, lambda name: name not in _RADIO and name not in _NESTED),
-    "radio": _section(_DEFAULT, lambda name: name in _RADIO),
-    "channel": _section(_DEFAULT.channel),
-    "learning": _section(_DEFAULT.learning),
+    "sim": {key: value for key, value in _DEFAULT.items() if not dataclasses.is_dataclass(value)},
+    **{key: _values(value) for key, value in _DEFAULT.items() if dataclasses.is_dataclass(value)},
 }
 
 
@@ -53,7 +49,7 @@ def _set(scenario: Scenario, section: str, key: str, raw: str) -> Scenario:
             value = kind(raw)
         except ValueError as exc:
             raise ConfigError(target, f"cannot parse {raw!r} as {kind.__name__}") from exc
-    if section not in _NESTED:
+    if section == "sim":
         return dataclasses.replace(scenario, **{key: value})
     try:
         nested = dataclasses.replace(getattr(scenario, section), **{key: value})
@@ -100,7 +96,7 @@ def dump_scenario(scenario: Scenario) -> str:
     """Render a Scenario back into the INI scenario format."""
     lines = []
     for section, keys in SECTIONS.items():
-        owner = getattr(scenario, section) if section in _NESTED else scenario
+        owner = scenario if section == "sim" else getattr(scenario, section)
         lines.append(f"[{section}]")
         for key in keys:
             value = getattr(owner, key)

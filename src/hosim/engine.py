@@ -75,10 +75,9 @@ class HandoverOutcome:
 class HandoverContext:
     """Attachment and trigger/decision/execution state for one UE.
 
-    ``exec_min_sinr_db`` is the executing window's minimum serving SINR up
-    to its first dip below Qout (``QOUT_SINR_DB``), that dip included; a
-    window that has dipped has failed, and later samples leave the value
-    alone.
+    ``exec_failed`` is set once the executing window's serving SINR dips
+    below Qout (``QOUT_SINR_DB``): the window has failed, whatever its
+    later samples read.
     """
 
     ue: int
@@ -89,7 +88,7 @@ class HandoverContext:
     episode_start: float | None = None
     decision_time: float | None = None
     exec_deadline: float | None = None
-    exec_min_sinr_db: float = math.inf
+    exec_failed: bool = False
     last_serving: int | None = None
     last_ho_time: float = -math.inf
 
@@ -153,22 +152,15 @@ def on_measurement_report(
         ctx.decision_time = now
         # One report period of decision signaling plus the interruption window.
         ctx.exec_deadline = now + report_period_s + EXEC_LATENCY_S
-        ctx.exec_min_sinr_db = math.inf
+        ctx.exec_failed = False
         return True
     return False
 
 
-def window_failed(ctx: HandoverContext) -> bool:
-    """Whether the execution window's SINR has dipped below Qout, which
-    fails the handover whatever the rest of the window reads."""
-    return ctx.exec_min_sinr_db < QOUT_SINR_DB
-
-
 def note_execution_sinr(ctx: HandoverContext, sinr_db: float) -> None:
-    """Track the execution window's minimum serving SINR up to its first
-    dip below Qout; once the window has dipped, samples are ignored."""
-    if ctx.phase == EXECUTING and not window_failed(ctx) and sinr_db < ctx.exec_min_sinr_db:
-        ctx.exec_min_sinr_db = sinr_db
+    """Fail the executing window if its serving SINR sample is below Qout."""
+    if ctx.phase == EXECUTING and sinr_db < QOUT_SINR_DB:
+        ctx.exec_failed = True
 
 
 def complete_handover(
@@ -193,7 +185,7 @@ def complete_handover(
     pair = ctx.pair
     complete_time = ctx.exec_deadline
     latency = complete_time - ctx.decision_time
-    failed = window_failed(ctx) or target_rsrp_dbm < MIN_ACCESS_RSRP_DBM
+    failed = ctx.exec_failed or target_rsrp_dbm < MIN_ACCESS_RSRP_DBM
     ping_pong = (
         not failed
         and target == ctx.last_serving
@@ -217,5 +209,5 @@ def complete_handover(
     ctx.reset_timing()
     ctx.decision_time = None
     ctx.exec_deadline = None
-    ctx.exec_min_sinr_db = math.inf
+    ctx.exec_failed = False
     return outcome

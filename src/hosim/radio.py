@@ -3,12 +3,12 @@
 Propagation is a log-distance path loss model anchored at a free-space
 reference distance of 1 m, with block-constant log-normal shadowing per
 (site, UE) pair that is redrawn every 50 m of UE travel.  Every site
-shares one link budget (transmit power, carrier, bandwidth, noise
-figure), so a site is only an id and a position.  RSRP is the wideband
-received power scaled down to one resource element (120 kHz subcarrier
-spacing).  Ambient RF noise at each UE follows a bounded random walk,
-stepped once per report; it degrades measured RSRP additively in dB, and
-the report carries a noisy reading of it.
+shares one link budget, ``RadioParams`` (transmit power, carrier,
+bandwidth, noise figure), so a site is only an id and a position.  RSRP
+is the wideband received power scaled down to one resource element
+(120 kHz subcarrier spacing).  Ambient RF noise at each UE follows a
+bounded random walk, stepped once per report; it degrades measured RSRP
+additively in dB, and the report carries a noisy reading of it.
 
 A tick's radio work for one UE is one ``RadioEnvironment.row``: a single
 pass over the id-ordered sites that yields every site's wideband power,
@@ -24,7 +24,7 @@ of many ticks in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +52,27 @@ def linear_to_db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
+def ranged(default, lo: float, hi: float):
+    """A dataclass field defaulting to ``default`` whose value must lie in
+    the inclusive range [lo, hi]; ``Scenario.validate`` enforces it.
+
+    Each range is wide enough for any cellular deployment and narrow
+    enough that the dB and distance arithmetic of a run stays finite and
+    resolves each noise draw.
+    """
+    return field(default=default, metadata={"range": (lo, hi)})
+
+
+@dataclass(frozen=True)
+class RadioParams:
+    """The link budget every site shares."""
+
+    tx_power_dbm: float = ranged(46.0, -50.0, 100.0)
+    carrier_freq_hz: float = ranged(26e9, 1e6, 1e12)
+    bandwidth_hz: float = ranged(400e6, SUBCARRIERS_PER_RB * SUBCARRIER_SPACING_HZ, 1e11)  # one resource block or more
+    noise_figure_db: float = ranged(5.0, 0.0, 50.0)
+
+
 @dataclass(frozen=True)
 class CellSite:
     """A gNB site; its transmit settings are the run's shared link budget."""
@@ -64,16 +85,14 @@ class CellSite:
 class ChannelParams:
     """Propagation and noise parameters shared by every link."""
 
-    path_loss_exponent: float = 3.0
-    shadowing_sigma_db: float = 4.0
-    thermal_noise_density_dbm_hz: float = -174.0
-    meas_noise_sigma_db: float = 2.0
-    env_noise_mean_dbm: float = -100.0
-    env_noise_sigma_db: float = 2.0
+    path_loss_exponent: float = ranged(3.0, 1.0, 10.0)
+    shadowing_sigma_db: float = ranged(4.0, 0.0, 30.0)
+    thermal_noise_density_dbm_hz: float = ranged(-174.0, -220.0, -100.0)
+    meas_noise_sigma_db: float = ranged(2.0, 0.0, 30.0)
+    env_noise_mean_dbm: float = ranged(-100.0, -220.0, 100.0)
+    env_noise_sigma_db: float = ranged(2.0, 0.0, 30.0)
 
     def __post_init__(self):
-        if self.path_loss_exponent <= 0:
-            raise ValueError("path_loss_exponent must be positive")
         for name in ("shadowing_sigma_db", "meas_noise_sigma_db", "env_noise_sigma_db"):
             # The sign bit, so that -0.0 (which numpy's normal refuses) fails too.
             if math.copysign(1.0, getattr(self, name)) < 0:
@@ -138,7 +157,7 @@ def re_scaling_db(bandwidth_hz: float) -> float:
 class RadioEnvironment:
     """Stateful channel view for one simulation run.
 
-    Takes the run's one link budget at construction and derives its
+    Takes the run's one link budget, ``radio``, and derives its
     per-run constants once: the 1 m reference path loss, the
     resource-element scaling, the thermal noise power and the RSRQ's
     10*log10(N_RB) term.  Site ids are 0..n-1, so ``sites`` and every
@@ -149,22 +168,11 @@ class RadioEnvironment:
     single-threaded.
     """
 
-    def __init__(
-        self,
-        sites: list[CellSite],
-        params: ChannelParams,
-        rng,
-        shadow_rng,
-        *,
-        tx_power_dbm: float,
-        carrier_freq_hz: float,
-        bandwidth_hz: float,
-        noise_figure_db: float,
-    ):
+    def __init__(self, sites: list[CellSite], channel: ChannelParams, radio: RadioParams, rng, shadow_rng):
         self.sites = sorted(sites, key=lambda s: s.id)
         if [s.id for s in self.sites] != list(range(len(self.sites))):
             raise ValueError("site ids must be 0..n-1")
-        self.params = params
+        self.params = channel
         self.rng = rng
         # Shadowing draws on their own stream so redraw timing (which can
         # shift with the step size) never perturbs measurement noise.
@@ -180,16 +188,16 @@ class RadioEnvironment:
         # Each UE's channel draws per report: the walk step, then one per
         # site and the ambient reading.
         self._noise_scale = np.array(
-            [params.env_noise_sigma_db] + [params.meas_noise_sigma_db] * (len(self.sites) + 1)
+            [channel.env_noise_sigma_db] + [channel.meas_noise_sigma_db] * (len(self.sites) + 1)
         )
-        self._tx_dbm = tx_power_dbm
-        self._reference_db = free_space_reference_db(carrier_freq_hz)
-        self._slope_db = 10.0 * params.path_loss_exponent
-        self._re_scaling_db = re_scaling_db(bandwidth_hz)
+        self._tx_dbm = radio.tx_power_dbm
+        self._reference_db = free_space_reference_db(radio.carrier_freq_hz)
+        self._slope_db = 10.0 * channel.path_loss_exponent
+        self._re_scaling_db = re_scaling_db(radio.bandwidth_hz)
         self._noise_mw = db_to_linear(
-            params.thermal_noise_density_dbm_hz + linear_to_db(bandwidth_hz) + noise_figure_db
+            channel.thermal_noise_density_dbm_hz + linear_to_db(radio.bandwidth_hz) + radio.noise_figure_db
         )
-        self._rsrq_offset_db = linear_to_db(n_resource_blocks(bandwidth_hz))
+        self._rsrq_offset_db = linear_to_db(n_resource_blocks(radio.bandwidth_hz))
 
     def shadowing_db(self, cell: int, ue: int, position: tuple[float, float]) -> float:
         """Block-constant shadowing, redrawn after 50 m of UE travel from the

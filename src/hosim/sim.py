@@ -18,7 +18,7 @@ from . import engine
 from .engine import EXECUTING, HandoverContext, HandoverOutcome
 from .metrics import KpiRecord, MetricsAccumulator
 from .policies import Lim2Policy, make_policy
-from .radio import SUBCARRIER_SPACING_HZ, SUBCARRIERS_PER_RB, CellSite, ChannelParams, RadioEnvironment
+from .radio import CellSite, ChannelParams, RadioEnvironment, RadioParams, ranged
 from .rl import HYST_VALUES_DB, TTT_VALUES_MS, LearningParams
 
 POLICIES = ("lim2", "fixed_a3", "greedy_rsrp")
@@ -32,29 +32,6 @@ _SHADOW_STREAM = 3
 # from it, and this far either side of the lane.
 CORRIDOR_OFFSET_M = (10.0, 30.0)
 CORRIDOR_LANE_JITTER_M = 10.0
-
-# Inclusive physical range of each bounded float field, by attribute path.
-# Wide enough for any cellular deployment, narrow enough that the dB and
-# distance arithmetic of a run stays finite and resolves each noise draw.
-PHYSICAL_RANGES = {
-    "cell_radius_m": (1.0, 1e5),
-    "site_spacing_m": (1.0, 1e5),
-    "corridor_lane_m": (-1e5, 1e5),
-    "boundary_margin_m": (0.0, 1e5),
-    "ue_speed_kmh": (0.0, 1000.0),
-    "sim_duration_s": (0.0, 1e6),
-    "tx_power_dbm": (-50.0, 100.0),
-    "carrier_freq_hz": (1e6, 1e12),
-    "bandwidth_hz": (0.0, 1e11),
-    "noise_figure_db": (0.0, 50.0),
-    "channel.path_loss_exponent": (1.0, 10.0),
-    "channel.shadowing_sigma_db": (0.0, 30.0),
-    "channel.thermal_noise_density_dbm_hz": (-220.0, -100.0),
-    "channel.env_noise_mean_dbm": (-220.0, 100.0),
-    "channel.meas_noise_sigma_db": (0.0, 30.0),
-    "channel.env_noise_sigma_db": (0.0, 30.0),
-}
-
 
 class ConfigError(ValueError):
     """Scenario validation failure; carries the offending field name."""
@@ -70,32 +47,28 @@ class Scenario:
 
     layout: str = "hex"
     n_sites: int = 50
-    cell_radius_m: float = 150.0
-    site_spacing_m: float = 180.0  # corridor layouts only
-    corridor_lane_m: float = 0.0  # lateral offset of the UE lane from the site axis
-    boundary_margin_m: float | None = None
+    cell_radius_m: float = ranged(150.0, 1.0, 1e5)
+    site_spacing_m: float = ranged(180.0, 1.0, 1e5)  # corridor layouts only
+    corridor_lane_m: float = ranged(0.0, -1e5, 1e5)  # lateral offset of the UE lane from the site axis
+    boundary_margin_m: float | None = ranged(None, 0.0, 1e5)
     n_ues_per_cell: int = 10
-    ue_speed_kmh: float = 200.0
-    sim_duration_s: float = 2.0
+    ue_speed_kmh: float = ranged(200.0, 0.0, 1000.0)
+    sim_duration_s: float = ranged(2.0, 0.0, 1e6)
     step_s: float = 0.001
     report_period_s: float = 0.040
     seed: int = 1
     policy: str = "lim2"
     fixed_ttt_ms: int = 256
     fixed_hyst_db: int = 3
-    tx_power_dbm: float = 46.0
-    carrier_freq_hz: float = 26e9
-    bandwidth_hz: float = 400e6
-    noise_figure_db: float = 5.0
+    radio: RadioParams = field(default_factory=RadioParams)
     channel: ChannelParams = field(default_factory=ChannelParams)
     learning: LearningParams = field(default_factory=LearningParams)
 
     def validate(self) -> None:
         """The one gate for a scenario; a bad field raises ConfigError naming it."""
-        for name, value in _float_fields(self):
+        for name, value, (lo, hi) in _float_fields(self):
             if not math.isfinite(value):
                 raise ConfigError(name, "must be finite")
-            lo, hi = PHYSICAL_RANGES.get(name, (-math.inf, math.inf))
             if not lo <= value <= hi:
                 raise ConfigError(name, f"must be in [{lo:g}, {hi:g}]")
         if self.layout not in ("hex", "corridor"):
@@ -137,9 +110,6 @@ class Scenario:
             raise ConfigError("fixed_ttt_ms", f"must be one of {TTT_VALUES_MS}")
         if self.fixed_hyst_db not in HYST_VALUES_DB:
             raise ConfigError("fixed_hyst_db", "must be an integer in 0..30")
-        rb_hz = SUBCARRIERS_PER_RB * SUBCARRIER_SPACING_HZ
-        if self.bandwidth_hz < rb_hz:
-            raise ConfigError("bandwidth_hz", f"must span at least one resource block ({rb_hz:g} Hz)")
 
 
 def _boundary_margin_m(scenario: Scenario) -> float:
@@ -149,13 +119,15 @@ def _boundary_margin_m(scenario: Scenario) -> float:
 
 
 def _float_fields(obj, prefix: str = ""):
-    """Yield (attribute path, value) for every float field, nested dataclasses included."""
+    """Yield (attribute path, value, inclusive range) for every float field,
+    nested dataclasses included; a field declared without ``ranged`` is
+    unbounded."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if is_dataclass(value):
             yield from _float_fields(value, f"{prefix}{f.name}.")
         elif isinstance(value, float):
-            yield prefix + f.name, value
+            yield prefix + f.name, value, f.metadata.get("range", (-math.inf, math.inf))
 
 
 def corridor_scenario(**overrides) -> Scenario:
@@ -181,8 +153,7 @@ def corridor_scenario(**overrides) -> Scenario:
         sim_duration_s=40.0,
         step_s=0.04,
         report_period_s=0.04,
-        carrier_freq_hz=3.5e9,
-        bandwidth_hz=100e6,
+        radio=RadioParams(carrier_freq_hz=3.5e9, bandwidth_hz=100e6),
         channel=ChannelParams(shadowing_sigma_db=0.0),
     )
     base.update(overrides)
@@ -282,11 +253,7 @@ class Simulation:
         setup_rng = np.random.default_rng([scenario.seed, _SETUP_STREAM])
         channel_rng = np.random.default_rng([scenario.seed, _CHANNEL_STREAM])
         shadow_rng = np.random.default_rng([scenario.seed, _SHADOW_STREAM])
-        self.env = RadioEnvironment(
-            sites, scenario.channel, channel_rng, shadow_rng,
-            tx_power_dbm=scenario.tx_power_dbm, carrier_freq_hz=scenario.carrier_freq_hz,
-            bandwidth_hz=scenario.bandwidth_hz, noise_figure_db=scenario.noise_figure_db,
-        )
+        self.env = RadioEnvironment(sites, scenario.channel, scenario.radio, channel_rng, shadow_rng)
         self.ues = place_ues(scenario, sites, setup_rng)
         self.policy = make_policy(
             scenario.policy,
@@ -374,7 +341,7 @@ class Simulation:
             if not attached:
                 executing.append(ue.ue)
                 engine.note_execution_sinr(ctx, sinr_db)
-            self.metrics.add_sample(now, sinr_db, self.scenario.bandwidth_hz, attached)
+            self.metrics.add_sample(now, sinr_db, self.scenario.radio.bandwidth_hz, attached)
             if row.nearest != self._nearest[ue.ue]:
                 self._nearest[ue.ue] = row.nearest
                 self.metrics.add_crossing()
@@ -388,7 +355,7 @@ class Simulation:
         for i in self._executing:
             ctx = self.contexts[i]
             position = self.position(i)
-            if engine.window_failed(ctx):
+            if ctx.exec_failed:
                 env.refresh_shadowing(i, position)
             else:
                 row = env.row(i, position, ctx.serving)

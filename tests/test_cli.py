@@ -159,10 +159,10 @@ class TestConfigurationErrors:
         (["run", "--duration", "nan"], "sim_duration_s"),
         (["run", "--speed", "nan"], "ue_speed_kmh"),
         (["run", "--set", "sim.fixed_ttt_ms=7", "--policy", "fixed_a3"], "fixed_ttt_ms"),
-        (["run", "--set", "radio.bandwidth_hz=1e6"], "bandwidth_hz"),
-        (["run", "--set", "radio.bandwidth_hz=0"], "bandwidth_hz"),
-        (["run", "--set", "radio.carrier_freq_hz=-1"], "carrier_freq_hz"),
-        (["run", "--set", "radio.tx_power_dbm=inf"], "tx_power_dbm"),
+        (["run", "--set", "radio.bandwidth_hz=1e6"], "radio.bandwidth_hz"),
+        (["run", "--set", "radio.bandwidth_hz=0"], "radio.bandwidth_hz"),
+        (["run", "--set", "radio.carrier_freq_hz=-1"], "radio.carrier_freq_hz"),
+        (["run", "--set", "radio.tx_power_dbm=inf"], "radio.tx_power_dbm"),
         (["run", "--set", "learning.r=nan"], "learning.r"),
         (["run", "--set", "sim.boundary_margin_m=nan"], "boundary_margin_m"),
         (["run", "--set", "sim.step_s=5e-324"], "step_s"),
@@ -173,7 +173,7 @@ class TestConfigurationErrors:
         (["sweep", "--speeds", "abc"], "speeds"),
         (["sweep", "--speeds", ","], "speeds"),
         (["convergence", "--seeds", "0:"], "seeds"),
-        *[(["run", "--duration", "0.2", "--set", f"{key}={value}"], key.removeprefix("sim.").removeprefix("radio."))
+        *[(["run", "--duration", "0.2", "--set", f"{key}={value}"], key.removeprefix("sim."))
           for key, values in ABSURD.items() for value in values],
         (["sweep", "--jobs", "0"], "jobs"),
         (["sweep", "--jobs", "-2"], "jobs"),
@@ -194,8 +194,10 @@ class TestConfigurationErrors:
           "--set", "sim.report_period_s=5e307", "--set", "sim.ue_speed_kmh=1000"], "sim_duration_s"),
         # The ambient walk rounds back to a huge mean; a huge bandwidth drowns every link in noise.
         (["run", "--duration", "1", "--set", "channel.env_noise_mean_dbm=1e308"], "channel.env_noise_mean_dbm"),
-        (["run", "--duration", "1", "--set", "radio.bandwidth_hz=1e308"], "bandwidth_hz"),
-    ])
+        (["run", "--duration", "1", "--set", "radio.bandwidth_hz=1e308"], "radio.bandwidth_hz"),
+    # A radio case's id keeps the bare key, so case ids do not move with
+    # the section prefix the error names.
+    ], ids=lambda value: value.removeprefix("radio.") if isinstance(value, str) else None)
     def test_exit_2_names_field(self, corridor_file, tmp_path, capsys, argv, field):
         out = tmp_path / "out"
         assert main(argv + ["--scenario", corridor_file, "--out", str(out)]) == 2

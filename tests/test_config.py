@@ -1,6 +1,7 @@
 """Scenario file parsing and overrides."""
 
 import hashlib
+import math
 import os
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hosim.config import SECTIONS, apply_override, dump_scenario, load_scenario
-from hosim.sim import ConfigError, Scenario, corridor_scenario, run
+from hosim.sim import ConfigError, Scenario, _float_fields, corridor_scenario, run
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -51,7 +52,7 @@ class TestLoadScenario:
         assert scenario.layout == "corridor"
         assert scenario.ue_speed_kmh == 150.0
         assert scenario.seed == 7
-        assert scenario.carrier_freq_hz == 3.5e9
+        assert scenario.radio.carrier_freq_hz == 3.5e9
         assert scenario.channel.meas_noise_sigma_db == 1.5
         assert scenario.learning.alpha == 0.2
         scenario.validate()
@@ -132,6 +133,29 @@ class TestSchema:
         except ConfigError:
             return
         run(scenario)
+
+
+# (attribute path, lo, hi) of every field declared with a finite range; the
+# margin is set so that its float field is walked too.
+RANGED = [
+    (path, lo, hi) for path, _, (lo, hi) in _float_fields(Scenario(boundary_margin_m=150.0))
+    if math.isfinite(lo) or math.isfinite(hi)
+]
+
+
+class TestDeclaredRanges:
+    def test_sim_radio_and_channel_fields_are_ranged(self):
+        sections = [path.split(".")[0] if "." in path else "sim" for path, _, _ in RANGED]
+        assert {section: sections.count(section) for section in sections} == {"sim": 6, "radio": 4, "channel": 6}
+
+    @pytest.mark.parametrize("path,lo,hi", RANGED, ids=[path for path, _, _ in RANGED])
+    def test_just_outside_each_end_names_the_path(self, path, lo, hi):
+        key = path if "." in path else f"sim.{path}"
+        base = Scenario(boundary_margin_m=150.0)
+        for value in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            with pytest.raises(ConfigError) as err:
+                apply_override(base, f"{key}={value!r}").validate()
+            assert err.value.field_name == path
 
 
 class TestOverrides:

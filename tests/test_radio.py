@@ -14,6 +14,7 @@ from hosim.radio import (
     MeasurementEntry,
     MeasurementReport,
     RadioEnvironment,
+    RadioParams,
     RadioRow,
     free_space_reference_db,
     n_resource_blocks,
@@ -37,10 +38,8 @@ def make_env(sites, params=PARAMS, seed=0, tx=46.0, bw=BW):
     """An environment whose sites share one link budget (5 dB noise figure);
     measurement noise draws from ``default_rng(seed)``, shadowing from its
     own stream."""
-    return RadioEnvironment(
-        sites, params, np.random.default_rng(seed), np.random.default_rng(seed + 1),
-        tx_power_dbm=tx, carrier_freq_hz=FREQ, bandwidth_hz=bw, noise_figure_db=5.0,
-    )
+    radio = RadioParams(tx_power_dbm=tx, carrier_freq_hz=FREQ, bandwidth_hz=bw, noise_figure_db=5.0)
+    return RadioEnvironment(sites, params, radio, np.random.default_rng(seed), np.random.default_rng(seed + 1))
 
 
 def report_of(env, row, serving, timestamp):
@@ -160,10 +159,10 @@ class TestRsrq:
 
     def test_rejects_zero_blocks(self):
         # The scenario gate, not each RSRQ, guarantees at least one block.
-        Scenario(bandwidth_hz=RB_HZ).validate()
+        Scenario(radio=RadioParams(bandwidth_hz=RB_HZ)).validate()
         with pytest.raises(ConfigError) as err:
-            Scenario(bandwidth_hz=RB_HZ * (1 - 1e-9)).validate()
-        assert err.value.field_name == "bandwidth_hz"
+            Scenario(radio=RadioParams(bandwidth_hz=RB_HZ * (1 - 1e-9))).validate()
+        assert err.value.field_name == "radio.bandwidth_hz"
 
 
 def sinr_at(sites, position, serving=0, tx=46.0):
@@ -449,13 +448,13 @@ class TestSiteValidation:
 
     def test_bandwidth_positive(self):
         with pytest.raises(ConfigError) as err:
-            Scenario(bandwidth_hz=0.0).validate()
-        assert err.value.field_name == "bandwidth_hz"
+            Scenario(radio=RadioParams(bandwidth_hz=0.0)).validate()
+        assert err.value.field_name == "radio.bandwidth_hz"
 
     def test_tx_power_finite(self):
         with pytest.raises(ConfigError) as err:
-            Scenario(tx_power_dbm=float("inf")).validate()
-        assert err.value.field_name == "tx_power_dbm"
+            Scenario(radio=RadioParams(tx_power_dbm=float("inf"))).validate()
+        assert err.value.field_name == "radio.tx_power_dbm"
 
 
 class _DictShadowOracle:

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from hosim import radio
-from hosim.engine import EXECUTING, HandoverOutcome
+from hosim.engine import EXECUTING, HandoverOutcome, note_execution_sinr
 from hosim.metrics import MetricsAccumulator
 from hosim.radio import (
     CellSite,
     ChannelParams,
     RadioEnvironment,
+    RadioParams,
     db_to_linear,
     free_space_reference_db,
     linear_to_db,
@@ -58,8 +59,6 @@ class TestScenarioValidation:
             ("boundary_margin_m", math.nan),
             ("fixed_ttt_ms", 7),
             ("fixed_hyst_db", 31),
-            ("carrier_freq_hz", 0.0),
-            ("bandwidth_hz", 1e6),
             ("step_s", 5e-324),
             ("seed", -1),
             ("sim_duration_s", 0.0005),
@@ -76,6 +75,8 @@ class TestScenarioValidation:
         [
             (Scenario(channel=ChannelParams(path_loss_exponent=math.nan)), "channel.path_loss_exponent"),
             (Scenario(learning=LearningParams(r=math.inf)), "learning.r"),
+            (Scenario(radio=RadioParams(carrier_freq_hz=0.0)), "radio.carrier_freq_hz"),
+            (Scenario(radio=RadioParams(bandwidth_hz=1e6)), "radio.bandwidth_hz"),
         ],
     )
     def test_nested_fields_named_by_path(self, scenario, field):
@@ -252,12 +253,7 @@ class TestStepLoop:
     def test_nearest_cell_tie_goes_to_lowest_site_id(self):
         # Sites handed over out of id order; the origin is 10 m from all three.
         sites = [CellSite(2, (10.0, 0.0)), CellSite(0, (0.0, 10.0)), CellSite(1, (-10.0, 0.0))]
-        scenario = Scenario()
-        env = RadioEnvironment(
-            sites, NOISELESS, np.random.default_rng(0), np.random.default_rng(1),
-            tx_power_dbm=scenario.tx_power_dbm, carrier_freq_hz=scenario.carrier_freq_hz,
-            bandwidth_hz=scenario.bandwidth_hz, noise_figure_db=scenario.noise_figure_db,
-        )
+        env = RadioEnvironment(sites, NOISELESS, RadioParams(), np.random.default_rng(0), np.random.default_rng(1))
         assert env.nearest_cell((0.0, 0.0)) == 0
         assert env.nearest_cell((0.0, -1.0)) == 1
         assert env.nearest_cell((0.5, -1.0)) == 2
@@ -294,11 +290,11 @@ class TestReportTick:
 
         # The link budget evaluated site by site from the cached shadowing,
         # interference summed left to right in id order.
-        reference_db = free_space_reference_db(scenario.carrier_freq_hz)
+        reference_db = free_space_reference_db(scenario.radio.carrier_freq_hz)
         noise_mw = db_to_linear(
             scenario.channel.thermal_noise_density_dbm_hz
-            + linear_to_db(scenario.bandwidth_hz)
-            + scenario.noise_figure_db
+            + linear_to_db(scenario.radio.bandwidth_hz)
+            + scenario.radio.noise_figure_db
         )
         for ue, ctx, value in zip(sim.ues, sim.contexts, sinrs):
             serving = ctx.serving
@@ -307,7 +303,7 @@ class TestReportTick:
                 d = max(math.hypot(site.position[0] - ue.position[0], site.position[1] - ue.position[1]), 1.0)
                 path_loss = reference_db + 10.0 * scenario.channel.path_loss_exponent * math.log10(d)
                 shadowing = env.shadowing_db(site.id, ue.ue, ue.position)
-                return db_to_linear(scenario.tx_power_dbm - path_loss - shadowing)
+                return db_to_linear(scenario.radio.tx_power_dbm - path_loss - shadowing)
 
             interference = 0.0
             for site in env.sites:
@@ -410,7 +406,7 @@ class FullRowEveryStep(Simulation):
         for i in self._executing:
             ctx = self.contexts[i]
             row = self.env.row(i, self.position(i), ctx.serving)
-            ctx.exec_min_sinr_db = min(ctx.exec_min_sinr_db, self.env.sinr_of(row.serving_mw, row.interference_mw))
+            note_execution_sinr(ctx, self.env.sinr_of(row.serving_mw, row.interference_mw))
         self._step_index += 1
 
 
@@ -487,12 +483,12 @@ class TestCrossing:
         # Independent oracle: recompute the measured-RSRP difference from
         # the log-distance formula at each report instant and apply the
         # hysteresis + time-to-trigger rule directly.
-        ref = free_space_reference_db(scenario.carrier_freq_hz)
-        re_const = re_scaling_db(scenario.bandwidth_hz)
+        ref = free_space_reference_db(scenario.radio.carrier_freq_hz)
+        re_const = re_scaling_db(scenario.radio.bandwidth_hz)
 
         def rsrp(site_x, pos):
             d = max(math.hypot(pos[0] - site_x, pos[1]), 1.0)
-            return scenario.tx_power_dbm - (ref + 30.0 * math.log10(d)) - re_const
+            return scenario.radio.tx_power_dbm - (ref + 30.0 * math.log10(d)) - re_const
 
         first_satisfying = None
         decision_expected = None
