@@ -203,7 +203,7 @@ def cmd_convergence(args) -> int:
 def cmd_qtable(args) -> int:
     scenario = _load_scenario(args)
     if scenario.policy != "lim2":
-        raise ConfigError("policy", "qtable dumps require the lim2 policy")
+        raise ConfigError("sim.policy", "qtable dumps require the lim2 policy")
     result = sim.run(scenario)
     out = _out_dir(args)
     metrics.write_csv_atomic(

@@ -10,22 +10,52 @@ is the wideband received power scaled down to one resource element
 bounded random walk, stepped once per report; it degrades measured RSRP
 additively in dB, and the report carries a noisy reading of it.
 
-A tick's radio work for one UE is one ``RadioEnvironment.row``: a single
-pass over the id-ordered sites that yields every site's wideband power,
-the RSSI and interference sums of their linear powers, and the nearest
-site.  The report, the SINR and the execution window all read that row.
-Only a handover's completion looks up one site, through ``true_rsrp_of``
-and ``shadowing_db``; both paths share ``_received_dbm``, the link budget.
+One UE's radio work at one instant is one ``RadioEnvironment.row``: a
+single pass over the id-ordered sites that yields every site's wideband
+power, the RSSI and interference sums of their linear powers, and the
+nearest site.  Execution windows read the row's SINR.  Only a handover's
+completion looks up one site, through ``true_rsrp_of`` and
+``shadowing_db``.  ``_received_dbm`` is the link budget; ``row`` and the
+array kernel repeat its arithmetic inline.
+
+A report tick steps each UE's ambient walk and gives the UE a
+``RadioSample`` (every site's measured RSRP, the RSSI, the detected cells
+ranked, the ambient reading, the serving and interference powers and the
+nearest site); ``generate_report`` builds the UE's report, RSRQ
+included, from it.  Two
+kernels compute the samples, chosen by the tick's (UE x site) pair count
+(``array_pass``): below ``ARRAY_PASS_MIN_PAIRS`` the scalar ``sample``,
+one UE's row at a time, whose fixed cost per tick is small; at or above
+it ``array_samples``, which computes UE-id chunks of at most
+``ARRAY_PASS_MAX_PAIRS`` pairs as numpy arrays, the chunk bound keeping
+peak memory near that of the scalar pass.  The two are bit for bit
+equal:
+
+- numpy does only IEEE add, subtract, multiply and divide, comparisons
+  (and selections by them), ``maximum`` and ``argmin``, each giving what
+  the scalar operation gives;
+- ``math.hypot``, ``math.log10`` and ``math.pow(10.0, .)`` (which equals
+  ``10.0 ** .``, both being libm's ``pow``) are mapped over the arrays,
+  because numpy's own versions differ from ``math`` in the last bit on a
+  few percent of inputs;
+- sums over sites add one id-ordered column at a time (a running sum
+  along the sites), never through ``np.sum``, whose pairwise order differs;
+  the interference sum adds +0.0 at the serving column, which changes no
+  sum of powers that are all >= +0.0;
+- the ranking is a stable sort of the negated measurements, so equal
+  measurements keep the lower cell id first, as the scalar sort does.
+
 A report tick takes every UE's channel noise from ``channel_noise``, in
 the order per-UE draws would take it; a small deployment draws the noise
-of many ticks in one call.
+of many ticks in one call, and the array kernel one tick as an array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import chain
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,6 +69,15 @@ SHADOWING_DECORRELATION_M = 50.0
 # Most channel-noise draws one ``channel_noise`` block takes, unless a
 # single report tick needs more.
 NOISE_DRAWS_PER_CALL = 1024
+# Report ticks of at least this many (UE, site) pairs take the array kernel,
+# smaller ones the scalar pass: below it the array kernel's fixed cost per
+# chunk outweighs its saving per pair.  On a 2-vCPU Xeon VM the array kernel
+# took 1.03-1.07x the scalar pass's time at 250 pairs (50 sites x 5 UEs),
+# 0.64-1.01x at 300 (50 x 6) and 0.86-0.90x at 304 (19 x 16).
+ARRAY_PASS_MIN_PAIRS = 300
+# Most (UE, site) pairs one chunk of the array kernel holds, which bounds
+# its arrays' memory whatever the deployment's size.
+ARRAY_PASS_MAX_PAIRS = 4096
 # The anchor of a shadowing value never drawn: infinitely far from any
 # position, so the first lookup always draws.
 _NEVER_DRAWN = (math.inf, math.inf)
@@ -92,15 +131,9 @@ class ChannelParams:
     env_noise_mean_dbm: float = ranged(-100.0, -220.0, 100.0)
     env_noise_sigma_db: float = ranged(2.0, 0.0, 30.0)
 
-    def __post_init__(self):
-        for name in ("shadowing_sigma_db", "meas_noise_sigma_db", "env_noise_sigma_db"):
-            # The sign bit, so that -0.0 (which numpy's normal refuses) fails too.
-            if math.copysign(1.0, getattr(self, name)) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
 
 class MeasurementEntry(NamedTuple):
-    """One reported cell; ``generate_report`` checks the values are finite."""
+    """One reported cell; the sample kernels check the values are finite."""
 
     cell: int
     rsrp_dbm: float
@@ -138,6 +171,33 @@ class RadioRow(NamedTuple):
     serving_mw: float  # the serving site's linear power
     interference_mw: float  # the other sites' linear powers, summed left to right
     nearest: int  # id of the closest site, a tie to the lower id
+
+
+class RadioSample(NamedTuple):
+    """What one UE's report tick yields, from either kernel."""
+
+    measured: list[float]  # each site's measured RSRP in dBm, by id
+    rssi_dbm: float  # every site's power plus the noise floor
+    ranked: list[int]  # detected site ids, strongest first, ties to the lower id; at most MAX_NEIGHBORS + 1
+    env_reading_dbm: float  # the UE's reading of its ambient noise level
+    serving_mw: float  # the serving site's linear power
+    interference_mw: float  # the other sites' linear powers, summed in id order
+    nearest: int  # id of the closest site, a tie to the lower id
+
+
+# Builds a named tuple from the tuple of its fields, as its ``_make`` does,
+# without the Python-level call the generated constructor costs; a report
+# tick builds several per UE.
+_new_tuple = tuple.__new__
+
+
+def _mapped(fn, *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` of the arrays' elements (equally shaped float arrays),
+    computed by the Python float function itself so each value is the
+    scalar path's bit for bit."""
+    shape = arrays[0].shape
+    flat = (memoryview(a.reshape(-1)) for a in arrays)
+    return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(shape)
 
 
 def free_space_reference_db(carrier_freq_hz: float) -> float:
@@ -180,7 +240,13 @@ class RadioEnvironment:
         # ue -> (shadowing values, UE positions they were drawn at), by site id
         self._shadow: dict[int, tuple[list[float], list[tuple[float, float]]]] = {}
         self._site_positions = [s.position for s in self.sites]
+        self._site_x = np.array([x for x, _ in self._site_positions])
+        self._site_y = np.array([y for _, y in self._site_positions])
         self._env_noise: dict[int, float] = {}
+        # The bounds of the ambient walk: its mean less and plus 3 sigma.
+        bound = 3.0 * channel.env_noise_sigma_db
+        self._walk_lo = channel.env_noise_mean_dbm - bound
+        self._walk_hi = channel.env_noise_mean_dbm + bound
         # Ticks of the last channel-noise block not handed out yet, the
         # next one last, and the UE count they were drawn for.
         self._noise_ticks: list[list[list[float]]] = []
@@ -269,7 +335,7 @@ class RadioEnvironment:
         unclamped distance, so an exact tie goes to the lower id.
         """
         x, y = position
-        received = self._received_dbm
+        tx, reference, slope = self._tx_dbm, self._reference_db, self._slope_db
         wideband = []
         rssi_mw = serving_mw = interference_mw = 0.0
         nearest, nearest_m = 0, math.inf
@@ -277,7 +343,10 @@ class RadioEnvironment:
             distance = math.hypot(sx - x, sy - y)
             if distance < nearest_m:
                 nearest, nearest_m = cid, distance
-            power = received(distance, shadowing)
+            # _received_dbm inlined, as a call per site would cost more than its
+            # arithmetic; TestRadioRow checks the two agree bit for bit.
+            clamped = REFERENCE_DISTANCE_M if distance < REFERENCE_DISTANCE_M else distance
+            power = tx - (reference + slope * math.log10(clamped)) - shadowing
             wideband.append(power)
             mw = 10.0 ** (power / 10.0)
             rssi_mw += mw
@@ -317,56 +386,151 @@ class RadioEnvironment:
             return pending.pop()
         width = len(self._noise_scale)
         ticks = max(1, NOISE_DRAWS_PER_CALL // max(1, n_ues * width))
-        block = self.rng.standard_normal((ticks, n_ues, width))
-        block *= self._noise_scale
-        block += 0.0
-        self._noise_ticks, self._noise_ues = block.tolist()[::-1], n_ues
+        self._noise_ticks, self._noise_ues = self._noise_block(ticks, n_ues).tolist()[::-1], n_ues
         return self._noise_ticks.pop()
 
-    def generate_report(
-        self, ue: int, row: RadioRow, serving_cell: int, timestamp: float, draws: list[float]
-    ) -> MeasurementReport:
-        """Build a measurement report from a ``row``'s powers and RSSI and
-        the UE's ``draws`` from ``channel_noise``: serving entry plus up to
-        8 neighbors, and the ambient-noise reading.
+    def _noise_tick(self, n_ues: int) -> np.ndarray:
+        """``channel_noise``'s next tick as an (n_ues x draws) array.  Unless
+        ticks of an earlier block are pending, it is drawn on its own, which
+        takes the same values from ``rng`` as a block of many ticks would."""
+        if self._noise_ticks:
+            return np.array(self.channel_noise(n_ues))
+        return self._noise_block(1, n_ues)[0]
+
+    def _noise_block(self, ticks: int, n_ues: int) -> np.ndarray:
+        """``ticks`` ticks of every UE's draws, as numpy's ``normal`` makes them."""
+        block = self.rng.standard_normal((ticks, n_ues, len(self._noise_scale)))
+        block *= self._noise_scale
+        block += 0.0
+        return block
+
+    def array_pass(self, n_ues: int) -> bool:
+        """Whether a report tick of ``n_ues`` UEs takes the array kernel:
+        one of ``ARRAY_PASS_MIN_PAIRS`` (UE, site) pairs or more does, a
+        smaller one calls the scalar ``sample`` once per UE.  The two give
+        the same samples bit for bit."""
+        return n_ues * len(self.sites) >= ARRAY_PASS_MIN_PAIRS
+
+    def sample(self, ue: int, position: tuple[float, float], serving: int, draws: list[float]) -> RadioSample:
+        """The scalar kernel: one UE's report-tick sample from its ``row`` at
+        ``position`` while served by ``serving``, and its ``draws`` from
+        ``channel_noise``.
 
         The UE's ambient noise level first takes one bounded random-walk
         step (the σ_env draw, clamped to its mean ± 3σ_env).  Every site's
         measured RSRP is its true RSRP less the level's excursion above its
         configured mean (a noisier environment reads a weaker signal), plus
         one measurement-noise draw per site in id order; the last draw
-        makes the reading of the level.  A non-finite measurement or RSSI
-        raises ValueError; every RSRQ is a sum of those finite dB values and
-        a constant.  Neighbors are ranked by measured RSRP descending (ties
-        by cell id) and filtered by the detection threshold.  All entries
-        carry measured RSRP and the derived RSRQ,
-        10*log10(N_RB) + RSRP - RSSI.
+        makes the reading of the level.  The RSSI is every site's power plus
+        the noise floor.  A non-finite measurement or RSSI raises
+        ValueError.  Detected cells (measured RSRP at or above the
+        threshold) are ranked by measured RSRP descending, ties by cell id.
         """
-        p = self.params
-        bound = 3.0 * p.env_noise_sigma_db
-        level = self._env_noise.get(ue, p.env_noise_mean_dbm) + draws[0]
-        level = min(max(level, p.env_noise_mean_dbm - bound), p.env_noise_mean_dbm + bound)
+        wideband, rssi_mw, serving_mw, interference_mw, nearest = self.row(ue, position, serving)
+        mean = self.params.env_noise_mean_dbm
+        level = min(max(self._env_noise.get(ue, mean) + draws[0], self._walk_lo), self._walk_hi)
         self._env_noise[ue] = level
-        degradation = level - p.env_noise_mean_dbm
-        # Total received wideband power plus the noise floor forms the RSSI.
-        rssi_dbm = linear_to_db(row.rssi_mw + self._noise_mw)
+        degradation = level - mean
+        rssi_dbm = linear_to_db(rssi_mw + self._noise_mw)
         scaling = self._re_scaling_db
-        measured = [w - scaling - degradation + draws[i] for i, w in enumerate(row.wideband, 1)]
+        measured = [w - scaling - degradation + draws[i] for i, w in enumerate(wideband, 1)]
         if not (all(map(math.isfinite, measured)) and math.isfinite(rssi_dbm)):
             raise ValueError("measured RSRP and RSSI must be finite")
-        offset = self._rsrq_offset_db
+        # A stable descending sort keeps equal measurements in id order.
+        ranked = [cid for cid, value in enumerate(measured) if value >= DETECTION_THRESHOLD_DBM]
+        ranked.sort(key=measured.__getitem__, reverse=True)
+        del ranked[MAX_NEIGHBORS + 1 :]
+        return _new_tuple(RadioSample, (measured, rssi_dbm, ranked, level + draws[-1], serving_mw, interference_mw, nearest))
 
-        # Only detectable cells are ranked; a stable descending sort keeps
-        # equal measurements in id order.
-        detected = [cid for cid, value in enumerate(measured) if value >= DETECTION_THRESHOLD_DBM]
-        detected.sort(key=measured.__getitem__, reverse=True)
+    def array_samples(self, positions: list[tuple[float, float]], servings: list[int]) -> Iterator[RadioSample]:
+        """The array kernel: one report tick's ``sample`` for every UE in id
+        order, UE ``i`` at the ``(x, y)`` position ``positions[i]``, served
+        by ``servings[i]``, with the tick's ``i``-th draws from
+        ``channel_noise``.
+
+        Takes the tick's draws at once, then computes lazily, one chunk of
+        UEs (at most ``ARRAY_PASS_MAX_PAIRS`` pairs) at a time, with the
+        scalar pass's operations in its order (see the module docstring), so
+        every sample, ambient level, shadowing value and ``shadow_rng`` draw
+        equals the scalar pass's.
+        """
+        n_ues = len(positions)
+        noise = self._noise_tick(n_ues)
+        per_chunk = max(1, ARRAY_PASS_MAX_PAIRS // len(self.sites))
+        return chain.from_iterable(
+            self._array_chunk(
+                range(start, min(start + per_chunk, n_ues)),
+                positions[start : start + per_chunk],
+                servings[start : start + per_chunk],
+                noise[start : start + per_chunk],
+            )
+            for start in range(0, n_ues, per_chunk)
+        )
+
+    def _array_chunk(self, ues, positions, servings, noise) -> Iterator[RadioSample]:
+        # Shadowing first, UE by UE in id order, as each UE's row reads it.
+        shadowing = np.array([self.refresh_shadowing(ue, position) for ue, position in zip(ues, positions)])
+        xy = np.array(positions)
+        distance = _mapped(math.hypot, self._site_x - xy[:, :1], self._site_y - xy[:, 1:])
+        nearest = distance.argmin(axis=1)
+        # _received_dbm, with its clamp to the reference distance.
+        log_distance = _mapped(math.log10, np.maximum(distance, REFERENCE_DISTANCE_M))
+        wideband = self._tx_dbm - (self._reference_db + self._slope_db * log_distance) - shadowing
+        mw = _mapped(math.pow, np.full(wideband.shape, 10.0), wideband / 10.0)  # 10.0 ** (power / 10.0)
+        rows = np.arange(len(ues))
+        serving_mw = mw[rows, servings]
+        others = mw.copy()
+        others[rows, servings] = 0.0
+        # Running sums along the id-ordered sites add one column at a time,
+        # left to right; the first column equals 0.0 plus itself, as every
+        # power is >= +0.0.
+        rssi_mw = np.add.accumulate(mw, axis=1)[:, -1]
+        interference_mw = np.add.accumulate(others, axis=1)[:, -1]
+
+        # The ambient walk, clamped as max() then min() clamp it: each keeps
+        # the level unless the bound lies strictly beyond it, so a tie keeps
+        # the level's sign of zero, which np.maximum and np.minimum do not.
+        mean = self.params.env_noise_mean_dbm
+        level = np.array([self._env_noise.get(ue, mean) for ue in ues]) + noise[:, 0]
+        level = np.where(self._walk_lo > level, self._walk_lo, level)
+        level = np.where(self._walk_hi < level, self._walk_hi, level)
+        self._env_noise.update(zip(ues, level.tolist()))
+        rssi_dbm = 10.0 * _mapped(math.log10, rssi_mw + self._noise_mw)
+        measured = wideband - self._re_scaling_db - (level - mean)[:, None] + noise[:, 1:-1]
+        if not (np.isfinite(measured).all() and np.isfinite(rssi_dbm).all()):
+            raise ValueError("measured RSRP and RSSI must be finite")
+        # Descending order puts every detected cell before every other one.
+        order = np.argsort(-measured, axis=1, kind="stable")[:, : MAX_NEIGHBORS + 1].tolist()
+        detected = np.count_nonzero(measured >= DETECTION_THRESHOLD_DBM, axis=1).tolist()
+        ranked = [cells[:count] for cells, count in zip(order, detected)]
+        return map(
+            RadioSample,
+            measured.tolist(),
+            rssi_dbm.tolist(),
+            ranked,
+            (level + noise[:, -1]).tolist(),
+            serving_mw.tolist(),
+            interference_mw.tolist(),
+            nearest.tolist(),
+        )
+
+    def generate_report(
+        self, ue: int, sample: RadioSample, serving_cell: int, timestamp: float
+    ) -> MeasurementReport:
+        """Build UE ``ue``'s measurement report from its tick's ``sample``:
+        the serving entry, up to 8 neighbors (the strongest detected cells
+        other than ``serving_cell``), and the ambient-noise reading.  Every
+        entry carries the cell's measured RSRP and the derived RSRQ,
+        10*log10(N_RB) + RSRP - RSSI."""
+        measured, rssi_dbm, ranked, reading, _, _, _ = sample
+        offset = self._rsrq_offset_db
         neighbors = []
-        for cid in detected:
+        for cid in ranked:
             if cid != serving_cell:
                 value = measured[cid]
-                neighbors.append(MeasurementEntry(cid, value, offset + value - rssi_dbm))
+                neighbors.append(_new_tuple(MeasurementEntry, (cid, value, offset + value - rssi_dbm)))
                 if len(neighbors) == MAX_NEIGHBORS:
                     break
         value = measured[serving_cell]
-        serving = MeasurementEntry(serving_cell, value, offset + value - rssi_dbm)
-        return MeasurementReport(ue, timestamp, serving, tuple(neighbors), level + draws[-1])
+        serving = _new_tuple(MeasurementEntry, (serving_cell, value, offset + value - rssi_dbm))
+        return MeasurementReport(ue, timestamp, serving, tuple(neighbors), reading)

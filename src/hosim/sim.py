@@ -65,18 +65,24 @@ class Scenario:
     learning: LearningParams = field(default_factory=LearningParams)
 
     def validate(self) -> None:
-        """The one gate for a scenario; a bad field raises ConfigError naming it."""
+        """The one gate for a scenario; a bad field raises ConfigError naming
+        its INI key: ``sim.<key>`` for a top-level field, ``<section>.<key>``
+        for a nested one."""
         for name, value, (lo, hi) in _float_fields(self):
             if not math.isfinite(value):
                 raise ConfigError(name, "must be finite")
             if not lo <= value <= hi:
                 raise ConfigError(name, f"must be in [{lo:g}, {hi:g}]")
+        for name in ("shadowing_sigma_db", "meas_noise_sigma_db", "env_noise_sigma_db"):
+            # The sign bit, so that -0.0 (which numpy's normal refuses) fails too.
+            if math.copysign(1.0, getattr(self.channel, name)) < 0:
+                raise ConfigError(f"channel.{name}", "must be non-negative")
         if self.layout not in ("hex", "corridor"):
-            raise ConfigError("layout", f"unknown layout {self.layout!r}")
+            raise ConfigError("sim.layout", f"unknown layout {self.layout!r}")
         if self.n_sites < 1:
-            raise ConfigError("n_sites", "need at least one site")
+            raise ConfigError("sim.n_sites", "need at least one site")
         if self.layout == "corridor" and self.n_sites < 2:
-            raise ConfigError("n_sites", "corridor layout needs at least two sites")
+            raise ConfigError("sim.n_sites", "corridor layout needs at least two sites")
         # Every UE must start inside the deployment boundary, or its first
         # step mirrors it across the wall.
         if self.layout == "hex":
@@ -84,32 +90,32 @@ class Scenario:
         else:
             need = max(abs(self.corridor_lane_m) + CORRIDOR_LANE_JITTER_M, CORRIDOR_OFFSET_M[1] - self.site_spacing_m)
         if _boundary_margin_m(self) < need:
-            raise ConfigError("boundary_margin_m", f"must be at least {need:g} m so every UE starts inside")
+            raise ConfigError("sim.boundary_margin_m", f"must be at least {need:g} m so every UE starts inside")
         if self.sim_duration_s <= 0:
-            raise ConfigError("sim_duration_s", "must be positive")
+            raise ConfigError("sim.sim_duration_s", "must be positive")
         if self.step_s <= 0:
-            raise ConfigError("step_s", "must be positive")
+            raise ConfigError("sim.step_s", "must be positive")
         if not math.isfinite(self.sim_duration_s / self.step_s):
-            raise ConfigError("step_s", "too small for sim_duration_s")
+            raise ConfigError("sim.step_s", "too small for sim_duration_s")
         if self.sim_duration_s < self.step_s:
-            raise ConfigError("sim_duration_s", "must be at least step_s")
+            raise ConfigError("sim.sim_duration_s", "must be at least step_s")
         if self.report_period_s < self.step_s:
-            raise ConfigError("report_period_s", "must be at least step_s")
+            raise ConfigError("sim.report_period_s", "must be at least step_s")
         ratio = self.report_period_s / self.step_s
         if not math.isfinite(ratio):
-            raise ConfigError("step_s", "too small for report_period_s")
+            raise ConfigError("sim.step_s", "too small for report_period_s")
         if abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigError("report_period_s", "must be an integer multiple of step_s")
+            raise ConfigError("sim.report_period_s", "must be an integer multiple of step_s")
         if self.n_ues_per_cell < 0:
-            raise ConfigError("n_ues_per_cell", "must be non-negative")
+            raise ConfigError("sim.n_ues_per_cell", "must be non-negative")
         if self.policy not in POLICIES:
-            raise ConfigError("policy", f"must be one of {POLICIES}")
+            raise ConfigError("sim.policy", f"must be one of {POLICIES}")
         if self.seed < 0:
-            raise ConfigError("seed", "must be non-negative")
+            raise ConfigError("sim.seed", "must be non-negative")
         if self.fixed_ttt_ms not in TTT_VALUES_MS:
-            raise ConfigError("fixed_ttt_ms", f"must be one of {TTT_VALUES_MS}")
+            raise ConfigError("sim.fixed_ttt_ms", f"must be one of {TTT_VALUES_MS}")
         if self.fixed_hyst_db not in HYST_VALUES_DB:
-            raise ConfigError("fixed_hyst_db", "must be an integer in 0..30")
+            raise ConfigError("sim.fixed_hyst_db", "must be an integer in 0..30")
 
 
 def _boundary_margin_m(scenario: Scenario) -> float:
@@ -118,14 +124,15 @@ def _boundary_margin_m(scenario: Scenario) -> float:
     return scenario.cell_radius_m if margin is None else margin
 
 
-def _float_fields(obj, prefix: str = ""):
-    """Yield (attribute path, value, inclusive range) for every float field,
-    nested dataclasses included; a field declared without ``ranged`` is
-    unbounded."""
+def _float_fields(obj, prefix: str = "sim."):
+    """Yield (INI key, value, inclusive range) for every float field: a
+    top-level field as ``sim.<key>``, a nested dataclass's as
+    ``<field>.<key>``, the section it has in a scenario file.  A field
+    declared without ``ranged`` is unbounded."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if is_dataclass(value):
-            yield from _float_fields(value, f"{prefix}{f.name}.")
+            yield from _float_fields(value, f"{f.name}.")
         elif isinstance(value, float):
             yield prefix + f.name, value, f.metadata.get("range", (-math.inf, math.inf))
 
@@ -275,6 +282,8 @@ class Simulation:
         # Ids of the UEs whose handover is executing, ascending.  Only a
         # report tick starts an execution and only a completion ends one.
         self._executing: list[int] = []
+        # Every report tick has the same (UE x site) pairs, so one kernel.
+        self._array_pass = self.env.array_pass(len(self.ues))
 
     def _deployment_bounds(self, sites) -> tuple[float, float, float, float]:
         margin = _boundary_margin_m(self.scenario)
@@ -324,27 +333,35 @@ class Simulation:
         self._executing = still_executing
 
     def _report_tick(self, now: float) -> None:
-        # Only a handover's completion changes ctx.serving, so the row's
-        # interference stays that of the serving cell the SINR is taken for.
+        # Only a handover's completion changes ctx.serving, so the serving
+        # cells read before the samples stay those each SINR is taken for.
         # Every UE's position is current (``step`` advanced them all), and
-        # an executing window's sample at this step is the report row's SINR.
-        env = self.env
+        # an executing window's sample at this step is the report's SINR.
+        env, policy, metrics = self.env, self.policy, self.metrics
+        period, bandwidth = self.scenario.report_period_s, self.scenario.radio.bandwidth_hz
         executing = []
-        noise = env.channel_noise(len(self.ues))
-        for ue, ctx, draws in zip(self.ues, self.contexts, noise):
-            row = env.row(ue.ue, ue.position, ctx.serving)
-            report = env.generate_report(ue.ue, row, ctx.serving, now, draws)
-            levels = self.policy.observe(report)
-            engine.on_measurement_report(ctx, report, levels, self.policy, now, self.scenario.report_period_s)
-            sinr_db = env.sinr_of(row.serving_mw, row.interference_mw)
+        # The array kernel yields every UE's sample; the scalar one is called
+        # on each UE's draws directly, which costs less than an iterator.
+        array_pass = self._array_pass
+        if array_pass:
+            per_ue = env.array_samples([ue.position for ue in self.ues], [ctx.serving for ctx in self.contexts])
+        else:
+            per_ue = env.channel_noise(len(self.ues))
+        for ue, ctx, item in zip(self.ues, self.contexts, per_ue):
+            i = ue.ue
+            sample = item if array_pass else env.sample(i, ue.position, ctx.serving, item)
+            report = env.generate_report(i, sample, ctx.serving, now)
+            levels = policy.observe(report)
+            engine.on_measurement_report(ctx, report, levels, policy, now, period)
+            sinr_db = env.sinr_of(sample.serving_mw, sample.interference_mw)
             attached = ctx.phase != EXECUTING
             if not attached:
-                executing.append(ue.ue)
+                executing.append(i)
                 engine.note_execution_sinr(ctx, sinr_db)
-            self.metrics.add_sample(now, sinr_db, self.scenario.radio.bandwidth_hz, attached)
-            if row.nearest != self._nearest[ue.ue]:
-                self._nearest[ue.ue] = row.nearest
-                self.metrics.add_crossing()
+            metrics.add_sample(now, sinr_db, bandwidth, attached)
+            if sample.nearest != self._nearest[i]:
+                self._nearest[i] = sample.nearest
+                metrics.add_crossing()
         self._executing = executing
 
     def _track_execution_sinr(self) -> None:

@@ -155,49 +155,49 @@ class TestConfigurationErrors:
 
     @pytest.mark.parametrize("argv,field", [
         (["run", "--set", "channel.path_loss_exponent=-1"], "channel.path_loss_exponent"),
-        (["run", "--set", "sim.sim_duration_s=nan"], "sim_duration_s"),
-        (["run", "--duration", "nan"], "sim_duration_s"),
-        (["run", "--speed", "nan"], "ue_speed_kmh"),
-        (["run", "--set", "sim.fixed_ttt_ms=7", "--policy", "fixed_a3"], "fixed_ttt_ms"),
+        (["run", "--set", "sim.sim_duration_s=nan"], "sim.sim_duration_s"),
+        (["run", "--duration", "nan"], "sim.sim_duration_s"),
+        (["run", "--speed", "nan"], "sim.ue_speed_kmh"),
+        (["run", "--set", "sim.fixed_ttt_ms=7", "--policy", "fixed_a3"], "sim.fixed_ttt_ms"),
         (["run", "--set", "radio.bandwidth_hz=1e6"], "radio.bandwidth_hz"),
         (["run", "--set", "radio.bandwidth_hz=0"], "radio.bandwidth_hz"),
         (["run", "--set", "radio.carrier_freq_hz=-1"], "radio.carrier_freq_hz"),
         (["run", "--set", "radio.tx_power_dbm=inf"], "radio.tx_power_dbm"),
         (["run", "--set", "learning.r=nan"], "learning.r"),
-        (["run", "--set", "sim.boundary_margin_m=nan"], "boundary_margin_m"),
-        (["run", "--set", "sim.step_s=5e-324"], "step_s"),
-        (["run", "--seed", "-1"], "seed"),
+        (["run", "--set", "sim.boundary_margin_m=nan"], "sim.boundary_margin_m"),
+        (["run", "--set", "sim.step_s=5e-324"], "sim.step_s"),
+        (["run", "--seed", "-1"], "sim.seed"),
         (["sweep", "--seeds", "0:"], "seeds"),
         (["sweep", "--seeds", "a"], "seeds"),
         (["sweep", "--seeds", "3:3"], "seeds"),
         (["sweep", "--speeds", "abc"], "speeds"),
         (["sweep", "--speeds", ","], "speeds"),
         (["convergence", "--seeds", "0:"], "seeds"),
-        *[(["run", "--duration", "0.2", "--set", f"{key}={value}"], key.removeprefix("sim."))
+        *[(["run", "--duration", "0.2", "--set", f"{key}={value}"], key)
           for key, values in ABSURD.items() for value in values],
         (["sweep", "--jobs", "0"], "jobs"),
         (["sweep", "--jobs", "-2"], "jobs"),
-        (["run", "--duration", "0.01"], "sim_duration_s"),
+        (["run", "--duration", "0.01"], "sim.sim_duration_s"),
         (["sweep", "--seeds", "1,1"], "seeds"),
         (["sweep", "--speeds", "50,50.0"], "speeds"),
         (["sweep", "--policies", "fixed_a3,fixed_a3"], "policies"),
         (["sweep", "--policies", ","], "policies"),
-        (["run", "--set", "sim.boundary_margin_m=none"], "boundary_margin_m"),
-        (["run", "--set", "sim.boundary_margin_m=289"], "boundary_margin_m"),
+        (["run", "--set", "sim.boundary_margin_m=none"], "sim.boundary_margin_m"),
+        (["run", "--set", "sim.boundary_margin_m=289"], "sim.boundary_margin_m"),
         (["run", "--set", "sim.layout=hex", "--set", "sim.n_sites=7", "--set", "sim.boundary_margin_m=0"],
-         "boundary_margin_m"),
+         "sim.boundary_margin_m"),
         # numpy's normal refuses a negative-zero scale.
         *[(["run", "--set", f"channel.{key}=-0.0"], f"channel.{key}")
           for key in ("shadowing_sigma_db", "meas_noise_sigma_db", "env_noise_sigma_db")],
         # A per-step travel that overflows once the run starts.
         (["run", "--set", "sim.step_s=5e307", "--set", "sim.sim_duration_s=1e308",
-          "--set", "sim.report_period_s=5e307", "--set", "sim.ue_speed_kmh=1000"], "sim_duration_s"),
+          "--set", "sim.report_period_s=5e307", "--set", "sim.ue_speed_kmh=1000"], "sim.sim_duration_s"),
         # The ambient walk rounds back to a huge mean; a huge bandwidth drowns every link in noise.
         (["run", "--duration", "1", "--set", "channel.env_noise_mean_dbm=1e308"], "channel.env_noise_mean_dbm"),
         (["run", "--duration", "1", "--set", "radio.bandwidth_hz=1e308"], "radio.bandwidth_hz"),
-    # A radio case's id keeps the bare key, so case ids do not move with
-    # the section prefix the error names.
-    ], ids=lambda value: value.removeprefix("radio.") if isinstance(value, str) else None)
+    # A radio or sim case's id keeps the bare key, so case ids do not move
+    # with the section prefix the error names.
+    ], ids=lambda value: value.removeprefix("radio.").removeprefix("sim.") if isinstance(value, str) else None)
     def test_exit_2_names_field(self, corridor_file, tmp_path, capsys, argv, field):
         out = tmp_path / "out"
         assert main(argv + ["--scenario", corridor_file, "--out", str(out)]) == 2

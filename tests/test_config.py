@@ -135,7 +135,7 @@ class TestSchema:
         run(scenario)
 
 
-# (attribute path, lo, hi) of every field declared with a finite range; the
+# (INI key, lo, hi) of every field declared with a finite range; the
 # margin is set so that its float field is walked too.
 RANGED = [
     (path, lo, hi) for path, _, (lo, hi) in _float_fields(Scenario(boundary_margin_m=150.0))
@@ -145,16 +145,16 @@ RANGED = [
 
 class TestDeclaredRanges:
     def test_sim_radio_and_channel_fields_are_ranged(self):
-        sections = [path.split(".")[0] if "." in path else "sim" for path, _, _ in RANGED]
+        sections = [path.split(".")[0] for path, _, _ in RANGED]
         assert {section: sections.count(section) for section in sections} == {"sim": 6, "radio": 4, "channel": 6}
 
-    @pytest.mark.parametrize("path,lo,hi", RANGED, ids=[path for path, _, _ in RANGED])
+    # A sim case's id keeps the bare key, as it had before errors named the section.
+    @pytest.mark.parametrize("path,lo,hi", RANGED, ids=[path.removeprefix("sim.") for path, _, _ in RANGED])
     def test_just_outside_each_end_names_the_path(self, path, lo, hi):
-        key = path if "." in path else f"sim.{path}"
         base = Scenario(boundary_margin_m=150.0)
         for value in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
             with pytest.raises(ConfigError) as err:
-                apply_override(base, f"{key}={value!r}").validate()
+                apply_override(base, f"{path}={value!r}").validate()
             assert err.value.field_name == path
 
 

@@ -8,11 +8,12 @@ change that moves one must say why and re-record it.
 """
 
 import hashlib
+import math
 import os
 
 import pytest
 
-from hosim import config, kalman, metrics
+from hosim import config, kalman, metrics, radio
 from hosim.rl import qtable_rows
 from hosim.sim import Simulation
 
@@ -123,6 +124,22 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_digests_match(case):
+    ini, overrides, expected = GOLDEN[case]
+    assert run_digests(ini, overrides) == expected
+
+
+# Every case with every report tick on the array kernel (the corridor's 2 x 2
+# included), and the 1 s hex50 cases with every tick on the scalar pass.
+KERNEL_CASES = [(case, 0) for case in sorted(GOLDEN)] + [
+    (case, math.inf) for case in sorted(GOLDEN) if case.startswith("hex50-") and case.endswith("-1s-1")
+]
+
+
+@pytest.mark.parametrize(
+    "case, min_pairs", KERNEL_CASES, ids=[f"{case}-{'array' if n == 0 else 'scalar'}" for case, n in KERNEL_CASES]
+)
+def test_digests_hold_on_either_kernel(case, min_pairs, monkeypatch):
+    monkeypatch.setattr(radio, "ARRAY_PASS_MIN_PAIRS", min_pairs)
     ini, overrides, expected = GOLDEN[case]
     assert run_digests(ini, overrides) == expected
 

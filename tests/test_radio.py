@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hosim import radio
 from hosim.radio import (
     DETECTION_THRESHOLD_DBM,
     MAX_NEIGHBORS,
@@ -15,12 +16,11 @@ from hosim.radio import (
     MeasurementReport,
     RadioEnvironment,
     RadioParams,
-    RadioRow,
     free_space_reference_db,
     n_resource_blocks,
     re_scaling_db,
 )
-from hosim.sim import ConfigError, Scenario, build_sites
+from hosim.sim import ConfigError, Scenario, build_sites, corridor_scenario, place_ues
 
 PARAMS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
 FREQ = 26e9
@@ -42,9 +42,31 @@ def make_env(sites, params=PARAMS, seed=0, tx=46.0, bw=BW):
     return RadioEnvironment(sites, params, radio, np.random.default_rng(seed), np.random.default_rng(seed + 1))
 
 
-def report_of(env, row, serving, timestamp):
-    """UE 0's report from ``row``, with one UE's draws from ``channel_noise``."""
-    return env.generate_report(0, row, serving, timestamp, env.channel_noise(1)[0])
+def report_of(env, position, serving, timestamp):
+    """UE 0's report at ``position``, from the scalar kernel's sample with
+    one UE's draws from ``channel_noise``."""
+    return env.generate_report(0, env.sample(0, position, serving, env.channel_noise(1)[0]), serving, timestamp)
+
+
+def pin_shadowing(env, ue, position, values):
+    """Give UE ``ue`` the shadowing ``values`` (by site id), drawn at
+    ``position``, so a row there reads them without a redraw."""
+    env._shadow[ue] = (list(values), [position] * len(values))
+
+
+def shadowing_for(env, cell, position, target, below=False):
+    """A shadowing value that puts the noise-free measured RSRP of ``cell``
+    at ``position`` exactly on ``target`` dBm, or one step below it."""
+    sx, sy = env._site_positions[cell]
+    distance = math.hypot(sx - position[0], sy - position[1])
+    measured = lambda shadowing: env._received_dbm(distance, shadowing) - env._re_scaling_db
+    shadowing = env._received_dbm(distance, 0.0) - env._re_scaling_db - target
+    for _ in range(1000):
+        value = measured(shadowing)
+        if (value < target) if below else (value == target):
+            return shadowing
+        shadowing = math.nextafter(shadowing, math.inf if value >= target else -math.inf)
+    raise AssertionError(f"no shadowing puts cell {cell} on {target} dBm")
 
 
 def loss_at(distance_m):
@@ -104,8 +126,7 @@ class TestMeasureRsrp:
     POSITION = (30.0, 0.0)
 
     def measured(self, env, n=1):
-        row = env.row(0, self.POSITION, 0)
-        return np.array([report_of(env, row, 0, 0.0).serving.rsrp_dbm for _ in range(n)])
+        return np.array([report_of(env, self.POSITION, 0, 0.0).serving.rsrp_dbm for _ in range(n)])
 
     def test_noiseless_identity(self):
         env = make_env([make_site()])
@@ -119,7 +140,7 @@ class TestMeasureRsrp:
         env._env_noise[0] = params.env_noise_mean_dbm + 4.0
         excursion = min(max(4.0 + twin.normal(0.0, 2.0), -6.0), 6.0)
         assert excursion > 0.0
-        report = report_of(env, env.row(0, self.POSITION, 0), 0, 0.0)
+        report = report_of(env, self.POSITION, 0, 0.0)
         assert report.serving.rsrp_dbm == pytest.approx(env.true_rsrp_of(0, 0, self.POSITION) - excursion)
         assert report.env_noise_dbm == pytest.approx(params.env_noise_mean_dbm + excursion)
 
@@ -141,7 +162,7 @@ def rsrq_offsets(bandwidth_hz):
     row = env.row(0, (30.0, 0.0), 0)
     noise_dbm = -174.0 + 10 * math.log10(bandwidth_hz) + 5.0
     rssi_dbm = 10 * math.log10(sum(10 ** (p / 10) for p in row.wideband) + 10 ** (noise_dbm / 10))
-    report = report_of(env, row, 0, 0.0)
+    report = report_of(env, (30.0, 0.0), 0, 0.0)
     assert len(report.neighbors) == 1
     return [e.rsrq_db - (e.rsrp_dbm - rssi_dbm) for e in (report.serving, *report.neighbors)]
 
@@ -273,14 +294,14 @@ class TestMeasurementTypes:
 class TestGenerateReport:
     def test_single_cell_empty_neighbors(self):
         env = make_env([make_site(0)])
-        report = report_of(env, env.row(0, (30.0, 0.0), 0), 0, 0.0)
+        report = report_of(env, (30.0, 0.0), 0, 0.0)
         assert report.neighbors == ()
         assert report.serving.cell == 0
 
     def test_equidistant_tie_order_by_cell_id(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (100.0, 0.0)), make_site(2, (-100.0, 0.0))]
         env = make_env(sites)
-        report = report_of(env, env.row(0, (0.0, 0.0), 0), 0, 0.0)
+        report = report_of(env, (0.0, 0.0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1, 2]
         assert report.neighbors[0].rsrp_dbm == report.neighbors[1].rsrp_dbm
 
@@ -292,20 +313,20 @@ class TestGenerateReport:
             make_site(3, (160.0, 0.0)),
         ]
         env = make_env(sites)
-        report = report_of(env, env.row(0, (0.0, 0.0), 0), 0, 0.0)
+        report = report_of(env, (0.0, 0.0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1, 2, 3]
 
     def test_zero_noise_reports_are_pure_geometry(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (120.0, 0.0))]
         first_env, second_env = make_env(sites, seed=1), make_env(sites, seed=99)
-        first = report_of(first_env, first_env.row(0, (30.0, 10.0), 0), 0, 0.0)
-        second = report_of(second_env, second_env.row(0, (30.0, 10.0), 0), 0, 0.0)
+        first = report_of(first_env, (30.0, 10.0), 0, 0.0)
+        second = report_of(second_env, (30.0, 10.0), 0, 0.0)
         assert first == second
 
     def test_neighbor_list_truncated(self):
         sites = [make_site(i, (25.0 * i, 0.0)) for i in range(12)]
         env = make_env(sites)
-        report = report_of(env, env.row(0, (0.0, 0.0), 0), 0, 0.0)
+        report = report_of(env, (0.0, 0.0), 0, 0.0)
         assert len(report.neighbors) == MAX_NEIGHBORS
 
     def test_detection_threshold_filters_far_cells(self):
@@ -313,28 +334,25 @@ class TestGenerateReport:
         edge = 10 ** ((46.0 - re_scaling_db(BW) - DETECTION_THRESHOLD_DBM - free_space_reference_db(FREQ)) / 30.0)
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (edge * 0.9, 0.0)), make_site(2, (edge * 1.1, 0.0))]
         env = make_env(sites)
-        report = report_of(env, env.row(0, (0.0, 0.0), 0), 0, 0.0)
+        report = report_of(env, (0.0, 0.0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1]
 
     def test_threshold_itself_is_detected(self):
         # Noise-free draws: a site's measurement is its wideband power less
-        # the RE scaling.  One lands exactly on the threshold, one just under.
+        # the RE scaling.  Shadowing puts one exactly on the threshold and
+        # one just under.
         env = make_env([make_site(i, (40.0 * i, 0.0)) for i in range(3)])
-        scaling = re_scaling_db(BW)
-        at = DETECTION_THRESHOLD_DBM + scaling
-        while at - scaling != DETECTION_THRESHOLD_DBM:
-            at = math.nextafter(at, math.inf if at - scaling < DETECTION_THRESHOLD_DBM else -math.inf)
-        under = at
-        while not under - scaling < DETECTION_THRESHOLD_DBM:
-            under = math.nextafter(under, -math.inf)
-        row = RadioRow([-60.0, at, under], 1e-6, 1e-6, 0.0, 0)
-        report = env.generate_report(0, row, 0, 0.0, [0.0] * 5)
+        position = (0.0, 0.0)
+        at = shadowing_for(env, 1, position, DETECTION_THRESHOLD_DBM)
+        under = shadowing_for(env, 2, position, DETECTION_THRESHOLD_DBM, below=True)
+        pin_shadowing(env, 0, position, [0.0, at, under])
+        report = report_of(env, position, 0, 0.0)
         assert [(n.cell, n.rsrp_dbm) for n in report.neighbors] == [(1, DETECTION_THRESHOLD_DBM)]
 
     def test_rsrq_values_negative_under_load(self):
         sites = [make_site(0, (0.0, 0.0)), make_site(1, (100.0, 0.0))]
         env = make_env(sites)
-        report = report_of(env, env.row(0, (50.0, 0.0), 0), 0, 0.0)
+        report = report_of(env, (50.0, 0.0), 0, 0.0)
         assert report.serving.rsrq_db < 0
         assert all(n.rsrq_db < 0 for n in report.neighbors)
 
@@ -348,10 +366,11 @@ class TestGenerateReport:
         for n_ues, ticks_per_draw in ((1, 73), (80, 1)):
             env = make_env(sites, dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=11)
             twin = np.random.default_rng(11)
-            row = env.row(0, (170.0, 5.0), 4)
+            position = (170.0, 5.0)
+            row = env.row(0, position, 4)
             for tick in range(1, 2 * ticks_per_draw + 2):
                 for ue, draws in enumerate(env.channel_noise(n_ues)):
-                    report = env.generate_report(ue, row, 4, 0.0, draws)
+                    report = env.generate_report(ue, env.sample(ue, position, 4, draws), 4, 0.0)
                     twin.normal(0.0, 0.0)  # the ambient-noise walk's step
                     expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in row.wideband]
                     twin.normal(0.0, 2.0)  # the ambient-noise reading
@@ -372,11 +391,12 @@ class TestGenerateReport:
         mean = params.env_noise_mean_dbm
         for n_ues, ticks_per_draw in ((1, 204), (250, 1)):
             env, twin = make_env(sites, params, seed=21), np.random.default_rng(21)
-            row = env.row(0, (50.0, 0.0), 0)
+            position = (50.0, 0.0)
+            row = env.row(0, position, 0)
             levels = [mean] * n_ues
             for tick in range(1, 2 * ticks_per_draw + 2):
                 for ue, draws in enumerate(env.channel_noise(n_ues)):
-                    report = env.generate_report(ue, row, 0, 0.04 * tick, draws)
+                    report = env.generate_report(ue, env.sample(ue, position, 0, draws), 0, 0.04 * tick)
                     level = levels[ue] = min(max(levels[ue] + twin.normal(0.0, 1.5), mean - 4.5), mean + 4.5)
                     expected = [p - re_scaling_db(BW) - (level - mean) + twin.normal(0.0, 2.0) for p in row.wideband]
                     assert {e.cell: e.rsrp_dbm for e in (report.serving, *report.neighbors)} == dict(enumerate(expected))
@@ -386,11 +406,10 @@ class TestGenerateReport:
     def test_nan_measurement_at_one_site_raises(self):
         sites = [make_site(i, (40.0 * i, 0.0)) for i in range(5)]
         env = make_env(sites)
-        row = env.row(0, (0.0, 0.0), 0)
         draws = env.channel_noise(1)[0]
         draws[1 + 3] = math.nan  # site 3's measurement noise
         with pytest.raises(ValueError):
-            env.generate_report(0, row, 0, 0.0, draws)
+            env.generate_report(0, env.sample(0, (0.0, 0.0), 0, draws), 0, 0.0)
 
     def test_non_finite_power_at_unreported_site_raises(self):
         sites = [make_site(i, (40.0 * i, 0.0)) for i in range(12)]
@@ -401,7 +420,7 @@ class TestGenerateReport:
         row = env.row(0, position, 0)
         assert row.wideband[far] == -math.inf
         with pytest.raises(ValueError):
-            report_of(env, row, 0, 0.0)
+            report_of(env, position, 0, 0.0)
 
 
 class TestEnvironmentState:
@@ -409,8 +428,7 @@ class TestEnvironmentState:
         # Without measurement noise each report reads the walk's level exactly.
         params = dataclasses.replace(PARAMS, env_noise_sigma_db=2.0)
         env = make_env([make_site(0)], params, seed=3)
-        row = env.row(0, (30.0, 0.0), 0)
-        values = [report_of(env, row, 0, 0.0).env_noise_dbm for _ in range(2000)]
+        values = [report_of(env, (30.0, 0.0), 0, 0.0).env_noise_dbm for _ in range(2000)]
         bound = 3.0 * params.env_noise_sigma_db
         assert all(abs(v - params.env_noise_mean_dbm) <= bound + 1e-9 for v in values)
         assert max(abs(v - params.env_noise_mean_dbm) for v in values) == pytest.approx(bound)
@@ -585,3 +603,137 @@ class TestChannelNoise:
         env.channel_noise(2)
         with pytest.raises(ValueError):
             env.channel_noise(3)
+
+
+def scalar_tick(env, positions, servings):
+    """One report tick from the scalar kernel, UE ``i`` at ``positions[i]``."""
+    noise = env.channel_noise(len(positions))
+    return [env.sample(ue, p, s, d) for ue, (p, s, d) in enumerate(zip(positions, servings, noise))]
+
+
+def array_tick(env, positions, servings):
+    """The same tick from the array kernel."""
+    return list(env.array_samples(positions, servings))
+
+
+def scenario_env(scenario):
+    """An environment seeded as a ``Simulation`` of ``scenario`` seeds its own."""
+    return RadioEnvironment(
+        build_sites(scenario), scenario.channel, scenario.radio,
+        np.random.default_rng([scenario.seed, 1]), np.random.default_rng([scenario.seed, 3]),
+    )
+
+
+def assert_twins(first_env, second_env, first, second):
+    """Equal samples and equal state left behind, bit for bit: ``repr``
+    spells every float exactly, the sign of zero included.  Compared one
+    sample and one UE at a time, so a failure's diff stays short."""
+    assert len(first) == len(second)
+    for one, other in zip(first, second):
+        assert repr(one) == repr(other)
+    assert first_env._env_noise.keys() == second_env._env_noise.keys()
+    assert first_env._shadow.keys() == second_env._shadow.keys()
+    for ue in first_env._env_noise:
+        assert repr(first_env._env_noise[ue]) == repr(second_env._env_noise[ue])
+    for ue in first_env._shadow:
+        assert repr(first_env._shadow[ue]) == repr(second_env._shadow[ue])
+
+
+class TestArrayKernel:
+    """The array kernel against the scalar pass it replaces on large ticks."""
+
+    @pytest.mark.parametrize("seed", [1, 9001])
+    def test_hex_ticks_equal_the_scalar_pass(self, seed):
+        # 200 UEs over 50 sites take three chunks a tick; at 350 km/h each
+        # UE travels about 100 m in 25 ticks, so shadowing redraws mid-run.
+        scenario = Scenario(n_ues_per_cell=4, ue_speed_kmh=350.0, seed=seed)
+        sites = build_sites(scenario)
+        ues = place_ues(scenario, sites, np.random.default_rng([seed, 0]))
+        scalar_env, array_env = scenario_env(scenario), scenario_env(scenario)
+        assert array_env.array_pass(len(ues))
+        for tick in range(25):
+            t = 0.04 * tick
+            positions = [(u.position[0] + u.velocity[0] * t, u.position[1] + u.velocity[1] * t) for u in ues]
+            servings = [(7 * u.ue + tick) % len(sites) for u in ues]
+            scalar = scalar_tick(scalar_env, positions, servings)
+            assert_twins(scalar_env, array_env, scalar, array_tick(array_env, positions, servings))
+        assert any(s.ranked for s in scalar) and any(len(s.ranked) == MAX_NEIGHBORS + 1 for s in scalar)
+        assert array_env.shadow_rng.normal() == scalar_env.shadow_rng.normal()
+
+    # Noise-free draws, so measurements sit where the shadowing puts them;
+    # a mean of -0.0 runs the ambient walk through signed zeros.
+    @pytest.mark.parametrize("mean", [-100.0, -0.0])
+    def test_edge_positions_equal_the_scalar_pass(self, mean):
+        scenario = Scenario(channel=ChannelParams(meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0, env_noise_mean_dbm=mean))
+        sites = build_sites(scenario)
+        (x3, y3), (x1, _) = sites[3].position, sites[1].position
+        assert sites[1].position == (x1, 0.0)
+        positions = [
+            (x3 + 0.3, y3 - 0.4),  # within 1 m of site 3: the distance clamps
+            (0.0, 0.0),  # on site 0, which the other sites surround in pairs at equal distances
+            (x1 / 2.0, 0.0),  # exactly equidistant from sites 0 and 1
+            (x3 + 1.0, y3),  # exactly 1 m from site 3
+            (40.0, -60.0),  # site 5 measures exactly -125 dBm, site 6 just under
+        ]
+        servings = [0, 1, 1, 3, 2]
+        scalar_env, array_env = scenario_env(scenario), scenario_env(scenario)
+        for env in (scalar_env, array_env):
+            # Without shadowing, each pair around UE 1 measures equal: ties.
+            pin_shadowing(env, 1, positions[1], [0.0] * len(sites))
+            values = [0.0] * len(sites)
+            values[5] = shadowing_for(env, 5, positions[4], DETECTION_THRESHOLD_DBM)
+            values[6] = shadowing_for(env, 6, positions[4], DETECTION_THRESHOLD_DBM, below=True)
+            pin_shadowing(env, 4, positions[4], values)
+        scalar = scalar_tick(scalar_env, positions, servings)
+        assert_twins(scalar_env, array_env, scalar, array_tick(array_env, positions, servings))
+        assert scalar[2].nearest == 0 and scalar[0].nearest == scalar[3].nearest == 3
+        ranked = scalar[1].ranked
+        assert any(scalar[1].measured[a] == scalar[1].measured[b] for a, b in zip(ranked, ranked[1:]))
+        assert scalar[4].measured[5] == DETECTION_THRESHOLD_DBM and 5 in scalar[4].ranked
+        assert scalar[4].measured[6] < DETECTION_THRESHOLD_DBM and 6 not in scalar[4].ranked
+        assert array_env.shadow_rng.normal() == scalar_env.shadow_rng.normal()
+
+    def test_chunks_equal_one_chunk(self, monkeypatch):
+        scenario = Scenario(n_sites=19, n_ues_per_cell=1, seed=4)
+        sites = build_sites(scenario)
+        ues = place_ues(scenario, sites, np.random.default_rng([4, 0]))
+        servings = [u.ue % len(sites) for u in ues]
+        ticks = {}
+        # Chunks of 3 UEs, the last one short, against a single chunk.
+        for max_pairs in (3 * len(sites) + 1, 10**9):
+            monkeypatch.setattr(radio, "ARRAY_PASS_MAX_PAIRS", max_pairs)
+            env = scenario_env(scenario)
+            samples = []
+            for tick in range(3):
+                positions = [(u.position[0] + 30.0 * tick, u.position[1]) for u in ues]
+                samples.append(array_tick(env, positions, servings))
+            ticks[max_pairs] = env, samples
+        (chunked_env, chunked), (whole_env, whole) = ticks.values()
+        assert_twins(chunked_env, whole_env, chunked, whole)
+
+    @pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
+    def test_nan_draw_raises(self, array):
+        class NanAt:
+            """The rng's draws with a NaN at one flat index of each block."""
+
+            def __init__(self, rng, index):
+                self.rng, self.index = rng, index
+
+            def standard_normal(self, shape):
+                block = self.rng.standard_normal(shape)
+                block.reshape(-1)[self.index] = math.nan
+                return block
+
+        scenario = Scenario(n_sites=7, n_ues_per_cell=2)
+        env = scenario_env(scenario)
+        n_ues, width = 14, len(env.sites) + 2
+        env.rng = NanAt(env.rng, 5 * width + 1 + 3)  # UE 5's site-3 measurement noise
+        positions = [(10.0 * ue, 0.0) for ue in range(n_ues)]
+        with pytest.raises(ValueError):
+            (array_tick if array else scalar_tick)(env, positions, [0] * n_ues)
+
+    def test_kernel_follows_pair_count(self, monkeypatch):
+        corridor, hex50 = scenario_env(corridor_scenario()), scenario_env(Scenario())
+        assert not corridor.array_pass(2) and hex50.array_pass(500)
+        monkeypatch.setattr(radio, "ARRAY_PASS_MIN_PAIRS", 4)
+        assert corridor.array_pass(2) and not corridor.array_pass(1)
