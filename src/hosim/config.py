@@ -51,10 +51,7 @@ def _set(scenario: Scenario, section: str, key: str, raw: str) -> Scenario:
             raise ConfigError(target, f"cannot parse {raw!r} as {kind.__name__}") from exc
     if section == "sim":
         return dataclasses.replace(scenario, **{key: value})
-    try:
-        nested = dataclasses.replace(getattr(scenario, section), **{key: value})
-    except ValueError as exc:
-        raise ConfigError(target, str(exc)) from exc
+    nested = dataclasses.replace(getattr(scenario, section), **{key: value})
     return dataclasses.replace(scenario, **{section: nested})
 
 

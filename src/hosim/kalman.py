@@ -127,7 +127,11 @@ class KalmanStreams:
     age reuses the last gain.  The estimates therefore equal
     initial_state and repeated step bit for bit.  One table holds every
     stream in recency order, oldest first, so eviction pops from the
-    front.  Times must not decrease; single-threaded only.
+    front.  A gain already solved is read from the table; ``_gain`` only
+    extends it.  Eviction runs at the first observation of each instant:
+    times must not decrease, so no stream goes idle between two
+    observations at one instant, and that drops exactly the streams that
+    evicting after every observation drops.  Single-threaded only.
     """
 
     def __init__(self, params: KalmanParams):
@@ -136,13 +140,22 @@ class KalmanStreams:
         self._gains: list[tuple[float, float, float, float]] = []
         self._converged = False
         self._shared = initial_state((0.0, 0.0), params)
+        self._evicted_at: float | None = None
 
     def observe(self, key: tuple[int, int], z, now: float) -> tuple[float, float]:
-        x, n, _ = self._states.get(key, (None, -1, None))
-        x = (float(z[0]), float(z[1])) if x is None else _innovate(x, self._gain(n), z)
-        self._states[key] = (x, n + 1, now)
-        self._states.move_to_end(key)
-        self._evict(now)
+        states, gains = self._states, self._gains
+        x, n, _ = states.get(key, (None, -1, None))
+        if x is None:
+            x = (float(z[0]), float(z[1]))
+        else:
+            x = _innovate(x, gains[n] if n < len(gains) else self._gain(n), z)
+        states[key] = (x, n + 1, now)
+        states.move_to_end(key)
+        # Later observations at the same instant age no stream, so the
+        # first one's eviction stands for all of them.
+        if now != self._evicted_at:
+            self._evicted_at = now
+            self._evict(now)
         return x
 
     def get(self, key: tuple[int, int]) -> tuple[float, float] | None:

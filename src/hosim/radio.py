@@ -16,7 +16,10 @@ power, the RSSI and interference sums of their linear powers, and the
 nearest site.  Execution windows read the row's SINR.  Only a handover's
 completion looks up one site, through ``true_rsrp_of`` and
 ``shadowing_db``.  ``_received_dbm`` is the link budget; ``row`` and the
-array kernel repeat its arithmetic inline.
+array kernel repeat its arithmetic inline.  A row redraws its stale
+shadowing values as one standard-normal block (``refresh_shadowing``),
+which takes from the shadowing stream exactly what one ``normal`` call
+per site would.
 
 A report tick steps each UE's ambient walk and gives the UE a
 ``RadioSample`` (every site's measured RSRP, the RSSI, the detected cells
@@ -305,22 +308,35 @@ class RadioEnvironment:
         Sites drawn at the same instant share one anchor object, so
         staleness is judged once for the whole row when every site has one
         anchor, and otherwise once per run of sites with the same anchor;
-        ``math.dist`` is pure, so that equals judging each site.
+        ``math.dist`` is pure, so that equals judging each site.  The stale
+        sites are drawn as one standard-normal block, scaled and offset as
+        numpy's ``normal`` computes ``0.0 + sigma * z``, so each value (its
+        sign of zero included) and the stream's state after the block equal
+        one ``normal(0.0, sigma)`` call per site.
         """
         values, anchors = self._shadow_row(ue)
         # Most rows hold one anchor for every site: judge it once.
         first = anchors[0]
-        if anchors.count(first) == len(anchors) and math.dist(first, position) < SHADOWING_DECORRELATION_M:
-            return values
-        draw, sigma = self.shadow_rng.normal, self.params.shadowing_sigma_db
-        anchor, stale = None, False
-        for cid, drawn_at in enumerate(anchors):
-            if drawn_at is not anchor:
-                anchor = drawn_at
-                stale = not math.dist(anchor, position) < SHADOWING_DECORRELATION_M
-            if stale:
-                values[cid] = float(draw(0.0, sigma))
-                anchors[cid] = position
+        if anchors.count(first) == len(anchors):
+            if math.dist(first, position) < SHADOWING_DECORRELATION_M:
+                return values
+            stale = range(len(anchors))
+        else:
+            stale, anchor, is_stale = [], None, False
+            for cid, drawn_at in enumerate(anchors):
+                if drawn_at is not anchor:
+                    anchor = drawn_at
+                    is_stale = not math.dist(anchor, position) < SHADOWING_DECORRELATION_M
+                if is_stale:
+                    stale.append(cid)
+            if not stale:
+                return values
+        block = self.shadow_rng.standard_normal(len(stale))
+        block *= self.params.shadowing_sigma_db
+        block += 0.0
+        for cid, value in zip(stale, block.tolist()):
+            values[cid] = value
+            anchors[cid] = position
         return values
 
     def row(self, ue: int, position: tuple[float, float], serving: int) -> RadioRow:
@@ -469,7 +485,9 @@ class RadioEnvironment:
 
     def _array_chunk(self, ues, positions, servings, noise) -> Iterator[RadioSample]:
         # Shadowing first, UE by UE in id order, as each UE's row reads it.
-        shadowing = np.array([self.refresh_shadowing(ue, position) for ue, position in zip(ues, positions)])
+        n_sites = len(self.sites)
+        rows = map(self.refresh_shadowing, ues, positions)
+        shadowing = np.fromiter(chain.from_iterable(rows), float, len(ues) * n_sites).reshape(-1, n_sites)
         xy = np.array(positions)
         distance = _mapped(math.hypot, self._site_x - xy[:, :1], self._site_y - xy[:, 1:])
         nearest = distance.argmin(axis=1)

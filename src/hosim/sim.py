@@ -1,6 +1,11 @@
 """Scenario construction, UE mobility, and the deterministic time-stepped
 loop that drives reports, policies, the handover engine, and metrics.
 
+UE positions advance only when read, by replaying the missed steps'
+arithmetic: one UE at a time, or every UE as arrays on runs whose report
+ticks take the radio's array kernel; both give the bits of moving every
+UE at every step.
+
 Determinism: every random quantity derives from the scenario seed via
 dedicated sub-streams (placement, channel noise, shadowing, and one
 stream per learning agent), so a (scenario, seed) pair fixes every
@@ -72,7 +77,7 @@ class Scenario:
             if not math.isfinite(value):
                 raise ConfigError(name, "must be finite")
             if not lo <= value <= hi:
-                raise ConfigError(name, f"must be in [{lo:g}, {hi:g}]")
+                raise ConfigError(name, f"must be in [{_shortest(lo)}, {_shortest(hi)}]")
         for name in ("shadowing_sigma_db", "meas_noise_sigma_db", "env_noise_sigma_db"):
             # The sign bit, so that -0.0 (which numpy's normal refuses) fails too.
             if math.copysign(1.0, getattr(self.channel, name)) < 0:
@@ -116,6 +121,13 @@ class Scenario:
             raise ConfigError("sim.fixed_ttt_ms", f"must be one of {TTT_VALUES_MS}")
         if self.fixed_hyst_db not in HYST_VALUES_DB:
             raise ConfigError("sim.fixed_hyst_db", "must be an integer in 0..30")
+
+
+def _shortest(value: float) -> str:
+    """``value`` as ``:g`` prints it, or its repr where ``:g`` would round it
+    (gamma's bound one ulp below 1)."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def _boundary_margin_m(scenario: Scenario) -> float:
@@ -379,11 +391,55 @@ class Simulation:
                 engine.note_execution_sinr(ctx, env.sinr_of(row.serving_mw, row.interference_mw))
 
     def _advance_positions(self) -> None:
-        """Bring every UE up to the current step."""
+        """Bring every UE up to the current step: all UEs as arrays on runs
+        whose report ticks take the array kernel, else one UE at a time."""
+        if self._array_pass:
+            self._catch_up_arrays()
+            return
         current = self._step_index
         for i, moved_to in enumerate(self._moved_to):
             if moved_to != current:
                 self._catch_up(i)
+
+    def _catch_up_arrays(self) -> None:
+        """``_catch_up`` for every UE at once.  The lagging UEs are ordered
+        by lag, longest first, so the UEs that still move at each missed
+        step are a leading slice; the step is one numpy ``position +=
+        velocity * dt`` over that slice, IEEE multiply and add as the
+        scalar replay does them (``velocity * dt`` is kept and redone only
+        when a fold turns the velocity).  A UE that leaves the box folds
+        through the scalar ``_reflect``.  A UE's replay depends on nothing
+        else, so positions, velocities and fold points are those of
+        ``_catch_up`` bit for bit."""
+        current = self._step_index
+        lag = [current - moved_to for moved_to in self._moved_to]
+        order = sorted(filter(lag.__getitem__, range(len(lag))), key=lag.__getitem__, reverse=True)
+        if not order:
+            return
+        lags = [lag[i] for i in order]
+        ues = [self.ues[i] for i in order]
+        xmin, xmax, ymin, ymax = self._bounds
+        lo, hi = np.array([[xmin], [ymin]]), np.array([[xmax], [ymax]])
+        dt = self.scenario.step_s
+        position = np.array([ue.position for ue in ues]).T.copy()
+        velocity = np.array([ue.velocity for ue in ues]).T.copy()
+        travel = velocity * dt
+        moving = len(ues)
+        for s in range(lags[0]):
+            while lags[moving - 1] <= s:
+                moving -= 1
+            p = position[:, :moving]
+            p += travel[:, :moving]
+            outside = (p < lo) | (p > hi)
+            if outside.any():
+                for i in np.flatnonzero(outside.any(axis=0)).tolist():
+                    x, vx = _reflect(float(p[0, i]), float(velocity[0, i]), xmin, xmax)
+                    y, vy = _reflect(float(p[1, i]), float(velocity[1, i]), ymin, ymax)
+                    p[:, i], velocity[:, i] = (x, y), (vx, vy)
+                    travel[:, i] = (vx * dt, vy * dt)
+        for ue, x, y, vx, vy in zip(ues, *position.tolist(), *velocity.tolist()):
+            ue.position, ue.velocity = (x, y), (vx, vy)
+        self._moved_to = [current] * len(self.ues)
 
     def _catch_up(self, i: int) -> None:
         """Replay the steps UE ``i`` has not taken, one step's arithmetic at

@@ -206,6 +206,18 @@ class TestConfigurationErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # The learning keys go through the same declared ranges as every other
+    # float key, so they get the same messages.
+    @pytest.mark.parametrize("override,message", [
+        ("learning.alpha=nan", "learning.alpha: must be finite"),
+        ("learning.alpha=1.5", "learning.alpha: must be in [0, 1]"),
+        ("learning.gamma=1", "learning.gamma: must be in [0, 0.9999999999999999]"),
+        ("learning.r=0", "learning.r: must be in [1e-06, 1e+06]"),
+    ])
+    def test_learning_errors_match_other_ranged_keys(self, corridor_file, tmp_path, capsys, override, message):
+        assert main(["run", "--scenario", corridor_file, "--set", override, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
     @pytest.mark.parametrize("scenario", ["corridor.ini", "hex50.ini"])
     def test_longest_run_at_the_coarsest_step_completes(self, tmp_path, scenario):
         # At the duration bound the step and the travel per step stay finite.

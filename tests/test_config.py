@@ -146,7 +146,7 @@ RANGED = [
 class TestDeclaredRanges:
     def test_sim_radio_and_channel_fields_are_ranged(self):
         sections = [path.split(".")[0] for path, _, _ in RANGED]
-        assert {section: sections.count(section) for section in sections} == {"sim": 6, "radio": 4, "channel": 6}
+        assert {section: sections.count(section) for section in sections} == {"sim": 6, "radio": 4, "channel": 6, "learning": 3}
 
     # A sim case's id keeps the bare key, as it had before errors named the section.
     @pytest.mark.parametrize("path,lo,hi", RANGED, ids=[path.removeprefix("sim.") for path, _, _ in RANGED])

@@ -267,3 +267,51 @@ class TestStreams:
             streams.observe((0, 0), tuple(rng.normal(-85.0, 4.0, size=2)), tick * 0.04)
         assert len(streams._gains) == 178
         assert len(solves) == 178
+
+
+class EvictAfterEveryObserve(KalmanStreams):
+    """The streams as they were before eviction ran once per instant: every
+    observation reads its gain through ``_gain`` and then evicts."""
+
+    def observe(self, key, z, now):
+        x, n, _ = self._states.get(key, (None, -1, None))
+        x = (float(z[0]), float(z[1])) if x is None else kalman._innovate(x, self._gain(n), z)
+        self._states[key] = (x, n + 1, now)
+        self._states.move_to_end(key)
+        self._evict(now)
+        return x
+
+
+class TestEvictionPerInstant:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_evicting_after_every_observe(self, seed, monkeypatch):
+        """Many observations per instant, some instants after an idle gap
+        longer than STREAM_EVICTION_S, and one stream observed past the
+        fixed point of age 178: every estimate and the whole table, its
+        order included, equal the oracle's after every observation, and
+        the streams evict once per instant."""
+        evictions = []
+        evict = KalmanStreams._evict
+        monkeypatch.setattr(KalmanStreams, "_evict", lambda self, now: evictions.append(self) or evict(self, now))
+        streams, oracle = KalmanStreams(KalmanParams()), EvictAfterEveryObserve(KalmanParams())
+        rng = np.random.default_rng(seed)
+        now, instants, observations, evicted = 0.0, 0, 0, 0
+        for tick in range(500):
+            # After an idle gap every stream is stale but the one observed
+            # first: it continues, the others start again.
+            now += 30.0 if tick % 211 == 210 else 10.5 if tick % 97 == 96 else 0.04
+            instants += 1
+            keys = [(0, 0)] + [(0, int(k)) for k in rng.integers(1, 40, size=int(rng.integers(1, 25)))]
+            keys += keys[1 : int(rng.integers(1, 5))]  # some keys twice at one instant
+            for key in keys:
+                z = tuple(rng.normal(-85.0, 4.0, size=2))
+                before = len(oracle._states) + (key not in oracle._states)
+                x = streams.observe(key, z, now)
+                assert np.array(x).tobytes() == np.array(oracle.observe(key, z, now)).tobytes()
+                assert list(streams._states.items()) == list(oracle._states.items())
+                evicted += before - len(oracle._states)
+                observations += 1
+        assert streams._states[(0, 0)][1] == 499 > 178 and streams._converged
+        assert evicted > 100
+        assert evictions.count(streams) == instants
+        assert evictions.count(oracle) == observations

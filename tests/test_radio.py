@@ -16,6 +16,7 @@ from hosim.radio import (
     MeasurementReport,
     RadioEnvironment,
     RadioParams,
+    RadioRow,
     free_space_reference_db,
     n_resource_blocks,
     re_scaling_db,
@@ -525,10 +526,14 @@ class _DictShadowOracle:
 class TestShadowRows:
     """Per-UE shadowing rows against the former per-(cell, UE) dict."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_rows_equal_the_dict_layout(self, seed):
+    @staticmethod
+    def random_schedule(sigma, seed):
+        """300 random moves of 6 UEs among 19 sites, each followed by a few
+        completion-time lookups and one row, every result checked against
+        the oracle.  Returns the environment, the oracle and the number of
+        moves that landed within one ulp of 50 m from an anchor."""
         sites = build_sites(Scenario(n_sites=19))
-        params = ChannelParams(shadowing_sigma_db=6.0)
+        params = ChannelParams(shadowing_sigma_db=sigma)
         env, oracle = make_env(sites, params, seed), _DictShadowOracle(make_env(sites, params, seed))
         rng = np.random.default_rng(100 + seed)
         n_ues, n_sites = 6, len(sites)
@@ -558,8 +563,55 @@ class TestShadowRows:
             assert (row.wideband, row.rssi_mw, row.serving_mw, row.interference_mw, row.nearest) == oracle.row(
                 ue, position, serving
             )
+        return env, oracle, boundary_moves
+
+    @staticmethod
+    def assert_same_values_and_stream(env, oracle, n_sites):
+        """Every UE's shadowing values equal the oracle's byte for byte (the
+        sign of zero included), and both streams stand at the same draw."""
+        for ue, (values, _) in env._shadow.items():
+            expected = [oracle.shadow[cid, ue][0] for cid in range(n_sites)]
+            assert np.array(values).tobytes() == np.array(expected).tobytes()
+        assert env.shadow_rng.bit_generator.state == oracle.env.shadow_rng.bit_generator.state
+        assert env.shadow_rng.normal() == oracle.env.shadow_rng.normal()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_equal_the_dict_layout(self, seed):
+        env, oracle, boundary_moves = self.random_schedule(6.0, seed)
         assert oracle.partial_rows > 10 and boundary_moves > 10
         assert env.shadow_rng.normal() == oracle.env.shadow_rng.normal()
+
+    def test_zero_sigma_rows_hold_positive_zero(self):
+        # numpy's normal computes 0.0 + 0.0 * z, which is +0.0 for either
+        # sign of z; a block scaled without adding 0.0 would keep -0.0.
+        env, oracle, _ = self.random_schedule(0.0, 3)
+        assert oracle.partial_rows > 10
+        self.assert_same_values_and_stream(env, oracle, 19)
+        assert all(math.copysign(1.0, v) == 1.0 for values, _ in env._shadow.values() for v in values)
+
+    @pytest.mark.parametrize("sigma", [0.0, 6.0])
+    def test_partial_redraw_after_completion_lookups(self, sigma):
+        """A row whose sites were drawn at two positions: completion-time
+        lookups redraw some sites 60 m on, then a row 40 m further on
+        redraws only the others, a row 1 m from there redraws none, and a
+        row 100 m further on redraws every site across both anchors."""
+        sites = build_sites(Scenario(n_sites=19))
+        params = ChannelParams(shadowing_sigma_db=sigma)
+        env, oracle = make_env(sites, params, 4), _DictShadowOracle(make_env(sites, params, 4))
+        ue, n_sites, looked_up = 2, len(sites), (3, 7, 8, 18)
+        assert env.row(ue, (0.0, 0.0), 0) == RadioRow(*oracle.row(ue, (0.0, 0.0), 0))
+        for cell in looked_up:
+            assert env.shadowing_db(cell, ue, (60.0, 0.0)) == oracle.shadowing_db(cell, ue, (60.0, 0.0))
+        anchors = env._shadow[ue][1]
+        for position, redrawn in (
+            ((100.0, 0.0), [cid for cid in range(n_sites) if cid not in looked_up]),
+            ((100.0, 1.0), []),
+            ((200.0, 1.0), list(range(n_sites))),
+        ):
+            assert env.row(ue, position, 5) == RadioRow(*oracle.row(ue, position, 5))
+            assert [cid for cid, anchor in enumerate(anchors) if anchor is position] == redrawn
+            self.assert_same_values_and_stream(env, oracle, n_sites)
+        assert oracle.partial_rows == 1
 
 
 class TestChannelNoise:

@@ -1,5 +1,7 @@
 """SARSA update arithmetic, target ranking, and epsilon-greedy behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from hosim.rl import (
     sigmoid,
     update_qtable,
 )
+from hosim.sim import ConfigError, Scenario
 
 
 class TestSigmoid:
@@ -266,9 +269,9 @@ class TestParamSets:
             ParamPair(99, 3)
 
     def test_learning_param_validation(self):
-        with pytest.raises(ValueError):
-            LearningParams(alpha=1.5)
-        with pytest.raises(ValueError):
-            LearningParams(gamma=1.0)
-        with pytest.raises(ValueError):
-            LearningParams(r=0.0)
+        # Scenario.validate is the one gate; each failure names its key.
+        for key, value in (("alpha", 1.5), ("gamma", 1.0), ("r", 0.0)):
+            with pytest.raises(ConfigError) as err:
+                Scenario(learning=LearningParams(**{key: value})).validate()
+            assert err.value.field_name == f"learning.{key}"
+        Scenario(learning=LearningParams(alpha=1.0, gamma=math.nextafter(1.0, 0.0), r=1e-6)).validate()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hosim import radio
+from hosim import sim as sim_module
 from hosim.engine import EXECUTING, HandoverOutcome, note_execution_sinr
 from hosim.metrics import MetricsAccumulator
 from hosim.radio import (
@@ -393,6 +394,64 @@ class TestLazyPositions:
                     assert bits(sim.ues[i].velocity) == bits(velocity)
                     reads += 1
         assert reads >= sim.n_steps // read_every * len(sim.ues)
+
+    @pytest.mark.parametrize("scenario, read_every", [
+        # 278 m a second in a box 150 m beyond the outer sites: outer UEs fold.
+        (Scenario(policy="fixed_a3", ue_speed_kmh=1000, sim_duration_s=1.0), None),
+        # 30 UEs x 10 sites; 111 m per step in a 67 m by 58 m box, five
+        # steps between report ticks.
+        (corridor_scenario(policy="fixed_a3", n_sites=10, n_ues_per_cell=3, site_spacing_m=1, corridor_lane_m=0,
+                           boundary_margin_m=29, ue_speed_kmh=1000, step_s=0.4, report_period_s=2.0), None),
+        # UE i also read after steps s with i % 53 == s % 53, so report
+        # ticks catch up UEs that lag by different step counts.
+        (Scenario(policy="fixed_a3", ue_speed_kmh=1000, sim_duration_s=1.0), 53),
+    ], ids=["hex50-1000kmh", "300-pairs-step-past-box", "hex50-1000kmh-sparse"])
+    def test_array_catch_up_equals_eager_stepping(self, monkeypatch, scenario, read_every):
+        """Runs whose report ticks take the array kernel catch every UE up
+        as arrays; after each report tick every UE equals eager stepping."""
+        calls = {"arrays": 0, "folds": 0, "scalar_in_arrays": 0}
+        catch_up_arrays, reflect, catch_up = Simulation._catch_up_arrays, sim_module._reflect, Simulation._catch_up
+        inside = []
+
+        def counted_arrays(self):
+            calls["arrays"] += 1
+            inside.append(True)
+            catch_up_arrays(self)
+            inside.pop()
+
+        def counted_reflect(*args):
+            calls["folds"] += bool(inside)
+            return reflect(*args)
+
+        def counted_catch_up(self, i):
+            calls["scalar_in_arrays"] += bool(inside)
+            catch_up(self, i)
+
+        monkeypatch.setattr(Simulation, "_catch_up_arrays", counted_arrays)
+        monkeypatch.setattr(Simulation, "_catch_up", counted_catch_up)
+        monkeypatch.setattr(sim_module, "_reflect", counted_reflect)
+        sim = Simulation(scenario)
+        assert len(sim.ues) * scenario.n_sites >= radio.ARRAY_PASS_MIN_PAIRS
+        oracle = [[ue.position, ue.velocity] for ue in sim.ues]
+        mixed_lag_ticks = 0
+        for step in range(sim.n_steps):
+            report_tick = step % sim.report_every == 0
+            if report_tick:
+                lags = {step - moved_to for moved_to in sim._moved_to}
+                mixed_lag_ticks += len(lags - {0}) > 1
+            sim.step()
+            if report_tick:
+                for ue, (position, velocity) in zip(sim.ues, oracle):
+                    assert bits(ue.position) == bits(position)
+                    assert bits(ue.velocity) == bits(velocity)
+            eager_step(oracle, sim._bounds, scenario.step_s)
+            if read_every:
+                for i in range(step % read_every, len(oracle), read_every):
+                    assert bits(sim.position(i)) == bits(oracle[i][0])
+        assert calls["arrays"] == -(-sim.n_steps // sim.report_every)
+        assert calls["folds"] > 0 and calls["scalar_in_arrays"] == 0
+        if read_every:
+            assert mixed_lag_ticks == calls["arrays"] - 1
 
 
 class FullRowEveryStep(Simulation):
