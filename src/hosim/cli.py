@@ -27,6 +27,15 @@ from .rl import qtable_rows
 from .sim import ConfigError, Scenario
 
 ENV_OUT_ROOT = "HOSIM_OUT"
+# sweep_summary.csv's KPI columns: each (column stem, KpiRecord field) gives
+# a ``<stem>_mean`` and a ``<stem>_stdev`` column over the runs of one
+# (policy, speed).
+SUMMARY_COLUMNS = (
+    ("throughput", "mean_throughput_mbps"),
+    ("plr", "plr"),
+    ("failure_rate", "ho_failure_rate"),
+    ("ping_pong", "ping_pong_rate"),
+)
 
 
 def _out_dir(args) -> str:
@@ -150,22 +159,15 @@ def cmd_sweep(args) -> int:
             records = [k for (p, v, s, k) in results if p == policy and v == speed]
             if not records:
                 continue
-            tputs = [k.mean_throughput_mbps for k in records]
-            plrs = [k.plr for k in records]
-            fails = [k.ho_failure_rate for k in records]
-            pps = [k.ping_pong_rate for k in records]
-            summary_rows.append((
-                policy, speed, len(records),
-                metrics.mean(tputs), metrics.sample_stdev(tputs),
-                metrics.mean(plrs), metrics.sample_stdev(plrs),
-                metrics.mean(fails), metrics.sample_stdev(fails),
-                metrics.mean(pps), metrics.sample_stdev(pps),
-            ))
+            row = [policy, speed, len(records)]
+            for _, name in SUMMARY_COLUMNS:
+                values = [getattr(k, name) for k in records]
+                row += (metrics.mean(values), metrics.sample_stdev(values))
+            summary_rows.append(row)
     metrics.write_csv_atomic(
         os.path.join(out, "sweep_summary.csv"),
-        ("policy", "speed_kmh", "n_runs", "throughput_mean", "throughput_stdev",
-         "plr_mean", "plr_stdev", "failure_rate_mean", "failure_rate_stdev",
-         "ping_pong_mean", "ping_pong_stdev"),
+        ("policy", "speed_kmh", "n_runs",
+         *(f"{stem}_{stat}" for stem, _ in SUMMARY_COLUMNS for stat in ("mean", "stdev"))),
         summary_rows,
     )
     cdf_rows = []

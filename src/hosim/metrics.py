@@ -200,11 +200,17 @@ def format_value(value) -> str:
 @contextlib.contextmanager
 def open_atomic(path: str, mode: str = "w", **kwargs):
     """Open a temp file next to ``path`` and rename it over ``path`` once
-    the block completes, so readers never see a partially written file."""
+    the block completes, so readers never see a partially written file.
+    A block that raises leaves no temp file and ``path`` as it was."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, mode, **kwargs) as fh:
-        yield fh
+    fh = open(tmp, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.unlink(tmp)
+        raise
     os.replace(tmp, path)
 
 

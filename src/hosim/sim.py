@@ -1,10 +1,11 @@
 """Scenario construction, UE mobility, and the deterministic time-stepped
 loop that drives reports, policies, the handover engine, and metrics.
 
-UE positions advance only when read, by replaying the missed steps'
-arithmetic: one UE at a time, or every UE as arrays on runs whose report
-ticks take the radio's array kernel; both give the bits of moving every
-UE at every step.
+UE trajectories do not depend on the policy, so they are laid out ahead in
+blocks of whole report periods, one array path for every deployment: a
+running sum of each UE's per-step travel, a UE that leaves the box folded
+at its first exit.  ``position`` and a report tick only index the block,
+and every position is that of moving every UE at every step, bit for bit.
 
 Determinism: every random quantity derives from the scenario seed via
 dedicated sub-streams (placement, channel noise, shadowing, and one
@@ -37,6 +38,11 @@ _SHADOW_STREAM = 3
 # from it, and this far either side of the lane.
 CORRIDOR_OFFSET_M = (10.0, 30.0)
 CORRIDOR_LANE_JITTER_M = 10.0
+# Most UE-steps one trajectory block holds, unless one report period of
+# every UE needs more: 4,096 (x, y) float pairs are 64 KiB, which bounds
+# the block's memory whatever the deployment's size.  The corridor's 2 UEs
+# get 2,048-step blocks, hex50's 500 one 40-step report period.
+TRAJECTORY_BLOCK_UE_STEPS = 4096
 
 class ConfigError(ValueError):
     """Scenario validation failure; carries the offending field name."""
@@ -208,13 +214,11 @@ def _hex_positions(n: int, pitch: float) -> list[tuple[float, float]]:
     return positions[:n]
 
 
-@dataclass
+@dataclass(frozen=True)
 class UeTrajectory:
-    """Constant-velocity UE; each move replaces its ``(x, y)`` float tuples.
-
-    A ``Simulation`` moves a UE only when it reads it, so ``position`` may
-    lag the run's current step; ``Simulation.position`` is always current.
-    """
+    """A UE's placement: its start and its constant velocity, ``(x, y)``
+    float tuples.  ``Simulation.position`` gives where it is at the run's
+    current step, walls folded in."""
 
     ue: int
     position: tuple[float, float]
@@ -289,8 +293,15 @@ class Simulation:
         self.n_steps = round(scenario.sim_duration_s / scenario.step_s)
         self._bounds = self._deployment_bounds(sites)
         self._step_index = 0
-        # The step each UE's position is current at, by UE id.
-        self._moved_to = [0] * len(self.ues)
+        # Every UE's (x, y) at each step of the current trajectory block,
+        # from step ``_block_start`` on, and each UE's velocity at the
+        # block's last step, which starts the next block.  Before the first
+        # block is laid out the block is the placement alone.
+        self._block = np.array([ue.position for ue in self.ues]).reshape(1, -1, 2)
+        self._velocity = np.array([ue.velocity for ue in self.ues]).reshape(-1, 2)
+        self._block_start = 0
+        periods = TRAJECTORY_BLOCK_UE_STEPS // (max(1, len(self.ues)) * self.report_every)
+        self._block_steps = max(1, periods) * self.report_every
         # Ids of the UEs whose handover is executing, ascending.  Only a
         # report tick starts an execution and only a completion ends one.
         self._executing: list[int] = []
@@ -316,12 +327,15 @@ class Simulation:
         )
 
     def step(self) -> None:
-        """One tick: complete due handovers, then either bring every UE up
-        to date and emit reports, or track the execution windows."""
+        """One tick: a report step first lays out the next trajectory block
+        where the current one ends; then complete due handovers, then either
+        emit reports or track the execution windows."""
         now = self.time_s
-        self._complete_due_handovers(now)
-        if self._step_index % self.report_every == 0:
+        report_step = self._step_index % self.report_every == 0
+        if report_step:
             self._advance_positions()
+        self._complete_due_handovers(now)
+        if report_step:
             self._report_tick(now)
         else:
             self._track_execution_sinr()
@@ -329,9 +343,8 @@ class Simulation:
 
     def position(self, ue: int) -> tuple[float, float]:
         """UE ``ue``'s position at the current step, as an ``(x, y)`` tuple."""
-        if self._moved_to[ue] != self._step_index:
-            self._catch_up(ue)
-        return self.ues[ue].position
+        x, y = self._block[self._step_index - self._block_start, ue].tolist()
+        return x, y
 
     def _complete_due_handovers(self, now: float) -> None:
         still_executing = []
@@ -347,21 +360,20 @@ class Simulation:
     def _report_tick(self, now: float) -> None:
         # Only a handover's completion changes ctx.serving, so the serving
         # cells read before the samples stay those each SINR is taken for.
-        # Every UE's position is current (``step`` advanced them all), and
-        # an executing window's sample at this step is the report's SINR.
+        # An executing window's sample at this step is the report's SINR.
         env, policy, metrics = self.env, self.policy, self.metrics
         period, bandwidth = self.scenario.report_period_s, self.scenario.radio.bandwidth_hz
+        positions = list(map(tuple, self._block[self._step_index - self._block_start].tolist()))
         executing = []
         # The array kernel yields every UE's sample; the scalar one is called
         # on each UE's draws directly, which costs less than an iterator.
         array_pass = self._array_pass
         if array_pass:
-            per_ue = env.array_samples([ue.position for ue in self.ues], [ctx.serving for ctx in self.contexts])
+            per_ue = env.array_samples(positions, [ctx.serving for ctx in self.contexts])
         else:
             per_ue = env.channel_noise(len(self.ues))
-        for ue, ctx, item in zip(self.ues, self.contexts, per_ue):
-            i = ue.ue
-            sample = item if array_pass else env.sample(i, ue.position, ctx.serving, item)
+        for i, (position, ctx, item) in enumerate(zip(positions, self.contexts, per_ue)):
+            sample = item if array_pass else env.sample(i, position, ctx.serving, item)
             report = env.generate_report(i, sample, ctx.serving, now)
             levels = policy.observe(report)
             engine.on_measurement_report(ctx, report, levels, policy, now, period)
@@ -391,72 +403,47 @@ class Simulation:
                 engine.note_execution_sinr(ctx, env.sinr_of(row.serving_mw, row.interference_mw))
 
     def _advance_positions(self) -> None:
-        """Bring every UE up to the current step: all UEs as arrays on runs
-        whose report ticks take the array kernel, else one UE at a time."""
-        if self._array_pass:
-            self._catch_up_arrays()
-            return
-        current = self._step_index
-        for i, moved_to in enumerate(self._moved_to):
-            if moved_to != current:
-                self._catch_up(i)
+        """Lay out the next trajectory block if the current one ends at this
+        step; the next block starts from its last row.
 
-    def _catch_up_arrays(self) -> None:
-        """``_catch_up`` for every UE at once.  The lagging UEs are ordered
-        by lag, longest first, so the UEs that still move at each missed
-        step are a leading slice; the step is one numpy ``position +=
-        velocity * dt`` over that slice, IEEE multiply and add as the
-        scalar replay does them (``velocity * dt`` is kept and redone only
-        when a fold turns the velocity).  A UE that leaves the box folds
-        through the scalar ``_reflect``.  A UE's replay depends on nothing
-        else, so positions, velocities and fold points are those of
-        ``_catch_up`` bit for bit."""
-        current = self._step_index
-        lag = [current - moved_to for moved_to in self._moved_to]
-        order = sorted(filter(lag.__getitem__, range(len(lag))), key=lag.__getitem__, reverse=True)
-        if not order:
+        A block covers as many whole report periods as fit in
+        ``TRAJECTORY_BLOCK_UE_STEPS`` (at least one), clipped at the run's
+        end.  Each UE's path is its start plus its per-step travel ``v *
+        dt``, summed in step order by ``np.add.accumulate``: the IEEE adds
+        of ``x += vx * dt`` taken one step at a time.  A UE that leaves the
+        box folds through the scalar ``_reflect`` at its first exit row,
+        both axes as one step's fold takes them, and its column is summed
+        again from there with the velocity the fold leaves.  So positions,
+        velocities and fold points are those of moving every UE at every
+        step, bit for bit."""
+        start = self._block_start + len(self._block) - 1
+        if self._step_index != start:
             return
-        lags = [lag[i] for i in order]
-        ues = [self.ues[i] for i in order]
         xmin, xmax, ymin, ymax = self._bounds
-        lo, hi = np.array([[xmin], [ymin]]), np.array([[xmax], [ymax]])
+        lo, hi = np.array([xmin, ymin]), np.array([xmax, ymax])
         dt = self.scenario.step_s
-        position = np.array([ue.position for ue in ues]).T.copy()
-        velocity = np.array([ue.velocity for ue in ues]).T.copy()
-        travel = velocity * dt
-        moving = len(ues)
-        for s in range(lags[0]):
-            while lags[moving - 1] <= s:
-                moving -= 1
-            p = position[:, :moving]
-            p += travel[:, :moving]
-            outside = (p < lo) | (p > hi)
-            if outside.any():
-                for i in np.flatnonzero(outside.any(axis=0)).tolist():
-                    x, vx = _reflect(float(p[0, i]), float(velocity[0, i]), xmin, xmax)
-                    y, vy = _reflect(float(p[1, i]), float(velocity[1, i]), ymin, ymax)
-                    p[:, i], velocity[:, i] = (x, y), (vx, vy)
-                    travel[:, i] = (vx * dt, vy * dt)
-        for ue, x, y, vx, vy in zip(ues, *position.tolist(), *velocity.tolist()):
-            ue.position, ue.velocity = (x, y), (vx, vy)
-        self._moved_to = [current] * len(self.ues)
-
-    def _catch_up(self, i: int) -> None:
-        """Replay the steps UE ``i`` has not taken, one step's arithmetic at
-        a time, so its position, velocity and fold points are those of
-        moving it at every step."""
-        xmin, xmax, ymin, ymax = self._bounds
-        dt = self.scenario.step_s
-        ue = self.ues[i]
-        (x, y), (vx, vy) = ue.position, ue.velocity
-        for _ in range(self._step_index - self._moved_to[i]):
-            x += vx * dt
-            y += vy * dt
-            if not (xmin <= x <= xmax and ymin <= y <= ymax):
+        block = np.empty((min(self._block_steps, self.n_steps - start) + 1, *self._velocity.shape))
+        block[0] = self._block[-1]
+        block[1:] = self._velocity * dt
+        np.add.accumulate(block, axis=0, out=block)
+        # A UE leaves the box in this block iff its lowest or highest
+        # coordinate does.
+        leaving = (block[1:].min(axis=0) < lo) | (block[1:].max(axis=0) > hi)
+        for i in np.flatnonzero(leaving.any(axis=1)).tolist():
+            path, velocity = block[:, i], self._velocity[i]
+            k = 1
+            outside = ((path[1:] < lo) | (path[1:] > hi)).any(axis=1)
+            while outside.any():
+                k += int(outside.argmax())
+                (x, y), (vx, vy) = path[k].tolist(), velocity.tolist()
                 x, vx = _reflect(x, vx, xmin, xmax)
                 y, vy = _reflect(y, vy, ymin, ymax)
-        ue.position, ue.velocity = (x, y), (vx, vy)
-        self._moved_to[i] = self._step_index
+                path[k], velocity[:] = (x, y), (vx, vy)
+                path[k + 1 :] = velocity * dt
+                np.add.accumulate(path[k:], axis=0, out=path[k:])
+                k += 1
+                outside = ((path[k:] < lo) | (path[k:] > hi)).any(axis=1)
+        self._block, self._block_start = block, start
 
 
 def _reflect(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:

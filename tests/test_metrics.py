@@ -182,10 +182,28 @@ class TestCsv:
         rows = [("lim2", 1, 200.0, 1.23456789012345, True)]
         write_csv_atomic(path, ("a", "b", "c", "d", "e"), rows)
         write_csv_atomic(str(tmp_path / "out" / "kpis2.csv"), ("a", "b", "c", "d", "e"), rows)
-        first = open(path, "rb").read()
-        second = open(str(tmp_path / "out" / "kpis2.csv"), "rb").read()
+        first = (tmp_path / "out" / "kpis.csv").read_bytes()
+        second = (tmp_path / "out" / "kpis2.csv").read_bytes()
         assert first == second
         assert not os.path.exists(path + ".tmp")
+
+    @pytest.mark.parametrize("existing", [None, b"a,b\r\nold,1\r\n"], ids=["no-target", "existing-target"])
+    def test_failed_write_leaves_no_temp_and_target_as_it_was(self, tmp_path, existing):
+        path = tmp_path / "kpis.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+
+        def rows():
+            yield ("lim2", 1)
+            raise ValueError("row failed")
+
+        with pytest.raises(ValueError, match="row failed"):
+            write_csv_atomic(str(path), ("a", "b"), rows())
+        assert not os.path.exists(str(path) + ".tmp")
+        if existing is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == existing
 
     def test_format_value(self):
         assert format_value(True) == "1"

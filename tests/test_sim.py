@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from hosim.sim import (
     ConfigError,
     Scenario,
     Simulation,
+    UeTrajectory,
     _reflect,
     build_sites,
     corridor_scenario,
@@ -230,29 +230,34 @@ class TestStepLoop:
             assert 0.0 <= folded <= 4.0
 
     @pytest.mark.parametrize("axis, wall", [(0, 0), (0, 1), (1, 2), (1, 3)], ids=["xmin", "xmax", "ymin", "ymax"])
-    def test_reflection_mirrors_only_the_crossing_axis(self, axis, wall):
-        sim = Simulation(noiseless_corridor())
-        dt = sim.scenario.step_s
-        bound = sim._bounds[wall]
+    def test_reflection_mirrors_only_the_crossing_axis(self, monkeypatch, axis, wall):
+        scenario = noiseless_corridor()
+        bounds = Simulation(scenario)._bounds
+        dt = scenario.step_s
+        bound = bounds[wall]
         inward = 1.0 if wall % 2 == 0 else -1.0
-        # One metre inside the wall, heading out at 2 m per step, with a
-        # slow drift along the other axis.
-        start = [(sim._bounds[0] + sim._bounds[1]) / 2, (sim._bounds[2] + sim._bounds[3]) / 2]
+        # One UE one metre inside the wall, heading out at 2 m per step,
+        # with a slow drift along the other axis.
+        start = [(bounds[0] + bounds[1]) / 2, (bounds[2] + bounds[3]) / 2]
         start[axis] = bound + inward
         velocity = [3.0, 3.0]
         velocity[axis] = -inward * 2.0 / dt
-        ue = sim.ues[0]
-        ue.position, ue.velocity = tuple(start), tuple(velocity)
+        placed = UeTrajectory(0, tuple(start), tuple(velocity))
+        monkeypatch.setattr(sim_module, "place_ues", lambda *args: [placed])
+        sim = Simulation(scenario)
+        assert sim.position(0) == placed.position
         sim.step()
-        sim.position(0)
+        folded = sim.position(0)
+        sim.step()
 
         crossed = start[axis] + velocity[axis] * dt
         assert inward * (crossed - bound) < 0
         other = 1 - axis
-        assert ue.position[axis] == 2 * bound - crossed
-        assert ue.velocity[axis] == -velocity[axis]
-        assert ue.position[other] == start[other] + velocity[other] * dt
-        assert ue.velocity[other] == velocity[other]
+        assert folded[axis] == 2 * bound - crossed
+        assert folded[other] == start[other] + velocity[other] * dt
+        # The next step runs back inward; the other axis keeps its course.
+        assert sim.position(0)[axis] == folded[axis] + -velocity[axis] * dt
+        assert sim.position(0)[other] == folded[other] + velocity[other] * dt
 
     def test_nearest_cell_tie_goes_to_lowest_site_id(self):
         # Sites handed over out of id order; the origin is 10 m from all three.
@@ -363,95 +368,52 @@ def eager_step(trajectories, bounds, dt):
             t[0], t[1] = (x, y), (vx, vy)
 
 
-def bits(pair):
-    return struct.pack("<2d", *pair)
-
-
 class TestLazyPositions:
-    """Positions advanced only when read against eager stepping."""
+    """Positions laid out ahead in trajectory blocks against eager stepping."""
 
-    @pytest.mark.parametrize("scenario, read_every", [
-        # Every UE read at every step, so each read replays one step.
-        (Scenario(policy="fixed_a3", sim_duration_s=1.0), 1),
-        # UE i read at steps s with (s + i) % 53 == 0: replays of up to 53
-        # steps, at every offset from the 40-step report ticks.
-        (Scenario(policy="fixed_a3", sim_duration_s=1.0), 53),
-        (corridor_scenario(policy="fixed_a3"), 1),
+    @pytest.mark.parametrize("scenario, blocks", [
+        (Scenario(policy="fixed_a3", sim_duration_s=1.0), 25),
+        # 278 m a second in a box 150 m beyond the outer sites: outer UEs fold.
+        (Scenario(policy="fixed_a3", ue_speed_kmh=1000, sim_duration_s=1.0), 25),
+        # lim2's execution windows read positions between report ticks.
+        (Scenario(policy="lim2", ue_speed_kmh=350, sim_duration_s=1.0), 25),
+        # 2,500 steps in 2,048-step blocks.
+        (corridor_scenario(policy="fixed_a3", sim_duration_s=100.0), 2),
         # 111 m per step in a 59 m wide box: a step can cross both walls.
         (corridor_scenario(site_spacing_m=1, corridor_lane_m=0, boundary_margin_m=29, ue_speed_kmh=1000,
                            step_s=0.4, report_period_s=0.4), 1),
-    ], ids=["hex50-1s", "hex50-1s-sparse", "corridor", "59m-box"])
-    def test_positions_equal_eager_stepping(self, scenario, read_every):
-        sim = Simulation(scenario)
-        oracle = [[ue.position, ue.velocity] for ue in sim.ues]
-        reads = 0
-        for step in range(sim.n_steps):
-            sim.step()
-            eager_step(oracle, sim._bounds, scenario.step_s)
-            for i, (position, velocity) in enumerate(oracle):
-                if (step + i) % read_every == 0:
-                    assert bits(sim.position(i)) == bits(position)
-                    assert bits(sim.ues[i].velocity) == bits(velocity)
-                    reads += 1
-        assert reads >= sim.n_steps // read_every * len(sim.ues)
-
-    @pytest.mark.parametrize("scenario, read_every", [
-        # 278 m a second in a box 150 m beyond the outer sites: outer UEs fold.
-        (Scenario(policy="fixed_a3", ue_speed_kmh=1000, sim_duration_s=1.0), None),
         # 30 UEs x 10 sites; 111 m per step in a 67 m by 58 m box, five
         # steps between report ticks.
         (corridor_scenario(policy="fixed_a3", n_sites=10, n_ues_per_cell=3, site_spacing_m=1, corridor_lane_m=0,
-                           boundary_margin_m=29, ue_speed_kmh=1000, step_s=0.4, report_period_s=2.0), None),
-        # UE i also read after steps s with i % 53 == s % 53, so report
-        # ticks catch up UEs that lag by different step counts.
-        (Scenario(policy="fixed_a3", ue_speed_kmh=1000, sim_duration_s=1.0), 53),
-    ], ids=["hex50-1000kmh", "300-pairs-step-past-box", "hex50-1000kmh-sparse"])
-    def test_array_catch_up_equals_eager_stepping(self, monkeypatch, scenario, read_every):
-        """Runs whose report ticks take the array kernel catch every UE up
-        as arrays; after each report tick every UE equals eager stepping."""
-        calls = {"arrays": 0, "folds": 0, "scalar_in_arrays": 0}
-        catch_up_arrays, reflect, catch_up = Simulation._catch_up_arrays, sim_module._reflect, Simulation._catch_up
-        inside = []
-
-        def counted_arrays(self):
-            calls["arrays"] += 1
-            inside.append(True)
-            catch_up_arrays(self)
-            inside.pop()
+                           boundary_margin_m=29, ue_speed_kmh=1000, step_s=0.4, report_period_s=2.0), 1),
+        # 18 UEs get five report periods per block.
+        (Scenario(policy="fixed_a3", n_sites=18, n_ues_per_cell=1, sim_duration_s=2.0), 10),
+    ], ids=["hex50-1s", "hex50-1000kmh", "lim2-hex", "corridor", "59m-box", "300-pairs-step-past-box", "18x18"])
+    def test_positions_equal_eager_stepping(self, monkeypatch, scenario, blocks):
+        """Every UE's position at every step, bit for bit; every case folds."""
+        reflect, folded = sim_module._reflect, []
 
         def counted_reflect(*args):
-            calls["folds"] += bool(inside)
+            folded.append(args)
             return reflect(*args)
 
-        def counted_catch_up(self, i):
-            calls["scalar_in_arrays"] += bool(inside)
-            catch_up(self, i)
-
-        monkeypatch.setattr(Simulation, "_catch_up_arrays", counted_arrays)
-        monkeypatch.setattr(Simulation, "_catch_up", counted_catch_up)
         monkeypatch.setattr(sim_module, "_reflect", counted_reflect)
         sim = Simulation(scenario)
-        assert len(sim.ues) * scenario.n_sites >= radio.ARRAY_PASS_MIN_PAIRS
         oracle = [[ue.position, ue.velocity] for ue in sim.ues]
-        mixed_lag_ticks = 0
-        for step in range(sim.n_steps):
-            report_tick = step % sim.report_every == 0
-            if report_tick:
-                lags = {step - moved_to for moved_to in sim._moved_to}
-                mixed_lag_ticks += len(lags - {0}) > 1
+
+        def equal_bits():
+            lazy = np.array([sim.position(i) for i in range(len(oracle))])
+            return lazy.tobytes() == np.array([position for position, _ in oracle]).tobytes()
+
+        assert equal_bits()
+        block_starts = set()
+        for _ in range(sim.n_steps):
             sim.step()
-            if report_tick:
-                for ue, (position, velocity) in zip(sim.ues, oracle):
-                    assert bits(ue.position) == bits(position)
-                    assert bits(ue.velocity) == bits(velocity)
+            block_starts.add(sim._block_start)
             eager_step(oracle, sim._bounds, scenario.step_s)
-            if read_every:
-                for i in range(step % read_every, len(oracle), read_every):
-                    assert bits(sim.position(i)) == bits(oracle[i][0])
-        assert calls["arrays"] == -(-sim.n_steps // sim.report_every)
-        assert calls["folds"] > 0 and calls["scalar_in_arrays"] == 0
-        if read_every:
-            assert mixed_lag_ticks == calls["arrays"] - 1
+            assert equal_bits()
+        assert len(block_starts) == blocks
+        assert folded
 
 
 class FullRowEveryStep(Simulation):
