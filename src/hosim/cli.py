@@ -20,7 +20,6 @@ import csv
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import config, metrics, sim
 from .rl import qtable_rows
@@ -36,6 +35,16 @@ SUMMARY_COLUMNS = (
     ("failure_rate", "ho_failure_rate"),
     ("ping_pong", "ping_pong_rate"),
 )
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor`` on first use (PEP 562), so a run that starts
+    no workers never imports the process pool."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _out_dir(args) -> str:
@@ -135,7 +144,10 @@ def cmd_sweep(args) -> int:
     workers = min(args.jobs, len(scenarios))
     try:
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # Read off the module, not as a global: the name resolves through
+            # __getattr__ until a caller replaces it.
+            executor = getattr(sys.modules[__name__], "ProcessPoolExecutor")
+            with executor(max_workers=workers) as pool:
                 try:
                     results = list(pool.map(_run_one, scenarios))
                 except RunFailed:

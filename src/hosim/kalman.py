@@ -115,6 +115,46 @@ def combine_state(x) -> float:
     return sigmoid(a + (1.0 - b) - 1.0)
 
 
+class _GainTable:
+    """The gain of each stream age for one (Q, R, P0), solved on a shared
+    covariance until that covariance stops changing: from its fixed point
+    on, every older age reuses the last gain."""
+
+    def __init__(self, params: KalmanParams):
+        self.params = params
+        self.gains: list[tuple[float, float, float, float]] = []
+        self.converged = False
+        self._shared = initial_state((0.0, 0.0), params)
+
+    def gain(self, n: int) -> tuple[float, float, float, float]:
+        """Gain of a stream's (n+1)-th update, solving the table up to it."""
+        while len(self.gains) <= n and not self.converged:
+            prior = predict(self._shared, self.params)
+            K = gain(prior.P, self.params)
+            self.gains.append(tuple(K.ravel().tolist()))
+            shared = _correct(prior, K, prior.x)
+            # A covariance equal to the last one yields the same prior and
+            # so the same gain for every later age.
+            self.converged = np.array_equal(shared.P, self._shared.P)
+            self._shared = shared
+        return self.gains[min(n, len(self.gains) - 1)]
+
+
+# One gain table per (Q, R, P0) in a process, keyed by the arrays' bytes:
+# every lim2 run with the default noise covariances shares one.  A table's
+# gains depend on (Q, R, P0) alone, so which streams solve them changes no
+# estimate.
+_GAIN_TABLES: dict[bytes, _GainTable] = {}
+
+
+def _gain_table(params: KalmanParams) -> _GainTable:
+    key = params.Q.tobytes() + params.R.tobytes() + params.P0.tobytes()
+    table = _GAIN_TABLES.get(key)
+    if table is None:
+        table = _GAIN_TABLES[key] = _GainTable(params)
+    return table
+
+
 class KalmanStreams:
     """Lazily created per-(UE, cell) filter streams with idle eviction.
 
@@ -122,24 +162,25 @@ class KalmanStreams:
     after STREAM_EVICTION_S without one.  With constant Q, R and P0 the
     covariance depends only on a stream's age, so a stream keeps just
     its estimate as a float pair, its update count and its last-seen
-    time.  Each age's gain is solved once, on a shared covariance, until
-    that covariance stops changing: from its fixed point on, every older
-    age reuses the last gain.  The estimates therefore equal
-    initial_state and repeated step bit for bit.  One table holds every
-    stream in recency order, oldest first, so eviction pops from the
-    front.  A gain already solved is read from the table; ``_gain`` only
-    extends it.  Eviction runs at the first observation of each instant:
-    times must not decrease, so no stream goes idle between two
-    observations at one instant, and that drops exactly the streams that
-    evicting after every observation drops.  Single-threaded only.
+    time.  Each age's gain comes from the process's gain table for
+    (Q, R, P0), shared by every KalmanStreams with equal arrays and
+    solved only up to the covariance's fixed point, whose gain every
+    older age reuses.  The estimates therefore equal initial_state and
+    repeated step bit for bit.  One table holds every stream in recency
+    order, oldest first, so eviction pops from the front.  A gain already
+    solved is read from the gain table, and past the fixed point the last
+    gain is; ``_gain`` only extends the table.  Eviction runs at the
+    first observation of each instant: times must not decrease, so no
+    stream goes idle between two observations at one instant, and that
+    drops exactly the streams that evicting after every observation
+    drops.  Single-threaded only.
     """
 
     def __init__(self, params: KalmanParams):
         self.params = params
         self._states: OrderedDict[tuple[int, int], tuple[tuple[float, float], int, float]] = OrderedDict()
-        self._gains: list[tuple[float, float, float, float]] = []
-        self._converged = False
-        self._shared = initial_state((0.0, 0.0), params)
+        self._table = _gain_table(params)
+        self._gains = self._table.gains
         self._evicted_at: float | None = None
 
     def observe(self, key: tuple[int, int], z, now: float) -> tuple[float, float]:
@@ -148,7 +189,8 @@ class KalmanStreams:
         if x is None:
             x = (float(z[0]), float(z[1]))
         else:
-            x = _innovate(x, gains[n] if n < len(gains) else self._gain(n), z)
+            k = gains[n] if n < len(gains) else gains[-1] if self._table.converged else self._gain(n)
+            x = _innovate(x, k, z)
         states[key] = (x, n + 1, now)
         states.move_to_end(key)
         # Later observations at the same instant age no stream, so the
@@ -162,17 +204,8 @@ class KalmanStreams:
         return self._states.get(key, (None,))[0]
 
     def _gain(self, n: int) -> tuple[float, float, float, float]:
-        """Gain of a stream's (n+1)-th update; only _shared's covariance is used."""
-        while len(self._gains) <= n and not self._converged:
-            prior = predict(self._shared, self.params)
-            K = gain(prior.P, self.params)
-            self._gains.append(tuple(K.ravel().tolist()))
-            shared = _correct(prior, K, prior.x)
-            # A covariance equal to the last one yields the same prior and
-            # so the same gain for every later age.
-            self._converged = np.array_equal(shared.P, self._shared.P)
-            self._shared = shared
-        return self._gains[min(n, len(self._gains) - 1)]
+        """Gain of a stream's (n+1)-th update."""
+        return self._table.gain(n)
 
     def _evict(self, now: float) -> None:
         while self._states:

@@ -13,6 +13,15 @@ scored with closed-form proxies:
 * packet delay: fixed core delay plus transmission time of a
   1500-byte packet, replaced by the interruption window when detached.
 
+Each proxy is written once, over arrays; the one-sample functions wrap
+it.  A run's accumulator only buffers its samples and scores them in
+blocks of ``KPI_BLOCK_SAMPLES``, the remainder when a result is read.
+Scoring is exact: numpy does only IEEE arithmetic, comparisons and
+selections, ``math.pow`` and ``math.log2`` are mapped over the block,
+and each running sum continues left to right with ``np.add.accumulate``
+from its current value.  So every sum equals adding the samples one at a
+time, bit for bit, wherever the block edges fall.
+
 Aggregation is a plain average over samples, weighted equally (samples
 arrive at a fixed report cadence).
 """
@@ -24,6 +33,9 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field, fields
+from itertools import repeat
+
+import numpy as np
 
 from .engine import HandoverOutcome
 
@@ -45,36 +57,67 @@ def residual_loss_floor(packet_bits: int = PACKET_BITS, ber: float = RESIDUAL_BE
     return 1.0 - (1.0 - ber) ** blocks
 
 
-def throughput_proxy(sinr_db: float, bandwidth_hz: float, attached: bool) -> float:
-    """Shannon-capacity throughput in bits/s; zero while detached."""
-    if not attached:
-        return 0.0
-    if not math.isfinite(sinr_db):
+RESIDUAL_LOSS_FLOOR = residual_loss_floor()
+# Samples an accumulator buffers before it scores them.  A full buffer
+# holds about 200 KB (a float object and three list slots per sample), and
+# scoring it takes a few 32 KiB arrays and one 128 KiB block of sums.  At
+# this size the numpy calls per block already cost far less than the
+# mapped pow and log2, so a larger block would only hold more memory.
+KPI_BLOCK_SAMPLES = 4096
+
+
+def throughput_array(sinr_db: np.ndarray, bandwidth_hz: float, attached: np.ndarray) -> np.ndarray:
+    """Shannon-capacity throughput in bits/s of each sample; zero while
+    detached.  An attached, non-finite SINR raises ValueError."""
+    sinr_db = sinr_db[attached]
+    if not np.isfinite(sinr_db).all():
         raise ValueError("sinr must be finite")
-    return bandwidth_hz * math.log2(1.0 + 10.0 ** (sinr_db / 10.0)) * UTILIZATION
+    # math's pow and log2, mapped: numpy's own differ in the last bit.
+    ratio = np.array(list(map(math.pow, repeat(10.0), (sinr_db / 10.0).tolist())))
+    capacity = np.array(list(map(math.log2, (1.0 + ratio).tolist())))
+    throughput = np.zeros(len(attached))
+    throughput[attached] = bandwidth_hz * capacity * UTILIZATION
+    return throughput
+
+
+def plr_array(sinr_db: np.ndarray, attached: np.ndarray) -> np.ndarray:
+    """Per-packet loss probability; monotone non-increasing in SINR."""
+    return np.where(attached & ~(sinr_db < PLR_SINR_THRESHOLD_DB), RESIDUAL_LOSS_FLOOR, 1.0)
+
+
+def bler_array(sinr_db: np.ndarray, attached: np.ndarray) -> np.ndarray:
+    """Transport-block error proxy with a harder 0 dB threshold."""
+    return np.where(attached & ~(sinr_db < BLER_SINR_THRESHOLD_DB), RESIDUAL_BER, 1.0)
+
+
+def packet_delay_array(throughput_bps: np.ndarray) -> np.ndarray:
+    """Packet delay in ms: core delay plus transmission time at
+    ``throughput_array``'s rate, or the interruption window where that
+    rate is zero (detached while a handover executes, or a rate that
+    underflows)."""
+    stalled = throughput_bps == 0.0
+    rate = np.where(stalled, 1.0, throughput_bps)
+    return np.where(stalled, CORE_DELAY_MS + INTERRUPTION_DELAY_MS, CORE_DELAY_MS + PACKET_BITS / rate * 1e3)
+
+
+def throughput_proxy(sinr_db: float, bandwidth_hz: float, attached: bool) -> float:
+    """Shannon-capacity throughput in bits/s of one sample; zero while detached."""
+    return throughput_array(np.array([sinr_db], dtype=float), bandwidth_hz, np.array([attached])).item()
 
 
 def plr_proxy(sinr_db: float, attached: bool) -> float:
-    """Per-packet loss probability; monotone non-increasing in SINR."""
-    if not attached or sinr_db < PLR_SINR_THRESHOLD_DB:
-        return 1.0
-    return residual_loss_floor()
+    """Per-packet loss probability of one sample."""
+    return plr_array(np.array([sinr_db], dtype=float), np.array([attached])).item()
 
 
 def bler_proxy(sinr_db: float, attached: bool) -> float:
-    """Transport-block error proxy with a harder 0 dB threshold."""
-    if not attached or sinr_db < BLER_SINR_THRESHOLD_DB:
-        return 1.0
-    return RESIDUAL_BER
+    """Transport-block error proxy of one sample."""
+    return bler_array(np.array([sinr_db], dtype=float), np.array([attached])).item()
 
 
 def packet_delay_proxy(throughput_bps: float) -> float:
-    """Packet delay in ms: core delay plus transmission time at
-    ``throughput_proxy``'s rate, or the interruption window when that rate
-    is zero (detached while a handover executes)."""
-    if throughput_bps == 0.0:
-        return CORE_DELAY_MS + INTERRUPTION_DELAY_MS
-    return CORE_DELAY_MS + PACKET_BITS / throughput_bps * 1e3
+    """Packet delay in ms at one ``throughput_proxy`` rate."""
+    return packet_delay_array(np.array([throughput_bps], dtype=float)).item()
 
 
 @dataclass(frozen=True)
@@ -113,10 +156,16 @@ def cdf(samples) -> CdfSeries:
 
 @dataclass
 class MetricsAccumulator:
-    """Collects per-sample proxies and handover outcomes for one run."""
+    """Collects per-sample proxies and handover outcomes for one run.
+
+    ``add_sample`` only buffers; the sums, ``n_samples`` and the buckets
+    take in the buffered samples when a block fills and when ``finalize``,
+    ``plr_series`` or ``plr_starts_s`` is called.  An attached, non-finite
+    SINR raises ValueError when its block is scored."""
 
     n_ues: int
     duration_s: float
+    bandwidth_hz: float
     throughput_sum: float = 0.0
     plr_sum: float = 0.0
     bler_sum: float = 0.0
@@ -126,18 +175,53 @@ class MetricsAccumulator:
     outcomes: list = field(default_factory=list)
     _bucket_sums: dict[int, float] = field(default_factory=dict)
     _bucket_counts: dict[int, int] = field(default_factory=dict)
+    _times: list[float] = field(default_factory=list)
+    _sinrs: list[float] = field(default_factory=list)
+    _attached: list[bool] = field(default_factory=list)
 
-    def add_sample(self, time_s: float, sinr_db: float, bandwidth_hz: float, attached: bool) -> None:
-        plr = plr_proxy(sinr_db, attached)
-        throughput = throughput_proxy(sinr_db, bandwidth_hz, attached)
-        self.throughput_sum += throughput
-        self.plr_sum += plr
-        self.bler_sum += bler_proxy(sinr_db, attached)
-        self.delay_sum += packet_delay_proxy(throughput)
-        self.n_samples += 1
-        bucket = int(time_s // PLR_BUCKET_S)
-        self._bucket_sums[bucket] = self._bucket_sums.get(bucket, 0.0) + plr
-        self._bucket_counts[bucket] = self._bucket_counts.get(bucket, 0) + 1
+    def add_sample(self, time_s: float, sinr_db: float, attached: bool) -> None:
+        self._times.append(time_s)
+        self._sinrs.append(sinr_db)
+        self._attached.append(attached)
+        if len(self._times) >= KPI_BLOCK_SAMPLES:
+            self._score()
+
+    def _score(self) -> None:
+        """Score the buffered samples in one array pass and empty the buffer."""
+        if not self._times:
+            return
+        sinr_db = np.array(self._sinrs, dtype=float)
+        attached = np.array(self._attached, dtype=bool)
+        throughput = throughput_array(sinr_db, self.bandwidth_hz, attached)
+        plr = plr_array(sinr_db, attached)
+        # Row 0 holds the running sums, each later row one sample's values.
+        block = np.empty((len(sinr_db) + 1, 4))
+        block[0] = self.throughput_sum, self.plr_sum, self.bler_sum, self.delay_sum
+        block[1:, 0] = throughput
+        block[1:, 1] = plr
+        block[1:, 2] = bler_array(sinr_db, attached)
+        block[1:, 3] = packet_delay_array(throughput)
+        np.add.accumulate(block, axis=0, out=block)
+        self.throughput_sum, self.plr_sum, self.bler_sum, self.delay_sum = block[-1].tolist()
+        self.n_samples += len(sinr_db)
+        self._add_to_buckets(np.array(self._times, dtype=float), plr)
+        self._times.clear()
+        self._sinrs.clear()
+        self._attached.clear()
+
+    def _add_to_buckets(self, times: np.ndarray, plr: np.ndarray) -> None:
+        """Add each sample's loss to its per-second bucket, in sample order.
+        Each run of equal times takes the bucket ``int(time_s //
+        PLR_BUCKET_S)``, and each run of one bucket is summed on from that
+        bucket's running sum."""
+        starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
+        keys = np.array([int(t // PLR_BUCKET_S) for t in times[starts].tolist()])
+        first = np.concatenate(([True], keys[1:] != keys[:-1]))
+        lows = starts[first].tolist()
+        for b, lo, hi in zip(keys[first].tolist(), lows, [*lows[1:], len(times)]):
+            segment = np.concatenate(([self._bucket_sums.get(b, 0.0)], plr[lo:hi]))
+            self._bucket_sums[b] = np.add.accumulate(segment)[-1].item()
+            self._bucket_counts[b] = self._bucket_counts.get(b, 0) + (hi - lo)
 
     def add_crossing(self) -> None:
         self.crossings += 1
@@ -146,15 +230,18 @@ class MetricsAccumulator:
         self.outcomes.append(outcome)
 
     def plr_series(self) -> tuple[float, ...]:
+        self._score()
         return tuple(
             self._bucket_sums[b] / self._bucket_counts[b] for b in sorted(self._bucket_sums)
         )
 
     def plr_starts_s(self) -> tuple[float, ...]:
         """Start time of each ``plr_series`` bucket; a bucket without samples has no entry."""
+        self._score()
         return tuple(b * PLR_BUCKET_S for b in sorted(self._bucket_sums))
 
     def finalize(self) -> KpiRecord:
+        self._score()
         n = max(self.n_samples, 1)
         completed = len(self.outcomes)
         failures = sum(1 for o in self.outcomes if o.result == "failure")

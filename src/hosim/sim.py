@@ -288,7 +288,9 @@ class Simulation:
         # UE ids are 0..n-1, so they index these lists as they do self.ues.
         self._nearest = [self.env.nearest_cell(ue.position) for ue in self.ues]
         self.contexts = [HandoverContext(ue.ue, cell) for ue, cell in zip(self.ues, self._nearest)]
-        self.metrics = MetricsAccumulator(n_ues=len(self.ues), duration_s=scenario.sim_duration_s)
+        self.metrics = MetricsAccumulator(
+            n_ues=len(self.ues), duration_s=scenario.sim_duration_s, bandwidth_hz=scenario.radio.bandwidth_hz
+        )
         self.report_every = round(scenario.report_period_s / scenario.step_s)
         self.n_steps = round(scenario.sim_duration_s / scenario.step_s)
         self._bounds = self._deployment_bounds(sites)
@@ -362,7 +364,7 @@ class Simulation:
         # cells read before the samples stay those each SINR is taken for.
         # An executing window's sample at this step is the report's SINR.
         env, policy, metrics = self.env, self.policy, self.metrics
-        period, bandwidth = self.scenario.report_period_s, self.scenario.radio.bandwidth_hz
+        period = self.scenario.report_period_s
         positions = list(map(tuple, self._block[self._step_index - self._block_start].tolist()))
         executing = []
         # The array kernel yields every UE's sample; the scalar one is called
@@ -382,7 +384,7 @@ class Simulation:
             if not attached:
                 executing.append(i)
                 engine.note_execution_sinr(ctx, sinr_db)
-            metrics.add_sample(now, sinr_db, bandwidth, attached)
+            metrics.add_sample(now, sinr_db, attached)
             if sample.nearest != self._nearest[i]:
                 self._nearest[i] = sample.nearest
                 metrics.add_crossing()

@@ -3,6 +3,8 @@
 import csv
 import os
 import struct
+import subprocess
+import sys
 import zlib
 
 import pytest
@@ -314,6 +316,20 @@ class TestSweepCommand:
         # A one-run sweep runs serially; a two-run sweep gets two workers.
         assert sizes == [2]
         assert outs["0,1", 64] == outs["0,1", 1]
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        """Only a sweep with workers needs the process pool, so importing
+        the CLI does not import it; the name still resolves on first use."""
+        code = (
+            "import sys, hosim.cli\n"
+            "assert 'concurrent.futures.process' not in sys.modules, 'pool imported'\n"
+            "from concurrent.futures.process import ProcessPoolExecutor\n"
+            "assert hosim.cli.ProcessPoolExecutor is ProcessPoolExecutor\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hosim.cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_failing_run_names_itself(self, corridor_file, tmp_path, monkeypatch, capsys):
         run = hosim.sim.run

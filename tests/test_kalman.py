@@ -19,6 +19,13 @@ from hosim.kalman import (
 )
 
 
+@pytest.fixture(autouse=True)
+def fresh_gain_tables(monkeypatch):
+    """Each test starts with no solved gain table, so its solve counts do
+    not depend on the tests run before it in the process."""
+    monkeypatch.setattr(kalman, "_GAIN_TABLES", {})
+
+
 def reference_filter(x0, P0, F, H, Q, R, measurements):
     """Textbook predict/update recursion, written independently of the
     implementation under test (explicit inverse, no shared helpers)."""
@@ -268,6 +275,29 @@ class TestStreams:
         assert len(streams._gains) == 178
         assert len(solves) == 178
 
+    def test_second_streams_reuse_the_solved_table(self, monkeypatch):
+        """A KalmanStreams built from equal (Q, R, P0) arrays takes the
+        first one's gain table, solves nothing, and still equals repeated
+        step bit for bit past the fixed point at age 178."""
+        KalmanStreams(KalmanParams())._gain(500)
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(kalman.np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+        params = KalmanParams()
+        streams = KalmanStreams(params)
+        assert streams._table.converged and len(streams._gains) == 178
+        rng = np.random.default_rng(11)
+        state = None
+        for tick in range(400):
+            z = rng.normal(-85.0, 4.0, size=2)
+            state = initial_state(z, params) if state is None else step(state, z, params)
+            assert np.array(streams.observe((0, 0), tuple(z), tick * 0.04)).tobytes() == state.x.tobytes()
+        # The reference steps solved 399 gains; the streams solved none.
+        assert len(solves) == 399
+        assert len(kalman._GAIN_TABLES) == 1
+        other = KalmanParams(R=np.diag([4.0, 5.0]))
+        assert KalmanStreams(other)._gains is not streams._gains
+
 
 class EvictAfterEveryObserve(KalmanStreams):
     """The streams as they were before eviction ran once per instant: every
@@ -311,7 +341,7 @@ class TestEvictionPerInstant:
                 assert list(streams._states.items()) == list(oracle._states.items())
                 evicted += before - len(oracle._states)
                 observations += 1
-        assert streams._states[(0, 0)][1] == 499 > 178 and streams._converged
+        assert streams._states[(0, 0)][1] == 499 > 178 and streams._table.converged
         assert evicted > 100
         assert evictions.count(streams) == instants
         assert evictions.count(oracle) == observations

@@ -10,6 +10,11 @@ from hosim.engine import HandoverOutcome
 from hosim.metrics import (
     CORE_DELAY_MS,
     INTERRUPTION_DELAY_MS,
+    KPI_BLOCK_SAMPLES,
+    PACKET_BITS,
+    PLR_BUCKET_S,
+    REFERENCE_PACKET_BYTES,
+    RESIDUAL_BER,
     UTILIZATION,
     MetricsAccumulator,
     bler_proxy,
@@ -17,10 +22,12 @@ from hosim.metrics import (
     format_value,
     kpi_row,
     mean,
+    packet_delay_array,
     packet_delay_proxy,
     plr_proxy,
     residual_loss_floor,
     sample_stdev,
+    throughput_array,
     throughput_proxy,
     write_csv_atomic,
 )
@@ -128,9 +135,9 @@ def outcome(result="success", ping_pong=False, t=1.0):
 
 class TestAccumulator:
     def test_counts_and_rates(self):
-        acc = MetricsAccumulator(n_ues=2, duration_s=10.0)
+        acc = MetricsAccumulator(n_ues=2, duration_s=10.0, bandwidth_hz=BW)
         for i in range(100):
-            acc.add_sample(i * 0.1, 5.0, BW, attached=True)
+            acc.add_sample(i * 0.1, 5.0, attached=True)
         acc.add_outcome(outcome())
         acc.add_outcome(outcome(result="failure"))
         acc.add_outcome(outcome(ping_pong=True))
@@ -145,10 +152,10 @@ class TestAccumulator:
         assert record.mean_ho_latency_ms == pytest.approx(90.0)
 
     def test_plr_series_buckets_by_second(self):
-        acc = MetricsAccumulator(n_ues=1, duration_s=3.0)
+        acc = MetricsAccumulator(n_ues=1, duration_s=3.0, bandwidth_hz=BW)
         for i in range(75):
             t = i * 0.04
-            acc.add_sample(t, 20.0 if t < 2.0 else -20.0, BW, attached=True)
+            acc.add_sample(t, 20.0 if t < 2.0 else -20.0, attached=True)
         series = acc.plr_series()
         assert len(series) == 3
         assert series[0] == pytest.approx(residual_loss_floor())
@@ -158,9 +165,9 @@ class TestAccumulator:
         rng = np.random.default_rng(17)
         records = []
         for seed in range(100):
-            acc = MetricsAccumulator(n_ues=1, duration_s=1.0)
+            acc = MetricsAccumulator(n_ues=1, duration_s=1.0, bandwidth_hz=BW)
             for _ in range(25):
-                acc.add_sample(0.0, float(rng.uniform(-10, 20)), BW, attached=True)
+                acc.add_sample(0.0, float(rng.uniform(-10, 20)), attached=True)
             records.append(acc.finalize())
         throughputs = [r.mean_throughput_mbps for r in records]
         assert mean(throughputs) == pytest.approx(sum(throughputs) / 100, abs=1e-12)
@@ -171,9 +178,136 @@ class TestAccumulator:
         assert mean([1e16, 1.0, -1e16]) == 0.0
 
     def test_empty_run_finalizes_clean(self):
-        record = MetricsAccumulator(n_ues=0, duration_s=1.0).finalize()
+        record = MetricsAccumulator(n_ues=0, duration_s=1.0, bandwidth_hz=BW).finalize()
         assert record.ho_decisions == 0
         assert record.ho_failure_rate == 0.0
+
+
+class PerSampleOracle:
+    """The accumulator as it scored each sample on arrival: one proxy
+    evaluation per KPI on Python floats, every sum added one at a time."""
+
+    def __init__(self, bandwidth_hz):
+        self.bandwidth_hz = bandwidth_hz
+        self.sums = [0.0, 0.0, 0.0, 0.0]  # throughput, plr, bler, delay
+        self.throughputs, self.delays = [], []
+        self.buckets = {}  # bucket -> [plr sum, count]
+        self.floor = 1.0 - (1.0 - RESIDUAL_BER) ** ((PACKET_BITS / 8.0) / REFERENCE_PACKET_BYTES)
+
+    def add(self, time_s, sinr_db, attached):
+        plr = 1.0 if not attached or sinr_db < -5.0 else self.floor
+        if attached:
+            if not math.isfinite(sinr_db):
+                raise ValueError("sinr must be finite")
+            throughput = self.bandwidth_hz * math.log2(1.0 + 10.0 ** (sinr_db / 10.0)) * UTILIZATION
+        else:
+            throughput = 0.0
+        bler = 1.0 if not attached or sinr_db < 0.0 else RESIDUAL_BER
+        delay = CORE_DELAY_MS + INTERRUPTION_DELAY_MS if throughput == 0.0 else CORE_DELAY_MS + PACKET_BITS / throughput * 1e3
+        self.throughputs.append(throughput)
+        self.delays.append(delay)
+        for i, value in enumerate((throughput, plr, bler, delay)):
+            self.sums[i] += value
+        entry = self.buckets.setdefault(int(time_s // PLR_BUCKET_S), [0.0, 0])
+        entry[0] += plr
+        entry[1] += 1
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_scored_like_oracle(samples, bandwidth_hz=BW):
+    acc = MetricsAccumulator(n_ues=1, duration_s=1.0, bandwidth_hz=bandwidth_hz)
+    oracle = PerSampleOracle(bandwidth_hz)
+    for time_s, sinr_db, attached in samples:
+        acc.add_sample(time_s, sinr_db, attached)
+        oracle.add(time_s, sinr_db, attached)
+    record = acc.finalize()
+    assert acc.n_samples == len(samples)
+    # Each sample's values, whose last bits a sum can round away.
+    throughput = throughput_array(
+        np.array([s for _, s, _ in samples], dtype=float), bandwidth_hz, np.array([a for _, _, a in samples], dtype=bool)
+    )
+    assert hexes(throughput) == hexes(oracle.throughputs)
+    assert hexes(packet_delay_array(throughput)) == hexes(oracle.delays)
+    assert hexes((acc.throughput_sum, acc.plr_sum, acc.bler_sum, acc.delay_sum)) == hexes(oracle.sums)
+    buckets = sorted(oracle.buckets)
+    assert hexes(record.plr_series) == hexes(oracle.buckets[b][0] / oracle.buckets[b][1] for b in buckets)
+    assert acc.plr_starts_s() == tuple(b * PLR_BUCKET_S for b in buckets)
+    assert acc._bucket_counts == {b: oracle.buckets[b][1] for b in buckets}
+    n = max(len(samples), 1)
+    assert record.mean_throughput_mbps == oracle.sums[0] / n / 1e6
+    assert record.mean_packet_delay_ms == oracle.sums[3] / n
+    return oracle
+
+
+def random_samples(n, seed=3, ues_per_tick=7):
+    """SINRs uniform over [-40, 60] dB, about one sample in five detached,
+    ``ues_per_tick`` samples per 40 ms tick."""
+    rng = np.random.default_rng(seed)
+    sinrs = rng.uniform(-40.0, 60.0, size=n).tolist()
+    attached = (rng.uniform(size=n) > 0.2).tolist()
+    return [((i // ues_per_tick) * 0.04, s, a) for i, (s, a) in enumerate(zip(sinrs, attached))]
+
+
+class TestBlockScoring:
+    @pytest.mark.parametrize("n", [1, KPI_BLOCK_SAMPLES - 1, KPI_BLOCK_SAMPLES, KPI_BLOCK_SAMPLES + 1, 2 * KPI_BLOCK_SAMPLES + 1])
+    def test_random_samples_equal_per_sample_scoring(self, n):
+        assert_scored_like_oracle(random_samples(n))
+
+    def test_buffer_scores_when_full(self):
+        acc = MetricsAccumulator(n_ues=1, duration_s=1.0, bandwidth_hz=BW)
+        for time_s, sinr_db, attached in random_samples(KPI_BLOCK_SAMPLES + 1):
+            acc.add_sample(time_s, sinr_db, attached)
+        assert acc.n_samples == KPI_BLOCK_SAMPLES
+        assert len(acc._sinrs) == 1
+
+    def test_bucket_straddling_a_flush(self):
+        # 7 samples a tick, 175 a second: the second holding sample 4,095
+        # also holds sample 4,096, so its sum continues across the flush.
+        samples = random_samples(2 * KPI_BLOCK_SAMPLES + 1)
+        edge = KPI_BLOCK_SAMPLES
+        assert int(samples[edge - 1][0] // PLR_BUCKET_S) == int(samples[edge][0] // PLR_BUCKET_S)
+        assert_scored_like_oracle(samples)
+
+    def test_thresholds_and_their_neighbours(self):
+        sinrs = []
+        for threshold in (-5.0, 0.0):
+            sinrs += [math.nextafter(threshold, -math.inf), threshold, math.nextafter(threshold, math.inf)]
+        samples = [(0.0, s, a) for s in sinrs for a in (True, False)]
+        assert_scored_like_oracle(samples)
+        for s in sinrs:
+            assert plr_proxy(s, True) == (1.0 if s < -5.0 else residual_loss_floor())
+            assert bler_proxy(s, True) == (1.0 if s < 0.0 else RESIDUAL_BER)
+
+    def test_throughput_underflowing_to_zero_waits_out_the_interruption(self):
+        samples = [(0.0, -400.0, True), (0.0, 20.0, True)]
+        oracle = assert_scored_like_oracle(samples)
+        assert throughput_proxy(-400.0, BW, True) == 0.0
+        assert oracle.sums[3] == (CORE_DELAY_MS + INTERRUPTION_DELAY_MS) + (CORE_DELAY_MS + PACKET_BITS / throughput_proxy(20.0, BW, True) * 1e3)
+
+    def test_unordered_times(self):
+        rng = np.random.default_rng(8)
+        samples = [(t, s, a) for t, (_, s, a) in zip(rng.uniform(0.0, 9.0, size=5000).tolist(), random_samples(5000))]
+        assert_scored_like_oracle(samples)
+
+    @pytest.mark.parametrize("sinr_db", [math.nan, math.inf, -math.inf])
+    def test_attached_non_finite_raises_by_finalize(self, sinr_db):
+        acc = MetricsAccumulator(n_ues=1, duration_s=1.0, bandwidth_hz=BW)
+        acc.add_sample(0.0, 5.0, True)
+        acc.add_sample(0.04, sinr_db, True)
+        with pytest.raises(ValueError, match="sinr must be finite"):
+            acc.finalize()
+
+    @pytest.mark.parametrize("sinr_db", [math.nan, math.inf, -math.inf])
+    def test_detached_non_finite_is_scored(self, sinr_db):
+        acc = MetricsAccumulator(n_ues=1, duration_s=1.0, bandwidth_hz=BW)
+        acc.add_sample(0.0, sinr_db, False)
+        record = acc.finalize()
+        assert record.mean_throughput_mbps == 0.0
+        assert record.plr == record.bler == 1.0
+        assert record.mean_packet_delay_ms == CORE_DELAY_MS + INTERRUPTION_DELAY_MS
 
 
 class TestCsv:
@@ -212,8 +346,8 @@ class TestCsv:
         assert format_value("x") == "x"
 
     def test_kpi_row_shape(self):
-        acc = MetricsAccumulator(n_ues=1, duration_s=1.0)
-        acc.add_sample(0.0, 5.0, BW, True)
+        acc = MetricsAccumulator(n_ues=1, duration_s=1.0, bandwidth_hz=BW)
+        acc.add_sample(0.0, 5.0, True)
         row = kpi_row("lim2", 3, 200.0, acc.finalize())
         assert row[0] == "lim2"
         assert len(row) == 14
