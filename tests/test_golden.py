@@ -50,6 +50,12 @@ HEX_EVICTION = [
     "sim.n_sites=19", "sim.n_ues_per_cell=1", "sim.step_s=0.04", "sim.report_period_s=0.04",
     "sim.sim_duration_s=13", "sim.ue_speed_kmh=350",
 ]
+# The corridor at a 10 ms step: three execution-window steps run between
+# report ticks (88 handovers at seed 1).
+CORRIDOR_FINE = ["sim.step_s=0.01", "sim.sim_duration_s=10"]
+# Five corridor sites, three UEs each, at 350 km/h: serving cells change
+# between report ticks far apart, and 205 of 253 handovers fail at seed 1.
+CORRIDOR_5X3 = ["sim.n_sites=5", "sim.n_ues_per_cell=3", "sim.ue_speed_kmh=350", "sim.sim_duration_s=20"]
 
 # case -> (scenario file, overrides, digests), recorded before the Kalman
 # streams kept only their estimate.
@@ -85,6 +91,17 @@ GOLDEN = {
         "kpis": "be2258abeffad89268f0b03e8060ba96941b096eb0724b5399a3ffd66ef41c0e",
         "events": "675edbe4cbf6182d82f7fb758e23ee0f4419da29b64d6dc69c252a4a8bcfddd0",
         "plr_series": "ba26298ef34fa32f94fb2c077011671858ed01307214bb89d182db9deb2561c7",
+    }),
+    "corridor-greedy_rsrp-fine-1": ("corridor.ini", CORRIDOR_FINE + ["sim.policy=greedy_rsrp", "sim.seed=1"], {
+        "kpis": "5bbea3cf26f459c88ec6494fb4b1237f43a824d00ac910f09864acb98a24547b",
+        "events": "f9835d15b35224cc5f02c02fd30428155b953bb302cbb24129086b840e1f184e",
+        "plr_series": "a38ec076e614aff390f4591426a9040de2ecdb7f29d636bafe8028e17ec1f485",
+    }),
+    "corridor5x3-lim2-1": ("corridor.ini", CORRIDOR_5X3 + ["sim.policy=lim2", "sim.seed=1"], {
+        "kpis": "3f1b2a270c3d81bb98352e073e7c81ea5f390db6481b820c34b8bf6fbab444a3",
+        "events": "9471d682d2bea3d45da33264a87a07ce8982d720b0d71d67f31480aba31b4a2e",
+        "plr_series": "d260280dc2df096df8da254ba7a204ef96da6c6400d5c0a0e5a08fb4f16d5c98",
+        "qtables": "55ba25b41b6002e0a5d7c3136f6e6ac232f39c9188c5ebc8c52590389f9c6459",
     }),
     "hex50-lim2-1": ("hex50.ini", HEX_SHORT + ["sim.policy=lim2", "sim.seed=1"], {
         "kpis": "d4a62611da502bb61557bd6a0e8e3b4255bca4a1d62205eda3a6c02769964007",
