@@ -25,14 +25,28 @@ A report tick steps each UE's ambient walk and gives the UE a
 ``RadioSample`` (every site's measured RSRP, the RSSI, the detected cells
 ranked, the ambient reading, the serving and interference powers and the
 nearest site); ``generate_report`` builds the UE's report, RSRQ
-included, from it.  Two
-kernels compute the samples, chosen by the tick's (UE x site) pair count
-(``array_pass``): below ``ARRAY_PASS_MIN_PAIRS`` the scalar ``sample``,
-one UE's row at a time, whose fixed cost per tick is small; at or above
-it ``array_samples``, which computes UE-id chunks of at most
-``ARRAY_PASS_MAX_PAIRS`` pairs as numpy arrays, the chunk bound keeping
-peak memory near that of the scalar pass.  The two are bit for bit
-equal:
+included, from it.  Three routes compute the samples, all through one
+array body, ``_array_chunk``, or its scalar twin ``sample``:
+
+- a channel without shadowing (``block_pass``) takes the block kernel,
+  ``block_samples``: the samples of many report ticks, their (tick, UE)
+  pairs as the rows of one array pass.  At zero sigma a tick's radio does
+  not depend on the policy: every shadowing value is +0.0 whatever the
+  shadowing stream draws, trajectories are laid out ahead, the channel
+  noise is consumed in tick order and feeds nothing else, and the ambient
+  walk steps once per UE per tick.  So the block's ticks read no
+  shadowing row (``refresh_shadowing`` is not called for them), and only
+  the serving split of a UE whose serving cell changed since the block's
+  first tick is redone at its tick;
+- otherwise the tick's (UE x site) pair count picks (``array_pass``):
+  below ``ARRAY_PASS_MIN_PAIRS`` the scalar ``sample``, one UE's row at a
+  time, whose fixed cost per tick is small; at or above it
+  ``array_samples``, which refreshes the UEs' shadowing in id order and
+  computes one tick.
+
+Array passes run in chunks of at most ``ARRAY_PASS_MAX_PAIRS`` pairs,
+the chunk bound keeping peak memory near that of the scalar pass.  Every
+route gives the same samples bit for bit:
 
 - numpy does only IEEE add, subtract, multiply and divide, comparisons
   (and selections by them), ``maximum`` and ``argmin``, each giving what
@@ -46,18 +60,22 @@ equal:
   the interference sum adds +0.0 at the serving column, which changes no
   sum of powers that are all >= +0.0;
 - the ranking is a stable sort of the negated measurements, so equal
-  measurements keep the lower cell id first, as the scalar sort does.
+  measurements keep the lower cell id first, as the scalar sort does;
+- the ambient walk is clamped as ``max`` then ``min`` clamp it: the level
+  stays unless a bound lies strictly beyond it, which keeps its sign of
+  zero.
 
-A report tick takes every UE's channel noise from ``channel_noise``, in
-the order per-UE draws would take it; a small deployment draws the noise
-of many ticks in one call, and the array kernel one tick as an array.
+A report tick takes every UE's channel noise from the blocks
+``channel_noise`` hands out, in the order per-UE draws would take it; a
+small deployment draws the noise of many ticks in one call, and the
+block kernel computes as many ticks as the rest of one such block holds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -70,7 +88,8 @@ MAX_NEIGHBORS = 8
 DETECTION_THRESHOLD_DBM = -125.0
 SHADOWING_DECORRELATION_M = 50.0
 # Most channel-noise draws one ``channel_noise`` block takes, unless a
-# single report tick needs more.
+# single report tick needs more.  It also sizes the block kernel's blocks:
+# 128 ticks for the corridor's 2 UEs x 2 sites, one for hex50's 500 x 50.
 NOISE_DRAWS_PER_CALL = 1024
 # Report ticks of at least this many (UE, site) pairs take the array kernel,
 # smaller ones the scalar pass: below it the array kernel's fixed cost per
@@ -203,6 +222,17 @@ def _mapped(fn, *arrays: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(shape)
 
 
+def _split(sample: RadioSample, mw: list[float], serving: int) -> RadioSample:
+    """``sample`` with its serving power and interference taken for
+    ``serving`` from its linear powers ``mw`` (by site id): the other sites
+    summed in id order from 0.0, as the kernels sum them."""
+    interference_mw = 0.0
+    for cid, power in enumerate(mw):
+        if cid != serving:
+            interference_mw += power
+    return sample._replace(serving_mw=mw[serving], interference_mw=interference_mw)
+
+
 def free_space_reference_db(carrier_freq_hz: float) -> float:
     """Free-space path loss at the 1 m reference distance."""
     return 20.0 * math.log10(4.0 * math.pi * REFERENCE_DISTANCE_M * carrier_freq_hz / SPEED_OF_LIGHT)
@@ -250,15 +280,21 @@ class RadioEnvironment:
         bound = 3.0 * channel.env_noise_sigma_db
         self._walk_lo = channel.env_noise_mean_dbm - bound
         self._walk_hi = channel.env_noise_mean_dbm + bound
-        # Ticks of the last channel-noise block not handed out yet, the
-        # next one last, and the UE count they were drawn for.
-        self._noise_ticks: list[list[list[float]]] = []
-        self._noise_ues = 0
         # Each UE's channel draws per report: the walk step, then one per
         # site and the ambient reading.
         self._noise_scale = np.array(
             [channel.env_noise_sigma_db] + [channel.meas_noise_sigma_db] * (len(self.sites) + 1)
         )
+        # The ticks of the last channel-noise block not handed out yet, as a
+        # (ticks x UEs x draws) array.
+        self._noise = np.empty((0, 0, len(self._noise_scale)))
+        # The block kernel's ticks: each tick's samples, the linear powers of
+        # its (tick, UE) rows by site id, the servings of its first tick, and
+        # the index of its next tick not handed out yet.
+        self._block: list[list[RadioSample]] = []
+        self._block_mw = np.empty((0, 0, len(self.sites)))
+        self._block_servings: list[int] = []
+        self._block_next = 0
         self._tx_dbm = radio.tx_power_dbm
         self._reference_db = free_space_reference_db(radio.carrier_freq_hz)
         self._slope_db = 10.0 * channel.path_loss_exponent
@@ -395,37 +431,37 @@ class RadioEnvironment:
         each UE's own ``normal`` calls in turn bit for bit, and once a
         block's last tick is out ``rng`` is where those calls leave it.
         """
-        pending = self._noise_ticks
-        if pending:
-            if n_ues != self._noise_ues:
-                raise ValueError("n_ues changed while ticks of an earlier noise block are pending")
-            return pending.pop()
-        width = len(self._noise_scale)
-        ticks = max(1, NOISE_DRAWS_PER_CALL // max(1, n_ues * width))
-        self._noise_ticks, self._noise_ues = self._noise_block(ticks, n_ues).tolist()[::-1], n_ues
-        return self._noise_ticks.pop()
+        return self._noise_ticks(1, n_ues)[0].tolist()
 
-    def _noise_tick(self, n_ues: int) -> np.ndarray:
-        """``channel_noise``'s next tick as an (n_ues x draws) array.  Unless
-        ticks of an earlier block are pending, it is drawn on its own, which
-        takes the same values from ``rng`` as a block of many ticks would."""
-        if self._noise_ticks:
-            return np.array(self.channel_noise(n_ues))
-        return self._noise_block(1, n_ues)[0]
-
-    def _noise_block(self, ticks: int, n_ues: int) -> np.ndarray:
-        """``ticks`` ticks of every UE's draws, as numpy's ``normal`` makes them."""
-        block = self.rng.standard_normal((ticks, n_ues, len(self._noise_scale)))
-        block *= self._noise_scale
-        block += 0.0
-        return block
+    def _noise_ticks(self, most: int, n_ues: int) -> np.ndarray:
+        """The next ticks of ``channel_noise``'s current block, as many as it
+        still holds but at most ``most`` (at least one), as a (ticks x n_ues
+        x draws) array.  A block is let go once its last tick is out, so a
+        large one is not held between report ticks, and the next call draws
+        a new one."""
+        pending = self._noise
+        if not len(pending):
+            ticks = max(1, NOISE_DRAWS_PER_CALL // max(1, n_ues * len(self._noise_scale)))
+            pending = self.rng.standard_normal((ticks, n_ues, len(self._noise_scale)))
+            pending *= self._noise_scale
+            pending += 0.0
+        elif n_ues != pending.shape[1]:
+            raise ValueError("n_ues changed while ticks of an earlier noise block are pending")
+        most = max(1, most)
+        self._noise = pending[most:] if most < len(pending) else np.empty((0, 0, len(self._noise_scale)))
+        return pending[:most]
 
     def array_pass(self, n_ues: int) -> bool:
         """Whether a report tick of ``n_ues`` UEs takes the array kernel:
         one of ``ARRAY_PASS_MIN_PAIRS`` (UE, site) pairs or more does, a
         smaller one calls the scalar ``sample`` once per UE.  The two give
-        the same samples bit for bit."""
+        the same samples bit for bit.  ``block_pass`` comes first."""
         return n_ues * len(self.sites) >= ARRAY_PASS_MIN_PAIRS
+
+    def block_pass(self) -> bool:
+        """Whether report ticks take the block kernel, ``block_samples``:
+        a channel without shadowing does, whatever its size."""
+        return self.params.shadowing_sigma_db == 0
 
     def sample(self, ue: int, position: tuple[float, float], serving: int, draws: list[float]) -> RadioSample:
         """The scalar kernel: one UE's report-tick sample from its ``row`` at
@@ -465,16 +501,17 @@ class RadioEnvironment:
         ``channel_noise``.
 
         Takes the tick's draws at once, then computes lazily, one chunk of
-        UEs (at most ``ARRAY_PASS_MAX_PAIRS`` pairs) at a time, with the
-        scalar pass's operations in its order (see the module docstring), so
-        every sample, ambient level, shadowing value and ``shadow_rng`` draw
+        UEs (at most ``ARRAY_PASS_MAX_PAIRS`` pairs) at a time: their
+        shadowing refreshed UE by UE in id order, as each UE's row reads it,
+        their ambient walks stepped, then ``_array_chunk``.  So every
+        sample, ambient level, shadowing value and ``shadow_rng`` draw
         equals the scalar pass's.
         """
         n_ues = len(positions)
-        noise = self._noise_tick(n_ues)
+        noise = self._noise_ticks(1, n_ues)[0]
         per_chunk = max(1, ARRAY_PASS_MAX_PAIRS // len(self.sites))
         return chain.from_iterable(
-            self._array_chunk(
+            self._tick_chunk(
                 range(start, min(start + per_chunk, n_ues)),
                 positions[start : start + per_chunk],
                 servings[start : start + per_chunk],
@@ -483,19 +520,101 @@ class RadioEnvironment:
             for start in range(0, n_ues, per_chunk)
         )
 
-    def _array_chunk(self, ues, positions, servings, noise) -> Iterator[RadioSample]:
-        # Shadowing first, UE by UE in id order, as each UE's row reads it.
+    def _tick_chunk(self, ues, positions, servings, noise) -> list[RadioSample]:
         n_sites = len(self.sites)
         rows = map(self.refresh_shadowing, ues, positions)
         shadowing = np.fromiter(chain.from_iterable(rows), float, len(ues) * n_sites).reshape(-1, n_sites)
-        xy = np.array(positions)
+        # The ambient walk: np.where clamps as max() then min() do, where
+        # np.maximum and np.minimum would not keep the level's sign of zero.
+        level = np.array([self._env_noise.get(ue, self.params.env_noise_mean_dbm) for ue in ues]) + noise[:, 0]
+        level = np.where(self._walk_lo > level, self._walk_lo, level)
+        level = np.where(self._walk_hi < level, self._walk_hi, level)
+        self._env_noise.update(zip(ues, level.tolist()))
+        return self._array_chunk(np.array(positions), servings, shadowing, level, noise)[0]
+
+    def block_samples(self, ticks: np.ndarray, servings: list[int]) -> list[RadioSample]:
+        """The block kernel, for a channel without shadowing: this report
+        tick's ``sample`` for every UE in id order, UE ``i`` served by
+        ``servings[i]``.  ``ticks[k, i]`` is UE ``i``'s ``(x, y)`` at the
+        ``k``-th report tick from this one, as far as the trajectory is laid
+        out.
+
+        A tick with no sample left of the last block starts a new one: the
+        next ticks, as many as ``ticks`` holds and the rest of the current
+        ``channel_noise`` block (all of a fresh one), computed by
+        ``_array_chunk`` with their (tick, UE) pairs as its rows, in chunks
+        of at most ``ARRAY_PASS_MAX_PAIRS`` pairs, for the servings of the
+        block's first tick.  Their shadowing is +0.0, which is every value a
+        zero sigma draws, and each UE's ambient walk is stepped ahead tick
+        by tick with the scalar pass's clamp; ``_env_noise`` then holds the
+        walk at the block's last tick.  At each tick a UE whose serving cell
+        changed since the block's first tick gets its serving split redone
+        from its row's linear powers (``_split``).
+        """
+        if self._block_next == len(self._block):
+            self._start_block(ticks, servings)
+        k = self._block_next
+        self._block_next += 1
+        samples = self._block[k]
+        if servings != self._block_servings:
+            for i, (serving, first) in enumerate(zip(servings, self._block_servings)):
+                if serving != first:
+                    samples[i] = _split(samples[i], self._block_mw[k, i].tolist(), serving)
+        return samples
+
+    def _start_block(self, ticks: np.ndarray, servings: list[int]) -> None:
+        n_ues, n_sites = len(servings), len(self.sites)
+        noise = self._noise_ticks(len(ticks), n_ues)
+        n_ticks = len(noise)
+        # Each UE's walk, a tick at a time; max() then min() clamp it.
+        lo, hi = self._walk_lo, self._walk_hi
+        walks = []
+        for ue, steps in enumerate(noise[:, :, 0].T.tolist()):
+            level = self._env_noise.get(ue, self.params.env_noise_mean_dbm)
+            walk = []
+            for step in steps:
+                level += step
+                if lo > level:
+                    level = lo
+                if hi < level:
+                    level = hi
+                walk.append(level)
+            walks.append(walk)
+            self._env_noise[ue] = level
+        # The (tick, UE) rows, tick-major, in chunks.
+        xy = ticks[:n_ticks].reshape(-1, 2)
+        row_servings = servings * n_ticks
+        levels = np.array(walks).T.reshape(-1)
+        noise = noise.reshape(-1, len(self._noise_scale))
+        self._block_mw = np.empty((n_ticks, n_ues, n_sites))
+        row_mw = self._block_mw.reshape(-1, n_sites)
+        per_chunk = max(1, ARRAY_PASS_MAX_PAIRS // n_sites)
+        shadowing = np.zeros((min(per_chunk, len(xy)), n_sites))
+        samples = []
+        for start in range(0, len(xy), per_chunk):
+            rows = slice(start, start + per_chunk)
+            chunk, row_mw[rows] = self._array_chunk(
+                xy[rows], row_servings[rows], shadowing[: len(xy[rows])], levels[rows], noise[rows]
+            )
+            samples += chunk
+        self._block = [samples[k * n_ues : (k + 1) * n_ues] for k in range(n_ticks)]
+        self._block_servings = list(servings)
+        self._block_next = 0
+
+    def _array_chunk(self, xy, servings, shadowing, level, noise) -> tuple[list[RadioSample], np.ndarray]:
+        """The samples of the rows of ``xy`` (an (n x 2) array of positions),
+        row ``r`` served by ``servings[r]`` with the shadowing row
+        ``shadowing[r]`` (by site id), its ambient walk already stepped to
+        ``level[r]`` and its draws ``noise[r]``; with the rows' linear powers
+        by site id.  Every operation is the scalar pass's in its order (see
+        the module docstring)."""
         distance = _mapped(math.hypot, self._site_x - xy[:, :1], self._site_y - xy[:, 1:])
         nearest = distance.argmin(axis=1)
         # _received_dbm, with its clamp to the reference distance.
         log_distance = _mapped(math.log10, np.maximum(distance, REFERENCE_DISTANCE_M))
         wideband = self._tx_dbm - (self._reference_db + self._slope_db * log_distance) - shadowing
         mw = _mapped(math.pow, np.full(wideband.shape, 10.0), wideband / 10.0)  # 10.0 ** (power / 10.0)
-        rows = np.arange(len(ues))
+        rows = np.arange(len(xy))
         serving_mw = mw[rows, servings]
         others = mw.copy()
         others[rows, servings] = 0.0
@@ -505,24 +624,15 @@ class RadioEnvironment:
         rssi_mw = np.add.accumulate(mw, axis=1)[:, -1]
         interference_mw = np.add.accumulate(others, axis=1)[:, -1]
 
-        # The ambient walk, clamped as max() then min() clamp it: each keeps
-        # the level unless the bound lies strictly beyond it, so a tie keeps
-        # the level's sign of zero, which np.maximum and np.minimum do not.
-        mean = self.params.env_noise_mean_dbm
-        level = np.array([self._env_noise.get(ue, mean) for ue in ues]) + noise[:, 0]
-        level = np.where(self._walk_lo > level, self._walk_lo, level)
-        level = np.where(self._walk_hi < level, self._walk_hi, level)
-        self._env_noise.update(zip(ues, level.tolist()))
         rssi_dbm = 10.0 * _mapped(math.log10, rssi_mw + self._noise_mw)
-        measured = wideband - self._re_scaling_db - (level - mean)[:, None] + noise[:, 1:-1]
+        measured = wideband - self._re_scaling_db - (level - self.params.env_noise_mean_dbm)[:, None] + noise[:, 1:-1]
         if not (np.isfinite(measured).all() and np.isfinite(rssi_dbm).all()):
             raise ValueError("measured RSRP and RSSI must be finite")
         # Descending order puts every detected cell before every other one.
         order = np.argsort(-measured, axis=1, kind="stable")[:, : MAX_NEIGHBORS + 1].tolist()
         detected = np.count_nonzero(measured >= DETECTION_THRESHOLD_DBM, axis=1).tolist()
         ranked = [cells[:count] for cells, count in zip(order, detected)]
-        return map(
-            RadioSample,
+        fields = zip(
             measured.tolist(),
             rssi_dbm.tolist(),
             ranked,
@@ -531,6 +641,7 @@ class RadioEnvironment:
             interference_mw.tolist(),
             nearest.tolist(),
         )
+        return list(map(_new_tuple, repeat(RadioSample), fields)), mw
 
     def generate_report(
         self, ue: int, sample: RadioSample, serving_cell: int, timestamp: float

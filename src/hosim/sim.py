@@ -7,6 +7,14 @@ running sum of each UE's per-step travel, a UE that leaves the box folded
 at its first exit.  ``position`` and a report tick only index the block,
 and every position is that of moving every UE at every step, bit for bit.
 
+A report tick takes its radio samples from one of the three kernels of
+``hosim.radio``, the same one at every tick of a run.  Without shadowing
+it is the block kernel: at a tick the last block has no sample left for,
+it computes this tick and the later ones of the current trajectory block
+(at most one channel-noise block's worth) in one array pass, and every
+tick hands it the UEs' current servings, so only the serving split of a
+UE whose serving cell a completion changed is redone.
+
 Determinism: every random quantity derives from the scenario seed via
 dedicated sub-streams (placement, channel noise, shadowing, and one
 stream per learning agent), so a (scenario, seed) pair fixes every
@@ -307,7 +315,9 @@ class Simulation:
         # Ids of the UEs whose handover is executing, ascending.  Only a
         # report tick starts an execution and only a completion ends one.
         self._executing: list[int] = []
-        # Every report tick has the same (UE x site) pairs, so one kernel.
+        # Every report tick has the same channel and (UE x site) pairs, so
+        # one kernel.
+        self._block_pass = self.env.block_pass()
         self._array_pass = self.env.array_pass(len(self.ues))
 
     def _deployment_bounds(self, sites) -> tuple[float, float, float, float]:
@@ -365,17 +375,24 @@ class Simulation:
         # An executing window's sample at this step is the report's SINR.
         env, policy, metrics = self.env, self.policy, self.metrics
         period = self.scenario.report_period_s
-        positions = list(map(tuple, self._block[self._step_index - self._block_start].tolist()))
+        tick = self._step_index - self._block_start
         executing = []
-        # The array kernel yields every UE's sample; the scalar one is called
-        # on each UE's draws directly, which costs less than an iterator.
-        array_pass = self._array_pass
-        if array_pass:
-            per_ue = env.array_samples(positions, [ctx.serving for ctx in self.contexts])
+        # The block and array kernels yield every UE's sample; the scalar one
+        # is called on each UE's draws directly, which costs less than an
+        # iterator.
+        scalar = not (self._block_pass or self._array_pass)
+        if self._block_pass:
+            # This report tick and the later ones the trajectory block holds.
+            ticks = self._block[tick:-1:self.report_every]
+            per_ue = env.block_samples(ticks, [ctx.serving for ctx in self.contexts])
         else:
-            per_ue = env.channel_noise(len(self.ues))
-        for i, (position, ctx, item) in enumerate(zip(positions, self.contexts, per_ue)):
-            sample = item if array_pass else env.sample(i, position, ctx.serving, item)
+            positions = list(map(tuple, self._block[tick].tolist()))
+            if self._array_pass:
+                per_ue = env.array_samples(positions, [ctx.serving for ctx in self.contexts])
+            else:
+                per_ue = env.channel_noise(len(self.ues))
+        for i, (ctx, item) in enumerate(zip(self.contexts, per_ue)):
+            sample = env.sample(i, positions[i], ctx.serving, item) if scalar else item
             report = env.generate_report(i, sample, ctx.serving, now)
             levels = policy.observe(report)
             engine.on_measurement_report(ctx, report, levels, policy, now, period)

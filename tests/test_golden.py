@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from hosim import config, kalman, metrics, radio
+from hosim import config, kalman, metrics, radio, sim
 from hosim.rl import qtable_rows
 from hosim.sim import Simulation
 
@@ -145,18 +145,45 @@ def test_digests_match(case):
     assert run_digests(ini, overrides) == expected
 
 
-# Every case with every report tick on the array kernel (the corridor's 2 x 2
-# included), and the 1 s hex50 cases with every tick on the scalar pass.
-KERNEL_CASES = [(case, 0) for case in sorted(GOLDEN)] + [
-    (case, math.inf) for case in sorted(GOLDEN) if case.startswith("hex50-") and case.endswith("-1s-1")
-]
+# The corridor cases have no shadowing, so their report ticks take the block
+# kernel; here they also run with every tick on each per-tick kernel.  The
+# hex50 cases run with every tick on the array kernel, and the 1 s ones on
+# the scalar pass as well.
+KERNEL_CASES = [(case, kernel) for case in sorted(GOLDEN) if case.startswith("corridor") for kernel in ("array", "scalar")]
+KERNEL_CASES += [(case, "array") for case in sorted(GOLDEN) if case.startswith("hex50-")]
+KERNEL_CASES += [(case, "scalar") for case in sorted(GOLDEN) if case.startswith("hex50-") and case.endswith("-1s-1")]
 
 
-@pytest.mark.parametrize(
-    "case, min_pairs", KERNEL_CASES, ids=[f"{case}-{'array' if n == 0 else 'scalar'}" for case, n in KERNEL_CASES]
-)
-def test_digests_hold_on_either_kernel(case, min_pairs, monkeypatch):
-    monkeypatch.setattr(radio, "ARRAY_PASS_MIN_PAIRS", min_pairs)
+@pytest.mark.parametrize("case, kernel", KERNEL_CASES, ids=[f"{case}-{kernel}" for case, kernel in KERNEL_CASES])
+def test_digests_hold_on_either_kernel(case, kernel, monkeypatch):
+    monkeypatch.setattr(radio.RadioEnvironment, "block_pass", lambda self: False)
+    monkeypatch.setattr(radio, "ARRAY_PASS_MIN_PAIRS", 0 if kernel == "array" else math.inf)
+    ini, overrides, expected = GOLDEN[case]
+    assert run_digests(ini, overrides) == expected
+
+
+# Block sizes change no byte: every case with each block one item long, and
+# at odd sizes.  At 61 noise draws the corridor's radio blocks hold 7 ticks,
+# which do not divide its 1,000, and its 97-UE-step trajectory blocks (48
+# ticks) clip them.  The 1 s hex50 cases run at the odd sizes only.
+# name -> (KPI_BLOCK_SAMPLES, NOISE_DRAWS_PER_CALL, ARRAY_PASS_MAX_PAIRS,
+# TRAJECTORY_BLOCK_UE_STEPS)
+BLOCK_SIZES = {
+    "ones": (1, 1, 1, 1),
+    "odd": (7, 61, 7, 97),
+}
+SIZE_CASES = [(case, sizes) for case in sorted(GOLDEN) for sizes in sorted(BLOCK_SIZES) if not (
+    sizes == "ones" and case.endswith("-1s-1")
+)]
+
+
+@pytest.mark.parametrize("case, sizes", SIZE_CASES, ids=[f"{case}-{sizes}" for case, sizes in SIZE_CASES])
+def test_digests_hold_at_any_block_size(case, sizes, monkeypatch):
+    kpi, noise, pairs, ue_steps = BLOCK_SIZES[sizes]
+    monkeypatch.setattr(metrics, "KPI_BLOCK_SAMPLES", kpi)
+    monkeypatch.setattr(radio, "NOISE_DRAWS_PER_CALL", noise)
+    monkeypatch.setattr(radio, "ARRAY_PASS_MAX_PAIRS", pairs)
+    monkeypatch.setattr(sim, "TRAJECTORY_BLOCK_UE_STEPS", ue_steps)
     ini, overrides, expected = GOLDEN[case]
     assert run_digests(ini, overrides) == expected
 

@@ -789,3 +789,143 @@ class TestArrayKernel:
         assert not corridor.array_pass(2) and hex50.array_pass(500)
         monkeypatch.setattr(radio, "ARRAY_PASS_MIN_PAIRS", 4)
         assert corridor.array_pass(2) and not corridor.array_pass(1)
+
+
+def block_run(block_env, scalar_env, positions, servings, edges):
+    """Report ticks ``0..len(positions)-1`` on the block kernel and on the
+    scalar pass, UE ``i`` at ``positions[t, i]`` served by ``servings[t][i]``
+    at tick ``t``; the trajectory is laid out in blocks ending before each
+    tick of ``edges``, as ``Simulation`` hands it on.  Each tick's samples
+    must be equal bit for bit, and the ambient levels whenever the block
+    kernel's last tick is out; so must the next channel-noise tick and the
+    next draw of its stream after the run.  Returns the radio blocks' sizes
+    and every UE's ambient level after each scalar tick."""
+    sizes, levels = [], []
+    for t in range(len(positions)):
+        if block_env._block_next == len(block_env._block):
+            sizes.append(0)
+        sizes[-1] += 1
+        end = min(edge for edge in edges if edge > t)
+        block = block_env.block_samples(positions[t:end], servings[t])
+        scalar = scalar_tick(scalar_env, list(map(tuple, positions[t].tolist())), servings[t])
+        assert [repr(sample) for sample in block] == [repr(sample) for sample in scalar]
+        levels.append(list(scalar_env._env_noise.values()))
+        if block_env._block_next == len(block_env._block):
+            assert repr(block_env._env_noise) == repr(scalar_env._env_noise)
+    assert sum(sizes) == len(positions)
+    n_ues = positions.shape[1]
+    assert repr(block_env.channel_noise(n_ues)) == repr(scalar_env.channel_noise(n_ues))
+    assert repr(block_env.rng.standard_normal(3)) == repr(scalar_env.rng.standard_normal(3))
+    return sizes, levels
+
+
+def corridor_paths(n_ticks, step_m=2.2):
+    """The corridor's two UEs crossing the cell border in opposite
+    directions, one report tick apart per ``step_m`` of travel."""
+    travel = step_m * np.arange(n_ticks)
+    ue0 = np.stack([-30.0 + travel, np.full(n_ticks, 282.0)], axis=1)
+    ue1 = np.stack([210.0 - travel, np.full(n_ticks, 277.5)], axis=1)
+    return np.stack([ue0, ue1], axis=1)
+
+
+class TestBlockKernel:
+    """The block kernel of a channel without shadowing against the scalar
+    pass, tick by tick."""
+
+    @staticmethod
+    def no_refresh(env, monkeypatch):
+        """Make ``env`` fail on any shadowing row read."""
+
+        def refresh(*args):
+            raise AssertionError("a block tick read a shadowing row")
+
+        monkeypatch.setattr(env, "refresh_shadowing", refresh)
+
+    @pytest.mark.parametrize("seed", [1, 9001])
+    def test_corridor_blocks_equal_the_scalar_pass(self, seed, monkeypatch):
+        scenario = corridor_scenario(seed=seed)
+        block_env, scalar_env = scenario_env(scenario), scenario_env(scenario)
+        self.no_refresh(block_env, monkeypatch)
+        positions = corridor_paths(300)
+        # UE 0 hands over at tick 50, inside the first block; UE 1 at tick 150
+        # and back at 170, inside the block the trajectory edge at 200 clips.
+        servings = [[int(t >= 50), 0 if 150 <= t < 170 else 1] for t in range(300)]
+        sizes, _ = block_run(block_env, scalar_env, positions, servings, edges=(200, 300))
+        # 128 ticks fill one noise block; the edge clips the second, and the
+        # third takes the rest of that noise block.
+        assert sizes == [128, 72, 56, 44]
+        assert block_env._shadow == {} and all(v == 0.0 for v in scalar_env._shadow[0][0])
+        assert repr(block_env.shadow_rng.normal()) != repr(scalar_env.shadow_rng.normal())
+
+    def test_walk_clamped_at_both_bounds(self, monkeypatch):
+        channel = ChannelParams(shadowing_sigma_db=0.0, env_noise_mean_dbm=-0.0, env_noise_sigma_db=3.0)
+        scenario = corridor_scenario(channel=channel)
+        block_env, scalar_env = scenario_env(scenario), scenario_env(scenario)
+        self.no_refresh(block_env, monkeypatch)
+        _, levels = block_run(block_env, scalar_env, corridor_paths(300), [[0, 1]] * 300, edges=(300,))
+        flat = [level for tick in levels for level in tick]
+        assert -9.0 in flat and 9.0 in flat
+
+    # Noise-free draws, so measurements sit where the geometry puts them; a
+    # mean of -0.0 runs the ambient walk through signed zeros.
+    @pytest.mark.parametrize("mean", [-100.0, -0.0])
+    def test_edge_positions_equal_the_scalar_pass(self, mean, monkeypatch):
+        channel = ChannelParams(
+            shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0, env_noise_mean_dbm=mean
+        )
+        scenario = Scenario(n_sites=7, channel=channel)
+        sites = build_sites(scenario)
+        (x3, y3), (x1, _) = sites[3].position, sites[1].position
+        block_env, scalar_env = scenario_env(scenario), scenario_env(scenario)
+        self.no_refresh(block_env, monkeypatch)
+        at_threshold = self.x_measuring(block_env, 0, DETECTION_THRESHOLD_DBM)
+        fixed = [
+            (x3 + 0.3, y3 - 0.4),  # within 1 m of site 3: the distance clamps
+            (0.0, 0.0),  # on site 0, which the other sites surround in pairs at equal distances
+            (x1 / 2.0, 0.0),  # exactly equidistant from sites 0 and 1
+            (at_threshold, 0.0),  # site 0 measures exactly -125 dBm
+            (math.nextafter(at_threshold, math.inf), 0.0),  # and just under it
+        ]
+        positions = np.array([fixed] * 40)
+        servings = [[0, 1, 1 if t < 5 else 0, 3, 2] for t in range(40)]
+        block_run(block_env, scalar_env, positions, servings, edges=(17, 40))
+        clamped, centre, between, on, under = scalar_tick(scalar_env, fixed, servings[0])
+        assert between.nearest == 0 and clamped.nearest == 3
+        ranked = centre.ranked
+        assert any(centre.measured[a] == centre.measured[b] for a, b in zip(ranked, ranked[1:]))
+        assert on.measured[0] == DETECTION_THRESHOLD_DBM and 0 in on.ranked
+        assert under.measured[0] < DETECTION_THRESHOLD_DBM and 0 not in under.ranked
+
+    @staticmethod
+    def x_measuring(env, cell, target):
+        """The largest x on the site axis at which ``cell``'s noise-free
+        measurement is ``target`` dBm or more; it must be exactly ``target``."""
+        sx, sy = env._site_positions[cell]
+
+        def measured(x):
+            return env._received_dbm(math.hypot(sx - x, sy - 0.0), 0.0) - env._re_scaling_db
+
+        lo, hi = sx + 1.0, sx + 1e4
+        while math.nextafter(lo, math.inf) < hi:
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if measured(mid) >= target else (lo, mid)
+        assert measured(lo) == target
+        return lo
+
+    def test_one_site(self, monkeypatch):
+        params = dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0, env_noise_sigma_db=2.0)
+        block_env, scalar_env = (make_env([make_site()], params, seed=5) for _ in range(2))
+        self.no_refresh(block_env, monkeypatch)
+        positions = np.array([[(30.0 + t, 5.0), (-200.0, 80.0 - t), (0.5, 0.0)] for t in range(400)])
+        sizes, _ = block_run(block_env, scalar_env, positions, [[0, 0, 0]] * 400, edges=(400,))
+        assert sizes == [113, 113, 113, 61]
+
+    def test_zero_ues_draw_nothing(self):
+        env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(3)], seed=31)
+        state = env.rng.bit_generator.state
+        assert [env.block_samples(np.empty((5 - t, 0, 2)), []) for t in range(5)] == [[]] * 5
+        assert env.rng.bit_generator.state == state and env._env_noise == {}
+
+    def test_only_a_channel_without_shadowing_takes_blocks(self):
+        assert scenario_env(corridor_scenario()).block_pass()
+        assert not scenario_env(Scenario()).block_pass()
