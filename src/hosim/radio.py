@@ -16,7 +16,7 @@ power, the RSSI and interference sums of their linear powers, and the
 nearest site.  Execution windows read the row's SINR.  Only a handover's
 completion looks up one site, through ``true_rsrp_of`` and
 ``shadowing_db``.  ``_received_dbm`` is the link budget; ``row`` and the
-array kernel repeat its arithmetic inline.  A row redraws its stale
+report kernel repeat its arithmetic inline.  A row redraws its stale
 shadowing values as one standard-normal block (``refresh_shadowing``),
 which takes from the shadowing stream exactly what one ``normal`` call
 per site would.
@@ -25,28 +25,31 @@ A report tick steps each UE's ambient walk and gives the UE a
 ``RadioSample`` (every site's measured RSRP, the RSSI, the detected cells
 ranked, the ambient reading, the serving and interference powers and the
 nearest site); ``generate_report`` builds the UE's report, RSRQ
-included, from it.  Three routes compute the samples, all through one
-array body, ``_array_chunk``, or its scalar twin ``sample``:
+included, from it.  One kernel, ``block_samples``, computes the samples
+of every deployment: a block of report ticks, their (tick, UE) pairs the
+rows of one array body, ``_array_chunk``.
 
-- a channel without shadowing (``block_pass``) takes the block kernel,
-  ``block_samples``: the samples of many report ticks, their (tick, UE)
-  pairs as the rows of one array pass.  At zero sigma a tick's radio does
-  not depend on the policy: every shadowing value is +0.0 whatever the
-  shadowing stream draws, trajectories are laid out ahead, the channel
-  noise is consumed in tick order and feeds nothing else, and the ambient
-  walk steps once per UE per tick.  So the block's ticks read no
-  shadowing row (``refresh_shadowing`` is not called for them), and only
-  the serving split of a UE whose serving cell changed since the block's
-  first tick is redone at its tick;
-- otherwise the tick's (UE x site) pair count picks (``array_pass``):
-  below ``ARRAY_PASS_MIN_PAIRS`` the scalar ``sample``, one UE's row at a
-  time, whose fixed cost per tick is small; at or above it
-  ``array_samples``, which refreshes the UEs' shadowing in id order and
-  computes one tick.
+- Without shadowing a block holds many ticks.  At zero sigma a tick's
+  radio does not depend on the policy: every shadowing value is +0.0
+  whatever the shadowing stream draws, trajectories are laid out ahead,
+  the channel noise is consumed in tick order and feeds nothing else, and
+  the ambient walk steps once per UE per tick.  So the block's ticks read
+  no shadowing row (``refresh_shadowing`` is not called for them), and
+  only the serving split of a UE whose serving cell changed since the
+  block's first tick is redone at its tick.
+- With shadowing a block is one tick.  Execution windows and handover
+  completions draw from the shadowing stream between report ticks, so a
+  tick's shadowing is known only at that tick; it is known there, because
+  completions run before the tick and nothing draws from the stream while
+  its samples are consumed.  Each chunk's UEs have their shadowing
+  refreshed in id order, as a pass over each UE's sites reads it.
 
-Array passes run in chunks of at most ``ARRAY_PASS_MAX_PAIRS`` pairs,
-the chunk bound keeping peak memory near that of the scalar pass.  Every
-route gives the same samples bit for bit:
+A block is started, its ticks counted and its channel noise drawn when
+the kernel is called; only the chunk arithmetic, at most
+``ARRAY_PASS_MAX_PAIRS`` pairs at a time, waits until the samples are
+read.  That bound keeps a large tick's peak memory near that of one
+chunk.  The kernel gives the samples of a scalar pass over each UE's
+``row`` bit for bit:
 
 - numpy does only IEEE add, subtract, multiply and divide, comparisons
   (and selections by them), ``maximum`` and ``argmin``, each giving what
@@ -61,14 +64,13 @@ route gives the same samples bit for bit:
   sum of powers that are all >= +0.0;
 - the ranking is a stable sort of the negated measurements, so equal
   measurements keep the lower cell id first, as the scalar sort does;
-- the ambient walk is clamped as ``max`` then ``min`` clamp it: the level
-  stays unless a bound lies strictly beyond it, which keeps its sign of
-  zero.
+- the ambient walk is stepped in scalar Python, clamped as ``max`` then
+  ``min`` clamp it.
 
-A report tick takes every UE's channel noise from the blocks
-``channel_noise`` hands out, in the order per-UE draws would take it; a
-small deployment draws the noise of many ticks in one call, and the
-block kernel computes as many ticks as the rest of one such block holds.
+The channel noise of a block comes from one standard-normal block
+(``_noise_ticks``), in the order per-UE draws would take it; a small
+deployment draws the noise of many ticks in one call, and an unshadowed
+block holds as many ticks as the rest of one such noise block.
 """
 
 from __future__ import annotations
@@ -87,17 +89,11 @@ SUBCARRIERS_PER_RB = 12
 MAX_NEIGHBORS = 8
 DETECTION_THRESHOLD_DBM = -125.0
 SHADOWING_DECORRELATION_M = 50.0
-# Most channel-noise draws one ``channel_noise`` block takes, unless a
-# single report tick needs more.  It also sizes the block kernel's blocks:
+# Most channel-noise draws one noise block takes, unless a single report
+# tick needs more.  It also sizes an unshadowed channel's kernel blocks:
 # 128 ticks for the corridor's 2 UEs x 2 sites, one for hex50's 500 x 50.
 NOISE_DRAWS_PER_CALL = 1024
-# Report ticks of at least this many (UE, site) pairs take the array kernel,
-# smaller ones the scalar pass: below it the array kernel's fixed cost per
-# chunk outweighs its saving per pair.  On a 2-vCPU Xeon VM the array kernel
-# took 1.03-1.07x the scalar pass's time at 250 pairs (50 sites x 5 UEs),
-# 0.64-1.01x at 300 (50 x 6) and 0.86-0.90x at 304 (19 x 16).
-ARRAY_PASS_MIN_PAIRS = 300
-# Most (UE, site) pairs one chunk of the array kernel holds, which bounds
+# Most (tick, UE) x site pairs one chunk of the kernel holds, which bounds
 # its arrays' memory whatever the deployment's size.
 ARRAY_PASS_MAX_PAIRS = 4096
 # The anchor of a shadowing value never drawn: infinitely far from any
@@ -155,7 +151,7 @@ class ChannelParams:
 
 
 class MeasurementEntry(NamedTuple):
-    """One reported cell; the sample kernels check the values are finite."""
+    """One reported cell; the report kernel checks the values are finite."""
 
     cell: int
     rsrp_dbm: float
@@ -196,7 +192,7 @@ class RadioRow(NamedTuple):
 
 
 class RadioSample(NamedTuple):
-    """What one UE's report tick yields, from either kernel."""
+    """What one UE's report tick yields."""
 
     measured: list[float]  # each site's measured RSRP in dBm, by id
     rssi_dbm: float  # every site's power plus the noise floor
@@ -225,12 +221,19 @@ def _mapped(fn, *arrays: np.ndarray) -> np.ndarray:
 def _split(sample: RadioSample, mw: list[float], serving: int) -> RadioSample:
     """``sample`` with its serving power and interference taken for
     ``serving`` from its linear powers ``mw`` (by site id): the other sites
-    summed in id order from 0.0, as the kernels sum them."""
+    summed in id order from 0.0, as the kernel sums them."""
     interference_mw = 0.0
     for cid, power in enumerate(mw):
         if cid != serving:
             interference_mw += power
     return sample._replace(serving_mw=mw[serving], interference_mw=interference_mw)
+
+
+def _serving_split(serving: int, first: int, row: tuple[RadioSample, np.ndarray]) -> RadioSample:
+    """A block row's sample for ``serving``, the UE's serving cell at its
+    tick; ``first`` is the one it was computed for."""
+    sample, mw = row
+    return sample if serving == first else _split(sample, mw.tolist(), serving)
 
 
 def free_space_reference_db(carrier_freq_hz: float) -> float:
@@ -256,9 +259,8 @@ class RadioEnvironment:
     10*log10(N_RB) term.  Site ids are 0..n-1, so ``sites`` and every
     per-site list are indexed by id.  Owns each UE's shadowing row (per
     site, a value and the position it was drawn at) and the per-UE
-    ambient-noise random walks, which only ``generate_report`` steps and
-    reads.  Confined to a single simulation instance; a run is
-    single-threaded.
+    ambient-noise random walks, which only the report kernel steps.
+    Confined to a single simulation instance; a run is single-threaded.
     """
 
     def __init__(self, sites: list[CellSite], channel: ChannelParams, radio: RadioParams, rng, shadow_rng):
@@ -288,13 +290,12 @@ class RadioEnvironment:
         # The ticks of the last channel-noise block not handed out yet, as a
         # (ticks x UEs x draws) array.
         self._noise = np.empty((0, 0, len(self._noise_scale)))
-        # The block kernel's ticks: each tick's samples, the linear powers of
-        # its (tick, UE) rows by site id, the servings of its first tick, and
-        # the index of its next tick not handed out yet.
-        self._block: list[list[RadioSample]] = []
-        self._block_mw = np.empty((0, 0, len(self.sites)))
+        # The kernel's block: its rows not read yet (each a sample and its
+        # linear powers by site id), the servings of its first tick, its
+        # tick count and the number of its ticks handed out.
+        self._rows: Iterator[tuple[RadioSample, np.ndarray]] | None = None
         self._block_servings: list[int] = []
-        self._block_next = 0
+        self._block_ticks = self._block_next = 0
         self._tx_dbm = radio.tx_power_dbm
         self._reference_db = free_space_reference_db(radio.carrier_freq_hz)
         self._slope_db = 10.0 * channel.path_loss_exponent
@@ -419,26 +420,21 @@ class RadioEnvironment:
         an exact tie goes to the lowest id."""
         return min(self.sites, key=lambda site: math.dist(site.position, position)).id
 
-    def channel_noise(self, n_ues: int) -> list[list[float]]:
-        """One report tick's channel-noise draws, one list per UE in id order:
-        the ambient walk's step (σ_env), then ``n_sites + 1`` measurement
-        draws (σ_meas), the last for the ambient reading.
+    def _noise_ticks(self, most: int, n_ues: int) -> np.ndarray:
+        """The next ticks of the current channel-noise block, as many as it
+        still holds but at most ``most`` (at least one), as a (ticks x n_ues
+        x draws) array.  A UE's draws at a tick are the ambient walk's step
+        (σ_env), then ``n_sites + 1`` measurement draws (σ_meas), the last
+        for the ambient reading.
 
         As many ticks as fit in ``NOISE_DRAWS_PER_CALL`` draws (at least
         one) come from one standard-normal block, scaled and offset as
-        numpy's ``normal`` computes ``0.0 + scale * z``; each call hands
-        out the next tick.  ``rng`` feeds nothing else, so every tick equals
-        each UE's own ``normal`` calls in turn bit for bit, and once a
-        block's last tick is out ``rng`` is where those calls leave it.
-        """
-        return self._noise_ticks(1, n_ues)[0].tolist()
-
-    def _noise_ticks(self, most: int, n_ues: int) -> np.ndarray:
-        """The next ticks of ``channel_noise``'s current block, as many as it
-        still holds but at most ``most`` (at least one), as a (ticks x n_ues
-        x draws) array.  A block is let go once its last tick is out, so a
-        large one is not held between report ticks, and the next call draws
-        a new one."""
+        numpy's ``normal`` computes ``0.0 + scale * z``.  ``rng`` feeds
+        nothing else, so every tick equals each UE's own ``normal`` calls
+        in turn bit for bit, and once a block's last tick is out ``rng`` is
+        where those calls leave it.  A block is let go then, so a large one
+        is not held between report ticks, and the next call draws a new
+        one."""
         pending = self._noise
         if not len(pending):
             ticks = max(1, NOISE_DRAWS_PER_CALL // max(1, n_ues * len(self._noise_scale)))
@@ -451,22 +447,11 @@ class RadioEnvironment:
         self._noise = pending[most:] if most < len(pending) else np.empty((0, 0, len(self._noise_scale)))
         return pending[:most]
 
-    def array_pass(self, n_ues: int) -> bool:
-        """Whether a report tick of ``n_ues`` UEs takes the array kernel:
-        one of ``ARRAY_PASS_MIN_PAIRS`` (UE, site) pairs or more does, a
-        smaller one calls the scalar ``sample`` once per UE.  The two give
-        the same samples bit for bit.  ``block_pass`` comes first."""
-        return n_ues * len(self.sites) >= ARRAY_PASS_MIN_PAIRS
-
-    def block_pass(self) -> bool:
-        """Whether report ticks take the block kernel, ``block_samples``:
-        a channel without shadowing does, whatever its size."""
-        return self.params.shadowing_sigma_db == 0
-
-    def sample(self, ue: int, position: tuple[float, float], serving: int, draws: list[float]) -> RadioSample:
-        """The scalar kernel: one UE's report-tick sample from its ``row`` at
-        ``position`` while served by ``serving``, and its ``draws`` from
-        ``channel_noise``.
+    def block_samples(self, ticks: np.ndarray, servings: list[int]) -> Iterator[RadioSample]:
+        """The report kernel: this report tick's sample for every UE in id
+        order, UE ``i`` served by ``servings[i]``.  ``ticks[k, i]`` is UE
+        ``i``'s ``(x, y)`` at the ``k``-th report tick from this one, as far
+        as the trajectory is laid out.
 
         The UE's ambient noise level first takes one bounded random-walk
         step (the σ_env draw, clamped to its mean ± 3σ_env).  Every site's
@@ -477,94 +462,37 @@ class RadioEnvironment:
         the noise floor.  A non-finite measurement or RSSI raises
         ValueError.  Detected cells (measured RSRP at or above the
         threshold) are ranked by measured RSRP descending, ties by cell id.
+
+        A tick with no sample left of the last block starts a new one
+        (``_start_block``).  At each tick a UE whose serving cell changed
+        since the block's first tick gets its serving split redone from its
+        row's linear powers (``_split``).  The samples are computed as they
+        are read, a chunk at a time, so a tick's must all be read before the
+        next tick's call.
         """
-        wideband, rssi_mw, serving_mw, interference_mw, nearest = self.row(ue, position, serving)
-        mean = self.params.env_noise_mean_dbm
-        level = min(max(self._env_noise.get(ue, mean) + draws[0], self._walk_lo), self._walk_hi)
-        self._env_noise[ue] = level
-        degradation = level - mean
-        rssi_dbm = linear_to_db(rssi_mw + self._noise_mw)
-        scaling = self._re_scaling_db
-        measured = [w - scaling - degradation + draws[i] for i, w in enumerate(wideband, 1)]
-        if not (all(map(math.isfinite, measured)) and math.isfinite(rssi_dbm)):
-            raise ValueError("measured RSRP and RSSI must be finite")
-        # A stable descending sort keeps equal measurements in id order.
-        ranked = [cid for cid, value in enumerate(measured) if value >= DETECTION_THRESHOLD_DBM]
-        ranked.sort(key=measured.__getitem__, reverse=True)
-        del ranked[MAX_NEIGHBORS + 1 :]
-        return _new_tuple(RadioSample, (measured, rssi_dbm, ranked, level + draws[-1], serving_mw, interference_mw, nearest))
-
-    def array_samples(self, positions: list[tuple[float, float]], servings: list[int]) -> Iterator[RadioSample]:
-        """The array kernel: one report tick's ``sample`` for every UE in id
-        order, UE ``i`` at the ``(x, y)`` position ``positions[i]``, served
-        by ``servings[i]``, with the tick's ``i``-th draws from
-        ``channel_noise``.
-
-        Takes the tick's draws at once, then computes lazily, one chunk of
-        UEs (at most ``ARRAY_PASS_MAX_PAIRS`` pairs) at a time: their
-        shadowing refreshed UE by UE in id order, as each UE's row reads it,
-        their ambient walks stepped, then ``_array_chunk``.  So every
-        sample, ambient level, shadowing value and ``shadow_rng`` draw
-        equals the scalar pass's.
-        """
-        n_ues = len(positions)
-        noise = self._noise_ticks(1, n_ues)[0]
-        per_chunk = max(1, ARRAY_PASS_MAX_PAIRS // len(self.sites))
-        return chain.from_iterable(
-            self._tick_chunk(
-                range(start, min(start + per_chunk, n_ues)),
-                positions[start : start + per_chunk],
-                servings[start : start + per_chunk],
-                noise[start : start + per_chunk],
-            )
-            for start in range(0, n_ues, per_chunk)
-        )
-
-    def _tick_chunk(self, ues, positions, servings, noise) -> list[RadioSample]:
-        n_sites = len(self.sites)
-        rows = map(self.refresh_shadowing, ues, positions)
-        shadowing = np.fromiter(chain.from_iterable(rows), float, len(ues) * n_sites).reshape(-1, n_sites)
-        # The ambient walk: np.where clamps as max() then min() do, where
-        # np.maximum and np.minimum would not keep the level's sign of zero.
-        level = np.array([self._env_noise.get(ue, self.params.env_noise_mean_dbm) for ue in ues]) + noise[:, 0]
-        level = np.where(self._walk_lo > level, self._walk_lo, level)
-        level = np.where(self._walk_hi < level, self._walk_hi, level)
-        self._env_noise.update(zip(ues, level.tolist()))
-        return self._array_chunk(np.array(positions), servings, shadowing, level, noise)[0]
-
-    def block_samples(self, ticks: np.ndarray, servings: list[int]) -> list[RadioSample]:
-        """The block kernel, for a channel without shadowing: this report
-        tick's ``sample`` for every UE in id order, UE ``i`` served by
-        ``servings[i]``.  ``ticks[k, i]`` is UE ``i``'s ``(x, y)`` at the
-        ``k``-th report tick from this one, as far as the trajectory is laid
-        out.
-
-        A tick with no sample left of the last block starts a new one: the
-        next ticks, as many as ``ticks`` holds and the rest of the current
-        ``channel_noise`` block (all of a fresh one), computed by
-        ``_array_chunk`` with their (tick, UE) pairs as its rows, in chunks
-        of at most ``ARRAY_PASS_MAX_PAIRS`` pairs, for the servings of the
-        block's first tick.  Their shadowing is +0.0, which is every value a
-        zero sigma draws, and each UE's ambient walk is stepped ahead tick
-        by tick with the scalar pass's clamp; ``_env_noise`` then holds the
-        walk at the block's last tick.  At each tick a UE whose serving cell
-        changed since the block's first tick gets its serving split redone
-        from its row's linear powers (``_split``).
-        """
-        if self._block_next == len(self._block):
+        if self._block_next == self._block_ticks:
             self._start_block(ticks, servings)
-        k = self._block_next
         self._block_next += 1
-        samples = self._block[k]
-        if servings != self._block_servings:
-            for i, (serving, first) in enumerate(zip(servings, self._block_servings)):
-                if serving != first:
-                    samples[i] = _split(samples[i], self._block_mw[k, i].tolist(), serving)
-        return samples
+        rows = self._rows
+        if self._block_next == self._block_ticks:
+            # The rows refer to this environment: holding them past the
+            # block's last tick would keep a finished run's arrays alive
+            # until the cyclic garbage collector runs.
+            self._rows = None
+        # ``servings`` comes first, so a tick takes exactly its own rows.
+        return map(_serving_split, servings, self._block_servings, rows)
 
     def _start_block(self, ticks: np.ndarray, servings: list[int]) -> None:
-        n_ues, n_sites = len(servings), len(self.sites)
-        noise = self._noise_ticks(len(ticks), n_ues)
+        """Start a block at this tick for the servings of its first tick: a
+        shadowed one of this tick alone, an unshadowed one of the next ticks,
+        as many as ``ticks`` holds and the rest of the current channel-noise
+        block (all of a fresh one).  Draws the block's noise and steps each
+        UE's ambient walk through it, tick by tick with the scalar clamp, so
+        ``_env_noise`` holds the walk at the block's last tick; the rows'
+        samples wait for ``_block_rows``."""
+        shadowed = self.params.shadowing_sigma_db > 0
+        n_ues = len(servings)
+        noise = self._noise_ticks(1 if shadowed else len(ticks), n_ues)
         n_ticks = len(noise)
         # Each UE's walk, a tick at a time; max() then min() clamp it.
         lo, hi = self._walk_lo, self._walk_hi
@@ -581,33 +509,41 @@ class RadioEnvironment:
                 walk.append(level)
             walks.append(walk)
             self._env_noise[ue] = level
-        # The (tick, UE) rows, tick-major, in chunks.
+        # The (tick, UE) rows, tick-major.
         xy = ticks[:n_ticks].reshape(-1, 2)
-        row_servings = servings * n_ticks
         levels = np.array(walks).T.reshape(-1)
         noise = noise.reshape(-1, len(self._noise_scale))
-        self._block_mw = np.empty((n_ticks, n_ues, n_sites))
-        row_mw = self._block_mw.reshape(-1, n_sites)
+        self._rows = self._block_rows(xy, servings * n_ticks, levels, noise, shadowed)
+        self._block_servings = list(servings)
+        self._block_ticks, self._block_next = n_ticks, 0
+
+    def _block_rows(self, xy, servings, levels, noise, shadowed) -> Iterator[tuple[RadioSample, np.ndarray]]:
+        """Each row's sample and linear powers by site id, computed by
+        ``_array_chunk`` a chunk of at most ``ARRAY_PASS_MAX_PAIRS`` pairs
+        at a time as the rows are read.  A shadowed block is one tick, so
+        row ``r`` is UE ``r``; its shadowing is refreshed at its position
+        when its chunk is computed.  An unshadowed row's is +0.0, which is
+        every value a zero sigma draws."""
+        n_sites = len(self.sites)
         per_chunk = max(1, ARRAY_PASS_MAX_PAIRS // n_sites)
-        shadowing = np.zeros((min(per_chunk, len(xy)), n_sites))
-        samples = []
+        shadowing = 0.0
         for start in range(0, len(xy), per_chunk):
             rows = slice(start, start + per_chunk)
-            chunk, row_mw[rows] = self._array_chunk(
-                xy[rows], row_servings[rows], shadowing[: len(xy[rows])], levels[rows], noise[rows]
-            )
-            samples += chunk
-        self._block = [samples[k * n_ues : (k + 1) * n_ues] for k in range(n_ticks)]
-        self._block_servings = list(servings)
-        self._block_next = 0
+            if shadowed:
+                ues = range(len(xy))[rows]
+                values = map(self.refresh_shadowing, ues, map(tuple, xy[rows].tolist()))
+                shadowing = np.fromiter(chain.from_iterable(values), float, len(ues) * n_sites).reshape(-1, n_sites)
+            samples, mw = self._array_chunk(xy[rows], servings[rows], shadowing, levels[rows], noise[rows])
+            yield from zip(samples, mw)
 
     def _array_chunk(self, xy, servings, shadowing, level, noise) -> tuple[list[RadioSample], np.ndarray]:
         """The samples of the rows of ``xy`` (an (n x 2) array of positions),
         row ``r`` served by ``servings[r]`` with the shadowing row
         ``shadowing[r]`` (by site id), its ambient walk already stepped to
         ``level[r]`` and its draws ``noise[r]``; with the rows' linear powers
-        by site id.  Every operation is the scalar pass's in its order (see
-        the module docstring)."""
+        by site id.  ``shadowing`` may be a scalar +0.0 for every row.
+        Every operation is the scalar pass's in its order (see the module
+        docstring)."""
         distance = _mapped(math.hypot, self._site_x - xy[:, :1], self._site_y - xy[:, 1:])
         nearest = distance.argmin(axis=1)
         # _received_dbm, with its clamp to the reference distance.

@@ -7,13 +7,12 @@ running sum of each UE's per-step travel, a UE that leaves the box folded
 at its first exit.  ``position`` and a report tick only index the block,
 and every position is that of moving every UE at every step, bit for bit.
 
-A report tick takes its radio samples from one of the three kernels of
-``hosim.radio``, the same one at every tick of a run.  Without shadowing
-it is the block kernel: at a tick the last block has no sample left for,
-it computes this tick and the later ones of the current trajectory block
-(at most one channel-noise block's worth) in one array pass, and every
-tick hands it the UEs' current servings, so only the serving split of a
-UE whose serving cell a completion changed is redone.
+A report tick takes its radio samples from ``hosim.radio``'s one report
+kernel, handing it the rest of the trajectory block from this tick on
+and the UEs' current servings.  Without shadowing the kernel computes
+many ticks at once, and only the serving split of a UE whose serving
+cell a completion changed is redone at its tick; with shadowing it
+computes this tick alone, after the tick's completions.
 
 Determinism: every random quantity derives from the scenario seed via
 dedicated sub-streams (placement, channel noise, shadowing, and one
@@ -120,9 +119,11 @@ class Scenario:
             raise ConfigError("sim.sim_duration_s", "must be at least step_s")
         if self.report_period_s < self.step_s:
             raise ConfigError("sim.report_period_s", "must be at least step_s")
+        # sim_duration_s / step_s is finite here, so an infinite ratio means
+        # the report period, not the step, is out of scale.
         ratio = self.report_period_s / self.step_s
         if not math.isfinite(ratio):
-            raise ConfigError("sim.step_s", "too small for report_period_s")
+            raise ConfigError("sim.report_period_s", "too large for step_s")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("sim.report_period_s", "must be an integer multiple of step_s")
         if self.n_ues_per_cell < 0:
@@ -315,10 +316,6 @@ class Simulation:
         # Ids of the UEs whose handover is executing, ascending.  Only a
         # report tick starts an execution and only a completion ends one.
         self._executing: list[int] = []
-        # Every report tick has the same channel and (UE x site) pairs, so
-        # one kernel.
-        self._block_pass = self.env.block_pass()
-        self._array_pass = self.env.array_pass(len(self.ues))
 
     def _deployment_bounds(self, sites) -> tuple[float, float, float, float]:
         margin = _boundary_margin_m(self.scenario)
@@ -377,22 +374,9 @@ class Simulation:
         period = self.scenario.report_period_s
         tick = self._step_index - self._block_start
         executing = []
-        # The block and array kernels yield every UE's sample; the scalar one
-        # is called on each UE's draws directly, which costs less than an
-        # iterator.
-        scalar = not (self._block_pass or self._array_pass)
-        if self._block_pass:
-            # This report tick and the later ones the trajectory block holds.
-            ticks = self._block[tick:-1:self.report_every]
-            per_ue = env.block_samples(ticks, [ctx.serving for ctx in self.contexts])
-        else:
-            positions = list(map(tuple, self._block[tick].tolist()))
-            if self._array_pass:
-                per_ue = env.array_samples(positions, [ctx.serving for ctx in self.contexts])
-            else:
-                per_ue = env.channel_noise(len(self.ues))
-        for i, (ctx, item) in enumerate(zip(self.contexts, per_ue)):
-            sample = env.sample(i, positions[i], ctx.serving, item) if scalar else item
+        # This report tick and the later ones the trajectory block holds.
+        samples = env.block_samples(self._block[tick:-1:self.report_every], [ctx.serving for ctx in self.contexts])
+        for i, (ctx, sample) in enumerate(zip(self.contexts, samples)):
             report = env.generate_report(i, sample, ctx.serving, now)
             levels = policy.observe(report)
             engine.on_measurement_report(ctx, report, levels, policy, now, period)

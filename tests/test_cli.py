@@ -197,6 +197,8 @@ class TestConfigurationErrors:
         # The ambient walk rounds back to a huge mean; a huge bandwidth drowns every link in noise.
         (["run", "--duration", "1", "--set", "channel.env_noise_mean_dbm=1e308"], "channel.env_noise_mean_dbm"),
         (["run", "--duration", "1", "--set", "radio.bandwidth_hz=1e308"], "radio.bandwidth_hz"),
+        # A report period whose ratio to the step overflows while the run's does not.
+        (["run", "--set", "sim.report_period_s=1e308"], "sim.report_period_s"),
     # A radio or sim case's id keeps the bare key, so case ids do not move
     # with the section prefix the error names.
     ], ids=lambda value: value.removeprefix("radio.").removeprefix("sim.") if isinstance(value, str) else None)

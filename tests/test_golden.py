@@ -8,7 +8,6 @@ change that moves one must say why and re-record it.
 """
 
 import hashlib
-import math
 import os
 
 import pytest
@@ -16,6 +15,7 @@ import pytest
 from hosim import config, kalman, metrics, radio, sim
 from hosim.rl import qtable_rows
 from hosim.sim import Simulation
+from scalar_oracle import oracle_samples
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -145,19 +145,21 @@ def test_digests_match(case):
     assert run_digests(ini, overrides) == expected
 
 
-# The corridor cases have no shadowing, so their report ticks take the block
-# kernel; here they also run with every tick on each per-tick kernel.  The
-# hex50 cases run with every tick on the array kernel, and the 1 s ones on
-# the scalar pass as well.
+# test_digests_match runs each case on the report kernel; here every case
+# runs on the scalar oracle patched in for it, so the digests hold on
+# either.  The corridor cases have no shadowing, so their kernel blocks
+# hold many ticks; they also run on the kernel with one-tick blocks.
 KERNEL_CASES = [(case, kernel) for case in sorted(GOLDEN) if case.startswith("corridor") for kernel in ("array", "scalar")]
-KERNEL_CASES += [(case, "array") for case in sorted(GOLDEN) if case.startswith("hex50-")]
-KERNEL_CASES += [(case, "scalar") for case in sorted(GOLDEN) if case.startswith("hex50-") and case.endswith("-1s-1")]
+KERNEL_CASES += [(case, "scalar") for case in sorted(GOLDEN) if case.startswith("hex50-")]
 
 
 @pytest.mark.parametrize("case, kernel", KERNEL_CASES, ids=[f"{case}-{kernel}" for case, kernel in KERNEL_CASES])
 def test_digests_hold_on_either_kernel(case, kernel, monkeypatch):
-    monkeypatch.setattr(radio.RadioEnvironment, "block_pass", lambda self: False)
-    monkeypatch.setattr(radio, "ARRAY_PASS_MIN_PAIRS", 0 if kernel == "array" else math.inf)
+    if kernel == "array":
+        # One tick's draws exceed one draw, so each block is one tick.
+        monkeypatch.setattr(radio, "NOISE_DRAWS_PER_CALL", 1)
+    else:
+        monkeypatch.setattr(radio.RadioEnvironment, "block_samples", oracle_samples)
     ini, overrides, expected = GOLDEN[case]
     assert run_digests(ini, overrides) == expected
 

@@ -22,8 +22,12 @@ from hosim.radio import (
     re_scaling_db,
 )
 from hosim.sim import ConfigError, Scenario, build_sites, corridor_scenario, place_ues
+from scalar_oracle import channel_noise, oracle_tick
 
 PARAMS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
+# Noise-free draws on a shadowed channel, whose report ticks read each
+# UE's shadowing row (one pinned by ``pin_shadowing`` included).
+SHADOWED = dataclasses.replace(PARAMS, shadowing_sigma_db=6.0)
 FREQ = 26e9
 BW = 400e6
 RB_HZ = 12 * 120e3
@@ -44,9 +48,22 @@ def make_env(sites, params=PARAMS, seed=0, tx=46.0, bw=BW):
 
 
 def report_of(env, position, serving, timestamp):
-    """UE 0's report at ``position``, from the scalar kernel's sample with
-    one UE's draws from ``channel_noise``."""
-    return env.generate_report(0, env.sample(0, position, serving, env.channel_noise(1)[0]), serving, timestamp)
+    """UE 0's report at ``position``, from the report kernel's sample of a
+    one-tick trajectory."""
+    (sample,) = env.block_samples(np.array([[position]]), [serving])
+    return env.generate_report(0, sample, serving, timestamp)
+
+
+class NanAt:
+    """An rng whose standard-normal blocks have a NaN at one flat index."""
+
+    def __init__(self, rng, index):
+        self.rng, self.index = rng, index
+
+    def standard_normal(self, shape):
+        block = self.rng.standard_normal(shape)
+        block.reshape(-1)[self.index] = math.nan
+        return block
 
 
 def pin_shadowing(env, ue, position, values):
@@ -127,7 +144,10 @@ class TestMeasureRsrp:
     POSITION = (30.0, 0.0)
 
     def measured(self, env, n=1):
-        return np.array([report_of(env, self.POSITION, 0, 0.0).serving.rsrp_dbm for _ in range(n)])
+        """The serving RSRP of ``n`` report ticks at POSITION, in blocks."""
+        ticks = np.broadcast_to(self.POSITION, (n, 1, 2))
+        samples = (next(env.block_samples(ticks[t:], [0])) for t in range(n))
+        return np.array([env.generate_report(0, sample, 0, 0.0).serving.rsrp_dbm for sample in samples])
 
     def test_noiseless_identity(self):
         env = make_env([make_site()])
@@ -342,7 +362,7 @@ class TestGenerateReport:
         # Noise-free draws: a site's measurement is its wideband power less
         # the RE scaling.  Shadowing puts one exactly on the threshold and
         # one just under.
-        env = make_env([make_site(i, (40.0 * i, 0.0)) for i in range(3)])
+        env = make_env([make_site(i, (40.0 * i, 0.0)) for i in range(3)], SHADOWED)
         position = (0.0, 0.0)
         at = shadowing_for(env, 1, position, DETECTION_THRESHOLD_DBM)
         under = shadowing_for(env, 2, position, DETECTION_THRESHOLD_DBM, below=True)
@@ -359,7 +379,9 @@ class TestGenerateReport:
 
     # Each draw-order test runs two noise blocks and the first tick of a
     # third, at a UE count that shares a block between ticks and at one
-    # that needs a block per tick, as a hex50 deployment does.
+    # that needs a block per tick, as a hex50 deployment does.  The kernel
+    # gets the whole trajectory, so a shared noise block is one kernel
+    # block.
     def test_one_noise_draw_per_site_in_id_order(self):
         # Twelve sites: the serving cell and eight neighbours are reported,
         # three are not, yet every site takes its draw.
@@ -369,9 +391,10 @@ class TestGenerateReport:
             twin = np.random.default_rng(11)
             position = (170.0, 5.0)
             row = env.row(0, position, 4)
+            ticks = np.broadcast_to(position, (2 * ticks_per_draw + 1, n_ues, 2))
             for tick in range(1, 2 * ticks_per_draw + 2):
-                for ue, draws in enumerate(env.channel_noise(n_ues)):
-                    report = env.generate_report(ue, env.sample(ue, position, 4, draws), 4, 0.0)
+                for ue, sample in enumerate(env.block_samples(ticks[tick - 1 :], [4] * n_ues)):
+                    report = env.generate_report(ue, sample, 4, 0.0)
                     twin.normal(0.0, 0.0)  # the ambient-noise walk's step
                     expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in row.wideband]
                     twin.normal(0.0, 2.0)  # the ambient-noise reading
@@ -395,9 +418,10 @@ class TestGenerateReport:
             position = (50.0, 0.0)
             row = env.row(0, position, 0)
             levels = [mean] * n_ues
+            ticks = np.broadcast_to(position, (2 * ticks_per_draw + 1, n_ues, 2))
             for tick in range(1, 2 * ticks_per_draw + 2):
-                for ue, draws in enumerate(env.channel_noise(n_ues)):
-                    report = env.generate_report(ue, env.sample(ue, position, 0, draws), 0, 0.04 * tick)
+                for ue, sample in enumerate(env.block_samples(ticks[tick - 1 :], [0] * n_ues)):
+                    report = env.generate_report(ue, sample, 0, 0.04 * tick)
                     level = levels[ue] = min(max(levels[ue] + twin.normal(0.0, 1.5), mean - 4.5), mean + 4.5)
                     expected = [p - re_scaling_db(BW) - (level - mean) + twin.normal(0.0, 2.0) for p in row.wideband]
                     assert {e.cell: e.rsrp_dbm for e in (report.serving, *report.neighbors)} == dict(enumerate(expected))
@@ -407,14 +431,13 @@ class TestGenerateReport:
     def test_nan_measurement_at_one_site_raises(self):
         sites = [make_site(i, (40.0 * i, 0.0)) for i in range(5)]
         env = make_env(sites)
-        draws = env.channel_noise(1)[0]
-        draws[1 + 3] = math.nan  # site 3's measurement noise
+        env.rng = NanAt(env.rng, 1 + 3)  # site 3's measurement noise at the first tick
         with pytest.raises(ValueError):
-            env.generate_report(0, env.sample(0, (0.0, 0.0), 0, draws), 0, 0.0)
+            report_of(env, (0.0, 0.0), 0, 0.0)
 
     def test_non_finite_power_at_unreported_site_raises(self):
         sites = [make_site(i, (40.0 * i, 0.0)) for i in range(12)]
-        env = make_env(sites)
+        env = make_env(sites, SHADOWED)
         position, far = (0.0, 0.0), 11
         env.row(0, position, 0)
         env._shadow[0][0][far] = math.inf
@@ -631,7 +654,7 @@ class TestChannelNoise:
         env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(n_sites)], params, seed=31)
         twin = np.random.default_rng(31)
         for tick in range(1, 2 * ticks_per_draw + 2):
-            block = env.channel_noise(n_ues)
+            block = channel_noise(env, n_ues)
             expected = [
                 [float(twin.normal(0.0, env_sigma)), *twin.normal(0.0, meas_sigma, n_sites + 1).tolist()]
                 for _ in range(n_ues)
@@ -647,25 +670,20 @@ class TestChannelNoise:
     def test_zero_ues_draw_nothing(self):
         env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(3)], seed=31)
         state = env.rng.bit_generator.state
-        assert [env.channel_noise(0) for _ in range(3)] == [[], [], []]
+        assert [channel_noise(env, 0) for _ in range(3)] == [[], [], []]
         assert env.rng.bit_generator.state == state
 
     def test_ue_count_cannot_change_while_ticks_are_pending(self):
         env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(2)], seed=31)
-        env.channel_noise(2)
+        channel_noise(env, 2)
         with pytest.raises(ValueError):
-            env.channel_noise(3)
+            channel_noise(env, 3)
 
 
-def scalar_tick(env, positions, servings):
-    """One report tick from the scalar kernel, UE ``i`` at ``positions[i]``."""
-    noise = env.channel_noise(len(positions))
-    return [env.sample(ue, p, s, d) for ue, (p, s, d) in enumerate(zip(positions, servings, noise))]
-
-
-def array_tick(env, positions, servings):
-    """The same tick from the array kernel."""
-    return list(env.array_samples(positions, servings))
+def kernel_tick(env, positions, servings):
+    """One report tick from the kernel, UE ``i`` at ``positions[i]``: a
+    one-tick trajectory, so a block of that tick alone."""
+    return list(env.block_samples(np.array([positions]), servings))
 
 
 def scenario_env(scenario):
@@ -692,7 +710,8 @@ def assert_twins(first_env, second_env, first, second):
 
 
 class TestArrayKernel:
-    """The array kernel against the scalar pass it replaces on large ticks."""
+    """Shadowed report ticks, each a kernel block of one tick computed in
+    chunks, against the scalar oracle."""
 
     @pytest.mark.parametrize("seed", [1, 9001])
     def test_hex_ticks_equal_the_scalar_pass(self, seed):
@@ -702,13 +721,12 @@ class TestArrayKernel:
         sites = build_sites(scenario)
         ues = place_ues(scenario, sites, np.random.default_rng([seed, 0]))
         scalar_env, array_env = scenario_env(scenario), scenario_env(scenario)
-        assert array_env.array_pass(len(ues))
         for tick in range(25):
             t = 0.04 * tick
             positions = [(u.position[0] + u.velocity[0] * t, u.position[1] + u.velocity[1] * t) for u in ues]
             servings = [(7 * u.ue + tick) % len(sites) for u in ues]
-            scalar = scalar_tick(scalar_env, positions, servings)
-            assert_twins(scalar_env, array_env, scalar, array_tick(array_env, positions, servings))
+            scalar = oracle_tick(scalar_env, positions, servings)
+            assert_twins(scalar_env, array_env, scalar, kernel_tick(array_env, positions, servings))
         assert any(s.ranked for s in scalar) and any(len(s.ranked) == MAX_NEIGHBORS + 1 for s in scalar)
         assert array_env.shadow_rng.normal() == scalar_env.shadow_rng.normal()
 
@@ -736,8 +754,8 @@ class TestArrayKernel:
             values[5] = shadowing_for(env, 5, positions[4], DETECTION_THRESHOLD_DBM)
             values[6] = shadowing_for(env, 6, positions[4], DETECTION_THRESHOLD_DBM, below=True)
             pin_shadowing(env, 4, positions[4], values)
-        scalar = scalar_tick(scalar_env, positions, servings)
-        assert_twins(scalar_env, array_env, scalar, array_tick(array_env, positions, servings))
+        scalar = oracle_tick(scalar_env, positions, servings)
+        assert_twins(scalar_env, array_env, scalar, kernel_tick(array_env, positions, servings))
         assert scalar[2].nearest == 0 and scalar[0].nearest == scalar[3].nearest == 3
         ranked = scalar[1].ranked
         assert any(scalar[1].measured[a] == scalar[1].measured[b] for a, b in zip(ranked, ranked[1:]))
@@ -758,63 +776,47 @@ class TestArrayKernel:
             samples = []
             for tick in range(3):
                 positions = [(u.position[0] + 30.0 * tick, u.position[1]) for u in ues]
-                samples.append(array_tick(env, positions, servings))
+                samples.append(kernel_tick(env, positions, servings))
             ticks[max_pairs] = env, samples
         (chunked_env, chunked), (whole_env, whole) = ticks.values()
         assert_twins(chunked_env, whole_env, chunked, whole)
 
+    # The kernel and the oracle fail alike.
     @pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
     def test_nan_draw_raises(self, array):
-        class NanAt:
-            """The rng's draws with a NaN at one flat index of each block."""
-
-            def __init__(self, rng, index):
-                self.rng, self.index = rng, index
-
-            def standard_normal(self, shape):
-                block = self.rng.standard_normal(shape)
-                block.reshape(-1)[self.index] = math.nan
-                return block
-
         scenario = Scenario(n_sites=7, n_ues_per_cell=2)
         env = scenario_env(scenario)
         n_ues, width = 14, len(env.sites) + 2
         env.rng = NanAt(env.rng, 5 * width + 1 + 3)  # UE 5's site-3 measurement noise
         positions = [(10.0 * ue, 0.0) for ue in range(n_ues)]
         with pytest.raises(ValueError):
-            (array_tick if array else scalar_tick)(env, positions, [0] * n_ues)
-
-    def test_kernel_follows_pair_count(self, monkeypatch):
-        corridor, hex50 = scenario_env(corridor_scenario()), scenario_env(Scenario())
-        assert not corridor.array_pass(2) and hex50.array_pass(500)
-        monkeypatch.setattr(radio, "ARRAY_PASS_MIN_PAIRS", 4)
-        assert corridor.array_pass(2) and not corridor.array_pass(1)
+            (kernel_tick if array else oracle_tick)(env, positions, [0] * n_ues)
 
 
 def block_run(block_env, scalar_env, positions, servings, edges):
-    """Report ticks ``0..len(positions)-1`` on the block kernel and on the
-    scalar pass, UE ``i`` at ``positions[t, i]`` served by ``servings[t][i]``
+    """Report ticks ``0..len(positions)-1`` on the kernel and on the scalar
+    oracle, UE ``i`` at ``positions[t, i]`` served by ``servings[t][i]``
     at tick ``t``; the trajectory is laid out in blocks ending before each
     tick of ``edges``, as ``Simulation`` hands it on.  Each tick's samples
     must be equal bit for bit, and the ambient levels whenever the block
     kernel's last tick is out; so must the next channel-noise tick and the
     next draw of its stream after the run.  Returns the radio blocks' sizes
-    and every UE's ambient level after each scalar tick."""
+    and every UE's ambient level after each oracle tick."""
     sizes, levels = [], []
     for t in range(len(positions)):
-        if block_env._block_next == len(block_env._block):
+        if block_env._block_next == block_env._block_ticks:
             sizes.append(0)
         sizes[-1] += 1
         end = min(edge for edge in edges if edge > t)
         block = block_env.block_samples(positions[t:end], servings[t])
-        scalar = scalar_tick(scalar_env, list(map(tuple, positions[t].tolist())), servings[t])
+        scalar = oracle_tick(scalar_env, list(map(tuple, positions[t].tolist())), servings[t])
         assert [repr(sample) for sample in block] == [repr(sample) for sample in scalar]
         levels.append(list(scalar_env._env_noise.values()))
-        if block_env._block_next == len(block_env._block):
+        if block_env._block_next == block_env._block_ticks:
             assert repr(block_env._env_noise) == repr(scalar_env._env_noise)
     assert sum(sizes) == len(positions)
     n_ues = positions.shape[1]
-    assert repr(block_env.channel_noise(n_ues)) == repr(scalar_env.channel_noise(n_ues))
+    assert repr(channel_noise(block_env, n_ues)) == repr(channel_noise(scalar_env, n_ues))
     assert repr(block_env.rng.standard_normal(3)) == repr(scalar_env.rng.standard_normal(3))
     return sizes, levels
 
@@ -829,8 +831,8 @@ def corridor_paths(n_ticks, step_m=2.2):
 
 
 class TestBlockKernel:
-    """The block kernel of a channel without shadowing against the scalar
-    pass, tick by tick."""
+    """Kernel blocks of many ticks, a channel's without shadowing, against
+    the scalar oracle, tick by tick."""
 
     @staticmethod
     def no_refresh(env, monkeypatch):
@@ -889,7 +891,7 @@ class TestBlockKernel:
         positions = np.array([fixed] * 40)
         servings = [[0, 1, 1 if t < 5 else 0, 3, 2] for t in range(40)]
         block_run(block_env, scalar_env, positions, servings, edges=(17, 40))
-        clamped, centre, between, on, under = scalar_tick(scalar_env, fixed, servings[0])
+        clamped, centre, between, on, under = oracle_tick(scalar_env, fixed, servings[0])
         assert between.nearest == 0 and clamped.nearest == 3
         ranked = centre.ranked
         assert any(centre.measured[a] == centre.measured[b] for a, b in zip(ranked, ranked[1:]))
@@ -923,9 +925,13 @@ class TestBlockKernel:
     def test_zero_ues_draw_nothing(self):
         env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(3)], seed=31)
         state = env.rng.bit_generator.state
-        assert [env.block_samples(np.empty((5 - t, 0, 2)), []) for t in range(5)] == [[]] * 5
+        assert [list(env.block_samples(np.empty((5 - t, 0, 2)), [])) for t in range(5)] == [[]] * 5
         assert env.rng.bit_generator.state == state and env._env_noise == {}
 
     def test_only_a_channel_without_shadowing_takes_blocks(self):
-        assert scenario_env(corridor_scenario()).block_pass()
-        assert not scenario_env(Scenario()).block_pass()
+        # The corridor's 2 UEs x 2 sites fill 128 ticks of a noise block; a
+        # shadowed channel's block is its first tick, whatever follows it.
+        for sigma, length in ((0.0, 128), (4.0, 1)):
+            env = scenario_env(corridor_scenario(channel=ChannelParams(shadowing_sigma_db=sigma)))
+            list(env.block_samples(corridor_paths(300), [0, 1]))
+            assert env._block_ticks == length

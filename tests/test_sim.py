@@ -1,8 +1,10 @@
 """Scenario construction, mobility, determinism, and the step loop."""
 
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from hosim.sim import (
     place_ues,
     run,
 )
+from scalar_oracle import oracle_samples
 
 NOISELESS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
 
@@ -279,20 +282,24 @@ class TestReportTick:
         sim = Simulation(scenario)
         env = sim.env
         passes, sinrs = [], []
-        row, add_sample = RadioEnvironment.row, MetricsAccumulator.add_sample
+        refresh, add_sample = RadioEnvironment.refresh_shadowing, MetricsAccumulator.add_sample
 
-        def counted_row(self, ue, *args):
+        def counted_refresh(self, ue, *args):
             passes.append(ue)
-            return row(self, ue, *args)
+            return refresh(self, ue, *args)
+
+        def no_row(*args):
+            raise AssertionError("a report tick made a scalar row pass")
 
         def recorded_add_sample(self, time_s, sinr_db, *args):
             sinrs.append(sinr_db)
             return add_sample(self, time_s, sinr_db, *args)
 
-        monkeypatch.setattr(RadioEnvironment, "row", counted_row)
+        monkeypatch.setattr(RadioEnvironment, "refresh_shadowing", counted_refresh)
+        monkeypatch.setattr(RadioEnvironment, "row", no_row)
         monkeypatch.setattr(MetricsAccumulator, "add_sample", recorded_add_sample)
         assert all(ctx.phase != EXECUTING for ctx in sim.contexts)
-        sim._report_tick(sim.time_s)
+        sim.step()  # the first report tick
         assert passes == [ue.ue for ue in sim.ues]
         assert len(sinrs) == len(sim.ues)
         monkeypatch.undo()
@@ -335,8 +342,47 @@ class TestReportTick:
 
         for name in ("free_space_reference_db", "re_scaling_db"):
             monkeypatch.setattr(radio, name, counted(name))
-        sim._report_tick(sim.time_s)
+        sim.step()  # the first report tick
         assert calls == []
+
+    def test_hex_tick_is_read_chunk_by_chunk(self, monkeypatch):
+        # hex50's 500 UEs x 50 sites take 7 chunks of at most 81 UEs; each
+        # is computed only once the reports before it are made, so a tick
+        # holds one chunk's arrays at a time.
+        events = []
+        chunk, report = RadioEnvironment._array_chunk, RadioEnvironment.generate_report
+
+        def recorded(name, fn):
+            def wrapper(*args):
+                events.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(RadioEnvironment, "_array_chunk", recorded("chunk", chunk))
+        monkeypatch.setattr(RadioEnvironment, "generate_report", recorded("report", report))
+        sim = Simulation(Scenario(policy="fixed_a3", sim_duration_s=0.04))
+        sim.step()
+        assert events.count("chunk") == 7 and events.count("report") == 500
+        # Each chunk, then its 81 reports.
+        starts = [k for k, event in enumerate(events) if event == "chunk"]
+        assert starts == [82 * n for n in range(7)]
+
+    # A shadowed run, whose blocks are each one tick, and the corridor's,
+    # whose last block ends at the run's last tick.
+    @pytest.mark.parametrize("scenario", [report_tick_scenario(), corridor_scenario(sim_duration_s=6.0)],
+                             ids=["hex7", "corridor"])
+    def test_finished_run_holds_no_reference_cycle(self, scenario):
+        # Without the cyclic collector, only reference counts free a run.
+        gc.disable()
+        try:
+            sim = Simulation(scenario)
+            sim.run()
+            env = weakref.ref(sim.env)
+            del sim
+            assert env() is None
+        finally:
+            gc.enable()
 
 
 class TestExecutingList:
@@ -439,8 +485,8 @@ class TestFailedWindowSkip:
     reuse the report row, against full rows at every executing step."""
 
     # (policy, seed) -> row passes of the 1 s run and of the full-row
-    # oracle.  hex50's report ticks take the array kernel, which makes no
-    # row pass, so each counted pass is an execution window's.
+    # oracle.  Report ticks make no row pass, so each counted pass is an
+    # execution window's.
     ROW_PASSES = {
         ("fixed_a3", 1): (87, 3390),
         ("fixed_a3", 9001): (104, 3820),
@@ -477,8 +523,9 @@ class TestFailedWindowSkip:
 
 
 class TestBlockPass:
-    """Report ticks of a channel without shadowing on the block kernel,
-    against the same runs with every tick on a per-tick kernel."""
+    """Report ticks of a channel without shadowing on kernel blocks of many
+    ticks, against the same runs a tick at a time: on the kernel with
+    one-tick blocks, and on the scalar oracle."""
 
     # Seven mid-band hex sites with two UEs each at 350 km/h and a 4 ms step:
     # radio blocks of 8 ticks, 29-tick trajectory blocks that clip them, and
@@ -500,14 +547,14 @@ class TestBlockPass:
             return split(*args)
 
         monkeypatch.setattr(radio, "_split", counted_split)
-        block = Simulation(scenario)
-        assert block._block_pass
-        monkeypatch.setattr(radio, "ARRAY_PASS_MIN_PAIRS", 0 if array else math.inf)
-        expected = block.run()
+        expected = Simulation(scenario).run()
         assert bool(splits) == (policy == "greedy_rsrp")
-        monkeypatch.setattr(RadioEnvironment, "block_pass", lambda self: False)
+        if array:
+            # One tick's draws exceed one draw, so each block is one tick.
+            monkeypatch.setattr(radio, "NOISE_DRAWS_PER_CALL", 1)
+        else:
+            monkeypatch.setattr(RadioEnvironment, "block_samples", oracle_samples)
         per_tick = Simulation(scenario)
-        assert not per_tick._block_pass and per_tick._array_pass == array
         result = per_tick.run()
         assert repr(result.kpis) == repr(expected.kpis)
         assert repr(result.outcomes) == repr(expected.outcomes) and expected.outcomes
