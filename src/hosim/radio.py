@@ -10,16 +10,16 @@ is the wideband received power scaled down to one resource element
 bounded random walk, stepped once per report; it degrades measured RSRP
 additively in dB, and the report carries a noisy reading of it.
 
-One UE's radio work at one instant is one ``RadioEnvironment.row``: a
-single pass over the id-ordered sites that yields every site's wideband
-power, the RSSI and interference sums of their linear powers, and the
-nearest site.  Execution windows read the row's SINR.  Only a handover's
-completion looks up one site, through ``true_rsrp_of`` and
-``shadowing_db``.  ``_received_dbm`` is the link budget; ``row`` and the
-report kernel repeat its arithmetic inline.  A row redraws its stale
-shadowing values as one standard-normal block (``refresh_shadowing``),
-which takes from the shadowing stream exactly what one ``normal`` call
-per site would.
+Every link budget of many (UE, site) pairs is one array body,
+``_link_budget``: each site's distance, wideband power and linear power,
+and each UE's serving power and interference sum.  Report ticks
+(``block_samples``) and execution windows (``window_powers``) both take
+it, so a window's SINR is the one a report tick would give at the same
+instant.  Only a handover's completion looks up one site, through
+``true_rsrp_of`` and ``shadowing_db``; ``_received_dbm`` is the one-site
+form of the link budget.  A UE's stale shadowing values are redrawn as
+one standard-normal block (``refresh_shadowing``), which takes from the
+shadowing stream exactly what one ``normal`` call per site would.
 
 A report tick steps each UE's ambient walk and gives the UE a
 ``RadioSample`` (every site's measured RSRP, the RSSI, the detected cells
@@ -48,8 +48,8 @@ A block is started, its ticks counted and its channel noise drawn when
 the kernel is called; only the chunk arithmetic, at most
 ``ARRAY_PASS_MAX_PAIRS`` pairs at a time, waits until the samples are
 read.  That bound keeps a large tick's peak memory near that of one
-chunk.  The kernel gives the samples of a scalar pass over each UE's
-``row`` bit for bit:
+chunk.  The kernel, and ``window_powers`` chunked alike, give what a
+scalar pass over each UE's id-ordered sites gives, bit for bit:
 
 - numpy does only IEEE add, subtract, multiply and divide, comparisons
   (and selections by them), ``maximum`` and ``argmin``, each giving what
@@ -66,6 +66,9 @@ chunk.  The kernel gives the samples of a scalar pass over each UE's
   measurements keep the lower cell id first, as the scalar sort does;
 - the ambient walk is stepped in scalar Python, clamped as ``max`` then
   ``min`` clamp it.
+
+``tests/test_exactness.py`` audits the source of the array code for
+these rules.
 
 The channel noise of a block comes from one standard-normal block
 (``_noise_ticks``), in the order per-UE draws would take it; a small
@@ -179,16 +182,6 @@ class MeasurementReport(_ReportFields):
             if n.cell == cell:
                 raise ValueError("serving cell must not appear in neighbor list")
         return tuple.__new__(cls, (ue, timestamp, serving, neighbors, env_noise_dbm))
-
-
-class RadioRow(NamedTuple):
-    """What one UE's pass over the id-ordered sites yields at one instant."""
-
-    wideband: list[float]  # each site's wideband received power in dBm, by id
-    rssi_mw: float  # every site's linear power, summed left to right
-    serving_mw: float  # the serving site's linear power
-    interference_mw: float  # the other sites' linear powers, summed left to right
-    nearest: int  # id of the closest site, a tie to the lower id
 
 
 class RadioSample(NamedTuple):
@@ -376,42 +369,9 @@ class RadioEnvironment:
             anchors[cid] = position
         return values
 
-    def row(self, ue: int, position: tuple[float, float], serving: int) -> RadioRow:
-        """One pass over the id-ordered sites at the UE's ``position`` (an
-        ``(x, y)`` tuple of floats) while it is served by ``serving``.
-
-        The shadowing comes from ``refresh_shadowing`` at ``position``.
-        Each site's distance and wideband power are computed once; the
-        power is raised to linear once and summed left to right into the
-        RSSI (every site) and the interference (every site but
-        ``serving``).  The nearest site is the first strict minimum of the
-        unclamped distance, so an exact tie goes to the lower id.
-        """
-        x, y = position
-        tx, reference, slope = self._tx_dbm, self._reference_db, self._slope_db
-        wideband = []
-        rssi_mw = serving_mw = interference_mw = 0.0
-        nearest, nearest_m = 0, math.inf
-        for cid, ((sx, sy), shadowing) in enumerate(zip(self._site_positions, self.refresh_shadowing(ue, position))):
-            distance = math.hypot(sx - x, sy - y)
-            if distance < nearest_m:
-                nearest, nearest_m = cid, distance
-            # _received_dbm inlined, as a call per site would cost more than its
-            # arithmetic; TestRadioRow checks the two agree bit for bit.
-            clamped = REFERENCE_DISTANCE_M if distance < REFERENCE_DISTANCE_M else distance
-            power = tx - (reference + slope * math.log10(clamped)) - shadowing
-            wideband.append(power)
-            mw = 10.0 ** (power / 10.0)
-            rssi_mw += mw
-            if cid == serving:
-                serving_mw = mw
-            else:
-                interference_mw += mw
-        return RadioRow(wideband, rssi_mw, serving_mw, interference_mw, nearest)
-
     def sinr_of(self, serving_mw: float, interference_mw: float) -> float:
         """Serving power over interference plus thermal noise, in dB, from a
-        row's linear serving power and interference sum."""
+        UE's linear serving power and interference sum."""
         return linear_to_db(serving_mw / (interference_mw + self._noise_mw))
 
     def nearest_cell(self, position: tuple[float, float]) -> int:
@@ -519,16 +479,13 @@ class RadioEnvironment:
 
     def _block_rows(self, xy, servings, levels, noise, shadowed) -> Iterator[tuple[RadioSample, np.ndarray]]:
         """Each row's sample and linear powers by site id, computed by
-        ``_array_chunk`` a chunk of at most ``ARRAY_PASS_MAX_PAIRS`` pairs
-        at a time as the rows are read.  A shadowed block is one tick, so
-        row ``r`` is UE ``r``; its shadowing is refreshed at its position
-        when its chunk is computed.  An unshadowed row's is +0.0, which is
-        every value a zero sigma draws."""
+        ``_array_chunk`` a chunk at a time as the rows are read.  A shadowed
+        block is one tick, so row ``r`` is UE ``r``; its shadowing is
+        refreshed at its position when its chunk is computed.  An
+        unshadowed row's is +0.0, which is every value a zero sigma draws."""
         n_sites = len(self.sites)
-        per_chunk = max(1, ARRAY_PASS_MAX_PAIRS // n_sites)
         shadowing = 0.0
-        for start in range(0, len(xy), per_chunk):
-            rows = slice(start, start + per_chunk)
+        for rows in self._chunks(len(xy)):
             if shadowed:
                 ues = range(len(xy))[rows]
                 values = map(self.refresh_shadowing, ues, map(tuple, xy[rows].tolist()))
@@ -536,16 +493,31 @@ class RadioEnvironment:
             samples, mw = self._array_chunk(xy[rows], servings[rows], shadowing, levels[rows], noise[rows])
             yield from zip(samples, mw)
 
-    def _array_chunk(self, xy, servings, shadowing, level, noise) -> tuple[list[RadioSample], np.ndarray]:
-        """The samples of the rows of ``xy`` (an (n x 2) array of positions),
-        row ``r`` served by ``servings[r]`` with the shadowing row
-        ``shadowing[r]`` (by site id), its ambient walk already stepped to
-        ``level[r]`` and its draws ``noise[r]``; with the rows' linear powers
-        by site id.  ``shadowing`` may be a scalar +0.0 for every row.
-        Every operation is the scalar pass's in its order (see the module
-        docstring)."""
+    def _chunks(self, n_rows: int) -> Iterator[slice]:
+        """Slices of ``n_rows`` rows, each at most ``ARRAY_PASS_MAX_PAIRS``
+        (UE, site) pairs (at least one row)."""
+        per_chunk = max(1, ARRAY_PASS_MAX_PAIRS // len(self.sites))
+        return (slice(start, start + per_chunk) for start in range(0, n_rows, per_chunk))
+
+    def window_powers(self, xy, servings, shadowing: list[list[float]]) -> Iterator[tuple[float, float]]:
+        """Each execution window's serving power and interference sum, the
+        window ``r`` at ``xy[r]`` (an (n x 2) array of positions) served by
+        ``servings[r]``, with the shadowing row ``shadowing[r]`` that
+        ``refresh_shadowing`` returned for it; computed by ``_link_budget``
+        a chunk at a time as they are read, so each is the report kernel's
+        at the same instant, bit for bit."""
+        for rows in self._chunks(len(xy)):
+            *_, serving_mw, interference_mw = self._link_budget(xy[rows], servings[rows], np.array(shadowing[rows]))
+            yield from zip(serving_mw.tolist(), interference_mw.tolist())
+
+    def _link_budget(self, xy, servings, shadowing) -> tuple[np.ndarray, ...]:
+        """The link budget of the rows of ``xy`` (an (n x 2) array of
+        positions), row ``r`` served by ``servings[r]`` with the shadowing
+        row ``shadowing[r]`` (by site id; a scalar +0.0 for every row): each
+        site's distance, wideband power in dBm and linear power, and each
+        row's serving power and interference sum.  Every operation is the
+        scalar pass's in its order (see the module docstring)."""
         distance = _mapped(math.hypot, self._site_x - xy[:, :1], self._site_y - xy[:, 1:])
-        nearest = distance.argmin(axis=1)
         # _received_dbm, with its clamp to the reference distance.
         log_distance = _mapped(math.log10, np.maximum(distance, REFERENCE_DISTANCE_M))
         wideband = self._tx_dbm - (self._reference_db + self._slope_db * log_distance) - shadowing
@@ -554,12 +526,22 @@ class RadioEnvironment:
         serving_mw = mw[rows, servings]
         others = mw.copy()
         others[rows, servings] = 0.0
-        # Running sums along the id-ordered sites add one column at a time,
-        # left to right; the first column equals 0.0 plus itself, as every
-        # power is >= +0.0.
-        rssi_mw = np.add.accumulate(mw, axis=1)[:, -1]
+        # A running sum along the id-ordered sites adds one column at a
+        # time, left to right; the first column equals 0.0 plus itself, as
+        # every power is >= +0.0.
         interference_mw = np.add.accumulate(others, axis=1)[:, -1]
+        return distance, wideband, mw, serving_mw, interference_mw
 
+    def _array_chunk(self, xy, servings, shadowing, level, noise) -> tuple[list[RadioSample], np.ndarray]:
+        """The samples of the rows of ``xy`` (an (n x 2) array of positions),
+        row ``r`` served by ``servings[r]`` with the shadowing row
+        ``shadowing[r]`` (by site id), its ambient walk already stepped to
+        ``level[r]`` and its draws ``noise[r]``; with the rows' linear powers
+        by site id.  ``shadowing`` may be a scalar +0.0 for every row."""
+        distance, wideband, mw, serving_mw, interference_mw = self._link_budget(xy, servings, shadowing)
+        nearest = distance.argmin(axis=1)
+        # Summed along the sites as the interference is.
+        rssi_mw = np.add.accumulate(mw, axis=1)[:, -1]
         rssi_dbm = 10.0 * _mapped(math.log10, rssi_mw + self._noise_mw)
         measured = wideband - self._re_scaling_db - (level - self.params.env_noise_mean_dbm)[:, None] + noise[:, 1:-1]
         if not (np.isfinite(measured).all() and np.isfinite(rssi_dbm).all()):

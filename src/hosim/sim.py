@@ -12,7 +12,9 @@ kernel, handing it the rest of the trajectory block from this tick on
 and the UEs' current servings.  Without shadowing the kernel computes
 many ticks at once, and only the serving split of a UE whose serving
 cell a completion changed is redone at its tick; with shadowing it
-computes this tick alone, after the tick's completions.
+computes this tick alone, after the tick's completions.  Between report
+ticks the execution windows that have not failed take their SINR from
+the same link budget, as one block of (UE x site) pairs.
 
 Determinism: every random quantity derives from the scenario seed via
 dedicated sub-streams (placement, channel noise, shadowing, and one
@@ -50,6 +52,9 @@ CORRIDOR_LANE_JITTER_M = 10.0
 # the block's memory whatever the deployment's size.  The corridor's 2 UEs
 # get 2,048-step blocks, hex50's 500 one 40-step report period.
 TRAJECTORY_BLOCK_UE_STEPS = 4096
+# Most UE-steps one report period may span, as a trajectory block holds at
+# least one: 2**22 (x, y) float pairs are 64 MiB.
+MAX_REPORT_PERIOD_UE_STEPS = 2**22
 
 class ConfigError(ValueError):
     """Scenario validation failure; carries the offending field name."""
@@ -128,6 +133,11 @@ class Scenario:
             raise ConfigError("sim.report_period_s", "must be an integer multiple of step_s")
         if self.n_ues_per_cell < 0:
             raise ConfigError("sim.n_ues_per_cell", "must be non-negative")
+        steps, n_ues = round(ratio), self.n_sites * self.n_ues_per_cell
+        if steps * n_ues > MAX_REPORT_PERIOD_UE_STEPS:
+            # The step when a report period is many steps long, else the UEs.
+            name = "sim.step_s" if steps > 1 else "sim.n_ues_per_cell"
+            raise ConfigError(name, f"one report period of {n_ues} UEs spans {steps * n_ues} UE-steps, more than 2**22")
         if self.policy not in POLICIES:
             raise ConfigError("sim.policy", f"must be one of {POLICIES}")
         if self.seed < 0:
@@ -392,18 +402,24 @@ class Simulation:
         self._executing = executing
 
     def _track_execution_sinr(self) -> None:
-        """Sample each executing window's SINR between report ticks.  A
-        window that has dipped below Qout has failed, so it only keeps its
-        shadowing up to date, which keeps ``shadow_rng``'s order."""
-        env = self.env
-        for i in self._executing:
-            ctx = self.contexts[i]
-            position = self.position(i)
-            if ctx.exec_failed:
-                env.refresh_shadowing(i, position)
-            else:
-                row = env.row(i, position, ctx.serving)
-                engine.note_execution_sinr(ctx, env.sinr_of(row.serving_mw, row.interference_mw))
+        """Sample each executing window's SINR between report ticks.  Every
+        executing UE's shadowing is refreshed first, in id order, which
+        keeps ``shadow_rng``'s order.  A window that has dipped below Qout
+        has failed and tracks nothing more; the others take their serving
+        and interference powers as one block of the radio's link budget."""
+        executing = self._executing
+        if not executing:
+            return
+        env, contexts = self.env, self.contexts
+        xy = self._block[self._step_index - self._block_start, executing]
+        shadowing = list(map(env.refresh_shadowing, executing, map(tuple, xy.tolist())))
+        live = [k for k, i in enumerate(executing) if not contexts[i].exec_failed]
+        if not live:
+            return
+        windows = [contexts[executing[k]] for k in live]
+        powers = env.window_powers(xy[live], [ctx.serving for ctx in windows], [shadowing[k] for k in live])
+        for ctx, (serving_mw, interference_mw) in zip(windows, powers):
+            engine.note_execution_sinr(ctx, env.sinr_of(serving_mw, interference_mw))
 
     def _advance_positions(self) -> None:
         """Lay out the next trajectory block if the current one ends at this

@@ -1,19 +1,78 @@
-"""The scalar reference for the report kernel.
+"""The scalar reference for the radio's link budget and report kernel.
 
-A report tick computed one UE at a time from each UE's
-``RadioEnvironment.row``, with Python floats, scalar clamps and a Python
-sort.  ``RadioEnvironment.block_samples`` must give the same samples bit
-for bit; tests compare the two tick by tick, and patch ``oracle_samples``
-in for the kernel to run whole simulations on the oracle.
+One UE's pass over the id-ordered sites (``oracle_row``), and a report
+tick computed one UE at a time from it, with Python floats, scalar
+clamps and a Python sort.  ``RadioEnvironment.block_samples`` and
+``RadioEnvironment.window_powers`` must give the same values bit for bit;
+tests compare them, and patch ``oracle_samples`` and
+``oracle_window_powers`` in for them to run whole simulations on the
+oracle.
 
-The oracle reads every UE's shadowing row through ``row`` whatever the
-channel's sigma, so without shadowing it draws from the shadowing stream
-where the kernel does not; every value it draws there is +0.0.
+The oracle reads every UE's shadowing row through ``refresh_shadowing``
+whatever the channel's sigma, so without shadowing it draws from the
+shadowing stream where the kernel does not; every value it draws there is
++0.0.
 """
 
 import math
+from typing import NamedTuple
 
-from hosim.radio import DETECTION_THRESHOLD_DBM, MAX_NEIGHBORS, RadioSample, linear_to_db
+from hosim.radio import DETECTION_THRESHOLD_DBM, MAX_NEIGHBORS, REFERENCE_DISTANCE_M, RadioSample, linear_to_db
+
+
+class Row(NamedTuple):
+    """What one UE's pass over the id-ordered sites yields at one instant."""
+
+    wideband: list  # each site's wideband received power in dBm, by id
+    rssi_mw: float  # every site's linear power, summed left to right
+    serving_mw: float  # the serving site's linear power
+    interference_mw: float  # the other sites' linear powers, summed left to right
+    nearest: int  # id of the closest site, a tie to the lower id
+
+
+def oracle_pass(env, position, serving, shadowing):
+    """One pass over ``env``'s id-ordered sites at ``position`` (an ``(x,
+    y)`` tuple of floats) while served by ``serving``, with the shadowing
+    values ``shadowing`` (by site id).
+
+    Each site's distance and wideband power are computed once; the power
+    is raised to linear once and summed left to right into the RSSI (every
+    site) and the interference (every site but ``serving``).  The nearest
+    site is the first strict minimum of the unclamped distance, so an exact
+    tie goes to the lower id."""
+    x, y = position
+    tx, reference, slope = env._tx_dbm, env._reference_db, env._slope_db
+    wideband = []
+    rssi_mw = serving_mw = interference_mw = 0.0
+    nearest, nearest_m = 0, math.inf
+    for cid, ((sx, sy), value) in enumerate(zip(env._site_positions, shadowing)):
+        distance = math.hypot(sx - x, sy - y)
+        if distance < nearest_m:
+            nearest, nearest_m = cid, distance
+        clamped = REFERENCE_DISTANCE_M if distance < REFERENCE_DISTANCE_M else distance
+        power = tx - (reference + slope * math.log10(clamped)) - value
+        wideband.append(power)
+        mw = 10.0 ** (power / 10.0)
+        rssi_mw += mw
+        if cid == serving:
+            serving_mw = mw
+        else:
+            interference_mw += mw
+    return Row(wideband, rssi_mw, serving_mw, interference_mw, nearest)
+
+
+def oracle_row(env, ue, position, serving):
+    """UE ``ue``'s pass at ``position`` while served by ``serving``, its
+    shadowing from ``env.refresh_shadowing`` at ``position``."""
+    return oracle_pass(env, position, serving, env.refresh_shadowing(ue, position))
+
+
+def oracle_window_powers(env, xy, servings, shadowing):
+    """``window_powers`` computed by the oracle, one window at a time."""
+    return [
+        oracle_pass(env, position, serving, values)[2:4]
+        for position, serving, values in zip(map(tuple, xy.tolist()), servings, shadowing)
+    ]
 
 
 def channel_noise(env, n_ues):
@@ -24,7 +83,7 @@ def channel_noise(env, n_ues):
 
 
 def oracle_sample(env, ue, position, serving, draws):
-    """UE ``ue``'s report-tick sample from its ``row`` at ``position`` while
+    """UE ``ue``'s report-tick sample from its ``oracle_row`` at ``position`` while
     served by ``serving``, and its ``draws`` from ``channel_noise``.
 
     The ambient level takes one bounded random-walk step; each site's
@@ -33,7 +92,7 @@ def oracle_sample(env, ue, position, serving, draws):
     the last draw makes the reading of the level.  A non-finite
     measurement or RSSI raises ValueError.  Detected cells are ranked by
     a stable descending sort, so equal measurements keep id order."""
-    wideband, rssi_mw, serving_mw, interference_mw, nearest = env.row(ue, position, serving)
+    wideband, rssi_mw, serving_mw, interference_mw, nearest = oracle_row(env, ue, position, serving)
     mean = env.params.env_noise_mean_dbm
     level = min(max(env._env_noise.get(ue, mean) + draws[0], env._walk_lo), env._walk_hi)
     env._env_noise[ue] = level

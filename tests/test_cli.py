@@ -199,6 +199,11 @@ class TestConfigurationErrors:
         (["run", "--duration", "1", "--set", "radio.bandwidth_hz=1e308"], "radio.bandwidth_hz"),
         # A report period whose ratio to the step overflows while the run's does not.
         (["run", "--set", "sim.report_period_s=1e308"], "sim.report_period_s"),
+        # One report period of every UE, the least a trajectory block holds,
+        # spans more than 2**22 UE-steps: 40,000,000 steps of the corridor's
+        # 2 UEs (1.3 GB of positions), or 5,000,000 UEs at one step.
+        (["run", "--set", "sim.step_s=1e-9"], "sim.step_s"),
+        (["run", "--set", "sim.n_ues_per_cell=2500000"], "sim.n_ues_per_cell"),
     # A radio or sim case's id keeps the bare key, so case ids do not move
     # with the section prefix the error names.
     ], ids=lambda value: value.removeprefix("radio.").removeprefix("sim.") if isinstance(value, str) else None)

@@ -15,7 +15,7 @@ import pytest
 from hosim import config, kalman, metrics, radio, sim
 from hosim.rl import qtable_rows
 from hosim.sim import Simulation
-from scalar_oracle import oracle_samples
+from scalar_oracle import oracle_samples, oracle_window_powers
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -145,10 +145,11 @@ def test_digests_match(case):
     assert run_digests(ini, overrides) == expected
 
 
-# test_digests_match runs each case on the report kernel; here every case
-# runs on the scalar oracle patched in for it, so the digests hold on
-# either.  The corridor cases have no shadowing, so their kernel blocks
-# hold many ticks; they also run on the kernel with one-tick blocks.
+# test_digests_match runs each case on the report kernel and the window
+# blocks; here every case runs on the scalar oracle patched in for both,
+# so the digests hold on either.  The corridor cases have no shadowing, so
+# their kernel blocks hold many ticks; they also run on the kernel with
+# one-tick blocks.
 KERNEL_CASES = [(case, kernel) for case in sorted(GOLDEN) if case.startswith("corridor") for kernel in ("array", "scalar")]
 KERNEL_CASES += [(case, "scalar") for case in sorted(GOLDEN) if case.startswith("hex50-")]
 
@@ -160,12 +161,15 @@ def test_digests_hold_on_either_kernel(case, kernel, monkeypatch):
         monkeypatch.setattr(radio, "NOISE_DRAWS_PER_CALL", 1)
     else:
         monkeypatch.setattr(radio.RadioEnvironment, "block_samples", oracle_samples)
+        monkeypatch.setattr(radio.RadioEnvironment, "window_powers", oracle_window_powers)
     ini, overrides, expected = GOLDEN[case]
     assert run_digests(ini, overrides) == expected
 
 
 # Block sizes change no byte: every case with each block one item long, and
-# at odd sizes.  At 61 noise draws the corridor's radio blocks hold 7 ticks,
+# at odd sizes.  Report ticks and execution windows alike take their link
+# budget in chunks of at most ARRAY_PASS_MAX_PAIRS pairs (one row at
+# least).  At 61 noise draws the corridor's radio blocks hold 7 ticks,
 # which do not divide its 1,000, and its 97-UE-step trajectory blocks (48
 # ticks) clip them.  The 1 s hex50 cases run at the odd sizes only.
 # name -> (KPI_BLOCK_SAMPLES, NOISE_DRAWS_PER_CALL, ARRAY_PASS_MAX_PAIRS,
@@ -186,8 +190,16 @@ def test_digests_hold_at_any_block_size(case, sizes, monkeypatch):
     monkeypatch.setattr(radio, "NOISE_DRAWS_PER_CALL", noise)
     monkeypatch.setattr(radio, "ARRAY_PASS_MAX_PAIRS", pairs)
     monkeypatch.setattr(sim, "TRAJECTORY_BLOCK_UE_STEPS", ue_steps)
+    within, link_budget = [], radio.RadioEnvironment._link_budget
+
+    def checked(env, xy, *args):
+        within.append(len(xy) * len(env.sites) <= max(pairs, len(env.sites)))
+        return link_budget(env, xy, *args)
+
+    monkeypatch.setattr(radio.RadioEnvironment, "_link_budget", checked)
     ini, overrides, expected = GOLDEN[case]
     assert run_digests(ini, overrides) == expected
+    assert within and all(within)
 
 
 def test_eviction_case_evicts(monkeypatch):

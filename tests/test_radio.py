@@ -16,13 +16,12 @@ from hosim.radio import (
     MeasurementReport,
     RadioEnvironment,
     RadioParams,
-    RadioRow,
     free_space_reference_db,
     n_resource_blocks,
     re_scaling_db,
 )
 from hosim.sim import ConfigError, Scenario, build_sites, corridor_scenario, place_ues
-from scalar_oracle import channel_noise, oracle_tick
+from scalar_oracle import channel_noise, oracle_row, oracle_tick
 
 PARAMS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
 # Noise-free draws on a shadowed channel, whose report ticks read each
@@ -87,9 +86,20 @@ def shadowing_for(env, cell, position, target, below=False):
     raise AssertionError(f"no shadowing puts cell {cell} on {target} dBm")
 
 
+def budget_row(env, ue, position, serving):
+    """UE ``ue``'s link budget at ``position`` (an ``(x, y)`` tuple) while
+    served by ``serving``, from the radio's array helper with the shadowing
+    ``refresh_shadowing`` gives there: the wideband powers by site id, the
+    serving power, the interference sum and the nearest site."""
+    shadowing = np.array([env.refresh_shadowing(ue, position)])
+    distance, wideband, _, serving_mw, interference_mw = env._link_budget(np.array([position]), [serving], shadowing)
+    return wideband[0].tolist(), serving_mw.item(), interference_mw.item(), distance[0].argmin().item()
+
+
 def loss_at(distance_m):
     """Path loss to a UE ``distance_m`` from a 46 dBm site, with zero shadowing."""
-    return 46.0 - make_env([make_site()]).row(0, (distance_m, 0.0), 0).wideband[0]
+    wideband, *_ = budget_row(make_env([make_site()]), 0, (distance_m, 0.0), 0)
+    return 46.0 - wideband[0]
 
 
 class TestPathLoss:
@@ -180,9 +190,9 @@ def rsrq_offsets(bandwidth_hz):
     """RSRQ minus (RSRP - RSSI) for every entry of a two-site report, with
     the RSSI summed independently from the wideband powers and the noise."""
     env = make_env([make_site(0), make_site(1, (100.0, 0.0))], bw=bandwidth_hz)
-    row = env.row(0, (30.0, 0.0), 0)
+    wideband, *_ = budget_row(env, 0, (30.0, 0.0), 0)
     noise_dbm = -174.0 + 10 * math.log10(bandwidth_hz) + 5.0
-    rssi_dbm = 10 * math.log10(sum(10 ** (p / 10) for p in row.wideband) + 10 ** (noise_dbm / 10))
+    rssi_dbm = 10 * math.log10(sum(10 ** (p / 10) for p in wideband) + 10 ** (noise_dbm / 10))
     report = report_of(env, (30.0, 0.0), 0, 0.0)
     assert len(report.neighbors) == 1
     return [e.rsrq_db - (e.rsrp_dbm - rssi_dbm) for e in (report.serving, *report.neighbors)]
@@ -208,10 +218,11 @@ class TestRsrq:
 
 
 def sinr_at(sites, position, serving=0, tx=46.0):
-    """SINR of UE 0 at ``position`` served by ``serving``, with zero shadowing."""
+    """SINR of UE 0's execution window at ``position`` served by
+    ``serving``, with zero shadowing."""
     env = make_env(sites, tx=tx)
-    row = env.row(0, position, serving)
-    return env.sinr_of(row.serving_mw, row.interference_mw)
+    (powers,) = env.window_powers(np.array([position]), [serving], [env.refresh_shadowing(0, position)])
+    return env.sinr_of(*powers)
 
 
 class TestSinr:
@@ -238,8 +249,9 @@ class TestSinr:
 
 
 class TestRadioRow:
-    """A row is the one pass a tick makes over the sites; it must equal the
-    one-element ``true_rsrp_of``/``shadowing_db`` path bit for bit."""
+    """A UE's row of the link budget, which report ticks and execution
+    windows take, must equal the one-element ``true_rsrp_of``/``shadowing_db``
+    path bit for bit."""
 
     # Site 0 and site 3 are both 50 m from (0, 50), an exact tie.
     SITES = [make_site(0), make_site(1, (100.0, 0.0)), make_site(2, (-100.0, 0.0)),
@@ -251,20 +263,20 @@ class TestRadioRow:
         return make_env(self.SITES, params, seed=5), make_env(self.SITES, params, seed=5)
 
     def assert_row_matches(self, row_env, ref_env, ue, position, serving):
-        row = row_env.row(ue, position, serving)
-        assert [w - re_scaling_db(BW) for w in row.wideband] == [
+        """The helper's row at ``position``, checked site by site; returns
+        its nearest site."""
+        wideband, serving_mw, interference_mw, nearest = budget_row(row_env, ue, position, serving)
+        assert [w - re_scaling_db(BW) for w in wideband] == [
             ref_env.true_rsrp_of(c, ue, position) for c in range(len(self.SITES))
         ]
-        rssi = interference = 0.0
-        for c, w in enumerate(row.wideband):
-            rssi += 10 ** (w / 10)
+        interference = 0.0
+        for c, w in enumerate(wideband):
             if c != serving:
                 interference += 10 ** (w / 10)
-        assert row.rssi_mw == rssi
-        assert row.interference_mw == interference
-        assert row.serving_mw == 10 ** (row.wideband[serving] / 10)
-        assert row.nearest == ref_env.nearest_cell(position)
-        return row
+        assert interference_mw == interference
+        assert serving_mw == 10 ** (wideband[serving] / 10)
+        assert nearest == ref_env.nearest_cell(position)
+        return nearest
 
     # Positions within 1 m of a site (the distance clamps to 1 m), on a
     # site, at an exact tie, and in the open.
@@ -277,7 +289,7 @@ class TestRadioRow:
 
     def test_exact_tie_goes_to_lower_id(self):
         row_env, ref_env = self.twins()
-        assert self.assert_row_matches(row_env, ref_env, 0, (0.0, 50.0), 1).nearest == 0
+        assert self.assert_row_matches(row_env, ref_env, 0, (0.0, 50.0), 1) == 0
 
     @pytest.mark.parametrize("step, redrawn", [(-1, False), (0, True), (1, True)], ids=["50m-ulp", "50m", "50m+ulp"])
     def test_shadowing_redraw_threshold(self, step, redrawn):
@@ -390,13 +402,13 @@ class TestGenerateReport:
             env = make_env(sites, dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=11)
             twin = np.random.default_rng(11)
             position = (170.0, 5.0)
-            row = env.row(0, position, 4)
+            wideband, *_ = budget_row(env, 0, position, 4)
             ticks = np.broadcast_to(position, (2 * ticks_per_draw + 1, n_ues, 2))
             for tick in range(1, 2 * ticks_per_draw + 2):
                 for ue, sample in enumerate(env.block_samples(ticks[tick - 1 :], [4] * n_ues)):
                     report = env.generate_report(ue, sample, 4, 0.0)
                     twin.normal(0.0, 0.0)  # the ambient-noise walk's step
-                    expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in row.wideband]
+                    expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in wideband]
                     twin.normal(0.0, 2.0)  # the ambient-noise reading
                     assert len(report.neighbors) == MAX_NEIGHBORS
                     for entry in (report.serving, *report.neighbors):
@@ -416,14 +428,14 @@ class TestGenerateReport:
         for n_ues, ticks_per_draw in ((1, 204), (250, 1)):
             env, twin = make_env(sites, params, seed=21), np.random.default_rng(21)
             position = (50.0, 0.0)
-            row = env.row(0, position, 0)
+            wideband, *_ = budget_row(env, 0, position, 0)
             levels = [mean] * n_ues
             ticks = np.broadcast_to(position, (2 * ticks_per_draw + 1, n_ues, 2))
             for tick in range(1, 2 * ticks_per_draw + 2):
                 for ue, sample in enumerate(env.block_samples(ticks[tick - 1 :], [0] * n_ues)):
                     report = env.generate_report(ue, sample, 0, 0.04 * tick)
                     level = levels[ue] = min(max(levels[ue] + twin.normal(0.0, 1.5), mean - 4.5), mean + 4.5)
-                    expected = [p - re_scaling_db(BW) - (level - mean) + twin.normal(0.0, 2.0) for p in row.wideband]
+                    expected = [p - re_scaling_db(BW) - (level - mean) + twin.normal(0.0, 2.0) for p in wideband]
                     assert {e.cell: e.rsrp_dbm for e in (report.serving, *report.neighbors)} == dict(enumerate(expected))
                     assert report.env_noise_dbm == level + twin.normal(0.0, 2.0)
                 assert (env.rng.bit_generator.state == twin.bit_generator.state) == (tick % ticks_per_draw == 0)
@@ -439,10 +451,10 @@ class TestGenerateReport:
         sites = [make_site(i, (40.0 * i, 0.0)) for i in range(12)]
         env = make_env(sites, SHADOWED)
         position, far = (0.0, 0.0), 11
-        env.row(0, position, 0)
+        budget_row(env, 0, position, 0)
         env._shadow[0][0][far] = math.inf
-        row = env.row(0, position, 0)
-        assert row.wideband[far] == -math.inf
+        wideband, *_ = budget_row(env, 0, position, 0)
+        assert wideband[far] == -math.inf
         with pytest.raises(ValueError):
             report_of(env, position, 0, 0.0)
 
@@ -582,10 +594,7 @@ class TestShadowRows:
                 cell = int(rng.integers(n_sites))
                 assert env.shadowing_db(cell, ue, position) == oracle.shadowing_db(cell, ue, position)
             serving = int(rng.integers(n_sites))
-            row = env.row(ue, position, serving)
-            assert (row.wideband, row.rssi_mw, row.serving_mw, row.interference_mw, row.nearest) == oracle.row(
-                ue, position, serving
-            )
+            assert oracle_row(env, ue, position, serving) == oracle.row(ue, position, serving)
         return env, oracle, boundary_moves
 
     @staticmethod
@@ -622,7 +631,7 @@ class TestShadowRows:
         params = ChannelParams(shadowing_sigma_db=sigma)
         env, oracle = make_env(sites, params, 4), _DictShadowOracle(make_env(sites, params, 4))
         ue, n_sites, looked_up = 2, len(sites), (3, 7, 8, 18)
-        assert env.row(ue, (0.0, 0.0), 0) == RadioRow(*oracle.row(ue, (0.0, 0.0), 0))
+        assert oracle_row(env, ue, (0.0, 0.0), 0) == oracle.row(ue, (0.0, 0.0), 0)
         for cell in looked_up:
             assert env.shadowing_db(cell, ue, (60.0, 0.0)) == oracle.shadowing_db(cell, ue, (60.0, 0.0))
         anchors = env._shadow[ue][1]
@@ -631,7 +640,7 @@ class TestShadowRows:
             ((100.0, 1.0), []),
             ((200.0, 1.0), list(range(n_sites))),
         ):
-            assert env.row(ue, position, 5) == RadioRow(*oracle.row(ue, position, 5))
+            assert oracle_row(env, ue, position, 5) == oracle.row(ue, position, 5)
             assert [cid for cid, anchor in enumerate(anchors) if anchor is position] == redrawn
             self.assert_same_values_and_stream(env, oracle, n_sites)
         assert oracle.partial_rows == 1
@@ -791,6 +800,99 @@ class TestArrayKernel:
         positions = [(10.0 * ue, 0.0) for ue in range(n_ues)]
         with pytest.raises(ValueError):
             (kernel_tick if array else oracle_tick)(env, positions, [0] * n_ues)
+
+
+class TestWindowPowers:
+    """Execution windows' SINRs, one block of the link budget per step,
+    against the scalar oracle's rows, bit for bit."""
+
+    @staticmethod
+    def twin_sinrs(env, oracle_env, ues, positions, servings):
+        """Each window's SINR from ``window_powers`` on ``env`` and from
+        ``oracle_row`` on its twin ``oracle_env``, as ``float.hex`` strings;
+        both refresh the windows' shadowing in id order first."""
+        shadowing = [env.refresh_shadowing(ue, position) for ue, position in zip(ues, positions)]
+        window = [env.sinr_of(*powers).hex() for powers in env.window_powers(np.array(positions), servings, shadowing)]
+        rows = [oracle_row(oracle_env, ue, position, serving) for ue, position, serving in zip(ues, positions, servings)]
+        return window, [oracle_env.sinr_of(row.serving_mw, row.interference_mw).hex() for row in rows]
+
+    # One window; windows one to a chunk, two to a chunk (the last one
+    # short) and all in one chunk.
+    @pytest.mark.parametrize("sigma", [0.0, 4.0])
+    @pytest.mark.parametrize("max_pairs, chunks", [(1, [1] * 7), (2 * 19 + 1, [2, 2, 2, 1]), (4096, [7])])
+    def test_edge_positions_equal_the_scalar_rows(self, monkeypatch, sigma, max_pairs, chunks):
+        scenario = Scenario(n_sites=19, channel=ChannelParams(shadowing_sigma_db=sigma))
+        sites = build_sites(scenario)
+        (x3, y3), (x1, _) = sites[3].position, sites[1].position
+        last = len(sites) - 1
+        windows = [
+            ((x3, y3), 3),  # on site 3: the distance clamps to 1 m
+            ((x3 + 1.0, y3), last),  # exactly 1 m from site 3, served by the last column
+            ((x3 + 0.3, y3 - 0.4), 0),  # within 1 m of site 3, served by the first column
+            ((0.0, 0.0), 0),  # on site 0, which the other sites surround in pairs at equal distances
+            ((x1 / 2.0, 0.0), 1),  # exactly equidistant from sites 0 and 1
+            ((x1 / 2.0, 0.0), last),
+            ((-250.0, 410.0), 7),  # in the open
+        ]
+        positions, servings = [p for p, _ in windows], [s for _, s in windows]
+        monkeypatch.setattr(radio, "ARRAY_PASS_MAX_PAIRS", max_pairs)
+        env, oracle_env = scenario_env(scenario), scenario_env(scenario)
+        seen, link_budget = [], env._link_budget  # the rows of each chunk
+
+        def counted(xy, *args):
+            seen.append(len(xy))
+            return link_budget(xy, *args)
+
+        monkeypatch.setattr(env, "_link_budget", counted)
+        # One window alone, then all of them as one block: their UE ids
+        # ascend, as an execution window's do.
+        window, oracle = self.twin_sinrs(env, oracle_env, [0], positions[:1], servings[:1])
+        assert window == oracle
+        seen.clear()
+        window, oracle = self.twin_sinrs(env, oracle_env, range(1, 8), positions, servings)
+        assert window == oracle
+        assert seen == chunks
+        assert window[4] != window[5]  # the same place, served by either side
+        assert repr(env._shadow) == repr(oracle_env._shadow)
+        assert env.shadow_rng.normal() == oracle_env.shadow_rng.normal()
+
+    @pytest.mark.parametrize("sigma", [0.0, 4.0])
+    def test_moving_windows_equal_the_scalar_rows(self, monkeypatch, sigma):
+        # 40 UEs over 50 sites at 350 km/h, 25 ticks 40 ms apart: shadowing
+        # redraws mid-run, and each window is a chunk of its own.
+        monkeypatch.setattr(radio, "ARRAY_PASS_MAX_PAIRS", 50)
+        scenario = Scenario(n_ues_per_cell=4, ue_speed_kmh=350.0, channel=ChannelParams(shadowing_sigma_db=sigma))
+        sites = build_sites(scenario)
+        ues = place_ues(scenario, sites, np.random.default_rng([1, 0]))[::5]
+        env, oracle_env = scenario_env(scenario), scenario_env(scenario)
+        for tick in range(25):
+            t = 0.04 * tick
+            positions = [(u.position[0] + u.velocity[0] * t, u.position[1] + u.velocity[1] * t) for u in ues]
+            servings = [(7 * u.ue + tick) % len(sites) for u in ues]
+            window, oracle = self.twin_sinrs(env, oracle_env, [u.ue for u in ues], positions, servings)
+            assert window == oracle
+        assert repr(env._shadow) == repr(oracle_env._shadow)
+        assert env.shadow_rng.normal() == oracle_env.shadow_rng.normal()
+
+    def test_completion_link_budget_is_the_helpers(self):
+        # _received_dbm, which a completion's true_rsrp_of takes, gives the
+        # helper's wideband power bit for bit: on a site, within, at and
+        # past 1 m, in the open, with shadowing of either sign and of zero.
+        env = make_env(build_sites(Scenario(n_sites=19)), SHADOWED)
+        rng = np.random.default_rng(6)
+        (x3, y3) = env._site_positions[3]
+        positions = np.concatenate([
+            [(x3, y3), (x3 + 0.3, y3 - 0.4), (x3 + 1.0, y3), (math.nextafter(x3 + 1.0, math.inf), y3)],
+            rng.uniform(-600.0, 600.0, (200, 2)),
+        ])
+        shadowing = rng.normal(0.0, 6.0, (len(positions), len(env.sites)))
+        shadowing[0, :3] = (0.0, -0.0, 30.0)
+        _, wideband, *_ = env._link_budget(positions, [0] * len(positions), shadowing)
+        expected = [
+            [env._received_dbm(math.hypot(sx - x, sy - y), value) for (sx, sy), value in zip(env._site_positions, row)]
+            for (x, y), row in zip(positions.tolist(), shadowing.tolist())
+        ]
+        assert wideband.tobytes() == np.array(expected).tobytes()
 
 
 def block_run(block_env, scalar_env, positions, servings, edges):

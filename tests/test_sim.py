@@ -35,7 +35,7 @@ from hosim.sim import (
     place_ues,
     run,
 )
-from scalar_oracle import oracle_samples
+from scalar_oracle import oracle_row, oracle_samples
 
 NOISELESS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
 
@@ -288,15 +288,15 @@ class TestReportTick:
             passes.append(ue)
             return refresh(self, ue, *args)
 
-        def no_row(*args):
-            raise AssertionError("a report tick made a scalar row pass")
+        def no_window(*args):
+            raise AssertionError("a report tick computed an execution window block")
 
         def recorded_add_sample(self, time_s, sinr_db, *args):
             sinrs.append(sinr_db)
             return add_sample(self, time_s, sinr_db, *args)
 
         monkeypatch.setattr(RadioEnvironment, "refresh_shadowing", counted_refresh)
-        monkeypatch.setattr(RadioEnvironment, "row", no_row)
+        monkeypatch.setattr(RadioEnvironment, "window_powers", no_window)
         monkeypatch.setattr(MetricsAccumulator, "add_sample", recorded_add_sample)
         assert all(ctx.phase != EXECUTING for ctx in sim.contexts)
         sim.step()  # the first report tick
@@ -463,9 +463,12 @@ class TestLazyPositions:
 
 
 class FullRowEveryStep(Simulation):
-    """Execution tracking without the skips: a full row, and the SINR it
-    gives, for every executing UE at every step, report steps and windows
-    that have already failed included."""
+    """Execution tracking without the skips: a full scalar row from the
+    oracle, and the SINR it gives, for every executing UE at every step,
+    report steps and windows that have already failed included.  Counts
+    its rows in ``rows``."""
+
+    rows = 0
 
     def step(self):
         now = self.time_s
@@ -475,18 +478,20 @@ class FullRowEveryStep(Simulation):
             self._report_tick(now)
         for i in self._executing:
             ctx = self.contexts[i]
-            row = self.env.row(i, self.position(i), ctx.serving)
+            row = oracle_row(self.env, i, self.position(i), ctx.serving)
             note_execution_sinr(ctx, self.env.sinr_of(row.serving_mw, row.interference_mw))
+            self.rows += 1
         self._step_index += 1
 
 
 class TestFailedWindowSkip:
     """Windows that skip SINR passes once failed, and report steps that
-    reuse the report row, against full rows at every executing step."""
+    reuse the report row, against full oracle rows at every executing
+    step."""
 
-    # (policy, seed) -> row passes of the 1 s run and of the full-row
-    # oracle.  Report ticks make no row pass, so each counted pass is an
-    # execution window's.
+    # (policy, seed) -> UE rows of the 1 s run's window blocks and of the
+    # full-row oracle.  Report ticks add no window row, so each counted
+    # row is an execution window's.
     ROW_PASSES = {
         ("fixed_a3", 1): (87, 3390),
         ("fixed_a3", 9001): (104, 3820),
@@ -496,30 +501,25 @@ class TestFailedWindowSkip:
 
     @pytest.mark.parametrize("policy, seed", sorted(ROW_PASSES))
     def test_outcomes_and_shadowing_equal_full_rows(self, monkeypatch, policy, seed):
-        passes = []
-        row = RadioEnvironment.row
+        window_rows = []
+        window_powers = RadioEnvironment.window_powers
 
-        def counted_row(self, *args):
-            passes.append(1)
-            return row(self, *args)
+        def counted_window_powers(self, xy, *args):
+            window_rows.append(len(xy))
+            return window_powers(self, xy, *args)
 
-        monkeypatch.setattr(RadioEnvironment, "row", counted_row)
+        monkeypatch.setattr(RadioEnvironment, "window_powers", counted_window_powers)
         scenario = Scenario(policy=policy, seed=seed, sim_duration_s=1.0)
-        sims, counts = [], []
-        for cls in (Simulation, FullRowEveryStep):
-            passes.clear()
-            sim = cls(scenario)
-            sim.run()
-            sims.append(sim)
-            counts.append(len(passes))
-        lean, full = sims
+        lean, full = Simulation(scenario), FullRowEveryStep(scenario)
+        lean.run()
+        full.run()
         fields = [f.name for f in dataclasses.fields(HandoverOutcome)]
         assert len(lean.metrics.outcomes) == len(full.metrics.outcomes) > 0
         for a, b in zip(lean.metrics.outcomes, full.metrics.outcomes):
             assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
         assert lean.env._shadow == full.env._shadow
         assert lean.env.shadow_rng.normal() == full.env.shadow_rng.normal()
-        assert tuple(counts) == self.ROW_PASSES[policy, seed]
+        assert (sum(window_rows), full.rows) == self.ROW_PASSES[policy, seed]
 
 
 class TestBlockPass:
