@@ -36,7 +36,12 @@ rows of one array body, ``_array_chunk``.
   the ambient walk steps once per UE per tick.  So the block's ticks read
   no shadowing row (``refresh_shadowing`` is not called for them), and
   only the serving split of a UE whose serving cell changed since the
-  block's first tick is redone at its tick.
+  block's first tick is redone at its tick.  For the same reason the
+  runs of every policy at one (speed, seed) can share the blocks
+  (``sim.SharedRadio``): the first run's environment records them, and
+  every later run's replays them, drawing no noise and calling no
+  ``_array_chunk``; a row whose serving cell differs from the recording
+  run's has its serving split redone, as at a serving change.
 - With shadowing a block is one tick.  Execution windows and handover
   completions draw from the shadowing stream between report ticks, so a
   tick's shadowing is known only at that tick; it is known there, because
@@ -80,7 +85,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -219,7 +224,8 @@ def _split(sample: RadioSample, mw: list[float], serving: int) -> RadioSample:
     for cid, power in enumerate(mw):
         if cid != serving:
             interference_mw += power
-    return sample._replace(serving_mw=mw[serving], interference_mw=interference_mw)
+    measured, rssi_dbm, ranked, reading, _, _, nearest = sample
+    return _new_tuple(RadioSample, (measured, rssi_dbm, ranked, reading, mw[serving], interference_mw, nearest))
 
 
 def _serving_split(serving: int, first: int, row: tuple[RadioSample, np.ndarray]) -> RadioSample:
@@ -253,10 +259,12 @@ class RadioEnvironment:
     per-site list are indexed by id.  Owns each UE's shadowing row (per
     site, a value and the position it was drawn at) and the per-UE
     ambient-noise random walks, which only the report kernel steps.
-    Confined to a single simulation instance; a run is single-threaded.
+    Given a ``sim.SharedRadio``, ``shared``, it records the kernel's
+    blocks there, or replays them once they are recorded.  Confined to a
+    single simulation instance; a run is single-threaded.
     """
 
-    def __init__(self, sites: list[CellSite], channel: ChannelParams, radio: RadioParams, rng, shadow_rng):
+    def __init__(self, sites: list[CellSite], channel: ChannelParams, radio: RadioParams, rng, shadow_rng, shared=None):
         self.sites = sorted(sites, key=lambda s: s.id)
         if [s.id for s in self.sites] != list(range(len(self.sites))):
             raise ValueError("site ids must be 0..n-1")
@@ -289,6 +297,10 @@ class RadioEnvironment:
         self._rows: Iterator[tuple[RadioSample, np.ndarray]] | None = None
         self._block_servings: list[int] = []
         self._block_ticks = self._block_next = 0
+        # The shared radio's kernel blocks: appended to by its first run,
+        # read back in order by every later one.
+        self._recording = shared.blocks if shared is not None and not shared.recorded else None
+        self._replay = iter(shared.blocks) if shared is not None and shared.recorded else None
         self._tx_dbm = radio.tx_power_dbm
         self._reference_db = free_space_reference_db(radio.carrier_freq_hz)
         self._slope_db = 10.0 * channel.path_loss_exponent
@@ -449,7 +461,15 @@ class RadioEnvironment:
         block (all of a fresh one).  Draws the block's noise and steps each
         UE's ambient walk through it, tick by tick with the scalar clamp, so
         ``_env_noise`` holds the walk at the block's last tick; the rows'
-        samples wait for ``_block_rows``."""
+        samples wait for ``_block_rows``.  A recording environment keeps
+        the block's tick count, first-tick servings and chunks as they are
+        computed; a replaying one takes the next recorded block instead,
+        drawing no noise and stepping no walk."""
+        if self._replay is not None:
+            n_ticks, self._block_servings, chunks = next(self._replay)
+            self._rows = chain.from_iterable(starmap(zip, chunks))
+            self._block_ticks, self._block_next = n_ticks, 0
+            return
         shadowed = self.params.shadowing_sigma_db > 0
         n_ues = len(servings)
         noise = self._noise_ticks(1 if shadowed else len(ticks), n_ues)
@@ -473,16 +493,22 @@ class RadioEnvironment:
         xy = ticks[:n_ticks].reshape(-1, 2)
         levels = np.array(walks).T.reshape(-1)
         noise = noise.reshape(-1, len(self._noise_scale))
-        self._rows = self._block_rows(xy, servings * n_ticks, levels, noise, shadowed)
         self._block_servings = list(servings)
+        chunks = None
+        if self._recording is not None:
+            chunks = []
+            self._recording.append((n_ticks, self._block_servings, chunks))
+        self._rows = self._block_rows(xy, servings * n_ticks, levels, noise, shadowed, chunks)
         self._block_ticks, self._block_next = n_ticks, 0
 
-    def _block_rows(self, xy, servings, levels, noise, shadowed) -> Iterator[tuple[RadioSample, np.ndarray]]:
+    def _block_rows(self, xy, servings, levels, noise, shadowed, chunks) -> Iterator[tuple[RadioSample, np.ndarray]]:
         """Each row's sample and linear powers by site id, computed by
         ``_array_chunk`` a chunk at a time as the rows are read.  A shadowed
         block is one tick, so row ``r`` is UE ``r``; its shadowing is
         refreshed at its position when its chunk is computed.  An
-        unshadowed row's is +0.0, which is every value a zero sigma draws."""
+        unshadowed row's is +0.0, which is every value a zero sigma draws.
+        Each chunk's samples and (rows x sites) powers, made read-only, are
+        appended to ``chunks`` unless it is None."""
         n_sites = len(self.sites)
         shadowing = 0.0
         for rows in self._chunks(len(xy)):
@@ -491,6 +517,9 @@ class RadioEnvironment:
                 values = map(self.refresh_shadowing, ues, map(tuple, xy[rows].tolist()))
                 shadowing = np.fromiter(chain.from_iterable(values), float, len(ues) * n_sites).reshape(-1, n_sites)
             samples, mw = self._array_chunk(xy[rows], servings[rows], shadowing, levels[rows], noise[rows])
+            if chunks is not None:
+                mw.flags.writeable = False
+                chunks.append((samples, mw))
             yield from zip(samples, mw)
 
     def _chunks(self, n_rows: int) -> Iterator[slice]:

@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, exit codes, determinism, parallelism."""
 
+import concurrent.futures
 import csv
+import dataclasses
+import json
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -10,10 +14,13 @@ import zlib
 import pytest
 
 import hosim.cli
+import hosim.radio
 import hosim.sim
+from hosim import config, metrics
 from hosim.cli import main
 from hosim.config import dump_scenario
 from hosim.sim import corridor_scenario
+from test_golden import kpi_bits
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -312,17 +319,34 @@ class TestSweepCommand:
 
         monkeypatch.setattr(hosim.cli, "ProcessPoolExecutor", RecordingPool)
         outs = {}
-        for seeds, jobs in (("0", 64), ("0,1", 64), ("0,1", 1)):
-            out = str(tmp_path / f"{seeds}-{jobs}")
+        # (policies, seeds, jobs, shadowed) -> the pool size asked for, None
+        # for a serial sweep.  workers = min(jobs, tasks), where a
+        # shadow-free sweep has a task per (speed, seed), holding every
+        # policy, and a shadowed one a task per run.
+        cases = {
+            ("fixed_a3", "0", 64, False): None,
+            ("fixed_a3", "0,1", 64, False): 2,
+            ("fixed_a3", "0,1", 1, False): None,
+            ("lim2,fixed_a3,greedy_rsrp", "0", 64, False): None,
+            ("lim2,fixed_a3,greedy_rsrp", "0,1", 64, False): 2,
+            ("lim2,fixed_a3,greedy_rsrp", "0,1", 1, False): None,
+            ("lim2,fixed_a3,greedy_rsrp", "0", 64, True): 3,
+            ("lim2,fixed_a3,greedy_rsrp", "0", 1, True): None,
+        }
+        for (policies, seeds, jobs, shadowed), size in cases.items():
+            del sizes[:]
+            out = str(tmp_path / f"{policies}-{seeds}-{jobs}-{shadowed}")
             assert main([
                 "sweep", "--scenario", corridor_file, "--seeds", seeds, "--speeds", "200",
-                "--policies", "fixed_a3", "--set", "sim.sim_duration_s=1", "--jobs", str(jobs), "--out", out,
+                "--policies", policies, "--set", "sim.sim_duration_s=1", "--jobs", str(jobs), "--out", out,
+                *(["--set", "channel.shadowing_sigma_db=4"] if shadowed else []),
             ]) == 0
+            assert sizes == ([] if size is None else [size])
             with open(os.path.join(out, "sweep.csv"), "rb") as fh:
-                outs[seeds, jobs] = fh.read()
-        # A one-run sweep runs serially; a two-run sweep gets two workers.
-        assert sizes == [2]
-        assert outs["0,1", 64] == outs["0,1", 1]
+                outs[policies, seeds, jobs, shadowed] = fh.read()
+        for policies, seeds, jobs, shadowed in cases:
+            if jobs == 1:
+                assert outs[policies, seeds, 1, shadowed] == outs[policies, seeds, 64, shadowed]
 
     def test_import_leaves_the_process_pool_unloaded(self):
         """Only a sweep with workers needs the process pool, so importing
@@ -364,6 +388,132 @@ class TestSweepCommand:
         ])
         assert code == 0
         assert len(read_rows(os.path.join(out, "sweep.csv"))) - 1 == 3
+
+
+class TestSharedRadioSweep:
+    """A shadow-free sweep runs every policy of a (speed, seed) as one task
+    whose runs share a radio: the first records it, the others replay it.
+    Each row must still be its lone run's, bit for bit."""
+
+    POLICIES = ("lim2", "fixed_a3", "greedy_rsrp")
+    SPEEDS = (100.0, 350.0)
+    SEEDS = (0, 1)
+    # Five sites, three UEs each, for 8 s: 15,000 (tick x UE x site) pairs,
+    # in radio blocks of 9 ticks.  Handovers fail there, so a completion's
+    # target RSRP, read at the UE's position, shapes the outcomes too.
+    FIVE_SITES = ["sim.n_sites=5", "sim.n_ues_per_cell=3", "sim.sim_duration_s=8"]
+
+    def sweep(self, corridor_file, out, jobs, *argv):
+        return main([
+            "sweep", "--scenario", corridor_file, "--policies", ",".join(self.POLICIES),
+            "--speeds", ",".join(f"{v:g}" for v in self.SPEEDS), "--seeds", ",".join(map(str, self.SEEDS)),
+            "--jobs", str(jobs), "--out", out, *argv,
+        ])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_equal_lone_runs(self, corridor_file, tmp_path, monkeypatch, jobs):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        run, serving_split = hosim.sim.run, hosim.radio._serving_split
+        resplit = [0]
+
+        def counted_split(serving, first, row):
+            resplit[0] += serving != first
+            return serving_split(serving, first, row)
+
+        def recorded_run(scenario, *shared):
+            # Kept in a file: a pool worker's memory does not come back.
+            replayed, before = bool(shared) and shared[0].recorded, resplit[0]
+            result = run(scenario, *shared)
+            name = f"{scenario.policy}-{scenario.ue_speed_kmh:g}-{scenario.seed}"
+            record = [replayed, resplit[0] - before, kpi_bits(result.kpis), repr(result.kpis), repr(result.outcomes)]
+            (runs / name).write_text(json.dumps(record))
+            return result
+
+        class ForkPool(concurrent.futures.ProcessPoolExecutor):
+            """Workers forked from this process, so they run the patches."""
+
+            def __init__(self, max_workers):
+                super().__init__(max_workers, mp_context=multiprocessing.get_context("fork"))
+
+        monkeypatch.setattr(hosim.cli, "ProcessPoolExecutor", ForkPool)
+        monkeypatch.setattr(hosim.sim, "run", recorded_run)
+        monkeypatch.setattr(hosim.radio, "_serving_split", counted_split)
+        # At 97 UE-steps a trajectory block, the runs replay 34 of them,
+        # where the lone runs take one.
+        monkeypatch.setattr(hosim.sim, "TRAJECTORY_BLOCK_UE_STEPS", 97)
+        out = str(tmp_path / "sweep")
+        assert self.sweep(corridor_file, out, jobs, *(f"--set={item}" for item in self.FIVE_SITES)) == 0
+        monkeypatch.undo()
+        rows = read_rows(os.path.join(out, "sweep.csv"))[1:]
+        base = config.load_scenario(corridor_file, self.FIVE_SITES)
+        replays = resplits = 0
+        for policy in self.POLICIES:
+            for speed in self.SPEEDS:
+                for seed in self.SEEDS:
+                    lone = hosim.sim.Simulation(
+                        dataclasses.replace(base, policy=policy, ue_speed_kmh=speed, seed=seed)
+                    ).run()
+                    replayed, n_resplit, bits, kpis, outcomes = json.loads(
+                        (runs / f"{policy}-{speed:g}-{seed}").read_text()
+                    )
+                    assert bits == kpi_bits(lone.kpis)
+                    assert kpis == repr(lone.kpis)
+                    assert outcomes == repr(lone.outcomes)
+                    row = [metrics.format_value(v) for v in metrics.kpi_row(policy, seed, speed, lone.kpis)]
+                    assert row in rows
+                    replays += replayed
+                    resplits += n_resplit if replayed else 0
+        # Every (speed, seed)'s second and third runs replay, and some of
+        # their rows are served otherwise than in the recording run.
+        assert replays == 2 * len(self.SPEEDS) * len(self.SEEDS)
+        assert resplits > 0
+        assert len(rows) == len(self.POLICIES) * len(self.SPEEDS) * len(self.SEEDS)
+
+    # (extra arguments, pair bound) -> which runs call the report kernel's
+    # chunk arithmetic.  The fixture's 4 s corridor spans 100 ticks x 2 UEs
+    # x 2 sites = 400 pairs.
+    @pytest.mark.parametrize("argv, bound, computes", [
+        ((), 400, "first"),
+        ((), 399, "every"),
+        (("--set", "channel.shadowing_sigma_db=4"), 400, "every"),
+    ], ids=["shared", "oversized", "shadowed"])
+    def test_which_runs_compute_their_radio(self, corridor_file, tmp_path, monkeypatch, argv, bound, computes):
+        chunks, per_run = [0], []
+        run, array_chunk = hosim.sim.run, hosim.radio.RadioEnvironment._array_chunk
+
+        def counted_chunk(*args):
+            chunks[0] += 1
+            return array_chunk(*args)
+
+        def counted_run(*args):
+            before = chunks[0]
+            result = run(*args)
+            per_run.append(chunks[0] > before)
+            return result
+
+        monkeypatch.setattr(hosim.radio.RadioEnvironment, "_array_chunk", counted_chunk)
+        monkeypatch.setattr(hosim.sim, "run", counted_run)
+        monkeypatch.setattr(hosim.sim, "SHARED_RADIO_MAX_PAIRS", bound)
+        assert self.sweep(corridor_file, str(tmp_path / "sweep"), 1, *argv) == 0
+        # Tasks run (speed, seed) by (speed, seed), each task's policies in turn.
+        groups = len(self.SPEEDS) * len(self.SEEDS)
+        expected = [True, False, False] * groups if computes == "first" else [True] * 3 * groups
+        assert per_run == expected
+
+    def test_failing_replay_names_itself(self, corridor_file, tmp_path, monkeypatch, capsys):
+        run = hosim.sim.run
+
+        def failing_run(scenario, *shared):
+            if scenario.policy == "greedy_rsrp" and scenario.seed == 1:
+                raise RuntimeError("boom")
+            return run(scenario, *shared)
+
+        monkeypatch.setattr(hosim.sim, "run", failing_run)
+        out = str(tmp_path / "failing")
+        assert self.sweep(corridor_file, out, 1) == 1
+        assert capsys.readouterr().err == "run failed: policy=greedy_rsrp speed=100 seed=1: boom\n"
+        assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
 
 class TestConvergenceCommand:

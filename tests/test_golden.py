@@ -2,13 +2,18 @@
 
 Each case runs one (scenario, policy, seed) and hashes the formatted
 ``kpi_row``, the ``event_row``s, the per-second PLR series and, for
-lim2, the ``qtable_rows``, exactly as the CLI would write them.  A
-refactor that is meant to keep the outputs must keep these digests; a
+lim2, the ``qtable_rows``, exactly as the CLI would write them.  The
+CLI's 12 significant digits hide a last-bit drift that flips no
+decision, so a few cases also hash the exact bits of every KPI float
+(``kpi_bits``) and of every SINR the run takes (``sinr_bits``): a KPI
+averages thousands of samples, which absorbs most samples' last bits.
+A refactor that is meant to keep the outputs must keep these digests; a
 change that moves one must say why and re-record it.
 """
 
 import hashlib
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -25,9 +30,30 @@ def _digest(rows) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_digests(ini: str, overrides: list[str]) -> dict[str, str]:
+def _bits(floats) -> str:
+    return hashlib.sha256("\n".join(map(float.hex, floats)).encode()).hexdigest()
+
+
+def kpi_bits(kpis: metrics.KpiRecord) -> str:
+    """sha256 of ``float.hex`` of every float of ``kpis``, in field order,
+    then of each bucket of its PLR series."""
+    floats = [v for v in (getattr(kpis, f.name) for f in fields(kpis)) if isinstance(v, float)]
+    return _bits(floats + list(kpis.plr_series))
+
+
+def run_digests(ini: str, overrides: list[str], bits: bool = False) -> dict[str, str]:
     scenario = config.load_scenario(os.path.join(SCENARIOS, ini), overrides)
-    result = Simulation(scenario).run()
+    simulation, sinrs = Simulation(scenario), []
+    if bits:
+        sinr_of = simulation.env.sinr_of
+
+        def recorded(serving_mw, interference_mw):
+            sinrs.append(sinr_of(serving_mw, interference_mw))
+            return sinrs[-1]
+
+        # Report ticks and execution windows alike take their SINR here.
+        simulation.env.sinr_of = recorded
+    result = simulation.run()
     out = {
         "kpis": _digest([metrics.kpi_row(scenario.policy, scenario.seed, scenario.ue_speed_kmh, result.kpis)]),
         "events": _digest(metrics.event_row(o) for o in result.outcomes),
@@ -35,10 +61,21 @@ def run_digests(ini: str, overrides: list[str]) -> dict[str, str]:
     }
     if scenario.policy == "lim2":
         out["qtables"] = _digest(qtable_rows(result.qtables))
+    if bits:
+        out["kpi_bits"] = kpi_bits(result.kpis)
+        out["sinr_bits"] = _bits(sinrs)
     return out
 
 
+def assert_golden(case: str) -> None:
+    ini, overrides, expected = GOLDEN[case]
+    assert run_digests(ini, overrides, "kpi_bits" in expected) == expected
+
+
 HEX_SHORT = ["sim.sim_duration_s=0.2"]
+# The hex50_fixed_a3 benchmark workload's run: 11 handovers at seed 1, where
+# the 0.2 s run completes none.
+HEX_BENCH = ["sim.sim_duration_s=0.4"]
 # 1 s runs complete dozens of handovers at seed 1 (35 under fixed_a3, 49
 # under lim2, 686 under greedy_rsrp), with SINR failures, access-floor
 # failures and successes, so they cover execution windows that fail as well
@@ -58,13 +95,17 @@ CORRIDOR_FINE = ["sim.step_s=0.01", "sim.sim_duration_s=10"]
 CORRIDOR_5X3 = ["sim.n_sites=5", "sim.n_ues_per_cell=3", "sim.ue_speed_kmh=350", "sim.sim_duration_s=20"]
 
 # case -> (scenario file, overrides, digests), recorded before the Kalman
-# streams kept only their estimate.
+# streams kept only their estimate; kpi_bits, sinr_bits and
+# hex50-fixed_a3-0.4s-1 were recorded before sweeps shared a radio between
+# policies.
 GOLDEN = {
     "corridor-lim2-1": ("corridor.ini", ["sim.policy=lim2", "sim.seed=1"], {
         "kpis": "e0b4ac5ebb38c6c04c8ab83213860604deedb63c7ef9b3fa69cf4e417a44dbb9",
         "events": "141822399d22597cbdad1af327f324bf49d7f73b684b328c893246cc1fe077f8",
         "plr_series": "f2aa6a6c1646bf2c403d4384df5e56fafbff0cced3ffb205220f3b0af86633d0",
         "qtables": "089f575861c804b266b99f2cd0075a0134c1095a1e5d9bedf8e19c1f83857d28",
+        "kpi_bits": "a217a4ec7b01852cd01ec29b794099049baa988a08259bf1da9d15a89c269823",
+        "sinr_bits": "6191cf5fb7cf9afbb66d3a7f5b7fd9f09eabf173c08b017e9d5108a8f7ae4b0d",
     }),
     "corridor-lim2-7": ("corridor.ini", ["sim.policy=lim2", "sim.seed=7"], {
         "kpis": "2f020c8c41b6840b30969f3c6274921bb94b7a3809cfb7cd8442494a34c1ab88",
@@ -108,11 +149,18 @@ GOLDEN = {
         "events": "d0684364e6feccebdfcccd81e86011f4e8cdf1872662506020ba983eecdf0364",
         "plr_series": "f02502d50c2fcacca9334c89d5ea2e065d1b1872b1bc48a7d8f30ca724c792c6",
         "qtables": "17d44916736f8d458b27d658cd7d8cedd74b5f5daac9797be639d2eee5830c92",
+        "kpi_bits": "3f828b76430f73a2ebb82eb55cb33bdbf951a6ae35b345ad043b98864799e591",
+        "sinr_bits": "a1a7bab0d6152d5cbbe2b94d69465197549b94a0b7c51481e0f9c0f6bc77f7a9",
     }),
     "hex50-fixed_a3-1": ("hex50.ini", HEX_SHORT + ["sim.policy=fixed_a3", "sim.seed=1"], {
         "kpis": "42e73e383c9ae889dd99146c6bd871c2fe2e9cb3e038c59d2aa23120c8c340aa",
         "events": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "plr_series": "f02502d50c2fcacca9334c89d5ea2e065d1b1872b1bc48a7d8f30ca724c792c6",
+    }),
+    "hex50-fixed_a3-0.4s-1": ("hex50.ini", HEX_BENCH + ["sim.policy=fixed_a3", "sim.seed=1"], {
+        "kpis": "d94319bd4fe15edc4417051c59c1ea5ed229c05547b6e29b94f13a8a523b8dd1",
+        "events": "1515587ae48360a7b20463cc0c078aebe4c4b3390a5c8396b9e85dffa6ece544",
+        "plr_series": "e1f0a520f8b715537564da47f36872f286c10dd2adaa1cc969be747399abe74a",
     }),
     "hex50-lim2-1s-1": ("hex50.ini", HEX_1S + ["sim.policy=lim2", "sim.seed=1"], {
         "kpis": "c2dacfe88e54272f7044c70ba2a9087616973f04eb9fdd4d27b3ebf0fb076885",
@@ -141,8 +189,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_digests_match(case):
-    ini, overrides, expected = GOLDEN[case]
-    assert run_digests(ini, overrides) == expected
+    assert_golden(case)
 
 
 # test_digests_match runs each case on the report kernel and the window
@@ -162,8 +209,7 @@ def test_digests_hold_on_either_kernel(case, kernel, monkeypatch):
     else:
         monkeypatch.setattr(radio.RadioEnvironment, "block_samples", oracle_samples)
         monkeypatch.setattr(radio.RadioEnvironment, "window_powers", oracle_window_powers)
-    ini, overrides, expected = GOLDEN[case]
-    assert run_digests(ini, overrides) == expected
+    assert_golden(case)
 
 
 # Block sizes change no byte: every case with each block one item long, and
@@ -197,8 +243,7 @@ def test_digests_hold_at_any_block_size(case, sizes, monkeypatch):
         return link_budget(env, xy, *args)
 
     monkeypatch.setattr(radio.RadioEnvironment, "_link_budget", checked)
-    ini, overrides, expected = GOLDEN[case]
-    assert run_digests(ini, overrides) == expected
+    assert_golden(case)
     assert within and all(within)
 
 
