@@ -13,9 +13,9 @@ scored with closed-form proxies:
 * packet delay: fixed core delay plus transmission time of a
   1500-byte packet, replaced by the interruption window when detached.
 
-Each proxy is written once, over arrays; the one-sample functions wrap
-it.  A run's accumulator only buffers its samples and scores them in
-blocks of ``KPI_BLOCK_SAMPLES``, the remainder when a result is read.
+Each proxy is written once, over arrays.  A run's accumulator only
+buffers its samples and scores them in blocks of ``KPI_BLOCK_SAMPLES``,
+the remainder when a result is read.
 Scoring is exact: numpy does only IEEE arithmetic, comparisons and
 selections, ``math.pow`` and ``math.log2`` are mapped over the block,
 and each running sum continues left to right with ``np.add.accumulate``
@@ -98,26 +98,6 @@ def packet_delay_array(throughput_bps: np.ndarray) -> np.ndarray:
     stalled = throughput_bps == 0.0
     rate = np.where(stalled, 1.0, throughput_bps)
     return np.where(stalled, CORE_DELAY_MS + INTERRUPTION_DELAY_MS, CORE_DELAY_MS + PACKET_BITS / rate * 1e3)
-
-
-def throughput_proxy(sinr_db: float, bandwidth_hz: float, attached: bool) -> float:
-    """Shannon-capacity throughput in bits/s of one sample; zero while detached."""
-    return throughput_array(np.array([sinr_db], dtype=float), bandwidth_hz, np.array([attached])).item()
-
-
-def plr_proxy(sinr_db: float, attached: bool) -> float:
-    """Per-packet loss probability of one sample."""
-    return plr_array(np.array([sinr_db], dtype=float), np.array([attached])).item()
-
-
-def bler_proxy(sinr_db: float, attached: bool) -> float:
-    """Transport-block error proxy of one sample."""
-    return bler_array(np.array([sinr_db], dtype=float), np.array([attached])).item()
-
-
-def packet_delay_proxy(throughput_bps: float) -> float:
-    """Packet delay in ms at one ``throughput_proxy`` rate."""
-    return packet_delay_array(np.array([throughput_bps], dtype=float)).item()
 
 
 @dataclass(frozen=True)

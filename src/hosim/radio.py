@@ -29,19 +29,21 @@ included, from it.  One kernel, ``block_samples``, computes the samples
 of every deployment: a block of report ticks, their (tick, UE) pairs the
 rows of one array body, ``_array_chunk``.
 
-- Without shadowing a block holds many ticks.  At zero sigma a tick's
-  radio does not depend on the policy: every shadowing value is +0.0
-  whatever the shadowing stream draws, trajectories are laid out ahead,
-  the channel noise is consumed in tick order and feeds nothing else, and
-  the ambient walk steps once per UE per tick.  So the block's ticks read
-  no shadowing row (``refresh_shadowing`` is not called for them), and
-  only the serving split of a UE whose serving cell changed since the
-  block's first tick is redone at its tick.  For the same reason the
-  runs of every policy at one (speed, seed) can share the blocks
-  (``sim.SharedRadio``): the first run's environment records them, and
-  every later run's replays them, drawing no noise and calling no
-  ``_array_chunk``; a row whose serving cell differs from the recording
-  run's has its serving split redone, as at a serving change.
+- Without shadowing a block is every report tick of the current
+  trajectory block from this one on, so kernel blocks start where
+  trajectory blocks do.  At zero sigma a tick's radio does not depend on
+  the policy: every shadowing value is +0.0 whatever the shadowing stream
+  draws, trajectories are laid out ahead, the channel noise is consumed
+  in tick order and feeds nothing else, and the ambient walk steps once
+  per UE per tick.  So the block's ticks read no shadowing row
+  (``refresh_shadowing`` is not called for them), and only the serving
+  split of a UE whose serving cell changed since the block's first tick
+  is redone at its tick.  For the same reason the runs of every policy at
+  one (speed, seed) can share the blocks (``sim.SharedRadio``): the first
+  run's environment records them, and every later run's replays them,
+  drawing no noise and calling no ``_array_chunk``; a row whose serving
+  cell differs from the recording run's has its serving split redone, as
+  at a serving change.
 - With shadowing a block is one tick.  Execution windows and handover
   completions draw from the shadowing stream between report ticks, so a
   tick's shadowing is known only at that tick; it is known there, because
@@ -75,10 +77,8 @@ scalar pass over each UE's id-ordered sites gives, bit for bit:
 ``tests/test_exactness.py`` audits the source of the array code for
 these rules.
 
-The channel noise of a block comes from one standard-normal block
-(``_noise_ticks``), in the order per-UE draws would take it; a small
-deployment draws the noise of many ticks in one call, and an unshadowed
-block holds as many ticks as the rest of one such noise block.
+A block draws exactly its own ticks' channel noise, as one
+standard-normal block in the order per-UE draws would take it.
 """
 
 from __future__ import annotations
@@ -97,10 +97,6 @@ SUBCARRIERS_PER_RB = 12
 MAX_NEIGHBORS = 8
 DETECTION_THRESHOLD_DBM = -125.0
 SHADOWING_DECORRELATION_M = 50.0
-# Most channel-noise draws one noise block takes, unless a single report
-# tick needs more.  It also sizes an unshadowed channel's kernel blocks:
-# 128 ticks for the corridor's 2 UEs x 2 sites, one for hex50's 500 x 50.
-NOISE_DRAWS_PER_CALL = 1024
 # Most (tick, UE) x site pairs one chunk of the kernel holds, which bounds
 # its arrays' memory whatever the deployment's size.
 ARRAY_PASS_MAX_PAIRS = 4096
@@ -288,9 +284,6 @@ class RadioEnvironment:
         self._noise_scale = np.array(
             [channel.env_noise_sigma_db] + [channel.meas_noise_sigma_db] * (len(self.sites) + 1)
         )
-        # The ticks of the last channel-noise block not handed out yet, as a
-        # (ticks x UEs x draws) array.
-        self._noise = np.empty((0, 0, len(self._noise_scale)))
         # The kernel's block: its rows not read yet (each a sample and its
         # linear powers by site id), the servings of its first tick, its
         # tick count and the number of its ticks handed out.
@@ -392,38 +385,11 @@ class RadioEnvironment:
         an exact tie goes to the lowest id."""
         return min(self.sites, key=lambda site: math.dist(site.position, position)).id
 
-    def _noise_ticks(self, most: int, n_ues: int) -> np.ndarray:
-        """The next ticks of the current channel-noise block, as many as it
-        still holds but at most ``most`` (at least one), as a (ticks x n_ues
-        x draws) array.  A UE's draws at a tick are the ambient walk's step
-        (σ_env), then ``n_sites + 1`` measurement draws (σ_meas), the last
-        for the ambient reading.
-
-        As many ticks as fit in ``NOISE_DRAWS_PER_CALL`` draws (at least
-        one) come from one standard-normal block, scaled and offset as
-        numpy's ``normal`` computes ``0.0 + scale * z``.  ``rng`` feeds
-        nothing else, so every tick equals each UE's own ``normal`` calls
-        in turn bit for bit, and once a block's last tick is out ``rng`` is
-        where those calls leave it.  A block is let go then, so a large one
-        is not held between report ticks, and the next call draws a new
-        one."""
-        pending = self._noise
-        if not len(pending):
-            ticks = max(1, NOISE_DRAWS_PER_CALL // max(1, n_ues * len(self._noise_scale)))
-            pending = self.rng.standard_normal((ticks, n_ues, len(self._noise_scale)))
-            pending *= self._noise_scale
-            pending += 0.0
-        elif n_ues != pending.shape[1]:
-            raise ValueError("n_ues changed while ticks of an earlier noise block are pending")
-        most = max(1, most)
-        self._noise = pending[most:] if most < len(pending) else np.empty((0, 0, len(self._noise_scale)))
-        return pending[:most]
-
     def block_samples(self, ticks: np.ndarray, servings: list[int]) -> Iterator[RadioSample]:
         """The report kernel: this report tick's sample for every UE in id
         order, UE ``i`` served by ``servings[i]``.  ``ticks[k, i]`` is UE
-        ``i``'s ``(x, y)`` at the ``k``-th report tick from this one, as far
-        as the trajectory is laid out.
+        ``i``'s ``(x, y)`` at the ``k``-th report tick from this one, to the
+        end of the current trajectory block.
 
         The UE's ambient noise level first takes one bounded random-walk
         step (the σ_env draw, clamped to its mean ± 3σ_env).  Every site's
@@ -436,10 +402,11 @@ class RadioEnvironment:
         threshold) are ranked by measured RSRP descending, ties by cell id.
 
         A tick with no sample left of the last block starts a new one
-        (``_start_block``).  At each tick a UE whose serving cell changed
-        since the block's first tick gets its serving split redone from its
-        row's linear powers (``_split``).  The samples are computed as they
-        are read, a chunk at a time, so a tick's must all be read before the
+        (``_start_block``), which without shadowing holds every tick of
+        ``ticks``.  At each tick a UE whose serving cell changed since the
+        block's first tick gets its serving split redone from its row's
+        linear powers (``_split``).  The samples are computed as they are
+        read, a chunk at a time, so a tick's must all be read before the
         next tick's call.
         """
         if self._block_next == self._block_ticks:
@@ -456,24 +423,33 @@ class RadioEnvironment:
 
     def _start_block(self, ticks: np.ndarray, servings: list[int]) -> None:
         """Start a block at this tick for the servings of its first tick: a
-        shadowed one of this tick alone, an unshadowed one of the next ticks,
-        as many as ``ticks`` holds and the rest of the current channel-noise
-        block (all of a fresh one).  Draws the block's noise and steps each
-        UE's ambient walk through it, tick by tick with the scalar clamp, so
-        ``_env_noise`` holds the walk at the block's last tick; the rows'
-        samples wait for ``_block_rows``.  A recording environment keeps
-        the block's tick count, first-tick servings and chunks as they are
-        computed; a replaying one takes the next recorded block instead,
-        drawing no noise and stepping no walk."""
+        shadowed one of this tick alone, an unshadowed one of every tick
+        ``ticks`` holds, the rest of the current trajectory block.  Draws
+        the block's channel noise and steps each UE's ambient walk through
+        it, tick by tick with the scalar clamp, so ``_env_noise`` holds the
+        walk at the block's last tick; the rows' samples wait for
+        ``_block_rows``.  A recording environment keeps the block's tick
+        count, first-tick servings and chunks as they are computed; a
+        replaying one takes the next recorded block instead, drawing no
+        noise and stepping no walk.
+
+        A UE's draws at a tick are the ambient walk's step (σ_env), then
+        ``n_sites + 1`` measurement draws (σ_meas), the last for the ambient
+        reading.  The block's draws are one standard-normal block, scaled
+        and offset as numpy's ``normal`` computes ``0.0 + scale * z``.
+        ``rng`` feeds nothing else, so they equal each UE's own ``normal``
+        calls tick by tick, bit for bit, and leave ``rng`` where those calls
+        would."""
         if self._replay is not None:
             n_ticks, self._block_servings, chunks = next(self._replay)
             self._rows = chain.from_iterable(starmap(zip, chunks))
             self._block_ticks, self._block_next = n_ticks, 0
             return
         shadowed = self.params.shadowing_sigma_db > 0
-        n_ues = len(servings)
-        noise = self._noise_ticks(1 if shadowed else len(ticks), n_ues)
-        n_ticks = len(noise)
+        n_ticks = 1 if shadowed else len(ticks)
+        noise = self.rng.standard_normal((n_ticks, len(servings), len(self._noise_scale)))
+        noise *= self._noise_scale
+        noise += 0.0
         # Each UE's walk, a tick at a time; max() then min() clamp it.
         lo, hi = self._walk_lo, self._walk_hi
         walks = []

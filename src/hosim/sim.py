@@ -10,9 +10,9 @@ and every position is that of moving every UE at every step, bit for bit.
 A report tick takes its radio samples from ``hosim.radio``'s one report
 kernel, handing it the rest of the trajectory block from this tick on
 and the UEs' current servings.  Without shadowing the kernel computes
-many ticks at once, and only the serving split of a UE whose serving
-cell a completion changed is redone at its tick; with shadowing it
-computes this tick alone, after the tick's completions.  Between report
+all of those ticks at once, and only the serving split of a UE whose
+serving cell a completion changed is redone at its tick; with shadowing
+it computes this tick alone, after the tick's completions.  Between report
 ticks the execution windows that have not failed take their SINR from
 the same link budget, as one block of (UE x site) pairs.
 
@@ -55,7 +55,8 @@ CORRIDOR_LANE_JITTER_M = 10.0
 # Most UE-steps one trajectory block holds, unless one report period of
 # every UE needs more: 4,096 (x, y) float pairs are 64 KiB, which bounds
 # the block's memory whatever the deployment's size.  The corridor's 2 UEs
-# get 2,048-step blocks, hex50's 500 one 40-step report period.
+# get 2,048-step blocks, hex50's 500 one 40-step report period.  Without
+# shadowing a report-kernel block is its trajectory block's report ticks.
 TRAJECTORY_BLOCK_UE_STEPS = 4096
 # Most UE-steps one report period may span, as a trajectory block holds at
 # least one: 2**22 (x, y) float pairs are 64 MiB.
@@ -148,6 +149,11 @@ class Scenario:
             # The step when a report period is many steps long, else the UEs.
             name = "sim.step_s" if steps > 1 else "sim.n_ues_per_cell"
             raise ConfigError(name, f"one report period of {n_ues} UEs spans {steps * n_ues} UE-steps, more than 2**22")
+        # A report tick's arrays, its channel noise included, and the
+        # nearest-site search at construction grow with its (UE, site) pairs.
+        pairs = n_ues * self.n_sites
+        if pairs > 2**22:
+            raise ConfigError("sim.n_sites", f"one report tick spans {pairs} UE-site pairs, more than 2**22")
         if self.policy not in POLICIES:
             raise ConfigError("sim.policy", f"must be one of {POLICIES}")
         if self.seed < 0:

@@ -76,10 +76,15 @@ def oracle_window_powers(env, xy, servings, shadowing):
 
 
 def channel_noise(env, n_ues):
-    """The next report tick of ``env``'s channel-noise block, one list of
-    draws per UE in id order: the ambient walk's step, one measurement
-    draw per site, then the ambient reading's."""
-    return env._noise_ticks(1, n_ues)[0].tolist()
+    """One report tick's channel draws from ``env.rng``, one list per UE in
+    id order, each UE's taken by its own ``normal`` calls: the ambient
+    walk's step, then one measurement draw per site and the ambient
+    reading's."""
+    env_sigma, meas_sigma, n_sites = env.params.env_noise_sigma_db, env.params.meas_noise_sigma_db, len(env.sites)
+    return [
+        [float(env.rng.normal(0.0, env_sigma)), *env.rng.normal(0.0, meas_sigma, n_sites + 1).tolist()]
+        for _ in range(n_ues)
+    ]
 
 
 def oracle_sample(env, ue, position, serving, draws):

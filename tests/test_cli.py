@@ -211,6 +211,9 @@ class TestConfigurationErrors:
         # 2 UEs (1.3 GB of positions), or 5,000,000 UEs at one step.
         (["run", "--set", "sim.step_s=1e-9"], "sim.step_s"),
         (["run", "--set", "sim.n_ues_per_cell=2500000"], "sim.n_ues_per_cell"),
+        # One report tick of 100,000 UEs over as many sites spans 10**10
+        # (UE, site) pairs: its channel noise alone would take 80 GB.
+        (["run", "--set", "sim.n_sites=100000", "--set", "sim.n_ues_per_cell=1"], "sim.n_sites"),
     # A radio or sim case's id keeps the bare key, so case ids do not move
     # with the section prefix the error names.
     ], ids=lambda value: value.removeprefix("radio.").removeprefix("sim.") if isinstance(value, str) else None)

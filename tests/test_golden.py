@@ -204,8 +204,9 @@ KERNEL_CASES += [(case, "scalar") for case in sorted(GOLDEN) if case.startswith(
 @pytest.mark.parametrize("case, kernel", KERNEL_CASES, ids=[f"{case}-{kernel}" for case, kernel in KERNEL_CASES])
 def test_digests_hold_on_either_kernel(case, kernel, monkeypatch):
     if kernel == "array":
-        # One tick's draws exceed one draw, so each block is one tick.
-        monkeypatch.setattr(radio, "NOISE_DRAWS_PER_CALL", 1)
+        # Each trajectory block is one report period, so each kernel block
+        # is one tick.
+        monkeypatch.setattr(sim, "TRAJECTORY_BLOCK_UE_STEPS", 1)
     else:
         monkeypatch.setattr(radio.RadioEnvironment, "block_samples", oracle_samples)
         monkeypatch.setattr(radio.RadioEnvironment, "window_powers", oracle_window_powers)
@@ -215,14 +216,13 @@ def test_digests_hold_on_either_kernel(case, kernel, monkeypatch):
 # Block sizes change no byte: every case with each block one item long, and
 # at odd sizes.  Report ticks and execution windows alike take their link
 # budget in chunks of at most ARRAY_PASS_MAX_PAIRS pairs (one row at
-# least).  At 61 noise draws the corridor's radio blocks hold 7 ticks,
-# which do not divide its 1,000, and its 97-UE-step trajectory blocks (48
-# ticks) clip them.  The 1 s hex50 cases run at the odd sizes only.
-# name -> (KPI_BLOCK_SAMPLES, NOISE_DRAWS_PER_CALL, ARRAY_PASS_MAX_PAIRS,
-# TRAJECTORY_BLOCK_UE_STEPS)
+# least).  The corridor's 97-UE-step trajectory blocks, and so its radio
+# blocks, hold 48 ticks, which do not divide its 1,000.  The 1 s hex50
+# cases run at the odd sizes only.
+# name -> (KPI_BLOCK_SAMPLES, ARRAY_PASS_MAX_PAIRS, TRAJECTORY_BLOCK_UE_STEPS)
 BLOCK_SIZES = {
-    "ones": (1, 1, 1, 1),
-    "odd": (7, 61, 7, 97),
+    "ones": (1, 1, 1),
+    "odd": (7, 7, 97),
 }
 SIZE_CASES = [(case, sizes) for case in sorted(GOLDEN) for sizes in sorted(BLOCK_SIZES) if not (
     sizes == "ones" and case.endswith("-1s-1")
@@ -231,9 +231,8 @@ SIZE_CASES = [(case, sizes) for case in sorted(GOLDEN) for sizes in sorted(BLOCK
 
 @pytest.mark.parametrize("case, sizes", SIZE_CASES, ids=[f"{case}-{sizes}" for case, sizes in SIZE_CASES])
 def test_digests_hold_at_any_block_size(case, sizes, monkeypatch):
-    kpi, noise, pairs, ue_steps = BLOCK_SIZES[sizes]
+    kpi, pairs, ue_steps = BLOCK_SIZES[sizes]
     monkeypatch.setattr(metrics, "KPI_BLOCK_SAMPLES", kpi)
-    monkeypatch.setattr(radio, "NOISE_DRAWS_PER_CALL", noise)
     monkeypatch.setattr(radio, "ARRAY_PASS_MAX_PAIRS", pairs)
     monkeypatch.setattr(sim, "TRAJECTORY_BLOCK_UE_STEPS", ue_steps)
     within, link_budget = [], radio.RadioEnvironment._link_budget

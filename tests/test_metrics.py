@@ -17,18 +17,16 @@ from hosim.metrics import (
     RESIDUAL_BER,
     UTILIZATION,
     MetricsAccumulator,
-    bler_proxy,
+    bler_array,
     cdf,
     format_value,
     kpi_row,
     mean,
     packet_delay_array,
-    packet_delay_proxy,
-    plr_proxy,
+    plr_array,
     residual_loss_floor,
     sample_stdev,
     throughput_array,
-    throughput_proxy,
     write_csv_atomic,
 )
 
@@ -37,38 +35,39 @@ BW = 100e6
 
 class TestThroughputProxy:
     def test_zero_db_is_one_bit_per_hz(self):
-        assert throughput_proxy(0.0, BW, True) == pytest.approx(BW * 1.0 * UTILIZATION)
+        assert throughput_array(np.array([0.0]), BW, np.array([True]))[0] == pytest.approx(BW * 1.0 * UTILIZATION)
 
     def test_detached_is_zero(self):
-        assert throughput_proxy(30.0, BW, False) == 0.0
+        assert throughput_array(np.array([30.0]), BW, np.array([False]))[0] == 0.0
 
     def test_ten_db_ratio(self):
-        ratio = throughput_proxy(10.0, BW, True) / throughput_proxy(0.0, BW, True)
-        assert ratio == pytest.approx(math.log2(11) / math.log2(2), abs=1e-9)
+        at_0, at_10 = throughput_array(np.array([0.0, 10.0]), BW, np.array([True, True]))
+        assert at_10 / at_0 == pytest.approx(math.log2(11) / math.log2(2), abs=1e-9)
 
     def test_strictly_increasing_in_sinr(self):
-        values = [throughput_proxy(s, BW, True) for s in np.linspace(-20, 30, 60)]
-        assert all(b > a for a, b in zip(values, values[1:]))
+        values = throughput_array(np.linspace(-20, 30, 60), BW, np.ones(60, dtype=bool))
+        assert (np.diff(values) > 0).all()
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            throughput_proxy(float("inf"), BW, True)
+            throughput_array(np.array([math.inf]), BW, np.array([True]))
 
 
 class TestPlrProxy:
     def test_detached_loses_everything(self):
-        assert plr_proxy(20.0, False) == 1.0
+        assert plr_array(np.array([20.0]), np.array([False]))[0] == 1.0
 
     def test_below_threshold_loses_everything(self):
-        assert plr_proxy(-10.0, True) == 1.0
+        assert plr_array(np.array([-10.0]), np.array([True]))[0] == 1.0
 
     def test_saturates_at_floor(self):
-        assert plr_proxy(60.0, True) == pytest.approx(residual_loss_floor())
-        assert plr_proxy(1e9, True) == plr_proxy(60.0, True)
+        at_60, at_1e9 = plr_array(np.array([60.0, 1e9]), np.array([True, True]))
+        assert at_60 == pytest.approx(residual_loss_floor())
+        assert at_1e9 == at_60
 
     def test_monotone_non_increasing(self):
-        values = [plr_proxy(s, True) for s in np.linspace(-20, 30, 100)]
-        assert all(b <= a for a, b in zip(values, values[1:]))
+        values = plr_array(np.linspace(-20, 30, 100), np.ones(100, dtype=bool))
+        assert (np.diff(values) <= 0).all()
 
     def test_floor_matches_reference_packet(self):
         assert residual_loss_floor() == pytest.approx(0.03)
@@ -78,19 +77,21 @@ class TestPlrProxy:
 
 class TestBlerProxy:
     def test_threshold_and_floor(self):
-        assert bler_proxy(-1.0, True) == 1.0
-        assert bler_proxy(1.0, True) == pytest.approx(0.03)
-        assert bler_proxy(10.0, False) == 1.0
+        below, above, detached = bler_array(np.array([-1.0, 1.0, 10.0]), np.array([True, True, False]))
+        assert below == 1.0
+        assert above == pytest.approx(0.03)
+        assert detached == 1.0
 
 
 class TestDelayProxy:
     def test_detached_waits_out_interruption(self):
-        assert packet_delay_proxy(throughput_proxy(10.0, BW, False)) == CORE_DELAY_MS + INTERRUPTION_DELAY_MS
+        throughput = throughput_array(np.array([10.0]), BW, np.array([False]))
+        assert packet_delay_array(throughput)[0] == CORE_DELAY_MS + INTERRUPTION_DELAY_MS
 
     def test_attached_delay_decreases_with_sinr(self):
-        delay_at = lambda sinr_db: packet_delay_proxy(throughput_proxy(sinr_db, BW, True))
-        assert delay_at(20.0) < delay_at(0.0)
-        assert delay_at(0.0) > CORE_DELAY_MS
+        at_0, at_20 = packet_delay_array(throughput_array(np.array([0.0, 20.0]), BW, np.array([True, True])))
+        assert at_20 < at_0
+        assert at_0 > CORE_DELAY_MS
 
 
 class TestCdf:
@@ -277,15 +278,16 @@ class TestBlockScoring:
             sinrs += [math.nextafter(threshold, -math.inf), threshold, math.nextafter(threshold, math.inf)]
         samples = [(0.0, s, a) for s in sinrs for a in (True, False)]
         assert_scored_like_oracle(samples)
-        for s in sinrs:
-            assert plr_proxy(s, True) == (1.0 if s < -5.0 else residual_loss_floor())
-            assert bler_proxy(s, True) == (1.0 if s < 0.0 else RESIDUAL_BER)
+        values, attached = np.array(sinrs), np.ones(len(sinrs), dtype=bool)
+        assert plr_array(values, attached).tolist() == [1.0 if s < -5.0 else residual_loss_floor() for s in sinrs]
+        assert bler_array(values, attached).tolist() == [1.0 if s < 0.0 else RESIDUAL_BER for s in sinrs]
 
     def test_throughput_underflowing_to_zero_waits_out_the_interruption(self):
         samples = [(0.0, -400.0, True), (0.0, 20.0, True)]
         oracle = assert_scored_like_oracle(samples)
-        assert throughput_proxy(-400.0, BW, True) == 0.0
-        assert oracle.sums[3] == (CORE_DELAY_MS + INTERRUPTION_DELAY_MS) + (CORE_DELAY_MS + PACKET_BITS / throughput_proxy(20.0, BW, True) * 1e3)
+        underflowed, rate = throughput_array(np.array([-400.0, 20.0]), BW, np.array([True, True])).tolist()
+        assert underflowed == 0.0
+        assert oracle.sums[3] == (CORE_DELAY_MS + INTERRUPTION_DELAY_MS) + (CORE_DELAY_MS + PACKET_BITS / rate * 1e3)
 
     def test_unordered_times(self):
         rng = np.random.default_rng(8)

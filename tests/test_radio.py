@@ -54,15 +54,25 @@ def report_of(env, position, serving, timestamp):
 
 
 class NanAt:
-    """An rng whose standard-normal blocks have a NaN at one flat index."""
+    """An rng whose draw ``index``, counted from its first, is a NaN, be it
+    taken in a standard-normal block or by a ``normal`` call."""
 
     def __init__(self, rng, index):
-        self.rng, self.index = rng, index
+        self.rng, self.index, self.taken = rng, index, 0
+
+    def _drawn(self, block):
+        block = np.array(block, dtype=float)
+        flat = block.reshape(-1)
+        if 0 <= self.index - self.taken < flat.size:
+            flat[self.index - self.taken] = math.nan
+        self.taken += flat.size
+        return block
 
     def standard_normal(self, shape):
-        block = self.rng.standard_normal(shape)
-        block.reshape(-1)[self.index] = math.nan
-        return block
+        return self._drawn(self.rng.standard_normal(shape))
+
+    def normal(self, loc, scale, size=None):
+        return self._drawn(self.rng.normal(loc, scale, size))
 
 
 def pin_shadowing(env, ue, position, values):
@@ -389,23 +399,23 @@ class TestGenerateReport:
         assert report.serving.rsrq_db < 0
         assert all(n.rsrq_db < 0 for n in report.neighbors)
 
-    # Each draw-order test runs two noise blocks and the first tick of a
-    # third, at a UE count that shares a block between ticks and at one
-    # that needs a block per tick, as a hex50 deployment does.  The kernel
-    # gets the whole trajectory, so a shared noise block is one kernel
-    # block.
+    # Each draw-order test runs two kernel blocks and the first tick of a
+    # third.  The trajectory is handed on in blocks of ``block_ticks``
+    # report ticks, as ``Simulation`` hands on its trajectory blocks, and
+    # each kernel block is one of them: many ticks, or one as in hex50.
     def test_one_noise_draw_per_site_in_id_order(self):
         # Twelve sites: the serving cell and eight neighbours are reported,
         # three are not, yet every site takes its draw.
         sites = [make_site(i, (40.0 * i, 15.0 * (i % 3))) for i in range(12)]
-        for n_ues, ticks_per_draw in ((1, 73), (80, 1)):
+        for n_ues, block_ticks in ((1, 73), (80, 1)):
             env = make_env(sites, dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=11)
             twin = np.random.default_rng(11)
             position = (170.0, 5.0)
             wideband, *_ = budget_row(env, 0, position, 4)
-            ticks = np.broadcast_to(position, (2 * ticks_per_draw + 1, n_ues, 2))
-            for tick in range(1, 2 * ticks_per_draw + 2):
-                for ue, sample in enumerate(env.block_samples(ticks[tick - 1 :], [4] * n_ues)):
+            ticks = np.broadcast_to(position, (3 * block_ticks, n_ues, 2))
+            for tick in range(1, 2 * block_ticks + 2):
+                block_end = -(-tick // block_ticks) * block_ticks
+                for ue, sample in enumerate(env.block_samples(ticks[tick - 1 : block_end], [4] * n_ues)):
                     report = env.generate_report(ue, sample, 4, 0.0)
                     twin.normal(0.0, 0.0)  # the ambient-noise walk's step
                     expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in wideband]
@@ -417,7 +427,7 @@ class TestGenerateReport:
                     assert [n.cell for n in report.neighbors] == ranked[:MAX_NEIGHBORS]
                 # The stream stands where the per-UE calls leave it exactly
                 # when a block's last tick has been handed out.
-                assert (env.rng.bit_generator.state == twin.bit_generator.state) == (tick % ticks_per_draw == 0)
+                assert (env.rng.bit_generator.state == twin.bit_generator.state) == (tick % block_ticks == 0)
 
     def test_draw_order_is_walk_then_sites_then_reading(self):
         # One report takes n_sites + 2 channel draws: the walk step, each
@@ -425,20 +435,21 @@ class TestGenerateReport:
         sites = [make_site(i, (60.0 * i, 0.0)) for i in range(3)]
         params = dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0, env_noise_sigma_db=1.5)
         mean = params.env_noise_mean_dbm
-        for n_ues, ticks_per_draw in ((1, 204), (250, 1)):
+        for n_ues, block_ticks in ((1, 204), (250, 1)):
             env, twin = make_env(sites, params, seed=21), np.random.default_rng(21)
             position = (50.0, 0.0)
             wideband, *_ = budget_row(env, 0, position, 0)
             levels = [mean] * n_ues
-            ticks = np.broadcast_to(position, (2 * ticks_per_draw + 1, n_ues, 2))
-            for tick in range(1, 2 * ticks_per_draw + 2):
-                for ue, sample in enumerate(env.block_samples(ticks[tick - 1 :], [0] * n_ues)):
+            ticks = np.broadcast_to(position, (3 * block_ticks, n_ues, 2))
+            for tick in range(1, 2 * block_ticks + 2):
+                block_end = -(-tick // block_ticks) * block_ticks
+                for ue, sample in enumerate(env.block_samples(ticks[tick - 1 : block_end], [0] * n_ues)):
                     report = env.generate_report(ue, sample, 0, 0.04 * tick)
                     level = levels[ue] = min(max(levels[ue] + twin.normal(0.0, 1.5), mean - 4.5), mean + 4.5)
                     expected = [p - re_scaling_db(BW) - (level - mean) + twin.normal(0.0, 2.0) for p in wideband]
                     assert {e.cell: e.rsrp_dbm for e in (report.serving, *report.neighbors)} == dict(enumerate(expected))
                     assert report.env_noise_dbm == level + twin.normal(0.0, 2.0)
-                assert (env.rng.bit_generator.state == twin.bit_generator.state) == (tick % ticks_per_draw == 0)
+                assert (env.rng.bit_generator.state == twin.bit_generator.state) == (tick % block_ticks == 0)
 
     def test_nan_measurement_at_one_site_raises(self):
         sites = [make_site(i, (40.0 * i, 0.0)) for i in range(5)]
@@ -647,46 +658,50 @@ class TestShadowRows:
 
 
 class TestChannelNoise:
-    """Ticks handed out from shared noise blocks against each UE's own
-    ``normal`` calls."""
+    """A kernel block's channel noise against each UE's own ``normal``
+    calls, tick by tick."""
 
-    # (UEs, sites) -> ticks per block: the corridor's 2 x 2 share a block
-    # between 128 ticks, hex50's 500 x 50 take one per tick.
-    TICKS_PER_DRAW = {(1, 1): 341, (2, 2): 128, (500, 50): 1}
+    # (UEs, sites) -> ticks the trajectory hands the kernel, all one block:
+    # the default corridor's 2 x 2 get 1,000, hex50's 500 x 50 one.
+    BLOCK_TICKS = {(1, 1): 341, (2, 2): 1000, (500, 50): 1}
 
-    # The ticks span two blocks and the first tick of a third.
-    @pytest.mark.parametrize("n_ues, n_sites", sorted(TICKS_PER_DRAW))
+    @pytest.mark.parametrize("n_ues, n_sites", sorted(BLOCK_TICKS))
     @pytest.mark.parametrize("env_sigma, meas_sigma", [(1.5, 2.0), (0.0, 0.0)])
-    def test_block_equals_per_ue_draws(self, n_ues, n_sites, env_sigma, meas_sigma):
-        ticks_per_draw = self.TICKS_PER_DRAW[n_ues, n_sites]
+    def test_block_equals_per_ue_draws(self, monkeypatch, n_ues, n_sites, env_sigma, meas_sigma):
+        n_ticks = self.BLOCK_TICKS[n_ues, n_sites]
         params = dataclasses.replace(PARAMS, env_noise_sigma_db=env_sigma, meas_noise_sigma_db=meas_sigma)
         env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(n_sites)], params, seed=31)
         twin = np.random.default_rng(31)
-        for tick in range(1, 2 * ticks_per_draw + 2):
-            block = channel_noise(env, n_ues)
-            expected = [
-                [float(twin.normal(0.0, env_sigma)), *twin.normal(0.0, meas_sigma, n_sites + 1).tolist()]
-                for _ in range(n_ues)
-            ]
-            # Bit for bit, the sign of zero included.
-            assert np.array(block).tobytes() == np.array(expected).tobytes()
-            # The stream stands where the per-UE calls leave it exactly
-            # when a block's last tick has been handed out.
-            assert (env.rng.bit_generator.state == twin.bit_generator.state) == (tick % ticks_per_draw == 0)
-            if meas_sigma == 0.0:
-                assert all(math.copysign(1.0, v) == 1.0 for draws in block for v in draws)
+        drawn, array_chunk = [], env._array_chunk
+
+        def recorded(xy, servings, shadowing, level, noise):
+            drawn.append(noise)
+            return array_chunk(xy, servings, shadowing, level, noise)
+
+        monkeypatch.setattr(env, "_array_chunk", recorded)
+        ticks = np.broadcast_to((5.0, 3.0), (n_ticks, n_ues, 2))
+        first = env.block_samples(ticks, [0] * n_ues)
+        expected = [
+            [float(twin.normal(0.0, env_sigma)), *twin.normal(0.0, meas_sigma, n_sites + 1).tolist()]
+            for _ in range(n_ticks * n_ues)
+        ]
+        # The block's first tick draws the noise of all its ticks, no more.
+        assert env.rng.bit_generator.state == twin.bit_generator.state
+        list(first)
+        for tick in range(1, n_ticks):
+            list(env.block_samples(ticks[tick:], [0] * n_ues))
+        assert env._block_ticks == n_ticks and env.rng.bit_generator.state == twin.bit_generator.state
+        # Bit for bit, the sign of zero included.
+        block = np.concatenate(drawn)
+        assert block.tobytes() == np.array(expected).tobytes()
+        if meas_sigma == 0.0:
+            assert (np.copysign(1.0, block) == 1.0).all()
 
     def test_zero_ues_draw_nothing(self):
-        env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(3)], seed=31)
+        env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(3)], SHADOWED, seed=31)
         state = env.rng.bit_generator.state
-        assert [channel_noise(env, 0) for _ in range(3)] == [[], [], []]
+        assert [list(env.block_samples(np.empty((3 - t, 0, 2)), [])) for t in range(3)] == [[], [], []]
         assert env.rng.bit_generator.state == state
-
-    def test_ue_count_cannot_change_while_ticks_are_pending(self):
-        env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(2)], seed=31)
-        channel_noise(env, 2)
-        with pytest.raises(ValueError):
-            channel_noise(env, 3)
 
 
 def kernel_tick(env, positions, servings):
@@ -952,12 +967,11 @@ class TestBlockKernel:
         self.no_refresh(block_env, monkeypatch)
         positions = corridor_paths(300)
         # UE 0 hands over at tick 50, inside the first block; UE 1 at tick 150
-        # and back at 170, inside the block the trajectory edge at 200 clips.
+        # and back at 170, inside the second.
         servings = [[int(t >= 50), 0 if 150 <= t < 170 else 1] for t in range(300)]
-        sizes, _ = block_run(block_env, scalar_env, positions, servings, edges=(200, 300))
-        # 128 ticks fill one noise block; the edge clips the second, and the
-        # third takes the rest of that noise block.
-        assert sizes == [128, 72, 56, 44]
+        sizes, _ = block_run(block_env, scalar_env, positions, servings, edges=(120, 300))
+        # Each kernel block is one trajectory block's ticks.
+        assert sizes == [120, 180]
         assert block_env._shadow == {} and all(v == 0.0 for v in scalar_env._shadow[0][0])
         assert repr(block_env.shadow_rng.normal()) != repr(scalar_env.shadow_rng.normal())
 
@@ -1022,7 +1036,7 @@ class TestBlockKernel:
         self.no_refresh(block_env, monkeypatch)
         positions = np.array([[(30.0 + t, 5.0), (-200.0, 80.0 - t), (0.5, 0.0)] for t in range(400)])
         sizes, _ = block_run(block_env, scalar_env, positions, [[0, 0, 0]] * 400, edges=(400,))
-        assert sizes == [113, 113, 113, 61]
+        assert sizes == [400]
 
     def test_zero_ues_draw_nothing(self):
         env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(3)], seed=31)
@@ -1031,9 +1045,9 @@ class TestBlockKernel:
         assert env.rng.bit_generator.state == state and env._env_noise == {}
 
     def test_only_a_channel_without_shadowing_takes_blocks(self):
-        # The corridor's 2 UEs x 2 sites fill 128 ticks of a noise block; a
-        # shadowed channel's block is its first tick, whatever follows it.
-        for sigma, length in ((0.0, 128), (4.0, 1)):
+        # An unshadowed channel's block is every tick it is handed; a
+        # shadowed channel's is its first tick, whatever follows it.
+        for sigma, length in ((0.0, 300), (4.0, 1)):
             env = scenario_env(corridor_scenario(channel=ChannelParams(shadowing_sigma_db=sigma)))
             list(env.block_samples(corridor_paths(300), [0, 1]))
             assert env._block_ticks == length

@@ -528,8 +528,8 @@ class TestBlockPass:
     one-tick blocks, and on the scalar oracle."""
 
     # Seven mid-band hex sites with two UEs each at 350 km/h and a 4 ms step:
-    # radio blocks of 8 ticks, 29-tick trajectory blocks that clip them, and
-    # ten steps between report ticks on which execution windows run.  Under
+    # 29-tick trajectory blocks, each one radio block, and ten steps
+    # between report ticks on which execution windows run.  Under
     # greedy_rsrp 79 of 106 handovers succeed, so servings change mid-block.
     SCENARIO = Scenario(
         n_sites=7, n_ues_per_cell=2, ue_speed_kmh=350.0, step_s=0.004, sim_duration_s=4.0,
@@ -550,8 +550,9 @@ class TestBlockPass:
         expected = Simulation(scenario).run()
         assert bool(splits) == (policy == "greedy_rsrp")
         if array:
-            # One tick's draws exceed one draw, so each block is one tick.
-            monkeypatch.setattr(radio, "NOISE_DRAWS_PER_CALL", 1)
+            # Each trajectory block is one report period, so each kernel
+            # block is one tick.
+            monkeypatch.setattr(sim_module, "TRAJECTORY_BLOCK_UE_STEPS", 1)
         else:
             monkeypatch.setattr(RadioEnvironment, "block_samples", oracle_samples)
         per_tick = Simulation(scenario)
@@ -559,6 +560,27 @@ class TestBlockPass:
         assert repr(result.kpis) == repr(expected.kpis)
         assert repr(result.outcomes) == repr(expected.outcomes) and expected.outcomes
         assert repr(result.qtables) == repr(expected.qtables)
+
+    # Without shadowing a kernel block is its trajectory block's report
+    # ticks: the default corridor's whole 1,000-tick run, or 48 ticks of 97
+    # UE-steps for its 2 UEs.  A shadowed channel's block is one tick.
+    @pytest.mark.parametrize("scenario, ue_steps, sizes", [
+        (corridor_scenario(), None, [1000]),
+        (corridor_scenario(), 97, [48] * 20 + [40]),
+        (Scenario(n_sites=7, n_ues_per_cell=2, sim_duration_s=0.2), None, [1] * 5),
+    ], ids=["corridor", "corridor-97", "hex7-shadowed"])
+    def test_kernel_blocks_are_trajectory_blocks(self, monkeypatch, scenario, ue_steps, sizes):
+        if ue_steps is not None:
+            monkeypatch.setattr(sim_module, "TRAJECTORY_BLOCK_UE_STEPS", ue_steps)
+        blocks, start_block = [], RadioEnvironment._start_block
+
+        def counted_start(env, *args):
+            start_block(env, *args)
+            blocks.append(env._block_ticks)
+
+        monkeypatch.setattr(RadioEnvironment, "_start_block", counted_start)
+        run(scenario)
+        assert blocks == sizes
 
 
 class TestSharedRadio:
