@@ -379,11 +379,13 @@ class RadioEnvironment:
         UE's linear serving power and interference sum."""
         return linear_to_db(serving_mw / (interference_mw + self._noise_mw))
 
-    def nearest_cell(self, position: tuple[float, float]) -> int:
-        """Id of the site closest to ``position``, an ``(x, y)`` tuple of
-        floats; ``min`` keeps the first minimum of the id-ordered sites, so
-        an exact tie goes to the lowest id."""
-        return min(self.sites, key=lambda site: math.dist(site.position, position)).id
+    def nearest_cell(self, xy: np.ndarray) -> list[int]:
+        """Id of the site closest to each row of ``xy`` (an (n x 2) array of
+        positions), in one pass a chunk at a time: the link budget's
+        distances (``_distances``), then ``argmin``, which keeps the first
+        minimum of the id-ordered sites, so an exact tie goes to the lowest
+        id, as the report kernel's nearest site does."""
+        return [cell for rows in self._chunks(len(xy)) for cell in self._distances(xy[rows]).argmin(axis=1).tolist()]
 
     def block_samples(self, ticks: np.ndarray, servings: list[int]) -> Iterator[RadioSample]:
         """The report kernel: this report tick's sample for every UE in id
@@ -515,6 +517,11 @@ class RadioEnvironment:
             *_, serving_mw, interference_mw = self._link_budget(xy[rows], servings[rows], np.array(shadowing[rows]))
             yield from zip(serving_mw.tolist(), interference_mw.tolist())
 
+    def _distances(self, xy) -> np.ndarray:
+        """Each site's distance from each row of ``xy`` (an (n x 2) array of
+        positions), (rows x sites), as ``math.hypot`` gives it."""
+        return _mapped(math.hypot, self._site_x - xy[:, :1], self._site_y - xy[:, 1:])
+
     def _link_budget(self, xy, servings, shadowing) -> tuple[np.ndarray, ...]:
         """The link budget of the rows of ``xy`` (an (n x 2) array of
         positions), row ``r`` served by ``servings[r]`` with the shadowing
@@ -522,7 +529,7 @@ class RadioEnvironment:
         site's distance, wideband power in dBm and linear power, and each
         row's serving power and interference sum.  Every operation is the
         scalar pass's in its order (see the module docstring)."""
-        distance = _mapped(math.hypot, self._site_x - xy[:, :1], self._site_y - xy[:, 1:])
+        distance = self._distances(xy)
         # _received_dbm, with its clamp to the reference distance.
         log_distance = _mapped(math.log10, np.maximum(distance, REFERENCE_DISTANCE_M))
         wideband = self._tx_dbm - (self._reference_db + self._slope_db * log_distance) - shadowing
@@ -585,4 +592,5 @@ class RadioEnvironment:
                     break
         value = measured[serving_cell]
         serving = _new_tuple(MeasurementEntry, (serving_cell, value, offset + value - rssi_dbm))
-        return MeasurementReport(ue, timestamp, serving, tuple(neighbors), reading)
+        # The loop skipped the serving cell, so the report skips the check.
+        return _new_tuple(MeasurementReport, (ue, timestamp, serving, tuple(neighbors), reading))

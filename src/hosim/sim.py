@@ -249,19 +249,9 @@ def _hex_positions(n: int, pitch: float) -> list[tuple[float, float]]:
     return positions[:n]
 
 
-@dataclass(frozen=True)
-class UeTrajectory:
-    """A UE's placement: its start and its constant velocity, ``(x, y)``
-    float tuples.  ``Simulation.position`` gives where it is at the run's
-    current step, walls folded in."""
-
-    ue: int
-    position: tuple[float, float]
-    velocity: tuple[float, float]
-
-
-def place_ues(scenario: Scenario, sites: list[CellSite], rng) -> list[UeTrajectory]:
-    """Scatter UEs around their sites.
+def place_ues(scenario: Scenario, sites: list[CellSite], rng) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter UEs around their sites: every UE's start position and
+    constant velocity, as two (n_ues x 2) arrays in UE id order.
 
     Hex layouts draw a radially decaying scatter (exponential radius
     with mean radius/2, clamped to the cell radius, uniform angle) and
@@ -270,10 +260,9 @@ def place_ues(scenario: Scenario, sites: list[CellSite], rng) -> list[UeTrajecto
     the cell boundary.
     """
     speed = scenario.ue_speed_kmh / 3.6
-    ues: list[UeTrajectory] = []
+    positions, velocities = [], []
     for site in sites:
         for _ in range(scenario.n_ues_per_cell):
-            uid = len(ues)
             if scenario.layout == "corridor":
                 direction = 1.0 if site.position[0] <= sites[len(sites) // 2].position[0] else -1.0
                 if scenario.n_sites == 2:
@@ -288,8 +277,9 @@ def place_ues(scenario: Scenario, sites: list[CellSite], rng) -> list[UeTrajecto
                 heading = float(rng.uniform(0.0, 2.0 * math.pi))
                 position = (site.position[0] + radius * math.cos(angle), site.position[1] + radius * math.sin(angle))
                 velocity = (speed * math.cos(heading), speed * math.sin(heading))
-            ues.append(UeTrajectory(uid, position, velocity))
-    return ues
+            positions.append(position)
+            velocities.append(velocity)
+    return np.array(positions, float).reshape(-1, 2), np.array(velocities, float).reshape(-1, 2)
 
 
 def shares_radio(scenario: Scenario) -> bool:
@@ -331,7 +321,9 @@ class RunResult:
 
 class Simulation:
     """One seeded, single-threaded run of a scenario, which records or
-    replays ``shared`` if it is given."""
+    replays ``shared`` if it is given.  Its UEs start where ``place_ues``
+    puts them, each on the nearest site that ``RadioEnvironment.nearest_cell``
+    finds for all of them in one pass of the report kernel's distance rule."""
 
     def __init__(self, scenario: Scenario, shared: SharedRadio | None = None):
         scenario.validate()
@@ -345,7 +337,7 @@ class Simulation:
         channel_rng = np.random.default_rng([scenario.seed, _CHANNEL_STREAM])
         shadow_rng = np.random.default_rng([scenario.seed, _SHADOW_STREAM])
         self.env = RadioEnvironment(sites, scenario.channel, scenario.radio, channel_rng, shadow_rng, shared)
-        self.ues = place_ues(scenario, sites, setup_rng)
+        start, self._velocity = place_ues(scenario, sites, setup_rng)
         self.policy = make_policy(
             scenario.policy,
             seed=scenario.seed,
@@ -353,24 +345,23 @@ class Simulation:
             fixed_ttt_ms=scenario.fixed_ttt_ms,
             fixed_hyst_db=scenario.fixed_hyst_db,
         )
-        # UE ids are 0..n-1, so they index these lists as they do self.ues.
-        self._nearest = [self.env.nearest_cell(ue.position) for ue in self.ues]
-        self.contexts = [HandoverContext(ue.ue, cell) for ue, cell in zip(self.ues, self._nearest)]
+        # UE ids are 0..n-1 and index these lists; each UE starts on its nearest site.
+        self._nearest = self.env.nearest_cell(start)
+        self.contexts = [HandoverContext(ue, cell) for ue, cell in enumerate(self._nearest)]
         self.metrics = MetricsAccumulator(
-            n_ues=len(self.ues), duration_s=scenario.sim_duration_s, bandwidth_hz=scenario.radio.bandwidth_hz
+            n_ues=len(start), duration_s=scenario.sim_duration_s, bandwidth_hz=scenario.radio.bandwidth_hz
         )
         self.report_every = round(scenario.report_period_s / scenario.step_s)
         self.n_steps = round(scenario.sim_duration_s / scenario.step_s)
         self._bounds = self._deployment_bounds(sites)
         self._step_index = 0
         # Every UE's (x, y) at each step of the current trajectory block,
-        # from step ``_block_start`` on, and each UE's velocity at the
-        # block's last step, which starts the next block.  Before the first
-        # block is laid out the block is the placement alone.
-        self._block = np.array([ue.position for ue in self.ues]).reshape(1, -1, 2)
-        self._velocity = np.array([ue.velocity for ue in self.ues]).reshape(-1, 2)
+        # from step ``_block_start`` on; ``_velocity`` holds each UE's
+        # velocity at the block's last step, which starts the next block.
+        # Before the first block is laid out the block is the placement alone.
+        self._block = start[None]
         self._block_start = 0
-        periods = TRAJECTORY_BLOCK_UE_STEPS // (max(1, len(self.ues)) * self.report_every)
+        periods = TRAJECTORY_BLOCK_UE_STEPS // (max(1, len(start)) * self.report_every)
         self._block_steps = max(1, periods) * self.report_every
         self._shared = shared
         self._replay = iter(shared.trajectory) if shared is not None and shared.recorded else None

@@ -2,8 +2,10 @@
 
 One UE's pass over the id-ordered sites (``oracle_row``), and a report
 tick computed one UE at a time from it, with Python floats, scalar
-clamps and a Python sort.  ``RadioEnvironment.block_samples`` and
-``RadioEnvironment.window_powers`` must give the same values bit for bit;
+clamps and a Python sort; and one position's nearest site by
+``math.dist`` (``oracle_nearest``).  ``RadioEnvironment.block_samples``,
+``RadioEnvironment.window_powers`` and ``RadioEnvironment.nearest_cell``
+must give the same values bit for bit;
 tests compare them, and patch ``oracle_samples`` and
 ``oracle_window_powers`` in for them to run whole simulations on the
 oracle.
@@ -59,6 +61,13 @@ def oracle_pass(env, position, serving, shadowing):
         else:
             interference_mw += mw
     return Row(wideband, rssi_mw, serving_mw, interference_mw, nearest)
+
+
+def oracle_nearest(env, position):
+    """Id of the site closest to ``position`` (an ``(x, y)`` tuple of
+    floats) by ``math.dist``; ``min`` keeps the first minimum of the
+    id-ordered sites, so an exact tie goes to the lowest id."""
+    return min(env.sites, key=lambda site: math.dist(site.position, position)).id
 
 
 def oracle_row(env, ue, position, serving):

@@ -188,6 +188,11 @@ class TestRoundTrip:
         path.write_text(dump_scenario(original))
         assert load_scenario(str(path)) == original
 
+    def test_corridor_file_is_the_corridor_scenario(self):
+        # The CLI, CI and the benchmark run the file; the acceptance tests
+        # run corridor_scenario().  The two must not drift apart.
+        assert load_scenario(os.path.join(SCENARIOS, "corridor.ini")) == corridor_scenario()
+
     # sha256 of the dump_scenario text: every section, key, order and value
     # format.  hex50.ini spells out the defaults, so it dumps as Scenario().
     DUMP_DIGESTS = {

@@ -1,13 +1,14 @@
 """Exactness audit of the array code that must equal a scalar pass.
 
-The report kernel, the execution windows' link budget, KPI scoring and the
-trajectory layout promise the bits a loop over Python floats would give.
-numpy's reductions add in a pairwise or blocked order, not left to right,
-and its transcendentals differ from ``math``'s in the last bit on a few
-percent of inputs; either would move a golden digest only on the inputs
-that happen to expose it.  So the audited functions may name no numpy
-function that is not on a reviewed allow-list, and none of the known
-offenders, whatever object they are reached through.
+The report kernel, the execution windows' link budget, construction's
+nearest sites, KPI scoring and the trajectory layout promise the bits a
+loop over Python floats would give.  numpy's reductions add in a pairwise
+or blocked order, not left to right, and its transcendentals differ from
+``math``'s in the last bit on a few percent of inputs; either would move
+a golden digest only on the inputs that happen to expose it.  So the
+audited functions may name no numpy function that is not on a reviewed
+allow-list, and none of the known offenders, whatever object they are
+reached through.
 """
 
 import ast
@@ -22,6 +23,8 @@ AUDITED = {
     "radio._mapped": radio._mapped,
     "radio.RadioEnvironment._block_rows": radio.RadioEnvironment._block_rows,
     "radio.RadioEnvironment.window_powers": radio.RadioEnvironment.window_powers,
+    "radio.RadioEnvironment.nearest_cell": radio.RadioEnvironment.nearest_cell,
+    "radio.RadioEnvironment._distances": radio.RadioEnvironment._distances,
     "radio.RadioEnvironment._link_budget": radio.RadioEnvironment._link_budget,
     "radio.RadioEnvironment._array_chunk": radio.RadioEnvironment._array_chunk,
     **{f"metrics.{name}": getattr(metrics, name) for name in dir(metrics) if name.endswith("_array")},

@@ -21,7 +21,7 @@ from hosim.radio import (
     re_scaling_db,
 )
 from hosim.sim import ConfigError, Scenario, build_sites, corridor_scenario, place_ues
-from scalar_oracle import channel_noise, oracle_row, oracle_tick
+from scalar_oracle import channel_noise, oracle_nearest, oracle_row, oracle_tick
 
 PARAMS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
 # Noise-free draws on a shadowed channel, whose report ticks read each
@@ -285,7 +285,7 @@ class TestRadioRow:
                 interference += 10 ** (w / 10)
         assert interference_mw == interference
         assert serving_mw == 10 ** (wideband[serving] / 10)
-        assert nearest == ref_env.nearest_cell(position)
+        assert nearest == oracle_nearest(ref_env, position) == row_env.nearest_cell(np.array([position]))[0]
         return nearest
 
     # Positions within 1 m of a site (the distance clamps to 1 m), on a
@@ -318,11 +318,68 @@ class TestRadioRow:
         assert row_env.shadow_rng.normal() == ref_env.shadow_rng.normal()
 
 
+class TestNearestCell:
+    """Construction's one pass over every UE's nearest site against the
+    scalar ``math.dist`` search."""
+
+    @pytest.mark.parametrize("max_pairs, chunks", [(10**9, [300]), (19 * 7 + 1, [7] * 42 + [6]), (1, [1] * 300)])
+    def test_chunked_pass_equals_the_scalar_search(self, monkeypatch, max_pairs, chunks):
+        env = make_env(build_sites(Scenario(n_sites=19)))
+        (x1, y1), (x2, y2) = env._site_positions[1], env._site_positions[2]
+        positions = np.concatenate([
+            [(0.0, 0.0), (x1 / 2.0, y1 / 2.0), ((x1 + x2) / 2.0, (y1 + y2) / 2.0), (x1, y1), (x1 + 0.3, y1)],
+            np.random.default_rng(3).uniform(-900.0, 900.0, (295, 2)),
+        ])
+        monkeypatch.setattr(radio, "ARRAY_PASS_MAX_PAIRS", max_pairs)
+        seen, distances = [], env._distances
+
+        def counted(xy):
+            seen.append(len(xy))
+            return distances(xy)
+
+        monkeypatch.setattr(env, "_distances", counted)
+        nearest = env.nearest_cell(positions)
+        assert nearest == [oracle_nearest(env, p) for p in map(tuple, positions.tolist())]
+        assert seen == chunks
+        # On site 0, which the other sites surround in pairs at equal
+        # distances, and exactly between two sites: ties to the lower id.
+        assert nearest[:4] == [0, 0, 1, 1]
+
+    def test_no_rows(self):
+        env = make_env(build_sites(Scenario(n_sites=7)))
+        assert env.nearest_cell(np.empty((0, 2))) == []
+
+
 class TestMeasurementTypes:
     def test_serving_must_not_be_neighbor(self):
         entry = MeasurementEntry(0, -80.0, -11.0)
         with pytest.raises(ValueError):
             MeasurementReport(1, 0.0, entry, (MeasurementEntry(0, -82.0, -12.0),), -100.0)
+
+    # After other neighbours: the check scans the whole list.
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_serving_listed_among_other_neighbors_raises(self, at):
+        neighbors = [MeasurementEntry(cell, -85.0 - cell, -13.0) for cell in (1, 2)]
+        neighbors.insert(at, MeasurementEntry(3, -84.0, -12.0))
+        with pytest.raises(ValueError, match="serving cell must not appear in neighbor list"):
+            MeasurementReport(0, 0.04, MeasurementEntry(3, -90.0, -14.0), tuple(neighbors), -100.0)
+        MeasurementReport(0, 0.04, MeasurementEntry(4, -90.0, -14.0), tuple(neighbors), -100.0)
+
+    def test_generated_reports_pass_the_check(self):
+        # generate_report builds its reports without the constructor's
+        # check: each must still pass it, whatever cell serves the UE.
+        scenario = Scenario(n_sites=7, n_ues_per_cell=2, channel=ChannelParams(meas_noise_sigma_db=6.0))
+        env = scenario_env(scenario)
+        positions = np.random.default_rng(2).uniform(-300.0, 300.0, (14, 2))
+        skipped = 0
+        for tick in range(7):
+            servings = [(ue + tick) % 7 for ue in range(14)]
+            for ue, sample in enumerate(env.block_samples(positions[None], servings)):
+                report = env.generate_report(ue, sample, servings[ue], 0.04 * tick)
+                assert type(report) is MeasurementReport
+                assert MeasurementReport(*report) == report
+                skipped += servings[ue] in sample.ranked and bool(report.neighbors)
+        assert skipped > 20  # reports whose ranking listed the serving cell among others
 
     def test_report_is_an_immutable_tuple(self):
         # Plain tuples: a report compares and unpacks by value.
@@ -743,12 +800,11 @@ class TestArrayKernel:
         # UE travels about 100 m in 25 ticks, so shadowing redraws mid-run.
         scenario = Scenario(n_ues_per_cell=4, ue_speed_kmh=350.0, seed=seed)
         sites = build_sites(scenario)
-        ues = place_ues(scenario, sites, np.random.default_rng([seed, 0]))
+        start, velocity = place_ues(scenario, sites, np.random.default_rng([seed, 0]))
         scalar_env, array_env = scenario_env(scenario), scenario_env(scenario)
         for tick in range(25):
-            t = 0.04 * tick
-            positions = [(u.position[0] + u.velocity[0] * t, u.position[1] + u.velocity[1] * t) for u in ues]
-            servings = [(7 * u.ue + tick) % len(sites) for u in ues]
+            positions = list(map(tuple, (start + velocity * (0.04 * tick)).tolist()))
+            servings = [(7 * ue + tick) % len(sites) for ue in range(len(start))]
             scalar = oracle_tick(scalar_env, positions, servings)
             assert_twins(scalar_env, array_env, scalar, kernel_tick(array_env, positions, servings))
         assert any(s.ranked for s in scalar) and any(len(s.ranked) == MAX_NEIGHBORS + 1 for s in scalar)
@@ -790,8 +846,8 @@ class TestArrayKernel:
     def test_chunks_equal_one_chunk(self, monkeypatch):
         scenario = Scenario(n_sites=19, n_ues_per_cell=1, seed=4)
         sites = build_sites(scenario)
-        ues = place_ues(scenario, sites, np.random.default_rng([4, 0]))
-        servings = [u.ue % len(sites) for u in ues]
+        start, _ = place_ues(scenario, sites, np.random.default_rng([4, 0]))
+        servings = [ue % len(sites) for ue in range(len(start))]
         ticks = {}
         # Chunks of 3 UEs, the last one short, against a single chunk.
         for max_pairs in (3 * len(sites) + 1, 10**9):
@@ -799,7 +855,7 @@ class TestArrayKernel:
             env = scenario_env(scenario)
             samples = []
             for tick in range(3):
-                positions = [(u.position[0] + 30.0 * tick, u.position[1]) for u in ues]
+                positions = [(x + 30.0 * tick, y) for x, y in start.tolist()]
                 samples.append(kernel_tick(env, positions, servings))
             ticks[max_pairs] = env, samples
         (chunked_env, chunked), (whole_env, whole) = ticks.values()
@@ -878,13 +934,13 @@ class TestWindowPowers:
         monkeypatch.setattr(radio, "ARRAY_PASS_MAX_PAIRS", 50)
         scenario = Scenario(n_ues_per_cell=4, ue_speed_kmh=350.0, channel=ChannelParams(shadowing_sigma_db=sigma))
         sites = build_sites(scenario)
-        ues = place_ues(scenario, sites, np.random.default_rng([1, 0]))[::5]
+        start, velocity = (a[::5] for a in place_ues(scenario, sites, np.random.default_rng([1, 0])))
+        ues = range(len(sites) * scenario.n_ues_per_cell)[::5]
         env, oracle_env = scenario_env(scenario), scenario_env(scenario)
         for tick in range(25):
-            t = 0.04 * tick
-            positions = [(u.position[0] + u.velocity[0] * t, u.position[1] + u.velocity[1] * t) for u in ues]
-            servings = [(7 * u.ue + tick) % len(sites) for u in ues]
-            window, oracle = self.twin_sinrs(env, oracle_env, [u.ue for u in ues], positions, servings)
+            positions = list(map(tuple, (start + velocity * (0.04 * tick)).tolist()))
+            servings = [(7 * ue + tick) % len(sites) for ue in ues]
+            window, oracle = self.twin_sinrs(env, oracle_env, list(ues), positions, servings)
             assert window == oracle
         assert repr(env._shadow) == repr(oracle_env._shadow)
         assert env.shadow_rng.normal() == oracle_env.shadow_rng.normal()

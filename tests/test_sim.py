@@ -28,14 +28,13 @@ from hosim.sim import (
     ConfigError,
     Scenario,
     Simulation,
-    UeTrajectory,
     _reflect,
     build_sites,
     corridor_scenario,
     place_ues,
     run,
 )
-from scalar_oracle import oracle_row, oracle_samples
+from scalar_oracle import oracle_nearest, oracle_row, oracle_samples
 
 NOISELESS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
 
@@ -122,31 +121,59 @@ class TestLayouts:
 class TestPlacement:
     def test_zero_ues(self):
         scenario = dataclasses.replace(Scenario(n_sites=3), n_ues_per_cell=0)
-        assert place_ues(scenario, build_sites(scenario), np.random.default_rng(0)) == []
+        start, velocity = place_ues(scenario, build_sites(scenario), np.random.default_rng(0))
+        assert start.shape == velocity.shape == (0, 2)
+        sim = Simulation(scenario)
+        assert sim.contexts == [] and sim._block.shape == (1, 0, 2)
 
     def test_hex_placement_within_cell_radius(self):
         scenario = dataclasses.replace(Scenario(n_sites=10), n_ues_per_cell=1000)
         sites = build_sites(scenario)
-        ues = place_ues(scenario, sites, np.random.default_rng(1))
-        assert len(ues) == 10_000
-        for ue in ues:
-            site = sites[ue.ue // 1000]
-            assert math.dist(ue.position, site.position) <= scenario.cell_radius_m + 1e-9
+        start, velocity = place_ues(scenario, sites, np.random.default_rng(1))
+        assert start.shape == velocity.shape == (10_000, 2)
+        for ue, position in enumerate(start.tolist()):
+            site = sites[ue // 1000]
+            assert math.dist(position, site.position) <= scenario.cell_radius_m + 1e-9
 
     def test_placement_deterministic_by_seed(self):
         scenario = Scenario(n_sites=5)
         sites = build_sites(scenario)
         a = place_ues(scenario, sites, np.random.default_rng(3))
         b = place_ues(scenario, sites, np.random.default_rng(3))
-        assert all(np.array_equal(x.position, y.position) for x, y in zip(a, b))
-        assert all(np.array_equal(x.velocity, y.velocity) for x, y in zip(a, b))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
     def test_corridor_ues_head_toward_far_site(self):
         scenario = corridor_scenario(n_ues_per_cell=3)
-        ues = place_ues(scenario, build_sites(scenario), np.random.default_rng(0))
-        assert all(u.velocity[0] > 0 for u in ues[:3])
-        assert all(u.velocity[0] < 0 for u in ues[3:])
-        assert all(abs(u.position[1] - 280.0) <= 10.0 for u in ues)
+        start, velocity = place_ues(scenario, build_sites(scenario), np.random.default_rng(0))
+        assert (velocity[:3, 0] > 0).all() and (velocity[3:, 0] < 0).all()
+        assert (np.abs(start[:, 1] - 280.0) <= 10.0).all()
+
+    @pytest.mark.parametrize("scenario", [
+        Scenario(n_sites=7, n_ues_per_cell=3, seed=5),
+        corridor_scenario(n_sites=5, n_ues_per_cell=4, seed=2),
+    ], ids=["hex", "corridor"])
+    def test_placement_draws_each_ue_in_turn(self, scenario):
+        # Each UE's own scalar draws from the setup stream, in id order, and
+        # the arithmetic of its placement in plain Python floats.
+        sites = build_sites(scenario)
+        rng, speed = np.random.default_rng(9), scenario.ue_speed_kmh / 3.6
+        positions, velocities = [], []
+        for site in sites:
+            for _ in range(scenario.n_ues_per_cell):
+                if scenario.layout == "corridor":
+                    direction = 1.0 if site.position[0] <= sites[len(sites) // 2].position[0] else -1.0
+                    offset = float(rng.uniform(10.0, 30.0))
+                    y = scenario.corridor_lane_m + float(rng.uniform(-10.0, 10.0))
+                    positions.append((site.position[0] + direction * offset, y))
+                    velocities.append((direction * speed, 0.0))
+                else:
+                    radius = min(float(rng.exponential(scenario.cell_radius_m / 2.0)), scenario.cell_radius_m)
+                    angle, heading = float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(0.0, 2.0 * math.pi))
+                    positions.append((site.position[0] + radius * math.cos(angle),
+                                      site.position[1] + radius * math.sin(angle)))
+                    velocities.append((speed * math.cos(heading), speed * math.sin(heading)))
+        start, velocity = place_ues(scenario, sites, np.random.default_rng(9))
+        assert start.tobytes() == np.array(positions).tobytes() and velocity.tobytes() == np.array(velocities).tobytes()
 
     def test_corridor_ues_start_inside_at_minimum_margin(self):
         for n_sites, spacing, lane in itertools.product((2, 3, 4, 5), (1.0, 5.0, 20.0), (-40.0, 0.0, 40.0)):
@@ -156,7 +183,7 @@ class TestPlacement:
                                              boundary_margin_m=margin, n_ues_per_cell=20, seed=seed)
                 sim = Simulation(scenario)
                 xmin, xmax, ymin, ymax = sim._bounds
-                assert all(xmin <= u.position[0] <= xmax and ymin <= u.position[1] <= ymax for u in sim.ues)
+                assert all(xmin <= x <= xmax and ymin <= y <= ymax for x, y in sim._block[0].tolist())
             with pytest.raises(ConfigError) as err:
                 dataclasses.replace(scenario, boundary_margin_m=margin - 0.5).validate()
             assert err.value.field_name == "sim.boundary_margin_m"
@@ -165,16 +192,15 @@ class TestPlacement:
         scenario = Scenario(n_sites=7, boundary_margin_m=150.0)
         sim = Simulation(scenario)
         xmin, xmax, ymin, ymax = sim._bounds
-        assert all(xmin <= u.position[0] <= xmax and ymin <= u.position[1] <= ymax for u in sim.ues)
+        assert all(xmin <= x <= xmax and ymin <= y <= ymax for x, y in sim._block[0].tolist())
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(scenario, boundary_margin_m=149.0).validate()
         assert err.value.field_name == "sim.boundary_margin_m"
 
     def test_speed_magnitude_constant(self):
         scenario = Scenario(n_sites=4, ue_speed_kmh=90.0)
-        ues = place_ues(scenario, build_sites(scenario), np.random.default_rng(2))
-        for ue in ues:
-            assert np.linalg.norm(ue.velocity) == pytest.approx(25.0)
+        _, velocity = place_ues(scenario, build_sites(scenario), np.random.default_rng(2))
+        assert np.linalg.norm(velocity, axis=1) == pytest.approx([25.0] * len(velocity))
 
 
 class TestStepLoop:
@@ -199,7 +225,7 @@ class TestStepLoop:
         xmin, xmax, ymin, ymax = sim._bounds
         for _ in range(sim.n_steps):
             sim.step()
-            for i in range(len(sim.ues)):
+            for i in range(len(sim.contexts)):
                 x, y = sim.position(i)
                 assert xmin - 1e-6 <= x <= xmax + 1e-6
                 assert ymin - 1e-6 <= y <= ymax + 1e-6
@@ -213,7 +239,7 @@ class TestStepLoop:
         assert scenario.ue_speed_kmh / 3.6 * scenario.step_s > xmax - xmin
         for _ in range(sim.n_steps):
             sim.step()
-            for i in range(len(sim.ues)):
+            for i in range(len(sim.contexts)):
                 x, y = sim.position(i)
                 assert xmin <= x <= xmax and ymin <= y <= ymax
 
@@ -245,10 +271,9 @@ class TestStepLoop:
         start[axis] = bound + inward
         velocity = [3.0, 3.0]
         velocity[axis] = -inward * 2.0 / dt
-        placed = UeTrajectory(0, tuple(start), tuple(velocity))
-        monkeypatch.setattr(sim_module, "place_ues", lambda *args: [placed])
+        monkeypatch.setattr(sim_module, "place_ues", lambda *args: (np.array([start]), np.array([velocity])))
         sim = Simulation(scenario)
-        assert sim.position(0) == placed.position
+        assert sim.position(0) == tuple(start)
         sim.step()
         folded = sim.position(0)
         sim.step()
@@ -266,9 +291,25 @@ class TestStepLoop:
         # Sites handed over out of id order; the origin is 10 m from all three.
         sites = [CellSite(2, (10.0, 0.0)), CellSite(0, (0.0, 10.0)), CellSite(1, (-10.0, 0.0))]
         env = RadioEnvironment(sites, NOISELESS, RadioParams(), np.random.default_rng(0), np.random.default_rng(1))
-        assert env.nearest_cell((0.0, 0.0)) == 0
-        assert env.nearest_cell((0.0, -1.0)) == 1
-        assert env.nearest_cell((0.5, -1.0)) == 2
+        positions = [(0.0, 0.0), (0.0, -1.0), (0.5, -1.0)]
+        assert env.nearest_cell(np.array(positions)) == [0, 1, 2]
+        assert [oracle_nearest(env, p) for p in positions] == [0, 1, 2]
+
+    @pytest.mark.parametrize("scenario", [Scenario(), Scenario(seed=9001), noiseless_corridor(n_ues_per_cell=5)],
+                             ids=["hex50", "hex50-9001", "corridor"])
+    def test_every_ue_starts_on_its_nearest_site_in_one_pass(self, monkeypatch, scenario):
+        calls, nearest_cell = [], RadioEnvironment.nearest_cell
+
+        def counted(env, xy):
+            calls.append(len(xy))
+            return nearest_cell(env, xy)
+
+        monkeypatch.setattr(RadioEnvironment, "nearest_cell", counted)
+        sim = Simulation(scenario)
+        n_ues = len(sim.contexts)
+        assert calls == [n_ues]
+        start = [sim.position(ue) for ue in range(n_ues)]
+        assert [ctx.serving for ctx in sim.contexts] == [oracle_nearest(sim.env, p) for p in start]
 
 
 def report_tick_scenario():
@@ -299,9 +340,10 @@ class TestReportTick:
         monkeypatch.setattr(RadioEnvironment, "window_powers", no_window)
         monkeypatch.setattr(MetricsAccumulator, "add_sample", recorded_add_sample)
         assert all(ctx.phase != EXECUTING for ctx in sim.contexts)
+        start = [sim.position(ue) for ue in range(len(sim.contexts))]
         sim.step()  # the first report tick
-        assert passes == [ue.ue for ue in sim.ues]
-        assert len(sinrs) == len(sim.ues)
+        assert passes == list(range(len(start)))
+        assert len(sinrs) == len(start)
         monkeypatch.undo()
 
         # The link budget evaluated site by site from the cached shadowing,
@@ -312,13 +354,13 @@ class TestReportTick:
             + linear_to_db(scenario.radio.bandwidth_hz)
             + scenario.radio.noise_figure_db
         )
-        for ue, ctx, value in zip(sim.ues, sim.contexts, sinrs):
+        for ue, (position, ctx, value) in enumerate(zip(start, sim.contexts, sinrs)):
             serving = ctx.serving
 
             def power(site):
-                d = max(math.hypot(site.position[0] - ue.position[0], site.position[1] - ue.position[1]), 1.0)
+                d = max(math.hypot(site.position[0] - position[0], site.position[1] - position[1]), 1.0)
                 path_loss = reference_db + 10.0 * scenario.channel.path_loss_exponent * math.log10(d)
-                shadowing = env.shadowing_db(site.id, ue.ue, ue.position)
+                shadowing = env.shadowing_db(site.id, ue, position)
                 return db_to_linear(scenario.radio.tx_power_dbm - path_loss - shadowing)
 
             interference = 0.0
@@ -445,7 +487,7 @@ class TestLazyPositions:
 
         monkeypatch.setattr(sim_module, "_reflect", counted_reflect)
         sim = Simulation(scenario)
-        oracle = [[ue.position, ue.velocity] for ue in sim.ues]
+        oracle = [[sim.position(ue), tuple(v)] for ue, v in enumerate(sim._velocity.tolist())]
 
         def equal_bits():
             lazy = np.array([sim.position(i) for i in range(len(oracle))])
@@ -681,8 +723,8 @@ class TestCrossing:
     def test_decision_time_matches_geometric_oracle(self):
         scenario = noiseless_corridor(sim_duration_s=6.0, policy="fixed_a3")
         sim = Simulation(scenario)
-        start = np.array(sim.ues[0].position)
-        velocity = np.array(sim.ues[0].velocity)
+        start = np.array(sim.position(0))
+        velocity = sim._velocity[0].copy()
         result = sim.run()
 
         # Independent oracle: recompute the measured-RSRP difference from
