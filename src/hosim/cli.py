@@ -96,7 +96,7 @@ class RunFailed(Exception):
 
 def _run_one(scenario: Scenario, shared: sim.SharedRadio | None = None) -> tuple:
     try:
-        result = sim.run(scenario) if shared is None else sim.run(scenario, shared)
+        result = sim.run(scenario, shared)
     except Exception as exc:
         raise RunFailed(
             f"policy={scenario.policy} speed={scenario.ue_speed_kmh:g} seed={scenario.seed}: {exc}"
@@ -108,9 +108,7 @@ def _run_task(task: list[Scenario]) -> list[tuple]:
     """Run a sweep task's scenarios in turn, each through ``sim.run``.  A
     task of several is every policy of one (speed, seed) whose runs share
     a radio: the first records it, the others replay it."""
-    if len(task) == 1:
-        return [_run_one(task[0])]
-    shared = sim.SharedRadio(task[0])
+    shared = sim.SharedRadio(task[0]) if len(task) > 1 else None
     return [_run_one(scenario, shared) for scenario in task]
 
 

@@ -191,14 +191,12 @@ class MetricsAccumulator:
 
     def _add_to_buckets(self, times: np.ndarray, plr: np.ndarray) -> None:
         """Add each sample's loss to its per-second bucket, in sample order.
-        Each run of equal times takes the bucket ``int(time_s //
-        PLR_BUCKET_S)``, and each run of one bucket is summed on from that
-        bucket's running sum."""
-        starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
-        keys = np.array([int(t // PLR_BUCKET_S) for t in times[starts].tolist()])
-        first = np.concatenate(([True], keys[1:] != keys[:-1]))
-        lows = starts[first].tolist()
-        for b, lo, hi in zip(keys[first].tolist(), lows, [*lows[1:], len(times)]):
+        Each sample takes the bucket ``time_s // PLR_BUCKET_S`` (numpy's
+        float floor division, which is Python's), and each run of one
+        bucket is summed on from that bucket's running sum."""
+        keys = (times // PLR_BUCKET_S).astype(int)
+        lows = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))).tolist()
+        for b, lo, hi in zip(keys[lows].tolist(), lows, [*lows[1:], len(times)]):
             segment = np.concatenate(([self._bucket_sums.get(b, 0.0)], plr[lo:hi]))
             self._bucket_sums[b] = np.add.accumulate(segment)[-1].item()
             self._bucket_counts[b] = self._bucket_counts.get(b, 0) + (hi - lo)

@@ -39,11 +39,12 @@ rows of one array body, ``_array_chunk``.
   (``refresh_shadowing`` is not called for them), and only the serving
   split of a UE whose serving cell changed since the block's first tick
   is redone at its tick.  For the same reason the runs of every policy at
-  one (speed, seed) can share the blocks (``sim.SharedRadio``): the first
-  run's environment records them, and every later run's replays them,
-  drawing no noise and calling no ``_array_chunk``; a row whose serving
-  cell differs from the recording run's has its serving split redone, as
-  at a serving change.
+  one (speed, seed) can share the blocks (``sim.SharedRadio``), the only
+  thing such a radio holds: the first run's environment records them,
+  and every later run's replays them, drawing no noise and calling no
+  ``_array_chunk``, while it lays out its own trajectory; a row whose
+  serving cell differs from the recording run's has its serving split
+  redone, as at a serving change.
 - With shadowing a block is one tick.  Execution windows and handover
   completions draw from the shadowing stream between report ticks, so a
   tick's shadowing is known only at that tick; it is known there, because

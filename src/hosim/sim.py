@@ -16,10 +16,11 @@ it computes this tick alone, after the tick's completions.  Between report
 ticks the execution windows that have not failed take their SINR from
 the same link budget, as one block of (UE x site) pairs.
 
-Without shadowing, the trajectory blocks and the report kernel's blocks
-do not depend on the policy, so a sweep's runs of one (speed, seed) may
-share them as a ``SharedRadio``: the first run records them and the
-others replay them.
+Without shadowing, the report kernel's blocks do not depend on the
+policy, so a sweep's runs of one (speed, seed) may share them as a
+``SharedRadio``: the first run records them and the others replay them.
+Every run lays out its own trajectory, which draws only on the setup
+stream and so is the same, bit for bit, under every policy.
 
 Determinism: every random quantity derives from the scenario seed via
 dedicated sub-streams (placement, channel noise, shadowing, and one
@@ -62,9 +63,9 @@ TRAJECTORY_BLOCK_UE_STEPS = 4096
 # least one: 2**22 (x, y) float pairs are 64 MiB.
 MAX_REPORT_PERIOD_UE_STEPS = 2**22
 # Most (report tick x UE x site) pairs a SharedRadio records.  A pair of a
-# two-site deployment holds about 220 bytes, so at most 3.6 MB (fewer per
-# pair with more sites); the corridor default's 1,000 ticks x 2 UEs x 2
-# sites take 0.9 MB.
+# two-site deployment holds about 210 bytes (tracemalloc), so at most
+# 3.4 MB (fewer per pair with more sites); the corridor default's 1,000
+# ticks x 2 UEs x 2 sites take 0.84 MB.
 SHARED_RADIO_MAX_PAIRS = 2**14
 
 class ConfigError(ValueError):
@@ -296,16 +297,15 @@ def shares_radio(scenario: Scenario) -> bool:
 @dataclass
 class SharedRadio:
     """What a shadow-free run's radio computes that no policy changes, for
-    the runs of one (speed, seed) to compute once.  The first run given it
-    records the trajectory blocks it lays out and its report-kernel blocks
-    (see ``RadioEnvironment``); once that run has finished, ``recorded``
-    is set and every later run replays them read-only, drawing no channel
-    noise and computing no link budget of a report tick.  Only a row whose
-    serving cell differs from the recording run's has its serving split
-    redone, as at a serving change within a block."""
+    the runs of one (speed, seed) to compute once: the report kernel's
+    blocks (see ``RadioEnvironment``).  The first run given it records
+    them; once that run has finished, ``recorded`` is set and every later
+    run replays them read-only, drawing no channel noise and computing no
+    link budget of a report tick.  Only a row whose serving cell differs
+    from the recording run's has its serving split redone, as at a serving
+    change within a block."""
 
     scenario: Scenario  # the recording run's; a replaying run differs in its policy alone
-    trajectory: list[np.ndarray] = field(default_factory=list)
     blocks: list = field(default_factory=list)
     recorded: bool = False
 
@@ -364,7 +364,6 @@ class Simulation:
         periods = TRAJECTORY_BLOCK_UE_STEPS // (max(1, len(start)) * self.report_every)
         self._block_steps = max(1, periods) * self.report_every
         self._shared = shared
-        self._replay = iter(shared.trajectory) if shared is not None and shared.recorded else None
         # Ids of the UEs whose handover is executing, ascending.  Only a
         # report tick starts an execution and only a completion ends one.
         self._executing: list[int] = []
@@ -478,13 +477,9 @@ class Simulation:
         both axes as one step's fold takes them, and its column is summed
         again from there with the velocity the fold leaves.  So positions,
         velocities and fold points are those of moving every UE at every
-        step, bit for bit.  A run replaying a ``SharedRadio`` takes its next
-        recorded block instead; the recording run adds each block to it."""
+        step, bit for bit."""
         start = self._block_start + len(self._block) - 1
         if self._step_index != start:
-            return
-        if self._replay is not None:
-            self._block, self._block_start = next(self._replay), start
             return
         xmin, xmax, ymin, ymax = self._bounds
         lo, hi = np.array([xmin, ymin]), np.array([xmax, ymax])
@@ -511,9 +506,6 @@ class Simulation:
                 k += 1
                 outside = ((path[k:] < lo) | (path[k:] > hi)).any(axis=1)
         self._block, self._block_start = block, start
-        if self._shared is not None:
-            block.flags.writeable = False
-            self._shared.trajectory.append(block)
 
 
 def _reflect(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:

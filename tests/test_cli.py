@@ -366,20 +366,24 @@ class TestSweepCommand:
         assert result.returncode == 0, result.stderr
 
     def test_failing_run_names_itself(self, corridor_file, tmp_path, monkeypatch, capsys):
-        run = hosim.sim.run
+        run, given = hosim.sim.run, []
 
-        def failing_run(scenario):
+        def failing_run(scenario, shared=None):
+            given.append(shared)
             if scenario.seed == 1:
                 raise RuntimeError("boom")
-            return run(scenario)
+            return run(scenario, shared)
 
         monkeypatch.setattr(hosim.sim, "run", failing_run)
         out = str(tmp_path / "failing")
         code = main([
             "sweep", "--scenario", corridor_file, "--seeds", "0:3", "--speeds", "200",
-            "--policies", "fixed_a3", "--set", "sim.sim_duration_s=1", "--jobs", "1", "--out", out,
+            "--policies", "fixed_a3", "--set", "sim.sim_duration_s=1", "--set", "channel.shadowing_sigma_db=4",
+            "--jobs", "1", "--out", out,
         ])
         assert code == 1
+        # A shadowed sweep's tasks are lone runs, which share no radio.
+        assert given == [None, None]
         assert capsys.readouterr().err == "run failed: policy=fixed_a3 speed=200 seed=1: boom\n"
         assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
@@ -402,7 +406,7 @@ class TestSharedRadioSweep:
     SPEEDS = (100.0, 350.0)
     SEEDS = (0, 1)
     # Five sites, three UEs each, for 8 s: 15,000 (tick x UE x site) pairs,
-    # in radio blocks of 9 ticks.  Handovers fail there, so a completion's
+    # in one 200-tick radio block.  Handovers fail there, so a completion's
     # target RSRP, read at the UE's position, shapes the outcomes too.
     FIVE_SITES = ["sim.n_sites=5", "sim.n_ues_per_cell=3", "sim.sim_duration_s=8"]
 
@@ -442,8 +446,9 @@ class TestSharedRadioSweep:
         monkeypatch.setattr(hosim.cli, "ProcessPoolExecutor", ForkPool)
         monkeypatch.setattr(hosim.sim, "run", recorded_run)
         monkeypatch.setattr(hosim.radio, "_serving_split", counted_split)
-        # At 97 UE-steps a trajectory block, the runs replay 34 of them,
-        # where the lone runs take one.
+        # At 97 UE-steps a trajectory block, a run's 200 ticks fall in 34
+        # kernel blocks (33 of 6 ticks, then 2), which the replays take in
+        # turn, where the lone runs compute one block.
         monkeypatch.setattr(hosim.sim, "TRAJECTORY_BLOCK_UE_STEPS", 97)
         out = str(tmp_path / "sweep")
         assert self.sweep(corridor_file, out, jobs, *(f"--set={item}" for item in self.FIVE_SITES)) == 0

@@ -272,6 +272,17 @@ class TestBlockScoring:
         assert int(samples[edge - 1][0] // PLR_BUCKET_S) == int(samples[edge][0] // PLR_BUCKET_S)
         assert_scored_like_oracle(samples)
 
+    def test_bucket_edges(self):
+        # Each whole second and its float neighbours, and the report times
+        # a 40 ms or 4 ms step gives (``step * k``, as a run takes them).
+        edges = [t for k in range(12) for t in (math.nextafter(k, -math.inf), float(k), math.nextafter(k, math.inf))]
+        times = sorted({*edges[1:], *(0.04 * k for k in range(300)), *(0.004 * k for k in range(3000))})
+        assert {0.9999999999999999, 1.0, 2.0000000000000004} <= set(times)
+        buckets = (np.array(times) // PLR_BUCKET_S).astype(int).tolist()
+        assert buckets == [int(t // PLR_BUCKET_S) for t in times]
+        sinrs = np.random.default_rng(5).uniform(-10.0, 10.0, size=len(times)).tolist()
+        assert_scored_like_oracle([(t, s, k % 3 > 0) for k, (t, s) in enumerate(zip(times, sinrs))])
+
     def test_thresholds_and_their_neighbours(self):
         sinrs = []
         for threshold in (-5.0, 0.0):

@@ -662,6 +662,39 @@ class TestSharedRadio:
             assert repr(result.outcomes) == repr(lone[policy].outcomes) and result.outcomes
             assert repr(result.qtables) == repr(lone[policy].qtables)
 
+    # Every run lays out its own trajectory: the default corridor's whole
+    # 1,000-step run as one block, or 21 blocks at 97 UE-steps.
+    @pytest.mark.parametrize("ue_steps, n_blocks", [(None, 1), (97, 21)], ids=["default", "97"])
+    def test_replays_lay_out_the_recording_runs_trajectory(self, monkeypatch, ue_steps, n_blocks):
+        if ue_steps is not None:
+            monkeypatch.setattr(sim_module, "TRAJECTORY_BLOCK_UE_STEPS", ue_steps)
+        scenario = corridor_scenario()
+        blocks, chunks = [], []
+        advance, array_chunk = Simulation._advance_positions, RadioEnvironment._array_chunk
+
+        def recorded_advance(sim):
+            advance(sim)
+            if sim._block_start == sim._step_index:
+                blocks[-1].append((sim._block_start, sim._block.tobytes()))
+
+        def counted_chunk(*args):
+            chunks.append(1)
+            return array_chunk(*args)
+
+        monkeypatch.setattr(Simulation, "_advance_positions", recorded_advance)
+        monkeypatch.setattr(RadioEnvironment, "_array_chunk", counted_chunk)
+        shared = sim_module.SharedRadio(scenario)
+        for k, policy in enumerate(("lim2", "fixed_a3", "greedy_rsrp")):
+            blocks.append([])
+            del chunks[:]
+            sim = Simulation(dataclasses.replace(scenario, policy=policy), shared)
+            noise = sim.env.rng.bit_generator.state
+            sim.run()
+            assert bool(chunks) == (k == 0)
+            assert (sim.env.rng.bit_generator.state == noise) == (k > 0)
+        assert len(blocks[0]) == n_blocks
+        assert blocks[1] == blocks[0] and blocks[2] == blocks[0]
+
     # (change, whether the radio is made for the changed scenario itself)
     @pytest.mark.parametrize("change, own", [
         ({"channel": ChannelParams()}, True),  # shadowed
