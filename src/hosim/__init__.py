@@ -9,15 +9,14 @@ from .engine import HandoverContext, HandoverOutcome
 from .kalman import KalmanParams, KalmanState, combine_state
 from .metrics import CdfSeries, KpiRecord, cdf
 from .policies import FixedA3Policy, Lim2Policy, make_policy
-from .radio import CellSite, ChannelParams, MeasurementEntry, MeasurementReport, RadioEnvironment, RadioParams
+from .radio import ChannelParams, MeasurementEntry, MeasurementReport, RadioEnvironment, RadioParams
 from .rl import LearningParams, ParamPair, QTable, epsilon, q_final, sigmoid
-from .sim import RunResult, Scenario, Simulation, corridor_scenario, run
+from .sim import RunResult, Scenario, Simulation, run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CdfSeries",
-    "CellSite",
     "ChannelParams",
     "FixedA3Policy",
     "HandoverContext",
@@ -38,7 +37,6 @@ __all__ = [
     "Simulation",
     "cdf",
     "combine_state",
-    "corridor_scenario",
     "epsilon",
     "make_policy",
     "q_final",

@@ -20,6 +20,8 @@ import csv
 import dataclasses
 import os
 import sys
+from itertools import groupby
+from operator import itemgetter
 
 from . import config, metrics, sim
 from .rl import qtable_rows
@@ -71,16 +73,10 @@ def _parse_list(text: str, name: str, kind=float) -> list:
 
 
 def _load_scenario(args) -> Scenario:
-    scenario = config.load_scenario(args.scenario, args.set)
-    if getattr(args, "seed", None) is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
-    if getattr(args, "speed", None) is not None:
-        scenario = dataclasses.replace(scenario, ue_speed_kmh=args.speed)
-    if getattr(args, "policy", None) is not None:
-        scenario = dataclasses.replace(scenario, policy=args.policy)
-    if getattr(args, "duration", None) is not None:
-        scenario = dataclasses.replace(scenario, sim_duration_s=args.duration)
-    return scenario
+    """The scenario file with ``--set`` applied, then the field flags given."""
+    flags = (("seed", "seed"), ("speed", "ue_speed_kmh"), ("policy", "policy"), ("duration", "sim_duration_s"))
+    given = {name: getattr(args, flag) for flag, name in flags if getattr(args, flag, None) is not None}
+    return dataclasses.replace(config.load_scenario(args.scenario, args.set), **given)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -172,24 +168,23 @@ def cmd_sweep(args) -> int:
     except RunFailed as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    results.sort(key=lambda r: (r[0], r[1], r[2]))
+    results.sort(key=itemgetter(0, 1, 2))
     out = _out_dir(args)
     metrics.write_csv_atomic(
         os.path.join(out, "sweep.csv"),
         metrics.KPI_HEADER,
         [metrics.kpi_row(p, s, v, k) for (p, v, s, k) in results],
     )
+    # The results are sorted, so the records of each (policy, speed) and
+    # of each policy are consecutive, in seed order.
     summary_rows = []
-    for policy in sorted(set(r[0] for r in results)):
-        for speed in sorted(set(r[1] for r in results)):
-            records = [k for (p, v, s, k) in results if p == policy and v == speed]
-            if not records:
-                continue
-            row = [policy, speed, len(records)]
-            for _, name in SUMMARY_COLUMNS:
-                values = [getattr(k, name) for k in records]
-                row += (metrics.mean(values), metrics.sample_stdev(values))
-            summary_rows.append(row)
+    for (policy, speed), group in groupby(results, itemgetter(0, 1)):
+        records = [k for *_, k in group]
+        row = [policy, speed, len(records)]
+        for _, name in SUMMARY_COLUMNS:
+            values = [getattr(k, name) for k in records]
+            row += (metrics.mean(values), metrics.sample_stdev(values))
+        summary_rows.append(row)
     metrics.write_csv_atomic(
         os.path.join(out, "sweep_summary.csv"),
         ("policy", "speed_kmh", "n_runs",
@@ -197,8 +192,8 @@ def cmd_sweep(args) -> int:
         summary_rows,
     )
     cdf_rows = []
-    for policy in sorted(set(r[0] for r in results)):
-        records = [k for (p, v, s, k) in results if p == policy]
+    for policy, group in groupby(results, itemgetter(0)):
+        records = [k for *_, k in group]
         for name, values in (
             ("throughput_mbps", [k.mean_throughput_mbps for k in records]),
             ("ho_failure_rate", [k.ho_failure_rate for k in records]),

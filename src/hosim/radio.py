@@ -4,7 +4,8 @@ Propagation is a log-distance path loss model anchored at a free-space
 reference distance of 1 m, with block-constant log-normal shadowing per
 (site, UE) pair that is redrawn every 50 m of UE travel.  Every site
 shares one link budget, ``RadioParams`` (transmit power, carrier,
-bandwidth, noise figure), so a site is only an id and a position.  RSRP
+bandwidth, noise figure), so a site is only its position: the sites are
+one (n_sites x 2) array whose row i is site i's ``(x, y)``.  RSRP
 is the wideband received power scaled down to one resource element
 (120 kHz subcarrier spacing).  Ambient RF noise at each UE follows a
 bounded random walk, stepped once per report; it degrades measured RSRP
@@ -136,14 +137,6 @@ class RadioParams:
 
 
 @dataclass(frozen=True)
-class CellSite:
-    """A gNB site; its transmit settings are the run's shared link budget."""
-
-    id: int
-    position: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class ChannelParams:
     """Propagation and noise parameters shared by every link."""
 
@@ -252,8 +245,9 @@ class RadioEnvironment:
     Takes the run's one link budget, ``radio``, and derives its
     per-run constants once: the 1 m reference path loss, the
     resource-element scaling, the thermal noise power and the RSRQ's
-    10*log10(N_RB) term.  Site ids are 0..n-1, so ``sites`` and every
-    per-site list are indexed by id.  Owns each UE's shadowing row (per
+    10*log10(N_RB) term.  ``sites`` is an (n_sites x 2) float array whose
+    row i is site i's ``(x, y)``, so a site's id is its row and every
+    per-site list is indexed by it.  Owns each UE's shadowing row (per
     site, a value and the position it was drawn at) and the per-UE
     ambient-noise random walks, which only the report kernel steps.
     Given a ``sim.SharedRadio``, ``shared``, it records the kernel's
@@ -261,10 +255,10 @@ class RadioEnvironment:
     single simulation instance; a run is single-threaded.
     """
 
-    def __init__(self, sites: list[CellSite], channel: ChannelParams, radio: RadioParams, rng, shadow_rng, shared=None):
-        self.sites = sorted(sites, key=lambda s: s.id)
-        if [s.id for s in self.sites] != list(range(len(self.sites))):
-            raise ValueError("site ids must be 0..n-1")
+    def __init__(self, sites: np.ndarray, channel: ChannelParams, radio: RadioParams, rng, shadow_rng, shared=None):
+        if sites.shape[1:] != (2,):
+            raise ValueError(f"sites must be an (n_sites x 2) array, not of shape {sites.shape}")
+        self.sites = sites
         self.params = channel
         self.rng = rng
         # Shadowing draws on their own stream so redraw timing (which can
@@ -272,9 +266,6 @@ class RadioEnvironment:
         self.shadow_rng = shadow_rng
         # ue -> (shadowing values, UE positions they were drawn at), by site id
         self._shadow: dict[int, tuple[list[float], list[tuple[float, float]]]] = {}
-        self._site_positions = [s.position for s in self.sites]
-        self._site_x = np.array([x for x, _ in self._site_positions])
-        self._site_y = np.array([y for _, y in self._site_positions])
         self._env_noise: dict[int, float] = {}
         # The bounds of the ambient walk: its mean less and plus 3 sigma.
         bound = 3.0 * channel.env_noise_sigma_db
@@ -332,7 +323,7 @@ class RadioEnvironment:
         """Ground-truth RSRP in dBm of one cell at the UE (``position`` an
         ``(x, y)`` tuple of floats), with its current shadowing."""
         shadowing = self.shadowing_db(cell, ue, position)
-        sx, sy = self._site_positions[cell]
+        sx, sy = self.sites[cell].tolist()
         return self._received_dbm(math.hypot(sx - position[0], sy - position[1]), shadowing) - self._re_scaling_db
 
     def refresh_shadowing(self, ue: int, position: tuple[float, float]) -> list[float]:
@@ -521,7 +512,8 @@ class RadioEnvironment:
     def _distances(self, xy) -> np.ndarray:
         """Each site's distance from each row of ``xy`` (an (n x 2) array of
         positions), (rows x sites), as ``math.hypot`` gives it."""
-        return _mapped(math.hypot, self._site_x - xy[:, :1], self._site_y - xy[:, 1:])
+        sx, sy = self.sites.T
+        return _mapped(math.hypot, sx - xy[:, :1], sy - xy[:, 1:])
 
     def _link_budget(self, xy, servings, shadowing) -> tuple[np.ndarray, ...]:
         """The link budget of the rows of ``xy`` (an (n x 2) array of

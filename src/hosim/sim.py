@@ -39,7 +39,7 @@ from . import engine
 from .engine import EXECUTING, HandoverContext, HandoverOutcome
 from .metrics import KpiRecord, MetricsAccumulator
 from .policies import Lim2Policy, make_policy
-from .radio import CellSite, ChannelParams, RadioEnvironment, RadioParams, ranged
+from .radio import ChannelParams, RadioEnvironment, RadioParams, ranged
 from .rl import HYST_VALUES_DB, TTT_VALUES_MS, LearningParams
 
 POLICIES = ("lim2", "fixed_a3", "greedy_rsrp")
@@ -191,43 +191,14 @@ def _float_fields(obj, prefix: str = "sim."):
             yield prefix + f.name, value, f.metadata.get("range", (-math.inf, math.inf))
 
 
-def corridor_scenario(**overrides) -> Scenario:
-    """Two-cell crossing corridor used for end-to-end comparisons.
-
-    Mid-band carrier and zero shadowing keep the corridor fully covered,
-    so policy differences come from decision timing rather than from
-    coverage holes; the 2 dB measurement noise still perturbs what the
-    policies see.  The UE lane runs 280 m off the site axis, which caps
-    the serving-to-interferer distance ratio: even a very late handover
-    sags to about -4 dB SINR, degrading throughput without tripping the
-    loss threshold or the outage-based failure checks.
-    """
-    base = dict(
-        layout="corridor",
-        n_sites=2,
-        site_spacing_m=180.0,
-        corridor_lane_m=280.0,
-        boundary_margin_m=300.0,
-        cell_radius_m=150.0,
-        n_ues_per_cell=1,
-        ue_speed_kmh=200.0,
-        sim_duration_s=40.0,
-        step_s=0.04,
-        report_period_s=0.04,
-        radio=RadioParams(carrier_freq_hz=3.5e9, bandwidth_hz=100e6),
-        channel=ChannelParams(shadowing_sigma_db=0.0),
-    )
-    base.update(overrides)
-    return Scenario(**base)
-
-
-def build_sites(scenario: Scenario) -> list[CellSite]:
-    """Site layout: hexagonal grid for 'hex', a row for 'corridor'."""
+def build_sites(scenario: Scenario) -> np.ndarray:
+    """Site layout, an (n_sites x 2) array whose row i is site i's ``(x,
+    y)``: a hexagonal grid for 'hex', a row along the x axis for 'corridor'."""
     if scenario.layout == "corridor":
         positions = [(i * scenario.site_spacing_m, 0.0) for i in range(scenario.n_sites)]
     else:
         positions = _hex_positions(scenario.n_sites, math.sqrt(3.0) * scenario.cell_radius_m)
-    return [CellSite(i, pos) for i, pos in enumerate(positions)]
+    return np.array(positions, float).reshape(-1, 2)
 
 
 def _hex_positions(n: int, pitch: float) -> list[tuple[float, float]]:
@@ -250,9 +221,10 @@ def _hex_positions(n: int, pitch: float) -> list[tuple[float, float]]:
     return positions[:n]
 
 
-def place_ues(scenario: Scenario, sites: list[CellSite], rng) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter UEs around their sites: every UE's start position and
-    constant velocity, as two (n_ues x 2) arrays in UE id order.
+def place_ues(scenario: Scenario, sites: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter UEs around their sites (``build_sites``' array): every UE's
+    start position and constant velocity, as two (n_ues x 2) arrays in UE
+    id order, site 0's UEs first.
 
     Hex layouts draw a radially decaying scatter (exponential radius
     with mean radius/2, clamped to the cell radius, uniform angle) and
@@ -262,21 +234,22 @@ def place_ues(scenario: Scenario, sites: list[CellSite], rng) -> tuple[np.ndarra
     """
     speed = scenario.ue_speed_kmh / 3.6
     positions, velocities = [], []
-    for site in sites:
+    rows = sites.tolist()
+    for cid, (sx, sy) in enumerate(rows):
         for _ in range(scenario.n_ues_per_cell):
             if scenario.layout == "corridor":
-                direction = 1.0 if site.position[0] <= sites[len(sites) // 2].position[0] else -1.0
+                direction = 1.0 if sx <= rows[len(rows) // 2][0] else -1.0
                 if scenario.n_sites == 2:
-                    direction = 1.0 if site.id == 0 else -1.0
+                    direction = 1.0 if cid == 0 else -1.0
                 offset = float(rng.uniform(*CORRIDOR_OFFSET_M))
                 y = scenario.corridor_lane_m + float(rng.uniform(-CORRIDOR_LANE_JITTER_M, CORRIDOR_LANE_JITTER_M))
-                position = (site.position[0] + direction * offset, y)
+                position = (sx + direction * offset, y)
                 velocity = (direction * speed, 0.0)
             else:
                 radius = min(float(rng.exponential(scenario.cell_radius_m / 2.0)), scenario.cell_radius_m)
                 angle = float(rng.uniform(0.0, 2.0 * math.pi))
                 heading = float(rng.uniform(0.0, 2.0 * math.pi))
-                position = (site.position[0] + radius * math.cos(angle), site.position[1] + radius * math.sin(angle))
+                position = (sx + radius * math.cos(angle), sy + radius * math.sin(angle))
                 velocity = (speed * math.cos(heading), speed * math.sin(heading))
             positions.append(position)
             velocities.append(velocity)
@@ -353,7 +326,9 @@ class Simulation:
         )
         self.report_every = round(scenario.report_period_s / scenario.step_s)
         self.n_steps = round(scenario.sim_duration_s / scenario.step_s)
-        self._bounds = self._deployment_bounds(sites)
+        # The box's lower and upper corners: the sites' bounding box widened by the margin.
+        margin = _boundary_margin_m(scenario)
+        self._bounds = np.array([sites.min(axis=0) - margin, sites.max(axis=0) + margin])
         self._step_index = 0
         # Every UE's (x, y) at each step of the current trajectory block,
         # from step ``_block_start`` on; ``_velocity`` holds each UE's
@@ -367,12 +342,6 @@ class Simulation:
         # Ids of the UEs whose handover is executing, ascending.  Only a
         # report tick starts an execution and only a completion ends one.
         self._executing: list[int] = []
-
-    def _deployment_bounds(self, sites) -> tuple[float, float, float, float]:
-        margin = _boundary_margin_m(self.scenario)
-        xs = [s.position[0] for s in sites]
-        ys = [s.position[1] for s in sites]
-        return (min(xs) - margin, max(xs) + margin, min(ys) - margin, max(ys) + margin)
 
     @property
     def time_s(self) -> float:
@@ -481,8 +450,8 @@ class Simulation:
         start = self._block_start + len(self._block) - 1
         if self._step_index != start:
             return
-        xmin, xmax, ymin, ymax = self._bounds
-        lo, hi = np.array([xmin, ymin]), np.array([xmax, ymax])
+        lo, hi = self._bounds
+        (xmin, ymin), (xmax, ymax) = self._bounds.tolist()
         dt = self.scenario.step_s
         block = np.empty((min(self._block_steps, self.n_steps - start) + 1, *self._velocity.shape))
         block[0] = self._block[-1]

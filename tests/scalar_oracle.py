@@ -47,7 +47,7 @@ def oracle_pass(env, position, serving, shadowing):
     wideband = []
     rssi_mw = serving_mw = interference_mw = 0.0
     nearest, nearest_m = 0, math.inf
-    for cid, ((sx, sy), value) in enumerate(zip(env._site_positions, shadowing)):
+    for cid, ((sx, sy), value) in enumerate(zip(env.sites.tolist(), shadowing)):
         distance = math.hypot(sx - x, sy - y)
         if distance < nearest_m:
             nearest, nearest_m = cid, distance
@@ -67,7 +67,8 @@ def oracle_nearest(env, position):
     """Id of the site closest to ``position`` (an ``(x, y)`` tuple of
     floats) by ``math.dist``; ``min`` keeps the first minimum of the
     id-ordered sites, so an exact tie goes to the lowest id."""
-    return min(env.sites, key=lambda site: math.dist(site.position, position)).id
+    sites = env.sites.tolist()
+    return min(range(len(sites)), key=lambda cid: math.dist(sites[cid], position))
 
 
 def oracle_row(env, ue, position, serving):

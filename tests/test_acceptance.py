@@ -30,7 +30,8 @@ from hosim.rl import (
     update_qtable,
 )
 from hosim import engine as eng
-from hosim.sim import corridor_scenario, run
+from hosim.sim import run
+from corridor import corridor_scenario
 
 
 def report(number, description, ok, detail=""):

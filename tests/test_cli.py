@@ -19,7 +19,7 @@ import hosim.sim
 from hosim import config, metrics
 from hosim.cli import main
 from hosim.config import dump_scenario
-from hosim.sim import corridor_scenario
+from corridor import corridor_scenario
 from test_golden import kpi_bits
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")

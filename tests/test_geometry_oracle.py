@@ -17,24 +17,29 @@ this module reads from the simulator; everything else is plain Python:
   or if the target's RSRP at completion is below -110 dBm;
 - a success back to the previous cell within 1 s of the last one is a
   ping-pong.
+
+The site positions, too, are derived here from the scenario's spacing,
+not read from the simulator's site array.
 """
 
+import itertools
 import math
-import os
 
 import pytest
 
 from hosim import cli
 from hosim.config import load_scenario
+from hosim.rl import TTT_VALUES_MS
 from hosim.sim import Simulation
+from corridor import CORRIDOR_INI
 
-CORRIDOR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "corridor.ini")
-NOISE_FREE = ["channel.meas_noise_sigma_db=0", "channel.env_noise_sigma_db=0", "sim.policy=fixed_a3"]
 HEADER = "time,ue,source,target,ttt_ms,hyst_db,result,latency_ms,ping_pong"
 
 
-def noise_free_corridor(ttt_ms, hyst_db):
-    return load_scenario(CORRIDOR, [*NOISE_FREE, f"sim.fixed_ttt_ms={ttt_ms}", f"sim.fixed_hyst_db={hyst_db}"])
+def noise_free(ttt_ms, hyst_db, seed):
+    """The ``--set`` overrides of a noise-free ``fixed_a3`` corridor run."""
+    return ["channel.meas_noise_sigma_db=0", "channel.env_noise_sigma_db=0", "sim.policy=fixed_a3",
+            f"sim.fixed_ttt_ms={ttt_ms}", f"sim.fixed_hyst_db={hyst_db}", f"sim.seed={seed}"]
 
 
 def expected_events(scenario, start, velocity):
@@ -108,9 +113,18 @@ def expected_events(scenario, start, velocity):
 
 def run_events(tmp_path, scenario_args):
     out = tmp_path / "run"
-    argv = ["run", "--scenario", CORRIDOR, "--out", str(out)]
+    argv = ["run", "--scenario", CORRIDOR_INI, "--out", str(out)]
     assert cli.main(argv + [arg for item in scenario_args for arg in ("--set", item)]) == 0
     return (out / "events.csv").read_text().splitlines()
+
+
+def oracle_and_run(tmp_path, ttt_ms, hyst_db, seed=1):
+    """The oracle's ``events.csv`` rows of a noise-free run, and the run's
+    file, its header included."""
+    overrides = noise_free(ttt_ms, hyst_db, seed)
+    scenario = load_scenario(CORRIDOR_INI, overrides)
+    sim = Simulation(scenario)
+    return expected_events(scenario, sim._block[0].tolist(), sim._velocity.tolist()), run_events(tmp_path, overrides)
 
 
 @pytest.mark.parametrize("ttt_ms, hyst_db, decisions", [
@@ -122,13 +136,27 @@ def run_events(tmp_path, scenario_args):
     (0, 4, []),
 ], ids=["0ms-0dB", "256ms-3dB", "100ms-1dB", "640ms-2dB", "0ms-4dB"])
 def test_noise_free_corridor_events_follow_from_geometry(tmp_path, ttt_ms, hyst_db, decisions):
-    scenario = noise_free_corridor(ttt_ms, hyst_db)
-    sim = Simulation(scenario)
-    start, velocity = sim._block[0].tolist(), sim._velocity.tolist()
-    expected = expected_events(scenario, start, velocity)
+    expected, events = oracle_and_run(tmp_path, ttt_ms, hyst_db)
     if decisions is None:
         assert len(expected) >= 4
     else:
         assert sorted(float(row.split(",")[0]) for row in expected) == decisions
-    overrides = [*NOISE_FREE, f"sim.fixed_ttt_ms={ttt_ms}", f"sim.fixed_hyst_db={hyst_db}"]
-    assert run_events(tmp_path, overrides) == [HEADER, *expected]
+    assert events == [HEADER, *expected]
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_every_ttt_and_hysteresis_follow_from_geometry(tmp_path, seed):
+    # Every TTT a policy may take, with each hysteresis from 0 dB to 5 dB
+    # (at 4 dB these draws still hand over, at 5 dB none does), at three
+    # more deployment draws.  Every pair whose run's rows are not the
+    # oracle's is listed.
+    pairs, fired = list(itertools.product(TTT_VALUES_MS, range(6))), 0
+    wrong = []
+    for ttt_ms, hyst_db in pairs:
+        expected, events = oracle_and_run(tmp_path, ttt_ms, hyst_db, seed)
+        fired += bool(expected)
+        if events != [HEADER, *expected]:
+            wrong.append((ttt_ms, hyst_db))
+    assert wrong == []
+    # Most pairs hand over at least once, so most pairs check some rows.
+    assert fired > len(pairs) // 2

@@ -10,7 +10,6 @@ from hosim import radio
 from hosim.radio import (
     DETECTION_THRESHOLD_DBM,
     MAX_NEIGHBORS,
-    CellSite,
     ChannelParams,
     MeasurementEntry,
     MeasurementReport,
@@ -20,7 +19,8 @@ from hosim.radio import (
     n_resource_blocks,
     re_scaling_db,
 )
-from hosim.sim import ConfigError, Scenario, build_sites, corridor_scenario, place_ues
+from hosim.sim import ConfigError, Scenario, build_sites, place_ues
+from corridor import corridor_scenario
 from scalar_oracle import channel_noise, oracle_nearest, oracle_row, oracle_tick
 
 PARAMS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
@@ -34,15 +34,12 @@ RB_HZ = 12 * 120e3
 NOISE_DBM = -174.0 + 10 * math.log10(BW) + 5.0
 
 
-def make_site(cid=0, pos=(0.0, 0.0)):
-    return CellSite(cid, pos)
-
-
 def make_env(sites, params=PARAMS, seed=0, tx=46.0, bw=BW):
-    """An environment whose sites share one link budget (5 dB noise figure);
-    measurement noise draws from ``default_rng(seed)``, shadowing from its
-    own stream."""
+    """An environment whose sites, ``(x, y)`` positions in id order, share
+    one link budget (5 dB noise figure); measurement noise draws from
+    ``default_rng(seed)``, shadowing from its own stream."""
     radio = RadioParams(tx_power_dbm=tx, carrier_freq_hz=FREQ, bandwidth_hz=bw, noise_figure_db=5.0)
+    sites = np.array(sites, float).reshape(-1, 2)
     return RadioEnvironment(sites, params, radio, np.random.default_rng(seed), np.random.default_rng(seed + 1))
 
 
@@ -84,7 +81,7 @@ def pin_shadowing(env, ue, position, values):
 def shadowing_for(env, cell, position, target, below=False):
     """A shadowing value that puts the noise-free measured RSRP of ``cell``
     at ``position`` exactly on ``target`` dBm, or one step below it."""
-    sx, sy = env._site_positions[cell]
+    sx, sy = env.sites[cell].tolist()
     distance = math.hypot(sx - position[0], sy - position[1])
     measured = lambda shadowing: env._received_dbm(distance, shadowing) - env._re_scaling_db
     shadowing = env._received_dbm(distance, 0.0) - env._re_scaling_db - target
@@ -108,7 +105,7 @@ def budget_row(env, ue, position, serving):
 
 def loss_at(distance_m):
     """Path loss to a UE ``distance_m`` from a 46 dBm site, with zero shadowing."""
-    wideband, *_ = budget_row(make_env([make_site()]), 0, (distance_m, 0.0), 0)
+    wideband, *_ = budget_row(make_env([(0.0, 0.0)]), 0, (distance_m, 0.0), 0)
     return 46.0 - wideband[0]
 
 
@@ -137,23 +134,23 @@ class TestPathLoss:
 class TestTrueRsrp:
     def test_reference_distance_value(self):
         expected = 46.0 - free_space_reference_db(FREQ) - 10 * math.log10(12 * 277)
-        assert make_env([make_site()]).true_rsrp_of(0, 0, (1.0, 0.0)) == pytest.approx(expected)
+        assert make_env([(0.0, 0.0)]).true_rsrp_of(0, 0, (1.0, 0.0)) == pytest.approx(expected)
 
     def test_tx_power_shift_is_linear_in_db(self):
-        lo = make_env([make_site()], tx=43.0).true_rsrp_of(0, 0, (50.0, 0.0))
-        hi = make_env([make_site()], tx=46.0).true_rsrp_of(0, 0, (50.0, 0.0))
+        lo = make_env([(0.0, 0.0)], tx=43.0).true_rsrp_of(0, 0, (50.0, 0.0))
+        hi = make_env([(0.0, 0.0)], tx=46.0).true_rsrp_of(0, 0, (50.0, 0.0))
         assert hi - lo == pytest.approx(3.0)
 
     def test_shadowing_subtracts(self):
-        shadowed_env = make_env([make_site()], params=ChannelParams(shadowing_sigma_db=6.0), seed=4)
-        clear = make_env([make_site()]).true_rsrp_of(0, 0, (50.0, 0.0))
+        shadowed_env = make_env([(0.0, 0.0)], params=ChannelParams(shadowing_sigma_db=6.0), seed=4)
+        clear = make_env([(0.0, 0.0)]).true_rsrp_of(0, 0, (50.0, 0.0))
         shadowed = shadowed_env.true_rsrp_of(0, 0, (50.0, 0.0))
         shadowing = shadowed_env.shadowing_db(0, 0, (50.0, 0.0))
         assert shadowing != 0.0
         assert clear - shadowed == pytest.approx(shadowing)
 
     def test_strictly_decreasing_in_distance(self):
-        env = make_env([make_site()])
+        env = make_env([(0.0, 0.0)])
         values = [env.true_rsrp_of(0, 0, (d, 0.0)) for d in (2, 5, 20, 90, 400)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -170,14 +167,14 @@ class TestMeasureRsrp:
         return np.array([env.generate_report(0, sample, 0, 0.0).serving.rsrp_dbm for sample in samples])
 
     def test_noiseless_identity(self):
-        env = make_env([make_site()])
+        env = make_env([(0.0, 0.0)])
         assert self.measured(env)[0] == env.true_rsrp_of(0, 0, self.POSITION)
 
     def test_env_noise_excursion_degrades(self):
         # The walk steps before the report reads it: from +4 dB, one 2 dB
         # step (drawn as the twin draws it) sets the degradation.
         params = dataclasses.replace(PARAMS, env_noise_sigma_db=2.0)
-        env, twin = make_env([make_site()], params, seed=8), np.random.default_rng(8)
+        env, twin = make_env([(0.0, 0.0)], params, seed=8), np.random.default_rng(8)
         env._env_noise[0] = params.env_noise_mean_dbm + 4.0
         excursion = min(max(4.0 + twin.normal(0.0, 2.0), -6.0), 6.0)
         assert excursion > 0.0
@@ -186,12 +183,12 @@ class TestMeasureRsrp:
         assert report.env_noise_dbm == pytest.approx(params.env_noise_mean_dbm + excursion)
 
     def test_zero_mean_noise(self):
-        env = make_env([make_site()], dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=123)
+        env = make_env([(0.0, 0.0)], dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=123)
         draws = self.measured(env, 100_000) - env.true_rsrp_of(0, 0, self.POSITION)
         assert abs(draws.mean()) < 0.05
 
     def test_noise_stdev_matches_sigma(self):
-        env = make_env([make_site()], dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=42)
+        env = make_env([(0.0, 0.0)], dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=42)
         draws = self.measured(env, 100_000)
         assert abs(draws.std() - 2.0) / 2.0 < 0.02
 
@@ -199,7 +196,7 @@ class TestMeasureRsrp:
 def rsrq_offsets(bandwidth_hz):
     """RSRQ minus (RSRP - RSSI) for every entry of a two-site report, with
     the RSSI summed independently from the wideband powers and the noise."""
-    env = make_env([make_site(0), make_site(1, (100.0, 0.0))], bw=bandwidth_hz)
+    env = make_env([(0.0, 0.0), (100.0, 0.0)], bw=bandwidth_hz)
     wideband, *_ = budget_row(env, 0, (30.0, 0.0), 0)
     noise_dbm = -174.0 + 10 * math.log10(bandwidth_hz) + 5.0
     rssi_dbm = 10 * math.log10(sum(10 ** (p / 10) for p in wideband) + 10 ** (noise_dbm / 10))
@@ -239,21 +236,21 @@ class TestSinr:
     def test_noise_equal_to_signal_gives_zero(self):
         # Place the UE so the received power equals the noise power.
         distance = 10 ** ((46.0 - NOISE_DBM - free_space_reference_db(FREQ)) / 30.0)
-        value = sinr_at([make_site()], (distance, 0.0))
+        value = sinr_at([(0.0, 0.0)], (distance, 0.0))
         assert value == pytest.approx(0.0, abs=1e-6)
 
     def test_single_equal_interferer(self):
         # Enough transmit power that thermal noise is negligible.
-        value = sinr_at([make_site(0, (0.0, 0.0)), make_site(1, (200.0, 0.0))], (100.0, 0.0), tx=140.0)
+        value = sinr_at([(0.0, 0.0), (200.0, 0.0)], (100.0, 0.0), tx=140.0)
         assert value == pytest.approx(0.0, abs=1e-3)
 
     def test_two_equal_interferers(self):
-        sites = [make_site(0, (0.0, 100.0)), make_site(1, (-100.0, 0.0)), make_site(2, (100.0, 0.0))]
+        sites = [(0.0, 100.0), (-100.0, 0.0), (100.0, 0.0)]
         value = sinr_at(sites, (0.0, 0.0), tx=140.0)
         assert value == pytest.approx(-10 * math.log10(2), abs=1e-3)
 
     def test_interference_limited_power_shift_invariance(self):
-        sites = [make_site(0, (0.0, 0.0)), make_site(1, (200.0, 0.0))]
+        sites = [(0.0, 0.0), (200.0, 0.0)]
         baseline = sinr_at(sites, (70.0, 30.0), tx=140.0)
         assert sinr_at(sites, (70.0, 30.0), tx=147.0) == pytest.approx(baseline, abs=1e-3)
 
@@ -264,8 +261,8 @@ class TestRadioRow:
     path bit for bit."""
 
     # Site 0 and site 3 are both 50 m from (0, 50), an exact tie.
-    SITES = [make_site(0), make_site(1, (100.0, 0.0)), make_site(2, (-100.0, 0.0)),
-             make_site(3, (0.0, 100.0)), make_site(4, (60.0, 70.0))]
+    SITES = [(0.0, 0.0), (100.0, 0.0), (-100.0, 0.0),
+             (0.0, 100.0), (60.0, 70.0)]
 
     def twins(self):
         """Two identically seeded environments with shadowing and noise."""
@@ -325,7 +322,7 @@ class TestNearestCell:
     @pytest.mark.parametrize("max_pairs, chunks", [(10**9, [300]), (19 * 7 + 1, [7] * 42 + [6]), (1, [1] * 300)])
     def test_chunked_pass_equals_the_scalar_search(self, monkeypatch, max_pairs, chunks):
         env = make_env(build_sites(Scenario(n_sites=19)))
-        (x1, y1), (x2, y2) = env._site_positions[1], env._site_positions[2]
+        (x1, y1), (x2, y2) = env.sites[1:3].tolist()
         positions = np.concatenate([
             [(0.0, 0.0), (x1 / 2.0, y1 / 2.0), ((x1 + x2) / 2.0, (y1 + y2) / 2.0), (x1, y1), (x1 + 0.3, y1)],
             np.random.default_rng(3).uniform(-900.0, 900.0, (295, 2)),
@@ -393,13 +390,13 @@ class TestMeasurementTypes:
 
 class TestGenerateReport:
     def test_single_cell_empty_neighbors(self):
-        env = make_env([make_site(0)])
+        env = make_env([(0.0, 0.0)])
         report = report_of(env, (30.0, 0.0), 0, 0.0)
         assert report.neighbors == ()
         assert report.serving.cell == 0
 
     def test_equidistant_tie_order_by_cell_id(self):
-        sites = [make_site(0, (0.0, 0.0)), make_site(1, (100.0, 0.0)), make_site(2, (-100.0, 0.0))]
+        sites = [(0.0, 0.0), (100.0, 0.0), (-100.0, 0.0)]
         env = make_env(sites)
         report = report_of(env, (0.0, 0.0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1, 2]
@@ -407,24 +404,24 @@ class TestGenerateReport:
 
     def test_neighbor_order_tracks_distance(self):
         sites = [
-            make_site(0, (0.0, 0.0)),
-            make_site(1, (40.0, 0.0)),
-            make_site(2, (80.0, 0.0)),
-            make_site(3, (160.0, 0.0)),
+            (0.0, 0.0),
+            (40.0, 0.0),
+            (80.0, 0.0),
+            (160.0, 0.0),
         ]
         env = make_env(sites)
         report = report_of(env, (0.0, 0.0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1, 2, 3]
 
     def test_zero_noise_reports_are_pure_geometry(self):
-        sites = [make_site(0, (0.0, 0.0)), make_site(1, (120.0, 0.0))]
+        sites = [(0.0, 0.0), (120.0, 0.0)]
         first_env, second_env = make_env(sites, seed=1), make_env(sites, seed=99)
         first = report_of(first_env, (30.0, 10.0), 0, 0.0)
         second = report_of(second_env, (30.0, 10.0), 0, 0.0)
         assert first == second
 
     def test_neighbor_list_truncated(self):
-        sites = [make_site(i, (25.0 * i, 0.0)) for i in range(12)]
+        sites = [(25.0 * i, 0.0) for i in range(12)]
         env = make_env(sites)
         report = report_of(env, (0.0, 0.0), 0, 0.0)
         assert len(report.neighbors) == MAX_NEIGHBORS
@@ -432,7 +429,7 @@ class TestGenerateReport:
     def test_detection_threshold_filters_far_cells(self):
         # Distance at which the true RSRP sits exactly on the threshold.
         edge = 10 ** ((46.0 - re_scaling_db(BW) - DETECTION_THRESHOLD_DBM - free_space_reference_db(FREQ)) / 30.0)
-        sites = [make_site(0, (0.0, 0.0)), make_site(1, (edge * 0.9, 0.0)), make_site(2, (edge * 1.1, 0.0))]
+        sites = [(0.0, 0.0), (edge * 0.9, 0.0), (edge * 1.1, 0.0)]
         env = make_env(sites)
         report = report_of(env, (0.0, 0.0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1]
@@ -441,7 +438,7 @@ class TestGenerateReport:
         # Noise-free draws: a site's measurement is its wideband power less
         # the RE scaling.  Shadowing puts one exactly on the threshold and
         # one just under.
-        env = make_env([make_site(i, (40.0 * i, 0.0)) for i in range(3)], SHADOWED)
+        env = make_env([(40.0 * i, 0.0) for i in range(3)], SHADOWED)
         position = (0.0, 0.0)
         at = shadowing_for(env, 1, position, DETECTION_THRESHOLD_DBM)
         under = shadowing_for(env, 2, position, DETECTION_THRESHOLD_DBM, below=True)
@@ -450,7 +447,7 @@ class TestGenerateReport:
         assert [(n.cell, n.rsrp_dbm) for n in report.neighbors] == [(1, DETECTION_THRESHOLD_DBM)]
 
     def test_rsrq_values_negative_under_load(self):
-        sites = [make_site(0, (0.0, 0.0)), make_site(1, (100.0, 0.0))]
+        sites = [(0.0, 0.0), (100.0, 0.0)]
         env = make_env(sites)
         report = report_of(env, (50.0, 0.0), 0, 0.0)
         assert report.serving.rsrq_db < 0
@@ -463,7 +460,7 @@ class TestGenerateReport:
     def test_one_noise_draw_per_site_in_id_order(self):
         # Twelve sites: the serving cell and eight neighbours are reported,
         # three are not, yet every site takes its draw.
-        sites = [make_site(i, (40.0 * i, 15.0 * (i % 3))) for i in range(12)]
+        sites = [(40.0 * i, 15.0 * (i % 3)) for i in range(12)]
         for n_ues, block_ticks in ((1, 73), (80, 1)):
             env = make_env(sites, dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0), seed=11)
             twin = np.random.default_rng(11)
@@ -489,7 +486,7 @@ class TestGenerateReport:
     def test_draw_order_is_walk_then_sites_then_reading(self):
         # One report takes n_sites + 2 channel draws: the walk step, each
         # site's measurement noise in id order, then the ambient reading.
-        sites = [make_site(i, (60.0 * i, 0.0)) for i in range(3)]
+        sites = [(60.0 * i, 0.0) for i in range(3)]
         params = dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0, env_noise_sigma_db=1.5)
         mean = params.env_noise_mean_dbm
         for n_ues, block_ticks in ((1, 204), (250, 1)):
@@ -509,14 +506,14 @@ class TestGenerateReport:
                 assert (env.rng.bit_generator.state == twin.bit_generator.state) == (tick % block_ticks == 0)
 
     def test_nan_measurement_at_one_site_raises(self):
-        sites = [make_site(i, (40.0 * i, 0.0)) for i in range(5)]
+        sites = [(40.0 * i, 0.0) for i in range(5)]
         env = make_env(sites)
         env.rng = NanAt(env.rng, 1 + 3)  # site 3's measurement noise at the first tick
         with pytest.raises(ValueError):
             report_of(env, (0.0, 0.0), 0, 0.0)
 
     def test_non_finite_power_at_unreported_site_raises(self):
-        sites = [make_site(i, (40.0 * i, 0.0)) for i in range(12)]
+        sites = [(40.0 * i, 0.0) for i in range(12)]
         env = make_env(sites, SHADOWED)
         position, far = (0.0, 0.0), 11
         budget_row(env, 0, position, 0)
@@ -531,25 +528,26 @@ class TestEnvironmentState:
     def test_env_noise_walk_is_bounded(self):
         # Without measurement noise each report reads the walk's level exactly.
         params = dataclasses.replace(PARAMS, env_noise_sigma_db=2.0)
-        env = make_env([make_site(0)], params, seed=3)
+        env = make_env([(0.0, 0.0)], params, seed=3)
         values = [report_of(env, (30.0, 0.0), 0, 0.0).env_noise_dbm for _ in range(2000)]
         bound = 3.0 * params.env_noise_sigma_db
         assert all(abs(v - params.env_noise_mean_dbm) <= bound + 1e-9 for v in values)
         assert max(abs(v - params.env_noise_mean_dbm) for v in values) == pytest.approx(bound)
 
     def test_shadowing_block_constant_until_decorrelation(self):
-        env = make_env([make_site(0)], ChannelParams(shadowing_sigma_db=6.0), seed=5)
+        env = make_env([(0.0, 0.0)], ChannelParams(shadowing_sigma_db=6.0), seed=5)
         a = env.shadowing_db(0, 0, (0.0, 0.0))
         assert env.shadowing_db(0, 0, (30.0, 0.0)) == a
         b = env.shadowing_db(0, 0, (60.0, 0.0))
         assert b != a
 
-    def test_duplicate_site_ids_rejected(self):
-        # Site ids must be exactly 0..n-1, so a duplicate or a gap fails.
-        with pytest.raises(ValueError):
-            make_env([make_site(0), make_site(0, (10.0, 0.0))])
-        with pytest.raises(ValueError):
-            make_env([make_site(i, (10.0 * i, 0.0)) for i in (1, 2, 3)])
+    def test_sites_must_be_an_n_by_2_array(self):
+        # A site's id is its row, so the sites are rows of (x, y) and
+        # nothing else; zero sites is a (0 x 2) array.
+        for shape in [(2,), (3, 3), (3, 1), (3, 2, 1), ()]:
+            with pytest.raises(ValueError, match="sites must be an"):
+                RadioEnvironment(np.zeros(shape), PARAMS, RadioParams(), np.random.default_rng(0), None)
+        assert make_env([]).sites.shape == (0, 2)
 
 
 class TestResourceBlocks:
@@ -562,11 +560,8 @@ class TestResourceBlocks:
 
 
 class TestSiteValidation:
-    """A site is only an id and a position; the scenario gate checks the
-    link budget every site shares."""
-
-    def test_site_is_id_and_position(self):
-        assert [f.name for f in dataclasses.fields(CellSite)] == ["id", "position"]
+    """A site is only its row of the site array; the scenario gate checks
+    the link budget every site shares."""
 
     def test_bandwidth_positive(self):
         with pytest.raises(ConfigError) as err:
@@ -605,7 +600,7 @@ class _DictShadowOracle:
         rssi_mw = serving_mw = interference_mw = 0.0
         nearest, nearest_m = 0, math.inf
         redrawn = 0
-        for cid, (sx, sy) in enumerate(env._site_positions):
+        for cid, (sx, sy) in enumerate(env.sites.tolist()):
             distance = math.hypot(sx - x, sy - y)
             if distance < nearest_m:
                 nearest, nearest_m = cid, distance
@@ -727,7 +722,7 @@ class TestChannelNoise:
     def test_block_equals_per_ue_draws(self, monkeypatch, n_ues, n_sites, env_sigma, meas_sigma):
         n_ticks = self.BLOCK_TICKS[n_ues, n_sites]
         params = dataclasses.replace(PARAMS, env_noise_sigma_db=env_sigma, meas_noise_sigma_db=meas_sigma)
-        env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(n_sites)], params, seed=31)
+        env = make_env([(10.0 * i, 0.0) for i in range(n_sites)], params, seed=31)
         twin = np.random.default_rng(31)
         drawn, array_chunk = [], env._array_chunk
 
@@ -755,7 +750,7 @@ class TestChannelNoise:
             assert (np.copysign(1.0, block) == 1.0).all()
 
     def test_zero_ues_draw_nothing(self):
-        env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(3)], SHADOWED, seed=31)
+        env = make_env([(10.0 * i, 0.0) for i in range(3)], SHADOWED, seed=31)
         state = env.rng.bit_generator.state
         assert [list(env.block_samples(np.empty((3 - t, 0, 2)), [])) for t in range(3)] == [[], [], []]
         assert env.rng.bit_generator.state == state
@@ -816,8 +811,8 @@ class TestArrayKernel:
     def test_edge_positions_equal_the_scalar_pass(self, mean):
         scenario = Scenario(channel=ChannelParams(meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0, env_noise_mean_dbm=mean))
         sites = build_sites(scenario)
-        (x3, y3), (x1, _) = sites[3].position, sites[1].position
-        assert sites[1].position == (x1, 0.0)
+        (x3, y3), (x1, y1) = sites[3].tolist(), sites[1].tolist()
+        assert y1 == 0.0
         positions = [
             (x3 + 0.3, y3 - 0.4),  # within 1 m of site 3: the distance clamps
             (0.0, 0.0),  # on site 0, which the other sites surround in pairs at equal distances
@@ -894,7 +889,7 @@ class TestWindowPowers:
     def test_edge_positions_equal_the_scalar_rows(self, monkeypatch, sigma, max_pairs, chunks):
         scenario = Scenario(n_sites=19, channel=ChannelParams(shadowing_sigma_db=sigma))
         sites = build_sites(scenario)
-        (x3, y3), (x1, _) = sites[3].position, sites[1].position
+        (x3, y3), (x1, _) = sites[3].tolist(), sites[1].tolist()
         last = len(sites) - 1
         windows = [
             ((x3, y3), 3),  # on site 3: the distance clamps to 1 m
@@ -951,7 +946,7 @@ class TestWindowPowers:
         # past 1 m, in the open, with shadowing of either sign and of zero.
         env = make_env(build_sites(Scenario(n_sites=19)), SHADOWED)
         rng = np.random.default_rng(6)
-        (x3, y3) = env._site_positions[3]
+        x3, y3 = env.sites[3].tolist()
         positions = np.concatenate([
             [(x3, y3), (x3 + 0.3, y3 - 0.4), (x3 + 1.0, y3), (math.nextafter(x3 + 1.0, math.inf), y3)],
             rng.uniform(-600.0, 600.0, (200, 2)),
@@ -960,7 +955,7 @@ class TestWindowPowers:
         shadowing[0, :3] = (0.0, -0.0, 30.0)
         _, wideband, *_ = env._link_budget(positions, [0] * len(positions), shadowing)
         expected = [
-            [env._received_dbm(math.hypot(sx - x, sy - y), value) for (sx, sy), value in zip(env._site_positions, row)]
+            [env._received_dbm(math.hypot(sx - x, sy - y), value) for (sx, sy), value in zip(env.sites.tolist(), row)]
             for (x, y), row in zip(positions.tolist(), shadowing.tolist())
         ]
         assert wideband.tobytes() == np.array(expected).tobytes()
@@ -1049,7 +1044,7 @@ class TestBlockKernel:
         )
         scenario = Scenario(n_sites=7, channel=channel)
         sites = build_sites(scenario)
-        (x3, y3), (x1, _) = sites[3].position, sites[1].position
+        (x3, y3), (x1, _) = sites[3].tolist(), sites[1].tolist()
         block_env, scalar_env = scenario_env(scenario), scenario_env(scenario)
         self.no_refresh(block_env, monkeypatch)
         at_threshold = self.x_measuring(block_env, 0, DETECTION_THRESHOLD_DBM)
@@ -1074,7 +1069,7 @@ class TestBlockKernel:
     def x_measuring(env, cell, target):
         """The largest x on the site axis at which ``cell``'s noise-free
         measurement is ``target`` dBm or more; it must be exactly ``target``."""
-        sx, sy = env._site_positions[cell]
+        sx, sy = env.sites[cell].tolist()
 
         def measured(x):
             return env._received_dbm(math.hypot(sx - x, sy - 0.0), 0.0) - env._re_scaling_db
@@ -1088,14 +1083,14 @@ class TestBlockKernel:
 
     def test_one_site(self, monkeypatch):
         params = dataclasses.replace(PARAMS, meas_noise_sigma_db=2.0, env_noise_sigma_db=2.0)
-        block_env, scalar_env = (make_env([make_site()], params, seed=5) for _ in range(2))
+        block_env, scalar_env = (make_env([(0.0, 0.0)], params, seed=5) for _ in range(2))
         self.no_refresh(block_env, monkeypatch)
         positions = np.array([[(30.0 + t, 5.0), (-200.0, 80.0 - t), (0.5, 0.0)] for t in range(400)])
         sizes, _ = block_run(block_env, scalar_env, positions, [[0, 0, 0]] * 400, edges=(400,))
         assert sizes == [400]
 
     def test_zero_ues_draw_nothing(self):
-        env = make_env([make_site(i, (10.0 * i, 0.0)) for i in range(3)], seed=31)
+        env = make_env([(10.0 * i, 0.0) for i in range(3)], seed=31)
         state = env.rng.bit_generator.state
         assert [list(env.block_samples(np.empty((5 - t, 0, 2)), [])) for t in range(5)] == [[]] * 5
         assert env.rng.bit_generator.state == state and env._env_noise == {}

@@ -14,7 +14,6 @@ from hosim import sim as sim_module
 from hosim.engine import EXECUTING, HandoverOutcome, note_execution_sinr
 from hosim.metrics import MetricsAccumulator
 from hosim.radio import (
-    CellSite,
     ChannelParams,
     RadioEnvironment,
     RadioParams,
@@ -30,10 +29,10 @@ from hosim.sim import (
     Simulation,
     _reflect,
     build_sites,
-    corridor_scenario,
     place_ues,
     run,
 )
+from corridor import corridor_scenario
 from scalar_oracle import oracle_nearest, oracle_row, oracle_samples
 
 NOISELESS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
@@ -102,20 +101,21 @@ class TestScenarioValidation:
 class TestLayouts:
     def test_hex_counts_and_uniqueness(self):
         sites = build_sites(Scenario(n_sites=50))
-        assert len(sites) == 50
-        assert len({s.position for s in sites}) == 50
-        assert [s.id for s in sites] == list(range(50))
+        assert sites.shape == (50, 2) and sites.dtype == float
+        assert len(set(map(tuple, sites.tolist()))) == 50
 
     def test_hex_neighbor_pitch(self):
         sites = build_sites(Scenario(n_sites=7, cell_radius_m=150.0))
-        center = np.array(sites[0].position)
-        ring = [np.array(s.position) for s in sites[1:]]
-        for pos in ring:
-            assert np.linalg.norm(pos - center) == pytest.approx(math.sqrt(3) * 150.0)
+        for pos in sites[1:]:
+            assert np.linalg.norm(pos - sites[0]) == pytest.approx(math.sqrt(3) * 150.0)
 
     def test_corridor_row(self):
         sites = build_sites(corridor_scenario())
-        assert [s.position for s in sites] == [(0.0, 0.0), (180.0, 0.0)]
+        assert sites.tolist() == [[0.0, 0.0], [180.0, 0.0]]
+
+    def test_zero_sites_is_an_empty_site_array(self):
+        for scenario in (Scenario(n_sites=0), corridor_scenario(n_sites=0)):
+            assert build_sites(scenario).shape == (0, 2)
 
 
 class TestPlacement:
@@ -132,8 +132,7 @@ class TestPlacement:
         start, velocity = place_ues(scenario, sites, np.random.default_rng(1))
         assert start.shape == velocity.shape == (10_000, 2)
         for ue, position in enumerate(start.tolist()):
-            site = sites[ue // 1000]
-            assert math.dist(position, site.position) <= scenario.cell_radius_m + 1e-9
+            assert math.dist(position, sites[ue // 1000].tolist()) <= scenario.cell_radius_m + 1e-9
 
     def test_placement_deterministic_by_seed(self):
         scenario = Scenario(n_sites=5)
@@ -158,19 +157,18 @@ class TestPlacement:
         sites = build_sites(scenario)
         rng, speed = np.random.default_rng(9), scenario.ue_speed_kmh / 3.6
         positions, velocities = [], []
-        for site in sites:
+        for sx, sy in sites.tolist():
             for _ in range(scenario.n_ues_per_cell):
                 if scenario.layout == "corridor":
-                    direction = 1.0 if site.position[0] <= sites[len(sites) // 2].position[0] else -1.0
+                    direction = 1.0 if sx <= sites[len(sites) // 2, 0] else -1.0
                     offset = float(rng.uniform(10.0, 30.0))
                     y = scenario.corridor_lane_m + float(rng.uniform(-10.0, 10.0))
-                    positions.append((site.position[0] + direction * offset, y))
+                    positions.append((sx + direction * offset, y))
                     velocities.append((direction * speed, 0.0))
                 else:
                     radius = min(float(rng.exponential(scenario.cell_radius_m / 2.0)), scenario.cell_radius_m)
                     angle, heading = float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(0.0, 2.0 * math.pi))
-                    positions.append((site.position[0] + radius * math.cos(angle),
-                                      site.position[1] + radius * math.sin(angle)))
+                    positions.append((sx + radius * math.cos(angle), sy + radius * math.sin(angle)))
                     velocities.append((speed * math.cos(heading), speed * math.sin(heading)))
         start, velocity = place_ues(scenario, sites, np.random.default_rng(9))
         assert start.tobytes() == np.array(positions).tobytes() and velocity.tobytes() == np.array(velocities).tobytes()
@@ -182,7 +180,7 @@ class TestPlacement:
                 scenario = corridor_scenario(n_sites=n_sites, site_spacing_m=spacing, corridor_lane_m=lane,
                                              boundary_margin_m=margin, n_ues_per_cell=20, seed=seed)
                 sim = Simulation(scenario)
-                xmin, xmax, ymin, ymax = sim._bounds
+                (xmin, ymin), (xmax, ymax) = sim._bounds.tolist()
                 assert all(xmin <= x <= xmax and ymin <= y <= ymax for x, y in sim._block[0].tolist())
             with pytest.raises(ConfigError) as err:
                 dataclasses.replace(scenario, boundary_margin_m=margin - 0.5).validate()
@@ -191,7 +189,7 @@ class TestPlacement:
     def test_hex_margin_must_cover_the_cell_radius(self):
         scenario = Scenario(n_sites=7, boundary_margin_m=150.0)
         sim = Simulation(scenario)
-        xmin, xmax, ymin, ymax = sim._bounds
+        (xmin, ymin), (xmax, ymax) = sim._bounds.tolist()
         assert all(xmin <= x <= xmax and ymin <= y <= ymax for x, y in sim._block[0].tolist())
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(scenario, boundary_margin_m=149.0).validate()
@@ -222,7 +220,7 @@ class TestStepLoop:
     def test_reflection_keeps_ues_inside_bounds(self):
         scenario = noiseless_corridor(sim_duration_s=30.0, policy="fixed_a3")
         sim = Simulation(scenario)
-        xmin, xmax, ymin, ymax = sim._bounds
+        (xmin, ymin), (xmax, ymax) = sim._bounds.tolist()
         for _ in range(sim.n_steps):
             sim.step()
             for i in range(len(sim.contexts)):
@@ -235,7 +233,7 @@ class TestStepLoop:
         scenario = corridor_scenario(site_spacing_m=1, corridor_lane_m=0, boundary_margin_m=29,
                                      ue_speed_kmh=1000, step_s=0.4, report_period_s=0.4)
         sim = Simulation(scenario)
-        xmin, xmax, ymin, ymax = sim._bounds
+        (xmin, ymin), (xmax, ymax) = sim._bounds.tolist()
         assert scenario.ue_speed_kmh / 3.6 * scenario.step_s > xmax - xmin
         for _ in range(sim.n_steps):
             sim.step()
@@ -258,16 +256,16 @@ class TestStepLoop:
             folded, _ = _reflect(p, 1.0, 0.0, 4.0)
             assert 0.0 <= folded <= 4.0
 
-    @pytest.mark.parametrize("axis, wall", [(0, 0), (0, 1), (1, 2), (1, 3)], ids=["xmin", "xmax", "ymin", "ymax"])
-    def test_reflection_mirrors_only_the_crossing_axis(self, monkeypatch, axis, wall):
+    @pytest.mark.parametrize("axis, side", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=["xmin", "xmax", "ymin", "ymax"])
+    def test_reflection_mirrors_only_the_crossing_axis(self, monkeypatch, axis, side):
         scenario = noiseless_corridor()
-        bounds = Simulation(scenario)._bounds
+        lo, hi = Simulation(scenario)._bounds.tolist()
         dt = scenario.step_s
-        bound = bounds[wall]
-        inward = 1.0 if wall % 2 == 0 else -1.0
+        bound = (lo, hi)[side][axis]
+        inward = 1.0 if side == 0 else -1.0
         # One UE one metre inside the wall, heading out at 2 m per step,
         # with a slow drift along the other axis.
-        start = [(bounds[0] + bounds[1]) / 2, (bounds[2] + bounds[3]) / 2]
+        start = [(lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2]
         start[axis] = bound + inward
         velocity = [3.0, 3.0]
         velocity[axis] = -inward * 2.0 / dt
@@ -288,8 +286,8 @@ class TestStepLoop:
         assert sim.position(0)[other] == folded[other] + velocity[other] * dt
 
     def test_nearest_cell_tie_goes_to_lowest_site_id(self):
-        # Sites handed over out of id order; the origin is 10 m from all three.
-        sites = [CellSite(2, (10.0, 0.0)), CellSite(0, (0.0, 10.0)), CellSite(1, (-10.0, 0.0))]
+        # The origin is 10 m from all three sites.
+        sites = np.array([(0.0, 10.0), (-10.0, 0.0), (10.0, 0.0)])
         env = RadioEnvironment(sites, NOISELESS, RadioParams(), np.random.default_rng(0), np.random.default_rng(1))
         positions = [(0.0, 0.0), (0.0, -1.0), (0.5, -1.0)]
         assert env.nearest_cell(np.array(positions)) == [0, 1, 2]
@@ -357,17 +355,18 @@ class TestReportTick:
         for ue, (position, ctx, value) in enumerate(zip(start, sim.contexts, sinrs)):
             serving = ctx.serving
 
-            def power(site):
-                d = max(math.hypot(site.position[0] - position[0], site.position[1] - position[1]), 1.0)
+            def power(cid):
+                sx, sy = env.sites[cid].tolist()
+                d = max(math.hypot(sx - position[0], sy - position[1]), 1.0)
                 path_loss = reference_db + 10.0 * scenario.channel.path_loss_exponent * math.log10(d)
-                shadowing = env.shadowing_db(site.id, ue, position)
+                shadowing = env.shadowing_db(cid, ue, position)
                 return db_to_linear(scenario.radio.tx_power_dbm - path_loss - shadowing)
 
             interference = 0.0
-            for site in env.sites:
-                if site.id != serving:
-                    interference += power(site)
-            assert value == linear_to_db(power(env.sites[serving]) / (interference + noise_mw))
+            for cid in range(len(env.sites)):
+                if cid != serving:
+                    interference += power(cid)
+            assert value == linear_to_db(power(serving) / (interference + noise_mw))
 
     def test_link_budget_constants_not_rederived(self, monkeypatch):
         sim = Simulation(report_tick_scenario())
@@ -443,7 +442,7 @@ class TestExecutingList:
 def eager_step(trajectories, bounds, dt):
     """Move every ``[position, velocity]`` pair one step, as a step loop
     that advances every UE at every step would."""
-    xmin, xmax, ymin, ymax = bounds
+    (xmin, ymin), (xmax, ymax) = bounds.tolist()
     for t in trajectories:
         (x, y), (vx, vy) = t
         x += vx * dt
