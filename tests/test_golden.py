@@ -17,7 +17,7 @@ from dataclasses import fields
 
 import pytest
 
-from hosim import config, kalman, metrics, radio, sim
+from hosim import cli, config, kalman, metrics, radio, sim
 from hosim.rl import qtable_rows
 from hosim.sim import Simulation
 from scalar_oracle import oracle_samples, oracle_window_powers
@@ -260,3 +260,21 @@ def test_eviction_case_evicts(monkeypatch):
     overrides = HEX_EVICTION + ["sim.policy=lim2", "sim.seed=1"]
     Simulation(config.load_scenario(os.path.join(SCENARIOS, "hex50.ini"), overrides)).run()
     assert sum(evicted) == 17
+
+
+# The three files of a small corridor sweep, byte for byte: the per-run
+# rows, the per-(policy, speed) mean and sample deviation, and the
+# per-policy CDFs.
+SWEEP_CSVS = {
+    "sweep.csv": "7ac0b20c148777023b7fc306afa34c3816a6cea1fb55ef55d6f85e4cab8b1847",
+    "sweep_summary.csv": "dae7224c4f225b08fc400ce1c7e1b97a7df2ce851f985238f2c8c35f6d97d909",
+    "sweep_cdf.csv": "feddae0804be2c80996196a159b7ab5993cc24a1670d11238d32c9dd89573ba8",
+}
+
+
+def test_sweep_csv_digests(tmp_path):
+    assert cli.main([
+        "sweep", "--scenario", os.path.join(SCENARIOS, "corridor.ini"), "--set", "sim.sim_duration_s=2",
+        "--speeds", "100,300", "--seeds", "0:3", "--out", str(tmp_path),
+    ]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SWEEP_CSVS} == SWEEP_CSVS
