@@ -49,8 +49,15 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _out_dir(args) -> str:
-    return args.out or os.environ.get(ENV_OUT_ROOT) or "out"
+def _make_out_dir(args) -> str:
+    """Create the output directory and return its path: once the input is
+    checked, so bad input leaves no directory, and before the first run."""
+    out = args.out or os.environ.get(ENV_OUT_ROOT) or "out"
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot create {out}: {exc.strerror or exc}") from exc
+    return out
 
 
 def _parse_list(text: str, name: str, kind=float) -> list:
@@ -73,10 +80,12 @@ def _parse_list(text: str, name: str, kind=float) -> list:
 
 
 def _load_scenario(args) -> Scenario:
-    """The scenario file with ``--set`` applied, then the field flags given."""
+    """The scenario file with ``--set`` applied, then the field flags given, validated."""
     flags = (("seed", "seed"), ("speed", "ue_speed_kmh"), ("policy", "policy"), ("duration", "sim_duration_s"))
     given = {name: getattr(args, flag) for flag, name in flags if getattr(args, flag, None) is not None}
-    return dataclasses.replace(config.load_scenario(args.scenario, args.set), **given)
+    scenario = dataclasses.replace(config.load_scenario(args.scenario, args.set), **given)
+    scenario.validate()
+    return scenario
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -110,8 +119,8 @@ def _run_task(task: list[Scenario]) -> list[tuple]:
 
 def cmd_run(args) -> int:
     scenario = _load_scenario(args)
+    out = _make_out_dir(args)
     result = sim.run(scenario)
-    out = _out_dir(args)
     metrics.write_csv_atomic(
         os.path.join(out, "kpis.csv"),
         metrics.KPI_HEADER,
@@ -143,6 +152,7 @@ def cmd_sweep(args) -> int:
     ]
     for scn in scenarios:
         scn.validate()
+    out = _make_out_dir(args)
     if sim.shares_radio(scenarios[0]):
         # One task per (speed, seed), holding its run of every policy.
         n = len(speeds) * len(seeds)
@@ -169,7 +179,6 @@ def cmd_sweep(args) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     results.sort(key=itemgetter(0, 1, 2))
-    out = _out_dir(args)
     metrics.write_csv_atomic(
         os.path.join(out, "sweep.csv"),
         metrics.KPI_HEADER,
@@ -198,8 +207,7 @@ def cmd_sweep(args) -> int:
             ("throughput_mbps", [k.mean_throughput_mbps for k in records]),
             ("ho_failure_rate", [k.ho_failure_rate for k in records]),
         ):
-            series = metrics.cdf(values)
-            cdf_rows.extend((policy, name, v, f) for v, f in zip(series.values, series.fractions))
+            cdf_rows.extend((policy, name, v, f) for v, f in metrics.cdf(values))
     metrics.write_csv_atomic(
         os.path.join(out, "sweep_cdf.csv"),
         ("policy", "metric", "value", "fraction"),
@@ -211,15 +219,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_convergence(args) -> int:
     base = _load_scenario(args)
-    seeds = _parse_list(args.seeds, "seeds", int)
+    scenarios = [dataclasses.replace(base, seed=seed) for seed in _parse_list(args.seeds, "seeds", int)]
+    for scenario in scenarios:
+        scenario.validate()
+    out = _make_out_dir(args)
     rows = []
-    for seed in seeds:
-        scenario = dataclasses.replace(base, seed=seed)
+    for scenario in scenarios:
         result = sim.run(scenario)
-        rows.extend((seed, t, plr) for t, plr in zip(result.plr_starts_s, result.kpis.plr_series))
-    out = _out_dir(args)
+        rows.extend((scenario.seed, t, plr) for t, plr in zip(result.plr_starts_s, result.kpis.plr_series))
     metrics.write_csv_atomic(os.path.join(out, "convergence.csv"), ("seed", "timestamp_s", "avg_plr"), rows)
-    print(f"convergence complete: {len(seeds)} run(s), {len(rows)} samples -> {out}")
+    print(f"convergence complete: {len(scenarios)} run(s), {len(rows)} samples -> {out}")
     return 0
 
 
@@ -227,8 +236,8 @@ def cmd_qtable(args) -> int:
     scenario = _load_scenario(args)
     if scenario.policy != "lim2":
         raise ConfigError("sim.policy", "qtable dumps require the lim2 policy")
+    out = _make_out_dir(args)
     result = sim.run(scenario)
-    out = _out_dir(args)
     metrics.write_csv_atomic(
         os.path.join(out, "qtables.csv"),
         ("cell", "ttt_ms", "hyst_db", "q"),
@@ -263,9 +272,10 @@ def cmd_plot(args) -> int:
     except ValueError as exc:
         print(f"bad value in {args.csv}: {exc}", file=sys.stderr)
         return 1
+    path = os.path.join(_make_out_dir(args), name)
     pixels, labels = chart(rows)
-    path = os.path.join(_out_dir(args), name)
-    plot.write_png_atomic(path, pixels, labels)
+    with metrics.open_atomic(path, "wb") as fh:
+        fh.write(plot.encode_png(pixels, labels))
     print(f"wrote {path}")
     for key, value in labels:
         print(f"  {key}: {value}")

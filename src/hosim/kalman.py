@@ -169,11 +169,11 @@ class KalmanStreams:
     repeated step bit for bit.  One table holds every stream in recency
     order, oldest first, so eviction pops from the front.  A gain already
     solved is read from the gain table, and past the fixed point the last
-    gain is; ``_gain`` only extends the table.  Eviction runs at the
-    first observation of each instant: times must not decrease, so no
-    stream goes idle between two observations at one instant, and that
-    drops exactly the streams that evicting after every observation
-    drops.  Single-threaded only.
+    gain is; the table's ``gain`` is called only to extend it.  Eviction
+    runs at the first observation of each instant: times must not
+    decrease, so no stream goes idle between two observations at one
+    instant, and that drops exactly the streams that evicting after every
+    observation drops.  Single-threaded only.
     """
 
     def __init__(self, params: KalmanParams):
@@ -189,7 +189,7 @@ class KalmanStreams:
         if x is None:
             x = (float(z[0]), float(z[1]))
         else:
-            k = gains[n] if n < len(gains) else gains[-1] if self._table.converged else self._gain(n)
+            k = gains[n] if n < len(gains) else gains[-1] if self._table.converged else self._table.gain(n)
             x = _innovate(x, k, z)
         states[key] = (x, n + 1, now)
         states.move_to_end(key)
@@ -202,10 +202,6 @@ class KalmanStreams:
 
     def get(self, key: tuple[int, int]) -> tuple[float, float] | None:
         return self._states.get(key, (None,))[0]
-
-    def _gain(self, n: int) -> tuple[float, float, float, float]:
-        """Gain of a stream's (n+1)-th update."""
-        return self._table.gain(n)
 
     def _evict(self, now: float) -> None:
         while self._states:

@@ -118,20 +118,11 @@ class KpiRecord:
     plr_series: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class CdfSeries:
-    """Sorted sample values with cumulative fractions ending at 1."""
-
-    values: tuple[float, ...]
-    fractions: tuple[float, ...]
-
-
-def cdf(samples) -> CdfSeries:
+def cdf(samples) -> list[tuple[float, float]]:
+    """The samples sorted, each as a (value, cumulative fraction) pair; the
+    last fraction is 1, and no samples give no pairs."""
     values = sorted(float(s) for s in samples)
-    n = len(values)
-    if n == 0:
-        return CdfSeries((), ())
-    return CdfSeries(tuple(values), tuple((i + 1) / n for i in range(n)))
+    return [(v, (i + 1) / len(values)) for i, v in enumerate(values)]
 
 
 @dataclass
@@ -200,12 +191,6 @@ class MetricsAccumulator:
             segment = np.concatenate(([self._bucket_sums.get(b, 0.0)], plr[lo:hi]))
             self._bucket_sums[b] = np.add.accumulate(segment)[-1].item()
             self._bucket_counts[b] = self._bucket_counts.get(b, 0) + (hi - lo)
-
-    def add_crossing(self) -> None:
-        self.crossings += 1
-
-    def add_outcome(self, outcome: HandoverOutcome) -> None:
-        self.outcomes.append(outcome)
 
     def plr_series(self) -> tuple[float, ...]:
         self._score()

@@ -197,10 +197,3 @@ def encode_png(pixels: np.ndarray, labels) -> bytes:
         + _chunk(b"IDAT", zlib.compress(scanlines.tobytes(), 9))
         + _chunk(b"IEND", b"")
     )
-
-
-def write_png_atomic(path: str, pixels: np.ndarray, labels) -> None:
-    """Write a PNG via a temp file and rename, so readers never see a
-    partially written chart."""
-    with metrics.open_atomic(path, "wb") as fh:
-        fh.write(encode_png(pixels, labels))

@@ -383,7 +383,7 @@ class Simulation:
             ctx = self.contexts[i]
             if now >= ctx.exec_deadline - 1e-9:
                 target_rsrp = self.env.true_rsrp_of(ctx.target, i, self.position(i))
-                self.metrics.add_outcome(engine.complete_handover(ctx, now, target_rsrp))
+                self.metrics.outcomes.append(engine.complete_handover(ctx, now, target_rsrp))
             else:
                 still_executing.append(i)
         self._executing = still_executing
@@ -410,7 +410,7 @@ class Simulation:
             metrics.add_sample(now, sinr_db, attached)
             if sample.nearest != self._nearest[i]:
                 self._nearest[i] = sample.nearest
-                metrics.add_crossing()
+                metrics.crossings += 1
         self._executing = executing
 
     def _track_execution_sinr(self) -> None:

@@ -237,6 +237,21 @@ class TestConfigurationErrors:
         assert main(["run", "--scenario", corridor_file, "--set", override, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
+    # An output directory beneath a regular file cannot be made, even by
+    # root, whom permission bits do not stop: the command stops before its
+    # first run instead of losing the run's results when it writes them.
+    @pytest.mark.parametrize("command", ["run", "sweep", "convergence", "qtable"])
+    def test_out_beneath_a_file_exits_2_before_any_run(self, corridor_file, tmp_path, capsys, monkeypatch, command):
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(hosim.sim, "run", no_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        assert main([command, "--scenario", corridor_file, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: out: cannot create {out}: Not a directory\n"
+
     @pytest.mark.parametrize("scenario", ["corridor.ini", "hex50.ini"])
     def test_longest_run_at_the_coarsest_step_completes(self, tmp_path, scenario):
         # At the duration bound the step and the travel per step stay finite.
@@ -673,6 +688,15 @@ class TestPlotCommand:
         if name in self.BAD_VALUES:
             assert self.BAD_VALUES[name][1] in err
             assert not out.exists()
+
+    def test_out_beneath_a_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_text(self.SWEEP_HEAD)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "plots"
+        assert main(["plot", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: out: cannot create {out}: Not a directory\n"
 
     def test_wrong_columns_exits_1(self, tmp_path, capsys):
         path = tmp_path / "qtables.csv"

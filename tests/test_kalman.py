@@ -279,7 +279,7 @@ class TestStreams:
         """A KalmanStreams built from equal (Q, R, P0) arrays takes the
         first one's gain table, solves nothing, and still equals repeated
         step bit for bit past the fixed point at age 178."""
-        KalmanStreams(KalmanParams())._gain(500)
+        KalmanStreams(KalmanParams())._table.gain(500)
         solves = []
         solve = np.linalg.solve
         monkeypatch.setattr(kalman.np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
@@ -301,11 +301,11 @@ class TestStreams:
 
 class EvictAfterEveryObserve(KalmanStreams):
     """The streams as they were before eviction ran once per instant: every
-    observation reads its gain through ``_gain`` and then evicts."""
+    observation reads its gain from the gain table and then evicts."""
 
     def observe(self, key, z, now):
         x, n, _ = self._states.get(key, (None, -1, None))
-        x = (float(z[0]), float(z[1])) if x is None else kalman._innovate(x, self._gain(n), z)
+        x = (float(z[0]), float(z[1])) if x is None else kalman._innovate(x, self._table.gain(n), z)
         self._states[key] = (x, n + 1, now)
         self._states.move_to_end(key)
         self._evict(now)

@@ -96,35 +96,30 @@ class TestDelayProxy:
 
 class TestCdf:
     def test_single_sample(self):
-        series = cdf([3.5])
-        assert series.values == (3.5,)
-        assert series.fractions == (1.0,)
+        assert cdf([3.5]) == [(3.5, 1.0)]
 
     def test_median_read(self):
-        series = cdf([3, 1, 4, 2])
-        assert series.values == (1.0, 2.0, 3.0, 4.0)
-        assert series.fractions == (0.25, 0.5, 0.75, 1.0)
+        pairs = cdf([3, 1, 4, 2])
+        assert pairs == [(1.0, 0.25), (2.0, 0.5), (3.0, 0.75), (4.0, 1.0)]
+        assert all(type(v) is float for pair in pairs for v in pair)
         # the median sits between the values at fractions 0.5 and 0.75
-        assert series.values[series.fractions.index(0.5)] == 2.0
-        assert series.values[series.fractions.index(0.75)] == 3.0
+        values = {f: v for v, f in pairs}
+        assert values[0.5] == 2.0
+        assert values[0.75] == 3.0
 
     def test_empty_flagged(self):
-        series = cdf([])
-        assert series.values == ()
-        assert series.fractions == ()
+        assert cdf([]) == []
 
     def test_fractions_non_decreasing_and_end_at_one(self):
         rng = np.random.default_rng(0)
-        series = cdf(rng.normal(size=257))
-        assert all(b >= a for a, b in zip(series.fractions, series.fractions[1:]))
-        assert series.fractions[-1] == 1.0
+        fractions = [f for _, f in cdf(rng.normal(size=257))]
+        assert all(b >= a for a, b in zip(fractions, fractions[1:]))
+        assert fractions[-1] == 1.0
 
     def test_idempotence(self):
         rng = np.random.default_rng(1)
         first = cdf(rng.uniform(size=100))
-        second = cdf(first.values)
-        assert second.fractions == first.fractions
-        assert second.values == first.values
+        assert cdf(v for v, _ in first) == first
 
 
 def outcome(result="success", ping_pong=False, t=1.0):
@@ -139,11 +134,8 @@ class TestAccumulator:
         acc = MetricsAccumulator(n_ues=2, duration_s=10.0, bandwidth_hz=BW)
         for i in range(100):
             acc.add_sample(i * 0.1, 5.0, attached=True)
-        acc.add_outcome(outcome())
-        acc.add_outcome(outcome(result="failure"))
-        acc.add_outcome(outcome(ping_pong=True))
-        acc.add_crossing()
-        acc.add_crossing()
+        acc.outcomes += [outcome(), outcome(result="failure"), outcome(ping_pong=True)]
+        acc.crossings += 2
         record = acc.finalize()
         assert record.ho_decisions == 3
         assert record.ho_successes + record.ho_failures == record.ho_decisions
