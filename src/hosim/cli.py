@@ -99,22 +99,15 @@ class RunFailed(Exception):
     """A sweep run raised; the message names its (policy, speed, seed)."""
 
 
-def _run_one(scenario: Scenario, shared: sim.SharedRadio | None = None) -> tuple:
+def _run_one(scenario: Scenario) -> tuple:
+    """One sweep run through ``sim.run``, as a lone ``hosim run`` takes it."""
     try:
-        result = sim.run(scenario, shared)
+        result = sim.run(scenario)
     except Exception as exc:
         raise RunFailed(
             f"policy={scenario.policy} speed={scenario.ue_speed_kmh:g} seed={scenario.seed}: {exc}"
         ) from exc
     return (scenario.policy, scenario.ue_speed_kmh, scenario.seed, result.kpis)
-
-
-def _run_task(task: list[Scenario]) -> list[tuple]:
-    """Run a sweep task's scenarios in turn, each through ``sim.run``.  A
-    task of several is every policy of one (speed, seed) whose runs share
-    a radio: the first records it, the others replay it."""
-    shared = sim.SharedRadio(task[0]) if len(task) > 1 else None
-    return [_run_one(scenario, shared) for scenario in task]
 
 
 def cmd_run(args) -> int:
@@ -153,15 +146,9 @@ def cmd_sweep(args) -> int:
     for scn in scenarios:
         scn.validate()
     out = _make_out_dir(args)
-    if sim.shares_radio(scenarios[0]):
-        # One task per (speed, seed), holding its run of every policy.
-        n = len(speeds) * len(seeds)
-        tasks = [scenarios[k::n] for k in range(n)]
-    else:
-        tasks = [[scn] for scn in scenarios]
     # The pool starts every worker at its first submit, so never ask for
-    # more workers than there are tasks.
-    workers = min(args.jobs, len(tasks))
+    # more workers than there are runs.
+    workers = min(args.jobs, len(scenarios))
     try:
         if workers > 1:
             # Read off the module, not as a global: the name resolves through
@@ -169,12 +156,12 @@ def cmd_sweep(args) -> int:
             executor = getattr(sys.modules[__name__], "ProcessPoolExecutor")
             with executor(max_workers=workers) as pool:
                 try:
-                    results = [r for done in pool.map(_run_task, tasks) for r in done]
+                    results = list(pool.map(_run_one, scenarios))
                 except RunFailed:
                     pool.shutdown(cancel_futures=True)
                     raise
         else:
-            results = [r for task in tasks for r in _run_task(task)]
+            results = list(map(_run_one, scenarios))
     except RunFailed as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

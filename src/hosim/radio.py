@@ -39,13 +39,7 @@ rows of one array body, ``_array_chunk``.
   per UE per tick.  So the block's ticks read no shadowing row
   (``refresh_shadowing`` is not called for them), and only the serving
   split of a UE whose serving cell changed since the block's first tick
-  is redone at its tick.  For the same reason the runs of every policy at
-  one (speed, seed) can share the blocks (``sim.SharedRadio``), the only
-  thing such a radio holds: the first run's environment records them,
-  and every later run's replays them, drawing no noise and calling no
-  ``_array_chunk``, while it lays out its own trajectory; a row whose
-  serving cell differs from the recording run's has its serving split
-  redone, as at a serving change.
+  is redone at its tick.
 - With shadowing a block is one tick.  Execution windows and handover
   completions draw from the shadowing stream between report ticks, so a
   tick's shadowing is known only at that tick; it is known there, because
@@ -87,7 +81,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat, starmap
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -250,12 +244,10 @@ class RadioEnvironment:
     per-site list is indexed by it.  Owns each UE's shadowing row (per
     site, a value and the position it was drawn at) and the per-UE
     ambient-noise random walks, which only the report kernel steps.
-    Given a ``sim.SharedRadio``, ``shared``, it records the kernel's
-    blocks there, or replays them once they are recorded.  Confined to a
-    single simulation instance; a run is single-threaded.
+    Confined to a single simulation instance; a run is single-threaded.
     """
 
-    def __init__(self, sites: np.ndarray, channel: ChannelParams, radio: RadioParams, rng, shadow_rng, shared=None):
+    def __init__(self, sites: np.ndarray, channel: ChannelParams, radio: RadioParams, rng, shadow_rng):
         if sites.shape[1:] != (2,):
             raise ValueError(f"sites must be an (n_sites x 2) array, not of shape {sites.shape}")
         self.sites = sites
@@ -282,10 +274,6 @@ class RadioEnvironment:
         self._rows: Iterator[tuple[RadioSample, np.ndarray]] | None = None
         self._block_servings: list[int] = []
         self._block_ticks = self._block_next = 0
-        # The shared radio's kernel blocks: appended to by its first run,
-        # read back in order by every later one.
-        self._recording = shared.blocks if shared is not None and not shared.recorded else None
-        self._replay = iter(shared.blocks) if shared is not None and shared.recorded else None
         self._tx_dbm = radio.tx_power_dbm
         self._reference_db = free_space_reference_db(radio.carrier_freq_hz)
         self._slope_db = 10.0 * channel.path_loss_exponent
@@ -422,10 +410,7 @@ class RadioEnvironment:
         the block's channel noise and steps each UE's ambient walk through
         it, tick by tick with the scalar clamp, so ``_env_noise`` holds the
         walk at the block's last tick; the rows' samples wait for
-        ``_block_rows``.  A recording environment keeps the block's tick
-        count, first-tick servings and chunks as they are computed; a
-        replaying one takes the next recorded block instead, drawing no
-        noise and stepping no walk.
+        ``_block_rows``.
 
         A UE's draws at a tick are the ambient walk's step (σ_env), then
         ``n_sites + 1`` measurement draws (σ_meas), the last for the ambient
@@ -434,11 +419,6 @@ class RadioEnvironment:
         ``rng`` feeds nothing else, so they equal each UE's own ``normal``
         calls tick by tick, bit for bit, and leave ``rng`` where those calls
         would."""
-        if self._replay is not None:
-            n_ticks, self._block_servings, chunks = next(self._replay)
-            self._rows = chain.from_iterable(starmap(zip, chunks))
-            self._block_ticks, self._block_next = n_ticks, 0
-            return
         shadowed = self.params.shadowing_sigma_db > 0
         n_ticks = 1 if shadowed else len(ticks)
         noise = self.rng.standard_normal((n_ticks, len(servings), len(self._noise_scale)))
@@ -464,21 +444,15 @@ class RadioEnvironment:
         levels = np.array(walks).T.reshape(-1)
         noise = noise.reshape(-1, len(self._noise_scale))
         self._block_servings = list(servings)
-        chunks = None
-        if self._recording is not None:
-            chunks = []
-            self._recording.append((n_ticks, self._block_servings, chunks))
-        self._rows = self._block_rows(xy, servings * n_ticks, levels, noise, shadowed, chunks)
+        self._rows = self._block_rows(xy, servings * n_ticks, levels, noise, shadowed)
         self._block_ticks, self._block_next = n_ticks, 0
 
-    def _block_rows(self, xy, servings, levels, noise, shadowed, chunks) -> Iterator[tuple[RadioSample, np.ndarray]]:
+    def _block_rows(self, xy, servings, levels, noise, shadowed) -> Iterator[tuple[RadioSample, np.ndarray]]:
         """Each row's sample and linear powers by site id, computed by
         ``_array_chunk`` a chunk at a time as the rows are read.  A shadowed
         block is one tick, so row ``r`` is UE ``r``; its shadowing is
         refreshed at its position when its chunk is computed.  An
-        unshadowed row's is +0.0, which is every value a zero sigma draws.
-        Each chunk's samples and (rows x sites) powers, made read-only, are
-        appended to ``chunks`` unless it is None."""
+        unshadowed row's is +0.0, which is every value a zero sigma draws."""
         n_sites = len(self.sites)
         shadowing = 0.0
         for rows in self._chunks(len(xy)):
@@ -487,9 +461,6 @@ class RadioEnvironment:
                 values = map(self.refresh_shadowing, ues, map(tuple, xy[rows].tolist()))
                 shadowing = np.fromiter(chain.from_iterable(values), float, len(ues) * n_sites).reshape(-1, n_sites)
             samples, mw = self._array_chunk(xy[rows], servings[rows], shadowing, levels[rows], noise[rows])
-            if chunks is not None:
-                mw.flags.writeable = False
-                chunks.append((samples, mw))
             yield from zip(samples, mw)
 
     def _chunks(self, n_rows: int) -> Iterator[slice]:

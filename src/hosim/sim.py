@@ -16,22 +16,18 @@ it computes this tick alone, after the tick's completions.  Between report
 ticks the execution windows that have not failed take their SINR from
 the same link budget, as one block of (UE x site) pairs.
 
-Without shadowing, the report kernel's blocks do not depend on the
-policy, so a sweep's runs of one (speed, seed) may share them as a
-``SharedRadio``: the first run records them and the others replay them.
-Every run lays out its own trajectory, which draws only on the setup
-stream and so is the same, bit for bit, under every policy.
-
 Determinism: every random quantity derives from the scenario seed via
 dedicated sub-streams (placement, channel noise, shadowing, and one
 stream per learning agent), so a (scenario, seed) pair fixes every
-output byte and per-cell agents stay independent of each other.
+output byte and per-cell agents stay independent of each other.  So the
+runs of every policy at one (speed, seed) lay out the same trajectories
+and draw the same channel noise, each run computing its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -62,11 +58,6 @@ TRAJECTORY_BLOCK_UE_STEPS = 4096
 # Most UE-steps one report period may span, as a trajectory block holds at
 # least one: 2**22 (x, y) float pairs are 64 MiB.
 MAX_REPORT_PERIOD_UE_STEPS = 2**22
-# Most (report tick x UE x site) pairs a SharedRadio records.  A pair of a
-# two-site deployment holds about 210 bytes (tracemalloc), so at most
-# 3.4 MB (fewer per pair with more sites); the corridor default's 1,000
-# ticks x 2 UEs x 2 sites take 0.84 MB.
-SHARED_RADIO_MAX_PAIRS = 2**14
 
 class ConfigError(ValueError):
     """Scenario validation failure; carries the offending field name."""
@@ -256,33 +247,6 @@ def place_ues(scenario: Scenario, sites: np.ndarray, rng) -> tuple[np.ndarray, n
     return np.array(positions, float).reshape(-1, 2), np.array(velocities, float).reshape(-1, 2)
 
 
-def shares_radio(scenario: Scenario) -> bool:
-    """Whether the runs of ``scenario``'s (speed, seed) may share one
-    ``SharedRadio`` whatever their policy: its channel has no shadowing,
-    whose draws depend on the policy, and a run spans at most
-    ``SHARED_RADIO_MAX_PAIRS`` (report tick, UE, site) pairs."""
-    n_steps = round(scenario.sim_duration_s / scenario.step_s)
-    n_ticks = -(-n_steps // round(scenario.report_period_s / scenario.step_s))
-    pairs = n_ticks * scenario.n_sites ** 2 * scenario.n_ues_per_cell
-    return scenario.channel.shadowing_sigma_db == 0 and pairs <= SHARED_RADIO_MAX_PAIRS
-
-
-@dataclass
-class SharedRadio:
-    """What a shadow-free run's radio computes that no policy changes, for
-    the runs of one (speed, seed) to compute once: the report kernel's
-    blocks (see ``RadioEnvironment``).  The first run given it records
-    them; once that run has finished, ``recorded`` is set and every later
-    run replays them read-only, drawing no channel noise and computing no
-    link budget of a report tick.  Only a row whose serving cell differs
-    from the recording run's has its serving split redone, as at a serving
-    change within a block."""
-
-    scenario: Scenario  # the recording run's; a replaying run differs in its policy alone
-    blocks: list = field(default_factory=list)
-    recorded: bool = False
-
-
 @dataclass
 class RunResult:
     scenario: Scenario
@@ -293,23 +257,19 @@ class RunResult:
 
 
 class Simulation:
-    """One seeded, single-threaded run of a scenario, which records or
-    replays ``shared`` if it is given.  Its UEs start where ``place_ues``
-    puts them, each on the nearest site that ``RadioEnvironment.nearest_cell``
-    finds for all of them in one pass of the report kernel's distance rule."""
+    """One seeded, single-threaded run of a scenario.  Its UEs start where
+    ``place_ues`` puts them, each on the nearest site that
+    ``RadioEnvironment.nearest_cell`` finds for all of them in one pass of
+    the report kernel's distance rule."""
 
-    def __init__(self, scenario: Scenario, shared: SharedRadio | None = None):
+    def __init__(self, scenario: Scenario):
         scenario.validate()
-        if shared is not None and not (
-            shares_radio(scenario) and replace(scenario, policy=shared.scenario.policy) == shared.scenario
-        ):
-            raise ValueError("a shared radio serves only the shadow-free (speed, seed) it was made for")
         self.scenario = scenario
         sites = build_sites(scenario)
         setup_rng = np.random.default_rng([scenario.seed, _SETUP_STREAM])
         channel_rng = np.random.default_rng([scenario.seed, _CHANNEL_STREAM])
         shadow_rng = np.random.default_rng([scenario.seed, _SHADOW_STREAM])
-        self.env = RadioEnvironment(sites, scenario.channel, scenario.radio, channel_rng, shadow_rng, shared)
+        self.env = RadioEnvironment(sites, scenario.channel, scenario.radio, channel_rng, shadow_rng)
         start, self._velocity = place_ues(scenario, sites, setup_rng)
         self.policy = make_policy(
             scenario.policy,
@@ -338,7 +298,6 @@ class Simulation:
         self._block_start = 0
         periods = TRAJECTORY_BLOCK_UE_STEPS // (max(1, len(start)) * self.report_every)
         self._block_steps = max(1, periods) * self.report_every
-        self._shared = shared
         # Ids of the UEs whose handover is executing, ascending.  Only a
         # report tick starts an execution and only a completion ends one.
         self._executing: list[int] = []
@@ -350,8 +309,6 @@ class Simulation:
     def run(self) -> RunResult:
         for _ in range(self.n_steps):
             self.step()
-        if self._shared is not None:
-            self._shared.recorded = True
         qtables = self.policy.qtables() if isinstance(self.policy, Lim2Policy) else {}
         return RunResult(
             self.scenario, self.metrics.finalize(), self.metrics.outcomes, qtables, self.metrics.plr_starts_s()
@@ -494,7 +451,6 @@ def _reflect(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:
     return min(lo + offset, hi), v
 
 
-def run(scenario: Scenario, shared: SharedRadio | None = None) -> RunResult:
-    """Validate and execute one scenario, recording or replaying ``shared``
-    if it is given."""
-    return Simulation(scenario, shared).run()
+def run(scenario: Scenario) -> RunResult:
+    """Validate and execute one scenario."""
+    return Simulation(scenario).run()

@@ -338,15 +338,13 @@ class TestSweepCommand:
         monkeypatch.setattr(hosim.cli, "ProcessPoolExecutor", RecordingPool)
         outs = {}
         # (policies, seeds, jobs, shadowed) -> the pool size asked for, None
-        # for a serial sweep.  workers = min(jobs, tasks), where a
-        # shadow-free sweep has a task per (speed, seed), holding every
-        # policy, and a shadowed one a task per run.
+        # for a serial sweep.  workers = min(jobs, runs), whatever the channel.
         cases = {
             ("fixed_a3", "0", 64, False): None,
             ("fixed_a3", "0,1", 64, False): 2,
             ("fixed_a3", "0,1", 1, False): None,
-            ("lim2,fixed_a3,greedy_rsrp", "0", 64, False): None,
-            ("lim2,fixed_a3,greedy_rsrp", "0,1", 64, False): 2,
+            ("lim2,fixed_a3,greedy_rsrp", "0", 64, False): 3,
+            ("lim2,fixed_a3,greedy_rsrp", "0,1", 64, False): 6,
             ("lim2,fixed_a3,greedy_rsrp", "0,1", 1, False): None,
             ("lim2,fixed_a3,greedy_rsrp", "0", 64, True): 3,
             ("lim2,fixed_a3,greedy_rsrp", "0", 1, True): None,
@@ -380,26 +378,27 @@ class TestSweepCommand:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
-    def test_failing_run_names_itself(self, corridor_file, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("sigma", ["0", "4"], ids=["shadow-free", "shadowed"])
+    def test_failing_run_names_itself(self, corridor_file, tmp_path, monkeypatch, capsys, sigma):
         run, given = hosim.sim.run, []
 
-        def failing_run(scenario, shared=None):
-            given.append(shared)
-            if scenario.seed == 1:
+        def failing_run(scenario):
+            given.append((scenario.policy, scenario.seed))
+            if scenario.policy == "greedy_rsrp" and scenario.seed == 1:
                 raise RuntimeError("boom")
-            return run(scenario, shared)
+            return run(scenario)
 
         monkeypatch.setattr(hosim.sim, "run", failing_run)
         out = str(tmp_path / "failing")
         code = main([
             "sweep", "--scenario", corridor_file, "--seeds", "0:3", "--speeds", "200",
-            "--policies", "fixed_a3", "--set", "sim.sim_duration_s=1", "--set", "channel.shadowing_sigma_db=4",
-            "--jobs", "1", "--out", out,
+            "--policies", "fixed_a3,greedy_rsrp", "--set", "sim.sim_duration_s=1",
+            "--set", f"channel.shadowing_sigma_db={sigma}", "--jobs", "1", "--out", out,
         ])
         assert code == 1
-        # A shadowed sweep's tasks are lone runs, which share no radio.
-        assert given == [None, None]
-        assert capsys.readouterr().err == "run failed: policy=fixed_a3 speed=200 seed=1: boom\n"
+        # A serial sweep runs policy by policy, seed by seed, and stops at the failure.
+        assert given == [("fixed_a3", 0), ("fixed_a3", 1), ("fixed_a3", 2), ("greedy_rsrp", 0), ("greedy_rsrp", 1)]
+        assert capsys.readouterr().err == "run failed: policy=greedy_rsrp speed=200 seed=1: boom\n"
         assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
     def test_range_seed_syntax(self, corridor_file, tmp_path):
@@ -412,17 +411,16 @@ class TestSweepCommand:
         assert len(read_rows(os.path.join(out, "sweep.csv"))) - 1 == 3
 
 
-class TestSharedRadioSweep:
-    """A shadow-free sweep runs every policy of a (speed, seed) as one task
-    whose runs share a radio: the first records it, the others replay it.
-    Each row must still be its lone run's, bit for bit."""
+class TestSweepRuns:
+    """Every sweep run takes the path a lone run takes, on either channel:
+    each row must be its lone run's, bit for bit."""
 
     POLICIES = ("lim2", "fixed_a3", "greedy_rsrp")
     SPEEDS = (100.0, 350.0)
     SEEDS = (0, 1)
-    # Five sites, three UEs each, for 8 s: 15,000 (tick x UE x site) pairs,
-    # in one 200-tick radio block.  Handovers fail there, so a completion's
-    # target RSRP, read at the UE's position, shapes the outcomes too.
+    # Five sites, three UEs each, for 8 s.  Handovers fail there, so a
+    # completion's target RSRP, read at the UE's position, shapes the
+    # outcomes too.
     FIVE_SITES = ["sim.n_sites=5", "sim.n_ues_per_cell=3", "sim.sim_duration_s=8"]
 
     def sweep(self, corridor_file, out, jobs, *argv):
@@ -432,23 +430,21 @@ class TestSharedRadioSweep:
             "--jobs", str(jobs), "--out", out, *argv,
         ])
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_rows_equal_lone_runs(self, corridor_file, tmp_path, monkeypatch, jobs):
+    @pytest.mark.parametrize("jobs, overrides", [
+        (1, []),
+        (2, []),
+        (2, ["channel.shadowing_sigma_db=4"]),
+    ], ids=["1", "2", "2-shadowed"])
+    def test_rows_equal_lone_runs(self, corridor_file, tmp_path, monkeypatch, jobs, overrides):
         runs = tmp_path / "runs"
         runs.mkdir()
-        run, serving_split = hosim.sim.run, hosim.radio._serving_split
-        resplit = [0]
+        run = hosim.sim.run
 
-        def counted_split(serving, first, row):
-            resplit[0] += serving != first
-            return serving_split(serving, first, row)
-
-        def recorded_run(scenario, *shared):
+        def recorded_run(scenario):
             # Kept in a file: a pool worker's memory does not come back.
-            replayed, before = bool(shared) and shared[0].recorded, resplit[0]
-            result = run(scenario, *shared)
+            result = run(scenario)
             name = f"{scenario.policy}-{scenario.ue_speed_kmh:g}-{scenario.seed}"
-            record = [replayed, resplit[0] - before, kpi_bits(result.kpis), repr(result.kpis), repr(result.outcomes)]
+            record = [kpi_bits(result.kpis), repr(result.kpis), repr(result.outcomes)]
             (runs / name).write_text(json.dumps(record))
             return result
 
@@ -460,83 +456,29 @@ class TestSharedRadioSweep:
 
         monkeypatch.setattr(hosim.cli, "ProcessPoolExecutor", ForkPool)
         monkeypatch.setattr(hosim.sim, "run", recorded_run)
-        monkeypatch.setattr(hosim.radio, "_serving_split", counted_split)
-        # At 97 UE-steps a trajectory block, a run's 200 ticks fall in 34
-        # kernel blocks (33 of 6 ticks, then 2), which the replays take in
-        # turn, where the lone runs compute one block.
+        # At 97 UE-steps a trajectory block, a shadow-free sweep run's 200
+        # ticks fall in 34 kernel blocks (33 of 6 ticks, then 2), where its
+        # lone run computes one; a shadowed run's blocks are one tick each.
         monkeypatch.setattr(hosim.sim, "TRAJECTORY_BLOCK_UE_STEPS", 97)
         out = str(tmp_path / "sweep")
-        assert self.sweep(corridor_file, out, jobs, *(f"--set={item}" for item in self.FIVE_SITES)) == 0
+        settings = self.FIVE_SITES + overrides
+        assert self.sweep(corridor_file, out, jobs, *(f"--set={item}" for item in settings)) == 0
         monkeypatch.undo()
         rows = read_rows(os.path.join(out, "sweep.csv"))[1:]
-        base = config.load_scenario(corridor_file, self.FIVE_SITES)
-        replays = resplits = 0
+        base = config.load_scenario(corridor_file, settings)
         for policy in self.POLICIES:
             for speed in self.SPEEDS:
                 for seed in self.SEEDS:
                     lone = hosim.sim.Simulation(
                         dataclasses.replace(base, policy=policy, ue_speed_kmh=speed, seed=seed)
                     ).run()
-                    replayed, n_resplit, bits, kpis, outcomes = json.loads(
-                        (runs / f"{policy}-{speed:g}-{seed}").read_text()
-                    )
+                    bits, kpis, outcomes = json.loads((runs / f"{policy}-{speed:g}-{seed}").read_text())
                     assert bits == kpi_bits(lone.kpis)
                     assert kpis == repr(lone.kpis)
                     assert outcomes == repr(lone.outcomes)
                     row = [metrics.format_value(v) for v in metrics.kpi_row(policy, seed, speed, lone.kpis)]
                     assert row in rows
-                    replays += replayed
-                    resplits += n_resplit if replayed else 0
-        # Every (speed, seed)'s second and third runs replay, and some of
-        # their rows are served otherwise than in the recording run.
-        assert replays == 2 * len(self.SPEEDS) * len(self.SEEDS)
-        assert resplits > 0
         assert len(rows) == len(self.POLICIES) * len(self.SPEEDS) * len(self.SEEDS)
-
-    # (extra arguments, pair bound) -> which runs call the report kernel's
-    # chunk arithmetic.  The fixture's 4 s corridor spans 100 ticks x 2 UEs
-    # x 2 sites = 400 pairs.
-    @pytest.mark.parametrize("argv, bound, computes", [
-        ((), 400, "first"),
-        ((), 399, "every"),
-        (("--set", "channel.shadowing_sigma_db=4"), 400, "every"),
-    ], ids=["shared", "oversized", "shadowed"])
-    def test_which_runs_compute_their_radio(self, corridor_file, tmp_path, monkeypatch, argv, bound, computes):
-        chunks, per_run = [0], []
-        run, array_chunk = hosim.sim.run, hosim.radio.RadioEnvironment._array_chunk
-
-        def counted_chunk(*args):
-            chunks[0] += 1
-            return array_chunk(*args)
-
-        def counted_run(*args):
-            before = chunks[0]
-            result = run(*args)
-            per_run.append(chunks[0] > before)
-            return result
-
-        monkeypatch.setattr(hosim.radio.RadioEnvironment, "_array_chunk", counted_chunk)
-        monkeypatch.setattr(hosim.sim, "run", counted_run)
-        monkeypatch.setattr(hosim.sim, "SHARED_RADIO_MAX_PAIRS", bound)
-        assert self.sweep(corridor_file, str(tmp_path / "sweep"), 1, *argv) == 0
-        # Tasks run (speed, seed) by (speed, seed), each task's policies in turn.
-        groups = len(self.SPEEDS) * len(self.SEEDS)
-        expected = [True, False, False] * groups if computes == "first" else [True] * 3 * groups
-        assert per_run == expected
-
-    def test_failing_replay_names_itself(self, corridor_file, tmp_path, monkeypatch, capsys):
-        run = hosim.sim.run
-
-        def failing_run(scenario, *shared):
-            if scenario.policy == "greedy_rsrp" and scenario.seed == 1:
-                raise RuntimeError("boom")
-            return run(scenario, *shared)
-
-        monkeypatch.setattr(hosim.sim, "run", failing_run)
-        out = str(tmp_path / "failing")
-        assert self.sweep(corridor_file, out, 1) == 1
-        assert capsys.readouterr().err == "run failed: policy=greedy_rsrp speed=100 seed=1: boom\n"
-        assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
 
 class TestConvergenceCommand:

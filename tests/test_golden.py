@@ -96,8 +96,8 @@ CORRIDOR_5X3 = ["sim.n_sites=5", "sim.n_ues_per_cell=3", "sim.ue_speed_kmh=350",
 
 # case -> (scenario file, overrides, digests), recorded before the Kalman
 # streams kept only their estimate; kpi_bits, sinr_bits and
-# hex50-fixed_a3-0.4s-1 were recorded before sweeps shared a radio between
-# policies.
+# hex50-fixed_a3-0.4s-1 were recorded before a sweep's runs shared a
+# radio, and held through the sharing's removal.
 GOLDEN = {
     "corridor-lim2-1": ("corridor.ini", ["sim.policy=lim2", "sim.seed=1"], {
         "kpis": "e0b4ac5ebb38c6c04c8ab83213860604deedb63c7ef9b3fa69cf4e417a44dbb9",

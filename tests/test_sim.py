@@ -624,112 +624,6 @@ class TestBlockPass:
         assert blocks == sizes
 
 
-class TestSharedRadio:
-    """Runs of one shadow-free (speed, seed) that share a radio: the first
-    records it, and every later one, whatever its policy, equals its lone
-    run bit for bit with no report-tick link budget of its own."""
-
-    SCENARIO = TestBlockPass.SCENARIO
-
-    def test_replays_equal_lone_runs(self, monkeypatch):
-        policies = ("lim2", "greedy_rsrp", "fixed_a3")
-        lone = {p: Simulation(dataclasses.replace(self.SCENARIO, policy=p)).run() for p in policies}
-        chunks, resplit = [], []
-        array_chunk, serving_split = RadioEnvironment._array_chunk, radio._serving_split
-
-        def counted_chunk(*args):
-            chunks.append(1)
-            return array_chunk(*args)
-
-        def counted_split(serving, first, row):
-            resplit.append(serving != first)
-            return serving_split(serving, first, row)
-
-        monkeypatch.setattr(RadioEnvironment, "_array_chunk", counted_chunk)
-        monkeypatch.setattr(radio, "_serving_split", counted_split)
-        shared = sim_module.SharedRadio(dataclasses.replace(self.SCENARIO, policy=policies[0]))
-        for k, policy in enumerate(policies):
-            del chunks[:], resplit[:]
-            result = run(dataclasses.replace(self.SCENARIO, policy=policy), shared)
-            assert shared.recorded
-            assert bool(chunks) == (k == 0)
-            if policy == "greedy_rsrp":
-                # Its handovers succeed where lim2's fail, so rows the
-                # recording run's servings do not fit are re-split.
-                assert any(resplit)
-            assert repr(result.kpis) == repr(lone[policy].kpis)
-            assert repr(result.outcomes) == repr(lone[policy].outcomes) and result.outcomes
-            assert repr(result.qtables) == repr(lone[policy].qtables)
-
-    # Every run lays out its own trajectory: the default corridor's whole
-    # 1,000-step run as one block, or 21 blocks at 97 UE-steps.
-    @pytest.mark.parametrize("ue_steps, n_blocks", [(None, 1), (97, 21)], ids=["default", "97"])
-    def test_replays_lay_out_the_recording_runs_trajectory(self, monkeypatch, ue_steps, n_blocks):
-        if ue_steps is not None:
-            monkeypatch.setattr(sim_module, "TRAJECTORY_BLOCK_UE_STEPS", ue_steps)
-        scenario = corridor_scenario()
-        blocks, chunks = [], []
-        advance, array_chunk = Simulation._advance_positions, RadioEnvironment._array_chunk
-
-        def recorded_advance(sim):
-            advance(sim)
-            if sim._block_start == sim._step_index:
-                blocks[-1].append((sim._block_start, sim._block.tobytes()))
-
-        def counted_chunk(*args):
-            chunks.append(1)
-            return array_chunk(*args)
-
-        monkeypatch.setattr(Simulation, "_advance_positions", recorded_advance)
-        monkeypatch.setattr(RadioEnvironment, "_array_chunk", counted_chunk)
-        shared = sim_module.SharedRadio(scenario)
-        for k, policy in enumerate(("lim2", "fixed_a3", "greedy_rsrp")):
-            blocks.append([])
-            del chunks[:]
-            sim = Simulation(dataclasses.replace(scenario, policy=policy), shared)
-            noise = sim.env.rng.bit_generator.state
-            sim.run()
-            assert bool(chunks) == (k == 0)
-            assert (sim.env.rng.bit_generator.state == noise) == (k > 0)
-        assert len(blocks[0]) == n_blocks
-        assert blocks[1] == blocks[0] and blocks[2] == blocks[0]
-
-    # (change, whether the radio is made for the changed scenario itself)
-    @pytest.mark.parametrize("change, own", [
-        ({"channel": ChannelParams()}, True),  # shadowed
-        ({"sim_duration_s": 8.0}, True),  # 19,600 pairs
-        ({"ue_speed_kmh": 300.0}, False),
-        ({"seed": 2}, False),
-    ], ids=["shadowed", "oversized", "speed", "seed"])
-    def test_serves_only_its_own_runs(self, change, own):
-        scenario = dataclasses.replace(self.SCENARIO, **change)
-        shared = sim_module.SharedRadio(scenario if own else self.SCENARIO)
-        with pytest.raises(ValueError, match="shared radio"):
-            Simulation(scenario, shared)
-
-    def test_replay_holds_no_reference_cycle(self):
-        scenario = corridor_scenario(sim_duration_s=6.0)
-        shared = sim_module.SharedRadio(scenario)
-        run(scenario, shared)
-        gc.disable()
-        try:
-            sim = Simulation(dataclasses.replace(scenario, policy="fixed_a3"), shared)
-            sim.run()
-            env = weakref.ref(sim.env)
-            del sim
-            assert env() is None
-        finally:
-            gc.enable()
-
-    def test_bound_counts_every_pair(self, monkeypatch):
-        # 100 report ticks x 14 UEs x 7 sites.
-        pairs = 100 * 14 * 7
-        monkeypatch.setattr(sim_module, "SHARED_RADIO_MAX_PAIRS", pairs)
-        assert sim_module.shares_radio(self.SCENARIO)
-        monkeypatch.setattr(sim_module, "SHARED_RADIO_MAX_PAIRS", pairs - 1)
-        assert not sim_module.shares_radio(self.SCENARIO)
-
-
 class TestCrossing:
     def test_single_crossing_yields_one_successful_handover_each(self):
         scenario = noiseless_corridor(sim_duration_s=6.0, policy="fixed_a3")
