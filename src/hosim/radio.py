@@ -27,32 +27,20 @@ A report tick steps each UE's ambient walk and gives the UE a
 ranked, the ambient reading, the serving and interference powers and the
 nearest site); ``generate_report`` builds the UE's report, RSRQ
 included, from it.  One kernel, ``block_samples``, computes the samples
-of every deployment: a block of report ticks, their (tick, UE) pairs the
-rows of one array body, ``_array_chunk``.
-
-- Without shadowing a block is every report tick of the current
-  trajectory block from this one on, so kernel blocks start where
-  trajectory blocks do.  At zero sigma a tick's radio does not depend on
-  the policy: every shadowing value is +0.0 whatever the shadowing stream
-  draws, trajectories are laid out ahead, the channel noise is consumed
-  in tick order and feeds nothing else, and the ambient walk steps once
-  per UE per tick.  So the block's ticks read no shadowing row
-  (``refresh_shadowing`` is not called for them), and only the serving
-  split of a UE whose serving cell changed since the block's first tick
-  is redone at its tick.
-- With shadowing a block is one tick.  Execution windows and handover
-  completions draw from the shadowing stream between report ticks, so a
-  tick's shadowing is known only at that tick; it is known there, because
-  completions run before the tick and nothing draws from the stream while
-  its samples are consumed.  Each chunk's UEs have their shadowing
-  refreshed in id order, as a pass over each UE's sites reads it.
-
-A block is started, its ticks counted and its channel noise drawn when
-the kernel is called; only the chunk arithmetic, at most
-``ARRAY_PASS_MAX_PAIRS`` pairs at a time, waits until the samples are
-read.  That bound keeps a large tick's peak memory near that of one
-chunk.  The kernel, and ``window_powers`` chunked alike, give what a
-scalar pass over each UE's id-ordered sites gives, bit for bit:
+of every deployment, and it computes exactly the report ticks it is
+given; how many to give it is the simulation's decision.  Their (tick,
+UE) pairs are the rows of one array body, ``_array_chunk``, each row's
+sample taken for the serving cell it was handed and kept with its linear
+powers, so ``serving_split`` can retake it for another.  The call draws
+exactly its ticks' channel noise, as one standard-normal block in the
+order per-UE draws would take it, and steps the ambient walks through
+them.  Only the chunk arithmetic, at most ``ARRAY_PASS_MAX_PAIRS`` pairs
+at a time, waits until the rows are read, which keeps a large tick's
+peak memory near that of one chunk; with shadowing, a chunk's UEs have
+their shadowing refreshed then, in row order, as a pass over each UE's
+sites reads it.  Without shadowing every value is +0.0, so no shadowing
+row is read.  The kernel, and ``window_powers`` chunked alike, give what
+a scalar pass over each UE's id-ordered sites gives, bit for bit:
 
 - numpy does only IEEE add, subtract, multiply and divide, comparisons
   (and selections by them), ``maximum`` and ``argmin``, each giving what
@@ -72,9 +60,6 @@ scalar pass over each UE's id-ordered sites gives, bit for bit:
 
 ``tests/test_exactness.py`` audits the source of the array code for
 these rules.
-
-A block draws exactly its own ticks' channel noise, as one
-standard-normal block in the order per-UE draws would take it.
 """
 
 from __future__ import annotations
@@ -212,8 +197,8 @@ def _split(sample: RadioSample, mw: list[float], serving: int) -> RadioSample:
     return _new_tuple(RadioSample, (measured, rssi_dbm, ranked, reading, mw[serving], interference_mw, nearest))
 
 
-def _serving_split(serving: int, first: int, row: tuple[RadioSample, np.ndarray]) -> RadioSample:
-    """A block row's sample for ``serving``, the UE's serving cell at its
+def serving_split(serving: int, first: int, row: tuple[RadioSample, np.ndarray]) -> RadioSample:
+    """A kernel row's sample for ``serving``, the UE's serving cell at its
     tick; ``first`` is the one it was computed for."""
     sample, mw = row
     return sample if serving == first else _split(sample, mw.tolist(), serving)
@@ -268,12 +253,6 @@ class RadioEnvironment:
         self._noise_scale = np.array(
             [channel.env_noise_sigma_db] + [channel.meas_noise_sigma_db] * (len(self.sites) + 1)
         )
-        # The kernel's block: its rows not read yet (each a sample and its
-        # linear powers by site id), the servings of its first tick, its
-        # tick count and the number of its ticks handed out.
-        self._rows: Iterator[tuple[RadioSample, np.ndarray]] | None = None
-        self._block_servings: list[int] = []
-        self._block_ticks = self._block_next = 0
         self._tx_dbm = radio.tx_power_dbm
         self._reference_db = free_space_reference_db(radio.carrier_freq_hz)
         self._slope_db = 10.0 * channel.path_loss_exponent
@@ -367,61 +346,36 @@ class RadioEnvironment:
         id, as the report kernel's nearest site does."""
         return [cell for rows in self._chunks(len(xy)) for cell in self._distances(xy[rows]).argmin(axis=1).tolist()]
 
-    def block_samples(self, ticks: np.ndarray, servings: list[int]) -> Iterator[RadioSample]:
-        """The report kernel: this report tick's sample for every UE in id
-        order, UE ``i`` served by ``servings[i]``.  ``ticks[k, i]`` is UE
-        ``i``'s ``(x, y)`` at the ``k``-th report tick from this one, to the
-        end of the current trajectory block.
+    def block_samples(self, ticks: np.ndarray, servings: list[int]) -> Iterator[tuple[RadioSample, np.ndarray]]:
+        """The report kernel: every row of the report ticks ``ticks``,
+        tick-major, each a ``RadioSample`` and its linear powers by site id.
+        ``ticks[k, i]`` is UE ``i``'s ``(x, y)`` at the ``k``-th tick, and
+        each of its samples is taken for UE ``i`` served by ``servings[i]``;
+        ``serving_split`` retakes one for another serving cell.
 
-        The UE's ambient noise level first takes one bounded random-walk
-        step (the σ_env draw, clamped to its mean ± 3σ_env).  Every site's
-        measured RSRP is its true RSRP less the level's excursion above its
-        configured mean (a noisier environment reads a weaker signal), plus
-        one measurement-noise draw per site in id order; the last draw
-        makes the reading of the level.  The RSSI is every site's power plus
-        the noise floor.  A non-finite measurement or RSSI raises
-        ValueError.  Detected cells (measured RSRP at or above the
-        threshold) are ranked by measured RSRP descending, ties by cell id.
+        At each tick the UE's ambient noise level first takes one bounded
+        random-walk step (the σ_env draw, clamped to its mean ± 3σ_env).
+        Every site's measured RSRP is its true RSRP less the level's
+        excursion above its configured mean (a noisier environment reads a
+        weaker signal), plus one measurement-noise draw per site in id
+        order; the last draw makes the reading of the level.  The RSSI is
+        every site's power plus the noise floor.  A non-finite measurement
+        or RSSI raises ValueError.  Detected cells (measured RSRP at or
+        above the threshold) are ranked by measured RSRP descending, ties
+        by cell id.
 
-        A tick with no sample left of the last block starts a new one
-        (``_start_block``), which without shadowing holds every tick of
-        ``ticks``.  At each tick a UE whose serving cell changed since the
-        block's first tick gets its serving split redone from its row's
-        linear powers (``_split``).  The samples are computed as they are
-        read, a chunk at a time, so a tick's must all be read before the
-        next tick's call.
-        """
-        if self._block_next == self._block_ticks:
-            self._start_block(ticks, servings)
-        self._block_next += 1
-        rows = self._rows
-        if self._block_next == self._block_ticks:
-            # The rows refer to this environment: holding them past the
-            # block's last tick would keep a finished run's arrays alive
-            # until the cyclic garbage collector runs.
-            self._rows = None
-        # ``servings`` comes first, so a tick takes exactly its own rows.
-        return map(_serving_split, servings, self._block_servings, rows)
-
-    def _start_block(self, ticks: np.ndarray, servings: list[int]) -> None:
-        """Start a block at this tick for the servings of its first tick: a
-        shadowed one of this tick alone, an unshadowed one of every tick
-        ``ticks`` holds, the rest of the current trajectory block.  Draws
-        the block's channel noise and steps each UE's ambient walk through
-        it, tick by tick with the scalar clamp, so ``_env_noise`` holds the
-        walk at the block's last tick; the rows' samples wait for
-        ``_block_rows``.
-
-        A UE's draws at a tick are the ambient walk's step (σ_env), then
-        ``n_sites + 1`` measurement draws (σ_meas), the last for the ambient
-        reading.  The block's draws are one standard-normal block, scaled
-        and offset as numpy's ``normal`` computes ``0.0 + scale * z``.
-        ``rng`` feeds nothing else, so they equal each UE's own ``normal``
-        calls tick by tick, bit for bit, and leave ``rng`` where those calls
-        would."""
-        shadowed = self.params.shadowing_sigma_db > 0
-        n_ticks = 1 if shadowed else len(ticks)
-        noise = self.rng.standard_normal((n_ticks, len(servings), len(self._noise_scale)))
+        The call draws the ticks' channel noise and steps each UE's ambient
+        walk through them, tick by tick with the scalar clamp, so
+        ``_env_noise`` holds the walk at the last tick; the rows' samples
+        wait for ``_block_rows``.  A UE's draws at a tick are the walk's
+        step (σ_env), then ``n_sites + 1`` measurement draws (σ_meas), the
+        last for the ambient reading.  They are one standard-normal block,
+        scaled and offset as numpy's ``normal`` computes ``0.0 + scale *
+        z``.  ``rng`` feeds nothing else, so they equal each UE's own
+        ``normal`` calls tick by tick, bit for bit, and leave ``rng`` where
+        those calls would."""
+        n_ticks, n_ues = len(ticks), len(servings)
+        noise = self.rng.standard_normal((n_ticks, n_ues, len(self._noise_scale)))
         noise *= self._noise_scale
         noise += 0.0
         # Each UE's walk, a tick at a time; max() then min() clamp it.
@@ -440,26 +394,26 @@ class RadioEnvironment:
             walks.append(walk)
             self._env_noise[ue] = level
         # The (tick, UE) rows, tick-major.
-        xy = ticks[:n_ticks].reshape(-1, 2)
         levels = np.array(walks).T.reshape(-1)
         noise = noise.reshape(-1, len(self._noise_scale))
-        self._block_servings = list(servings)
-        self._rows = self._block_rows(xy, servings * n_ticks, levels, noise, shadowed)
-        self._block_ticks, self._block_next = n_ticks, 0
+        ues = list(range(n_ues)) * n_ticks
+        return self._block_rows(ticks.reshape(-1, 2), ues, servings * n_ticks, levels, noise)
 
-    def _block_rows(self, xy, servings, levels, noise, shadowed) -> Iterator[tuple[RadioSample, np.ndarray]]:
+    def _block_rows(self, xy, ues, servings, levels, noise) -> Iterator[tuple[RadioSample, np.ndarray]]:
         """Each row's sample and linear powers by site id, computed by
-        ``_array_chunk`` a chunk at a time as the rows are read.  A shadowed
-        block is one tick, so row ``r`` is UE ``r``; its shadowing is
-        refreshed at its position when its chunk is computed.  An
-        unshadowed row's is +0.0, which is every value a zero sigma draws."""
+        ``_array_chunk`` a chunk at a time as the rows are read; row ``r`` is
+        UE ``ues[r]``'s.  With shadowing, a chunk's rows have their UEs'
+        shadowing refreshed at their positions, in row order, when the
+        chunk is computed.  Without, a row's is +0.0, which is every value
+        a zero sigma draws, so no shadowing row is read."""
         n_sites = len(self.sites)
+        shadowed = self.params.shadowing_sigma_db > 0
         shadowing = 0.0
         for rows in self._chunks(len(xy)):
             if shadowed:
-                ues = range(len(xy))[rows]
-                values = map(self.refresh_shadowing, ues, map(tuple, xy[rows].tolist()))
-                shadowing = np.fromiter(chain.from_iterable(values), float, len(ues) * n_sites).reshape(-1, n_sites)
+                chunk = ues[rows]
+                values = map(self.refresh_shadowing, chunk, map(tuple, xy[rows].tolist()))
+                shadowing = np.fromiter(chain.from_iterable(values), float, len(chunk) * n_sites).reshape(-1, n_sites)
             samples, mw = self._array_chunk(xy[rows], servings[rows], shadowing, levels[rows], noise[rows])
             yield from zip(samples, mw)
 

@@ -8,13 +8,22 @@ at its first exit.  ``position`` and a report tick only index the block,
 and every position is that of moving every UE at every step, bit for bit.
 
 A report tick takes its radio samples from ``hosim.radio``'s one report
-kernel, handing it the rest of the trajectory block from this tick on
-and the UEs' current servings.  Without shadowing the kernel computes
-all of those ticks at once, and only the serving split of a UE whose
-serving cell a completion changed is redone at its tick; with shadowing
-it computes this tick alone, after the tick's completions.  Between report
-ticks the execution windows that have not failed take their SINR from
-the same link budget, as one block of (UE x site) pairs.
+kernel, which computes exactly the report ticks it is handed; the
+simulation decides how far ahead it looks.  Without shadowing the first
+report tick of a trajectory block asks for every report tick the block
+holds, and each later tick reads its rows.  That is exact because at
+zero sigma a tick's radio does not depend on the policy: every shadowing
+value is +0.0 whatever the shadowing stream draws, trajectories are laid
+out ahead, the channel noise feeds nothing else and is drawn in tick
+order, and the ambient walk steps once per UE per tick.  Only the
+serving split does, so a UE whose serving cell a completion changed
+since the rows were computed has its split redone at its tick
+(``serving_split``).  With shadowing each tick asks for itself alone:
+execution windows and completions draw from the shadowing stream
+between report ticks, so a tick's shadowing is known only after its
+completions, and nothing draws from the stream while its rows are read.
+Between report ticks the execution windows that have not failed take
+their SINR from the same link budget, as one block of (UE x site) pairs.
 
 Determinism: every random quantity derives from the scenario seed via
 dedicated sub-streams (placement, channel noise, shadowing, and one
@@ -35,7 +44,7 @@ from . import engine
 from .engine import EXECUTING, HandoverContext, HandoverOutcome
 from .metrics import KpiRecord, MetricsAccumulator
 from .policies import Lim2Policy, make_policy
-from .radio import ChannelParams, RadioEnvironment, RadioParams, ranged
+from .radio import ChannelParams, RadioEnvironment, RadioParams, ranged, serving_split
 from .rl import HYST_VALUES_DB, TTT_VALUES_MS, LearningParams
 
 POLICIES = ("lim2", "fixed_a3", "greedy_rsrp")
@@ -53,7 +62,7 @@ CORRIDOR_LANE_JITTER_M = 10.0
 # every UE needs more: 4,096 (x, y) float pairs are 64 KiB, which bounds
 # the block's memory whatever the deployment's size.  The corridor's 2 UEs
 # get 2,048-step blocks, hex50's 500 one 40-step report period.  Without
-# shadowing a report-kernel block is its trajectory block's report ticks.
+# shadowing one report-kernel call computes a trajectory block's ticks.
 TRAJECTORY_BLOCK_UE_STEPS = 4096
 # Most UE-steps one report period may span, as a trajectory block holds at
 # least one: 2**22 (x, y) float pairs are 64 MiB.
@@ -260,7 +269,11 @@ class Simulation:
     """One seeded, single-threaded run of a scenario.  Its UEs start where
     ``place_ues`` puts them, each on the nearest site that
     ``RadioEnvironment.nearest_cell`` finds for all of them in one pass of
-    the report kernel's distance rule."""
+    the report kernel's distance rule.  It holds the kernel's rows not
+    read yet and the servings they were computed for: without shadowing
+    the rest of the trajectory block's report ticks, with shadowing this
+    tick's alone (the module docstring says why both are exact).  It drops
+    them before it asks for the next, so it holds one set at a time."""
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
@@ -298,6 +311,8 @@ class Simulation:
         self._block_start = 0
         periods = TRAJECTORY_BLOCK_UE_STEPS // (max(1, len(start)) * self.report_every)
         self._block_steps = max(1, periods) * self.report_every
+        self._shadowed = scenario.channel.shadowing_sigma_db > 0
+        self._rows, self._row_servings = iter(()), []
         # Ids of the UEs whose handover is executing, ascending.  Only a
         # report tick starts an execution and only a completion ends one.
         self._executing: list[int] = []
@@ -352,10 +367,16 @@ class Simulation:
         env, policy, metrics = self.env, self.policy, self.metrics
         period = self.scenario.report_period_s
         tick = self._step_index - self._block_start
+        if tick == 0 or self._shadowed:
+            # The trajectory block's report ticks from this one on, or this one alone.
+            stop = tick + 1 if self._shadowed else -1
+            self._rows = None  # freed before the next rows' noise is drawn
+            self._row_servings = [ctx.serving for ctx in self.contexts]
+            self._rows = env.block_samples(self._block[tick:stop:self.report_every], self._row_servings)
         executing = []
-        # This report tick and the later ones the trajectory block holds.
-        samples = env.block_samples(self._block[tick:-1:self.report_every], [ctx.serving for ctx in self.contexts])
-        for i, (ctx, sample) in enumerate(zip(self.contexts, samples)):
+        # ``contexts`` comes first, so a tick takes exactly its own rows.
+        for i, (ctx, first, row) in enumerate(zip(self.contexts, self._row_servings, self._rows)):
+            sample = serving_split(ctx.serving, first, row)
             report = env.generate_report(i, sample, ctx.serving, now)
             levels = policy.observe(report)
             engine.on_measurement_report(ctx, report, levels, policy, now, period)

@@ -19,6 +19,8 @@ shadowing stream where the kernel does not; every value it draws there is
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from hosim.radio import DETECTION_THRESHOLD_DBM, MAX_NEIGHBORS, REFERENCE_DISTANCE_M, RadioSample, linear_to_db
 
 
@@ -98,8 +100,11 @@ def channel_noise(env, n_ues):
 
 
 def oracle_sample(env, ue, position, serving, draws):
-    """UE ``ue``'s report-tick sample from its ``oracle_row`` at ``position`` while
-    served by ``serving``, and its ``draws`` from ``channel_noise``.
+    """UE ``ue``'s report-tick row from its ``oracle_row`` at ``position``
+    while served by ``serving``, and its ``draws`` from ``channel_noise``:
+    its sample and its linear powers by site id (an array, as the
+    kernel's are), each ``10.0 ** (power / 10.0)`` as ``oracle_pass``
+    raises it.
 
     The ambient level takes one bounded random-walk step; each site's
     measured RSRP is its wideband power scaled to one resource element,
@@ -119,16 +124,23 @@ def oracle_sample(env, ue, position, serving, draws):
     ranked = [cid for cid, value in enumerate(measured) if value >= DETECTION_THRESHOLD_DBM]
     ranked.sort(key=measured.__getitem__, reverse=True)
     del ranked[MAX_NEIGHBORS + 1 :]
-    return RadioSample(measured, rssi_dbm, ranked, level + draws[-1], serving_mw, interference_mw, nearest)
+    sample = RadioSample(measured, rssi_dbm, ranked, level + draws[-1], serving_mw, interference_mw, nearest)
+    return sample, np.array([10.0 ** (power / 10.0) for power in wideband])
 
 
-def oracle_tick(env, positions, servings):
-    """One report tick, UE ``i`` at the ``(x, y)`` tuple ``positions[i]``
-    served by ``servings[i]``."""
+def oracle_rows(env, positions, servings):
+    """One report tick's rows, UE ``i`` at the ``(x, y)`` tuple
+    ``positions[i]`` served by ``servings[i]``."""
     noise = channel_noise(env, len(positions))
     return [oracle_sample(env, ue, p, s, d) for ue, (p, s, d) in enumerate(zip(positions, servings, noise))]
 
 
+def oracle_tick(env, positions, servings):
+    """One report tick's samples, as ``oracle_rows`` gives them."""
+    return [sample for sample, _ in oracle_rows(env, positions, servings)]
+
+
 def oracle_samples(env, ticks, servings):
-    """``block_samples`` computed by the oracle: the tick at ``ticks[0]``."""
-    return oracle_tick(env, list(map(tuple, ticks[0].tolist())), servings)
+    """``block_samples`` computed by the oracle: an iterator over the rows
+    of every tick of ``ticks`` in turn, each sample taken for ``servings``."""
+    return iter([row for positions in ticks.tolist() for row in oracle_rows(env, list(map(tuple, positions)), servings)])

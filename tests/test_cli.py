@@ -457,7 +457,7 @@ class TestSweepRuns:
         monkeypatch.setattr(hosim.cli, "ProcessPoolExecutor", ForkPool)
         monkeypatch.setattr(hosim.sim, "run", recorded_run)
         # At 97 UE-steps a trajectory block, a shadow-free sweep run's 200
-        # ticks fall in 34 kernel blocks (33 of 6 ticks, then 2), where its
+        # ticks fall in 34 kernel calls (33 of 6 ticks, then 2), where its
         # lone run computes one; a shadowed run's blocks are one tick each.
         monkeypatch.setattr(hosim.sim, "TRAJECTORY_BLOCK_UE_STEPS", 97)
         out = str(tmp_path / "sweep")

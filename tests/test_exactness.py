@@ -21,6 +21,7 @@ from hosim import metrics, radio, sim
 
 AUDITED = {
     "radio._mapped": radio._mapped,
+    "radio.RadioEnvironment.block_samples": radio.RadioEnvironment.block_samples,
     "radio.RadioEnvironment._block_rows": radio.RadioEnvironment._block_rows,
     "radio.RadioEnvironment.window_powers": radio.RadioEnvironment.window_powers,
     "radio.RadioEnvironment.nearest_cell": radio.RadioEnvironment.nearest_cell,

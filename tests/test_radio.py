@@ -18,6 +18,7 @@ from hosim.radio import (
     free_space_reference_db,
     n_resource_blocks,
     re_scaling_db,
+    serving_split,
 )
 from hosim.sim import ConfigError, Scenario, build_sites, place_ues
 from corridor import corridor_scenario
@@ -44,9 +45,9 @@ def make_env(sites, params=PARAMS, seed=0, tx=46.0, bw=BW):
 
 
 def report_of(env, position, serving, timestamp):
-    """UE 0's report at ``position``, from the report kernel's sample of a
+    """UE 0's report at ``position``, from the report kernel's one row of a
     one-tick trajectory."""
-    (sample,) = env.block_samples(np.array([[position]]), [serving])
+    ((sample, _),) = env.block_samples(np.array([[position]]), [serving])
     return env.generate_report(0, sample, serving, timestamp)
 
 
@@ -161,10 +162,10 @@ class TestMeasureRsrp:
     POSITION = (30.0, 0.0)
 
     def measured(self, env, n=1):
-        """The serving RSRP of ``n`` report ticks at POSITION, in blocks."""
-        ticks = np.broadcast_to(self.POSITION, (n, 1, 2))
-        samples = (next(env.block_samples(ticks[t:], [0])) for t in range(n))
-        return np.array([env.generate_report(0, sample, 0, 0.0).serving.rsrp_dbm for sample in samples])
+        """The serving RSRP of ``n`` report ticks at POSITION, from one
+        kernel call."""
+        rows = env.block_samples(np.broadcast_to(self.POSITION, (n, 1, 2)), [0])
+        return np.array([env.generate_report(0, sample, 0, 0.0).serving.rsrp_dbm for sample, _ in rows])
 
     def test_noiseless_identity(self):
         env = make_env([(0.0, 0.0)])
@@ -371,7 +372,7 @@ class TestMeasurementTypes:
         skipped = 0
         for tick in range(7):
             servings = [(ue + tick) % 7 for ue in range(14)]
-            for ue, sample in enumerate(env.block_samples(positions[None], servings)):
+            for ue, (sample, _) in enumerate(env.block_samples(positions[None], servings)):
                 report = env.generate_report(ue, sample, servings[ue], 0.04 * tick)
                 assert type(report) is MeasurementReport
                 assert MeasurementReport(*report) == report
@@ -453,10 +454,17 @@ class TestGenerateReport:
         assert report.serving.rsrq_db < 0
         assert all(n.rsrq_db < 0 for n in report.neighbors)
 
-    # Each draw-order test runs two kernel blocks and the first tick of a
-    # third.  The trajectory is handed on in blocks of ``block_ticks``
-    # report ticks, as ``Simulation`` hands on its trajectory blocks, and
-    # each kernel block is one of them: many ticks, or one as in hex50.
+    # Each draw-order test makes three kernel calls, as ``Simulation``
+    # makes them: two of ``block_ticks`` report ticks, then one of a single
+    # tick (a trajectory block clipped at the run's end).  ``block_ticks``
+    # is many, or one as in hex50.
+    @staticmethod
+    def blocks(env, ticks, servings, block_ticks):
+        """Each call's rows, with the state of ``env.rng`` right after it."""
+        for start, end in ((0, block_ticks), (block_ticks, 2 * block_ticks), (2 * block_ticks, 2 * block_ticks + 1)):
+            rows = env.block_samples(ticks[start:end], servings)
+            yield rows, env.rng.bit_generator.state
+
     def test_one_noise_draw_per_site_in_id_order(self):
         # Twelve sites: the serving cell and eight neighbours are reported,
         # three are not, yet every site takes its draw.
@@ -467,10 +475,9 @@ class TestGenerateReport:
             position = (170.0, 5.0)
             wideband, *_ = budget_row(env, 0, position, 4)
             ticks = np.broadcast_to(position, (3 * block_ticks, n_ues, 2))
-            for tick in range(1, 2 * block_ticks + 2):
-                block_end = -(-tick // block_ticks) * block_ticks
-                for ue, sample in enumerate(env.block_samples(ticks[tick - 1 : block_end], [4] * n_ues)):
-                    report = env.generate_report(ue, sample, 4, 0.0)
+            for rows, state in self.blocks(env, ticks, [4] * n_ues, block_ticks):
+                for row, (sample, _) in enumerate(rows):
+                    report = env.generate_report(row % n_ues, sample, 4, 0.0)
                     twin.normal(0.0, 0.0)  # the ambient-noise walk's step
                     expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in wideband]
                     twin.normal(0.0, 2.0)  # the ambient-noise reading
@@ -479,9 +486,9 @@ class TestGenerateReport:
                         assert entry.rsrp_dbm == expected[entry.cell]
                     ranked = sorted((c for c in range(12) if c != 4), key=lambda c: (-expected[c], c))
                     assert [n.cell for n in report.neighbors] == ranked[:MAX_NEIGHBORS]
-                # The stream stands where the per-UE calls leave it exactly
-                # when a block's last tick has been handed out.
-                assert (env.rng.bit_generator.state == twin.bit_generator.state) == (tick % block_ticks == 0)
+                # Right after each call the stream stands where the per-UE
+                # calls of its ticks leave it, and reading the rows draws none.
+                assert state == twin.bit_generator.state == env.rng.bit_generator.state
 
     def test_draw_order_is_walk_then_sites_then_reading(self):
         # One report takes n_sites + 2 channel draws: the walk step, each
@@ -495,15 +502,15 @@ class TestGenerateReport:
             wideband, *_ = budget_row(env, 0, position, 0)
             levels = [mean] * n_ues
             ticks = np.broadcast_to(position, (3 * block_ticks, n_ues, 2))
-            for tick in range(1, 2 * block_ticks + 2):
-                block_end = -(-tick // block_ticks) * block_ticks
-                for ue, sample in enumerate(env.block_samples(ticks[tick - 1 : block_end], [0] * n_ues)):
-                    report = env.generate_report(ue, sample, 0, 0.04 * tick)
+            for rows, state in self.blocks(env, ticks, [0] * n_ues, block_ticks):
+                for row, (sample, _) in enumerate(rows):
+                    ue = row % n_ues
+                    report = env.generate_report(ue, sample, 0, 0.0)
                     level = levels[ue] = min(max(levels[ue] + twin.normal(0.0, 1.5), mean - 4.5), mean + 4.5)
                     expected = [p - re_scaling_db(BW) - (level - mean) + twin.normal(0.0, 2.0) for p in wideband]
                     assert {e.cell: e.rsrp_dbm for e in (report.serving, *report.neighbors)} == dict(enumerate(expected))
                     assert report.env_noise_dbm == level + twin.normal(0.0, 2.0)
-                assert (env.rng.bit_generator.state == twin.bit_generator.state) == (tick % block_ticks == 0)
+                assert state == twin.bit_generator.state == env.rng.bit_generator.state
 
     def test_nan_measurement_at_one_site_raises(self):
         sites = [(40.0 * i, 0.0) for i in range(5)]
@@ -710,7 +717,7 @@ class TestShadowRows:
 
 
 class TestChannelNoise:
-    """A kernel block's channel noise against each UE's own ``normal``
+    """A kernel call's channel noise against each UE's own ``normal``
     calls, tick by tick."""
 
     # (UEs, sites) -> ticks the trajectory hands the kernel, all one block:
@@ -732,17 +739,16 @@ class TestChannelNoise:
 
         monkeypatch.setattr(env, "_array_chunk", recorded)
         ticks = np.broadcast_to((5.0, 3.0), (n_ticks, n_ues, 2))
-        first = env.block_samples(ticks, [0] * n_ues)
+        rows = env.block_samples(ticks, [0] * n_ues)
         expected = [
             [float(twin.normal(0.0, env_sigma)), *twin.normal(0.0, meas_sigma, n_sites + 1).tolist()]
             for _ in range(n_ticks * n_ues)
         ]
-        # The block's first tick draws the noise of all its ticks, no more.
+        # The call draws the noise of all its ticks, no more, and reading
+        # its rows, one per (tick, UE), draws none.
         assert env.rng.bit_generator.state == twin.bit_generator.state
-        list(first)
-        for tick in range(1, n_ticks):
-            list(env.block_samples(ticks[tick:], [0] * n_ues))
-        assert env._block_ticks == n_ticks and env.rng.bit_generator.state == twin.bit_generator.state
+        assert len(list(rows)) == n_ticks * n_ues
+        assert env.rng.bit_generator.state == twin.bit_generator.state
         # Bit for bit, the sign of zero included.
         block = np.concatenate(drawn)
         assert block.tobytes() == np.array(expected).tobytes()
@@ -757,9 +763,9 @@ class TestChannelNoise:
 
 
 def kernel_tick(env, positions, servings):
-    """One report tick from the kernel, UE ``i`` at ``positions[i]``: a
-    one-tick trajectory, so a block of that tick alone."""
-    return list(env.block_samples(np.array([positions]), servings))
+    """One report tick's samples from the kernel, UE ``i`` at
+    ``positions[i]``: a call with that tick alone."""
+    return [sample for sample, _ in env.block_samples(np.array([positions]), servings)]
 
 
 def scenario_env(scenario):
@@ -786,7 +792,7 @@ def assert_twins(first_env, second_env, first, second):
 
 
 class TestArrayKernel:
-    """Shadowed report ticks, each a kernel block of one tick computed in
+    """Shadowed report ticks, each a kernel call of one tick computed in
     chunks, against the scalar oracle."""
 
     @pytest.mark.parametrize("seed", [1, 9001])
@@ -964,29 +970,30 @@ class TestWindowPowers:
 def block_run(block_env, scalar_env, positions, servings, edges):
     """Report ticks ``0..len(positions)-1`` on the kernel and on the scalar
     oracle, UE ``i`` at ``positions[t, i]`` served by ``servings[t][i]``
-    at tick ``t``; the trajectory is laid out in blocks ending before each
-    tick of ``edges``, as ``Simulation`` hands it on.  Each tick's samples
-    must be equal bit for bit, and the ambient levels whenever the block
-    kernel's last tick is out; so must the next channel-noise tick and the
-    next draw of its stream after the run.  Returns the radio blocks' sizes
-    and every UE's ambient level after each oracle tick."""
-    sizes, levels = [], []
-    for t in range(len(positions)):
-        if block_env._block_next == block_env._block_ticks:
-            sizes.append(0)
-        sizes[-1] += 1
-        end = min(edge for edge in edges if edge > t)
-        block = block_env.block_samples(positions[t:end], servings[t])
-        scalar = oracle_tick(scalar_env, list(map(tuple, positions[t].tolist())), servings[t])
-        assert [repr(sample) for sample in block] == [repr(sample) for sample in scalar]
-        levels.append(list(scalar_env._env_noise.values()))
-        if block_env._block_next == block_env._block_ticks:
-            assert repr(block_env._env_noise) == repr(scalar_env._env_noise)
-    assert sum(sizes) == len(positions)
+    at tick ``t``.  The kernel is handed the ticks in blocks ending before
+    each tick of ``edges``, as ``Simulation`` hands on its trajectory
+    blocks, each for the servings of its first tick; ``serving_split``
+    retakes a sample at a tick whose serving differs.  Each tick's samples
+    must be equal bit for bit, each call's rows exactly its ticks', and the
+    ambient levels after each block; so must the next channel-noise tick
+    and the next draw of its stream after the run.  Returns every UE's
+    ambient level after each oracle tick."""
+    levels, start = [], 0
+    for end in edges:
+        rows = block_env.block_samples(positions[start:end], servings[start])
+        for t in range(start, end):
+            block = [serving_split(s, first, row) for s, first, row in zip(servings[t], servings[start], rows)]
+            scalar = oracle_tick(scalar_env, list(map(tuple, positions[t].tolist())), servings[t])
+            assert [repr(sample) for sample in block] == [repr(sample) for sample in scalar]
+            levels.append(list(scalar_env._env_noise.values()))
+        assert next(rows, None) is None
+        assert repr(block_env._env_noise) == repr(scalar_env._env_noise)
+        start = end
+    assert start == len(positions)
     n_ues = positions.shape[1]
     assert repr(channel_noise(block_env, n_ues)) == repr(channel_noise(scalar_env, n_ues))
     assert repr(block_env.rng.standard_normal(3)) == repr(scalar_env.rng.standard_normal(3))
-    return sizes, levels
+    return levels
 
 
 def corridor_paths(n_ticks, step_m=2.2):
@@ -999,8 +1006,9 @@ def corridor_paths(n_ticks, step_m=2.2):
 
 
 class TestBlockKernel:
-    """Kernel blocks of many ticks, a channel's without shadowing, against
-    the scalar oracle, tick by tick."""
+    """Kernel calls of many ticks against the scalar oracle, tick by tick:
+    a channel's without shadowing, as ``Simulation`` makes them, and a
+    shadowed channel's, which the kernel computes alike."""
 
     @staticmethod
     def no_refresh(env, monkeypatch):
@@ -1020,18 +1028,32 @@ class TestBlockKernel:
         # UE 0 hands over at tick 50, inside the first block; UE 1 at tick 150
         # and back at 170, inside the second.
         servings = [[int(t >= 50), 0 if 150 <= t < 170 else 1] for t in range(300)]
-        sizes, _ = block_run(block_env, scalar_env, positions, servings, edges=(120, 300))
-        # Each kernel block is one trajectory block's ticks.
-        assert sizes == [120, 180]
+        block_run(block_env, scalar_env, positions, servings, edges=(120, 300))
         assert block_env._shadow == {} and all(v == 0.0 for v in scalar_env._shadow[0][0])
         assert repr(block_env.shadow_rng.normal()) != repr(scalar_env.shadow_rng.normal())
+
+    # Each chunk holds a whole call's rows, or 5 rows, so chunks straddle
+    # ticks.  14 UEs at 350 km/h travel about 230 m in 60 ticks, so their
+    # shadowing redraws mid-block, in (tick, UE) order as rows are read.
+    @pytest.mark.parametrize("max_pairs", [4096, 5 * 7])
+    @pytest.mark.parametrize("seed", [1, 9001])
+    def test_shadowed_blocks_equal_the_scalar_pass(self, monkeypatch, seed, max_pairs):
+        monkeypatch.setattr(radio, "ARRAY_PASS_MAX_PAIRS", max_pairs)
+        scenario = Scenario(n_sites=7, n_ues_per_cell=2, ue_speed_kmh=350.0, seed=seed)
+        start, velocity = place_ues(scenario, build_sites(scenario), np.random.default_rng([seed, 0]))
+        positions = np.array([start + velocity * (0.04 * t) for t in range(60)])
+        servings = [[(ue + t // 7) % 7 for ue in range(14)] for t in range(60)]
+        block_env, scalar_env = scenario_env(scenario), scenario_env(scenario)
+        block_run(block_env, scalar_env, positions, servings, edges=(25, 59, 60))
+        assert repr(block_env._shadow) == repr(scalar_env._shadow)
+        assert block_env.shadow_rng.normal() == scalar_env.shadow_rng.normal()
 
     def test_walk_clamped_at_both_bounds(self, monkeypatch):
         channel = ChannelParams(shadowing_sigma_db=0.0, env_noise_mean_dbm=-0.0, env_noise_sigma_db=3.0)
         scenario = corridor_scenario(channel=channel)
         block_env, scalar_env = scenario_env(scenario), scenario_env(scenario)
         self.no_refresh(block_env, monkeypatch)
-        _, levels = block_run(block_env, scalar_env, corridor_paths(300), [[0, 1]] * 300, edges=(300,))
+        levels = block_run(block_env, scalar_env, corridor_paths(300), [[0, 1]] * 300, edges=(300,))
         flat = [level for tick in levels for level in tick]
         assert -9.0 in flat and 9.0 in flat
 
@@ -1086,19 +1108,10 @@ class TestBlockKernel:
         block_env, scalar_env = (make_env([(0.0, 0.0)], params, seed=5) for _ in range(2))
         self.no_refresh(block_env, monkeypatch)
         positions = np.array([[(30.0 + t, 5.0), (-200.0, 80.0 - t), (0.5, 0.0)] for t in range(400)])
-        sizes, _ = block_run(block_env, scalar_env, positions, [[0, 0, 0]] * 400, edges=(400,))
-        assert sizes == [400]
+        block_run(block_env, scalar_env, positions, [[0, 0, 0]] * 400, edges=(400,))
 
     def test_zero_ues_draw_nothing(self):
         env = make_env([(10.0 * i, 0.0) for i in range(3)], seed=31)
         state = env.rng.bit_generator.state
         assert [list(env.block_samples(np.empty((5 - t, 0, 2)), [])) for t in range(5)] == [[]] * 5
         assert env.rng.bit_generator.state == state and env._env_noise == {}
-
-    def test_only_a_channel_without_shadowing_takes_blocks(self):
-        # An unshadowed channel's block is every tick it is handed; a
-        # shadowed channel's is its first tick, whatever follows it.
-        for sigma, length in ((0.0, 300), (4.0, 1)):
-            env = scenario_env(corridor_scenario(channel=ChannelParams(shadowing_sigma_db=sigma)))
-            list(env.block_samples(corridor_paths(300), [0, 1]))
-            assert env._block_ticks == length

@@ -564,12 +564,13 @@ class TestFailedWindowSkip:
 
 
 class TestBlockPass:
-    """Report ticks of a channel without shadowing on kernel blocks of many
+    """Report ticks of a channel without shadowing on kernel calls of many
     ticks, against the same runs a tick at a time: on the kernel with
-    one-tick blocks, and on the scalar oracle."""
+    one-tick calls, and on the scalar oracle; and how many ticks each call
+    holds, and how long its rows live."""
 
     # Seven mid-band hex sites with two UEs each at 350 km/h and a 4 ms step:
-    # 29-tick trajectory blocks, each one radio block, and ten steps
+    # 29-tick trajectory blocks, each one kernel call, and ten steps
     # between report ticks on which execution windows run.  Under
     # greedy_rsrp 79 of 106 handovers succeed, so servings change mid-block.
     SCENARIO = Scenario(
@@ -590,21 +591,23 @@ class TestBlockPass:
         monkeypatch.setattr(radio, "_split", counted_split)
         expected = Simulation(scenario).run()
         assert bool(splits) == (policy == "greedy_rsrp")
-        if array:
-            # Each trajectory block is one report period, so each kernel
-            # block is one tick.
-            monkeypatch.setattr(sim_module, "TRAJECTORY_BLOCK_UE_STEPS", 1)
-        else:
+        # Each trajectory block is one report period, so each kernel call is
+        # one tick, computed for its own servings: no split is redone.
+        monkeypatch.setattr(sim_module, "TRAJECTORY_BLOCK_UE_STEPS", 1)
+        if not array:
             monkeypatch.setattr(RadioEnvironment, "block_samples", oracle_samples)
+        splits.clear()
         per_tick = Simulation(scenario)
         result = per_tick.run()
+        assert not splits
         assert repr(result.kpis) == repr(expected.kpis)
         assert repr(result.outcomes) == repr(expected.outcomes) and expected.outcomes
         assert repr(result.qtables) == repr(expected.qtables)
 
-    # Without shadowing a kernel block is its trajectory block's report
-    # ticks: the default corridor's whole 1,000-tick run, or 48 ticks of 97
-    # UE-steps for its 2 UEs.  A shadowed channel's block is one tick.
+    # Without shadowing the simulation asks the kernel, at each trajectory
+    # block's first report tick, for every report tick the block holds: the
+    # default corridor's whole 1,000-tick run, or 48 ticks of 97 UE-steps
+    # for its 2 UEs.  With shadowing it asks for each report tick alone.
     @pytest.mark.parametrize("scenario, ue_steps, sizes", [
         (corridor_scenario(), None, [1000]),
         (corridor_scenario(), 97, [48] * 20 + [40]),
@@ -613,15 +616,41 @@ class TestBlockPass:
     def test_kernel_blocks_are_trajectory_blocks(self, monkeypatch, scenario, ue_steps, sizes):
         if ue_steps is not None:
             monkeypatch.setattr(sim_module, "TRAJECTORY_BLOCK_UE_STEPS", ue_steps)
-        blocks, start_block = [], RadioEnvironment._start_block
+        blocks, block_samples = [], RadioEnvironment.block_samples
 
-        def counted_start(env, *args):
-            start_block(env, *args)
-            blocks.append(env._block_ticks)
+        def counted(env, ticks, servings):
+            blocks.append(len(ticks))
+            return block_samples(env, ticks, servings)
 
-        monkeypatch.setattr(RadioEnvironment, "_start_block", counted_start)
+        monkeypatch.setattr(RadioEnvironment, "block_samples", counted)
         run(scenario)
         assert blocks == sizes
+
+    # A shadowed run asks for rows at each report tick, the corridor's 97
+    # UE-step trajectory blocks at each block's first; without the cyclic
+    # collector only reference counts free the rows.
+    @pytest.mark.parametrize("scenario, ue_steps, calls", [
+        (report_tick_scenario(), None, 5),
+        (corridor_scenario(), 97, 21),
+    ], ids=["hex7-shadowed", "corridor-97"])
+    def test_last_rows_are_freed_before_the_next_are_computed(self, monkeypatch, scenario, ue_steps, calls):
+        if ue_steps is not None:
+            monkeypatch.setattr(sim_module, "TRAJECTORY_BLOCK_UE_STEPS", ue_steps)
+        returned, block_samples = [], RadioEnvironment.block_samples
+
+        def tracked(env, ticks, servings):
+            assert [rows() for rows in returned] == [None] * len(returned)
+            rows = block_samples(env, ticks, servings)
+            returned.append(weakref.ref(rows))
+            return rows
+
+        monkeypatch.setattr(RadioEnvironment, "block_samples", tracked)
+        gc.disable()
+        try:
+            run(scenario)
+        finally:
+            gc.enable()
+        assert len(returned) == calls
 
 
 class TestCrossing:
