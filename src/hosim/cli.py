@@ -80,9 +80,8 @@ def _parse_list(text: str, name: str, kind=float) -> list:
 
 
 def _load_scenario(args) -> Scenario:
-    """The scenario file with ``--set`` applied, then the field flags given, validated."""
-    flags = (("seed", "seed"), ("speed", "ue_speed_kmh"), ("policy", "policy"), ("duration", "sim_duration_s"))
-    given = {name: getattr(args, flag) for flag, name in flags if getattr(args, flag, None) is not None}
+    """The scenario file, ``--set`` applied, then each field flag given (stored under its key), validated."""
+    given = {key: value for key, value in vars(args).items() if key in config.SECTIONS["sim"] and value is not None}
     scenario = dataclasses.replace(config.load_scenario(args.scenario, args.set), **given)
     scenario.validate()
     return scenario
@@ -277,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="single scenario run")
     _add_common(p_run)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--speed", type=float, help="UE speed in km/h")
+    p_run.add_argument("--speed", type=float, dest="ue_speed_kmh", help="UE speed in km/h")
     p_run.add_argument("--policy", choices=sim.POLICIES)
-    p_run.add_argument("--duration", type=float, help="run duration in seconds")
+    p_run.add_argument("--duration", type=float, dest="sim_duration_s", help="run duration in seconds")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="speeds x seeds x policies sweep")
@@ -293,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("convergence", help="long run emitting per-second loss rate")
     _add_common(p_conv)
     p_conv.add_argument("--seeds", default="0", help="comma list or a:b range")
-    p_conv.add_argument("--duration", type=float, help="run duration in seconds (e.g. 120)")
+    p_conv.add_argument("--duration", type=float, dest="sim_duration_s", help="run duration in seconds (e.g. 120)")
     p_conv.set_defaults(func=cmd_convergence)
 
     p_qt = sub.add_parser("qtable", help="run and dump final Q-tables")
     _add_common(p_qt)
     p_qt.add_argument("--seed", type=int)
-    p_qt.add_argument("--speed", type=float)
-    p_qt.add_argument("--duration", type=float)
+    p_qt.add_argument("--speed", type=float, dest="ue_speed_kmh")
+    p_qt.add_argument("--duration", type=float, dest="sim_duration_s")
     p_qt.set_defaults(func=cmd_qtable)
 
     p_plot = sub.add_parser("plot", help="render charts from a CSV")

@@ -8,7 +8,9 @@ top-level field.  ``SECTIONS`` is derived from the dataclasses, and
 ``dump_scenario`` lists every key.
 
 Every key is optional and falls back to the package default.  The same
-section.key=value pairs are accepted as command-line overrides.
+section.key=value pairs are accepted as command-line overrides.  A value
+is parsed here by its default's type; ``Scenario.validate`` then judges
+it by the rule declared on its field (``ranged``, ``one_of``).
 """
 
 from __future__ import annotations

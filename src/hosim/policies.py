@@ -36,7 +36,7 @@ _AGENT_STREAM_TAG = 2
 class FixedA3Policy(Policy):
     """Static A3 policy: strongest measured neighbor, configured pair."""
 
-    def __init__(self, ttt_ms: int = 256, hyst_db: int = 3):
+    def __init__(self, ttt_ms: int, hyst_db: int):
         self.pair = ParamPair(ttt_ms, hyst_db)
 
     def observe(self, report: MeasurementReport) -> dict[int, float]:
@@ -60,8 +60,8 @@ class _CellAgent:
 class Lim2Policy(Policy):
     """Learning policy: Kalman prediction + SARSA ranking + epsilon-greedy pair."""
 
-    def __init__(self, learning: LearningParams | None = None, seed: int = 0):
-        self.learning = learning or LearningParams()
+    def __init__(self, learning: LearningParams, seed: int):
+        self.learning = learning
         self.seed = seed
         self.streams = kalman.KalmanStreams(kalman.KalmanParams())
         # Agents are created lazily per serving cell, each with an RNG
@@ -116,13 +116,12 @@ class Lim2Policy(Policy):
         return {cell: agent.table for cell, agent in self._agents.items()}
 
 
-def make_policy(name: str, seed: int = 0, learning: LearningParams | None = None,
-                fixed_ttt_ms: int = 256, fixed_hyst_db: int = 3) -> Policy:
-    """Instantiate a policy by its CLI name."""
-    if name == "lim2":
-        return Lim2Policy(learning=learning, seed=seed)
-    if name == "fixed_a3":
-        return FixedA3Policy(ttt_ms=fixed_ttt_ms, hyst_db=fixed_hyst_db)
-    if name == "greedy_rsrp":
-        return FixedA3Policy(ttt_ms=0, hyst_db=0)
-    raise ValueError(f"unknown policy {name!r}")
+def make_policy(scenario) -> Policy:
+    """The policy a ``Scenario`` names in ``policy``, built from its fields."""
+    if scenario.policy == "lim2":
+        return Lim2Policy(scenario.learning, scenario.seed)
+    if scenario.policy == "fixed_a3":
+        return FixedA3Policy(scenario.fixed_ttt_ms, scenario.fixed_hyst_db)
+    if scenario.policy == "greedy_rsrp":
+        return FixedA3Policy(0, 0)
+    raise ValueError(f"unknown policy {scenario.policy!r}")

@@ -96,13 +96,19 @@ def linear_to_db(value: float) -> float:
 
 def ranged(default, lo: float, hi: float):
     """A dataclass field defaulting to ``default`` whose value must lie in
-    the inclusive range [lo, hi]; ``Scenario.validate`` enforces it.
+    the inclusive range [lo, hi], and be finite if it is a float (an int
+    compares exactly); ``Scenario.validate`` enforces it.
 
     Each range is wide enough for any cellular deployment and narrow
     enough that the dB and distance arithmetic of a run stays finite and
     resolves each noise draw.
     """
     return field(default=default, metadata={"range": (lo, hi)})
+
+
+def one_of(default, choices: tuple):
+    """A dataclass field defaulting to ``default`` whose value must be one of ``choices``."""
+    return field(default=default, metadata={"choices": choices})
 
 
 @dataclass(frozen=True)

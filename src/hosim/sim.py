@@ -44,7 +44,7 @@ from . import engine
 from .engine import EXECUTING, HandoverContext, HandoverOutcome
 from .metrics import KpiRecord, MetricsAccumulator
 from .policies import Lim2Policy, make_policy
-from .radio import ChannelParams, RadioEnvironment, RadioParams, ranged, serving_split
+from .radio import ChannelParams, RadioEnvironment, RadioParams, one_of, ranged, serving_split
 from .rl import HYST_VALUES_DB, TTT_VALUES_MS, LearningParams
 
 POLICIES = ("lim2", "fixed_a3", "greedy_rsrp")
@@ -67,6 +67,8 @@ TRAJECTORY_BLOCK_UE_STEPS = 4096
 # Most UE-steps one report period may span, as a trajectory block holds at
 # least one: 2**22 (x, y) float pairs are 64 MiB.
 MAX_REPORT_PERIOD_UE_STEPS = 2**22
+# Most (UE, site) pairs a report tick's arrays, noise included, may span.
+MAX_REPORT_TICK_PAIRS = 2**22
 
 class ConfigError(ValueError):
     """Scenario validation failure; carries the offending field name."""
@@ -78,23 +80,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full description of one simulation run."""
+    """Full description of one simulation run; each field's own rule is declared on it."""
 
-    layout: str = "hex"
-    n_sites: int = 50
+    layout: str = one_of("hex", ("hex", "corridor"))
+    n_sites: int = ranged(50, 1, math.isqrt(MAX_REPORT_TICK_PAIRS))  # 2,048, the most one UE a site allows
     cell_radius_m: float = ranged(150.0, 1.0, 1e5)
     site_spacing_m: float = ranged(180.0, 1.0, 1e5)  # corridor layouts only
     corridor_lane_m: float = ranged(0.0, -1e5, 1e5)  # lateral offset of the UE lane from the site axis
     boundary_margin_m: float | None = ranged(None, 0.0, 1e5)
-    n_ues_per_cell: int = 10
+    n_ues_per_cell: int = ranged(10, 0, math.inf)
     ue_speed_kmh: float = ranged(200.0, 0.0, 1000.0)
     sim_duration_s: float = ranged(2.0, 0.0, 1e6)
     step_s: float = 0.001
     report_period_s: float = 0.040
-    seed: int = 1
-    policy: str = "lim2"
-    fixed_ttt_ms: int = 256
-    fixed_hyst_db: int = 3
+    seed: int = ranged(1, 0, math.inf)
+    policy: str = one_of("lim2", POLICIES)
+    fixed_ttt_ms: int = one_of(256, TTT_VALUES_MS)
+    fixed_hyst_db: int = one_of(3, HYST_VALUES_DB)
     radio: RadioParams = field(default_factory=RadioParams)
     channel: ChannelParams = field(default_factory=ChannelParams)
     learning: LearningParams = field(default_factory=LearningParams)
@@ -102,20 +104,21 @@ class Scenario:
     def validate(self) -> None:
         """The one gate for a scenario; a bad field raises ConfigError naming
         its INI key: ``sim.<key>`` for a top-level field, ``<section>.<key>``
-        for a nested one."""
-        for name, value, (lo, hi) in _float_fields(self):
-            if not math.isfinite(value):
+        for a nested one.  The rules declared on the fields come first; the
+        rules written out here relate fields or carry reasons of their own."""
+        for name, value, declared in _declared_fields(self):
+            lo, hi = declared.get("range", (-math.inf, math.inf))
+            if "choices" in declared:
+                if value not in declared["choices"]:
+                    raise ConfigError(name, f"must be one of {declared['choices']}")
+            elif isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(name, "must be finite")
-            if not lo <= value <= hi:
+            elif not lo <= value <= hi:
                 raise ConfigError(name, f"must be in [{_shortest(lo)}, {_shortest(hi)}]")
         for name in ("shadowing_sigma_db", "meas_noise_sigma_db", "env_noise_sigma_db"):
             # The sign bit, so that -0.0 (which numpy's normal refuses) fails too.
             if math.copysign(1.0, getattr(self.channel, name)) < 0:
                 raise ConfigError(f"channel.{name}", "must be non-negative")
-        if self.layout not in ("hex", "corridor"):
-            raise ConfigError("sim.layout", f"unknown layout {self.layout!r}")
-        if self.n_sites < 1:
-            raise ConfigError("sim.n_sites", "need at least one site")
         if self.layout == "corridor" and self.n_sites < 2:
             raise ConfigError("sim.n_sites", "corridor layout needs at least two sites")
         # Every UE must start inside the deployment boundary, or its first
@@ -126,13 +129,11 @@ class Scenario:
             need = max(abs(self.corridor_lane_m) + CORRIDOR_LANE_JITTER_M, CORRIDOR_OFFSET_M[1] - self.site_spacing_m)
         if _boundary_margin_m(self) < need:
             raise ConfigError("sim.boundary_margin_m", f"must be at least {need:g} m so every UE starts inside")
-        if self.sim_duration_s <= 0:
-            raise ConfigError("sim.sim_duration_s", "must be positive")
         if self.step_s <= 0:
             raise ConfigError("sim.step_s", "must be positive")
         if not math.isfinite(self.sim_duration_s / self.step_s):
             raise ConfigError("sim.step_s", "too small for sim_duration_s")
-        if self.sim_duration_s < self.step_s:
+        if self.sim_duration_s < self.step_s:  # so the duration is positive too
             raise ConfigError("sim.sim_duration_s", "must be at least step_s")
         if self.report_period_s < self.step_s:
             raise ConfigError("sim.report_period_s", "must be at least step_s")
@@ -143,26 +144,14 @@ class Scenario:
             raise ConfigError("sim.report_period_s", "too large for step_s")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("sim.report_period_s", "must be an integer multiple of step_s")
-        if self.n_ues_per_cell < 0:
-            raise ConfigError("sim.n_ues_per_cell", "must be non-negative")
         steps, n_ues = round(ratio), self.n_sites * self.n_ues_per_cell
         if steps * n_ues > MAX_REPORT_PERIOD_UE_STEPS:
             # The step when a report period is many steps long, else the UEs.
             name = "sim.step_s" if steps > 1 else "sim.n_ues_per_cell"
             raise ConfigError(name, f"one report period of {n_ues} UEs spans {steps * n_ues} UE-steps, more than 2**22")
-        # A report tick's arrays, its channel noise included, and the
-        # nearest-site search at construction grow with its (UE, site) pairs.
         pairs = n_ues * self.n_sites
-        if pairs > 2**22:
+        if pairs > MAX_REPORT_TICK_PAIRS:
             raise ConfigError("sim.n_sites", f"one report tick spans {pairs} UE-site pairs, more than 2**22")
-        if self.policy not in POLICIES:
-            raise ConfigError("sim.policy", f"must be one of {POLICIES}")
-        if self.seed < 0:
-            raise ConfigError("sim.seed", "must be non-negative")
-        if self.fixed_ttt_ms not in TTT_VALUES_MS:
-            raise ConfigError("sim.fixed_ttt_ms", f"must be one of {TTT_VALUES_MS}")
-        if self.fixed_hyst_db not in HYST_VALUES_DB:
-            raise ConfigError("sim.fixed_hyst_db", "must be an integer in 0..30")
 
 
 def _shortest(value: float) -> str:
@@ -178,17 +167,17 @@ def _boundary_margin_m(scenario: Scenario) -> float:
     return scenario.cell_radius_m if margin is None else margin
 
 
-def _float_fields(obj, prefix: str = "sim."):
-    """Yield (INI key, value, inclusive range) for every float field: a
-    top-level field as ``sim.<key>``, a nested dataclass's as
-    ``<field>.<key>``, the section it has in a scenario file.  A field
-    declared without ``ranged`` is unbounded."""
+def _declared_fields(obj, prefix: str = "sim."):
+    """Yield (INI key, value, declaration) for every field declared with
+    ``ranged`` or ``one_of``, and every other float field with an empty
+    declaration: a top-level field as ``sim.<key>``, a nested dataclass's
+    as ``<field>.<key>``.  A None value (the margin's default) is skipped."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if is_dataclass(value):
-            yield from _float_fields(value, f"{f.name}.")
-        elif isinstance(value, float):
-            yield prefix + f.name, value, f.metadata.get("range", (-math.inf, math.inf))
+            yield from _declared_fields(value, f"{f.name}.")
+        elif value is not None and (f.metadata or isinstance(value, float)):
+            yield prefix + f.name, value, f.metadata
 
 
 def build_sites(scenario: Scenario) -> np.ndarray:
@@ -273,7 +262,8 @@ class Simulation:
     read yet and the servings they were computed for: without shadowing
     the rest of the trajectory block's report ticks, with shadowing this
     tick's alone (the module docstring says why both are exact).  It drops
-    them before it asks for the next, so it holds one set at a time."""
+    them before it asks for the next, or once a shadowed tick has read
+    them, so it holds one set at a time."""
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
@@ -284,13 +274,7 @@ class Simulation:
         shadow_rng = np.random.default_rng([scenario.seed, _SHADOW_STREAM])
         self.env = RadioEnvironment(sites, scenario.channel, scenario.radio, channel_rng, shadow_rng)
         start, self._velocity = place_ues(scenario, sites, setup_rng)
-        self.policy = make_policy(
-            scenario.policy,
-            seed=scenario.seed,
-            learning=scenario.learning,
-            fixed_ttt_ms=scenario.fixed_ttt_ms,
-            fixed_hyst_db=scenario.fixed_hyst_db,
-        )
+        self.policy = make_policy(scenario)
         # UE ids are 0..n-1 and index these lists; each UE starts on its nearest site.
         self._nearest = self.env.nearest_cell(start)
         self.contexts = [HandoverContext(ue, cell) for ue, cell in enumerate(self._nearest)]
@@ -390,6 +374,8 @@ class Simulation:
                 self._nearest[i] = sample.nearest
                 metrics.crossings += 1
         self._executing = executing
+        if self._shadowed:  # every row is read, but zip left the kernel suspended holding them
+            self._rows = None
 
     def _track_execution_sinr(self) -> None:
         """Sample each executing window's SINR between report ticks.  Every

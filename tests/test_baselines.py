@@ -6,7 +6,8 @@ from hosim import engine
 from hosim.engine import HandoverContext, complete_handover, note_execution_sinr, on_measurement_report
 from hosim.policies import FixedA3Policy, Lim2Policy, make_policy
 from hosim.radio import MeasurementEntry, MeasurementReport
-from hosim.rl import ParamPair
+from hosim.rl import LearningParams, ParamPair
+from hosim.sim import Scenario
 
 REPORT_PERIOD = 0.040
 
@@ -31,15 +32,15 @@ class TestFixedA3:
         assert decision.pair == ParamPair(256, 3)
 
     def test_equal_rsrp_breaks_to_lower_id(self):
-        policy = FixedA3Policy()
+        policy = FixedA3Policy(256, 3)
         decision = decide(policy, report_with(-90.0, [(5, -85.0), (2, -85.0)]), 0.0)
         assert decision.target == 2
 
     def test_empty_neighbors_no_decision(self):
-        assert decide(FixedA3Policy(), report_with(-90.0, []), 0.0) is None
+        assert decide(FixedA3Policy(256, 3), report_with(-90.0, []), 0.0) is None
 
     def test_uses_raw_measured_levels(self):
-        policy = FixedA3Policy()
+        policy = FixedA3Policy(256, 3)
         report = report_with(-90.0, [(1, -84.5)])
         assert decide(policy, report, 0.0).target == 1
         assert policy.observe(report) == {0: -90.0, 1: -84.5}
@@ -47,7 +48,7 @@ class TestFixedA3:
     def test_picks_instantaneous_maximum_not_trend(self):
         # Cell 1 has been stronger for a while; a single noisy report
         # flips cell 2 on top and the fixed policy follows it immediately.
-        policy = FixedA3Policy()
+        policy = FixedA3Policy(256, 3)
         for _ in range(5):
             assert decide(policy, report_with(-90.0, [(1, -84.0), (2, -88.0)]), 0.0).target == 1
         flipped = decide(policy, report_with(-90.0, [(1, -87.0), (2, -83.0)]), 0.2)
@@ -55,21 +56,22 @@ class TestFixedA3:
 
     def test_decisions_deterministic(self):
         stream = [report_with(-90.0, [(1, -85.0 - i * 0.1), (2, -84.0)], t=i * 0.04) for i in range(20)]
-        a = [decide(FixedA3Policy(), r, r.timestamp).target for r in stream]
-        b = [decide(FixedA3Policy(), r, r.timestamp).target for r in stream]
+        a = [decide(FixedA3Policy(256, 3), r, r.timestamp).target for r in stream]
+        b = [decide(FixedA3Policy(256, 3), r, r.timestamp).target for r in stream]
         assert a == b
 
 
 class TestGreedyRsrp:
     def test_zero_pair(self):
-        assert make_policy("greedy_rsrp").pair == ParamPair(0, 0)
+        assert make_policy(Scenario(policy="greedy_rsrp")).pair == ParamPair(0, 0)
 
     def test_same_target_as_fixed_in_stable_geometry(self):
         report = report_with(-90.0, [(1, -85.0), (2, -95.0)])
-        assert decide(make_policy("greedy_rsrp"), report, 0.0).target == decide(FixedA3Policy(), report, 0.0).target
+        greedy = make_policy(Scenario(policy="greedy_rsrp"))
+        assert decide(greedy, report, 0.0).target == decide(FixedA3Policy(256, 3), report, 0.0).target
 
     def test_single_cell_never_decides(self):
-        assert decide(make_policy("greedy_rsrp"), report_with(-90.0, []), 0.0) is None
+        assert decide(make_policy(Scenario(policy="greedy_rsrp")), report_with(-90.0, []), 0.0) is None
 
 
 def run_trace(policy, trace):
@@ -103,7 +105,7 @@ class TestOscillatingTrace:
         return trace
 
     def test_greedy_ping_pongs_on_oscillation(self):
-        decisions, outcomes = run_trace(make_policy("greedy_rsrp"), self.make_trace())
+        decisions, outcomes = run_trace(make_policy(Scenario(policy="greedy_rsrp")), self.make_trace())
         assert decisions >= 10
         assert any(o.ping_pong for o in outcomes)
 
@@ -113,17 +115,19 @@ class TestOscillatingTrace:
 
     def test_greedy_decides_at_least_as_often_as_fixed(self):
         trace = self.make_trace()
-        greedy_decisions, _ = run_trace(make_policy("greedy_rsrp"), trace)
+        greedy_decisions, _ = run_trace(make_policy(Scenario(policy="greedy_rsrp")), trace)
         fixed_decisions, _ = run_trace(FixedA3Policy(40, 0), trace)
         assert greedy_decisions >= fixed_decisions
 
 
 class TestFactory:
     def test_known_names(self):
-        assert isinstance(make_policy("lim2", seed=1), Lim2Policy)
-        assert make_policy("fixed_a3", fixed_ttt_ms=128, fixed_hyst_db=2).pair == ParamPair(128, 2)
-        assert make_policy("greedy_rsrp").pair == ParamPair(0, 0)
+        learning = LearningParams(alpha=0.2)
+        lim2 = make_policy(Scenario(policy="lim2", seed=7, learning=learning))
+        assert isinstance(lim2, Lim2Policy) and lim2.seed == 7 and lim2.learning is learning
+        assert make_policy(Scenario(policy="fixed_a3", fixed_ttt_ms=128, fixed_hyst_db=2)).pair == ParamPair(128, 2)
+        assert make_policy(Scenario(policy="greedy_rsrp")).pair == ParamPair(0, 0)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            make_policy("oracle")
+            make_policy(Scenario(policy="oracle"))

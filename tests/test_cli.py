@@ -214,6 +214,9 @@ class TestConfigurationErrors:
         # One report tick of 100,000 UEs over as many sites spans 10**10
         # (UE, site) pairs: its channel noise alone would take 80 GB.
         (["run", "--set", "sim.n_sites=100000", "--set", "sim.n_ues_per_cell=1"], "sim.n_sites"),
+        # With no UEs there are no (UE, site) pairs, and the site count
+        # alone must still bound the sites built at construction.
+        (["run", "--set", "sim.n_ues_per_cell=0", "--set", "sim.n_sites=100000"], "sim.n_sites"),
     # A radio or sim case's id keeps the bare key, so case ids do not move
     # with the section prefix the error names.
     ], ids=lambda value: value.removeprefix("radio.").removeprefix("sim.") if isinstance(value, str) else None)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hosim.config import SECTIONS, apply_override, dump_scenario, load_scenario
-from hosim.sim import ConfigError, Scenario, _float_fields, run
+from hosim.sim import ConfigError, Scenario, _declared_fields, run
 from corridor import corridor_scenario
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -136,27 +136,61 @@ class TestSchema:
         run(scenario)
 
 
-# (INI key, lo, hi) of every field declared with a finite range; the
+# (INI key, value, declaration) of every declared or float field; the
 # margin is set so that its float field is walked too.
+DECLARED = list(_declared_fields(Scenario(boundary_margin_m=150.0)))
+# (INI key, lo, hi) of every field declared with a finite range, float and int.
 RANGED = [
-    (path, lo, hi) for path, _, (lo, hi) in _float_fields(Scenario(boundary_margin_m=150.0))
-    if math.isfinite(lo) or math.isfinite(hi)
+    (path, *declared["range"]) for path, _, declared in DECLARED
+    if "range" in declared and (math.isfinite(declared["range"][0]) or math.isfinite(declared["range"][1]))
 ]
+FLOAT_RANGED = [(path, lo, hi) for path, lo, hi in RANGED if isinstance(lo, float)]
+INT_RANGED = [(path, lo, hi) for path, lo, hi in RANGED if isinstance(lo, int)]
+# (INI key, choices) of every field declared with ``one_of``.
+CHOICES = [(path, declared["choices"]) for path, _, declared in DECLARED if "choices" in declared]
 
 
 class TestDeclaredRanges:
     def test_sim_radio_and_channel_fields_are_ranged(self):
         sections = [path.split(".")[0] for path, _, _ in RANGED]
-        assert {section: sections.count(section) for section in sections} == {"sim": 6, "radio": 4, "channel": 6, "learning": 3}
+        assert {section: sections.count(section) for section in sections} == {"sim": 9, "radio": 4, "channel": 6, "learning": 3}
+        assert [path for path, _, _ in INT_RANGED] == ["sim.n_sites", "sim.n_ues_per_cell", "sim.seed"]
+        assert [path for path, _ in CHOICES] == ["sim.layout", "sim.policy", "sim.fixed_ttt_ms", "sim.fixed_hyst_db"]
 
     # A sim case's id keeps the bare key, as it had before errors named the section.
-    @pytest.mark.parametrize("path,lo,hi", RANGED, ids=[path.removeprefix("sim.") for path, _, _ in RANGED])
+    @pytest.mark.parametrize("path,lo,hi", FLOAT_RANGED, ids=[path.removeprefix("sim.") for path, _, _ in FLOAT_RANGED])
     def test_just_outside_each_end_names_the_path(self, path, lo, hi):
         base = Scenario(boundary_margin_m=150.0)
         for value in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
             with pytest.raises(ConfigError) as err:
                 apply_override(base, f"{path}={value!r}").validate()
             assert err.value.field_name == path
+
+    @pytest.mark.parametrize("path,lo,hi", INT_RANGED, ids=[path.removeprefix("sim.") for path, _, _ in INT_RANGED])
+    def test_one_past_each_finite_int_end_names_the_path(self, path, lo, hi):
+        base = Scenario(boundary_margin_m=150.0)
+        for value in (lo - 1, hi + 1):
+            if not math.isfinite(value):
+                continue
+            with pytest.raises(ConfigError) as err:
+                apply_override(base, f"{path}={value}").validate()
+            assert err.value.field_name == path
+
+    @pytest.mark.parametrize("path,choices", CHOICES, ids=[path.removeprefix("sim.") for path, _ in CHOICES])
+    def test_value_outside_the_choices_names_the_path(self, path, choices):
+        outside = "none" if isinstance(choices[0], str) else max(choices) + 1
+        with pytest.raises(ConfigError) as err:
+            apply_override(Scenario(), f"{path}={outside}").validate()
+        assert err.value.field_name == path
+        assert str(err.value) == f"{path}: must be one of {choices}"
+
+    def test_zero_ues_do_not_lift_the_site_bound(self):
+        # With no UEs the (UE, site) pair bound is 0 whatever the site count.
+        Scenario(n_sites=2048, n_ues_per_cell=0).validate()
+        for n_sites in (2049, 10**9):
+            with pytest.raises(ConfigError) as err:
+                Scenario(n_sites=n_sites, n_ues_per_cell=0).validate()
+            assert str(err.value) == "sim.n_sites: must be in [1, 2048]"
 
 
 class TestOverrides:

@@ -20,6 +20,7 @@ from hosim.engine import (
 from hosim.policies import FixedA3Policy, make_policy
 from hosim.radio import MeasurementEntry, MeasurementReport
 from hosim.rl import TTT_VALUES_MS, ParamPair
+from hosim.sim import Scenario
 
 REPORT_PERIOD = 0.040
 
@@ -156,7 +157,7 @@ class TestTttTiming:
         assert policy.decide_calls == 0
 
     def test_greedy_rsrp_fires_at_first_report_satisfying_a3(self):
-        policy = make_policy("greedy_rsrp")
+        policy = make_policy(Scenario(policy="greedy_rsrp"))
         assert isinstance(policy, FixedA3Policy)
         assert policy.pair == ParamPair(0, 0)
         ctx = HandoverContext(1, 0)

@@ -42,7 +42,7 @@ def explored(monkeypatch):
 
 class TestObserveAndLevels:
     def test_levels_come_from_filter_streams(self):
-        policy = Lim2Policy(seed=0)
+        policy = Lim2Policy(LearningParams(), seed=0)
         _, levels = feed(policy, -90.0, -85.0, 0.0)
         # First observation seeds the stream with the measurement itself.
         assert levels[0] == pytest.approx(-90.0)
@@ -52,7 +52,7 @@ class TestObserveAndLevels:
 
     def test_levels_smooth_measurement_noise(self):
         rng = np.random.default_rng(3)
-        policy = Lim2Policy(seed=0)
+        policy = Lim2Policy(LearningParams(), seed=0)
         levels = None
         for i in range(100):
             _, levels = feed(policy, -90.0 + rng.normal(0, 2), -85.0 + rng.normal(0, 2), i * 0.04)
@@ -62,21 +62,21 @@ class TestObserveAndLevels:
             assert level == float(policy.streams.get((1, cell))[0])
 
     def test_level_none_for_unreported_cell(self):
-        policy = Lim2Policy(seed=0)
+        policy = Lim2Policy(LearningParams(), seed=0)
         _, levels = feed(policy, -90.0, -85.0, 0.0)
         assert levels.get(7) is None
 
 
 class TestDecide:
     def test_no_decision_while_neighbor_estimate_trails(self):
-        policy = Lim2Policy(seed=0)
+        policy = Lim2Policy(LearningParams(), seed=0)
         r, levels = feed(policy, -85.0, -95.0, 0.0)
         assert policy.decide(r, levels, 0.0) is None
         # The guard also means no epsilon-greedy draw was consumed.
         assert policy.qtables() == {} or all(t.draw_count == 1 for t in policy.qtables().values())
 
     def test_decision_when_neighbor_leads(self, explored):
-        policy = Lim2Policy(seed=0)
+        policy = Lim2Policy(LearningParams(), seed=0)
         r, levels = feed(policy, -95.0, -85.0, 0.0)
         d = policy.decide(r, levels, 0.0)
         assert d is not None
@@ -85,7 +85,7 @@ class TestDecide:
         assert explored == [True]  # t_init window forces exploration
 
     def test_decision_updates_serving_cell_table(self):
-        policy = Lim2Policy(seed=0)
+        policy = Lim2Policy(LearningParams(), seed=0)
         r, levels = feed(policy, -95.0, -85.0, 0.0)
         policy.decide(r, levels, 0.0)
         tables = policy.qtables()
@@ -94,12 +94,12 @@ class TestDecide:
         assert tables[0].draw_count == 2
 
     def test_empty_neighbor_list_abstains(self):
-        policy = Lim2Policy(seed=0)
+        policy = Lim2Policy(LearningParams(), seed=0)
         r = MeasurementReport(1, 0.0, MeasurementEntry(0, -90.0, -11.0), (), -100.0)
         assert policy.decide(r, policy.observe(r), 0.0) is None
 
     def test_exploits_after_t_init(self, explored):
-        policy = Lim2Policy(seed=0)
+        policy = Lim2Policy(LearningParams(), seed=0)
         agent = policy._agent(0)
         agent.table.draw_count = 10**6  # epsilon ~ 0
         t_late = agent.table.t_init_s + 1.0
@@ -133,7 +133,7 @@ class TestEarlyAbstain:
             raise AssertionError("select_target called")
 
         monkeypatch.setattr(policies, "select_target", unreachable)
-        policy = Lim2Policy(seed=0)
+        policy = Lim2Policy(LearningParams(), seed=0)
         serving = MeasurementEntry(0, -85.0, -11.0)
         # One UE per report, so each level is its first measurement and ties are exact.
         for ue, rsrps in enumerate(([], [-95.0], [-85.0], [-85.0, -90.0, -120.0])):
@@ -147,7 +147,7 @@ class TestEarlyAbstain:
         """Random reports and levels (ties included) give the same decisions,
         Q-tables and agent RNG states as ranking before the gate."""
         rng = np.random.default_rng(21)
-        policy, oracle = Lim2Policy(seed=4), Lim2Policy(seed=4)
+        policy, oracle = Lim2Policy(LearningParams(), seed=4), Lim2Policy(LearningParams(), seed=4)
         outcomes = {"abstain": 0, "trailing target": 0, "decision": 0}
         for i in range(3000):
             now = i * 0.01
@@ -177,9 +177,9 @@ class TestEarlyAbstain:
 
 class TestAgentIndependence:
     def test_t_init_fixed_by_seed_and_cell(self):
-        a = Lim2Policy(seed=5)._agent(3).table.t_init_s
-        b = Lim2Policy(seed=5)._agent(3).table.t_init_s
-        c = Lim2Policy(seed=6)._agent(3).table.t_init_s
+        a = Lim2Policy(LearningParams(), seed=5)._agent(3).table.t_init_s
+        b = Lim2Policy(LearningParams(), seed=5)._agent(3).table.t_init_s
+        c = Lim2Policy(LearningParams(), seed=6)._agent(3).table.t_init_s
         assert a == b
         assert a != c
         assert 5.0 <= a <= 15.0
@@ -187,7 +187,7 @@ class TestAgentIndependence:
     def test_untouched_agents_do_not_shift_decisions(self, explored):
         def run(touch_extra_cell):
             explored.clear()
-            policy = Lim2Policy(seed=9)
+            policy = Lim2Policy(LearningParams(), seed=9)
             if touch_extra_cell:
                 policy._agent(42)  # would disturb a shared RNG stream
             picks = []
@@ -201,7 +201,7 @@ class TestAgentIndependence:
         assert run(False) == run(True)
 
     def test_per_cell_draw_sequences_differ(self):
-        policy = Lim2Policy(seed=1)
+        policy = Lim2Policy(LearningParams(), seed=1)
         draws_a = [policy._agent(0).rng.random() for _ in range(5)]
         draws_b = [policy._agent(1).rng.random() for _ in range(5)]
         assert draws_a != draws_b

@@ -652,6 +652,31 @@ class TestBlockPass:
             gc.enable()
         assert len(returned) == calls
 
+    # A shadowed tick reads every row it asked for, so its kernel, with the
+    # tick's arrays, dies as the tick ends; an unshadowed block's rows live
+    # on for its later ticks.
+    @pytest.mark.parametrize("scenario, alive", [
+        (report_tick_scenario(), False),
+        (dataclasses.replace(report_tick_scenario(), channel=ChannelParams(shadowing_sigma_db=0.0)), True),
+    ], ids=["hex7-shadowed", "hex7-unshadowed"])
+    def test_rows_live_only_while_a_later_tick_reads_them(self, monkeypatch, scenario, alive):
+        returned, block_samples = [], RadioEnvironment.block_samples
+
+        def tracked(env, ticks, servings):
+            rows = block_samples(env, ticks, servings)
+            returned.append(weakref.ref(rows))
+            return rows
+
+        monkeypatch.setattr(RadioEnvironment, "block_samples", tracked)
+        sim = Simulation(scenario)
+        gc.disable()
+        try:
+            sim.step()
+            assert len(returned) == 1
+            assert (returned[0]() is not None) == alive
+        finally:
+            gc.enable()
+
 
 class TestCrossing:
     def test_single_crossing_yields_one_successful_handover_each(self):
