@@ -34,12 +34,14 @@ sample taken for the serving cell it was handed and kept with its linear
 powers, so ``serving_split`` can retake it for another.  The call draws
 exactly its ticks' channel noise, as one standard-normal block in the
 order per-UE draws would take it, and steps the ambient walks through
-them.  Only the chunk arithmetic, at most ``ARRAY_PASS_MAX_PAIRS`` pairs
-at a time, waits until the rows are read, which keeps a large tick's
-peak memory near that of one chunk; with shadowing, a chunk's UEs have
-their shadowing refreshed then, in row order, as a pass over each UE's
-sites reads it.  Without shadowing every value is +0.0, so no shadowing
-row is read.  The kernel, and ``window_powers`` chunked alike, give what
+them.  Only the chunk arithmetic waits until the rows are read, at most
+``ARRAY_PASS_MAX_PAIRS`` slots at a time, a row counting its sites plus
+its sample's ``MAX_NEIGHBORS + 6`` fixed fields; that keeps a large
+call's peak memory, its samples included, near that of one chunk.  With
+shadowing, a chunk's UEs have their shadowing refreshed then, in row
+order, as a pass over each UE's sites reads it.  Without shadowing every
+value is +0.0, so no shadowing row is read.  The kernel, and
+``window_powers`` and ``nearest_cell`` chunked alike, give what
 a scalar pass over each UE's id-ordered sites gives, bit for bit:
 
 - numpy does only IEEE add, subtract, multiply and divide, comparisons
@@ -78,8 +80,11 @@ SUBCARRIERS_PER_RB = 12
 MAX_NEIGHBORS = 8
 DETECTION_THRESHOLD_DBM = -125.0
 SHADOWING_DECORRELATION_M = 50.0
-# Most (tick, UE) x site pairs one chunk of the kernel holds, which bounds
-# its arrays' memory whatever the deployment's size.
+# Most slots one chunk of the kernel spans, a (tick, UE) row counting one
+# per site and one per fixed field of its sample (up to MAX_NEIGHBORS + 1
+# ranked ids and five scalars), which bounds its arrays' memory and the
+# samples it builds whatever the deployment's size: the corridor's 2 sites
+# get 256-row chunks, hex50's 50 sites 64.
 ARRAY_PASS_MAX_PAIRS = 4096
 # The anchor of a shadowing value never drawn: infinitely far from any
 # position, so the first lookup always draws.
@@ -424,9 +429,11 @@ class RadioEnvironment:
             yield from zip(samples, mw)
 
     def _chunks(self, n_rows: int) -> Iterator[slice]:
-        """Slices of ``n_rows`` rows, each at most ``ARRAY_PASS_MAX_PAIRS``
-        (UE, site) pairs (at least one row)."""
-        per_chunk = max(1, ARRAY_PASS_MAX_PAIRS // len(self.sites))
+        """Slices of ``n_rows`` rows, each spanning at most
+        ``ARRAY_PASS_MAX_PAIRS`` slots (at least one row): a row's sites and
+        its sample's ``MAX_NEIGHBORS + 6`` fixed fields, so the bound holds
+        for the samples a report chunk builds, not only for its arrays."""
+        per_chunk = max(1, ARRAY_PASS_MAX_PAIRS // (len(self.sites) + MAX_NEIGHBORS + 6))
         return (slice(start, start + per_chunk) for start in range(0, n_rows, per_chunk))
 
     def window_powers(self, xy, servings, shadowing: list[list[float]]) -> Iterator[tuple[float, float]]:

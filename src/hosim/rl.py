@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 from .radio import MeasurementReport, ranged
 
 TTT_VALUES_MS = (0, 40, 64, 80, 100, 128, 160, 256, 320, 480, 512, 640, 1024, 1280, 2560, 5120)
+# Each integer is whole dB, so the grid spans 0-30 dB.  TS 38.331's
+# Hysteresis IE counts the same integers 0..30 in 0.5 dB steps (0-15 dB);
+# the grid keeps whole dB, as reading it in the standard's steps would
+# move the corridor's golden digests.
 HYST_VALUES_DB = tuple(range(31))
 N_PARAM_VALUES = len(TTT_VALUES_MS) + len(HYST_VALUES_DB)
 PARAM_GRID_SIZE = len(TTT_VALUES_MS) * len(HYST_VALUES_DB)
@@ -35,9 +39,9 @@ def clamp01(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ParamPair:
-    """A (TTT, hysteresis) point on the standard grid."""
+    """A (TTT, hysteresis) point on the standard grid, ordered TTT first."""
 
     ttt_ms: int
     hyst_db: int
@@ -47,6 +51,10 @@ class ParamPair:
             raise ValueError(f"ttt_ms {self.ttt_ms} not in the standard set")
         if self.hyst_db not in HYST_VALUES_DB:
             raise ValueError(f"hyst_db {self.hyst_db} not in 0..30")
+
+
+# Every pair in order, TTT-major: exploration draws an index into it.
+PARAM_GRID = tuple(ParamPair(ttt, hyst) for ttt in TTT_VALUES_MS for hyst in HYST_VALUES_DB)
 
 
 @dataclass(frozen=True)
@@ -143,11 +151,9 @@ def choose_param_pair(table: QTable, params: LearningParams, sim_time: float, rn
     table.draw_count += 1
     explore = sim_time < table.t_init_s or float(rng.random()) < eps or not table.entries
     if explore:
-        index = int(rng.integers(PARAM_GRID_SIZE))
-        pair = ParamPair(TTT_VALUES_MS[index // len(HYST_VALUES_DB)], HYST_VALUES_DB[index % len(HYST_VALUES_DB)])
-        return pair, True
-    best = max(table.entries.items(), key=lambda kv: (kv[1], -kv[0].ttt_ms, -kv[0].hyst_db))
-    return best[0], False
+        return PARAM_GRID[int(rng.integers(PARAM_GRID_SIZE))], True
+    best = max(table.entries.values())
+    return min(pair for pair, q in table.entries.items() if q == best), False
 
 
 def update_qtable(table: QTable, pair: ParamPair, q: float) -> None:
@@ -163,6 +169,6 @@ def qtable_rows(tables: dict[int, QTable]) -> list[tuple[int, int, int, float]]:
     rows = []
     for cell in sorted(tables):
         table = tables[cell]
-        for pair in sorted(table.entries, key=lambda p: (p.ttt_ms, p.hyst_db)):
+        for pair in sorted(table.entries):
             rows.append((cell, pair.ttt_ms, pair.hyst_db, table.entries[pair]))
     return rows

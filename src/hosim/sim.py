@@ -144,14 +144,26 @@ class Scenario:
             raise ConfigError("sim.report_period_s", "too large for step_s")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("sim.report_period_s", "must be an integer multiple of step_s")
+        # n_sites is declared within both size bounds, so past either the
+        # UEs are at fault, unless one UE's report period alone is too long.
         steps, n_ues = round(ratio), self.n_sites * self.n_ues_per_cell
         if steps * n_ues > MAX_REPORT_PERIOD_UE_STEPS:
-            # The step when a report period is many steps long, else the UEs.
-            name = "sim.step_s" if steps > 1 else "sim.n_ues_per_cell"
-            raise ConfigError(name, f"one report period of {n_ues} UEs spans {steps * n_ues} UE-steps, more than 2**22")
+            name = "sim.step_s" if steps > MAX_REPORT_PERIOD_UE_STEPS else "sim.n_ues_per_cell"
+            raise ConfigError(
+                name, f"one report period of {_count(n_ues)} UEs spans {_count(steps * n_ues)} UE-steps, more than 2**22"
+            )
         pairs = n_ues * self.n_sites
         if pairs > MAX_REPORT_TICK_PAIRS:
-            raise ConfigError("sim.n_sites", f"one report tick spans {pairs} UE-site pairs, more than 2**22")
+            raise ConfigError("sim.n_ues_per_cell", f"one report tick spans {_count(pairs)} UE-site pairs, more than 2**22")
+
+
+def _count(n: int) -> str:
+    """The count ``n`` to three significant digits, however large (``Decimal`` takes any int exactly)."""
+    # Imported here, as only a rejected scenario prints a count: the module
+    # would add about 0.4 MB to every run's process.
+    from decimal import Decimal
+
+    return f"{Decimal(n):.3g}"
 
 
 def _shortest(value: float) -> str:

@@ -211,12 +211,19 @@ class TestConfigurationErrors:
         # 2 UEs (1.3 GB of positions), or 5,000,000 UEs at one step.
         (["run", "--set", "sim.step_s=1e-9"], "sim.step_s"),
         (["run", "--set", "sim.n_ues_per_cell=2500000"], "sim.n_ues_per_cell"),
-        # One report tick of 100,000 UEs over as many sites spans 10**10
-        # (UE, site) pairs: its channel noise alone would take 80 GB.
+        # 100,000 sites are past n_sites' declared 2,048, the most that one
+        # UE a site allows within a report tick's 2**22 (UE, site) pairs.
         (["run", "--set", "sim.n_sites=100000", "--set", "sim.n_ues_per_cell=1"], "sim.n_sites"),
         # With no UEs there are no (UE, site) pairs, and the site count
         # alone must still bound the sites built at construction.
         (["run", "--set", "sim.n_ues_per_cell=0", "--set", "sim.n_sites=100000"], "sim.n_sites"),
+        # n_sites is declared within both size bounds, so past either the
+        # UEs are at fault: 3,000,000 corridor UEs span 6,000,000 (UE, site)
+        # pairs, and 120,000 UEs over a 40-step report period 4,800,000 UE-steps.
+        (["run", "--set", "sim.n_ues_per_cell=1500000"], "sim.n_ues_per_cell"),
+        (["run", "--set", "sim.step_s=0.001", "--set", "sim.n_ues_per_cell=60000"], "sim.n_ues_per_cell"),
+        # A report period of 4e298 steps prints as a short count.
+        (["run", "--set", "sim.step_s=1e-300"], "sim.step_s"),
     # A radio or sim case's id keeps the bare key, so case ids do not move
     # with the section prefix the error names.
     ], ids=lambda value: value.removeprefix("radio.").removeprefix("sim.") if isinstance(value, str) else None)
@@ -226,6 +233,7 @@ class TestConfigurationErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {field}: ")
         assert "Traceback" not in err
+        assert len(err) < 200, err  # a huge count prints to three digits
         assert not out.exists()
 
     # The learning keys go through the same declared ranges as every other

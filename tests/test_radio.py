@@ -20,7 +20,7 @@ from hosim.radio import (
     re_scaling_db,
     serving_split,
 )
-from hosim.sim import ConfigError, Scenario, build_sites, place_ues
+from hosim.sim import ConfigError, Scenario, Simulation, build_sites, place_ues
 from corridor import corridor_scenario
 from scalar_oracle import channel_noise, oracle_nearest, oracle_row, oracle_tick
 
@@ -33,6 +33,13 @@ BW = 400e6
 RB_HZ = 12 * 120e3
 # Thermal noise over the bandwidth plus the 5 dB noise figure.
 NOISE_DBM = -174.0 + 10 * math.log10(BW) + 5.0
+
+
+def chunk_slots(rows, n_sites):
+    """The ``ARRAY_PASS_MAX_PAIRS`` whose chunks over ``n_sites`` sites hold
+    ``rows`` rows: a row spans one slot per site and one per fixed field of
+    its sample, ``MAX_NEIGHBORS + 6`` of them."""
+    return rows * (n_sites + MAX_NEIGHBORS + 6)
 
 
 def make_env(sites, params=PARAMS, seed=0, tx=46.0, bw=BW):
@@ -320,7 +327,7 @@ class TestNearestCell:
     """Construction's one pass over every UE's nearest site against the
     scalar ``math.dist`` search."""
 
-    @pytest.mark.parametrize("max_pairs, chunks", [(10**9, [300]), (19 * 7 + 1, [7] * 42 + [6]), (1, [1] * 300)])
+    @pytest.mark.parametrize("max_pairs, chunks", [(10**9, [300]), (chunk_slots(7, 19) + 1, [7] * 42 + [6]), (1, [1] * 300)])
     def test_chunked_pass_equals_the_scalar_search(self, monkeypatch, max_pairs, chunks):
         env = make_env(build_sites(Scenario(n_sites=19)))
         (x1, y1), (x2, y2) = env.sites[1:3].tolist()
@@ -851,7 +858,7 @@ class TestArrayKernel:
         servings = [ue % len(sites) for ue in range(len(start))]
         ticks = {}
         # Chunks of 3 UEs, the last one short, against a single chunk.
-        for max_pairs in (3 * len(sites) + 1, 10**9):
+        for max_pairs in (chunk_slots(3, len(sites)) + 1, 10**9):
             monkeypatch.setattr(radio, "ARRAY_PASS_MAX_PAIRS", max_pairs)
             env = scenario_env(scenario)
             samples = []
@@ -891,7 +898,7 @@ class TestWindowPowers:
     # One window; windows one to a chunk, two to a chunk (the last one
     # short) and all in one chunk.
     @pytest.mark.parametrize("sigma", [0.0, 4.0])
-    @pytest.mark.parametrize("max_pairs, chunks", [(1, [1] * 7), (2 * 19 + 1, [2, 2, 2, 1]), (4096, [7])])
+    @pytest.mark.parametrize("max_pairs, chunks", [(1, [1] * 7), (chunk_slots(2, 19) + 1, [2, 2, 2, 1]), (4096, [7])])
     def test_edge_positions_equal_the_scalar_rows(self, monkeypatch, sigma, max_pairs, chunks):
         scenario = Scenario(n_sites=19, channel=ChannelParams(shadowing_sigma_db=sigma))
         sites = build_sites(scenario)
@@ -1032,8 +1039,9 @@ class TestBlockKernel:
         assert block_env._shadow == {} and all(v == 0.0 for v in scalar_env._shadow[0][0])
         assert repr(block_env.shadow_rng.normal()) != repr(scalar_env.shadow_rng.normal())
 
-    # Each chunk holds a whole call's rows, or 5 rows, so chunks straddle
-    # ticks.  14 UEs at 350 km/h travel about 230 m in 60 ticks, so their
+    # Each chunk holds 195 rows (4,096 slots over 7 sites), which straddle
+    # ticks and split the first two calls, or one row.  14 UEs at 350 km/h
+    # travel about 230 m in 60 ticks, so their
     # shadowing redraws mid-block, in (tick, UE) order as rows are read.
     @pytest.mark.parametrize("max_pairs", [4096, 5 * 7])
     @pytest.mark.parametrize("seed", [1, 9001])
@@ -1115,3 +1123,62 @@ class TestBlockKernel:
         state = env.rng.bit_generator.state
         assert [list(env.block_samples(np.empty((5 - t, 0, 2)), [])) for t in range(5)] == [[]] * 5
         assert env.rng.bit_generator.state == state and env._env_noise == {}
+
+
+class TestChunkRows:
+    """The report kernel, ``window_powers`` and ``nearest_cell`` each take
+    their rows in chunks of at most ``ARRAY_PASS_MAX_PAIRS // (n_sites +
+    MAX_NEIGHBORS + 6)`` rows, at least one: a row counts its sites and its
+    sample's fixed fields, so the bound holds for the samples a chunk builds
+    too."""
+
+    @staticmethod
+    def record_chunks(monkeypatch):
+        """Each chunk's row count, by the array body that takes it: a kernel
+        chunk reaches ``_array_chunk``, a kernel or window chunk
+        ``_link_budget``, and a chunk of any of the three ``_distances``."""
+        seen = {"_array_chunk": [], "_link_budget": [], "_distances": []}
+        for name, rows in seen.items():
+            def counted(env, xy, *args, _rows=rows, _method=getattr(RadioEnvironment, name)):
+                _rows.append(len(xy))
+                return _method(env, xy, *args)
+
+            monkeypatch.setattr(RadioEnvironment, name, counted)
+        return seen
+
+    # 1,000 rows: the corridor's 2 sites take 256 a chunk, hex50's 50 take 64.
+    @pytest.mark.parametrize("scenario, per_chunk", [(corridor_scenario(), 256), (Scenario(), 64)],
+                             ids=["corridor", "hex50"])
+    def test_each_caller_chunks_its_rows(self, monkeypatch, scenario, per_chunk):
+        env = scenario_env(scenario)
+        n_sites = len(env.sites)
+        assert per_chunk == radio.ARRAY_PASS_MAX_PAIRS // (n_sites + MAX_NEIGHBORS + 6)
+        chunks = [per_chunk] * (1000 // per_chunk) + [1000 % per_chunk]
+        xy = np.random.default_rng(5).uniform(-400.0, 600.0, (1000, 2))
+        servings = [row % n_sites for row in range(1000)]
+        seen = self.record_chunks(monkeypatch)
+        env.nearest_cell(xy)
+        assert seen == {"_array_chunk": [], "_link_budget": [], "_distances": chunks}
+        seen["_distances"].clear()
+        list(env.window_powers(xy, servings, [[0.0] * n_sites] * 1000))
+        assert seen == {"_array_chunk": [], "_link_budget": chunks, "_distances": chunks}
+        for rows in seen.values():
+            rows.clear()
+        # 100 ticks of 10 UEs.
+        list(env.block_samples(xy.reshape(100, 10, 2), servings[:10]))
+        assert seen == {"_array_chunk": chunks, "_link_budget": chunks, "_distances": chunks}
+
+    def test_corridor_run_takes_its_block_in_chunks(self, monkeypatch):
+        # One kernel call at tick 0 yields the whole 40 s run's 1,000 ticks
+        # of 2 UEs: 2,000 rows, whose samples are built 256 rows at a time.
+        calls, block_samples = [], RadioEnvironment.block_samples
+
+        def counted(env, ticks, servings):
+            calls.append(len(ticks) * len(servings))
+            return block_samples(env, ticks, servings)
+
+        monkeypatch.setattr(RadioEnvironment, "block_samples", counted)
+        seen = self.record_chunks(monkeypatch)
+        Simulation(corridor_scenario()).run()
+        assert calls == [2000]
+        assert seen["_array_chunk"] == [256] * 7 + [208]

@@ -9,6 +9,7 @@ from hosim.radio import MeasurementEntry, MeasurementReport
 from hosim.rl import (
     HYST_VALUES_DB,
     N_PARAM_VALUES,
+    PARAM_GRID,
     PARAM_GRID_SIZE,
     TTT_VALUES_MS,
     LearningParams,
@@ -261,6 +262,10 @@ class TestParamSets:
         assert len(HYST_VALUES_DB) == 31
         assert N_PARAM_VALUES == 47
         assert PARAM_GRID_SIZE == 496
+        # Every pair once, TTT-major, which is also ParamPair's own order.
+        ttt_major = sorted({ParamPair(t, h) for t in TTT_VALUES_MS for h in HYST_VALUES_DB},
+                           key=lambda p: (p.ttt_ms, p.hyst_db))
+        assert list(PARAM_GRID) == ttt_major == sorted(PARAM_GRID)
 
     def test_pair_membership_enforced(self):
         with pytest.raises(ValueError):

@@ -387,7 +387,7 @@ class TestReportTick:
         assert calls == []
 
     def test_hex_tick_is_read_chunk_by_chunk(self, monkeypatch):
-        # hex50's 500 UEs x 50 sites take 7 chunks of at most 81 UEs; each
+        # hex50's 500 UEs x 50 sites take 8 chunks of at most 64 UEs; each
         # is computed only once the reports before it are made, so a tick
         # holds one chunk's arrays at a time.
         events = []
@@ -404,10 +404,10 @@ class TestReportTick:
         monkeypatch.setattr(RadioEnvironment, "generate_report", recorded("report", report))
         sim = Simulation(Scenario(policy="fixed_a3", sim_duration_s=0.04))
         sim.step()
-        assert events.count("chunk") == 7 and events.count("report") == 500
-        # Each chunk, then its 81 reports.
+        assert events.count("chunk") == 8 and events.count("report") == 500
+        # Each chunk, then its 64 reports.
         starts = [k for k, event in enumerate(events) if event == "chunk"]
-        assert starts == [82 * n for n in range(7)]
+        assert starts == [65 * n for n in range(8)]
 
     # A shadowed run, whose blocks are each one tick, and the corridor's,
     # whose last block ends at the run's last tick.
