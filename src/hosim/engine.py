@@ -57,7 +57,7 @@ class Policy:
         raise NotImplementedError
 
 
-@dataclass
+@dataclass(slots=True)
 class HandoverOutcome:
     ue: int
     source: int
@@ -71,7 +71,7 @@ class HandoverOutcome:
     hyst_db: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class HandoverContext:
     """Attachment and trigger/decision/execution state for one UE.
 

@@ -18,9 +18,10 @@ and each UE's serving power and interference sum.  Report ticks
 it, so a window's SINR is the one a report tick would give at the same
 instant.  Only a handover's completion looks up one site, through
 ``true_rsrp_of`` and ``shadowing_db``; ``_received_dbm`` is the one-site
-form of the link budget.  A UE's stale shadowing values are redrawn as
-one standard-normal block (``refresh_shadowing``), which takes from the
-shadowing stream exactly what one ``normal`` call per site would.
+form of the link budget.  Each UE's shadowing values are one float64
+row by site id, redrawn where stale as one standard-normal block written
+into the row (``refresh_shadowing``), which takes from the shadowing
+stream exactly what one ``normal`` call per site would.
 
 A report tick steps each UE's ambient walk and gives the UE a
 ``RadioSample`` (every site's measured RSRP, the RSSI, the detected cells
@@ -39,8 +40,9 @@ them.  Only the chunk arithmetic waits until the rows are read, at most
 its sample's ``MAX_NEIGHBORS + 6`` fixed fields; that keeps a large
 call's peak memory, its samples included, near that of one chunk.  With
 shadowing, a chunk's UEs have their shadowing refreshed then, in row
-order, as a pass over each UE's sites reads it.  Without shadowing every
-value is +0.0, so no shadowing row is read.  The kernel, and
+order, as a pass over each UE's sites reads it, and each row is copied
+into the chunk's shadowing array as it is refreshed.  Without shadowing
+every value is +0.0, so no shadowing row is read.  The kernel, and
 ``window_powers`` and ``nearest_cell`` chunked alike, give what
 a scalar pass over each UE's id-ordered sites gives, bit for bit:
 
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -237,9 +239,10 @@ class RadioEnvironment:
     resource-element scaling, the thermal noise power and the RSRQ's
     10*log10(N_RB) term.  ``sites`` is an (n_sites x 2) float array whose
     row i is site i's ``(x, y)``, so a site's id is its row and every
-    per-site list is indexed by it.  Owns each UE's shadowing row (per
-    site, a value and the position it was drawn at) and the per-UE
-    ambient-noise random walks, which only the report kernel steps.
+    per-site list is indexed by it.  Owns each UE's shadowing row, a
+    float64 array of its values by site id with a list of the positions
+    they were drawn at, and the per-UE ambient-noise random walks, which
+    only the report kernel steps.
     Confined to a single simulation instance; a run is single-threaded.
     """
 
@@ -253,7 +256,7 @@ class RadioEnvironment:
         # shift with the step size) never perturbs measurement noise.
         self.shadow_rng = shadow_rng
         # ue -> (shadowing values, UE positions they were drawn at), by site id
-        self._shadow: dict[int, tuple[list[float], list[tuple[float, float]]]] = {}
+        self._shadow: dict[int, tuple[np.ndarray, list[tuple[float, float]]]] = {}
         self._env_noise: dict[int, float] = {}
         # The bounds of the ambient walk: its mean less and plus 3 sigma.
         bound = 3.0 * channel.env_noise_sigma_db
@@ -278,15 +281,15 @@ class RadioEnvironment:
         ``(x, y)`` float tuple ``position`` it was drawn at."""
         values, anchors = self._shadow_row(ue)
         if not math.dist(anchors[cell], position) < SHADOWING_DECORRELATION_M:
-            values[cell] = float(self.shadow_rng.normal(0.0, self.params.shadowing_sigma_db))
+            values[cell] = self.shadow_rng.normal(0.0, self.params.shadowing_sigma_db)
             anchors[cell] = position
-        return values[cell]
+        return values.item(cell)
 
-    def _shadow_row(self, ue: int) -> tuple[list[float], list[tuple[float, float]]]:
+    def _shadow_row(self, ue: int) -> tuple[np.ndarray, list[tuple[float, float]]]:
         rows = self._shadow.get(ue)
         if rows is None:
             n = len(self.sites)
-            rows = self._shadow[ue] = ([0.0] * n, [_NEVER_DRAWN] * n)
+            rows = self._shadow[ue] = (np.zeros(n), [_NEVER_DRAWN] * n)
         return rows
 
     def _received_dbm(self, distance_m: float, shadowing_db: float) -> float:
@@ -304,11 +307,12 @@ class RadioEnvironment:
         sx, sy = self.sites[cell].tolist()
         return self._received_dbm(math.hypot(sx - position[0], sy - position[1]), shadowing) - self._re_scaling_db
 
-    def refresh_shadowing(self, ue: int, position: tuple[float, float]) -> list[float]:
-        """The UE's current shadowing values by site id at ``position`` (an
-        ``(x, y)`` tuple of floats): each value drawn 50 m or more from
-        ``position`` is redrawn there, in id order, exactly as
-        ``shadowing_db`` would redraw it.
+    def refresh_shadowing(self, ue: int, position: tuple[float, float]) -> np.ndarray:
+        """The UE's shadowing row, its values by site id, current at
+        ``position`` (an ``(x, y)`` tuple of floats): each value drawn 50 m
+        or more from ``position`` is redrawn there, in id order, exactly as
+        ``shadowing_db`` would redraw it.  The row is the store's own, which
+        a later refresh or lookup overwrites; a caller copies what it keeps.
 
         Sites drawn at the same instant share one anchor object, so
         staleness is judged once for the whole row when every site has one
@@ -339,8 +343,8 @@ class RadioEnvironment:
         block = self.shadow_rng.standard_normal(len(stale))
         block *= self.params.shadowing_sigma_db
         block += 0.0
-        for cid, value in zip(stale, block.tolist()):
-            values[cid] = value
+        values[stale] = block
+        for cid in stale:
             anchors[cid] = position
         return values
 
@@ -415,16 +419,17 @@ class RadioEnvironment:
         ``_array_chunk`` a chunk at a time as the rows are read; row ``r`` is
         UE ``ues[r]``'s.  With shadowing, a chunk's rows have their UEs'
         shadowing refreshed at their positions, in row order, when the
-        chunk is computed.  Without, a row's is +0.0, which is every value
-        a zero sigma draws, so no shadowing row is read."""
-        n_sites = len(self.sites)
+        chunk is computed, each row copied as it is refreshed, since a UE
+        may have rows at several ticks.  Without, a row's is +0.0, which is
+        every value a zero sigma draws, so no shadowing row is read."""
         shadowed = self.params.shadowing_sigma_db > 0
         shadowing = 0.0
         for rows in self._chunks(len(xy)):
             if shadowed:
                 chunk = ues[rows]
-                values = map(self.refresh_shadowing, chunk, map(tuple, xy[rows].tolist()))
-                shadowing = np.fromiter(chain.from_iterable(values), float, len(chunk) * n_sites).reshape(-1, n_sites)
+                shadowing = np.empty((len(chunk), len(self.sites)))
+                for r, (ue, position) in enumerate(zip(chunk, map(tuple, xy[rows].tolist()))):
+                    shadowing[r] = self.refresh_shadowing(ue, position)
             samples, mw = self._array_chunk(xy[rows], servings[rows], shadowing, levels[rows], noise[rows])
             yield from zip(samples, mw)
 
@@ -436,15 +441,15 @@ class RadioEnvironment:
         per_chunk = max(1, ARRAY_PASS_MAX_PAIRS // (len(self.sites) + MAX_NEIGHBORS + 6))
         return (slice(start, start + per_chunk) for start in range(0, n_rows, per_chunk))
 
-    def window_powers(self, xy, servings, shadowing: list[list[float]]) -> Iterator[tuple[float, float]]:
+    def window_powers(self, xy, servings, shadowing: np.ndarray) -> Iterator[tuple[float, float]]:
         """Each execution window's serving power and interference sum, the
         window ``r`` at ``xy[r]`` (an (n x 2) array of positions) served by
-        ``servings[r]``, with the shadowing row ``shadowing[r]`` that
-        ``refresh_shadowing`` returned for it; computed by ``_link_budget``
-        a chunk at a time as they are read, so each is the report kernel's
-        at the same instant, bit for bit."""
+        ``servings[r]``, with row ``r`` of ``shadowing`` (an (n x n_sites)
+        array) the values ``refresh_shadowing`` returned for it; computed
+        by ``_link_budget`` a chunk at a time as they are read, so each is
+        the report kernel's at the same instant, bit for bit."""
         for rows in self._chunks(len(xy)):
-            *_, serving_mw, interference_mw = self._link_budget(xy[rows], servings[rows], np.array(shadowing[rows]))
+            *_, serving_mw, interference_mw = self._link_budget(xy[rows], servings[rows], shadowing[rows])
             yield from zip(serving_mw.tolist(), interference_mw.tolist())
 
     def _distances(self, xy) -> np.ndarray:
@@ -464,7 +469,10 @@ class RadioEnvironment:
         # _received_dbm, with its clamp to the reference distance.
         log_distance = _mapped(math.log10, np.maximum(distance, REFERENCE_DISTANCE_M))
         wideband = self._tx_dbm - (self._reference_db + self._slope_db * log_distance) - shadowing
-        mw = _mapped(math.pow, np.full(wideband.shape, 10.0), wideband / 10.0)  # 10.0 ** (power / 10.0)
+        # 10.0 ** (power / 10.0), as _mapped maps it, with the base repeated.
+        exponent = wideband / 10.0
+        mw = np.fromiter(map(math.pow, repeat(10.0), memoryview(exponent.reshape(-1))), float, exponent.size)
+        mw = mw.reshape(exponent.shape)
         rows = np.arange(len(xy))
         serving_mw = mw[rows, servings]
         others = mw.copy()

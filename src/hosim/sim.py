@@ -145,10 +145,16 @@ class Scenario:
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("sim.report_period_s", "must be an integer multiple of step_s")
         # n_sites is declared within both size bounds, so past either the
-        # UEs are at fault, unless one UE's report period alone is too long.
+        # UEs are at fault, unless one UE's report period alone is too long,
+        # or one UE a site already is too many.
         steps, n_ues = round(ratio), self.n_sites * self.n_ues_per_cell
         if steps * n_ues > MAX_REPORT_PERIOD_UE_STEPS:
-            name = "sim.step_s" if steps > MAX_REPORT_PERIOD_UE_STEPS else "sim.n_ues_per_cell"
+            if steps > MAX_REPORT_PERIOD_UE_STEPS:
+                name = "sim.step_s"
+            elif steps * self.n_sites > MAX_REPORT_PERIOD_UE_STEPS:
+                name = "sim.report_period_s"
+            else:
+                name = "sim.n_ues_per_cell"
             raise ConfigError(
                 name, f"one report period of {_count(n_ues)} UEs spans {_count(steps * n_ues)} UE-steps, more than 2**22"
             )
@@ -275,7 +281,8 @@ class Simulation:
     the rest of the trajectory block's report ticks, with shadowing this
     tick's alone (the module docstring says why both are exact).  It drops
     them before it asks for the next, or once a shadowed tick has read
-    them, so it holds one set at a time."""
+    them, so it holds one set at a time.  A shadowed run likewise holds
+    one trajectory block at a time, as no rows outlive their tick."""
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
@@ -405,13 +412,15 @@ class Simulation:
         if not live:
             return
         windows = [contexts[executing[k]] for k in live]
-        powers = env.window_powers(xy[live], [ctx.serving for ctx in windows], [shadowing[k] for k in live])
+        # The live windows' rows, one UE each, copied into one array.
+        powers = env.window_powers(xy[live], [ctx.serving for ctx in windows], np.array([shadowing[k] for k in live]))
         for ctx, (serving_mw, interference_mw) in zip(windows, powers):
             engine.note_execution_sinr(ctx, env.sinr_of(serving_mw, interference_mw))
 
     def _advance_positions(self) -> None:
         """Lay out the next trajectory block if the current one ends at this
-        step; the next block starts from its last row.
+        step; the next block starts from its last row, which is copied so
+        the current block is freed before the next is allocated.
 
         A block covers as many whole report periods as fit in
         ``TRAJECTORY_BLOCK_UE_STEPS`` (at least one), clipped at the run's
@@ -429,8 +438,9 @@ class Simulation:
         lo, hi = self._bounds
         (xmin, ymin), (xmax, ymax) = self._bounds.tolist()
         dt = self.scenario.step_s
+        last, self._block = self._block[-1].copy(), None
         block = np.empty((min(self._block_steps, self.n_steps - start) + 1, *self._velocity.shape))
-        block[0] = self._block[-1]
+        block[0] = last
         block[1:] = self._velocity * dt
         np.add.accumulate(block, axis=0, out=block)
         # A UE leaves the box in this block iff its lowest or highest

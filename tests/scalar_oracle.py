@@ -13,7 +13,8 @@ oracle.
 The oracle reads every UE's shadowing row through ``refresh_shadowing``
 whatever the channel's sigma, so without shadowing it draws from the
 shadowing stream where the kernel does not; every value it draws there is
-+0.0.
++0.0.  It takes each row's values as Python floats (``tolist``), so its
+powers are raised by Python's own ``**``.
 """
 
 import math
@@ -76,14 +77,21 @@ def oracle_nearest(env, position):
 def oracle_row(env, ue, position, serving):
     """UE ``ue``'s pass at ``position`` while served by ``serving``, its
     shadowing from ``env.refresh_shadowing`` at ``position``."""
-    return oracle_pass(env, position, serving, env.refresh_shadowing(ue, position))
+    return oracle_pass(env, position, serving, env.refresh_shadowing(ue, position).tolist())
+
+
+def shadow_bits(env):
+    """Every UE's shadowing row in ``env``, bit for bit: its values as
+    ``float.hex`` strings, the sign of zero included, and the ``repr`` of
+    the positions they were drawn at."""
+    return {ue: ([v.hex() for v in values.tolist()], repr(anchors)) for ue, (values, anchors) in env._shadow.items()}
 
 
 def oracle_window_powers(env, xy, servings, shadowing):
     """``window_powers`` computed by the oracle, one window at a time."""
     return [
         oracle_pass(env, position, serving, values)[2:4]
-        for position, serving, values in zip(map(tuple, xy.tolist()), servings, shadowing)
+        for position, serving, values in zip(map(tuple, xy.tolist()), servings, shadowing.tolist())
     ]
 
 

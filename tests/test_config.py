@@ -192,6 +192,20 @@ class TestDeclaredRanges:
                 Scenario(n_sites=n_sites, n_ues_per_cell=0).validate()
             assert str(err.value) == "sim.n_sites: must be in [1, 2048]"
 
+    # 2,048 sites and a 4,100-step report period: one UE a site spans
+    # 8,396,800 UE-steps, so no UE count fixes it and the period is named;
+    # at 2,000 steps one UE a site fits, and two UEs a site are named.
+    @pytest.mark.parametrize("n_ues_per_cell, report_period_s, name, spans", [
+        (1, 4.1, "sim.report_period_s", "2.05e+3 UEs spans 8.40e+6"),
+        (2, 4.1, "sim.report_period_s", "4.10e+3 UEs spans 1.68e+7"),
+        (2, 2.0, "sim.n_ues_per_cell", "4.10e+3 UEs spans 8.19e+6"),
+    ])
+    def test_ue_step_bound_names_what_can_fix_it(self, n_ues_per_cell, report_period_s, name, spans):
+        Scenario(n_sites=2048, n_ues_per_cell=1, report_period_s=2.0).validate()
+        with pytest.raises(ConfigError) as err:
+            Scenario(n_sites=2048, n_ues_per_cell=n_ues_per_cell, report_period_s=report_period_s).validate()
+        assert str(err.value) == f"{name}: one report period of {spans} UE-steps, more than 2**22"
+
 
 class TestOverrides:
     def test_sim_and_nested_overrides(self):

@@ -70,7 +70,6 @@ ALLOWED_NUMPY = {
     "concatenate": "joins arrays of values already computed",
     "empty": "allocates; every element used is written first",
     "zeros": "allocates +0.0, which a scalar pass starts from too",
-    "full": "fills with a constant",
     "arange": "integer row indices",
 }
 

@@ -22,7 +22,7 @@ from hosim.radio import (
 )
 from hosim.sim import ConfigError, Scenario, Simulation, build_sites, place_ues
 from corridor import corridor_scenario
-from scalar_oracle import channel_noise, oracle_nearest, oracle_row, oracle_tick
+from scalar_oracle import channel_noise, oracle_nearest, oracle_row, oracle_tick, shadow_bits
 
 PARAMS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
 # Noise-free draws on a shadowed channel, whose report ticks read each
@@ -83,7 +83,7 @@ class NanAt:
 def pin_shadowing(env, ue, position, values):
     """Give UE ``ue`` the shadowing ``values`` (by site id), drawn at
     ``position``, so a row there reads them without a redraw."""
-    env._shadow[ue] = (list(values), [position] * len(values))
+    env._shadow[ue] = (np.array(values, float), [position] * len(values))
 
 
 def shadowing_for(env, cell, position, target, below=False):
@@ -236,7 +236,7 @@ def sinr_at(sites, position, serving=0, tx=46.0):
     """SINR of UE 0's execution window at ``position`` served by
     ``serving``, with zero shadowing."""
     env = make_env(sites, tx=tx)
-    (powers,) = env.window_powers(np.array([position]), [serving], [env.refresh_shadowing(0, position)])
+    (powers,) = env.window_powers(np.array([position]), [serving], np.array([env.refresh_shadowing(0, position)]))
     return env.sinr_of(*powers)
 
 
@@ -680,7 +680,7 @@ class TestShadowRows:
         sign of zero included), and both streams stand at the same draw."""
         for ue, (values, _) in env._shadow.items():
             expected = [oracle.shadow[cid, ue][0] for cid in range(n_sites)]
-            assert np.array(values).tobytes() == np.array(expected).tobytes()
+            assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected]
         assert env.shadow_rng.bit_generator.state == oracle.env.shadow_rng.bit_generator.state
         assert env.shadow_rng.normal() == oracle.env.shadow_rng.normal()
 
@@ -696,7 +696,7 @@ class TestShadowRows:
         env, oracle, _ = self.random_schedule(0.0, 3)
         assert oracle.partial_rows > 10
         self.assert_same_values_and_stream(env, oracle, 19)
-        assert all(math.copysign(1.0, v) == 1.0 for values, _ in env._shadow.values() for v in values)
+        assert all(math.copysign(1.0, v) == 1.0 for values, _ in env._shadow.values() for v in values.tolist())
 
     @pytest.mark.parametrize("sigma", [0.0, 6.0])
     def test_partial_redraw_after_completion_lookups(self, sigma):
@@ -785,17 +785,19 @@ def scenario_env(scenario):
 
 def assert_twins(first_env, second_env, first, second):
     """Equal samples and equal state left behind, bit for bit: ``repr``
-    spells every float exactly, the sign of zero included.  Compared one
-    sample and one UE at a time, so a failure's diff stays short."""
+    spells every Python float exactly, the sign of zero included, and
+    ``shadow_bits`` every shadowing value.  Compared one sample and one UE
+    at a time, so a failure's diff stays short."""
     assert len(first) == len(second)
     for one, other in zip(first, second):
         assert repr(one) == repr(other)
     assert first_env._env_noise.keys() == second_env._env_noise.keys()
-    assert first_env._shadow.keys() == second_env._shadow.keys()
+    first_shadow, second_shadow = shadow_bits(first_env), shadow_bits(second_env)
+    assert first_shadow.keys() == second_shadow.keys()
     for ue in first_env._env_noise:
         assert repr(first_env._env_noise[ue]) == repr(second_env._env_noise[ue])
-    for ue in first_env._shadow:
-        assert repr(first_env._shadow[ue]) == repr(second_env._shadow[ue])
+    for ue in first_shadow:
+        assert first_shadow[ue] == second_shadow[ue]
 
 
 class TestArrayKernel:
@@ -890,7 +892,7 @@ class TestWindowPowers:
         """Each window's SINR from ``window_powers`` on ``env`` and from
         ``oracle_row`` on its twin ``oracle_env``, as ``float.hex`` strings;
         both refresh the windows' shadowing in id order first."""
-        shadowing = [env.refresh_shadowing(ue, position) for ue, position in zip(ues, positions)]
+        shadowing = np.array([env.refresh_shadowing(ue, position) for ue, position in zip(ues, positions)])
         window = [env.sinr_of(*powers).hex() for powers in env.window_powers(np.array(positions), servings, shadowing)]
         rows = [oracle_row(oracle_env, ue, position, serving) for ue, position, serving in zip(ues, positions, servings)]
         return window, [oracle_env.sinr_of(row.serving_mw, row.interference_mw).hex() for row in rows]
@@ -932,7 +934,7 @@ class TestWindowPowers:
         assert window == oracle
         assert seen == chunks
         assert window[4] != window[5]  # the same place, served by either side
-        assert repr(env._shadow) == repr(oracle_env._shadow)
+        assert shadow_bits(env) == shadow_bits(oracle_env)
         assert env.shadow_rng.normal() == oracle_env.shadow_rng.normal()
 
     @pytest.mark.parametrize("sigma", [0.0, 4.0])
@@ -950,7 +952,7 @@ class TestWindowPowers:
             servings = [(7 * ue + tick) % len(sites) for ue in ues]
             window, oracle = self.twin_sinrs(env, oracle_env, list(ues), positions, servings)
             assert window == oracle
-        assert repr(env._shadow) == repr(oracle_env._shadow)
+        assert shadow_bits(env) == shadow_bits(oracle_env)
         assert env.shadow_rng.normal() == oracle_env.shadow_rng.normal()
 
     def test_completion_link_budget_is_the_helpers(self):
@@ -1036,7 +1038,7 @@ class TestBlockKernel:
         # and back at 170, inside the second.
         servings = [[int(t >= 50), 0 if 150 <= t < 170 else 1] for t in range(300)]
         block_run(block_env, scalar_env, positions, servings, edges=(120, 300))
-        assert block_env._shadow == {} and all(v == 0.0 for v in scalar_env._shadow[0][0])
+        assert block_env._shadow == {} and all(v.hex() == "0x0.0p+0" for v in scalar_env._shadow[0][0].tolist())
         assert repr(block_env.shadow_rng.normal()) != repr(scalar_env.shadow_rng.normal())
 
     # Each chunk holds 195 rows (4,096 slots over 7 sites), which straddle
@@ -1053,7 +1055,7 @@ class TestBlockKernel:
         servings = [[(ue + t // 7) % 7 for ue in range(14)] for t in range(60)]
         block_env, scalar_env = scenario_env(scenario), scenario_env(scenario)
         block_run(block_env, scalar_env, positions, servings, edges=(25, 59, 60))
-        assert repr(block_env._shadow) == repr(scalar_env._shadow)
+        assert shadow_bits(block_env) == shadow_bits(scalar_env)
         assert block_env.shadow_rng.normal() == scalar_env.shadow_rng.normal()
 
     def test_walk_clamped_at_both_bounds(self, monkeypatch):

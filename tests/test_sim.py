@@ -33,7 +33,7 @@ from hosim.sim import (
     run,
 )
 from corridor import corridor_scenario
-from scalar_oracle import oracle_nearest, oracle_row, oracle_samples
+from scalar_oracle import oracle_nearest, oracle_row, oracle_samples, shadow_bits
 
 NOISELESS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
 
@@ -558,7 +558,7 @@ class TestFailedWindowSkip:
         assert len(lean.metrics.outcomes) == len(full.metrics.outcomes) > 0
         for a, b in zip(lean.metrics.outcomes, full.metrics.outcomes):
             assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
-        assert lean.env._shadow == full.env._shadow
+        assert shadow_bits(lean.env) == shadow_bits(full.env)
         assert lean.env.shadow_rng.normal() == full.env.shadow_rng.normal()
         assert (sum(window_rows), full.rows) == self.ROW_PASSES[policy, seed]
 
@@ -676,6 +676,35 @@ class TestBlockPass:
             assert (returned[0]() is not None) == alive
         finally:
             gc.enable()
+
+    def test_shadowed_run_frees_each_block_before_the_next(self, monkeypatch):
+        # 14 UEs get 280-step trajectory blocks, so a 0.7 s run lays out
+        # three; no kernel row outlives its tick, so none keeps the block
+        # it was computed from alive while the next is allocated.
+        previous, alive = [], []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape):
+                alive.extend(block() is not None for block in previous)
+                return np.empty(shape)
+
+        advance = Simulation._advance_positions
+
+        def tracked(self):
+            previous[:] = [weakref.ref(self._block)]
+            advance(self)
+
+        monkeypatch.setattr(sim_module, "np", Numpy())
+        monkeypatch.setattr(Simulation, "_advance_positions", tracked)
+        gc.disable()
+        try:
+            run(dataclasses.replace(report_tick_scenario(), sim_duration_s=0.7))
+        finally:
+            gc.enable()
+        assert alive == [False] * 3
 
 
 class TestCrossing:
