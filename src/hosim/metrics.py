@@ -13,9 +13,10 @@ scored with closed-form proxies:
 * packet delay: fixed core delay plus transmission time of a
   1500-byte packet, replaced by the interruption window when detached.
 
-Each proxy is written once, over arrays.  A run's accumulator only
-buffers its samples and scores them in blocks of ``KPI_BLOCK_SAMPLES``,
-the remainder when a result is read.
+Each proxy is written once, over arrays.  A run's accumulator takes a
+report tick's samples in one call, only buffers them, and scores them
+in blocks of at least ``KPI_BLOCK_SAMPLES``, the remainder when a result
+is read.
 Scoring is exact: numpy does only IEEE arithmetic, comparisons and
 selections, ``math.pow`` and ``math.log2`` are mapped over the block,
 and each running sum continues left to right with ``np.add.accumulate``
@@ -58,11 +59,12 @@ def residual_loss_floor(packet_bits: int = PACKET_BITS, ber: float = RESIDUAL_BE
 
 
 RESIDUAL_LOSS_FLOOR = residual_loss_floor()
-# Samples an accumulator buffers before it scores them.  A full buffer
-# holds about 200 KB (a float object and three list slots per sample), and
-# scoring it takes a few 32 KiB arrays and one 128 KiB block of sums.  At
-# this size the numpy calls per block already cost far less than the
-# mapped pow and log2, so a larger block would only hold more memory.
+# Samples an accumulator buffers before it scores them (the tick that
+# reaches the count is buffered whole).  A full buffer holds about 200 KB
+# (a float object and three list slots per sample), and scoring it takes
+# a few 32 KiB arrays and one 128 KiB block of sums.  At this size the
+# numpy calls per block already cost far less than the mapped pow and
+# log2, so a larger block would only hold more memory.
 KPI_BLOCK_SAMPLES = 4096
 
 
@@ -129,7 +131,8 @@ def cdf(samples) -> list[tuple[float, float]]:
 class MetricsAccumulator:
     """Collects per-sample proxies and handover outcomes for one run.
 
-    ``add_sample`` only buffers; the sums, ``n_samples`` and the buckets
+    ``add_sample`` takes one report tick's samples and only buffers them;
+    the sums, ``n_samples`` and the buckets
     take in the buffered samples when a block fills and when ``finalize``,
     ``plr_series`` or ``plr_starts_s`` is called.  An attached, non-finite
     SINR raises ValueError when its block is scored."""
@@ -150,10 +153,12 @@ class MetricsAccumulator:
     _sinrs: list[float] = field(default_factory=list)
     _attached: list[bool] = field(default_factory=list)
 
-    def add_sample(self, time_s: float, sinr_db: float, attached: bool) -> None:
-        self._times.append(time_s)
-        self._sinrs.append(sinr_db)
-        self._attached.append(attached)
+    def add_sample(self, time_s: float, sinr_db: list[float], attached: list[bool]) -> None:
+        """Buffer one report tick's samples at ``time_s``: each UE's SINR and
+        whether it is attached, in UE order."""
+        self._times += (time_s,) * len(sinr_db)
+        self._sinrs += sinr_db
+        self._attached += attached
         if len(self._times) >= KPI_BLOCK_SAMPLES:
             self._score()
 

@@ -7,7 +7,7 @@ epsilon-greedy over the serving cell's Q-table.  Its A3 levels are the
 posterior RSRP estimates.
 
 fixed_a3: static (TTT, hysteresis), target = strongest measured
-neighbor, raw measured levels.
+neighbor (a report's first), raw measured levels.
 
 greedy_rsrp: fixed_a3 with a zero pair -- maximally reactive and
 ping-pong-prone by construction.
@@ -40,13 +40,16 @@ class FixedA3Policy(Policy):
         self.pair = ParamPair(ttt_ms, hyst_db)
 
     def observe(self, report: MeasurementReport) -> dict[int, float]:
-        return {entry.cell: entry.rsrp_dbm for entry in (report.serving, *report.neighbors)}
+        levels = {report.serving.cell: report.serving.rsrp_dbm}
+        for cell, rsrp_dbm, _ in report.neighbors:
+            levels[cell] = rsrp_dbm
+        return levels
 
     def decide(self, report: MeasurementReport, levels: dict[int, float], now: float) -> PolicyDecision | None:
+        # A report lists its neighbors strongest first, ties to the lower id.
         if not report.neighbors:
             return None
-        best = min(report.neighbors, key=lambda e: (-e.rsrp_dbm, e.cell))
-        return PolicyDecision(best.cell, self.pair)
+        return PolicyDecision(report.neighbors[0].cell, self.pair)
 
 
 @dataclass
@@ -78,10 +81,10 @@ class Lim2Policy(Policy):
 
     def observe(self, report: MeasurementReport) -> dict[int, float]:
         ue, noise, now = report.ue, report.env_noise_dbm, report.timestamp
-        return {
-            entry.cell: self.streams.observe((ue, entry.cell), (entry.rsrp_dbm, noise), now)[0]
-            for entry in (report.serving, *report.neighbors)
-        }
+        levels = {}
+        for cell, rsrp_dbm, _ in (report.serving, *report.neighbors):
+            levels[cell] = self.streams.observe((ue, cell), (rsrp_dbm, noise), now)[0]
+        return levels
 
     def _combined_states(self, report: MeasurementReport) -> dict[int, float]:
         return {
@@ -101,7 +104,10 @@ class Lim2Policy(Policy):
         cell), so skipping it changes no decision, table or draw.
         """
         serving = levels[report.serving.cell]
-        if not any(levels[entry.cell] > serving for entry in report.neighbors):
+        for entry in report.neighbors:
+            if levels[entry.cell] > serving:
+                break
+        else:
             return None
         agent = self._agent(report.serving.cell)
         target, q_value = select_target(report, self._combined_states(report), agent.table.q_init, self.learning)

@@ -25,14 +25,17 @@ stream exactly what one ``normal`` call per site would.
 
 A report tick steps each UE's ambient walk and gives the UE a
 ``RadioSample`` (every site's measured RSRP, the RSSI, the detected cells
-ranked, the ambient reading, the serving and interference powers and the
-nearest site); ``generate_report`` builds the UE's report, RSRQ
-included, from it.  One kernel, ``block_samples``, computes the samples
-of every deployment, and it computes exactly the report ticks it is
-given; how many to give it is the simulation's decision.  Their (tick,
-UE) pairs are the rows of one array body, ``_array_chunk``, each row's
-sample taken for the serving cell it was handed and kept with its linear
-powers, so ``serving_split`` can retake it for another.  The call draws
+ranked, the ambient reading, the serving cell it was taken for, the
+SINR and the nearest site); ``generate_report`` builds the UE's report,
+RSRQ included and neighbours strongest first, from it.  One kernel,
+``block_samples``, computes the samples of every deployment, and it
+computes exactly the report ticks it is given; how many to give it is
+the simulation's decision.  Their (tick, UE) pairs are the rows of one
+array body, ``_array_chunk``, each row's sample taken for the serving
+cell it was handed, its SINR by one mapped ``math.log10`` pass over the
+chunk with ``sinr_of``'s operations.  A row (``KernelRow``) carries its
+chunk's linear powers and its index in them, so ``resplit_sinr`` can
+retake its SINR for another serving cell.  The call draws
 exactly its ticks' channel noise, as one standard-normal block in the
 order per-UE draws would take it, and steps the ambient walks through
 them.  Only the chunk arithmetic waits until the rows are read, at most
@@ -159,7 +162,10 @@ class _ReportFields(NamedTuple):
 class MeasurementReport(_ReportFields):
     """Per-UE snapshot of serving and neighbor cell measurements plus the
     UE's reading of its ambient noise level; an immutable tuple that
-    rejects a serving cell listed among the neighbors."""
+    rejects a serving cell listed among the neighbors.  Its neighbors are
+    listed strongest first, ties to the lower id, as a measurement report
+    orders them (TS 38.331 §5.5.5): the constructor sorts a list given in
+    another order, and ``generate_report`` builds them in it."""
 
     __slots__ = ()
 
@@ -168,20 +174,25 @@ class MeasurementReport(_ReportFields):
         for n in neighbors:
             if n.cell == cell:
                 raise ValueError("serving cell must not appear in neighbor list")
+        neighbors = tuple(sorted(neighbors, key=lambda n: (-n.rsrp_dbm, n.cell)))
         return tuple.__new__(cls, (ue, timestamp, serving, neighbors, env_noise_dbm))
 
 
 class RadioSample(NamedTuple):
-    """What one UE's report tick yields."""
+    """What one UE's report tick yields, taken for one serving cell."""
 
     measured: list[float]  # each site's measured RSRP in dBm, by id
     rssi_dbm: float  # every site's power plus the noise floor
     ranked: list[int]  # detected site ids, strongest first, ties to the lower id; at most MAX_NEIGHBORS + 1
     env_reading_dbm: float  # the UE's reading of its ambient noise level
-    serving_mw: float  # the serving site's linear power
-    interference_mw: float  # the other sites' linear powers, summed in id order
+    serving: int  # id of the serving site the SINR is taken for
+    sinr_db: float  # the serving site's power over the others' (summed in id order) plus the noise floor
     nearest: int  # id of the closest site, a tie to the lower id
 
+
+# One report-kernel row: its sample, its chunk's linear powers (rows x
+# sites, by site id) and its row in them.
+KernelRow = tuple[RadioSample, np.ndarray, int]
 
 # Builds a named tuple from the tuple of its fields, as its ``_make`` does,
 # without the Python-level call the generated constructor costs; a report
@@ -198,23 +209,15 @@ def _mapped(fn, *arrays: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(shape)
 
 
-def _split(sample: RadioSample, mw: list[float], serving: int) -> RadioSample:
-    """``sample`` with its serving power and interference taken for
-    ``serving`` from its linear powers ``mw`` (by site id): the other sites
-    summed in id order from 0.0, as the kernel sums them."""
+def _split(mw: list[float], serving: int) -> tuple[float, float]:
+    """The serving power and interference sum for ``serving`` of the linear
+    powers ``mw`` (by site id): the other sites summed in id order from
+    0.0, as the kernel sums them."""
     interference_mw = 0.0
     for cid, power in enumerate(mw):
         if cid != serving:
             interference_mw += power
-    measured, rssi_dbm, ranked, reading, _, _, nearest = sample
-    return _new_tuple(RadioSample, (measured, rssi_dbm, ranked, reading, mw[serving], interference_mw, nearest))
-
-
-def serving_split(serving: int, first: int, row: tuple[RadioSample, np.ndarray]) -> RadioSample:
-    """A kernel row's sample for ``serving``, the UE's serving cell at its
-    tick; ``first`` is the one it was computed for."""
-    sample, mw = row
-    return sample if serving == first else _split(sample, mw.tolist(), serving)
+    return mw[serving], interference_mw
 
 
 def free_space_reference_db(carrier_freq_hz: float) -> float:
@@ -353,6 +356,14 @@ class RadioEnvironment:
         UE's linear serving power and interference sum."""
         return linear_to_db(serving_mw / (interference_mw + self._noise_mw))
 
+    def resplit_sinr(self, row: KernelRow, serving: int) -> float:
+        """The SINR of the kernel row ``row`` for ``serving``, a serving
+        cell other than the one its sample was taken for: the serving power
+        and the interference sum retaken from the row's linear powers
+        (``_split``), then ``sinr_of``."""
+        _, powers, r = row
+        return self.sinr_of(*_split(powers[r].tolist(), serving))
+
     def nearest_cell(self, xy: np.ndarray) -> list[int]:
         """Id of the site closest to each row of ``xy`` (an (n x 2) array of
         positions), in one pass a chunk at a time: the link budget's
@@ -361,12 +372,12 @@ class RadioEnvironment:
         id, as the report kernel's nearest site does."""
         return [cell for rows in self._chunks(len(xy)) for cell in self._distances(xy[rows]).argmin(axis=1).tolist()]
 
-    def block_samples(self, ticks: np.ndarray, servings: list[int]) -> Iterator[tuple[RadioSample, np.ndarray]]:
+    def block_samples(self, ticks: np.ndarray, servings: list[int]) -> Iterator[KernelRow]:
         """The report kernel: every row of the report ticks ``ticks``,
-        tick-major, each a ``RadioSample`` and its linear powers by site id.
-        ``ticks[k, i]`` is UE ``i``'s ``(x, y)`` at the ``k``-th tick, and
-        each of its samples is taken for UE ``i`` served by ``servings[i]``;
-        ``serving_split`` retakes one for another serving cell.
+        tick-major, each a ``KernelRow``.  ``ticks[k, i]`` is UE ``i``'s
+        ``(x, y)`` at the ``k``-th tick, and each of its samples is taken
+        for UE ``i`` served by ``servings[i]``, its SINR included;
+        ``resplit_sinr`` retakes the SINR for another serving cell.
 
         At each tick the UE's ambient noise level first takes one bounded
         random-walk step (the σ_env draw, clamped to its mean ± 3σ_env).
@@ -414,14 +425,14 @@ class RadioEnvironment:
         ues = list(range(n_ues)) * n_ticks
         return self._block_rows(ticks.reshape(-1, 2), ues, servings * n_ticks, levels, noise)
 
-    def _block_rows(self, xy, ues, servings, levels, noise) -> Iterator[tuple[RadioSample, np.ndarray]]:
-        """Each row's sample and linear powers by site id, computed by
-        ``_array_chunk`` a chunk at a time as the rows are read; row ``r`` is
-        UE ``ues[r]``'s.  With shadowing, a chunk's rows have their UEs'
-        shadowing refreshed at their positions, in row order, when the
-        chunk is computed, each row copied as it is refreshed, since a UE
-        may have rows at several ticks.  Without, a row's is +0.0, which is
-        every value a zero sigma draws, so no shadowing row is read."""
+    def _block_rows(self, xy, ues, servings, levels, noise) -> Iterator[KernelRow]:
+        """Each row's ``KernelRow``, computed by ``_array_chunk`` a chunk at
+        a time as the rows are read; row ``r`` is UE ``ues[r]``'s.  With
+        shadowing, a chunk's rows have their UEs' shadowing refreshed at
+        their positions, in row order, when the chunk is computed, each row
+        copied as it is refreshed, since a UE may have rows at several
+        ticks.  Without, a row's is +0.0, which is every value a zero sigma
+        draws, so no shadowing row is read."""
         shadowed = self.params.shadowing_sigma_db > 0
         shadowing = 0.0
         for rows in self._chunks(len(xy)):
@@ -431,7 +442,7 @@ class RadioEnvironment:
                 for r, (ue, position) in enumerate(zip(chunk, map(tuple, xy[rows].tolist()))):
                     shadowing[r] = self.refresh_shadowing(ue, position)
             samples, mw = self._array_chunk(xy[rows], servings[rows], shadowing, levels[rows], noise[rows])
-            yield from zip(samples, mw)
+            yield from zip(samples, repeat(mw), range(len(samples)))
 
     def _chunks(self, n_rows: int) -> Iterator[slice]:
         """Slices of ``n_rows`` rows, each spanning at most
@@ -494,6 +505,8 @@ class RadioEnvironment:
         # Summed along the sites as the interference is.
         rssi_mw = np.add.accumulate(mw, axis=1)[:, -1]
         rssi_dbm = 10.0 * _mapped(math.log10, rssi_mw + self._noise_mw)
+        # sinr_of's operations, its log10 mapped.
+        sinr_db = 10.0 * _mapped(math.log10, serving_mw / (interference_mw + self._noise_mw))
         measured = wideband - self._re_scaling_db - (level - self.params.env_noise_mean_dbm)[:, None] + noise[:, 1:-1]
         if not (np.isfinite(measured).all() and np.isfinite(rssi_dbm).all()):
             raise ValueError("measured RSRP and RSSI must be finite")
@@ -506,8 +519,8 @@ class RadioEnvironment:
             rssi_dbm.tolist(),
             ranked,
             (level + noise[:, -1]).tolist(),
-            serving_mw.tolist(),
-            interference_mw.tolist(),
+            servings,
+            sinr_db.tolist(),
             nearest.tolist(),
         )
         return list(map(_new_tuple, repeat(RadioSample), fields)), mw

@@ -16,14 +16,18 @@ zero sigma a tick's radio does not depend on the policy: every shadowing
 value is +0.0 whatever the shadowing stream draws, trajectories are laid
 out ahead, the channel noise feeds nothing else and is drawn in tick
 order, and the ambient walk steps once per UE per tick.  Only the
-serving split does, so a UE whose serving cell a completion changed
-since the rows were computed has its split redone at its tick
-(``serving_split``).  With shadowing each tick asks for itself alone:
-execution windows and completions draw from the shadowing stream
-between report ticks, so a tick's shadowing is known only after its
-completions, and nothing draws from the stream while its rows are read.
-Between report ticks the execution windows that have not failed take
-their SINR from the same link budget, as one block of (UE x site) pairs.
+serving split does: each row carries its SINR for the serving cell it
+was computed for, so a UE whose serving cell a completion changed since
+has its SINR retaken at its tick (``resplit_sinr``).  With shadowing
+each tick asks for itself alone: execution windows and completions draw
+from the shadowing stream between report ticks, so a tick's shadowing is
+known only after its completions, and nothing draws from the stream
+while its rows are read.  A tick hands the metrics its SINRs in one
+call.  Between report ticks the execution windows that have not failed
+take their SINR from the same link budget, as one block of (UE x site)
+pairs.  A step enters each layer only when it has work: the trajectory
+layout at a block's end, completions and windows while a handover
+executes.
 
 Determinism: every random quantity derives from the scenario seed via
 dedicated sub-streams (placement, channel noise, shadowing, and one
@@ -44,7 +48,7 @@ from . import engine
 from .engine import EXECUTING, HandoverContext, HandoverOutcome
 from .metrics import KpiRecord, MetricsAccumulator
 from .policies import Lim2Policy, make_policy
-from .radio import ChannelParams, RadioEnvironment, RadioParams, one_of, ranged, serving_split
+from .radio import ChannelParams, RadioEnvironment, RadioParams, one_of, ranged
 from .rl import HYST_VALUES_DB, TTT_VALUES_MS, LearningParams
 
 POLICIES = ("lim2", "fixed_a3", "greedy_rsrp")
@@ -277,12 +281,12 @@ class Simulation:
     ``place_ues`` puts them, each on the nearest site that
     ``RadioEnvironment.nearest_cell`` finds for all of them in one pass of
     the report kernel's distance rule.  It holds the kernel's rows not
-    read yet and the servings they were computed for: without shadowing
-    the rest of the trajectory block's report ticks, with shadowing this
-    tick's alone (the module docstring says why both are exact).  It drops
-    them before it asks for the next, or once a shadowed tick has read
-    them, so it holds one set at a time.  A shadowed run likewise holds
-    one trajectory block at a time, as no rows outlive their tick."""
+    read yet, each with the serving cell it was computed for: without
+    shadowing the rest of the trajectory block's report ticks, with
+    shadowing this tick's alone (the module docstring says why both are
+    exact).  It drops them when it lays out the next trajectory block, or
+    once a shadowed tick has read them, so it holds one set of rows and
+    one trajectory block at a time."""
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
@@ -315,7 +319,7 @@ class Simulation:
         periods = TRAJECTORY_BLOCK_UE_STEPS // (max(1, len(start)) * self.report_every)
         self._block_steps = max(1, periods) * self.report_every
         self._shadowed = scenario.channel.shadowing_sigma_db > 0
-        self._rows, self._row_servings = iter(()), []
+        self._rows = None
         # Ids of the UEs whose handover is executing, ascending.  Only a
         # report tick starts an execution and only a completion ends one.
         self._executing: list[int] = []
@@ -333,17 +337,19 @@ class Simulation:
         )
 
     def step(self) -> None:
-        """One tick: a report step first lays out the next trajectory block
-        where the current one ends; then complete due handovers, then either
-        emit reports or track the execution windows."""
+        """One tick: lay out the next trajectory block where the current one
+        ends; then complete due handovers, then either emit reports or track
+        the execution windows.  Each layer is entered only when it has
+        work: the layout at a block's end, completions and windows while a
+        handover executes."""
         now = self.time_s
-        report_step = self._step_index % self.report_every == 0
-        if report_step:
+        if self._step_index == self._block_start + len(self._block) - 1:
             self._advance_positions()
-        self._complete_due_handovers(now)
-        if report_step:
+        if self._executing:
+            self._complete_due_handovers(now)
+        if self._step_index % self.report_every == 0:
             self._report_tick(now)
-        else:
+        elif self._executing:
             self._track_execution_sinr()
         self._step_index += 1
 
@@ -365,33 +371,39 @@ class Simulation:
 
     def _report_tick(self, now: float) -> None:
         # Only a handover's completion changes ctx.serving, so the serving
-        # cells read before the samples stay those each SINR is taken for.
-        # An executing window's sample at this step is the report's SINR.
-        env, policy, metrics = self.env, self.policy, self.metrics
+        # cell read at a UE's row is the one its SINR is taken for: the
+        # row's own, or retaken where a completion changed it since the
+        # rows were computed.  An executing window's sample at this step is
+        # the report's SINR; an executing UE's report moves no phase, so
+        # the engine does not see it.
+        env, policy, metrics, nearest = self.env, self.policy, self.metrics, self._nearest
+        generate_report, observe, on_report = env.generate_report, policy.observe, engine.on_measurement_report
         period = self.scenario.report_period_s
         tick = self._step_index - self._block_start
         if tick == 0 or self._shadowed:
             # The trajectory block's report ticks from this one on, or this one alone.
             stop = tick + 1 if self._shadowed else -1
-            self._rows = None  # freed before the next rows' noise is drawn
-            self._row_servings = [ctx.serving for ctx in self.contexts]
-            self._rows = env.block_samples(self._block[tick:stop:self.report_every], self._row_servings)
-        executing = []
+            servings = [ctx.serving for ctx in self.contexts]
+            self._rows = env.block_samples(self._block[tick:stop:self.report_every], servings)
+        executing, sinrs, attached = [], [], []
         # ``contexts`` comes first, so a tick takes exactly its own rows.
-        for i, (ctx, first, row) in enumerate(zip(self.contexts, self._row_servings, self._rows)):
-            sample = serving_split(ctx.serving, first, row)
-            report = env.generate_report(i, sample, ctx.serving, now)
-            levels = policy.observe(report)
-            engine.on_measurement_report(ctx, report, levels, policy, now, period)
-            sinr_db = env.sinr_of(sample.serving_mw, sample.interference_mw)
-            attached = ctx.phase != EXECUTING
-            if not attached:
+        for i, (ctx, row) in enumerate(zip(self.contexts, self._rows)):
+            sample, serving = row[0], ctx.serving
+            report = generate_report(i, sample, serving, now)
+            levels = observe(report)
+            if ctx.phase != EXECUTING:
+                on_report(ctx, report, levels, policy, now, period)
+            sinr_db = sample.sinr_db if serving == sample.serving else env.resplit_sinr(row, serving)
+            sinrs.append(sinr_db)
+            on_cell = ctx.phase != EXECUTING
+            attached.append(on_cell)
+            if not on_cell:
                 executing.append(i)
                 engine.note_execution_sinr(ctx, sinr_db)
-            metrics.add_sample(now, sinr_db, attached)
-            if sample.nearest != self._nearest[i]:
-                self._nearest[i] = sample.nearest
+            if sample.nearest != nearest[i]:
+                nearest[i] = sample.nearest
                 metrics.crossings += 1
+        metrics.add_sample(now, sinrs, attached)
         self._executing = executing
         if self._shadowed:  # every row is read, but zip left the kernel suspended holding them
             self._rows = None
@@ -403,8 +415,6 @@ class Simulation:
         has failed and tracks nothing more; the others take their serving
         and interference powers as one block of the radio's link budget."""
         executing = self._executing
-        if not executing:
-            return
         env, contexts = self.env, self.contexts
         xy = self._block[self._step_index - self._block_start, executing]
         shadowing = list(map(env.refresh_shadowing, executing, map(tuple, xy.tolist())))
@@ -418,9 +428,12 @@ class Simulation:
             engine.note_execution_sinr(ctx, env.sinr_of(serving_mw, interference_mw))
 
     def _advance_positions(self) -> None:
-        """Lay out the next trajectory block if the current one ends at this
-        step; the next block starts from its last row, which is copied so
-        the current block is freed before the next is allocated.
+        """Lay out the next trajectory block at the step where the current
+        one ends; the next block starts from its last row, which is copied
+        so the current block is freed before the next is allocated.  The
+        kernel rows not read yet are dropped first, as they may hold a view
+        of the current block; the next block's first report tick asks for
+        fresh rows anyway.
 
         A block covers as many whole report periods as fit in
         ``TRAJECTORY_BLOCK_UE_STEPS`` (at least one), clipped at the run's
@@ -432,9 +445,8 @@ class Simulation:
         again from there with the velocity the fold leaves.  So positions,
         velocities and fold points are those of moving every UE at every
         step, bit for bit."""
-        start = self._block_start + len(self._block) - 1
-        if self._step_index != start:
-            return
+        start = self._step_index
+        self._rows = None
         lo, hi = self._bounds
         (xmin, ymin), (xmax, ymax) = self._bounds.tolist()
         dt = self.scenario.step_s

@@ -110,16 +110,17 @@ def channel_noise(env, n_ues):
 def oracle_sample(env, ue, position, serving, draws):
     """UE ``ue``'s report-tick row from its ``oracle_row`` at ``position``
     while served by ``serving``, and its ``draws`` from ``channel_noise``:
-    its sample and its linear powers by site id (an array, as the
-    kernel's are), each ``10.0 ** (power / 10.0)`` as ``oracle_pass``
-    raises it.
+    a kernel row of its sample and its linear powers by site id (a one-row
+    array, as the kernel's chunk is, and row 0 of it), each ``10.0 **
+    (power / 10.0)`` as ``oracle_pass`` raises it.
 
     The ambient level takes one bounded random-walk step; each site's
     measured RSRP is its wideband power scaled to one resource element,
     less the level's excursion above its mean, plus its measurement draw;
     the last draw makes the reading of the level.  A non-finite
     measurement or RSSI raises ValueError.  Detected cells are ranked by
-    a stable descending sort, so equal measurements keep id order."""
+    a stable descending sort, so equal measurements keep id order.  The
+    SINR is ``sinr_of``'s, one scalar at a time."""
     wideband, rssi_mw, serving_mw, interference_mw, nearest = oracle_row(env, ue, position, serving)
     mean = env.params.env_noise_mean_dbm
     level = min(max(env._env_noise.get(ue, mean) + draws[0], env._walk_lo), env._walk_hi)
@@ -132,8 +133,9 @@ def oracle_sample(env, ue, position, serving, draws):
     ranked = [cid for cid, value in enumerate(measured) if value >= DETECTION_THRESHOLD_DBM]
     ranked.sort(key=measured.__getitem__, reverse=True)
     del ranked[MAX_NEIGHBORS + 1 :]
-    sample = RadioSample(measured, rssi_dbm, ranked, level + draws[-1], serving_mw, interference_mw, nearest)
-    return sample, np.array([10.0 ** (power / 10.0) for power in wideband])
+    sinr_db = linear_to_db(serving_mw / (interference_mw + env._noise_mw))
+    sample = RadioSample(measured, rssi_dbm, ranked, level + draws[-1], serving, sinr_db, nearest)
+    return sample, np.array([[10.0 ** (power / 10.0) for power in wideband]]), 0
 
 
 def oracle_rows(env, positions, servings):
@@ -145,7 +147,7 @@ def oracle_rows(env, positions, servings):
 
 def oracle_tick(env, positions, servings):
     """One report tick's samples, as ``oracle_rows`` gives them."""
-    return [sample for sample, _ in oracle_rows(env, positions, servings)]
+    return [sample for sample, *_ in oracle_rows(env, positions, servings)]
 
 
 def oracle_samples(env, ticks, servings):

@@ -1,6 +1,8 @@
 """Fixed-policy baselines: decision rules and ping-pong-by-construction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hosim import engine
 from hosim.engine import HandoverContext, complete_handover, note_execution_sinr, on_measurement_report
@@ -35,6 +37,19 @@ class TestFixedA3:
         policy = FixedA3Policy(256, 3)
         decision = decide(policy, report_with(-90.0, [(5, -85.0), (2, -85.0)]), 0.0)
         assert decision.target == 2
+
+    # Neighbour lists of up to eight distinct cells (serving cell 0 apart)
+    # whose RSRPs come from a few values, so ties are common, in any order.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 30), st.sampled_from([-95.0, -90.0, -85.5, -85.0, -0.0, 0.0])),
+                    min_size=1, max_size=8, unique_by=lambda entry: entry[0]))
+    def test_target_is_the_keyed_minimum(self, neighbors):
+        # A report lists its neighbours strongest first, ties to the lower
+        # id, so the first is what the keyed minimum over them picks.
+        report = report_with(-90.0, neighbors)
+        expected = min(report.neighbors, key=lambda e: (-e.rsrp_dbm, e.cell)).cell
+        assert expected == min(neighbors, key=lambda n: (-n[1], n[0]))[0]
+        assert decide(FixedA3Policy(256, 3), report, 0.0).target == expected
 
     def test_empty_neighbors_no_decision(self):
         assert decide(FixedA3Policy(256, 3), report_with(-90.0, []), 0.0) is None

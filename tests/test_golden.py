@@ -45,14 +45,32 @@ def run_digests(ini: str, overrides: list[str], bits: bool = False) -> dict[str,
     scenario = config.load_scenario(os.path.join(SCENARIOS, ini), overrides)
     simulation, sinrs = Simulation(scenario), []
     if bits:
-        sinr_of = simulation.env.sinr_of
+        sinr_of, add_sample, report_tick = simulation.env.sinr_of, simulation.metrics.add_sample, simulation._report_tick
+        tick_start = [0]
 
-        def recorded(serving_mw, interference_mw):
+        def recorded_sinr(serving_mw, interference_mw):
             sinrs.append(sinr_of(serving_mw, interference_mw))
             return sinrs[-1]
 
-        # Report ticks and execution windows alike take their SINR here.
-        simulation.env.sinr_of = recorded
+        def recorded_tick(now):
+            tick_start[0] = len(sinrs)
+            return report_tick(now)
+
+        def recorded_samples(time_s, sinr_db, attached):
+            # A report tick's SINRs come from its rows, and each re-split's
+            # from sinr_of as well, so those sinr_of calls recorded during
+            # the tick must be among its SINRs in order; each is hashed once.
+            remaining = iter(sinr_db)
+            assert all(value in remaining for value in sinrs[tick_start[0] :])
+            del sinrs[tick_start[0] :]
+            sinrs.extend(sinr_db)
+            return add_sample(time_s, sinr_db, attached)
+
+        # Execution windows take their SINR from sinr_of, report ticks hand
+        # theirs to the metrics.
+        simulation.env.sinr_of = recorded_sinr
+        simulation._report_tick = recorded_tick
+        simulation.metrics.add_sample = recorded_samples
     result = simulation.run()
     out = {
         "kpis": _digest([metrics.kpi_row(scenario.policy, scenario.seed, scenario.ue_speed_kmh, result.kpis)]),

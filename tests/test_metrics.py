@@ -133,7 +133,7 @@ class TestAccumulator:
     def test_counts_and_rates(self):
         acc = MetricsAccumulator(n_ues=2, duration_s=10.0, bandwidth_hz=BW)
         for i in range(100):
-            acc.add_sample(i * 0.1, 5.0, attached=True)
+            acc.add_sample(i * 0.1, [5.0], [True])
         acc.outcomes += [outcome(), outcome(result="failure"), outcome(ping_pong=True)]
         acc.crossings += 2
         record = acc.finalize()
@@ -148,7 +148,7 @@ class TestAccumulator:
         acc = MetricsAccumulator(n_ues=1, duration_s=3.0, bandwidth_hz=BW)
         for i in range(75):
             t = i * 0.04
-            acc.add_sample(t, 20.0 if t < 2.0 else -20.0, attached=True)
+            acc.add_sample(t, [20.0 if t < 2.0 else -20.0], [True])
         series = acc.plr_series()
         assert len(series) == 3
         assert series[0] == pytest.approx(residual_loss_floor())
@@ -160,7 +160,7 @@ class TestAccumulator:
         for seed in range(100):
             acc = MetricsAccumulator(n_ues=1, duration_s=1.0, bandwidth_hz=BW)
             for _ in range(25):
-                acc.add_sample(0.0, float(rng.uniform(-10, 20)), attached=True)
+                acc.add_sample(0.0, [float(rng.uniform(-10, 20))], [True])
             records.append(acc.finalize())
         throughputs = [r.mean_throughput_mbps for r in records]
         assert mean(throughputs) == pytest.approx(sum(throughputs) / 100, abs=1e-12)
@@ -210,11 +210,16 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
-def assert_scored_like_oracle(samples, bandwidth_hz=BW):
+def assert_scored_like_oracle(samples, bandwidth_hz=BW, tick=1):
+    """The accumulator, handed ``tick`` consecutive samples a call (each
+    call's sharing a time, as a report tick's do), against the oracle."""
     acc = MetricsAccumulator(n_ues=1, duration_s=1.0, bandwidth_hz=bandwidth_hz)
     oracle = PerSampleOracle(bandwidth_hz)
+    for start in range(0, len(samples), tick):
+        times, sinrs, attached = zip(*samples[start : start + tick])
+        assert len(set(times)) == 1
+        acc.add_sample(times[0], list(sinrs), list(attached))
     for time_s, sinr_db, attached in samples:
-        acc.add_sample(time_s, sinr_db, attached)
         oracle.add(time_s, sinr_db, attached)
     record = acc.finalize()
     assert acc.n_samples == len(samples)
@@ -252,9 +257,22 @@ class TestBlockScoring:
     def test_buffer_scores_when_full(self):
         acc = MetricsAccumulator(n_ues=1, duration_s=1.0, bandwidth_hz=BW)
         for time_s, sinr_db, attached in random_samples(KPI_BLOCK_SAMPLES + 1):
-            acc.add_sample(time_s, sinr_db, attached)
+            acc.add_sample(time_s, [sinr_db], [attached])
         assert acc.n_samples == KPI_BLOCK_SAMPLES
         assert len(acc._sinrs) == 1
+
+    def test_tick_reaching_the_block_is_scored_whole(self):
+        acc = MetricsAccumulator(n_ues=3, duration_s=1.0, bandwidth_hz=BW)
+        acc.add_sample(0.0, [5.0] * (KPI_BLOCK_SAMPLES - 1), [True] * (KPI_BLOCK_SAMPLES - 1))
+        assert acc.n_samples == 0
+        acc.add_sample(0.04, [5.0, 6.0, 7.0], [True, False, True])
+        assert acc.n_samples == KPI_BLOCK_SAMPLES + 2 and not acc._sinrs
+
+    # The same samples, 500 a report time, handed over in ticks of 1, 2
+    # and 500: every sum is the left-to-right scalar one, bit for bit.
+    @pytest.mark.parametrize("tick", [1, 2, 500])
+    def test_ticks_of_any_size_equal_per_sample_scoring(self, tick):
+        assert_scored_like_oracle(random_samples(2 * KPI_BLOCK_SAMPLES + 1000, ues_per_tick=500), tick=tick)
 
     def test_bucket_straddling_a_flush(self):
         # 7 samples a tick, 175 a second: the second holding sample 4,095
@@ -300,15 +318,15 @@ class TestBlockScoring:
     @pytest.mark.parametrize("sinr_db", [math.nan, math.inf, -math.inf])
     def test_attached_non_finite_raises_by_finalize(self, sinr_db):
         acc = MetricsAccumulator(n_ues=1, duration_s=1.0, bandwidth_hz=BW)
-        acc.add_sample(0.0, 5.0, True)
-        acc.add_sample(0.04, sinr_db, True)
+        acc.add_sample(0.0, [5.0], [True])
+        acc.add_sample(0.04, [sinr_db], [True])
         with pytest.raises(ValueError, match="sinr must be finite"):
             acc.finalize()
 
     @pytest.mark.parametrize("sinr_db", [math.nan, math.inf, -math.inf])
     def test_detached_non_finite_is_scored(self, sinr_db):
         acc = MetricsAccumulator(n_ues=1, duration_s=1.0, bandwidth_hz=BW)
-        acc.add_sample(0.0, sinr_db, False)
+        acc.add_sample(0.0, [sinr_db], [False])
         record = acc.finalize()
         assert record.mean_throughput_mbps == 0.0
         assert record.plr == record.bler == 1.0
@@ -352,7 +370,7 @@ class TestCsv:
 
     def test_kpi_row_shape(self):
         acc = MetricsAccumulator(n_ues=1, duration_s=1.0, bandwidth_hz=BW)
-        acc.add_sample(0.0, 5.0, True)
+        acc.add_sample(0.0, [5.0], [True])
         row = kpi_row("lim2", 3, 200.0, acc.finalize())
         assert row[0] == "lim2"
         assert len(row) == 14

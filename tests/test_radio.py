@@ -18,8 +18,8 @@ from hosim.radio import (
     free_space_reference_db,
     n_resource_blocks,
     re_scaling_db,
-    serving_split,
 )
+from hosim.policies import FixedA3Policy
 from hosim.sim import ConfigError, Scenario, Simulation, build_sites, place_ues
 from corridor import corridor_scenario
 from scalar_oracle import channel_noise, oracle_nearest, oracle_row, oracle_tick, shadow_bits
@@ -54,7 +54,7 @@ def make_env(sites, params=PARAMS, seed=0, tx=46.0, bw=BW):
 def report_of(env, position, serving, timestamp):
     """UE 0's report at ``position``, from the report kernel's one row of a
     one-tick trajectory."""
-    ((sample, _),) = env.block_samples(np.array([[position]]), [serving])
+    ((sample, *_),) = env.block_samples(np.array([[position]]), [serving])
     return env.generate_report(0, sample, serving, timestamp)
 
 
@@ -172,7 +172,7 @@ class TestMeasureRsrp:
         """The serving RSRP of ``n`` report ticks at POSITION, from one
         kernel call."""
         rows = env.block_samples(np.broadcast_to(self.POSITION, (n, 1, 2)), [0])
-        return np.array([env.generate_report(0, sample, 0, 0.0).serving.rsrp_dbm for sample, _ in rows])
+        return np.array([env.generate_report(0, sample, 0, 0.0).serving.rsrp_dbm for sample, *_ in rows])
 
     def test_noiseless_identity(self):
         env = make_env([(0.0, 0.0)])
@@ -379,12 +379,21 @@ class TestMeasurementTypes:
         skipped = 0
         for tick in range(7):
             servings = [(ue + tick) % 7 for ue in range(14)]
-            for ue, (sample, _) in enumerate(env.block_samples(positions[None], servings)):
+            for ue, (sample, *_) in enumerate(env.block_samples(positions[None], servings)):
                 report = env.generate_report(ue, sample, servings[ue], 0.04 * tick)
                 assert type(report) is MeasurementReport
                 assert MeasurementReport(*report) == report
                 skipped += servings[ue] in sample.ranked and bool(report.neighbors)
         assert skipped > 20  # reports whose ranking listed the serving cell among others
+
+    def test_constructor_lists_neighbors_strongest_first(self):
+        # Strongest first, ties to the lower id, whatever order they come in.
+        given = [(4, -90.0), (2, -85.0), (7, -85.0), (1, -90.0), (3, -80.0), (5, -0.0), (6, 0.0)]
+        neighbors = tuple(MeasurementEntry(cell, rsrp, -13.0) for cell, rsrp in given)
+        report = MeasurementReport(0, 0.0, MeasurementEntry(0, -88.0, -12.0), neighbors, -100.0)
+        assert [n.cell for n in report.neighbors] == [5, 6, 3, 2, 7, 1, 4]
+        assert sorted(report.neighbors) == sorted(neighbors)
+        assert type(report.neighbors) is tuple
 
     def test_report_is_an_immutable_tuple(self):
         # Plain tuples: a report compares and unpacks by value.
@@ -409,6 +418,39 @@ class TestGenerateReport:
         report = report_of(env, (0.0, 0.0), 0, 0.0)
         assert [n.cell for n in report.neighbors] == [1, 2]
         assert report.neighbors[0].rsrp_dbm == report.neighbors[1].rsrp_dbm
+
+    def test_kernel_reports_list_neighbors_strongest_first(self):
+        # Random hex19 rows with noise, each UE served by a random cell:
+        # every report's neighbours are the detected cells other than the
+        # serving one, strongest first, ties to the lower id, and the
+        # constructor's sort leaves them as they are.
+        scenario = Scenario(n_sites=19, n_ues_per_cell=3, channel=ChannelParams(meas_noise_sigma_db=6.0))
+        env = scenario_env(scenario)
+        rng = np.random.default_rng(12)
+        n_ues = 57
+        listed = 0
+        for tick in range(4):
+            positions = rng.uniform(-500.0, 500.0, (1, n_ues, 2))
+            servings = rng.integers(0, 19, n_ues).tolist()
+            for ue, (sample, *_) in enumerate(env.block_samples(positions, servings)):
+                report = env.generate_report(ue, sample, servings[ue], 0.04 * tick)
+                cells = [n.cell for n in report.neighbors]
+                detected = [c for c in range(19) if c != servings[ue] and sample.measured[c] >= DETECTION_THRESHOLD_DBM]
+                assert cells == sorted(detected, key=lambda c: (-sample.measured[c], c))[:MAX_NEIGHBORS]
+                assert MeasurementReport(*report) == report
+                listed += len(cells) > 1
+        assert listed > 100
+
+    def test_zero_noise_corridor_tie_lists_the_lower_id_first(self):
+        # The middle of three corridor sites serves a UE level with it, so
+        # the sites either side measure exactly equal.
+        scenario = corridor_scenario(n_sites=3, channel=PARAMS)
+        env = scenario_env(scenario)
+        x1 = env.sites[1, 0].item()
+        report = report_of(env, (x1, 10.0), 1, 0.0)
+        assert [n.cell for n in report.neighbors] == [0, 2]
+        assert report.neighbors[0].rsrp_dbm == report.neighbors[1].rsrp_dbm
+        assert FixedA3Policy(256, 3).decide(report, {}, 0.0).target == 0
 
     def test_neighbor_order_tracks_distance(self):
         sites = [
@@ -483,7 +525,7 @@ class TestGenerateReport:
             wideband, *_ = budget_row(env, 0, position, 4)
             ticks = np.broadcast_to(position, (3 * block_ticks, n_ues, 2))
             for rows, state in self.blocks(env, ticks, [4] * n_ues, block_ticks):
-                for row, (sample, _) in enumerate(rows):
+                for row, (sample, *_) in enumerate(rows):
                     report = env.generate_report(row % n_ues, sample, 4, 0.0)
                     twin.normal(0.0, 0.0)  # the ambient-noise walk's step
                     expected = [p - re_scaling_db(BW) - 0.0 + twin.normal(0.0, 2.0) for p in wideband]
@@ -510,7 +552,7 @@ class TestGenerateReport:
             levels = [mean] * n_ues
             ticks = np.broadcast_to(position, (3 * block_ticks, n_ues, 2))
             for rows, state in self.blocks(env, ticks, [0] * n_ues, block_ticks):
-                for row, (sample, _) in enumerate(rows):
+                for row, (sample, *_) in enumerate(rows):
                     ue = row % n_ues
                     report = env.generate_report(ue, sample, 0, 0.0)
                     level = levels[ue] = min(max(levels[ue] + twin.normal(0.0, 1.5), mean - 4.5), mean + 4.5)
@@ -772,7 +814,7 @@ class TestChannelNoise:
 def kernel_tick(env, positions, servings):
     """One report tick's samples from the kernel, UE ``i`` at
     ``positions[i]``: a call with that tick alone."""
-    return [sample for sample, _ in env.block_samples(np.array([positions]), servings)]
+    return [sample for sample, *_ in env.block_samples(np.array([positions]), servings)]
 
 
 def scenario_env(scenario):
@@ -976,13 +1018,23 @@ class TestWindowPowers:
         assert wideband.tobytes() == np.array(expected).tobytes()
 
 
+def tick_sample(env, row, serving):
+    """A kernel row's sample as a report tick reads it for ``serving``: the
+    row's own where it was computed for that cell, else with its SINR
+    retaken by ``resplit_sinr``."""
+    sample = row[0]
+    if serving == sample.serving:
+        return sample
+    return sample._replace(serving=serving, sinr_db=env.resplit_sinr(row, serving))
+
+
 def block_run(block_env, scalar_env, positions, servings, edges):
     """Report ticks ``0..len(positions)-1`` on the kernel and on the scalar
     oracle, UE ``i`` at ``positions[t, i]`` served by ``servings[t][i]``
     at tick ``t``.  The kernel is handed the ticks in blocks ending before
     each tick of ``edges``, as ``Simulation`` hands on its trajectory
-    blocks, each for the servings of its first tick; ``serving_split``
-    retakes a sample at a tick whose serving differs.  Each tick's samples
+    blocks, each for the servings of its first tick; ``resplit_sinr``
+    retakes a sample's SINR at a tick whose serving differs.  Each tick's samples
     must be equal bit for bit, each call's rows exactly its ticks', and the
     ambient levels after each block; so must the next channel-noise tick
     and the next draw of its stream after the run.  Returns every UE's
@@ -991,7 +1043,7 @@ def block_run(block_env, scalar_env, positions, servings, edges):
     for end in edges:
         rows = block_env.block_samples(positions[start:end], servings[start])
         for t in range(start, end):
-            block = [serving_split(s, first, row) for s, first, row in zip(servings[t], servings[start], rows)]
+            block = [tick_sample(block_env, row, s) for s, row in zip(servings[t], rows)]
             scalar = oracle_tick(scalar_env, list(map(tuple, positions[t].tolist())), servings[t])
             assert [repr(sample) for sample in block] == [repr(sample) for sample in scalar]
             levels.append(list(scalar_env._env_noise.values()))

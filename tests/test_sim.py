@@ -330,9 +330,9 @@ class TestReportTick:
         def no_window(*args):
             raise AssertionError("a report tick computed an execution window block")
 
-        def recorded_add_sample(self, time_s, sinr_db, *args):
-            sinrs.append(sinr_db)
-            return add_sample(self, time_s, sinr_db, *args)
+        def recorded_add_sample(self, time_s, sinr_db, attached):
+            sinrs.extend(sinr_db)
+            return add_sample(self, time_s, sinr_db, attached)
 
         monkeypatch.setattr(RadioEnvironment, "refresh_shadowing", counted_refresh)
         monkeypatch.setattr(RadioEnvironment, "window_powers", no_window)
@@ -513,9 +513,10 @@ class FullRowEveryStep(Simulation):
 
     def step(self):
         now = self.time_s
+        if self._step_index == self._block_start + len(self._block) - 1:
+            self._advance_positions()
         self._complete_due_handovers(now)
         if self._step_index % self.report_every == 0:
-            self._advance_positions()
             self._report_tick(now)
         for i in self._executing:
             ctx = self.contexts[i]
@@ -681,30 +682,44 @@ class TestBlockPass:
         # 14 UEs get 280-step trajectory blocks, so a 0.7 s run lays out
         # three; no kernel row outlives its tick, so none keeps the block
         # it was computed from alive while the next is allocated.
-        previous, alive = [], []
-
-        class Numpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def empty(self, shape):
-                alive.extend(block() is not None for block in previous)
-                return np.empty(shape)
-
-        advance = Simulation._advance_positions
-
-        def tracked(self):
-            previous[:] = [weakref.ref(self._block)]
-            advance(self)
-
-        monkeypatch.setattr(sim_module, "np", Numpy())
-        monkeypatch.setattr(Simulation, "_advance_positions", tracked)
-        gc.disable()
-        try:
-            run(dataclasses.replace(report_tick_scenario(), sim_duration_s=0.7))
-        finally:
-            gc.enable()
+        alive = blocks_alive_at_allocation(monkeypatch, dataclasses.replace(report_tick_scenario(), sim_duration_s=0.7))
         assert alive == [False] * 3
+
+    def test_unshadowed_run_frees_each_block_before_the_next(self, monkeypatch):
+        # hex50's 500 UEs get one-period blocks, so a 0.2 s run lays out
+        # five, each read by a one-tick kernel call whose rows view the
+        # block; the rows not read yet are dropped as the next is laid out.
+        scenario = Scenario(policy="fixed_a3", sim_duration_s=0.2, channel=ChannelParams(shadowing_sigma_db=0.0))
+        assert blocks_alive_at_allocation(monkeypatch, scenario) == [False] * 5
+
+
+def blocks_alive_at_allocation(monkeypatch, scenario):
+    """Run ``scenario`` without the cyclic collector and say, at each
+    trajectory block's allocation, whether the block before it is alive."""
+    previous, alive = [], []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape):
+            alive.extend(block() is not None for block in previous)
+            return np.empty(shape)
+
+    advance = Simulation._advance_positions
+
+    def tracked(self):
+        previous[:] = [weakref.ref(self._block)]
+        advance(self)
+
+    monkeypatch.setattr(sim_module, "np", Numpy())
+    monkeypatch.setattr(Simulation, "_advance_positions", tracked)
+    gc.disable()
+    try:
+        run(scenario)
+    finally:
+        gc.enable()
+    return alive
 
 
 class TestCrossing:
