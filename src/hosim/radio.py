@@ -13,15 +13,19 @@ additively in dB, and the report carries a noisy reading of it.
 
 Every link budget of many (UE, site) pairs is one array body,
 ``_link_budget``: each site's distance, wideband power and linear power,
-and each UE's serving power and interference sum.  Report ticks
-(``block_samples``) and execution windows (``window_powers``) both take
-it, so a window's SINR is the one a report tick would give at the same
-instant.  Only a handover's completion looks up one site, through
-``true_rsrp_of`` and ``shadowing_db``; ``_received_dbm`` is the one-site
-form of the link budget.  Each UE's shadowing values are one float64
-row by site id, redrawn where stale as one standard-normal block written
-into the row (``refresh_shadowing``), which takes from the shadowing
-stream exactly what one ``normal`` call per site would.
+and each UE's SINR, by one mapped ``math.log10`` pass with ``sinr_of``'s
+operations.  Report ticks (``block_samples``) and execution windows
+(``window_sinrs``) both take it, so a window's SINR is the one a report
+tick would give at the same instant.  Only a handover's completion looks
+up one site, through ``true_rsrp_of`` and ``shadowing_db``;
+``_received_dbm`` is the one-site form of the link budget.  Each UE's
+shadowing values are one float64 row by site id, redrawn where stale as
+one standard-normal block written into the row (``refresh_shadowing``),
+which takes from the shadowing stream exactly what one ``normal`` call
+per site would.  The radio alone decides when a row is read
+(``_shadowing``): a report tick's rows when the tick reads its first,
+and every executing UE's, in id order, before a window block; at zero
+sigma none is read and nothing is drawn.
 
 A report tick steps each UE's ambient walk and gives the UE a
 ``RadioSample`` (every site's measured RSRP, the RSSI, the detected cells
@@ -29,25 +33,20 @@ ranked, the ambient reading, the serving cell it was taken for, the
 SINR and the nearest site); ``generate_report`` builds the UE's report,
 RSRQ included and neighbours strongest first, from it.  One kernel,
 ``block_samples``, computes the samples of every deployment, and it
-computes exactly the report ticks it is given; how many to give it is
-the simulation's decision.  Their (tick, UE) pairs are the rows of one
-array body, ``_array_chunk``, each row's sample taken for the serving
-cell it was handed, its SINR by one mapped ``math.log10`` pass over the
-chunk with ``sinr_of``'s operations.  A row (``KernelRow``) carries its
-chunk's linear powers and its index in them, so ``resplit_sinr`` can
-retake its SINR for another serving cell.  The call draws
-exactly its ticks' channel noise, as one standard-normal block in the
-order per-UE draws would take it, and steps the ambient walks through
-them.  Only the chunk arithmetic waits until the rows are read, at most
-``ARRAY_PASS_MAX_PAIRS`` slots at a time, a row counting its sites plus
-its sample's ``MAX_NEIGHBORS + 6`` fixed fields; that keeps a large
-call's peak memory, its samples included, near that of one chunk.  With
-shadowing, a chunk's UEs have their shadowing refreshed then, in row
-order, as a pass over each UE's sites reads it, and each row is copied
-into the chunk's shadowing array as it is refreshed.  Without shadowing
-every value is +0.0, so no shadowing row is read.  The kernel, and
-``window_powers`` and ``nearest_cell`` chunked alike, give what
-a scalar pass over each UE's id-ordered sites gives, bit for bit:
+computes exactly the report ticks it is given: the simulation gives it
+a trajectory block's.  Their (tick, UE) pairs are the rows of one array
+body, ``_array_chunk``, each row's sample taken for the serving cell it
+was handed.  A row (``KernelRow``) carries its chunk's linear powers and
+its index in them, so ``resplit_sinr`` can retake its SINR for another
+serving cell.  The call draws exactly its ticks' channel noise, as one
+standard-normal block in the order per-UE draws would take it, and steps
+the ambient walks through them.  Only the chunk arithmetic waits until
+the rows are read, at most ``ARRAY_PASS_MAX_PAIRS`` slots at a time, a
+row counting its sites plus its sample's ``MAX_NEIGHBORS + 6`` fixed
+fields; that keeps a large call's peak memory, its samples included,
+near that of one chunk.  The kernel, and ``window_sinrs`` and
+``nearest_cell`` chunked alike, give what a scalar pass over each UE's
+id-ordered sites gives, bit for bit:
 
 - numpy does only IEEE add, subtract, multiply and divide, comparisons
   (and selections by them), ``maximum`` and ``argmin``, each giving what
@@ -209,17 +208,6 @@ def _mapped(fn, *arrays: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(shape)
 
 
-def _split(mw: list[float], serving: int) -> tuple[float, float]:
-    """The serving power and interference sum for ``serving`` of the linear
-    powers ``mw`` (by site id): the other sites summed in id order from
-    0.0, as the kernel sums them."""
-    interference_mw = 0.0
-    for cid, power in enumerate(mw):
-        if cid != serving:
-            interference_mw += power
-    return mw[serving], interference_mw
-
-
 def free_space_reference_db(carrier_freq_hz: float) -> float:
     """Free-space path loss at the 1 m reference distance."""
     return 20.0 * math.log10(4.0 * math.pi * REFERENCE_DISTANCE_M * carrier_freq_hz / SPEED_OF_LIGHT)
@@ -359,10 +347,16 @@ class RadioEnvironment:
     def resplit_sinr(self, row: KernelRow, serving: int) -> float:
         """The SINR of the kernel row ``row`` for ``serving``, a serving
         cell other than the one its sample was taken for: the serving power
-        and the interference sum retaken from the row's linear powers
-        (``_split``), then ``sinr_of``."""
+        and the interference sum retaken from the row's linear powers (the
+        other sites summed in id order from 0.0, as the kernel sums them),
+        then ``sinr_of``."""
         _, powers, r = row
-        return self.sinr_of(*_split(powers[r].tolist(), serving))
+        mw = powers[r].tolist()
+        interference_mw = 0.0
+        for cid, power in enumerate(mw):
+            if cid != serving:
+                interference_mw += power
+        return self.sinr_of(mw[serving], interference_mw)
 
     def nearest_cell(self, xy: np.ndarray) -> list[int]:
         """Id of the site closest to each row of ``xy`` (an (n x 2) array of
@@ -423,45 +417,61 @@ class RadioEnvironment:
         levels = np.array(walks).T.reshape(-1)
         noise = noise.reshape(-1, len(self._noise_scale))
         ues = list(range(n_ues)) * n_ticks
-        return self._block_rows(ticks.reshape(-1, 2), ues, servings * n_ticks, levels, noise)
+        return self._block_rows(ticks.reshape(-1, 2), ues, servings * n_ticks, levels, noise, n_ues)
 
-    def _block_rows(self, xy, ues, servings, levels, noise) -> Iterator[KernelRow]:
+    def _block_rows(self, xy, ues, servings, levels, noise, n_ues) -> Iterator[KernelRow]:
         """Each row's ``KernelRow``, computed by ``_array_chunk`` a chunk at
-        a time as the rows are read; row ``r`` is UE ``ues[r]``'s.  With
-        shadowing, a chunk's rows have their UEs' shadowing refreshed at
-        their positions, in row order, when the chunk is computed, each row
-        copied as it is refreshed, since a UE may have rows at several
-        ticks.  Without, a row's is +0.0, which is every value a zero sigma
-        draws, so no shadowing row is read."""
-        shadowed = self.params.shadowing_sigma_db > 0
-        shadowing = 0.0
-        for rows in self._chunks(len(xy)):
-            if shadowed:
-                chunk = ues[rows]
-                shadowing = np.empty((len(chunk), len(self.sites)))
-                for r, (ue, position) in enumerate(zip(chunk, map(tuple, xy[rows].tolist()))):
-                    shadowing[r] = self.refresh_shadowing(ue, position)
-            samples, mw = self._array_chunk(xy[rows], servings[rows], shadowing, levels[rows], noise[rows])
+        a time as the rows are read; row ``r`` is UE ``ues[r]``'s, a tick's
+        ``n_ues`` rows in turn.  A chunk takes its rows' shadowing
+        (``_shadowing``) as it is computed, so with shadowing no chunk spans
+        two ticks: a tick's rows are refreshed when it reads its first, after
+        all that drew shadowing before it, as a one-tick call's would be."""
+        span = n_ues if self.params.shadowing_sigma_db > 0 else 0
+        for rows in self._chunks(len(xy), span):
+            positions = xy[rows]
+            shadowing = self._shadowing(ues[rows], positions)
+            samples, mw = self._array_chunk(positions, servings[rows], shadowing, levels[rows], noise[rows])
             yield from zip(samples, repeat(mw), range(len(samples)))
 
-    def _chunks(self, n_rows: int) -> Iterator[slice]:
+    def _chunks(self, n_rows: int, span: int = 0) -> Iterator[slice]:
         """Slices of ``n_rows`` rows, each spanning at most
         ``ARRAY_PASS_MAX_PAIRS`` slots (at least one row): a row's sites and
         its sample's ``MAX_NEIGHBORS + 6`` fixed fields, so the bound holds
-        for the samples a report chunk builds, not only for its arrays."""
+        for the samples a report chunk builds, not only for its arrays.
+        Given ``span`` (which divides ``n_rows``), none crosses a multiple
+        of ``span`` rows; zero rows give no slice, whatever the span."""
         per_chunk = max(1, ARRAY_PASS_MAX_PAIRS // (len(self.sites) + MAX_NEIGHBORS + 6))
-        return (slice(start, start + per_chunk) for start in range(0, n_rows, per_chunk))
+        span = span or max(1, n_rows)
+        return (
+            slice(start, min(start + per_chunk, first + span))
+            for first in range(0, n_rows, span)
+            for start in range(first, first + span, per_chunk)
+        )
 
-    def window_powers(self, xy, servings, shadowing: np.ndarray) -> Iterator[tuple[float, float]]:
-        """Each execution window's serving power and interference sum, the
-        window ``r`` at ``xy[r]`` (an (n x 2) array of positions) served by
-        ``servings[r]``, with row ``r`` of ``shadowing`` (an (n x n_sites)
-        array) the values ``refresh_shadowing`` returned for it; computed
-        by ``_link_budget`` a chunk at a time as they are read, so each is
+    def _shadowing(self, ues, xy) -> np.ndarray:
+        """The shadowing of UE ``ues[r]`` at ``xy[r]`` (an (n x 2) array of
+        positions) by site id, each row refreshed there in turn and copied.
+        At zero sigma every value is +0.0, so none is read or drawn: a
+        column of +0.0, broadcast along the sites."""
+        if not self.params.shadowing_sigma_db > 0:
+            return np.zeros((len(ues), 1))
+        shadowing = np.empty((len(ues), len(self.sites)))
+        for r, (ue, position) in enumerate(zip(ues, map(tuple, xy.tolist()))):
+            shadowing[r] = self.refresh_shadowing(ue, position)
+        return shadowing
+
+    def window_sinrs(self, ues, xy, live, servings) -> list[float]:
+        """The live execution windows' SINRs.  Every UE ``ues[k]`` (ids
+        ascending) has its shadowing refreshed first, at ``xy[k]`` (an (n x
+        2) array of positions).  Window ``j``, UE ``ues[live[j]]``'s served
+        by ``servings[j]``, takes ``_link_budget``'s SINR a chunk at a time,
         the report kernel's at the same instant, bit for bit."""
-        for rows in self._chunks(len(xy)):
-            *_, serving_mw, interference_mw = self._link_budget(xy[rows], servings[rows], shadowing[rows])
-            yield from zip(serving_mw.tolist(), interference_mw.tolist())
+        shadowing, xy = self._shadowing(ues, xy)[live], xy[live]
+        sinrs = []
+        for rows in self._chunks(len(live)):
+            *_, sinr_db = self._link_budget(xy[rows], servings[rows], shadowing[rows])
+            sinrs += sinr_db.tolist()
+        return sinrs
 
     def _distances(self, xy) -> np.ndarray:
         """Each site's distance from each row of ``xy`` (an (n x 2) array of
@@ -472,10 +482,10 @@ class RadioEnvironment:
     def _link_budget(self, xy, servings, shadowing) -> tuple[np.ndarray, ...]:
         """The link budget of the rows of ``xy`` (an (n x 2) array of
         positions), row ``r`` served by ``servings[r]`` with the shadowing
-        row ``shadowing[r]`` (by site id; a scalar +0.0 for every row): each
+        row ``shadowing[r]`` (by site id, or one +0.0 for every site): each
         site's distance, wideband power in dBm and linear power, and each
-        row's serving power and interference sum.  Every operation is the
-        scalar pass's in its order (see the module docstring)."""
+        row's SINR.  Every operation is the scalar pass's in its order (see
+        the module docstring)."""
         distance = self._distances(xy)
         # _received_dbm, with its clamp to the reference distance.
         log_distance = _mapped(math.log10, np.maximum(distance, REFERENCE_DISTANCE_M))
@@ -492,21 +502,21 @@ class RadioEnvironment:
         # time, left to right; the first column equals 0.0 plus itself, as
         # every power is >= +0.0.
         interference_mw = np.add.accumulate(others, axis=1)[:, -1]
-        return distance, wideband, mw, serving_mw, interference_mw
+        # sinr_of's operations, its log10 mapped.
+        sinr_db = 10.0 * _mapped(math.log10, serving_mw / (interference_mw + self._noise_mw))
+        return distance, wideband, mw, sinr_db
 
     def _array_chunk(self, xy, servings, shadowing, level, noise) -> tuple[list[RadioSample], np.ndarray]:
         """The samples of the rows of ``xy`` (an (n x 2) array of positions),
         row ``r`` served by ``servings[r]`` with the shadowing row
         ``shadowing[r]`` (by site id), its ambient walk already stepped to
         ``level[r]`` and its draws ``noise[r]``; with the rows' linear powers
-        by site id.  ``shadowing`` may be a scalar +0.0 for every row."""
-        distance, wideband, mw, serving_mw, interference_mw = self._link_budget(xy, servings, shadowing)
+        by site id."""
+        distance, wideband, mw, sinr_db = self._link_budget(xy, servings, shadowing)
         nearest = distance.argmin(axis=1)
         # Summed along the sites as the interference is.
         rssi_mw = np.add.accumulate(mw, axis=1)[:, -1]
         rssi_dbm = 10.0 * _mapped(math.log10, rssi_mw + self._noise_mw)
-        # sinr_of's operations, its log10 mapped.
-        sinr_db = 10.0 * _mapped(math.log10, serving_mw / (interference_mw + self._noise_mw))
         measured = wideband - self._re_scaling_db - (level - self.params.env_noise_mean_dbm)[:, None] + noise[:, 1:-1]
         if not (np.isfinite(measured).all() and np.isfinite(rssi_dbm).all()):
             raise ValueError("measured RSRP and RSSI must be finite")

@@ -8,26 +8,24 @@ at its first exit.  ``position`` and a report tick only index the block,
 and every position is that of moving every UE at every step, bit for bit.
 
 A report tick takes its radio samples from ``hosim.radio``'s one report
-kernel, which computes exactly the report ticks it is handed; the
-simulation decides how far ahead it looks.  Without shadowing the first
+kernel, which computes exactly the report ticks it is handed: the first
 report tick of a trajectory block asks for every report tick the block
-holds, and each later tick reads its rows.  That is exact because at
-zero sigma a tick's radio does not depend on the policy: every shadowing
-value is +0.0 whatever the shadowing stream draws, trajectories are laid
-out ahead, the channel noise feeds nothing else and is drawn in tick
-order, and the ambient walk steps once per UE per tick.  Only the
-serving split does: each row carries its SINR for the serving cell it
-was computed for, so a UE whose serving cell a completion changed since
-has its SINR retaken at its tick (``resplit_sinr``).  With shadowing
-each tick asks for itself alone: execution windows and completions draw
-from the shadowing stream between report ticks, so a tick's shadowing is
-known only after its completions, and nothing draws from the stream
-while its rows are read.  A tick hands the metrics its SINRs in one
-call.  Between report ticks the execution windows that have not failed
-take their SINR from the same link budget, as one block of (UE x site)
-pairs.  A step enters each layer only when it has work: the trajectory
-layout at a block's end, completions and windows while a handover
-executes.
+holds, and each later tick reads its rows.  That is exact because
+trajectories are laid out ahead, the channel noise feeds nothing else
+and is drawn in tick order, and the ambient walk steps once per UE per
+tick.  Two things a tick reads can change after its rows are asked for,
+and the radio handles both.  Its shadowing: execution windows and
+completions draw from the shadowing stream between report ticks, so the
+radio refreshes a tick's rows only when the tick reads its first row.
+Its serving split: each row carries its SINR for the serving cell it was
+computed for, so a UE whose serving cell a completion changed since has
+its SINR retaken at its tick (``resplit_sinr``).  A tick hands the
+metrics its SINRs in one call.  Between report ticks the execution
+windows that have not failed take their SINRs from the radio
+(``window_sinrs``), from the same link budget, as one block of (UE x
+site) pairs.  A step enters each layer only when it has work: the
+trajectory layout at a block's end, completions and windows while a
+handover executes.
 
 Determinism: every random quantity derives from the scenario seed via
 dedicated sub-streams (placement, channel noise, shadowing, and one
@@ -65,8 +63,8 @@ CORRIDOR_LANE_JITTER_M = 10.0
 # Most UE-steps one trajectory block holds, unless one report period of
 # every UE needs more: 4,096 (x, y) float pairs are 64 KiB, which bounds
 # the block's memory whatever the deployment's size.  The corridor's 2 UEs
-# get 2,048-step blocks, hex50's 500 one 40-step report period.  Without
-# shadowing one report-kernel call computes a trajectory block's ticks.
+# get 2,048-step blocks, hex50's 500 one 40-step report period.  One
+# report-kernel call computes a trajectory block's ticks.
 TRAJECTORY_BLOCK_UE_STEPS = 4096
 # Most UE-steps one report period may span, as a trajectory block holds at
 # least one: 2**22 (x, y) float pairs are 64 MiB.
@@ -281,12 +279,11 @@ class Simulation:
     ``place_ues`` puts them, each on the nearest site that
     ``RadioEnvironment.nearest_cell`` finds for all of them in one pass of
     the report kernel's distance rule.  It holds the kernel's rows not
-    read yet, each with the serving cell it was computed for: without
-    shadowing the rest of the trajectory block's report ticks, with
-    shadowing this tick's alone (the module docstring says why both are
-    exact).  It drops them when it lays out the next trajectory block, or
-    once a shadowed tick has read them, so it holds one set of rows and
-    one trajectory block at a time."""
+    read yet, the rest of the trajectory block's report ticks, each with
+    the serving cell it was computed for (the module docstring says why
+    that is exact).  It drops them once the block's last report tick has
+    read them, so it holds one set of rows and one trajectory block at a
+    time."""
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
@@ -318,7 +315,6 @@ class Simulation:
         self._block_start = 0
         periods = TRAJECTORY_BLOCK_UE_STEPS // (max(1, len(start)) * self.report_every)
         self._block_steps = max(1, periods) * self.report_every
-        self._shadowed = scenario.channel.shadowing_sigma_db > 0
         self._rows = None
         # Ids of the UEs whose handover is executing, ascending.  Only a
         # report tick starts an execution and only a completion ends one.
@@ -370,21 +366,20 @@ class Simulation:
         self._executing = still_executing
 
     def _report_tick(self, now: float) -> None:
-        # Only a handover's completion changes ctx.serving, so the serving
-        # cell read at a UE's row is the one its SINR is taken for: the
-        # row's own, or retaken where a completion changed it since the
-        # rows were computed.  An executing window's sample at this step is
-        # the report's SINR; an executing UE's report moves no phase, so
-        # the engine does not see it.
+        """Every UE's report from its kernel row, a trajectory block's first
+        tick asking the kernel for all the block's report ticks.  Only a
+        completion changes ctx.serving, so the serving cell read at a UE's
+        row is the one its SINR is taken for: the row's own, or retaken
+        where a completion changed it since the rows were computed.  An
+        executing window's sample at this step is the report's SINR; an
+        executing UE's report moves no phase, so the engine skips it."""
         env, policy, metrics, nearest = self.env, self.policy, self.metrics, self._nearest
         generate_report, observe, on_report = env.generate_report, policy.observe, engine.on_measurement_report
         period = self.scenario.report_period_s
-        tick = self._step_index - self._block_start
-        if tick == 0 or self._shadowed:
-            # The trajectory block's report ticks from this one on, or this one alone.
-            stop = tick + 1 if self._shadowed else -1
+        if self._step_index == self._block_start:
+            # Every report tick of the trajectory block.
             servings = [ctx.serving for ctx in self.contexts]
-            self._rows = env.block_samples(self._block[tick:stop:self.report_every], servings)
+            self._rows = env.block_samples(self._block[:-1:self.report_every], servings)
         executing, sinrs, attached = [], [], []
         # ``contexts`` comes first, so a tick takes exactly its own rows.
         for i, (ctx, row) in enumerate(zip(self.contexts, self._rows)):
@@ -405,35 +400,28 @@ class Simulation:
                 metrics.crossings += 1
         metrics.add_sample(now, sinrs, attached)
         self._executing = executing
-        if self._shadowed:  # every row is read, but zip left the kernel suspended holding them
-            self._rows = None
+        if self._step_index + self.report_every >= self._block_start + len(self._block) - 1:
+            self._rows = None  # the block's last tick: zip left the kernel suspended holding its rows
 
     def _track_execution_sinr(self) -> None:
-        """Sample each executing window's SINR between report ticks.  Every
-        executing UE's shadowing is refreshed first, in id order, which
-        keeps ``shadow_rng``'s order.  A window that has dipped below Qout
-        has failed and tracks nothing more; the others take their serving
-        and interference powers as one block of the radio's link budget."""
+        """Sample each executing window's SINR between report ticks.  A
+        window that has dipped below Qout has failed and tracks nothing
+        more; the radio takes the others' SINRs as one block of its link
+        budget (``window_sinrs``), after it has refreshed every executing
+        UE's shadowing."""
         executing = self._executing
-        env, contexts = self.env, self.contexts
+        windows = [self.contexts[i] for i in executing]
+        live = [k for k, ctx in enumerate(windows) if not ctx.exec_failed]
         xy = self._block[self._step_index - self._block_start, executing]
-        shadowing = list(map(env.refresh_shadowing, executing, map(tuple, xy.tolist())))
-        live = [k for k, i in enumerate(executing) if not contexts[i].exec_failed]
-        if not live:
-            return
-        windows = [contexts[executing[k]] for k in live]
-        # The live windows' rows, one UE each, copied into one array.
-        powers = env.window_powers(xy[live], [ctx.serving for ctx in windows], np.array([shadowing[k] for k in live]))
-        for ctx, (serving_mw, interference_mw) in zip(windows, powers):
-            engine.note_execution_sinr(ctx, env.sinr_of(serving_mw, interference_mw))
+        sinrs = self.env.window_sinrs(executing, xy, live, [windows[k].serving for k in live])
+        for k, sinr_db in zip(live, sinrs):
+            engine.note_execution_sinr(windows[k], sinr_db)
 
     def _advance_positions(self) -> None:
         """Lay out the next trajectory block at the step where the current
         one ends; the next block starts from its last row, which is copied
-        so the current block is freed before the next is allocated.  The
-        kernel rows not read yet are dropped first, as they may hold a view
-        of the current block; the next block's first report tick asks for
-        fresh rows anyway.
+        so the current block is freed before the next is allocated (its
+        last report tick has dropped the kernel rows, which may view it).
 
         A block covers as many whole report periods as fit in
         ``TRAJECTORY_BLOCK_UE_STEPS`` (at least one), clipped at the run's
@@ -446,7 +434,6 @@ class Simulation:
         velocities and fold points are those of moving every UE at every
         step, bit for bit."""
         start = self._step_index
-        self._rows = None
         lo, hi = self._bounds
         (xmin, ymin), (xmax, ymax) = self._bounds.tolist()
         dt = self.scenario.step_s

@@ -4,11 +4,10 @@ One UE's pass over the id-ordered sites (``oracle_row``), and a report
 tick computed one UE at a time from it, with Python floats, scalar
 clamps and a Python sort; and one position's nearest site by
 ``math.dist`` (``oracle_nearest``).  ``RadioEnvironment.block_samples``,
-``RadioEnvironment.window_powers`` and ``RadioEnvironment.nearest_cell``
-must give the same values bit for bit;
-tests compare them, and patch ``oracle_samples`` and
-``oracle_window_powers`` in for them to run whole simulations on the
-oracle.
+``RadioEnvironment.window_sinrs`` and ``RadioEnvironment.nearest_cell``
+must give the same values bit for bit; tests compare them, and patch
+``oracle_samples`` and ``oracle_window_sinrs`` in for the first two to
+run whole simulations on the oracle.
 
 The oracle reads every UE's shadowing row through ``refresh_shadowing``
 whatever the channel's sigma, so without shadowing it draws from the
@@ -87,12 +86,15 @@ def shadow_bits(env):
     return {ue: ([v.hex() for v in values.tolist()], repr(anchors)) for ue, (values, anchors) in env._shadow.items()}
 
 
-def oracle_window_powers(env, xy, servings, shadowing):
-    """``window_powers`` computed by the oracle, one window at a time."""
-    return [
-        oracle_pass(env, position, serving, values)[2:4]
-        for position, serving, values in zip(map(tuple, xy.tolist()), servings, shadowing.tolist())
-    ]
+def oracle_window_sinrs(env, ues, xy, live, servings):
+    """``window_sinrs`` computed by the oracle, one window at a time: every
+    UE's shadowing row refreshed in turn, then each live window's pass."""
+    shadowing = [env.refresh_shadowing(ue, position).tolist() for ue, position in zip(ues, map(tuple, xy.tolist()))]
+    sinrs = []
+    for k, serving in zip(live, servings):
+        _, _, serving_mw, interference_mw, _ = oracle_pass(env, tuple(xy[k].tolist()), serving, shadowing[k])
+        sinrs.append(linear_to_db(serving_mw / (interference_mw + env._noise_mw)))
+    return sinrs
 
 
 def channel_noise(env, n_ues):
@@ -152,5 +154,8 @@ def oracle_tick(env, positions, servings):
 
 def oracle_samples(env, ticks, servings):
     """``block_samples`` computed by the oracle: an iterator over the rows
-    of every tick of ``ticks`` in turn, each sample taken for ``servings``."""
-    return iter([row for positions in ticks.tolist() for row in oracle_rows(env, list(map(tuple, positions)), servings)])
+    of every tick of ``ticks`` in turn, each sample taken for ``servings``.
+    A tick's rows are computed when its first row is read, as the kernel
+    computes a shadowed tick's."""
+    for positions in ticks.tolist():
+        yield from oracle_rows(env, list(map(tuple, positions)), servings)

@@ -23,7 +23,8 @@ AUDITED = {
     "radio._mapped": radio._mapped,
     "radio.RadioEnvironment.block_samples": radio.RadioEnvironment.block_samples,
     "radio.RadioEnvironment._block_rows": radio.RadioEnvironment._block_rows,
-    "radio.RadioEnvironment.window_powers": radio.RadioEnvironment.window_powers,
+    "radio.RadioEnvironment.window_sinrs": radio.RadioEnvironment.window_sinrs,
+    "radio.RadioEnvironment._shadowing": radio.RadioEnvironment._shadowing,
     "radio.RadioEnvironment.nearest_cell": radio.RadioEnvironment.nearest_cell,
     "radio.RadioEnvironment._distances": radio.RadioEnvironment._distances,
     "radio.RadioEnvironment._link_budget": radio.RadioEnvironment._link_budget,

@@ -22,7 +22,7 @@ from hosim.radio import (
 from hosim.policies import FixedA3Policy
 from hosim.sim import ConfigError, Scenario, Simulation, build_sites, place_ues
 from corridor import corridor_scenario
-from scalar_oracle import channel_noise, oracle_nearest, oracle_row, oracle_tick, shadow_bits
+from scalar_oracle import channel_noise, oracle_nearest, oracle_row, oracle_tick, oracle_window_sinrs, shadow_bits
 
 PARAMS = ChannelParams(shadowing_sigma_db=0.0, meas_noise_sigma_db=0.0, env_noise_sigma_db=0.0)
 # Noise-free draws on a shadowed channel, whose report ticks read each
@@ -104,11 +104,11 @@ def shadowing_for(env, cell, position, target, below=False):
 def budget_row(env, ue, position, serving):
     """UE ``ue``'s link budget at ``position`` (an ``(x, y)`` tuple) while
     served by ``serving``, from the radio's array helper with the shadowing
-    ``refresh_shadowing`` gives there: the wideband powers by site id, the
-    serving power, the interference sum and the nearest site."""
+    ``refresh_shadowing`` gives there: the wideband and linear powers by
+    site id, the SINR and the nearest site."""
     shadowing = np.array([env.refresh_shadowing(ue, position)])
-    distance, wideband, _, serving_mw, interference_mw = env._link_budget(np.array([position]), [serving], shadowing)
-    return wideband[0].tolist(), serving_mw.item(), interference_mw.item(), distance[0].argmin().item()
+    distance, wideband, mw, sinr_db = env._link_budget(np.array([position]), [serving], shadowing)
+    return wideband[0].tolist(), mw[0].tolist(), sinr_db.item(), distance[0].argmin().item()
 
 
 def loss_at(distance_m):
@@ -235,9 +235,8 @@ class TestRsrq:
 def sinr_at(sites, position, serving=0, tx=46.0):
     """SINR of UE 0's execution window at ``position`` served by
     ``serving``, with zero shadowing."""
-    env = make_env(sites, tx=tx)
-    (powers,) = env.window_powers(np.array([position]), [serving], np.array([env.refresh_shadowing(0, position)]))
-    return env.sinr_of(*powers)
+    (sinr_db,) = make_env(sites, tx=tx).window_sinrs([0], np.array([position]), [0], [serving])
+    return sinr_db
 
 
 class TestSinr:
@@ -280,16 +279,16 @@ class TestRadioRow:
     def assert_row_matches(self, row_env, ref_env, ue, position, serving):
         """The helper's row at ``position``, checked site by site; returns
         its nearest site."""
-        wideband, serving_mw, interference_mw, nearest = budget_row(row_env, ue, position, serving)
+        wideband, mw, sinr_db, nearest = budget_row(row_env, ue, position, serving)
         assert [w - re_scaling_db(BW) for w in wideband] == [
             ref_env.true_rsrp_of(c, ue, position) for c in range(len(self.SITES))
         ]
+        assert mw == [10 ** (w / 10) for w in wideband]
         interference = 0.0
-        for c, w in enumerate(wideband):
+        for c, power in enumerate(mw):
             if c != serving:
-                interference += 10 ** (w / 10)
-        assert interference_mw == interference
-        assert serving_mw == 10 ** (wideband[serving] / 10)
+                interference += power
+        assert sinr_db == ref_env.sinr_of(mw[serving], interference)
         assert nearest == oracle_nearest(ref_env, position) == row_env.nearest_cell(np.array([position]))[0]
         return nearest
 
@@ -926,18 +925,30 @@ class TestArrayKernel:
 
 
 class TestWindowPowers:
-    """Execution windows' SINRs, one block of the link budget per step,
-    against the scalar oracle's rows, bit for bit."""
+    """Execution windows' SINRs (``window_sinrs``), one block of the link
+    budget per step, against the scalar oracle's, bit for bit."""
 
     @staticmethod
-    def twin_sinrs(env, oracle_env, ues, positions, servings):
-        """Each window's SINR from ``window_powers`` on ``env`` and from
-        ``oracle_row`` on its twin ``oracle_env``, as ``float.hex`` strings;
-        both refresh the windows' shadowing in id order first."""
-        shadowing = np.array([env.refresh_shadowing(ue, position) for ue, position in zip(ues, positions)])
-        window = [env.sinr_of(*powers).hex() for powers in env.window_powers(np.array(positions), servings, shadowing)]
-        rows = [oracle_row(oracle_env, ue, position, serving) for ue, position, serving in zip(ues, positions, servings)]
-        return window, [oracle_env.sinr_of(row.serving_mw, row.interference_mw).hex() for row in rows]
+    def twin_sinrs(env, oracle_env, ues, positions, live, servings):
+        """Each live window's SINR from ``window_sinrs`` on ``env`` and from
+        ``oracle_window_sinrs`` on its twin ``oracle_env``, as ``float.hex``
+        strings; UE ``ues[k]`` is at ``positions[k]``."""
+        xy = np.array(positions)
+        window = env.window_sinrs(ues, xy, live, servings)
+        oracle = oracle_window_sinrs(oracle_env, ues, xy, live, servings)
+        return [v.hex() for v in window], [v.hex() for v in oracle]
+
+    @staticmethod
+    def assert_shadowing(env, oracle_env, sigma):
+        """With shadowing, the twins' rows and streams are equal, so every
+        window's row was refreshed, its window live or not.  Without, ``env``
+        read no row, and every value the oracle drew is +0.0."""
+        if sigma:
+            assert shadow_bits(env) == shadow_bits(oracle_env)
+            assert env.shadow_rng.normal() == oracle_env.shadow_rng.normal()
+        else:
+            assert env._shadow == {}
+            assert {v for values, _ in shadow_bits(oracle_env).values() for v in values} == {"0x0.0p+0"}
 
     # One window; windows one to a chunk, two to a chunk (the last one
     # short) and all in one chunk.
@@ -969,33 +980,34 @@ class TestWindowPowers:
         monkeypatch.setattr(env, "_link_budget", counted)
         # One window alone, then all of them as one block: their UE ids
         # ascend, as an execution window's do.
-        window, oracle = self.twin_sinrs(env, oracle_env, [0], positions[:1], servings[:1])
+        window, oracle = self.twin_sinrs(env, oracle_env, [0], positions[:1], [0], servings[:1])
         assert window == oracle
         seen.clear()
-        window, oracle = self.twin_sinrs(env, oracle_env, range(1, 8), positions, servings)
+        window, oracle = self.twin_sinrs(env, oracle_env, list(range(1, 8)), positions, list(range(7)), servings)
         assert window == oracle
         assert seen == chunks
         assert window[4] != window[5]  # the same place, served by either side
-        assert shadow_bits(env) == shadow_bits(oracle_env)
-        assert env.shadow_rng.normal() == oracle_env.shadow_rng.normal()
+        self.assert_shadowing(env, oracle_env, sigma)
 
     @pytest.mark.parametrize("sigma", [0.0, 4.0])
     def test_moving_windows_equal_the_scalar_rows(self, monkeypatch, sigma):
         # 40 UEs over 50 sites at 350 km/h, 25 ticks 40 ms apart: shadowing
-        # redraws mid-run, and each window is a chunk of its own.
+        # redraws mid-run, and each window is a chunk of its own.  A third
+        # of the windows have failed at most ticks, and every one at each
+        # third tick, but each UE's shadowing is kept up to date.
         monkeypatch.setattr(radio, "ARRAY_PASS_MAX_PAIRS", 50)
         scenario = Scenario(n_ues_per_cell=4, ue_speed_kmh=350.0, channel=ChannelParams(shadowing_sigma_db=sigma))
         sites = build_sites(scenario)
         start, velocity = (a[::5] for a in place_ues(scenario, sites, np.random.default_rng([1, 0])))
-        ues = range(len(sites) * scenario.n_ues_per_cell)[::5]
+        ues = list(range(len(sites) * scenario.n_ues_per_cell)[::5])
         env, oracle_env = scenario_env(scenario), scenario_env(scenario)
         for tick in range(25):
             positions = list(map(tuple, (start + velocity * (0.04 * tick)).tolist()))
-            servings = [(7 * ue + tick) % len(sites) for ue in ues]
-            window, oracle = self.twin_sinrs(env, oracle_env, list(ues), positions, servings)
-            assert window == oracle
-        assert shadow_bits(env) == shadow_bits(oracle_env)
-        assert env.shadow_rng.normal() == oracle_env.shadow_rng.normal()
+            live = [k for k in range(len(ues)) if k * tick % 3]
+            servings = [(7 * ues[k] + tick) % len(sites) for k in live]
+            window, oracle = self.twin_sinrs(env, oracle_env, ues, positions, live, servings)
+            assert window == oracle and len(window) == len(live)
+        self.assert_shadowing(env, oracle_env, sigma)
 
     def test_completion_link_budget_is_the_helpers(self):
         # _received_dbm, which a completion's true_rsrp_of takes, gives the
@@ -1093,10 +1105,10 @@ class TestBlockKernel:
         assert block_env._shadow == {} and all(v.hex() == "0x0.0p+0" for v in scalar_env._shadow[0][0].tolist())
         assert repr(block_env.shadow_rng.normal()) != repr(scalar_env.shadow_rng.normal())
 
-    # Each chunk holds 195 rows (4,096 slots over 7 sites), which straddle
-    # ticks and split the first two calls, or one row.  14 UEs at 350 km/h
-    # travel about 230 m in 60 ticks, so their
-    # shadowing redraws mid-block, in (tick, UE) order as rows are read.
+    # A shadowed call's chunks end at each tick: 14 rows (195 would fit in
+    # 4,096 slots over 7 sites), or one row.  14 UEs at 350 km/h travel
+    # about 230 m in 60 ticks, so their shadowing redraws mid-block, in
+    # (tick, UE) order as rows are read.
     @pytest.mark.parametrize("max_pairs", [4096, 5 * 7])
     @pytest.mark.parametrize("seed", [1, 9001])
     def test_shadowed_blocks_equal_the_scalar_pass(self, monkeypatch, seed, max_pairs):
@@ -1178,13 +1190,20 @@ class TestBlockKernel:
         assert [list(env.block_samples(np.empty((5 - t, 0, 2)), [])) for t in range(5)] == [[]] * 5
         assert env.rng.bit_generator.state == state and env._env_noise == {}
 
+    def test_zero_ues_on_a_shadowed_channel(self):
+        # A shadowed call's chunks end at each tick, and here a tick holds
+        # no row.
+        env = make_env([(10.0 * i, 0.0) for i in range(3)], SHADOWED, seed=31)
+        assert list(env.block_samples(np.empty((5, 0, 2)), [])) == []
+        assert env._shadow == {} and env._env_noise == {}
+
 
 class TestChunkRows:
-    """The report kernel, ``window_powers`` and ``nearest_cell`` each take
+    """The report kernel, ``window_sinrs`` and ``nearest_cell`` each take
     their rows in chunks of at most ``ARRAY_PASS_MAX_PAIRS // (n_sites +
     MAX_NEIGHBORS + 6)`` rows, at least one: a row counts its sites and its
     sample's fixed fields, so the bound holds for the samples a chunk builds
-    too."""
+    too.  A shadowed kernel call's chunks also end at each tick."""
 
     @staticmethod
     def record_chunks(monkeypatch):
@@ -1200,10 +1219,13 @@ class TestChunkRows:
             monkeypatch.setattr(RadioEnvironment, name, counted)
         return seen
 
-    # 1,000 rows: the corridor's 2 sites take 256 a chunk, hex50's 50 take 64.
-    @pytest.mark.parametrize("scenario, per_chunk", [(corridor_scenario(), 256), (Scenario(), 64)],
-                             ids=["corridor", "hex50"])
-    def test_each_caller_chunks_its_rows(self, monkeypatch, scenario, per_chunk):
+    # 1,000 rows: the corridor's 2 sites take 256 a chunk, hex50's 50 take
+    # 64, but as 100 ticks of 10 UEs hex50's shadowed kernel rows take 10.
+    @pytest.mark.parametrize("scenario, per_chunk, kernel_chunks", [
+        (corridor_scenario(), 256, None),
+        (Scenario(), 64, [10] * 100),
+    ], ids=["corridor", "hex50"])
+    def test_each_caller_chunks_its_rows(self, monkeypatch, scenario, per_chunk, kernel_chunks):
         env = scenario_env(scenario)
         n_sites = len(env.sites)
         assert per_chunk == radio.ARRAY_PASS_MAX_PAIRS // (n_sites + MAX_NEIGHBORS + 6)
@@ -1214,12 +1236,13 @@ class TestChunkRows:
         env.nearest_cell(xy)
         assert seen == {"_array_chunk": [], "_link_budget": [], "_distances": chunks}
         seen["_distances"].clear()
-        list(env.window_powers(xy, servings, [[0.0] * n_sites] * 1000))
+        env.window_sinrs(list(range(1000)), xy, list(range(1000)), servings)
         assert seen == {"_array_chunk": [], "_link_budget": chunks, "_distances": chunks}
         for rows in seen.values():
             rows.clear()
         # 100 ticks of 10 UEs.
         list(env.block_samples(xy.reshape(100, 10, 2), servings[:10]))
+        chunks = kernel_chunks or chunks
         assert seen == {"_array_chunk": chunks, "_link_budget": chunks, "_distances": chunks}
 
     def test_corridor_run_takes_its_block_in_chunks(self, monkeypatch):

@@ -125,6 +125,8 @@ class TestPlacement:
         assert start.shape == velocity.shape == (0, 2)
         sim = Simulation(scenario)
         assert sim.contexts == [] and sim._block.shape == (1, 0, 2)
+        # The shadowed run completes: a tick of no UEs holds no kernel row.
+        assert sim.run().outcomes == []
 
     def test_hex_placement_within_cell_radius(self):
         scenario = dataclasses.replace(Scenario(n_sites=10), n_ues_per_cell=1000)
@@ -335,7 +337,7 @@ class TestReportTick:
             return add_sample(self, time_s, sinr_db, attached)
 
         monkeypatch.setattr(RadioEnvironment, "refresh_shadowing", counted_refresh)
-        monkeypatch.setattr(RadioEnvironment, "window_powers", no_window)
+        monkeypatch.setattr(RadioEnvironment, "window_sinrs", no_window)
         monkeypatch.setattr(MetricsAccumulator, "add_sample", recorded_add_sample)
         assert all(ctx.phase != EXECUTING for ctx in sim.contexts)
         start = [sim.position(ue) for ue in range(len(sim.contexts))]
@@ -409,8 +411,8 @@ class TestReportTick:
         starts = [k for k, event in enumerate(events) if event == "chunk"]
         assert starts == [65 * n for n in range(8)]
 
-    # A shadowed run, whose blocks are each one tick, and the corridor's,
-    # whose last block ends at the run's last tick.
+    # A shadowed run, whose one kernel call ends at the run's last tick, and
+    # the corridor's, whose last block does too.
     @pytest.mark.parametrize("scenario", [report_tick_scenario(), corridor_scenario(sim_duration_s=6.0)],
                              ids=["hex7", "corridor"])
     def test_finished_run_holds_no_reference_cycle(self, scenario):
@@ -531,9 +533,9 @@ class TestFailedWindowSkip:
     reuse the report row, against full oracle rows at every executing
     step."""
 
-    # (policy, seed) -> UE rows of the 1 s run's window blocks and of the
-    # full-row oracle.  Report ticks add no window row, so each counted
-    # row is an execution window's.
+    # (policy, seed) -> live windows of the 1 s run's window blocks and UE
+    # rows of the full-row oracle.  Report ticks add no window row, so each
+    # counted row is an execution window's.
     ROW_PASSES = {
         ("fixed_a3", 1): (87, 3390),
         ("fixed_a3", 9001): (104, 3820),
@@ -544,13 +546,13 @@ class TestFailedWindowSkip:
     @pytest.mark.parametrize("policy, seed", sorted(ROW_PASSES))
     def test_outcomes_and_shadowing_equal_full_rows(self, monkeypatch, policy, seed):
         window_rows = []
-        window_powers = RadioEnvironment.window_powers
+        window_sinrs = RadioEnvironment.window_sinrs
 
-        def counted_window_powers(self, xy, *args):
-            window_rows.append(len(xy))
-            return window_powers(self, xy, *args)
+        def counted_window_sinrs(self, ues, xy, live, servings):
+            window_rows.append(len(live))
+            return window_sinrs(self, ues, xy, live, servings)
 
-        monkeypatch.setattr(RadioEnvironment, "window_powers", counted_window_powers)
+        monkeypatch.setattr(RadioEnvironment, "window_sinrs", counted_window_sinrs)
         scenario = Scenario(policy=policy, seed=seed, sim_duration_s=1.0)
         lean, full = Simulation(scenario), FullRowEveryStep(scenario)
         lean.run()
@@ -565,10 +567,10 @@ class TestFailedWindowSkip:
 
 
 class TestBlockPass:
-    """Report ticks of a channel without shadowing on kernel calls of many
-    ticks, against the same runs a tick at a time: on the kernel with
-    one-tick calls, and on the scalar oracle; and how many ticks each call
-    holds, and how long its rows live."""
+    """Report ticks on kernel calls of many ticks, against the same runs a
+    tick at a time: on the kernel with one-tick calls, and, without
+    shadowing, on the scalar oracle; and how many ticks each call holds,
+    and how long its rows live."""
 
     # Seven mid-band hex sites with two UEs each at 350 km/h and a 4 ms step:
     # 29-tick trajectory blocks, each one kernel call, and ten steps
@@ -583,36 +585,73 @@ class TestBlockPass:
     @pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
     def test_runs_equal_the_per_tick_kernels(self, monkeypatch, policy, array):
         scenario = dataclasses.replace(self.SCENARIO, policy=policy)
-        splits, split = [], radio._split
+        resplits, resplit_sinr = [], RadioEnvironment.resplit_sinr
 
-        def counted_split(*args):
-            splits.append(1)
-            return split(*args)
+        def counted_resplit(*args):
+            resplits.append(1)
+            return resplit_sinr(*args)
 
-        monkeypatch.setattr(radio, "_split", counted_split)
+        monkeypatch.setattr(RadioEnvironment, "resplit_sinr", counted_resplit)
         expected = Simulation(scenario).run()
-        assert bool(splits) == (policy == "greedy_rsrp")
+        assert bool(resplits) == (policy == "greedy_rsrp")
         # Each trajectory block is one report period, so each kernel call is
         # one tick, computed for its own servings: no split is redone.
         monkeypatch.setattr(sim_module, "TRAJECTORY_BLOCK_UE_STEPS", 1)
         if not array:
             monkeypatch.setattr(RadioEnvironment, "block_samples", oracle_samples)
-        splits.clear()
+        resplits.clear()
         per_tick = Simulation(scenario)
         result = per_tick.run()
-        assert not splits
+        assert not resplits
         assert repr(result.kpis) == repr(expected.kpis)
         assert repr(result.outcomes) == repr(expected.outcomes) and expected.outcomes
         assert repr(result.qtables) == repr(expected.qtables)
 
-    # Without shadowing the simulation asks the kernel, at each trajectory
-    # block's first report tick, for every report tick the block holds: the
-    # default corridor's whole 1,000-tick run, or 48 ticks of 97 UE-steps
-    # for its 2 UEs.  With shadowing it asks for each report tick alone.
+    # Shadowed channels: 14 UEs over 7 hex sites at 350 km/h get 7-tick
+    # calls, with execution windows between the ticks under lim2 and
+    # greedy_rsrp; the corridor at 4 dB and a 10 ms step gets 512-tick
+    # calls, with windows between ticks and servings that change mid-call.
+    # A tick's shadowing must be read after the completions and windows
+    # before it, as its one-tick call reads it.
+    @pytest.mark.parametrize("policy", ["lim2", "fixed_a3", "greedy_rsrp"])
+    @pytest.mark.parametrize("scenario", [
+        Scenario(n_sites=7, n_ues_per_cell=2, ue_speed_kmh=350.0, sim_duration_s=4.0),
+        corridor_scenario(
+            channel=dataclasses.replace(corridor_scenario().channel, shadowing_sigma_db=4.0),
+            step_s=0.01, sim_duration_s=10.0,
+        ),
+    ], ids=["hex7", "corridor-4dB"])
+    def test_shadowed_runs_equal_one_tick_calls(self, monkeypatch, scenario, policy):
+        scenario = dataclasses.replace(scenario, policy=policy)
+        blocks, block_samples = [], RadioEnvironment.block_samples
+
+        def counted(env, ticks, servings):
+            blocks.append(len(ticks))
+            return block_samples(env, ticks, servings)
+
+        monkeypatch.setattr(RadioEnvironment, "block_samples", counted)
+        many = Simulation(scenario)
+        expected = many.run()
+        assert max(blocks) > 1
+        monkeypatch.setattr(sim_module, "TRAJECTORY_BLOCK_UE_STEPS", 1)
+        blocks.clear()
+        one = Simulation(scenario)
+        result = one.run()
+        assert set(blocks) == {1}
+        assert repr(result.kpis) == repr(expected.kpis)
+        assert repr(result.outcomes) == repr(expected.outcomes) and expected.outcomes
+        assert shadow_bits(one.env) == shadow_bits(many.env)
+        assert one.env.shadow_rng.normal() == many.env.shadow_rng.normal()
+
+    # The simulation asks the kernel, at each trajectory block's first
+    # report tick, for every report tick the block holds, with shadowing or
+    # without: the default corridor's whole 1,000-tick run, 48 ticks of 97
+    # UE-steps for its 2 UEs, or the 5 ticks a 0.2 s run keeps of the
+    # 7-period block of 14 hex UEs.
     @pytest.mark.parametrize("scenario, ue_steps, sizes", [
         (corridor_scenario(), None, [1000]),
         (corridor_scenario(), 97, [48] * 20 + [40]),
-        (Scenario(n_sites=7, n_ues_per_cell=2, sim_duration_s=0.2), None, [1] * 5),
+        (Scenario(n_sites=7, n_ues_per_cell=2, sim_duration_s=0.2), None, [5]),
     ], ids=["corridor", "corridor-97", "hex7-shadowed"])
     def test_kernel_blocks_are_trajectory_blocks(self, monkeypatch, scenario, ue_steps, sizes):
         if ue_steps is not None:
@@ -627,11 +666,12 @@ class TestBlockPass:
         run(scenario)
         assert blocks == sizes
 
-    # A shadowed run asks for rows at each report tick, the corridor's 97
-    # UE-step trajectory blocks at each block's first; without the cyclic
-    # collector only reference counts free the rows.
+    # Rows are asked for at each trajectory block's first report tick: three
+    # 280-step blocks of a 0.7 s shadowed hex run, 21 of the corridor's 97
+    # UE-step blocks; without the cyclic collector only reference counts
+    # free the rows.
     @pytest.mark.parametrize("scenario, ue_steps, calls", [
-        (report_tick_scenario(), None, 5),
+        (dataclasses.replace(report_tick_scenario(), sim_duration_s=0.7), None, 3),
         (corridor_scenario(), 97, 21),
     ], ids=["hex7-shadowed", "corridor-97"])
     def test_last_rows_are_freed_before_the_next_are_computed(self, monkeypatch, scenario, ue_steps, calls):
@@ -653,13 +693,14 @@ class TestBlockPass:
             gc.enable()
         assert len(returned) == calls
 
-    # A shadowed tick reads every row it asked for, so its kernel, with the
-    # tick's arrays, dies as the tick ends; an unshadowed block's rows live
-    # on for its later ticks.
+    # A call's rows live on for the block's later ticks, shadowed or not;
+    # the block's last report tick drops them, with the chunk arrays the
+    # suspended kernel holds, here hex50's one-tick blocks of 500 UEs.
     @pytest.mark.parametrize("scenario, alive", [
-        (report_tick_scenario(), False),
+        (report_tick_scenario(), True),
         (dataclasses.replace(report_tick_scenario(), channel=ChannelParams(shadowing_sigma_db=0.0)), True),
-    ], ids=["hex7-shadowed", "hex7-unshadowed"])
+        (Scenario(policy="fixed_a3", sim_duration_s=0.08), False),
+    ], ids=["hex7-shadowed", "hex7-unshadowed", "hex50-shadowed"])
     def test_rows_live_only_while_a_later_tick_reads_them(self, monkeypatch, scenario, alive):
         returned, block_samples = [], RadioEnvironment.block_samples
 
@@ -680,15 +721,16 @@ class TestBlockPass:
 
     def test_shadowed_run_frees_each_block_before_the_next(self, monkeypatch):
         # 14 UEs get 280-step trajectory blocks, so a 0.7 s run lays out
-        # three; no kernel row outlives its tick, so none keeps the block
-        # it was computed from alive while the next is allocated.
+        # three; each block's last report tick drops the kernel rows, so
+        # none keeps the block it was computed from alive as the next is
+        # allocated.
         alive = blocks_alive_at_allocation(monkeypatch, dataclasses.replace(report_tick_scenario(), sim_duration_s=0.7))
         assert alive == [False] * 3
 
     def test_unshadowed_run_frees_each_block_before_the_next(self, monkeypatch):
         # hex50's 500 UEs get one-period blocks, so a 0.2 s run lays out
         # five, each read by a one-tick kernel call whose rows view the
-        # block; the rows not read yet are dropped as the next is laid out.
+        # block; that tick drops them before the next block is laid out.
         scenario = Scenario(policy="fixed_a3", sim_duration_s=0.2, channel=ChannelParams(shadowing_sigma_db=0.0))
         assert blocks_alive_at_allocation(monkeypatch, scenario) == [False] * 5
 
