@@ -38,13 +38,14 @@ a trajectory block's.  Their (tick, UE) pairs are the rows of one array
 body, ``_array_chunk``, each row's sample taken for the serving cell it
 was handed.  A row (``KernelRow``) carries its chunk's linear powers and
 its index in them, so ``resplit_sinr`` can retake its SINR for another
-serving cell.  The call draws exactly its ticks' channel noise, as one
-standard-normal block in the order per-UE draws would take it, and steps
-the ambient walks through them.  Only the chunk arithmetic waits until
-the rows are read, at most ``ARRAY_PASS_MAX_PAIRS`` slots at a time, a
-row counting its sites plus its sample's ``MAX_NEIGHBORS + 6`` fixed
-fields; that keeps a large call's peak memory, its samples included,
-near that of one chunk.  The kernel, and ``window_sinrs`` and
+serving cell.  Everything waits for the chunk: the call computes its
+rows as they are read, at most ``ARRAY_PASS_MAX_PAIRS`` slots at a time,
+a row counting its sites plus its sample's ``MAX_NEIGHBORS + 6`` fixed
+fields, and each chunk refreshes its rows' shadowing, draws their channel
+noise (one standard-normal block, in the order per-UE draws would take
+it) and steps their ambient walks before its arithmetic.  That keeps a
+large call's peak memory, its noise and samples included, near that of
+one chunk.  The kernel, and ``window_sinrs`` and
 ``nearest_cell`` chunked alike, give what a scalar pass over each UE's
 id-ordered sites gives, bit for bit:
 
@@ -86,9 +87,9 @@ DETECTION_THRESHOLD_DBM = -125.0
 SHADOWING_DECORRELATION_M = 50.0
 # Most slots one chunk of the kernel spans, a (tick, UE) row counting one
 # per site and one per fixed field of its sample (up to MAX_NEIGHBORS + 1
-# ranked ids and five scalars), which bounds its arrays' memory and the
-# samples it builds whatever the deployment's size: the corridor's 2 sites
-# get 256-row chunks, hex50's 50 sites 64.
+# ranked ids and five scalars), which bounds its arrays' memory, its
+# channel noise and the samples it builds whatever the deployment's size:
+# the corridor's 2 sites get 256-row chunks, hex50's 50 sites 64.
 ARRAY_PASS_MAX_PAIRS = 4096
 # The anchor of a shadowing value never drawn: infinitely far from any
 # position, so the first lookup always draws.
@@ -384,53 +385,41 @@ class RadioEnvironment:
         above the threshold) are ranked by measured RSRP descending, ties
         by cell id.
 
-        The call draws the ticks' channel noise and steps each UE's ambient
-        walk through them, tick by tick with the scalar clamp, so
-        ``_env_noise`` holds the walk at the last tick; the rows' samples
-        wait for ``_block_rows``.  A UE's draws at a tick are the walk's
-        step (σ_env), then ``n_sites + 1`` measurement draws (σ_meas), the
-        last for the ambient reading.  They are one standard-normal block,
-        scaled and offset as numpy's ``normal`` computes ``0.0 + scale *
-        z``.  ``rng`` feeds nothing else, so they equal each UE's own
-        ``normal`` calls tick by tick, bit for bit, and leave ``rng`` where
-        those calls would."""
-        n_ticks, n_ues = len(ticks), len(servings)
-        noise = self.rng.standard_normal((n_ticks, n_ues, len(self._noise_scale)))
-        noise *= self._noise_scale
-        noise += 0.0
-        # Each UE's walk, a tick at a time; max() then min() clamp it.
-        lo, hi = self._walk_lo, self._walk_hi
-        walks = []
-        for ue, steps in enumerate(noise[:, :, 0].T.tolist()):
-            level = self._env_noise.get(ue, self.params.env_noise_mean_dbm)
-            walk = []
-            for step in steps:
-                level += step
+        Nothing is computed until the first row is read; then each chunk
+        (``_chunks``) in turn first takes its rows' shadowing
+        (``_shadowing``), so with shadowing no chunk spans two ticks: a
+        tick's rows are refreshed when it reads its first, after all that
+        drew shadowing before it, as a one-tick call's would be.  It then
+        draws its rows' channel noise, one standard-normal block scaled and
+        offset as numpy's ``normal`` computes ``0.0 + scale * z``: per row
+        the walk's step (σ_env), then ``n_sites + 1`` measurement draws
+        (σ_meas), the last for the ambient reading; and it steps each row's
+        walk in turn with the scalar clamp.  Rows come in the order each
+        UE's own ``normal`` calls would take them tick by tick, and ``rng``
+        feeds nothing else, so the draws equal those calls bit for bit, and
+        once every row is read ``rng`` and ``_env_noise`` stand where they
+        would."""
+        n_ues = len(servings)
+        xy, ues, servings = ticks.reshape(-1, 2), list(range(n_ues)) * len(ticks), servings * len(ticks)
+        span = n_ues if self.params.shadowing_sigma_db > 0 else 0
+        lo, hi, walks, mean = self._walk_lo, self._walk_hi, self._env_noise, self.params.env_noise_mean_dbm
+        for rows in self._chunks(len(xy), span):
+            positions, chunk_ues = xy[rows], ues[rows]
+            shadowing = self._shadowing(chunk_ues, positions)
+            noise = self.rng.standard_normal((len(chunk_ues), len(self._noise_scale)))
+            noise *= self._noise_scale
+            noise += 0.0
+            # Each row's walk in turn; max() then min() clamp it.
+            levels = []
+            for ue, step in zip(chunk_ues, noise[:, 0].tolist()):
+                level = walks.get(ue, mean) + step
                 if lo > level:
                     level = lo
                 if hi < level:
                     level = hi
-                walk.append(level)
-            walks.append(walk)
-            self._env_noise[ue] = level
-        # The (tick, UE) rows, tick-major.
-        levels = np.array(walks).T.reshape(-1)
-        noise = noise.reshape(-1, len(self._noise_scale))
-        ues = list(range(n_ues)) * n_ticks
-        return self._block_rows(ticks.reshape(-1, 2), ues, servings * n_ticks, levels, noise, n_ues)
-
-    def _block_rows(self, xy, ues, servings, levels, noise, n_ues) -> Iterator[KernelRow]:
-        """Each row's ``KernelRow``, computed by ``_array_chunk`` a chunk at
-        a time as the rows are read; row ``r`` is UE ``ues[r]``'s, a tick's
-        ``n_ues`` rows in turn.  A chunk takes its rows' shadowing
-        (``_shadowing``) as it is computed, so with shadowing no chunk spans
-        two ticks: a tick's rows are refreshed when it reads its first, after
-        all that drew shadowing before it, as a one-tick call's would be."""
-        span = n_ues if self.params.shadowing_sigma_db > 0 else 0
-        for rows in self._chunks(len(xy), span):
-            positions = xy[rows]
-            shadowing = self._shadowing(ues[rows], positions)
-            samples, mw = self._array_chunk(positions, servings[rows], shadowing, levels[rows], noise[rows])
+                walks[ue] = level
+                levels.append(level)
+            samples, mw = self._array_chunk(positions, servings[rows], shadowing, np.array(levels), noise)
             yield from zip(samples, repeat(mw), range(len(samples)))
 
     def _chunks(self, n_rows: int, span: int = 0) -> Iterator[slice]:

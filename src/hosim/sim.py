@@ -69,7 +69,8 @@ TRAJECTORY_BLOCK_UE_STEPS = 4096
 # Most UE-steps one report period may span, as a trajectory block holds at
 # least one: 2**22 (x, y) float pairs are 64 MiB.
 MAX_REPORT_PERIOD_UE_STEPS = 2**22
-# Most (UE, site) pairs a report tick's arrays, noise included, may span.
+# Most (UE, site) pairs a report tick may span: the shadowing store holds
+# one value per pair, and a window block copies its UEs' rows of it.
 MAX_REPORT_TICK_PAIRS = 2**22
 
 class ConfigError(ValueError):

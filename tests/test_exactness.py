@@ -22,7 +22,6 @@ from hosim import metrics, radio, sim
 AUDITED = {
     "radio._mapped": radio._mapped,
     "radio.RadioEnvironment.block_samples": radio.RadioEnvironment.block_samples,
-    "radio.RadioEnvironment._block_rows": radio.RadioEnvironment._block_rows,
     "radio.RadioEnvironment.window_sinrs": radio.RadioEnvironment.window_sinrs,
     "radio.RadioEnvironment._shadowing": radio.RadioEnvironment._shadowing,
     "radio.RadioEnvironment.nearest_cell": radio.RadioEnvironment.nearest_cell,

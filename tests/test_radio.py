@@ -508,10 +508,12 @@ class TestGenerateReport:
     # is many, or one as in hex50.
     @staticmethod
     def blocks(env, ticks, servings, block_ticks):
-        """Each call's rows, with the state of ``env.rng`` right after it."""
+        """Each call's rows; a call draws nothing until its first row is read."""
         for start, end in ((0, block_ticks), (block_ticks, 2 * block_ticks), (2 * block_ticks, 2 * block_ticks + 1)):
+            state = env.rng.bit_generator.state
             rows = env.block_samples(ticks[start:end], servings)
-            yield rows, env.rng.bit_generator.state
+            assert env.rng.bit_generator.state == state
+            yield rows
 
     def test_one_noise_draw_per_site_in_id_order(self):
         # Twelve sites: the serving cell and eight neighbours are reported,
@@ -523,7 +525,7 @@ class TestGenerateReport:
             position = (170.0, 5.0)
             wideband, *_ = budget_row(env, 0, position, 4)
             ticks = np.broadcast_to(position, (3 * block_ticks, n_ues, 2))
-            for rows, state in self.blocks(env, ticks, [4] * n_ues, block_ticks):
+            for rows in self.blocks(env, ticks, [4] * n_ues, block_ticks):
                 for row, (sample, *_) in enumerate(rows):
                     report = env.generate_report(row % n_ues, sample, 4, 0.0)
                     twin.normal(0.0, 0.0)  # the ambient-noise walk's step
@@ -534,9 +536,9 @@ class TestGenerateReport:
                         assert entry.rsrp_dbm == expected[entry.cell]
                     ranked = sorted((c for c in range(12) if c != 4), key=lambda c: (-expected[c], c))
                     assert [n.cell for n in report.neighbors] == ranked[:MAX_NEIGHBORS]
-                # Right after each call the stream stands where the per-UE
-                # calls of its ticks leave it, and reading the rows draws none.
-                assert state == twin.bit_generator.state == env.rng.bit_generator.state
+                # Once a call's rows are read the stream stands where the
+                # per-UE calls of its ticks leave it.
+                assert env.rng.bit_generator.state == twin.bit_generator.state
 
     def test_draw_order_is_walk_then_sites_then_reading(self):
         # One report takes n_sites + 2 channel draws: the walk step, each
@@ -550,7 +552,7 @@ class TestGenerateReport:
             wideband, *_ = budget_row(env, 0, position, 0)
             levels = [mean] * n_ues
             ticks = np.broadcast_to(position, (3 * block_ticks, n_ues, 2))
-            for rows, state in self.blocks(env, ticks, [0] * n_ues, block_ticks):
+            for rows in self.blocks(env, ticks, [0] * n_ues, block_ticks):
                 for row, (sample, *_) in enumerate(rows):
                     ue = row % n_ues
                     report = env.generate_report(ue, sample, 0, 0.0)
@@ -558,7 +560,8 @@ class TestGenerateReport:
                     expected = [p - re_scaling_db(BW) - (level - mean) + twin.normal(0.0, 2.0) for p in wideband]
                     assert {e.cell: e.rsrp_dbm for e in (report.serving, *report.neighbors)} == dict(enumerate(expected))
                     assert report.env_noise_dbm == level + twin.normal(0.0, 2.0)
-                assert state == twin.bit_generator.state == env.rng.bit_generator.state
+                assert env.rng.bit_generator.state == twin.bit_generator.state
+                assert repr(env._env_noise) == repr(dict(enumerate(levels)))
 
     def test_nan_measurement_at_one_site_raises(self):
         sites = [(40.0 * i, 0.0) for i in range(5)]
@@ -782,26 +785,40 @@ class TestChannelNoise:
         drawn, array_chunk = [], env._array_chunk
 
         def recorded(xy, servings, shadowing, level, noise):
-            drawn.append(noise)
+            drawn.append((noise, env.rng.bit_generator.state))
             return array_chunk(xy, servings, shadowing, level, noise)
 
         monkeypatch.setattr(env, "_array_chunk", recorded)
         ticks = np.broadcast_to((5.0, 3.0), (n_ticks, n_ues, 2))
+        state = env.rng.bit_generator.state
         rows = env.block_samples(ticks, [0] * n_ues)
-        expected = [
-            [float(twin.normal(0.0, env_sigma)), *twin.normal(0.0, meas_sigma, n_sites + 1).tolist()]
-            for _ in range(n_ticks * n_ues)
-        ]
-        # The call draws the noise of all its ticks, no more, and reading
-        # its rows, one per (tick, UE), draws none.
-        assert env.rng.bit_generator.state == twin.bit_generator.state
+        # The call draws nothing until its first row is read.
+        assert env.rng.bit_generator.state == state
         assert len(list(rows)) == n_ticks * n_ues
+        assert sum(len(noise) for noise, _ in drawn) == n_ticks * n_ues
+        steps = []
+        for noise, after_draw in drawn:
+            # Each chunk draws exactly its rows' n_sites + 2 values, as each
+            # row's UE takes them by its own calls, bit for bit, the sign of
+            # zero included.
+            expected = [
+                [float(twin.normal(0.0, env_sigma)), *twin.normal(0.0, meas_sigma, n_sites + 1).tolist()]
+                for _ in range(len(noise))
+            ]
+            assert after_draw == twin.bit_generator.state
+            assert noise.tobytes() == np.array(expected).tobytes()
+            if meas_sigma == 0.0:
+                assert (np.copysign(1.0, noise) == 1.0).all()
+            steps += [step for step, *_ in expected]
+        # Once every row is read, the stream and the walks stand where the
+        # per-UE calls leave them.
+        mean, bound = params.env_noise_mean_dbm, 3.0 * env_sigma
+        walks = {}
+        for row, step in enumerate(steps):
+            ue = row % n_ues
+            walks[ue] = min(max(walks.get(ue, mean) + step, mean - bound), mean + bound)
         assert env.rng.bit_generator.state == twin.bit_generator.state
-        # Bit for bit, the sign of zero included.
-        block = np.concatenate(drawn)
-        assert block.tobytes() == np.array(expected).tobytes()
-        if meas_sigma == 0.0:
-            assert (np.copysign(1.0, block) == 1.0).all()
+        assert repr(env._env_noise) == repr(walks)
 
     def test_zero_ues_draw_nothing(self):
         env = make_env([(10.0 * i, 0.0) for i in range(3)], SHADOWED, seed=31)
@@ -1259,3 +1276,28 @@ class TestChunkRows:
         Simulation(corridor_scenario()).run()
         assert calls == [2000]
         assert seen["_array_chunk"] == [256] * 7 + [208]
+
+    def test_many_sites_draw_their_noise_a_chunk_at_a_time(self):
+        # 256 shadowed sites of one UE each report at every step, so one
+        # kernel call takes the run's 10 ticks of 256 rows; a row spans 270
+        # slots, so a chunk holds 15 rows and draws their noise alone.
+        scenario = Scenario(
+            n_sites=256, n_ues_per_cell=1, step_s=0.04, report_period_s=0.04, sim_duration_s=0.4, policy="fixed_a3"
+        )
+        per_chunk = radio.ARRAY_PASS_MAX_PAIRS // (256 + MAX_NEIGHBORS + 6)
+        assert per_chunk == 15
+        simulation, draws = Simulation(scenario), []
+
+        class Recorded:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, shape):
+                draws.append(shape)
+                return self.rng.standard_normal(shape)
+
+        simulation.env.rng = Recorded(simulation.env.rng)
+        simulation.run()
+        rows = [shape[0] for shape in draws]
+        assert max(rows) <= per_chunk and sum(rows) == 10 * 256
+        assert {shape[1:] for shape in draws} == {(256 + 2,)}
